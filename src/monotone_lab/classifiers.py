@@ -193,12 +193,9 @@ def ni_infimum(
     wstarstar = S.pair.check_dim(wstarstar, "wstarstar")
     p = float(wstar @ wstarstar)
 
-    th = theta(S, wstar, wstarstar, budget, seed)
-    if th.status == "exact":
-        return p - th.value
-    # th is a sampled lower bound on theta, so p - th.value is an upper
-    # bound on the infimum; the witness realizes it on the graph
-    return p - th.value
+    # exact when theta is; otherwise theta is a sampled lower bound, so
+    # this is an upper bound on the infimum
+    return p - theta(S, wstar, wstarstar, budget, seed).value
 
 
 def _graph_membership_residual(

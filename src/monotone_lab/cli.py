@@ -14,13 +14,7 @@ import json
 import sys
 from typing import Optional
 
-from .harness import (
-    ScenarioError,
-    parse_scenario,
-    report_csv,
-    report_json,
-    run_scenario,
-)
+from .harness import ScenarioError, report_csv, report_json, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,19 +146,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "run":
             report = run_scenario(args.scenario)
         else:
-            data = _inline_scenario(args)
-            # validate before running so config errors exit with 2
-            parse_scenario(data)
-            import json as _json
-            import tempfile
-
-            with tempfile.NamedTemporaryFile(
-                "w", suffix=".json", delete=False, encoding="utf-8"
-            ) as fh:
-                _json.dump(data, fh)
-                tmp = fh.name
-            report = run_scenario(tmp)
-            report["scenario"] = "<inline>"
+            report = run_scenario(_inline_scenario(args))
         _emit(report, args)
         return EXIT_OK
     except (ScenarioError, FileNotFoundError, ValueError) as exc:

@@ -576,11 +576,15 @@ _TASK_RUNNERS = {
 }
 
 
-def run_scenario(path: str) -> dict:
-    """Executes every task of the scenario at ``path`` and returns the
-    report dict (JSON-ready)."""
-    sc = load_scenario(path)
-    report: dict[str, Any] = {"schema": SCHEMA_VERSION, "scenario": path,
+def run_scenario(scenario: str | dict) -> dict:
+    """Executes every task of the scenario, given as a file path or as
+    an already-parsed JSON object, and returns the report dict
+    (JSON-ready).  A parsed scenario is reported as ``"<inline>"``."""
+    if isinstance(scenario, dict):
+        sc, name = parse_scenario(scenario), "<inline>"
+    else:
+        sc, name = load_scenario(scenario), scenario
+    report: dict[str, Any] = {"schema": SCHEMA_VERSION, "scenario": name,
                               "tasks": []}
     for i, task in enumerate(sc.tasks):
         runner = _TASK_RUNNERS.get(task["kind"])
@@ -604,8 +608,23 @@ def run_scenario(path: str) -> dict:
     return report
 
 
+def _finite_json(obj: Any) -> Any:
+    """Copy of ``obj`` with each non-finite float replaced by the string
+    "inf", "-inf" or "nan", which strict JSON can carry."""
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return "nan" if np.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """Strict JSON: non-finite floats are written as the strings "inf",
+    "-inf" and "nan"."""
+    return json.dumps(_finite_json(report), indent=2, sort_keys=True,
+                      allow_nan=False)
 
 
 def strip_timings(report: dict) -> dict:

@@ -54,7 +54,7 @@ class GapReport:
     value: float
     witness: PairedPoint
     status: str  # "exact" or "upper_bound"
-    method: str  # "enumeration", "resolvent", "subgradient_descent"
+    method: str  # "enumeration", "resolvent", "subgradient_descent", "sampled"
 
 
 def r_objective(
@@ -107,7 +107,7 @@ def gap(
             best, wit = v, p
     if wit is None:
         raise ResolventError("no graph points available for the gap bound")
-    return GapReport(best, wit, "upper_bound", "subgradient_descent")
+    return GapReport(best, wit, "upper_bound", "sampled")
 
 
 def gap_euclidean_oracle(

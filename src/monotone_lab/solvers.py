@@ -48,89 +48,81 @@ def project_ball(v: np.ndarray, radius: float, kind: str) -> np.ndarray:
     raise ValueError(f"unknown ball kind {kind!r}")
 
 
-def nearest_hull_point(
-    vertices: np.ndarray, y: np.ndarray, max_iter: int = 2000, tol: float = 1e-14
-) -> np.ndarray:
+def nearest_hull_point(vertices: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``y`` onto conv(vertices).
 
-    Accelerated projected gradient on the simplex of convex weights;
-    the objective is smooth and the simplex projection is exact, so the
-    iterate reaches machine precision for the small vertex counts used
-    here.
+    A clip in one dimension.  Otherwise Wolfe's minimum-norm-point
+    algorithm (P. Wolfe, "Finding the nearest point in a polytope",
+    Math. Programming 11 (1976) 128-149) on the translated vertices
+    P = V - y: it keeps a corral S of vertices with positive convex
+    weights w, adds the vertex j minimizing <P_j, x> at x = P[S]' w
+    (major cycle), and moves toward the affine minimizer of S, dropping
+    the vertices whose weight that move zeroes (minor cycle).  It is
+    finite and exact.  It stops when no vertex lowers <P_j, x> below
+    <x, x> in floating point, when the entering vertex is already in S,
+    or when it leaves S again at once; the iteration cap only guards
+    against longer rounding cycles.  Ties go to the lowest vertex index.
+
+    The result is the convex combination V[S]' w of the original
+    vertices, not y + x, which would cancel for far-away ``y``; for the
+    same reason the stopping test and the affine minimizer are computed
+    from vertices and their differences, whose size does not grow with
+    ``y``.
     """
     V = np.asarray(vertices, dtype=float)
+    y = np.asarray(y, dtype=float)
     m = V.shape[0]
     if m == 1:
         return V[0].copy()
-    G = V @ V.T
-    b = V @ np.asarray(y, dtype=float)
-    L = max(float(np.linalg.eigvalsh(G)[-1]), 1e-12)
-    lam = np.full(m, 1.0 / m)
-    z = lam.copy()
-    t = 1.0
-    f_prev = np.inf
-    for _ in range(max_iter):
-        grad = G @ z - b
-        lam_new = project_simplex(z - grad / L)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = lam_new + ((t - 1.0) / t_new) * (lam_new - lam)
-        lam, t = lam_new, t_new
-        f = 0.5 * lam @ G @ lam - b @ lam
-        if abs(f_prev - f) <= tol * max(1.0, abs(f)):
+    if V.shape[1] == 1:
+        return np.clip(y, V.min(), V.max())
+    S = [int(np.argmin(np.sum((V - y) ** 2, axis=1)))]
+    w = np.ones(1)
+    for _ in range(8 * m + 8):
+        p = w @ V[S]
+        x = p - y
+        vx = V @ x
+        j = int(np.argmin(vx))
+        # x.x - P_j.x = x.p - V_j.x.  No relative tolerance: when x is
+        # nearly normal to a face, a gap below tol leaves p up to
+        # sqrt(tol) from the projection (1.2e-7 for tol = 1.4e-14).
+        if j in S or float(x @ p) - float(vx[j]) <= 0.0:
             break
-        f_prev = f
-    lam = _active_set_polish(G, b, lam)
-    return V.T @ lam
+        corral = list(S)
+        S.append(j)
+        w = np.append(w, 0.0)
+        while True:
+            alpha = _affine_minimizer(V[S], y)
+            if alpha is None:  # S spans less than y - V can resolve
+                return p
+            if np.all(alpha > 0):
+                w = alpha
+                break
+            neg = np.nonzero(alpha <= 0)[0]
+            # a vertex of weight zero (the one just added) leaves at once
+            ratios = np.divide(w[neg], w[neg] - alpha[neg],
+                               out=np.zeros(neg.size), where=w[neg] > 0)
+            k = int(np.argmin(ratios))
+            w = w + ratios[k] * (alpha - w)
+            w[neg[k]] = 0.0
+            keep = w > 0
+            S = [s for s, kept in zip(S, keep) if kept]
+            w = w[keep]
+        if S == corral:  # j entered on rounding alone
+            break
+    return w @ V[S]
 
 
-def _active_set_polish(G: np.ndarray, b: np.ndarray, lam: np.ndarray,
-                       drop_tol: float = 1e-10) -> np.ndarray:
-    """Exact KKT solve on the active vertex set found by the iteration.
-
-    Solves the equality-constrained quadratic program restricted to the
-    currently positive weights, dropping any weight the solve makes
-    negative, so the returned projection is accurate to machine
-    precision on the identified face.
-    """
-    m = lam.size
-    active = lam > drop_tol
-    if not np.any(active):
-        active[int(np.argmax(lam))] = True
-    best = lam
-    for _ in range(4 * m):
-        idx = np.nonzero(active)[0]
-        k = idx.size
-        # KKT system: [G_aa 1; 1' 0] [lam; mu] = [b_a; 1]
-        K = np.zeros((k + 1, k + 1))
-        K[:k, :k] = G[np.ix_(idx, idx)]
-        K[:k, k] = 1.0
-        K[k, :k] = 1.0
-        rhs = np.concatenate([b[idx], [1.0]])
-        try:
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return best
-        w, mu = sol[:k], sol[k]
-        if np.any(w < -drop_tol):
-            active[idx[int(np.argmin(w))]] = False
-            if not np.any(active):
-                return best
-            continue
-        cand = np.zeros(m)
-        cand[idx] = np.maximum(w, 0.0)
-        s = cand.sum()
-        if s <= 0:
-            return best
-        best = cand / s
-        # dual feasibility: inactive vertices must not improve
-        viol = (G @ best - b) + mu
-        viol[idx] = 0.0
-        j = int(np.argmin(viol))
-        scale = max(1.0, float(np.max(np.abs(b))))
-        if viol[j] >= -1e-11 * scale:
-            return best
-        active[j] = True
-    return best
+def _affine_minimizer(Q: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """Affine weights (summing to one) of the point of aff(rows of Q)
+    nearest ``y``, solved in the differences Q[1:] - Q[0]; None when
+    they overflow, as for differences near 1e-308 times |y - Q[0]|."""
+    if Q.shape[0] == 1:
+        return np.ones(1)
+    beta = np.linalg.lstsq((Q[1:] - Q[0]).T, y - Q[0], rcond=None)[0]
+    if not np.all(np.isfinite(beta)):
+        return None
+    return np.concatenate(([1.0 - beta.sum()], beta))
 
 
 def douglas_rachford(

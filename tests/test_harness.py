@@ -258,6 +258,48 @@ class TestCli:
         assert out["scenario"] == "<inline>"
         assert out["tasks"][0]["status"] == "ok"
 
+    def test_inline_calls_leave_no_temp_files(self, capsys, tmp_path,
+                                              monkeypatch):
+        import tempfile
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        abs_op = '{"subdiff": {"norm": {"dim": 1}}}'
+        calls = [
+            ["gap", "--operator", abs_op, "--count", "2"],
+            ["fitz", "--operator", '{"linear": [[1.0]]}',
+             "--points", "[[[1.0], [1.0]]]"],
+            ["classify", "--operator", abs_op, "--class", "ni",
+             "--task", '{"wstar": [2.0], "wstarstar": [0.0]}'],
+            ["br", "--mode", "corollary", "--fn", '{"half_sq": {"dim": 1}}',
+             "--task", '{"beta": 0.1}'],
+            ["tail", "--task", '{"n_list": [1]}'],
+        ]
+        for argv in calls:
+            assert main(argv) == 0, argv
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_values_are_strict_json(self, capsys):
+        # the Fitzpatrick function of the skew map is +inf off its graph
+        code = main(["fitz", "--space", '{"dim": 2, "norm": "l2"}',
+                     "--operator", '{"linear": [[0.0, 1.0], [-1.0, 0.0]]}',
+                     "--points", "[[[1.0, 0.0], [0.0, 0.0]]]"])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        rec = out["tasks"][0]["records"][0]
+        assert rec["phi"] == "inf"
+
+    def test_run_scenario_accepts_parsed_scenario(self):
+        data = base_scenario([{"kind": "gap", "operator": "abs",
+                               "seed": 0, "count": 1}])
+        rep = run_scenario(data)
+        assert rep["scenario"] == "<inline>"
+        assert rep["tasks"][0]["status"] == "ok"
+
     def test_missing_scenario_file_is_config_error(self, capsys):
         assert main(["run", "/nonexistent/scenario.json"]) == 2
 

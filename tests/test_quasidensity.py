@@ -71,6 +71,14 @@ class TestGap:
             t = PairedPoint(rng.normal(size=2) * 3, rng.normal(size=2) * 3)
             assert gap(S, GapQuery(t)).value >= -1e-12
 
+    def test_sampled_fallback_is_labelled_sampled(self):
+        # |x| on the l1 pair: no finite graph, no Euclidean resolvent
+        # oracle, no linear descent; the bound is a minimum over samples
+        S = Subdifferential(pair=DualPair(1, NormTag.L1), f=NormFn(1))
+        rep = gap(S, GapQuery(pp(0.0, 2.0)), budget=20, seed=0)
+        assert rep.method == "sampled"
+        assert rep.status == "upper_bound"
+
 
 class TestEuclideanOracle:
     def test_algebraic_identity(self):

@@ -1,0 +1,129 @@
+"""Euclidean projection onto a convex hull (Wolfe's minimum-norm point)."""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from monotone_lab import Polytope
+from monotone_lab.solvers import nearest_hull_point
+
+
+def brute_force_projection(V: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Projection of y onto conv(V) by enumeration.  For every vertex
+    subset of at most dim + 1 points, the point of its affine hull
+    nearest y is a candidate when its affine weights are nonnegative;
+    the projection is the candidate p with <v - p, y - p> <= 0 for all
+    vertices v, so the candidate with the smallest largest such product
+    is kept.  (Picking the candidate nearest y instead is ill-posed in
+    floating point: distances of candidates a distance t apart differ
+    only by O(t^2), so ties hide offsets of about sqrt(eps).)"""
+    best, best_viol = None, np.inf
+    m, d = V.shape
+    for k in range(1, min(m, d + 1) + 1):
+        for subset in itertools.combinations(range(m), k):
+            Q = V[list(subset)]
+            if k == 1:
+                weights = np.ones(1)
+            else:
+                beta = np.linalg.lstsq((Q[1:] - Q[0]).T, y - Q[0],
+                                       rcond=None)[0]
+                weights = np.concatenate(([1.0 - beta.sum()], beta))
+            if np.all(weights >= -1e-12):
+                p = weights @ Q
+                viol = float(np.max((V - p) @ (y - p)))
+                if viol < best_viol:
+                    best, best_viol = p, viol
+    return best
+
+
+@st.composite
+def hull_and_point(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["float", "grid", "collinear"]))
+    if kind == "float":
+        V = draw(arrays(np.float64, (m, d),
+                        elements=st.floats(-10.0, 10.0, allow_nan=False)))
+    elif kind == "grid":  # duplicate vertices are common on a small grid
+        V = draw(arrays(np.float64, (m, d),
+                        elements=st.integers(-2, 2).map(float)))
+    else:  # vertices on one line through a, in the plane
+        d = 2
+        a, b = draw(arrays(np.float64, (2, 2),
+                           elements=st.integers(-3, 3).map(float)))
+        t = draw(arrays(np.float64, (m,),
+                        elements=st.integers(-4, 4).map(float)))
+        V = a + np.outer(t, b)
+    y = draw(arrays(np.float64, (d,),
+                    elements=st.floats(-100.0, 100.0, allow_nan=False)))
+    return V, y
+
+
+def scale_of(V: np.ndarray, y: np.ndarray) -> float:
+    return max(1.0, float(np.max(np.abs(V))), float(np.max(np.abs(y))))
+
+
+# The projection is pinned down by the variational inequality, which
+# rounding meets to about eps * scale^2; two points that both meet it
+# to tau lie within sqrt(2 tau) of each other.  On thin hulls (vertex
+# offsets near 1e-7 in the test data) positions therefore agree only to
+# about sqrt(eps) * scale, while the inequality itself holds to 1e-14.
+POSITION_TOL = 1e-7
+
+
+class TestNearestHullPoint:
+    @given(case=hull_and_point())
+    @settings(max_examples=300, deadline=None)
+    def test_variational_inequality(self, case):
+        # p is the projection iff <v - p, y - p> <= 0 for every vertex v
+        V, y = case
+        p = nearest_hull_point(V, y)
+        assert p.shape == y.shape
+        assert np.max((V - p) @ (y - p)) <= 1e-9 * scale_of(V, y) ** 2
+
+    @given(case=hull_and_point())
+    @settings(max_examples=200, deadline=None)
+    def test_idempotent(self, case):
+        V, y = case
+        p = nearest_hull_point(V, y)
+        assert np.allclose(nearest_hull_point(V, p), p,
+                           rtol=0.0, atol=POSITION_TOL * scale_of(V, y))
+
+    @given(case=hull_and_point())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, case):
+        V, y = case
+        p = nearest_hull_point(V, y)
+        ref = brute_force_projection(V, y)
+        assert np.linalg.norm(p - ref) <= POSITION_TOL * scale_of(V, y)
+
+    def test_one_dimensional_hull_is_a_clip(self):
+        V = np.array([[0.5], [-2.0], [3.0], [1.0]])
+        for y, expected in ((-7.0, -2.0), (0.25, 0.25), (9.0, 3.0)):
+            assert nearest_hull_point(V, np.array([y]))[0] == expected
+
+    def test_single_vertex(self):
+        V = np.array([[1.0, -2.0]])
+        p = nearest_hull_point(V, np.array([5.0, 5.0]))
+        assert np.array_equal(p, V[0])
+        assert p is not V[0]
+
+    def test_far_point_reaches_the_support_maximizer(self):
+        rng = np.random.default_rng(11)
+        for d in (2, 3):
+            for _ in range(20):
+                P = Polytope(vertices=rng.normal(size=(6, d)))
+                u = rng.normal(size=d)
+                y = 1e10 * u / np.linalg.norm(u)
+                p = P.project(y)
+                assert np.linalg.norm(p - P.argmax_support(y)) <= 1e-9
+
+    def test_square_faces_and_corners(self):
+        V = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        cases = {(3.0, 0.5): (1.0, 0.5), (3.0, 4.0): (1.0, 1.0),
+                 (0.2, -0.3): (0.2, -0.3), (-0.5, -8.0): (-0.5, -1.0)}
+        for y, expected in cases.items():
+            p = nearest_hull_point(V, np.array(y))
+            assert np.allclose(p, expected, rtol=0.0, atol=1e-14)
