@@ -219,10 +219,10 @@ def _dual_unit(y: np.ndarray, ball_norm: NormTag) -> np.ndarray:
     if not np.any(y):
         return np.zeros_like(y)
     if ball_norm is NormTag.L2:
-        n = np.linalg.norm(y)
-        if n == 0.0:  # subnormal entries can underflow the norm
-            return np.zeros_like(y)
-        return y / n
+        # rescale first: squares of tiny entries underflow to subnormals
+        # and the norm then loses most of its digits
+        z = y / np.max(np.abs(y))
+        return z / np.linalg.norm(z)
     if ball_norm is NormTag.LINF:
         # support is r*||y||_1, attained at sign pattern; break 0-ties low
         u = np.sign(y)

@@ -56,6 +56,14 @@ class TestArgmaxSupport:
         for y in (np.array([1.0, 0.0]), np.array([-5.0, 2.0])):
             assert np.array_equal(s.argmax_support(y), np.array([2.0, 3.0]))
 
+    def test_ball_tiny_direction_stays_on_sphere(self):
+        # squares of these entries underflow to subnormals
+        y = np.array([4.66362767e-160, 4.66362767e-160])
+        for s in (Ball(center=np.zeros(2), radius=1.5),
+                  Capsule(a=np.array([-1.0, 0.0]), b=np.array([1.0, 0.0]),
+                          radius=0.5)):
+            assert s.contains(s.argmax_support(y), tol=1e-12)
+
     @given(y=vec2())
     @settings(max_examples=150, deadline=None)
     def test_argmax_is_member_and_attains(self, y):
