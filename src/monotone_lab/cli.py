@@ -4,17 +4,18 @@ Subcommands: run (scenario file), gap, fitz, classify, br, tail.  The
 inline subcommands accept JSON descriptors on the command line and are
 thin wrappers that synthesize a one-task scenario.  Exit codes: 0 when
 every task ran (verdicts may still be negative), 2 on parse or
-configuration errors, 3 on an internal solver failure.
+configuration errors (a NaN or infinite number among them), 3 when a
+task is recorded with status "error" or the solver fails outright.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
-from .harness import ScenarioError, report_csv, report_json, run_scenario
+from .harness import (ScenarioError, finite_float, load_json, report_csv,
+                      report_json, run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -23,9 +24,9 @@ EXIT_SOLVER = 3
 
 def _json_arg(text: str):
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise argparse.ArgumentTypeError(f"invalid JSON: {exc.msg}") from exc
+        return load_json(text)
+    except ValueError as exc:  # a decode error or a non-finite number
+        raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra task fields (JSON object)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--eta", type=float, default=None)
+        p.add_argument("--eta", type=finite_float, default=None)
         if name == "gap":
             p.add_argument("--probes", type=_json_arg, default=None,
                            help="probe list [[x, xstar], ...] (JSON)")
@@ -148,6 +149,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             report = run_scenario(_inline_scenario(args))
         _emit(report, args)
+        if any(t["status"] == "error" for t in report["tasks"]):
+            return EXIT_SOLVER
         return EXIT_OK
     except (ScenarioError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from monotone_lab import (
     NormFn,
     NormTag,
     NormalCone,
+    PairedPoint,
     ScenarioError,
     Subdifferential,
     interval,
@@ -21,6 +22,7 @@ from monotone_lab import (
     parse_scenario,
     parse_set,
     parse_space,
+    r_objective,
     report_csv,
     report_json,
     run_scenario,
@@ -28,6 +30,7 @@ from monotone_lab import (
     sum_test,
     support_subdiff,
     tail_experiment,
+    tail_operator,
 )
 from monotone_lab.cli import main
 
@@ -118,6 +121,12 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="seed"):
             parse_scenario(data)
 
+    def test_unknown_task_kind_is_config_error(self, capsys, tmp_path):
+        data = base_scenario([{"kind": "gizmo", "seed": 0}])
+        with pytest.raises(ScenarioError, match="unknown kind 'gizmo'"):
+            parse_scenario(data)
+        assert main(["run", write_scenario(tmp_path, data)]) == 2
+
     def test_tail_task_needs_no_seed(self):
         data = base_scenario([{"kind": "tail_experiment", "n_list": [1]}])
         parse_scenario(data)  # should not raise
@@ -203,6 +212,21 @@ class TestTailExperiment:
             assert row["status"] == "upper_bound"
             assert row["gap_bound"] >= 0.0
             assert row["steps"] > 0
+
+    def test_qp_rows_reach_zero(self):
+        for row in tail_experiment([2, 16, 64]):
+            assert row["status"] == "upper_bound"
+            assert 0.0 <= row["gap_bound"] <= 1e-9
+            assert row["steps"] >= 1 and row["restarts"] == 1
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_closed_form_witness(self, n):
+        # s = e_n/2 maps to the all-halves vector: r = 1/8 + 1/8 - 1/4
+        T = tail_operator(n)
+        s = np.zeros(n)
+        s[-1] = 0.5
+        probe = PairedPoint(np.zeros(n), np.ones(n))
+        assert r_objective(T, probe, s, T.M @ s) == 0.0
 
     def test_empty_list(self):
         assert tail_experiment([]) == []
@@ -322,6 +346,54 @@ class TestCli:
         assert main(["run", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["tasks"][0]["status"] == "ok"
+
+    def test_errored_task_exit_code(self, capsys, tmp_path):
+        # the premise of br point fails at u = 5: recorded, then exit 3
+        data = base_scenario([{"kind": "br", "mode": "point", "seed": 0,
+                               "fn": {"half_sq": {"dim": 1}}, "u": [5.0],
+                               "alpha": 0.1, "beta": 0.1}])
+        assert main(["run", write_scenario(tmp_path, data)]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["tasks"][0]["status"] == "error"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                       "1e400"])
+    def test_non_finite_scenario_file_is_config_error(self, capsys,
+                                                      tmp_path, token):
+        text = json.dumps(base_scenario([{"kind": "gap", "operator": "abs",
+                                          "seed": 0, "probes": "PROBES"}]))
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace('"PROBES"', f"[[[{token}], [0.0]]]"),
+                        encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert "non-finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gap", "--operator", '{"linear": [[NaN]]}', "--count", "1"],
+        ["gap", "--operator", '{"linear": [[1.0]]}',
+         "--probes", "[[[Infinity], [0.0]]]"],
+        ["fitz", "--operator", '{"linear": [[1.0]]}',
+         "--points", "[[[-Infinity], [1.0]]]"],
+        ["classify", "--operator", '{"linear": [[1.0]]}', "--class", "ni",
+         "--task", '{"wstar": [NaN], "wstarstar": [0.0]}'],
+    ])
+    def test_non_finite_inline_json_is_config_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "non-finite number" in capsys.readouterr().err
+
+    def test_non_finite_eta_flag_is_config_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gap", "--operator", '{"linear": [[1.0]]}', "--eta", "nan"])
+        assert exc.value.code == 2
+        assert "--eta" in capsys.readouterr().err
+
+    def test_non_finite_probe_is_rejected(self):
+        data = base_scenario([{"kind": "gap", "operator": "abs", "seed": 0,
+                               "probes": [[[float("nan")], [0.0]]]}])
+        with pytest.raises(ScenarioError, match="non-finite"):
+            run_scenario(data)
 
     def test_solver_failure_exit_code(self, capsys, tmp_path, monkeypatch):
         import monotone_lab.cli as cli_mod

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from monotone_lab import (
     DualPair,
@@ -9,6 +11,7 @@ from monotone_lab import (
     GapQuery,
     HalfSqNorm,
     IndicatorFn,
+    Linear,
     NormFn,
     NormTag,
     NormalCone,
@@ -73,11 +76,53 @@ class TestGap:
 
     def test_sampled_fallback_is_labelled_sampled(self):
         # |x| on the l1 pair: no finite graph, no Euclidean resolvent
-        # oracle, no linear descent; the bound is a minimum over samples
+        # oracle, no linear QP; the bound is a minimum over samples
         S = Subdifferential(pair=DualPair(1, NormTag.L1), f=NormFn(1))
         rep = gap(S, GapQuery(pp(0.0, 2.0)), budget=20, seed=0)
         assert rep.method == "sampled"
         assert rep.status == "upper_bound"
+
+
+@st.composite
+def linear_witness_cases(draw):
+    """A monotone M on an l1/linf pair and a probe whose gap is 0 at a
+    known graph point.  On l1: x = s + a, x* = Ms - ||a||_1 sign(a); on
+    linf the dual construction x* = Ms - a, x = s + ||a||_1 sign(a)."""
+    n = draw(st.integers(1, 8))
+    norm = draw(st.sampled_from([NormTag.L1, NormTag.LINF]))
+    kind = draw(st.sampled_from(["psd+skew", "rank1", "zero", "triu"]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 100.0]))
+    unit = st.floats(-1.0, 1.0)
+    B, K = (draw(arrays(np.float64, (n, n), elements=unit)) for _ in "BK")
+    u = draw(arrays(np.float64, (n,), elements=unit))
+    M = {"psd+skew": B @ B.T / n + 0.5 * (K - K.T), "rank1": np.outer(u, u),
+         "zero": np.zeros((n, n)), "triu": np.triu(np.ones((n, n)))}[kind]
+    s = draw(arrays(np.float64, (n,), elements=unit))
+    a = draw(arrays(np.float64, (n,), elements=st.floats(0.2, 1.0)))
+    a = a * draw(arrays(np.float64, (n,), elements=st.sampled_from([-1.0,
+                                                                   1.0])))
+    big = np.abs(a).sum() * np.sign(a)
+    x, xs = (s + a, M @ s - big) if norm is NormTag.L1 else (s + big,
+                                                             M @ s - a)
+    return Linear(pair=DualPair(n, norm), M=M), scale * x, scale * xs, scale
+
+
+class TestLinearQp:
+    @given(case=linear_witness_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_witness_probe_gap_is_zero(self, case):
+        S, x, xs, scale = case
+        t = PairedPoint(x, xs)
+        rep = gap(S, GapQuery(t))
+        assert (rep.status, rep.method) == ("upper_bound", "qp")
+        assert 0.0 <= rep.value <= 1e-9 * (1.0 + scale * scale)
+        w = rep.witness
+        assert np.array_equal(S.M @ w.x, w.xstar)
+        assert rep.value == max(r_objective(S, t, w.x, w.xstar), 0.0)
+        # the solve starts from s0 of the rescaled probe, equal up to a bit
+        s0 = 0.5 * (x + xs)
+        assert rep.value <= r_objective(S, t, s0, S.M @ s0) + 1e-12 * (
+            1.0 + scale * scale)
 
 
 class TestEuclideanOracle:
