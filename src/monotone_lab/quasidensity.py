@@ -49,7 +49,8 @@ class GapQuery:
 @dataclass(frozen=True)
 class GapReport:
     """Best infimum estimate; the witness is always a genuine graph
-    point and value equals the objective evaluated there."""
+    point and value equals the objective evaluated there ("qp" clips
+    it at its lower bound 0)."""
 
     value: float
     witness: PairedPoint
@@ -134,14 +135,17 @@ def gap_linear_qp(
     an aux scalar u >= +-v_i; the objective is (sum p)^2/2 or u^2/2 per
     side plus <s - x, Ms - x*>, convex for monotone M.  r is
     2-homogeneous, so the solve runs on the probe scaled to unit size.
-    The value is r at the graph point (s, Ms), clipped at its
-    Fenchel-Young lower bound 0.
+    A Newton step on the piece of its solution (``_piece_solve``) makes
+    it exact where SLSQP stalls on near-degenerate M.  The value is r at
+    the best graph point (s, Ms) of the start (x + x*)/2, the solve and
+    the step, clipped at its Fenchel-Young lower bound 0.
     """
     M, n = S.M, S.pair.dim
-    c = max(1.0, float(np.abs(np.concatenate(target.as_tuple())).max()))
+    l1 = S.pair.primal_norm is NormTag.L1
+    c = float(np.abs(np.concatenate(target.as_tuple())).max()) or 1.0
     x, xs = target.x / c, target.xstar / c
-    Ea, Eb = (np.eye(n) if t is NormTag.L1 else np.ones((n, 1))
-              for t in (S.pair.primal_norm, S.pair.dual_norm))
+    Ea, Eb = ((np.eye(n), np.ones((n, 1))) if l1
+              else (np.ones((n, 1)), np.eye(n)))
     ka, kb = Ea.shape[1], Eb.shape[1]
     Za, Zb, eye = np.zeros((n, ka)), np.zeros((n, kb)), np.eye(n)
     # A z + h >= 0 for z = (s, aux_a, aux_b)
@@ -155,19 +159,39 @@ def gap_linear_qp(
         return 0.5 * ta * ta + 0.5 * tb * tb + float(a @ b), g
 
     s0 = 0.5 * (x + xs)
-    a0, b0 = np.abs(s0 - x), np.abs(M @ s0 - xs)
-    z0 = np.concatenate([s0, a0 if ka == n else [a0.max()],
-                         b0 if kb == n else [b0.max()]])
-    # ftol is absolute; scipy's 1e-6 default stops at gaps of ~1e-4 here
+    a0, b0 = np.abs(s0 - x), np.abs(M @ s0 - xs)  # a feasible start
+    z0 = np.concatenate([s0, a0 if l1 else [a0.max()],
+                         [b0.max()] if l1 else b0])
+    # ftol is absolute: the 1e-6 default stops early on the unit-size QP
     res = minimize(obj_grad, z0, jac=True, method="SLSQP",
                    constraints=[{"type": "ineq", "fun": lambda z: A @ z + h,
                                  "jac": lambda z: A}],
                    options={"maxiter": maxiter, "ftol": 1e-12})
-    r1, r0 = (r_objective(S, target, c * s, M @ (c * s))
-              for s in (res.x[:n], s0))
-    s, r = (res.x[:n], r1) if r1 <= r0 else (s0, r0)  # never above s0
-    return (GapReport(max(r, 0.0), PairedPoint(c * s, M @ (c * s)),
+    cands = [s0, res.x[:n],
+             x + _piece_solve(M, xs - M @ x, res.x[:n] - x, l1)]
+    r = [r_objective(S, target, c * s, M @ (c * s)) for s in cands]
+    s = c * cands[int(np.nanargmin(r))]
+    return (GapReport(max(float(np.nanmin(r)), 0.0), PairedPoint(s, M @ s),
                       "upper_bound", "qp"), int(res.nit))
+
+
+def _piece_solve(M: np.ndarray, y: np.ndarray, a: np.ndarray, l1: bool
+                 ) -> np.ndarray:
+    """The a' solving y in J(a') + Ma' on the piece of a, with J the
+    duality map of the primal norm; the Fenchel-Young equality
+    conditions are linear there.  l1: (Ma')_i + sig_i <sig, a'> = y_i on
+    supp(a), a'_i = 0 off it.  linf: a'_i = sig_i <sig, y - Ma'> on the
+    argmax set of |a|, (Ma')_i = y_i off it."""
+    m = np.abs(a)
+    P = m > 1e-9 * m.sum() if l1 else m >= (1.0 - 1e-9) * m.max()
+    sig = np.where(P, np.sign(a), 0.0)
+    if l1:
+        K = np.where(P[:, None], M + np.outer(sig, sig), np.eye(len(a)))
+        rhs = np.where(P, y, 0.0)
+    else:
+        K = np.where(P[:, None], np.eye(len(a)) + np.outer(sig, sig @ M), M)
+        rhs = np.where(P, sig * (sig @ y), y)
+    return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
 def _dual_fuzz_objective(

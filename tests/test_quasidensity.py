@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from monotone_lab import (
@@ -109,6 +109,13 @@ def linear_witness_cases(draw):
 
 class TestLinearQp:
     @given(case=linear_witness_cases())
+    # SLSQP alone stops at r = 1.5e-7 here: r is flat along a face
+    @example(case=(Linear(pair=DualPair(2, NormTag.L1),
+                          M=np.diag([1.9073486328125e-06, 0.0])),
+                   np.array([-0.5, -1.0]), np.array([1.5, 1.5]), 1.0))
+    # an infeasible SLSQP start ends at s = x, r = 8e-8
+    @example(case=(Linear(pair=DualPair(2, NormTag.LINF), M=np.zeros((2, 2))),
+                   np.array([6e-4, 6e-4]), np.array([2e-4, 2e-4]), 1e-3))
     @settings(max_examples=150, deadline=None)
     def test_witness_probe_gap_is_zero(self, case):
         S, x, xs, scale = case
