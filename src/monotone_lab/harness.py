@@ -192,7 +192,12 @@ def parse_scenario(data: dict) -> Scenario:
     pair = parse_space(data.get("space", {}))
     ops: dict[str, MonotoneOperator] = {}
     for name, desc in data.get("operators", {}).items():
-        ops[name] = parse_operator(desc, pair)
+        try:
+            ops[name] = parse_operator(desc, pair)
+        except (KeyError, TypeError, IndexError) as exc:
+            # a missing key or a value of the wrong shape in the JSON
+            raise ScenarioError(f"operator {name!r} is malformed: "
+                                f"{type(exc).__name__}: {exc}") from exc
     tasks = data.get("tasks", [])
     if not isinstance(tasks, list):
         raise ScenarioError("'tasks' must be a list")

@@ -5,11 +5,18 @@ Euclidean projection, and distances under any of the three norms.
 Half-space representations are deliberately absent; everything the
 package needs is a vertex list, a ball, or a segment fattened by a ball
 (capsule).
+
+A polytope whose vertices include every corner of their bounding box is
+that axis-aligned box and projects by a coordinatewise clip; other hulls
+use Wolfe's algorithm.  l2 distances are always exact.  l1/linf
+distances are exact on boxes (linf balls included) and on every 1-D
+set; to a non-box set in dimension >= 2 they remain the upper bound of a
+projected subgradient descent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,13 +61,20 @@ class CompactConvexSet:
     def dist(self, y: np.ndarray, norm: NormTag = NormTag.L2) -> float:
         """inf over the set of ||y - z||_norm.
 
-        Exact via Euclidean projection when norm is l2; under l1/linf a
-        projected subgradient descent reports the best bound found.
+        Exact as ||y - p|| at the Euclidean projection p when norm is l2,
+        and under l1/linf wherever p is also nearest in that norm: on
+        boxes, where the distance is the sum or max of per-coordinate
+        interval distances, and on every 1-D set, where all three norms
+        are |.|.  Under l1/linf to a non-box set in dimension >= 2, a
+        projected subgradient descent from p reports the best upper bound
+        found.
         """
         y = self._check(y)
-        if norm is NormTag.L2:
-            return float(np.linalg.norm(y - self.project(y)))
         p0 = self.project(y)
+        if norm is NormTag.L2:
+            return float(np.linalg.norm(y - p0))
+        if self._is_box():
+            return vector_norm(y - p0, norm)
 
         def obj(z: np.ndarray) -> float:
             return vector_norm(y - z, norm)
@@ -74,6 +88,11 @@ class CompactConvexSet:
             project=self.project,
         )
         return min(best, obj(p0))
+
+    def _is_box(self) -> bool:
+        """Whether the set is an axis-aligned box, so that its Euclidean
+        projection is nearest in every norm; every 1-D set is one."""
+        return self.dim == 1
 
     def interior_contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
         """True if ``y`` is in the interior, up to a probe width of ~tol.
@@ -101,15 +120,26 @@ class CompactConvexSet:
 
 @dataclass(frozen=True)
 class Polytope(CompactConvexSet):
-    """Convex hull of a nonempty finite vertex list."""
+    """Convex hull of a nonempty finite vertex list.
+
+    When the vertices include every corner of their bounding box [lo, hi]
+    (a degenerate side lo_i == hi_i gives one coordinate value, and every
+    1-D vertex list qualifies), the hull is that box: it projects by
+    ``np.clip(y, lo, hi)`` and its l1/linf distances are exact.  Any other
+    hull projects by Wolfe's algorithm (``solvers.nearest_hull_point``).
+    """
 
     vertices: np.ndarray = None  # type: ignore[assignment]
+    # (lo, hi) when the hull is the vertices' bounding box, else None
+    _box: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         V = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if V.size == 0:
             raise ValueError("polytope needs at least one vertex")
         object.__setattr__(self, "vertices", V)
+        object.__setattr__(self, "_box", _box_bounds(V))
 
     @property
     def dim(self) -> int:
@@ -129,7 +159,30 @@ class Polytope(CompactConvexSet):
 
     def project(self, y: np.ndarray) -> np.ndarray:
         y = self._check(y)
+        if self._box is not None:
+            return np.clip(y, *self._box)
         return nearest_hull_point(self.vertices, y)
+
+    def _is_box(self) -> bool:
+        return self._box is not None
+
+
+def _box_bounds(V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(lo, hi) if conv(V) is the bounding box of V, else None.
+
+    Every vertex lies in the box, so the hull is the box exactly when V
+    holds all of its 2**k corners, k the number of sides with lo < hi.
+    A corner is coded by which of those coordinates sit at hi.
+    """
+    lo, hi = V.min(axis=0), V.max(axis=0)
+    free = lo < hi
+    k = int(np.count_nonzero(free))
+    if 2**k > len(V):
+        return None
+    at_hi = V[:, free] == hi[free]
+    corner = np.all(at_hi | (V[:, free] == lo[free]), axis=1)
+    codes = at_hi[corner] @ (1 << np.arange(k))
+    return (lo, hi) if np.unique(codes).size == 2**k else None
 
 
 def interval(lo: float, hi: float, side: str = "primal") -> Polytope:
@@ -199,6 +252,9 @@ class Ball(CompactConvexSet):
         if norm is self.norm:
             return max(0.0, vector_norm(y - self.center, norm) - self.radius)
         return super().dist(y, norm)
+
+    def _is_box(self) -> bool:
+        return self.dim == 1 or self.norm is NormTag.LINF
 
     def interior_contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
         y = self._check(y)

@@ -13,26 +13,34 @@ import numpy as np
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``v`` onto the probability simplex."""
-    v = np.asarray(v, dtype=float)
-    n = v.size
+    return _project_scaled_simplex(np.asarray(v, dtype=float), 1.0)
+
+
+def _project_scaled_simplex(v: np.ndarray, total: float) -> np.ndarray:
+    """Euclidean projection of ``v`` onto {w >= 0, sum(w) = total > 0}."""
     u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, n + 1)
-    cond = u - css / ks > 0
+    css = np.cumsum(u) - total
+    cond = u - css / np.arange(1, v.size + 1) > 0
+    # u[0] - css[0] = total > 0 exactly; rounding loses it once u[0]
+    # exceeds total by a factor near 2**53
+    cond[0] = True
     rho = int(np.nonzero(cond)[0][-1])
     theta = css[rho] / (rho + 1)
     return np.maximum(v - theta, 0.0)
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of ``v`` onto the l1 ball of given radius."""
+    """Euclidean projection of ``v`` onto the l1 ball of given radius.
+
+    Thresholds |v| against the radius directly: dividing by the radius
+    overflows for radii below |v| * 2**-1024.
+    """
     v = np.asarray(v, dtype=float)
     if radius <= 0:
         return np.zeros_like(v)
     if np.sum(np.abs(v)) <= radius:
         return v.copy()
-    w = project_simplex(np.abs(v) / radius) * radius
-    return np.sign(v) * w
+    return np.sign(v) * _project_scaled_simplex(np.abs(v), radius)
 
 
 def project_ball(v: np.ndarray, radius: float, kind: str) -> np.ndarray:

@@ -1,9 +1,14 @@
 """Scenario parsing, task execution, report formats, CLI exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monotone_lab import (
     DualPair,
@@ -331,6 +336,16 @@ class TestCli:
         code = main(["gap", "--operator", '{"gizmo": 1}'])
         assert code == 2
 
+    @pytest.mark.parametrize("desc", [
+        '{"normal_cone": {"ball": {"radius": 1.0}}}',  # no center
+        '{"graph": [1.0]}',  # a point that is not an (x, x*) pair
+    ])
+    def test_malformed_operator_descriptor_is_config_error(self, capsys,
+                                                           desc):
+        code = main(["gap", "--operator", desc])
+        assert code == 2
+        assert "malformed" in capsys.readouterr().err
+
     def test_csv_format(self, capsys, tmp_path):
         out = tmp_path / "report.csv"
         code = main(["tail", "--task", '{"n_list": [1]}',
@@ -405,3 +420,168 @@ class TestCli:
         data = base_scenario([{"kind": "gap", "operator": "abs",
                                "seed": 0, "count": 1}])
         assert main(["run", write_scenario(tmp_path, data)]) == 3
+
+
+# -- scenario fuzzing ---------------------------------------------------------
+# Small scenario dicts, mostly well formed, with bad values mixed in:
+# unknown norms and kinds, missing keys, wrong dimensions, NaN and
+# infinities (written as JSON's non-standard constants), subnormal and
+# huge numbers.  Operator sums, parallel sums and sum_test are left out:
+# their resolvents run Douglas-Rachford, which on entries near 1e17
+# runs to its iteration cap at every call, so that one scenario can
+# take minutes.  Other valid scenarios still take tens of seconds (l1/linf
+# distances to non-box 2-D sets run a descent per graph point), so the
+# examples are drawn from a fixed seed to keep the test's time steady.
+
+FUZZ_NUM = st.one_of(
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, 1.0, -2.0, 1e-310, 1e17, -1e300] * 4
+                    + [float("nan"), float("inf")]))
+FUZZ_NORM = st.sampled_from(["l1", "l2", "linf", "l1", "l2", "linf", "l3"])
+
+
+def fuzz_vec(d):
+    return st.lists(FUZZ_NUM, min_size=d, max_size=d)
+
+
+@st.composite
+def fuzz_set(draw, d):
+    kind = draw(st.sampled_from(["polytope", "ball", "capsule"] * 3
+                                + ["bad"]))
+    if kind == "polytope":
+        return {"polytope": draw(st.lists(fuzz_vec(d), min_size=1,
+                                          max_size=4))}
+    if kind == "ball":
+        return {"ball": {"center": draw(fuzz_vec(d)),
+                         "radius": abs(draw(FUZZ_NUM)),
+                         "norm": draw(FUZZ_NORM)}}
+    if kind == "capsule":
+        return {"capsule": {"a": draw(fuzz_vec(d)), "b": draw(fuzz_vec(d)),
+                            "radius": abs(draw(FUZZ_NUM)),
+                            "norm": draw(FUZZ_NORM)}}
+    return draw(st.sampled_from([{}, {"blob": 1}, {"ball": {"radius": 1}},
+                                 {"polytope": "abc"}, {"polytope": []}]))
+
+
+@st.composite
+def fuzz_fn(draw, d):
+    kind = draw(st.sampled_from(["norm", "half_sq", "indicator", "support",
+                                 "affine"] * 3 + ["bad"]))
+    if kind == "norm":
+        return {"norm": {"dim": d, "kind": draw(FUZZ_NORM),
+                         "scale": draw(FUZZ_NUM)}}
+    if kind == "half_sq":
+        return {"half_sq": {"dim": d}}
+    if kind in ("indicator", "support"):
+        return {kind: draw(fuzz_set(d))}
+    if kind == "affine":
+        return {"affine": {"a": draw(fuzz_vec(d)), "c": draw(FUZZ_NUM)}}
+    return draw(st.sampled_from([{}, {"norm": {}}, {"gizmo": 2}]))
+
+
+@st.composite
+def fuzz_operator(draw, d, depth=1):
+    kind = draw(st.sampled_from(["subdiff", "linear", "graph", "normal_cone",
+                                 "support_subdiff", "wrap"] * 3 + ["bad"]))
+    if kind == "subdiff":
+        return {"subdiff": draw(fuzz_fn(d))}
+    if kind == "linear":
+        return {"linear": draw(st.lists(fuzz_vec(d), min_size=d,
+                                        max_size=d))}
+    if kind == "graph":
+        return {"graph": draw(st.lists(
+            st.tuples(fuzz_vec(d), fuzz_vec(d)).map(list),
+            min_size=1, max_size=3))}
+    if kind in ("normal_cone", "support_subdiff"):
+        return {kind: draw(fuzz_set(d))}
+    if kind == "wrap" and depth > 0:
+        inner = draw(fuzz_operator(d, depth - 1))
+        return draw(st.sampled_from([
+            {"inverse": inner},
+            {"shift": {"inner": inner, "dx": [0.5] * d}},
+        ]))
+    return draw(st.sampled_from([{}, {"gizmo": 1}, {"linear": "x"},
+                                 {"tail": 0}, {"graph": [[1.0]]}]))
+
+
+@st.composite
+def fuzz_task(draw, d):
+    kind = draw(st.sampled_from(["gap", "fitz", "classify", "br",
+                                 "tail_experiment", "nope"]))
+    t = {"kind": kind, "operator": "op", "seed": draw(st.integers(0, 3)),
+         "budget": draw(st.sampled_from([1, 4, 8, 4, 8, 0, -1]))}
+    if kind == "gap":
+        if draw(st.booleans()):
+            t["probes"] = [[draw(fuzz_vec(d)), draw(fuzz_vec(d))]]
+        else:
+            t["count"] = draw(st.integers(0, 2))
+        side = draw(st.sampled_from([None, "dual_fuzz", "primal_fuzz"]))
+        if side:
+            t[side] = draw(fuzz_set(d))
+    elif kind == "fitz":
+        t["points"] = [[draw(fuzz_vec(d)), draw(fuzz_vec(d))]]
+    elif kind == "classify":
+        cls = draw(st.sampled_from(["ni", "fpv", "fp", "strongmax", "zz"]))
+        t.update({"class": cls, "w": draw(fuzz_vec(d)),
+                  "wstar": draw(fuzz_vec(d)),
+                  "wstarstar": draw(fuzz_vec(d))})
+        if cls in ("fpv", "fp"):
+            t["window"] = draw(fuzz_set(d))
+        if cls == "strongmax":
+            t["fuzz"] = draw(fuzz_set(d))
+            t["fuzz_side"] = draw(st.sampled_from(["dual", "primal"]))
+    elif kind == "br":
+        del t["operator"]
+        t.update({"mode": draw(st.sampled_from(
+                      ["point", "corollary", "van", "witness", "zz"])),
+                  "fn": draw(fuzz_fn(d)), "u": draw(fuzz_vec(d)),
+                  "alpha": draw(FUZZ_NUM), "beta": draw(FUZZ_NUM),
+                  "eps": draw(FUZZ_NUM), "x": draw(fuzz_vec(d)),
+                  "xstar": draw(fuzz_vec(d))})
+    elif kind == "tail_experiment":
+        del t["operator"]
+        t["n_list"] = draw(st.lists(st.integers(0, 3), max_size=2))
+    if draw(st.integers(0, 9)) == 0:
+        del t[draw(st.sampled_from(sorted(t)))]
+    return t
+
+
+@st.composite
+def fuzz_scenario(draw):
+    d = draw(st.sampled_from([1, 2]))
+    # now and then the descriptors use the other dimension
+    dd = d if draw(st.integers(0, 5)) else 3 - d
+    return {"schema": draw(st.sampled_from([1, 1, 1, 1, 2])),
+            "space": {"dim": d, "norm": draw(FUZZ_NORM)},
+            "operators": {"op": draw(fuzz_operator(dd))},
+            "tasks": [draw(fuzz_task(dd))]}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+class TestScenarioFuzz:
+    @given(data=fuzz_scenario())
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_cli_exits_cleanly_with_strict_json(self, data):
+        with tempfile.TemporaryDirectory() as work, \
+                tempfile.TemporaryDirectory() as private_tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            path = os.path.join(work, "scenario.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(data))  # NaN and Infinity stay in
+            mp.setenv("TMPDIR", private_tmp)
+            mp.setattr(tempfile, "tempdir", private_tmp)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["run", path])
+            assert code in (0, 2, 3), err.getvalue()
+            assert "internal error" not in err.getvalue()
+            if code != 2:
+                report = json.loads(out.getvalue(),
+                                    parse_constant=_reject_constant)
+                errored = [t["status"] == "error" for t in report["tasks"]]
+                assert any(errored) == (code == 3)
+            assert os.listdir(private_tmp) == []

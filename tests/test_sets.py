@@ -1,11 +1,19 @@
 """Compact convex sets: support, argmax, distance, projection."""
 
+import contextlib
+import itertools
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from monotone_lab import Ball, Capsule, NormTag, Polytope, interval, singleton
+from monotone_lab import (Ball, Capsule, NormTag, Polytope, box, interval,
+                          singleton)
+from monotone_lab import sets as sets_module
+from monotone_lab.cli import main
+from monotone_lab.solvers import nearest_hull_point
 
 SQUARE = Polytope(vertices=np.array([[1.0, 1.0], [1.0, -1.0],
                                      [-1.0, 1.0], [-1.0, -1.0]]))
@@ -176,3 +184,167 @@ class TestInterior:
     def test_polytope_needs_vertices(self):
         with pytest.raises(ValueError):
             Polytope(vertices=np.empty((0, 2)))
+
+
+def scale_of(V: np.ndarray, y: np.ndarray) -> float:
+    return max(1.0, float(np.max(np.abs(V))), float(np.max(np.abs(y))))
+
+
+@st.composite
+def box_vertices_and_point(draw):
+    """A box in 1-4 D as a vertex list: its corners shuffled, some of
+    them repeated, points inside it added, and some sides of width 0
+    (whose corners then coincide)."""
+    d = draw(st.integers(1, 4))
+    lo = draw(arrays(np.float64, (d,),
+                     elements=st.floats(-100.0, 100.0, allow_nan=False)))
+    width = draw(arrays(np.float64, (d,), elements=st.one_of(
+        st.just(0.0), st.floats(0.0, 50.0))))
+    hi = lo + width
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    repeats = draw(st.lists(st.integers(0, len(corners) - 1), max_size=4))
+    t = draw(arrays(np.float64, (draw(st.integers(0, 4)), d),
+                    elements=st.floats(0.0, 1.0)))
+    inside = np.clip(lo + t * (hi - lo), lo, hi)
+    V = np.vstack([corners, corners[repeats], inside])
+    V = V[draw(st.permutations(list(range(len(V)))))]
+    y = draw(arrays(np.float64, (d,),
+                    elements=st.floats(-300.0, 300.0, allow_nan=False)))
+    return V, lo, hi, y
+
+
+# hulls that are not their bounding box, so a clip would leave them
+NON_BOXES = {
+    "square missing a corner": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    "square with a cut corner": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                 [1.0, 0.5], [0.5, 1.0]],
+    "rotated square": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+    "triangle": [[0.0, 0.0], [2.0, 0.5], [0.5, 1.5]],
+    "box plus an outside vertex": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                   [1.0, 1.0], [2.0, 0.5]],
+}
+
+
+class TestBoxProjection:
+    @given(case=box_vertices_and_point())
+    @settings(max_examples=200, deadline=None)
+    def test_box_projects_by_a_clip(self, case):
+        V, lo, hi, y = case
+        p = Polytope(vertices=V).project(y)
+        assert np.array_equal(p, np.clip(y, lo, hi))
+        # Wolfe's algorithm stays the reference
+        ref = nearest_hull_point(V, y)
+        assert np.max(np.abs(p - ref)) <= 1e-9 * scale_of(V, y)
+
+    @pytest.mark.parametrize("name", sorted(NON_BOXES))
+    @given(y=vec2())
+    @example(y=np.array([3.0, 3.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_non_box_projection_meets_the_variational_inequality(
+            self, name, y):
+        V = np.array(NON_BOXES[name])
+        p = Polytope(vertices=V).project(y)
+        scale = scale_of(V, y)
+        # p is the projection iff it lies in the hull and
+        # <v - p, y - p> <= 0 for every vertex v
+        assert np.max(np.abs(nearest_hull_point(V, p) - p)) <= 1e-9 * scale
+        assert np.max((V - p) @ (y - p)) <= 1e-9 * scale ** 2
+
+    @pytest.mark.parametrize("name", sorted(NON_BOXES))
+    def test_non_box_is_not_clipped(self, name):
+        V = np.array(NON_BOXES[name])
+        y = np.array([3.0, 3.0])  # its clip to the bounding box is outside
+        p = Polytope(vertices=V).project(y)
+        assert not np.array_equal(p, np.clip(y, V.min(axis=0),
+                                              V.max(axis=0)))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an exact distance ran the subgradient descent")
+
+
+@contextlib.contextmanager
+def no_descent():
+    """Context in which ``sets.dist`` cannot fall back to the descent."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sets_module, "subgradient_descent", _refuse)
+        yield
+
+
+def interval_dist(y, lo, hi):
+    """Per-coordinate distances from y to [lo, hi]."""
+    return np.maximum(np.maximum(lo - y, y - hi), 0.0)
+
+
+class TestExactDistances:
+    @given(d=st.integers(2, 3), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_box_distance_is_separable(self, d, data):
+        coord = st.floats(-50.0, 50.0, allow_nan=False)
+        lo = data.draw(arrays(np.float64, (d,), elements=coord))
+        width = data.draw(arrays(np.float64, (d,), elements=st.one_of(
+            st.just(0.0), st.floats(0.0, 20.0))))
+        hi = lo + width
+        y = data.draw(arrays(np.float64, (d,), elements=coord))
+        per = interval_dist(y, lo, hi)
+        with no_descent():
+            P = box(lo, hi)
+            assert P.dist(y, NormTag.L1) == np.sum(per)
+            assert P.dist(y, NormTag.LINF) == np.max(per)
+            # a linf ball is a box too
+            c, r = data.draw(coord), data.draw(st.floats(0.0, 20.0))
+            ball = Ball(center=np.full(d, c), radius=r, norm=NormTag.LINF)
+            per = interval_dist(y, c - r, c + r)
+            assert ball.dist(y, NormTag.L1) == pytest.approx(
+                np.sum(per), rel=1e-12, abs=1e-12)
+
+    @given(y=st.floats(-50.0, 50.0, allow_nan=False),
+           c=st.floats(-5.0, 5.0), r=st.floats(0.0, 5.0),
+           t=st.floats(-5.0, 5.0))
+    @settings(max_examples=100, deadline=None)
+    def test_one_dimensional_distance_is_the_projection_gap(self, y, c, r, t):
+        y = np.array([y])
+        sets = [Ball(center=[c], radius=r, norm=tag) for tag in NormTag]
+        sets += [Capsule(a=[c], b=[t], radius=r, norm=tag) for tag in NormTag]
+        sets += [interval(min(c, t), max(c, t)),
+                 Polytope(vertices=[[c], [t], [0.5 * (c + t)], [c]])]
+        with no_descent():
+            for s in sets:
+                gap = abs(float(y[0] - s.project(y)[0]))
+                for tag in (NormTag.L1, NormTag.LINF):
+                    if isinstance(s, Ball) and tag is s.norm:
+                        # the closed form |y - c| - r rounds differently
+                        assert s.dist(y, tag) == pytest.approx(
+                            gap, rel=1e-14, abs=1e-14)
+                    else:
+                        assert s.dist(y, tag) == gap, (s, tag)
+
+    def test_fuzzy_gap_on_the_l1_pair_runs_no_descent(self, capsys):
+        # dual-fuzz gap of |x| in one dimension against an l2 ball on
+        # the l1 pair; every norm is |.| here, so the objective at the
+        # witness (s, s*) has a closed form
+        rng = np.random.default_rng(5)
+        with no_descent():
+            for _ in range(4):
+                c = float(rng.uniform(-0.6, 0.6))
+                rho = float(rng.uniform(0.1, 0.3))
+                x = float(rng.uniform(-1.5, 1.5))
+                fuzz = {"ball": {"center": [c], "radius": rho,
+                                 "norm": "l2"}}
+                code = main([
+                    "gap", "--space", '{"dim": 1, "norm": "l1"}',
+                    "--operator", '{"subdiff": {"norm": {"dim": 1}}}',
+                    "--probes", json.dumps([[[x], [0.0]]]),
+                    "--task", json.dumps({"dual_fuzz": fuzz}),
+                    "--budget", "4", "--seed", "3"])
+                assert code == 0
+                rec = json.loads(capsys.readouterr().out)[
+                    "tasks"][0]["records"][0]
+                s = rec["witness"]["x"][0]
+                ss = rec["witness"]["xstar"][0]
+                assert abs(ss) <= 1.0 + 1e-9
+                d = max(0.0, abs(ss - c) - rho)
+                exact = (0.5 * (s - x) ** 2 + 0.5 * d * d + (s - x) * ss
+                         + c * (x - s) + rho * abs(x - s))
+                assert rec["value"] == pytest.approx(exact, rel=1e-12,
+                                                     abs=1e-15)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from monotone_lab import Polytope
-from monotone_lab.solvers import nearest_hull_point
+from monotone_lab.solvers import nearest_hull_point, project_l1_ball
 
 
 def brute_force_projection(V: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -127,3 +127,32 @@ class TestNearestHullPoint:
         for y, expected in cases.items():
             p = nearest_hull_point(V, np.array(y))
             assert np.allclose(p, expected, rtol=0.0, atol=1e-14)
+
+
+class TestProjectL1Ball:
+    def test_extreme_scales_stay_in_the_ball(self):
+        # |v| / radius overflowed for the subnormal radius, and rounding
+        # dropped the largest entry from the support for the large |v|
+        for v, r in ((np.array([1e17]), 1.0), (np.array([-1.0]), 2.2e-311),
+                     (np.array([3e300, -1.0]), 0.5)):
+            p = project_l1_ball(v, r)
+            assert np.all(np.isfinite(p))
+            assert np.sum(np.abs(p)) <= r
+
+    def test_matches_sort_free_reference(self):
+        # the projection is sign(v) * max(|v| - theta, 0) with theta
+        # solving sum(max(|v| - theta, 0)) = r; bisect for theta
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            v = rng.normal(size=5) * 3.0
+            r = float(rng.uniform(0.1, 2.0))
+            lo, hi = 0.0, float(np.max(np.abs(v)))
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if np.sum(np.maximum(np.abs(v) - mid, 0.0)) > r:
+                    lo = mid
+                else:
+                    hi = mid
+            ref = np.sign(v) * np.maximum(np.abs(v) - hi, 0.0)
+            assert np.allclose(project_l1_ball(v, r), ref, rtol=0.0,
+                               atol=1e-12)
