@@ -12,6 +12,7 @@ records both.  Graph membership "(w, w*) in G(S)" is variant-specific
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -78,13 +79,13 @@ def _windowed_check(
     candidates.extend(
         _window_probes(S, window, w, wstar, candidates, seed, range_side)
     )
+    windowed = np.array([p.xstar if range_side else p.x
+                         for p in candidates]).reshape(-1, S.pair.dim)
+    inside = window.region.interior_mask(windowed, tol=1e-12)
     worst = np.inf
     wit: Optional[PairedPoint] = None
     hits = 0
-    for p in candidates:
-        inside = window.contains(p.xstar if range_side else p.x, tol=1e-12)
-        if not inside:
-            continue
+    for p in compress(candidates, inside):
         hits += 1
         v = float((p.x - w) @ (p.xstar - wstar))
         if v < worst:

@@ -11,6 +11,7 @@ task is recorded with status "error" or the solver fails outright.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -30,6 +31,9 @@ def _json_arg(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser.  Every JSON default is a string, which argparse
+    passes through ``type`` on each parse, so a reused parser hands each
+    call objects of its own."""
     ap = argparse.ArgumentParser(
         prog="monotone-lab",
         description="numerical analysis toolkit for monotone operators",
@@ -48,13 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("tail", "tail truncation experiment"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--space", type=_json_arg, default={"dim": 1,
-                                                           "norm": "l2"},
+        p.add_argument("--space", type=_json_arg,
+                       default='{"dim": 1, "norm": "l2"}',
                        help='space descriptor, e.g. \'{"dim":2,"norm":"l2"}\'')
         if name in ("gap", "fitz", "classify"):
             p.add_argument("--operator", type=_json_arg, required=True,
                            help="operator descriptor (JSON)")
-        p.add_argument("--task", type=_json_arg, default={},
+        p.add_argument("--task", type=_json_arg, default="{}",
                        help="extra task fields (JSON object)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=None)
@@ -76,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fn", type=_json_arg, required=True,
                            help="function descriptor (JSON)")
         if name == "tail":
-            p.add_argument("--n-list", type=_json_arg, default=[1, 2, 4, 8,
-                                                                16])
+            p.add_argument("--n-list", type=_json_arg,
+                           default="[1, 2, 4, 8, 16]")
         _common_output(p)
     return ap
 
@@ -140,9 +144,14 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
         print(text)
 
 
+# built on the first call, so that importing the module stays cheap, and
+# then reused: building the tree of subcommands costs about as much as a
+# small inline task
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             report = run_scenario(args.scenario)

@@ -208,10 +208,16 @@ def parse_scenario(data: dict) -> Scenario:
             raise ScenarioError(f"task {i} has unknown kind {t['kind']!r}")
         if "seed" not in t and t["kind"] not in ("tail_experiment",):
             raise ScenarioError(f"task {i} needs an explicit 'seed'")
-        ref = t.get("operator")
-        if ref is not None and ref not in ops:
-            raise ScenarioError(f"task {i} references unknown operator "
-                                f"{ref!r}")
+        for key in _required_fields(t):
+            if key not in t:
+                raise ScenarioError(f"task {i} ({t['kind']}) needs a "
+                                    f"{key!r} field")
+        for key in ("operator", "S", "T"):
+            ref = t.get(key)
+            if ref is not None and (not isinstance(ref, str)
+                                    or ref not in ops):
+                raise ScenarioError(f"task {i} references unknown operator "
+                                    f"{ref!r}")
     return Scenario(pair, ops, tasks, data)
 
 
@@ -567,6 +573,40 @@ _TASK_RUNNERS = {
     "tail_experiment": _task_tail,
     "sum_test": _task_sum,
 }
+
+# the fields each runner reads without a default, by kind and then by the
+# kind's class or mode; a strongmax task also reads w (fuzz_side "dual",
+# the default) or wstar (any other side)
+_TASK_FIELDS = {
+    "gap": ("operator",),
+    "fitz": ("operator",),
+    "classify": ("operator", "class"),
+    "br": ("mode", "fn"),
+    "tail_experiment": (),
+    "sum_test": ("S", "T"),
+}
+_MODE_FIELDS = {
+    ("classify", "ni"): ("wstar", "wstarstar"),
+    ("classify", "fpv"): ("window", "w", "wstar"),
+    ("classify", "fp"): ("window", "w", "wstar"),
+    ("classify", "strongmax"): ("fuzz",),
+    ("br", "point"): ("u", "alpha", "beta"),
+    ("br", "corollary"): ("beta",),
+    ("br", "van"): ("eps",),
+    ("br", "witness"): ("x", "xstar", "eps"),
+}
+
+
+def _required_fields(task: dict) -> tuple[str, ...]:
+    kind = task["kind"]
+    mode = task.get("class" if kind == "classify" else "mode")
+    if not isinstance(mode, str):
+        mode = None
+    need = _TASK_FIELDS[kind] + _MODE_FIELDS.get((kind, mode), ())
+    if (kind, mode) == ("classify", "strongmax"):
+        need += ("w",) if task.get("fuzz_side", "dual") == "dual" \
+            else ("wstar",)
+    return need
 
 
 def run_scenario(scenario: str | dict) -> dict:

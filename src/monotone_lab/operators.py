@@ -108,15 +108,27 @@ class FiniteGraph(MonotoneOperator):
 
 @dataclass(frozen=True)
 class Linear(MonotoneOperator):
-    """Single-valued linear map x -> Mx."""
+    """Single-valued linear map x -> Mx.
+
+    Any square M is accepted; ``monotone`` records whether M + M^T is
+    positive semidefinite, its smallest eigenvalue at least
+    -1e-12 sum |M_ij|, so that callers can keep a non-monotone M off the
+    paths that assume monotonicity."""
 
     M: np.ndarray = None  # type: ignore[assignment]
+    monotone: bool = field(default=True, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self) -> None:
         M = np.atleast_2d(np.asarray(self.M, dtype=float))
         if M.shape != (self.pair.dim, self.pair.dim):
             raise ValueError("matrix shape does not match the pair dimension")
         object.__setattr__(self, "M", M)
+        # relative to M, whose rounding errors can tip the symmetric part
+        # of a skew-dominated map just below 0; sum |M_ij| bounds ||M||_2
+        # and, unlike a sum of squares, does not underflow
+        object.__setattr__(self, "monotone", bool(
+            np.linalg.eigvalsh(M + M.T)[0] >= -1e-12 * np.abs(M).sum()))
 
     def resolvent_scaled(self, z: np.ndarray, lam: float = 1.0) -> PairedPoint:
         z = self.pair.check_dim(z, "z")

@@ -55,7 +55,10 @@ class GapReport:
     value: float
     witness: PairedPoint
     status: str  # "exact" or "upper_bound"
-    method: str  # "enumeration", "resolvent", "qp", "sampled"
+    # "enumeration", "resolvent" (the exact Euclidean oracle), "qp",
+    # "sampled", or "fuzzy_search" (the fuzzy gaps' alternating
+    # resolvent search, an upper bound)
+    method: str
 
 
 def r_objective(
@@ -77,8 +80,9 @@ def gap(
     """Infimum estimate of the r-objective over G(S) at q.target.
 
     Exact for finite graphs; exact through the resolvent on Euclidean
-    pairs; one convex QP for linear maps on l1/linf pairs; otherwise a
-    sampled upper bound.
+    pairs; one convex QP for monotone linear maps on l1/linf pairs;
+    otherwise, a non-monotone ``Linear`` included, a sampled upper
+    bound.
     """
     if q.dual_fuzz is not None:
         return fuzzy_gap_dual(S, q.target.x, q.dual_fuzz, budget, seed)
@@ -91,14 +95,15 @@ def gap(
         i = int(np.argmin(vals))
         return GapReport(vals[i], S.points[i], "exact", "enumeration")
 
-    if S.pair.primal_norm is NormTag.L2:
-        try:
-            return gap_euclidean_oracle(S, target)
-        except ResolventError:
-            pass
-
-    if isinstance(S, Linear) and S.pair.primal_norm is not NormTag.L2:
-        return gap_linear_qp(S, target)[0]
+    # both exact paths assume a monotone map
+    if not isinstance(S, Linear) or S.monotone:
+        if S.pair.primal_norm is NormTag.L2:
+            try:
+                return gap_euclidean_oracle(S, target)
+            except ResolventError:
+                pass
+        elif isinstance(S, Linear):
+            return gap_linear_qp(S, target)[0]
 
     best = np.inf
     wit = None
@@ -267,7 +272,7 @@ def fuzzy_gap_dual(
         v = obj(p)
         if v < best:
             best, wit = v, p
-    return GapReport(best, wit, "upper_bound", "resolvent")
+    return GapReport(best, wit, "upper_bound", "fuzzy_search")
 
 
 def fuzzy_gap_primal(
@@ -311,7 +316,7 @@ def fuzzy_gap_primal(
         v = obj(p)
         if v < best:
             best, wit = v, p
-    return GapReport(best, wit, "upper_bound", "resolvent")
+    return GapReport(best, wit, "upper_bound", "fuzzy_search")
 
 
 @dataclass(frozen=True)

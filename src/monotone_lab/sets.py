@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .solvers import nearest_hull_point, project_ball, subgradient_descent
-from .spaces import NormTag, norm_subgradient, vector_norm
+from .spaces import NormTag, norm_subgradient, row_norms, vector_norm
 
 _LEX_TOL = 1e-12
 
@@ -95,27 +95,43 @@ class CompactConvexSet:
         return self.dim == 1
 
     def interior_contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
-        """True if ``y`` is in the interior, up to a probe width of ~tol.
+        """True if ``y`` is in the interior, up to a probe width of ~tol;
+        the one-row case of ``interior_mask``."""
+        return bool(self.interior_mask(self._check(y)[None, :], tol)[0])
 
-        For balls this is exact; for polytopes it probes the 2n axis
-        perturbations, which is correct for full-dimensional hulls.
+    def interior_mask(self, Y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """``interior_contains`` of each row of ``Y``, as a bool array.
+
+        A row is interior when it and its 2n axis perturbations by
+        delta = 16 max(tol, 1e-9) all lie in the set up to tol, which is
+        correct for full-dimensional sets; balls use their closed form.
         """
-        y = self._check(y)
-        if not self.contains(y, tol):
-            return False
+        P = self._probes(Y, tol)
+        return np.array([all(self.contains(p, tol) for p in rows)
+                         for rows in P], dtype=bool)
+
+    def _probes(self, Y: np.ndarray, tol: float) -> np.ndarray:
+        """(m, 2n+1, n) stack: each row of Y, then y + delta e_i and
+        y - delta e_i for i = 0..n-1."""
+        Y = self._check_rows(Y)
         delta = 16 * max(tol, 1e-9)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = delta
-            if not (self.contains(y + e, tol) and self.contains(y - e, tol)):
-                return False
-        return True
+        E = delta * np.eye(self.dim)
+        offsets = np.vstack([np.zeros(self.dim),
+                             np.hstack([E, -E]).reshape(-1, self.dim)])
+        return Y[:, None, :] + offsets
 
     def _check(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float).ravel()
         if y.shape != (self.dim,):
             raise ValueError(f"point has shape {y.shape}, expected ({self.dim},)")
         return y
+
+    def _check_rows(self, Y: np.ndarray) -> np.ndarray:
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[1] != self.dim:
+            raise ValueError(f"points have shape {Y.shape}, expected "
+                             f"(m, {self.dim})")
+        return Y
 
 
 @dataclass(frozen=True)
@@ -165,6 +181,14 @@ class Polytope(CompactConvexSet):
 
     def _is_box(self) -> bool:
         return self._box is not None
+
+    def interior_mask(self, Y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        if self._box is None:
+            return super().interior_mask(Y, tol)
+        P = self._probes(Y, tol)
+        # contains is dist <= tol, and dist is ||y - clip(y)||_2 on a box
+        return np.all(row_norms(P - np.clip(P, *self._box), NormTag.L2)
+                      <= tol, axis=1)
 
 
 def _box_bounds(V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -256,12 +280,10 @@ class Ball(CompactConvexSet):
     def _is_box(self) -> bool:
         return self.dim == 1 or self.norm is NormTag.LINF
 
-    def interior_contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
-        y = self._check(y)
-        return (
-            self.radius > 0
-            and vector_norm(y - self.center, self.norm) < self.radius - tol
-        )
+    def interior_mask(self, Y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        Y = self._check_rows(Y)
+        return (row_norms(Y - self.center, self.norm) < self.radius - tol) \
+            & (self.radius > 0)
 
 
 def _dual_unit(y: np.ndarray, ball_norm: NormTag) -> np.ndarray:

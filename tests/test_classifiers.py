@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from monotone_lab import (
+    Ball,
+    Capsule,
     DualPair,
     FiniteGraph,
     IndicatorFn,
@@ -15,6 +17,7 @@ from monotone_lab import (
     NormalCone,
     PairedPoint,
     Subdifferential,
+    box,
     check_fp,
     check_fpv,
     interval,
@@ -25,6 +28,7 @@ from monotone_lab import (
     strong_max_primal,
     theta,
 )
+from monotone_lab.spaces import vector_norm
 
 PAIR1 = DualPair(1, NormTag.L2)
 ABS_OP = Subdifferential(pair=PAIR1, f=NormFn(1))
@@ -97,6 +101,67 @@ class TestWindowedChecks:
             ws = rng.uniform(-2.5, 2.5)
             v = check_fpv(ABS_OP, U, arr(w), arr(ws), budget=150, seed=1)
             assert v.consistent_with_class
+
+
+def scalar_interior_mask(region, Y, tol=1e-9):
+    """Row-by-row interior test through 2n+1 scalar ``contains`` calls
+    (the closed form on balls), the path the batched mask replaces."""
+    def one(y):
+        if isinstance(region, Ball):
+            return region.radius > 0 and vector_norm(
+                y - region.center, region.norm) < region.radius - tol
+        delta = 16 * max(tol, 1e-9)
+        probes = [y] + [y + sign * delta * e for e in np.eye(region.dim)
+                        for sign in (1, -1)]
+        return all(region.contains(p, tol) for p in probes)
+    return np.array([one(y) for y in Y], dtype=bool)
+
+
+PAIR2 = DualPair(2, NormTag.L2)
+WINDOW_OPS = {
+    "psd+skew": Linear(pair=PAIR2, M=np.array([[1.0, 0.7], [-0.7, 0.3]])),
+    "norm": Subdifferential(pair=PAIR2, f=NormFn(2)),
+    "box cone": NormalCone(pair=PAIR2, f=IndicatorFn(
+        box(arr(-1.0, -0.5), arr(1.0, 0.5)))),
+}
+WINDOW_REGIONS = {
+    "box": box(arr(-0.8, -0.6), arr(0.9, 0.7)),
+    "l2 ball": Ball(center=arr(0.1, 0.0), radius=0.9),
+    "l1 ball": Ball(center=arr(0.0, 0.1), radius=1.0, norm=NormTag.L1),
+    "capsule": Capsule(a=arr(-0.5, 0.0), b=arr(0.5, 0.2), radius=0.5),
+}
+
+
+class TestBatchedWindowTest:
+    """The verdicts of the windowed checks are those of the scalar,
+    row-by-row interior test.  A non-box hull takes the same per-probe
+    ``contains`` path either way; the capsule stands for it."""
+
+    @pytest.mark.parametrize("op", sorted(WINDOW_OPS))
+    @pytest.mark.parametrize("region", sorted(WINDOW_REGIONS))
+    @pytest.mark.parametrize("check", ["fpv", "fp"])
+    def test_verdict_matches_scalar_interior_test(self, monkeypatch, op,
+                                                  region, check):
+        S, R = WINDOW_OPS[op], WINDOW_REGIONS[region]
+        side = "primal" if check == "fpv" else "dual"
+        fn = check_fpv if check == "fpv" else check_fp
+        U = LocalWindow(R, side=side)
+        for k, (w, ws) in enumerate([(arr(0.1, 0.05), arr(0.2, -0.1)),
+                                     (arr(0.3, -0.2), arr(0.0, 0.0)),
+                                     (arr(-0.2, 0.1), arr(0.4, 0.3))]):
+            got = fn(S, U, w, ws, budget=60, seed=k)
+            with monkeypatch.context() as mp:
+                mp.setattr(type(R), "interior_mask", scalar_interior_mask)
+                ref = fn(S, U, w, ws, budget=60, seed=k)
+            assert (got.premise_holds, got.vacuous, got.conclusion) == \
+                (ref.premise_holds, ref.vacuous, ref.conclusion)
+            if ref.premise_witness is None:
+                assert got.premise_witness is None
+            else:
+                assert np.array_equal(got.premise_witness.x,
+                                      ref.premise_witness.x)
+                assert np.array_equal(got.premise_witness.xstar,
+                                      ref.premise_witness.xstar)
 
 
 class TestNiInfimum:

@@ -136,6 +136,71 @@ class TestScenarioValidation:
         data = base_scenario([{"kind": "tail_experiment", "n_list": [1]}])
         parse_scenario(data)  # should not raise
 
+    @pytest.mark.parametrize("task,required", [
+        ({"kind": "gap", "operator": "abs", "count": 1}, ["operator"]),
+        ({"kind": "fitz", "operator": "abs", "points": [[[1.0], [1.0]]]},
+         ["operator"]),
+        ({"kind": "classify", "operator": "abs", "class": "ni",
+          "wstar": [2.0], "wstarstar": [0.0]},
+         ["operator", "class", "wstar", "wstarstar"]),
+        ({"kind": "classify", "operator": "abs", "class": "fpv",
+          "window": {"polytope": [[-2.0], [2.0]]}, "w": [1.0],
+          "wstar": [1.0]}, ["operator", "class", "window", "w", "wstar"]),
+        ({"kind": "classify", "operator": "abs", "class": "fp",
+          "window": {"polytope": [[-0.5], [0.5]]}, "w": [0.0],
+          "wstar": [0.0]}, ["operator", "class", "window", "w", "wstar"]),
+        ({"kind": "classify", "operator": "abs", "class": "strongmax",
+          "fuzz": {"polytope": [[0.2], [0.4]]}, "w": [0.0]},
+         ["operator", "class", "fuzz", "w"]),
+        ({"kind": "classify", "operator": "abs", "class": "strongmax",
+          "fuzz_side": "primal", "fuzz": {"polytope": [[-1.0], [1.0]]},
+          "wstar": [0.5]}, ["operator", "class", "fuzz", "wstar"]),
+        ({"kind": "br", "mode": "point", "fn": {"half_sq": {"dim": 1}},
+          "u": [0.1], "alpha": 0.1, "beta": 0.1},
+         ["mode", "fn", "u", "alpha", "beta"]),
+        ({"kind": "br", "mode": "corollary", "fn": {"half_sq": {"dim": 1}},
+          "beta": 0.1}, ["mode", "fn", "beta"]),
+        ({"kind": "br", "mode": "van", "fn": {"half_sq": {"dim": 1}},
+          "eps": 0.1}, ["mode", "fn", "eps"]),
+        ({"kind": "br", "mode": "witness", "fn": {"half_sq": {"dim": 1}},
+          "x": [0.0], "xstar": [1.0], "eps": 0.1},
+         ["mode", "fn", "x", "xstar", "eps"]),
+        ({"kind": "sum_test", "S": "abs", "T": "abs", "probes": 2},
+         ["S", "T"]),
+        ({"kind": "tail_experiment", "n_list": [1]}, []),
+    ])
+    def test_missing_task_field_is_named(self, task, required):
+        task = dict(task, seed=0)
+        report = run_scenario(base_scenario([task]))
+        assert report["tasks"][0]["status"] == "ok"
+        for key in sorted(task):
+            if key in ("kind", "seed", "fuzz_side"):
+                continue  # checked elsewhere, or a change of mode
+            data = base_scenario([{k: v for k, v in task.items()
+                                   if k != key}])
+            if key not in required:
+                parse_scenario(data)  # optional or has a default
+                continue
+            with pytest.raises(ScenarioError) as exc:
+                parse_scenario(data)
+            assert str(exc.value) == (f"task 0 ({task['kind']}) needs a "
+                                      f"{key!r} field")
+
+    def test_missing_window_exits_2(self, capsys, tmp_path):
+        data = base_scenario([{"kind": "classify", "operator": "abs",
+                               "class": "fpv", "seed": 0, "w": [1.0],
+                               "wstar": [1.0]}])
+        assert main(["run", write_scenario(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "task 0 (classify) needs a 'window' field" in captured.err
+
+    def test_unknown_sum_operand(self):
+        data = base_scenario([{"kind": "sum_test", "S": "abs", "T": "nope",
+                               "seed": 0}])
+        with pytest.raises(ScenarioError, match="nope"):
+            parse_scenario(data)
+
     def test_malformed_json_reports_location(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"schema": 1,\n  "space": }', encoding="utf-8")
@@ -278,6 +343,54 @@ class TestReportFormats:
 
 
 class TestCli:
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch):
+        import monotone_lab.cli as cli_mod
+
+        abs_op = '{"subdiff": {"norm": {"dim": 1}}}'
+        calls = [
+            ["tail", "--task", '{"n_list": [1, 2]}'],
+            ["gap", "--operator", abs_op, "--count", "2", "--seed", "3"],
+            ["br", "--mode", "corollary", "--fn", '{"half_sq": {"dim": 1}}',
+             "--task", '{"beta": 0.1}'],
+            ["gap", "--operator", abs_op, "--count", "3"],
+        ]
+
+        def reports():
+            out = []
+            for argv in calls:
+                assert main(argv) == 0, argv
+                rep = strip_timings(json.loads(capsys.readouterr().out))
+                out.append(rep)
+            return out
+
+        reused = reports()
+        # the tail call above must not leak its l1 space into the gaps
+        assert reused[1]["tasks"][0]["records"][0]["method"] == "resolvent"
+        monkeypatch.setattr(cli_mod, "_parser", cli_mod.build_parser)
+        assert reports() == reused
+
+    def test_reused_parser_repeats_errors_and_help(self, capsys,
+                                                   monkeypatch):
+        import monotone_lab.cli as cli_mod
+
+        def outputs():
+            out = []
+            for argv in (["gap", "--count", "1"], ["gap", "--count", "1"],
+                         ["--help"], ["gap", "--help"], ["tail", "--help"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                out.append((exc.value.code, capsys.readouterr()))
+            return out
+
+        reused = outputs()
+        missing = reused[0]
+        assert missing[0] == 2 and reused[1] == missing
+        assert "the following arguments are required: --operator" in \
+            missing[1].err
+        assert [code for code, _ in reused[2:]] == [0, 0, 0]
+        monkeypatch.setattr(cli_mod, "_parser", cli_mod.build_parser)
+        assert outputs() == reused
+
     def test_gap_ok(self, capsys):
         code = main(["gap", "--operator",
                      '{"subdiff": {"norm": {"dim": 1}}}',

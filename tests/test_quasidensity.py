@@ -83,6 +83,40 @@ class TestGap:
         assert rep.status == "upper_bound"
 
 
+class TestNonMonotoneLinear:
+    @pytest.mark.parametrize("M", [[[-1.0]], [[1.0, 0.0], [0.0, -1.0]],
+                                   [[0.0, 2.0], [0.0, 0.0]]])
+    @pytest.mark.parametrize("norm", list(NormTag))
+    def test_gap_is_sampled(self, M, norm):
+        n = len(M)
+        S = Linear(pair=DualPair(n, norm), M=np.array(M))
+        assert not S.monotone
+        rep = gap(S, GapQuery(PairedPoint(np.full(n, 0.5), np.ones(n))),
+                  budget=20, seed=0)
+        assert (rep.status, rep.method) == ("upper_bound", "sampled")
+        assert rep.value == pytest.approx(r_objective(
+            S, PairedPoint(np.full(n, 0.5), np.ones(n)), rep.witness.x,
+            rep.witness.xstar), abs=0)
+
+    @pytest.mark.parametrize("M", [
+        [[0.0, 1.0], [-1.0, 0.0]],  # skew
+        [[1.0, 0.7], [-0.7, 0.3]],  # PSD plus skew
+        [[1.0, 1.0], [1.0, 1.0]],  # singular PSD
+        np.triu(np.ones((16, 16))),  # tail map
+        np.outer([1e8, 1.0, 3.0], [1e8, 1.0, 3.0]),  # rank 1, badly scaled
+        np.full((3, 3), 2.5e-250),  # its squared entries underflow
+    ])
+    def test_monotone_maps_keep_their_exact_paths(self, M):
+        M = np.asarray(M, float)
+        n = M.shape[0]
+        target = PairedPoint(np.full(n, 0.5), np.ones(n))
+        for norm, method in ((NormTag.L2, "resolvent"), (NormTag.L1, "qp"),
+                             (NormTag.LINF, "qp")):
+            S = Linear(pair=DualPair(n, norm), M=M)
+            assert S.monotone
+            assert gap(S, GapQuery(target)).method == method
+
+
 @st.composite
 def linear_witness_cases(draw):
     """A monotone M on an l1/linf pair and a probe whose gap is 0 at a
@@ -211,6 +245,17 @@ class TestFuzzy:
                 ABS_OP, np.array([w]),
                 interval(ws - 0.5, ws + 0.5, side="dual")).value
             assert fuzz <= plain + 1e-10
+
+    def test_search_is_labelled_apart_from_the_exact_oracle(self):
+        # the alternating-resolvent search is a heuristic upper bound,
+        # while the plain gap of the same map is the exact oracle
+        w, ws = np.array([0.3]), np.array([1.4])
+        dual = fuzzy_gap_dual(ABS_OP, w, interval(1.0, 2.0, side="dual"))
+        primal = fuzzy_gap_primal(ABS_OP, interval(0.0, 1.0), ws)
+        for rep in (dual, primal):
+            assert (rep.status, rep.method) == ("upper_bound",
+                                                "fuzzy_search")
+        assert gap(ABS_OP, GapQuery(pp(w, ws))).method == "resolvent"
 
     def test_query_rejects_double_fuzz(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from monotone_lab import (Ball, Capsule, NormTag, Polytope, box, interval,
 from monotone_lab import sets as sets_module
 from monotone_lab.cli import main
 from monotone_lab.solvers import nearest_hull_point
+from monotone_lab.spaces import vector_norm
 
 SQUARE = Polytope(vertices=np.array([[1.0, 1.0], [1.0, -1.0],
                                      [-1.0, 1.0], [-1.0, -1.0]]))
@@ -348,3 +349,127 @@ class TestExactDistances:
                          + c * (x - s) + rho * abs(x - s))
                 assert rec["value"] == pytest.approx(exact, rel=1e-12,
                                                      abs=1e-15)
+
+
+def interior_reference(s, y, tol):
+    """The scalar interior test the batched mask replaces: the closed
+    form on balls, else 2n+1 ``contains`` calls (y, then y +- delta e_i)."""
+    if isinstance(s, Ball):
+        return s.radius > 0 and \
+            vector_norm(y - s.center, s.norm) < s.radius - tol
+    if not s.contains(y, tol):
+        return False
+    delta = 16 * max(tol, 1e-9)
+    for i in range(s.dim):
+        e = np.zeros(s.dim)
+        e[i] = delta
+        if not (s.contains(y + e, tol) and s.contains(y - e, tol)):
+            return False
+    return True
+
+
+# 2**-20 keeps the probe width delta = 2**-16 and tol exact in binary
+TOLS = st.sampled_from([1e-12, 1e-9, 1e-6, 2.0**-20])
+
+
+@st.composite
+def near_points(draw, anchors, tol, rows=st.integers(1, 6)):
+    """Rows built from anchor coordinates (faces, corners, centres) moved
+    by i delta / 2 + j tol for small integers i, j, or a free amount."""
+    delta = 16 * max(tol, 1e-9)
+    offset = st.one_of(
+        st.builds(lambda i, j: i * delta / 2 + j * tol,
+                  st.integers(-3, 3), st.integers(-2, 2)),
+        st.floats(-2.0, 2.0, allow_nan=False))
+    out = []
+    for _ in range(draw(rows)):
+        base = np.array(draw(st.sampled_from(anchors)), dtype=float)
+        out.append([b + draw(offset) for b in base])
+    return np.array(out)
+
+
+def assert_mask_matches(s, Y, tol):
+    mask = s.interior_mask(Y, tol)
+    assert mask.dtype == bool and mask.shape == (len(Y),)
+    ref = [interior_reference(s, y, tol) for y in Y]
+    assert mask.tolist() == ref, (s, Y, tol)
+    assert [s.interior_contains(y, tol) for y in Y] == ref
+
+
+class TestInteriorMask:
+    @given(d=st.integers(1, 3), tol=TOLS, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_box_matches_scalar_contains(self, d, tol, data):
+        coord = st.floats(-10.0, 10.0, allow_nan=False)
+        lo = data.draw(arrays(np.float64, (d,), elements=coord))
+        width = data.draw(arrays(np.float64, (d,), elements=st.one_of(
+            st.just(0.0), st.floats(0.0, 5.0))))
+        hi = lo + width
+        s = box(lo, hi)
+        assert s._is_box()
+        corners = [list(c) for c in itertools.product(*zip(lo, hi))]
+        Y = data.draw(near_points(corners + [list(0.5 * (lo + hi))], tol))
+        assert_mask_matches(s, Y, tol)
+
+    @pytest.mark.parametrize("name", sorted(NON_BOXES))
+    @given(tol=TOLS, data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_non_box_polytope_matches_scalar_contains(self, name, tol, data):
+        V = np.array(NON_BOXES[name])
+        s = Polytope(vertices=V)
+        assert not s._is_box()
+        mids = [list(0.5 * (a + b)) for a, b in itertools.combinations(V, 2)]
+        Y = data.draw(near_points([list(v) for v in V] + mids, tol,
+                                  rows=st.integers(1, 3)))
+        assert_mask_matches(s, Y, tol)
+
+    @pytest.mark.parametrize("norm", list(NormTag))
+    @given(d=st.integers(1, 3), tol=TOLS, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ball_matches_closed_form(self, norm, d, tol, data):
+        c = data.draw(arrays(np.float64, (d,),
+                             elements=st.floats(-5.0, 5.0)))
+        r = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+        s = Ball(center=c, radius=r, norm=norm)
+        rims = [list(c + sign * r * e) for e in np.eye(d) for sign in (1, -1)]
+        Y = data.draw(near_points(rims + [list(c)], tol))
+        assert_mask_matches(s, Y, tol)
+
+    @pytest.mark.parametrize("norm", list(NormTag))
+    @given(d=st.integers(1, 2), tol=TOLS, data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_capsule_matches_scalar_contains(self, norm, d, tol, data):
+        a = data.draw(arrays(np.float64, (d,),
+                             elements=st.floats(-3.0, 3.0)))
+        b = data.draw(arrays(np.float64, (d,),
+                             elements=st.floats(-3.0, 3.0)))
+        r = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+        s = Capsule(a=a, b=b, radius=r, norm=norm)
+        anchors = [list(a), list(b), list(a + r * np.eye(d)[0]),
+                   list(b - r * np.eye(d)[-1])]
+        Y = data.draw(near_points(anchors, tol, rows=st.integers(1, 3)))
+        assert_mask_matches(s, Y, tol)
+
+    def test_probe_at_exactly_tol_outside_counts_as_inside(self):
+        # y + delta lands tol beyond the face x = 1, and dist <= tol
+        # holds there with equality
+        tol = 2.0**-20
+        y = np.array([[1.0 + tol - 16 * tol, 0.5]])
+        s = box([0.0, 0.0], [1.0, 1.0])
+        assert s.interior_mask(y, tol).tolist() == [True]
+        assert_mask_matches(s, y, tol)
+
+    @pytest.mark.parametrize("norm", list(NormTag))
+    def test_ball_at_exactly_radius_minus_tol_is_outside(self, norm):
+        tol = 1e-9
+        s = Ball(center=np.zeros(2), radius=1.0, norm=norm)
+        y = np.array([[1.0 - tol, 0.0], [1.0 - 2 * tol, 0.0]])
+        assert s.interior_mask(y, tol).tolist() == [False, True]
+        assert_mask_matches(s, y, tol)
+
+    def test_rows_must_match_the_dimension(self):
+        with pytest.raises(ValueError):
+            SQUARE.interior_mask(np.zeros(2))
+        with pytest.raises(ValueError):
+            SQUARE.interior_mask(np.zeros((3, 3)))
+        assert SQUARE.interior_mask(np.zeros((0, 2))).shape == (0,)
