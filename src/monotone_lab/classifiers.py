@@ -11,7 +11,7 @@ records both.  Graph membership "(w, w*) in G(S)" is variant-specific
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Optional
 
@@ -20,9 +20,11 @@ import numpy as np
 from .fitzpatrick import theta
 from .operators import (
     FiniteGraph,
+    InverseOp,
     Linear,
     MonotoneOperator,
     ResolventError,
+    inverse,
 )
 from .sets import CompactConvexSet
 from .spaces import PairedPoint, vector_norm
@@ -67,20 +69,15 @@ def _windowed_check(
     wstar: np.ndarray,
     budget: int,
     seed: int,
-    range_side: bool,
 ) -> ClassifierVerdict:
     w = S.pair.check_dim(w, "w")
     wstar = S.pair.check_dim(wstar, "wstar")
-    anchor = wstar if range_side else w
-    if not window.contains(anchor):
+    if not window.contains(w):
         raise ValueError("the reference point must lie inside the window")
 
     candidates = list(S.graph_sample(budget, seed))
-    candidates.extend(
-        _window_probes(S, window, w, wstar, candidates, seed, range_side)
-    )
-    windowed = np.array([p.xstar if range_side else p.x
-                         for p in candidates]).reshape(-1, S.pair.dim)
+    candidates.extend(_window_probes(S, window, w, wstar, candidates, seed))
+    windowed = np.array([p.x for p in candidates]).reshape(-1, S.pair.dim)
     inside = window.region.interior_mask(windowed, tol=1e-12)
     worst = np.inf
     wit: Optional[PairedPoint] = None
@@ -110,36 +107,32 @@ def _window_probes(
     wstar: np.ndarray,
     base: list[PairedPoint],
     seed: int,
-    range_side: bool,
 ) -> list[PairedPoint]:
     """Graph points aimed into the window through the resolvent.
 
     The default sample cloud tracks the graph's own scale and can miss
     the window entirely, which would let a premise pass by blindness;
     these probes target z = u + v with u drawn inside the window and v
-    taken from the probe pair and the sampled partner components.
+    taken from the probe pair and the sampled partner components.  A
+    finite graph is sampled whole already and gets none.
     """
+    if isinstance(S, FiniteGraph):
+        return []
     region = window.region
     rng = np.random.default_rng(seed + 17)
     targets = [region.project(rng.normal(size=region.dim) * 3.0)
                for _ in range(8)]
     targets.append(region.project(np.zeros(region.dim)))
-    if isinstance(S, FiniteGraph):
-        return []
-    partners = [wstar if not range_side else w]
-    for p in base[: 6]:
-        partners.append(p.x if range_side else p.xstar)
+    partners = [wstar] + [p.xstar for p in base[: 6]]
     out: list[PairedPoint] = []
     for u in targets:
         for v in partners:
-            z = (v + u) if range_side else (u + v)
             try:
-                p = S.resolvent(z)
+                p = S.resolvent(u + v)
                 out.append(p)
                 # one correction: re-aim with the observed partner so
                 # the windowed component lands near the target u
-                z2 = (p.x + u) if range_side else (u + p.xstar)
-                out.append(S.resolvent(z2))
+                out.append(S.resolvent(u + p.xstar))
             except ResolventError:
                 return out
     return out
@@ -158,7 +151,7 @@ def check_fpv(
     G(S)."""
     if U.side != "primal":
         raise ValueError("domain-side check needs a primal window")
-    return _windowed_check(S, U, w, wstar, budget, seed, range_side=False)
+    return _windowed_check(S, U, w, wstar, budget, seed)
 
 
 def check_fp(
@@ -169,11 +162,19 @@ def check_fp(
     budget: int = 200,
     seed: int = 0,
 ) -> ClassifierVerdict:
-    """Range-side window test: the premise quantifies over sampled
-    graph points with s* in the dual window."""
+    """Range-side window test over sampled graph points with s* in the
+    dual window.  It is the domain-side test of S^{-1} at (w*, w), its
+    premise witness swapped back into G(S)."""
     if Ut.side != "dual":
         raise ValueError("range-side check needs a dual window")
-    return _windowed_check(S, Ut, w, wstar, budget, seed, range_side=True)
+    w = S.pair.check_dim(w, "w")
+    wstar = S.pair.check_dim(wstar, "wstar")
+    v = _windowed_check(inverse(S), Ut, wstar, w, budget, seed)
+    return replace(v, premise_witness=_swapped(v.premise_witness))
+
+
+def _swapped(p: Optional[PairedPoint]) -> Optional[PairedPoint]:
+    return None if p is None else p.swapped()
 
 
 def ni_infimum(
@@ -211,6 +212,8 @@ def _graph_membership_residual(
         )
     if isinstance(S, Linear):
         return float(np.linalg.norm(S.M @ x - xstar))
+    if isinstance(S, InverseOp):
+        return _graph_membership_residual(S.inner, xstar, x)
     try:
         pt = S.resolvent(x + xstar)
     except ResolventError:
@@ -279,40 +282,12 @@ def strong_max_primal(
     budget: int = 200,
     seed: int = 0,
 ) -> StrongMaxResult:
-    """Symmetric to strong_max_dual, searching w in W with (w, w*) in
-    G(S)."""
+    """strong_max_dual of S^{-1} at w*: searches w in W with (w, w*) in
+    G(S); the point and the premise witness are swapped back."""
     wstar = S.pair.check_dim(wstar, "wstar")
-    worst, wit = np.inf, None
-    for p in S.graph_sample(budget, seed):
-        v = float(p.x @ (p.xstar - wstar)) + W.support(-(p.xstar - wstar))
-        if v < worst:
-            worst, wit = v, p
-    if worst < -_PREMISE_TOL:
-        return StrongMaxResult(False, wit, False, None, np.inf,
-                               "premise_failed")
-
-    best_res, best_pt = np.inf, None
-    for u0 in _search_seeds(W, seed):
-        u = u0
-        for _ in range(200):
-            res = _graph_membership_residual(S, u, wstar)
-            if res < best_res:
-                best_res, best_pt = res, PairedPoint(u, wstar)
-            if res <= 1e-8:
-                break
-            try:
-                pt = S.resolvent(u + wstar)
-            except ResolventError:
-                break
-            u_new = W.project(pt.x)
-            if np.linalg.norm(u_new - u) <= 1e-14:
-                break
-            u = u_new
-        if best_res <= 1e-8:
-            break
-    found = best_res <= 1e-6
-    return StrongMaxResult(True, None, found, best_pt, best_res,
-                           "found" if found else "unknown")
+    res = strong_max_dual(inverse(S), wstar, W, budget, seed)
+    return replace(res, premise_witness=_swapped(res.premise_witness),
+                   point=_swapped(res.point))
 
 
 def _search_seeds(set_: CompactConvexSet, seed: int) -> list[np.ndarray]:

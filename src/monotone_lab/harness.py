@@ -36,7 +36,6 @@ from .functions import (
 )
 from .operators import (
     FiniteGraph,
-    InverseOp,
     Linear,
     MonotoneOperator,
     NormalCone,
@@ -45,6 +44,7 @@ from .operators import (
     Subdifferential,
     SumOp,
     SupportSubdiff,
+    inverse,
     parallel_sum,
     tail_operator,
 )
@@ -159,8 +159,8 @@ def parse_operator(desc: dict, pair: DualPair) -> MonotoneOperator:
             raise ScenarioError("operator sum needs exactly two operands")
         return SumOp(pair=pair, S=ops[0], T=ops[1])
     if "inverse" in desc:
-        return InverseOp(pair=pair, inner=parse_operator(desc["inverse"],
-                                                         pair))
+        return inverse(parse_operator(
+            desc["inverse"], DualPair(pair.dim, pair.dual_norm)))
     if "parallel_sum" in desc:
         ops = [parse_operator(d, pair) for d in desc["parallel_sum"]]
         if len(ops) != 2:
@@ -512,10 +512,7 @@ def sum_test(
         witness = _interior_domain_witness(S, T, seed)
         combined: MonotoneOperator = SumOp(pair=S.pair, S=S, T=T)
     elif mode == "range":
-        witness = _interior_domain_witness(
-            InverseOp(pair=S.pair, inner=S), InverseOp(pair=T.pair, inner=T),
-            seed,
-        )
+        witness = _interior_domain_witness(inverse(S), inverse(T), seed)
         combined = parallel_sum(S, T)
     else:
         raise ScenarioError(f"unknown sum_test mode {mode!r}")

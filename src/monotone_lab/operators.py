@@ -317,34 +317,50 @@ class SumOp(MonotoneOperator):
 
 @dataclass(frozen=True)
 class InverseOp(MonotoneOperator):
-    """S^{-1}: graph with components swapped."""
+    """S^{-1}: the graph of ``inner`` with components swapped, on the
+    swapped pair (dim, inner's dual norm).  Build it with ``inverse``."""
 
     inner: MonotoneOperator = None  # type: ignore[assignment]
 
+    def __post_init__(self) -> None:
+        if (self.pair.dim != self.inner.pair.dim
+                or self.pair.primal_norm is not self.inner.pair.dual_norm):
+            raise ValueError("an inverse lives on the swapped pair")
+
     def resolvent_scaled(self, z: np.ndarray, lam: float = 1.0) -> PairedPoint:
-        # J_{lam A^-1}(z) = z - lam * J_{A/lam}(z/lam)
+        # (s*, s) with s* + lam*s = z is the inner point (s, s*) with
+        # s + s*/lam = z/lam (Bauschke-Combettes, ch. 23)
         z = self.pair.check_dim(z, "z")
-        u = self.inner.resolvent_scaled(z / lam, 1.0 / lam)
-        return PairedPoint(z - lam * u.x, u.x)
+        return self.inner.resolvent_scaled(z / lam, 1.0 / lam).swapped()
+
+    def resolvent(self, z: np.ndarray) -> PairedPoint:
+        return self.inner.resolvent(z).swapped()
 
     def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
-        return [
-            PairedPoint(p.xstar, p.x)
-            for p in self.inner.graph_sample(budget, seed)
-        ]
+        return [p.swapped() for p in self.inner.graph_sample(budget, seed)]
 
     def contains(self, x, xstar, tol: float = 1e-7) -> str:
         return self.inner.contains(xstar, x, tol)
 
 
+def inverse(S: MonotoneOperator) -> MonotoneOperator:
+    """S^{-1} on the swapped pair DualPair(dim, S's dual norm): the inner
+    operator of an ``InverseOp``, a ``FiniteGraph`` of the swapped points
+    (so its gaps stay exact), or else an ``InverseOp`` around S."""
+    if isinstance(S, InverseOp):
+        return S.inner
+    pair = DualPair(S.pair.dim, S.pair.dual_norm)
+    if isinstance(S, FiniteGraph):
+        return FiniteGraph(pair=pair,
+                           points=tuple(p.swapped() for p in S.points))
+    return InverseOp(pair=pair, inner=S)
+
+
 def parallel_sum(S: MonotoneOperator, T: MonotoneOperator) -> MonotoneOperator:
     """(S^{-1} + T^{-1})^{-1}, evaluated through resolvents of the
     inverses."""
-    pair = S.pair
-    return InverseOp(pair=pair, inner=SumOp(
-        pair=pair, S=InverseOp(pair=pair, inner=S),
-        T=InverseOp(pair=pair, inner=T),
-    ))
+    Si, Ti = inverse(S), inverse(T)
+    return inverse(SumOp(pair=Si.pair, S=Si, T=Ti))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ certifies density at that probe; nothing universal is ever claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,7 @@ from .operators import (
     Linear,
     MonotoneOperator,
     ResolventError,
+    inverse,
 )
 from .sets import CompactConvexSet, Polytope
 from .spaces import NormTag, PairedPoint, vector_norm
@@ -199,27 +200,6 @@ def _piece_solve(M: np.ndarray, y: np.ndarray, a: np.ndarray, l1: bool
     return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
-def _dual_fuzz_objective(
-    S: MonotoneOperator, w: np.ndarray, Wt: CompactConvexSet,
-    s: np.ndarray, sstar: np.ndarray,
-) -> float:
-    # max<s-w, s*-Wt> = <s-w, s*> + support(Wt, w-s)
-    a = s - w
-    na = vector_norm(a, S.pair.primal_norm)
-    d = Wt.dist(sstar, S.pair.dual_norm)
-    return 0.5 * na * na + 0.5 * d * d + float(a @ sstar) + Wt.support(w - s)
-
-
-def _primal_fuzz_objective(
-    S: MonotoneOperator, W: CompactConvexSet, wstar: np.ndarray,
-    s: np.ndarray, sstar: np.ndarray,
-) -> float:
-    b = sstar - wstar
-    nb = vector_norm(b, S.pair.dual_norm)
-    d = W.dist(s, S.pair.primal_norm)
-    return 0.5 * d * d + 0.5 * nb * nb + float(s @ b) + W.support(-b)
-
-
 def _fuzz_candidates(set_: CompactConvexSet, anchors: list[np.ndarray]
                      ) -> list[np.ndarray]:
     cands = [set_.project(a) for a in anchors]
@@ -241,7 +221,12 @@ def fuzzy_gap_dual(
     w = S.pair.check_dim(w, "w")
 
     def obj(p: PairedPoint) -> float:
-        return _dual_fuzz_objective(S, w, Wt, p.x, p.xstar)
+        # max<s-w, s*-Wt> = <s-w, s*> + support(Wt, w-s)
+        a = p.x - w
+        na = vector_norm(a, S.pair.primal_norm)
+        d = Wt.dist(p.xstar, S.pair.dual_norm)
+        return (0.5 * na * na + 0.5 * d * d + float(a @ p.xstar)
+                + Wt.support(w - p.x))
 
     if isinstance(S, FiniteGraph):
         vals = [obj(p) for p in S.points]
@@ -283,40 +268,13 @@ def fuzzy_gap_primal(
     seed: int = 0,
 ) -> GapReport:
     """Infimum estimate of the primal-fuzzy objective
-    dist(s, W)^2/2 + ||s*-w*||^2/2 + max<s-W, s*-w*> over G(S)."""
+    dist(s, W)^2/2 + ||s*-w*||^2/2 + max<s-W, s*-w*> over G(S): term for
+    term the dual-fuzzy objective of S^{-1} at w*, so it runs on
+    inverse(S) with the witness swapped back into G(S)."""
     wstar = S.pair.check_dim(wstar, "wstar")
-
-    def obj(p: PairedPoint) -> float:
-        return _primal_fuzz_objective(S, W, wstar, p.x, p.xstar)
-
-    if isinstance(S, FiniteGraph):
-        vals = [obj(p) for p in S.points]
-        i = int(np.argmin(vals))
-        return GapReport(vals[i], S.points[i], "exact", "enumeration")
-
-    candidates = list(S.graph_sample(budget, seed))
-    wv = W.project(np.zeros(W.dim))
-    for _ in range(12):
-        try:
-            pt = S.resolvent(wv + wstar)
-        except ResolventError:
-            break
-        candidates.append(pt)
-        wv_new = W.project(pt.x)
-        if np.linalg.norm(wv_new - wv) <= 1e-13:
-            break
-        wv = wv_new
-    for w0 in _fuzz_candidates(W, [c.x for c in candidates[:5]]):
-        try:
-            candidates.append(S.resolvent(w0 + wstar))
-        except ResolventError:
-            break
-    best, wit = np.inf, None
-    for p in candidates:
-        v = obj(p)
-        if v < best:
-            best, wit = v, p
-    return GapReport(best, wit, "upper_bound", "fuzzy_search")
+    rep = fuzzy_gap_dual(inverse(S), wstar, W, budget, seed)
+    return rep if rep.witness is None else replace(
+        rep, witness=rep.witness.swapped())
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,14 @@ class PairedPoint:
     def as_tuple(self) -> tuple[np.ndarray, np.ndarray]:
         return self.x, self.xstar
 
+    def swapped(self) -> "PairedPoint":
+        """(x*, x), the point of the inverse graph.  Both components are
+        already checked, so ``__post_init__`` is not run again."""
+        out = object.__new__(PairedPoint)
+        object.__setattr__(out, "x", self.xstar)
+        object.__setattr__(out, "xstar", self.x)
+        return out
+
 
 def pairing(pair: DualPair, x: np.ndarray, xstar: np.ndarray) -> float:
     return pair.pairing(x, xstar)

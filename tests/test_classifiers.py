@@ -237,6 +237,90 @@ class TestStrongMax:
             assert res.found and res.residual <= 1e-6
 
 
+SKEW2 = Linear(pair=PAIR2, M=np.array([[0.0, 1.0], [-1.0, 0.0]]))
+GRAPH1 = FiniteGraph(pair=PAIR1, points=(PairedPoint([0.0], [0.5]),
+                                         PairedPoint([1.0], [2.0]),
+                                         PairedPoint([-1.0], [-1.0])))
+PINNED_OPS = {"abs": ABS_OP, "cone": CONE_OP, "identity": IDENTITY,
+              "skew": SKEW2, "graph": GRAPH1}
+
+
+def pinned(a, b):
+    """Values recorded before the range side ran on S^{-1}."""
+    return pytest.approx(b, rel=1e-12, abs=1e-15) == a
+
+
+class TestRangeSideOnInverse:
+    """check_fp and strong_max_primal run their dual-side twins on
+    S^{-1}; the results are pinned to the mirrored routines they
+    replaced, and every witness or point lies in G(S)."""
+
+    @pytest.mark.parametrize("op, window, w, ws, premise, concl, wit", [
+        ("abs", (-0.5, 0.5), [0.0], [0.0], True, "in", None),
+        ("abs", (-0.5, 0.5), [0.5], [0.2], False, "out",
+         ([0.0], [0.49274857874416966])),
+        ("cone", (0.5, 3.0), [1.0], [1.0], True, "in", None),
+        ("cone", (-1.0, 1.0), [0.5], [0.5], False, "out", ([1.0], [0.0])),
+        ("identity", (0.0, 2.0), [1.0], [1.2], False, "out",
+         ([1.1027647524073134], [1.1027647524073134])),
+        ("skew", None, [0.1, 0.2], [0.3, -0.1], False, "out",
+         ([0.9945229996597038, 0.6317071082430643],
+          [0.6317071082430643, -0.9945229996597038])),
+        ("skew", None, [0.1, 0.2], [0.2, -0.1], True, "in", None),
+        ("graph", (-1.5, 2.5), [0.3], [0.1], False, "out", ([0.0], [0.5])),
+        ("graph", (-1.5, 2.5), [1.0], [2.0], True, "in", None),
+    ])
+    def test_check_fp_pinned(self, op, window, w, ws, premise, concl, wit):
+        S = PINNED_OPS[op]
+        region = (box(arr(-1, -1), arr(1, 1), side="dual") if window is None
+                  else interval(*window, side="dual"))
+        v = check_fp(S, LocalWindow(region, side="dual"), arr(*w), arr(*ws))
+        assert (v.premise_holds, v.conclusion, v.vacuous) == (premise, concl,
+                                                             False)
+        if wit is None:
+            assert v.premise_witness is None
+        else:
+            p = v.premise_witness
+            assert pinned(p.x.tolist(), wit[0])
+            assert pinned(p.xstar.tolist(), wit[1])
+            assert S.contains(p.x, p.xstar) == "yes"
+
+    @pytest.mark.parametrize("op, W, ws, status, point, residual", [
+        ("cone", (-1.0, 1.0), [5.0], "found", ([1.0], [5.0]), 0.0),
+        ("identity", (2.0, 3.0), [0.0], "premise_failed", None, np.inf),
+        ("abs", (-0.5, 0.5), [0.3], "found", ([0.0], [0.3]), 0.0),
+        ("skew", None, [0.5, -0.25], "found",
+         ([0.2500000037252903, 0.5000000074505806], [0.5, -0.25]),
+         8.33000234328132e-09),
+        ("graph", (0.5, 1.5), [2.0], "found", ([1.0], [2.0]), 0.0),
+        ("graph", (0.5, 1.5), [1.0], "unknown", ([0.5], [1.0]), 1.0),
+    ])
+    def test_strong_max_primal_pinned(self, op, W, ws, status, point,
+                                      residual):
+        S = PINNED_OPS[op]
+        W = box(arr(-1, -1), arr(1, 1)) if W is None else interval(*W)
+        res = strong_max_primal(S, W, arr(*ws))
+        assert res.status == status
+        assert pinned(res.residual, residual)
+        if point is None:
+            assert res.point is None
+            p = res.premise_witness
+            assert pinned(p.x.tolist(), [0.9929940132070163])
+            assert S.contains(p.x, p.xstar) == "yes"
+        else:
+            assert pinned(res.point.x.tolist(), point[0])
+            assert pinned(res.point.xstar.tolist(), point[1])
+            if status == "found":
+                assert S.contains(res.point.x, res.point.xstar) == "yes"
+
+    def test_shape_errors_name_the_callers_argument(self):
+        Ut = LocalWindow(interval(-1.0, 1.0, side="dual"), side="dual")
+        with pytest.raises(ValueError, match="wstar"):
+            check_fp(ABS_OP, Ut, arr(0.0), arr(0.0, 0.0))
+        with pytest.raises(ValueError, match="wstar"):
+            strong_max_primal(ABS_OP, interval(-1.0, 1.0), arr(0.0, 0.0))
+
+
 class TestSeqChar:
     def _identity_seq(self, offsets):
         return [PairedPoint([1.0 + o], [1.0 + o]) for o in offsets]

@@ -105,6 +105,28 @@ class TestDescriptorParsing:
         pt = A.resolvent(np.array([3.0]))
         assert pt.x[0] == pytest.approx(1.0, abs=1e-7)
 
+    def test_inverse_of_graph_is_exact_on_l1(self, tmp_path):
+        # the inner graph is read on the swapped (linf/l1) pair, and its
+        # inverse on the scenario's l1 pair is a finite graph again
+        pts = [[[0.0, 0.0], [0.0, 0.0]], [[1.0, -0.5], [0.5, 0.25]],
+               [[0.2, 0.6], [-0.4, 1.1]]]
+        probe = [[0.2, 0.9], [0.5, -0.3]]
+        data = base_scenario(
+            [{"kind": "gap", "operator": "inv", "seed": 0,
+              "probes": [probe]}],
+            operators={"inv": {"inverse": {"graph": pts}}},
+            space={"dim": 2, "norm": "l1"})
+        rec = run_scenario(write_scenario(tmp_path, data))["tasks"][0][
+            "records"][0]
+        assert (rec["status"], rec["method"]) == ("exact", "enumeration")
+        swapped = FiniteGraph(pair=DualPair(2, NormTag.L1), points=tuple(
+            PairedPoint(b, a) for a, b in pts))
+        t = PairedPoint(*probe)
+        best = min(r_objective(swapped, t, p.x, p.xstar)
+                   for p in swapped.points)
+        assert rec["value"] == pytest.approx(best, abs=1e-15)
+        assert [rec["witness"]["xstar"], rec["witness"]["x"]] in pts
+
     def test_unknown_operator_key_is_named(self):
         with pytest.raises(ScenarioError, match="gizmo"):
             parse_operator({"gizmo": 1}, PAIR1)

@@ -17,11 +17,14 @@ from monotone_lab import (
     PairedPoint,
     Polytope,
     Shift,
+    GapQuery,
     Subdifferential,
     SumOp,
     SupportFn,
     SupportSubdiff,
+    gap,
     interval,
+    inverse,
     monotone_check,
     parallel_sum,
     tail_operator,
@@ -195,6 +198,41 @@ class TestCombinators:
             assert pt.x[0] + pt.xstar[0] == pytest.approx(float(z[0]),
                                                           abs=1e-8)
             assert CONE_OP.contains(pt.xstar, pt.x, tol=1e-6) == "yes"
+
+    def test_inverse_of_finite_graph_is_exact(self):
+        # G^-1 = {(1, 0), (3, 1)}; at the probe (0.4, 0) the gap is
+        # r((1, 0)) = 0.6^2/2 = 0.18, at a point of G^-1
+        G = FiniteGraph(pair=PAIR1, points=(PairedPoint([0.0], [1.0]),
+                                            PairedPoint([1.0], [3.0])))
+        probe = PairedPoint([0.4], [0.0])
+        inv = inverse(G)
+        assert isinstance(inv, FiniteGraph)
+        rep = gap(inv, GapQuery(probe))
+        assert (rep.status, rep.method) == ("exact", "enumeration")
+        assert rep.value == pytest.approx(0.18, abs=1e-15)
+        assert inv.contains(rep.witness.x, rep.witness.xstar) == "yes"
+        # the same graph wrapped by hand takes the resolvent oracle, which
+        # now returns a point of G^-1 as well
+        rep = gap(InverseOp(pair=PAIR1, inner=G), GapQuery(probe))
+        assert (rep.status, rep.method) == ("exact", "resolvent")
+        assert rep.value == pytest.approx(0.18, abs=1e-15)
+        assert G.contains(rep.witness.xstar, rep.witness.x) == "yes"
+
+    def test_inverse_lives_on_the_swapped_pair(self):
+        S = Subdifferential(pair=DualPair(2, NormTag.L1), f=NormFn(2))
+        inv = inverse(S)
+        assert isinstance(inv, InverseOp)
+        assert inv.pair == DualPair(2, NormTag.LINF)
+        # built by hand, an inverse on any other pair is rejected
+        for pair in (S.pair, DualPair(3, NormTag.LINF)):
+            with pytest.raises(ValueError, match="swapped pair"):
+                InverseOp(pair=pair, inner=S)
+
+    def test_parallel_sum_keeps_the_pair(self):
+        T = Linear(pair=DualPair(1, NormTag.L1), M=np.array([[1.0]]))
+        P = parallel_sum(T, T)
+        assert P.pair == T.pair
+        assert P.inner.pair == DualPair(1, NormTag.LINF)
 
     def test_sum_resolvent_succeeds_with_interior_overlap(self):
         S = SumOp(pair=PAIR1, S=ABS_OP, T=CONE_OP)

@@ -11,17 +11,22 @@ from monotone_lab import (
     GapQuery,
     HalfSqNorm,
     IndicatorFn,
+    InverseOp,
     Linear,
+    MonotoneOperator,
     NormFn,
     NormTag,
     NormalCone,
     PairedPoint,
+    ResolventError,
     Subdifferential,
+    box,
     fuzzy_gap_dual,
     fuzzy_gap_primal,
     gap,
     gap_euclidean_oracle,
     interval,
+    inverse,
     is_quasidense,
     r_objective,
     singleton,
@@ -261,6 +266,142 @@ class TestFuzzy:
         with pytest.raises(ValueError):
             GapQuery(pp(0.0, 0.0), dual_fuzz=interval(0, 1, side="dual"),
                      primal_fuzz=interval(0, 1))
+
+
+CONE_OP = NormalCone(pair=PAIR1, f=IndicatorFn(interval(-1.0, 1.0)))
+IDENTITY = Linear(pair=PAIR1, M=np.array([[1.0]]))
+SKEW2 = Linear(pair=DualPair(2), M=np.array([[0.0, 1.0], [-1.0, 0.0]]))
+GRAPH1 = FiniteGraph(pair=PAIR1, points=(PairedPoint([0.0], [0.5]),
+                                         PairedPoint([1.0], [2.0]),
+                                         PairedPoint([-1.0], [-1.0])))
+
+
+class _NoGraph(MonotoneOperator):
+    """An operator with no reachable graph point."""
+
+    def resolvent_scaled(self, z, lam=1.0):
+        raise ResolventError("no graph point")
+
+    def graph_sample(self, budget, seed):
+        return []
+
+
+class TestPrimalFuzzOnInverse:
+    """fuzzy_gap_primal runs fuzzy_gap_dual on S^{-1}; its reports are
+    pinned to the mirrored routine it replaced."""
+
+    @pytest.mark.parametrize("S, W, ws, value, status, method, wit", [
+        (GRAPH1, interval(2.0, 3.0), [0.0], 0.5, "exact", "enumeration",
+         ([1.0], [2.0])),
+        (ABS_OP, interval(0.0, 1.0), [1.4], 0.0, "upper_bound",
+         "fuzzy_search", ([1.4], [1.0])),
+        (CONE_OP, interval(0.5, 2.0), [0.3], 2.7755575615628914e-17,
+         "upper_bound", "fuzzy_search", ([1.0], [0.30000000000000004])),
+        (IDENTITY, interval(-1.0, 0.0), [0.5], 0.0, "upper_bound",
+         "fuzzy_search", ([0.25], [0.25])),
+        (SKEW2, box(np.array([-0.5, 0.0]), np.array([0.5, 1.0])),
+         [0.3, -0.2], 0.005484619140625, "upper_bound", "fuzzy_search",
+         ([0.203125, 0.3046875], [0.3046875, -0.203125])),
+    ])
+    def test_pinned(self, S, W, ws, value, status, method, wit):
+        rep = fuzzy_gap_primal(S, W, np.array(ws))
+        assert (rep.status, rep.method) == (status, method)
+        assert rep.value == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert rep.witness.x.tolist() == pytest.approx(wit[0], rel=1e-12)
+        assert rep.witness.xstar.tolist() == pytest.approx(wit[1],
+                                                           rel=1e-12)
+        # a point of G(S), not of G(S^-1)
+        assert S.contains(rep.witness.x, rep.witness.xstar) == "yes"
+
+    def test_no_witness_stays_none(self):
+        rep = fuzzy_gap_primal(_NoGraph(pair=PAIR1), interval(0.0, 1.0),
+                               np.array([0.5]))
+        assert rep.witness is None
+        assert rep.value == np.inf
+
+    def test_shape_error_names_wstar(self):
+        with pytest.raises(ValueError, match="wstar"):
+            fuzzy_gap_primal(ABS_OP, interval(0.0, 1.0), np.zeros(2))
+
+
+class TestInverseGaps:
+    def test_l1_finite_graph_keeps_its_norms(self):
+        # S^-1 lives on the linf/l1 pair, so its gap at (x*, x) is the
+        # gap of S at (x, x*), by enumeration
+        pts = (pp([0.0, 0.0], [0.0, 0.0]), pp([1.0, -0.5], [0.5, 0.25]),
+               pp([0.2, 0.6], [-0.4, 1.1]))
+        S = FiniteGraph(pair=DualPair(2, NormTag.L1), points=pts)
+        x, xs = np.array([0.5, -0.3]), np.array([0.2, 0.9])
+        a = gap(S, GapQuery(pp(x, xs)))
+        b = gap(inverse(S), GapQuery(pp(xs, x)))
+        assert inverse(S).pair.primal_norm is NormTag.LINF
+        assert (a.status, a.method) == (b.status, b.method) == (
+            "exact", "enumeration")
+        assert a.value == b.value == pytest.approx(0.555, abs=1e-12)
+        assert np.array_equal(b.witness.x, a.witness.xstar)
+        assert np.array_equal(b.witness.xstar, a.witness.x)
+
+
+PAIRS = [NormTag.L1, NormTag.L2, NormTag.LINF]
+COORD = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def graph_and_probe(draw):
+    """A FiniteGraph of 1-4 points in 1-3 dimensions on one of the three
+    pairs, and a probe (x, x*)."""
+    n = draw(st.integers(1, 3))
+    norm = draw(st.sampled_from(PAIRS))
+    vec = arrays(np.float64, (n,), elements=COORD)
+    pts = draw(st.lists(st.tuples(vec, vec), min_size=1, max_size=4))
+    S = FiniteGraph(pair=DualPair(n, norm),
+                    points=tuple(PairedPoint(a, b) for a, b in pts))
+    return S, draw(vec), draw(vec)
+
+
+class TestInverseSymmetry:
+    @settings(max_examples=60, deadline=None)
+    @given(graph_and_probe())
+    def test_finite_graph_gap(self, case):
+        S, x, xs = case
+        a = gap(S, GapQuery(PairedPoint(x, xs)))
+        b = gap(inverse(S), GapQuery(PairedPoint(xs, x)))
+        assert a.value == b.value
+        assert (a.status, b.status) == ("exact", "exact")
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph_and_probe(), st.floats(0.0, 1.0))
+    def test_primal_fuzz_is_dual_fuzz_of_the_inverse(self, case, width):
+        S, x, xs = case
+        W = box(x, x + width)
+        primal = fuzzy_gap_primal(S, W, xs)
+        dual = fuzzy_gap_dual(inverse(S), xs, W)
+        assert primal.value == dual.value
+        assert np.array_equal(primal.witness.x, dual.witness.xstar)
+        assert np.array_equal(primal.witness.xstar, dual.witness.x)
+
+    @pytest.mark.parametrize("S", [ABS_OP, CONE_OP, IDENTITY, SKEW2,
+                                   tail_operator(3)])
+    def test_double_inverse_is_the_operator(self, S):
+        inv = inverse(S)
+        assert isinstance(inv, InverseOp)
+        assert inverse(inv) is S
+        assert inverse(inverse(inv)).inner is S
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)),
+        arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)),
+        arrays(np.float64, (2, n), elements=COORD))))
+    def test_monotone_linear_on_l2(self, case):
+        B, K, probe = case
+        n = B.shape[0]
+        S = Linear(pair=DualPair(n), M=B @ B.T + K - K.T)
+        x, xs = probe
+        a = gap(S, GapQuery(PairedPoint(x, xs)))
+        b = gap(inverse(S), GapQuery(PairedPoint(xs, x)))
+        assert a.method == b.method == "resolvent"
+        assert a.value == b.value
 
 
 class TestIsQuasidense:
