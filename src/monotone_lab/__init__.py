@@ -66,6 +66,7 @@ from .operators import (
     Subdifferential,
     SumOp,
     SupportSubdiff,
+    add,
     inverse,
     monotone_check,
     normal_cone,

@@ -12,7 +12,6 @@ records both.  Graph membership "(w, w*) in G(S)" is variant-specific
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -27,7 +26,7 @@ from .operators import (
     inverse,
 )
 from .sets import CompactConvexSet
-from .spaces import PairedPoint, vector_norm
+from .spaces import PairedPoint, first_min, row_dots, vector_norm
 
 _PREMISE_TOL = 1e-10
 
@@ -75,24 +74,21 @@ def _windowed_check(
     if not window.contains(w):
         raise ValueError("the reference point must lie inside the window")
 
-    candidates = list(S.graph_sample(budget, seed))
-    candidates.extend(_window_probes(S, window, w, wstar, candidates, seed))
-    windowed = np.array([p.x for p in candidates]).reshape(-1, S.pair.dim)
-    inside = window.region.interior_mask(windowed, tol=1e-12)
-    worst = np.inf
-    wit: Optional[PairedPoint] = None
-    hits = 0
-    for p in compress(candidates, inside):
-        hits += 1
-        v = float((p.x - w) @ (p.xstar - wstar))
-        if v < worst:
-            worst, wit = v, p
+    X, Xs = S.graph_rows(budget, seed)
+    PX, PXs = _window_probes(S, window, w, wstar, Xs, seed)
+    X, Xs = np.vstack([X, PX]), np.vstack([Xs, PXs])
+    inside = window.region.interior_mask(X, tol=1e-12)
+    X, Xs = X[inside], Xs[inside]
+    hits = len(X)
+    vals = row_dots(X - w, Xs - wstar)
+    i = first_min(vals)
+    worst = np.inf if i is None else float(vals[i])
     premise = worst >= -_PREMISE_TOL
     member = S.contains(w, wstar, tol=1e-7)
     conclusion = {"yes": "in", "no": "out"}.get(member, "unknown")
     return ClassifierVerdict(
         premise_holds=premise and hits > 0,
-        premise_witness=None if premise else wit,
+        premise_witness=None if premise else PairedPoint.of_rows(X[i], Xs[i]),
         conclusion=conclusion,
         vacuous=hits == 0,
         budget=budget,
@@ -105,37 +101,62 @@ def _window_probes(
     window: LocalWindow,
     w: np.ndarray,
     wstar: np.ndarray,
-    base: list[PairedPoint],
+    base_xstar: np.ndarray,
     seed: int,
-) -> list[PairedPoint]:
-    """Graph points aimed into the window through the resolvent.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Graph points aimed into the window through the resolvent, as rows
+    (X, X*).
 
     The default sample cloud tracks the graph's own scale and can miss
     the window entirely, which would let a premise pass by blindness;
     these probes target z = u + v with u drawn inside the window and v
-    taken from the probe pair and the sampled partner components.  A
-    finite graph is sampled whole already and gets none.
+    taken from the probe pair and the sampled partner components, then
+    re-aim once at u + p* with the observed partner p* so that the
+    windowed component lands near u.  The points come in the order
+    p_0, q_0, p_1, q_1, ... (q_k the re-aimed p_k) and stop at the first
+    resolvent failure.  Each stage is one stacked resolvent call; an
+    operator whose rows can fail one by one goes row by row, so that
+    no resolvent runs past the first failure.  A finite graph is
+    sampled whole already and gets none.
     """
+    X, Xs = [np.empty((0, S.pair.dim))], [np.empty((0, S.pair.dim))]
     if isinstance(S, FiniteGraph):
-        return []
+        return X[0], Xs[0]
     region = window.region
     rng = np.random.default_rng(seed + 17)
-    targets = [region.project(rng.normal(size=region.dim) * 3.0)
-               for _ in range(8)]
-    targets.append(region.project(np.zeros(region.dim)))
-    partners = [wstar] + [p.xstar for p in base[: 6]]
-    out: list[PairedPoint] = []
-    for u in targets:
-        for v in partners:
-            try:
-                p = S.resolvent(u + v)
-                out.append(p)
-                # one correction: re-aim with the observed partner so
-                # the windowed component lands near the target u
-                out.append(S.resolvent(u + p.xstar))
-            except ResolventError:
-                return out
-    return out
+    targets = region.project_rows(np.vstack([
+        rng.normal(size=(8, region.dim)) * 3.0, np.zeros((1, region.dim))]))
+    partners = np.vstack([wstar, base_xstar[:6]])
+    U = np.repeat(targets, len(partners), axis=0)
+    Z = U + np.tile(partners, (len(targets), 1))
+    step = len(Z) if S.batched_rows else 1
+    for lo in range(0, len(Z), step):
+        P, Ps, ok = S.resolvent_rows(Z[lo:lo + step])
+        k = _ok_prefix(ok)
+        if k == 0:
+            break
+        Q, Qs, ok = S.resolvent_rows(U[lo:lo + k] + Ps[:k])
+        j = _ok_prefix(ok)
+        # p_0, q_0, ..., p_(j-1), q_(j-1), then p_j if its re-aim failed
+        m = min(j + 1, k)
+        X.append(_interleave(P[:m], Q[:j]))
+        Xs.append(_interleave(Ps[:m], Qs[:j]))
+        if j < len(P):
+            break
+    return np.vstack(X), np.vstack(Xs)
+
+
+def _ok_prefix(ok: np.ndarray) -> int:
+    """The number of leading True entries of ``ok``."""
+    return int(np.argmin(ok)) if not ok.all() else len(ok)
+
+
+def _interleave(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Rows p_0, q_0, p_1, q_1, ..., with the rows of P past len(Q) at
+    the end."""
+    j = len(Q)
+    return np.vstack([np.stack([P[:j], Q], axis=1).reshape(-1, P.shape[1]),
+                      P[j:]])
 
 
 def check_fpv(

@@ -31,7 +31,7 @@ from .operators import (
     Shift,
     Subdifferential,
 )
-from .spaces import PairedPoint
+from .spaces import PairedPoint, first_min, row_dots
 
 INF = float("inf")
 
@@ -47,8 +47,11 @@ class FitzEvaluation:
     direction: Optional[np.ndarray] = None  # certificate for +inf
 
 
-def _piece_value(pt: PairedPoint, x: np.ndarray, xstar: np.ndarray) -> float:
-    return float(pt.x @ xstar + x @ pt.xstar - pt.x @ pt.xstar)
+def _piece_value(s: np.ndarray, sstar: np.ndarray, x: np.ndarray,
+                 xstar: np.ndarray) -> np.ndarray:
+    """<s, x*> + <x, s*> - <s, s*> over the last axis of (s, s*): for one
+    graph point or for each row of a stack."""
+    return row_dots(s, xstar) + row_dots(sstar, x) - row_dots(s, sstar)
 
 
 def _is_maximal_by_construction(S: MonotoneOperator) -> bool:
@@ -79,27 +82,27 @@ def phi(
     xstar = S.pair.check_dim(xstar, "xstar")
 
     if isinstance(S, FiniteGraph):
-        vals = [_piece_value(p, x, xstar) for p in S.points]
+        vals = _piece_value(S.xs(), S.xstars(), x, xstar)
         i = int(np.argmax(vals))
-        return FitzEvaluation(vals[i], "exact", S.points[i])
+        return FitzEvaluation(float(vals[i]), "exact", S.points[i])
 
     if isinstance(S, Linear):
         return _phi_linear(S, x, xstar)
 
-    best = -INF
-    wit: Optional[PairedPoint] = None
-    candidates = list(S.graph_sample(budget, seed))
+    X, Xs = S.graph_rows(budget, seed)
     try:
-        candidates.append(S.resolvent(x + xstar))
+        p = S.resolvent(x + xstar)
+        X, Xs = np.vstack([X, p.x]), np.vstack([Xs, p.xstar])
     except ResolventError:
         pass
-    for p in candidates:
-        v = _piece_value(p, x, xstar)
-        if v > best:
-            best, wit = v, p
+    vals = _piece_value(X, Xs, x, xstar)
+    i = first_min(-vals)
+    if i is None:
+        return FitzEvaluation(-INF, "lower_bound")
     # local refinement around the best candidate through the resolvent
-    if wit is not None:
-        best, wit = _ascend_resolvent(S, x, xstar, wit, best, seed)
+    best, wit = _ascend_resolvent(S, x, xstar,
+                                  PairedPoint.of_rows(X[i], Xs[i]),
+                                  float(vals[i]), seed)
     return FitzEvaluation(best, "lower_bound", wit)
 
 
@@ -122,7 +125,7 @@ def _ascend_resolvent(
                 p = S.resolvent(z + dz)
             except ResolventError:
                 continue
-            v = _piece_value(p, x, xstar)
+            v = float(_piece_value(p.x, p.xstar, x, xstar))
             if v > best + 1e-14:
                 best, wit = v, p
                 z = p.x + p.xstar

@@ -11,7 +11,7 @@ status, so downstream equality tests degrade to three-valued logic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,6 +42,25 @@ class ConvexFn:
 
     def prox_lam(self, z: np.ndarray, lam: float = 1.0) -> np.ndarray:
         """argmin_s f(s) + ||s - z||_2^2 / (2*lam).  Euclidean only."""
+        return self._prox(np.asarray(z, dtype=float), lam)
+
+    def prox_rows(self, Z: np.ndarray, lam: float = 1.0) -> np.ndarray:
+        """``prox_lam`` of each row of the (m, n) stack ``Z``: one call of
+        the closed form over the stack where ``batched_rows``, else a
+        loop over the rows."""
+        Z = np.asarray(Z, dtype=float)
+        if self.batched_rows:
+            return self._prox(Z, lam)
+        return np.array([self.prox_lam(z, lam) for z in Z]).reshape(Z.shape)
+
+    @property
+    def batched_rows(self) -> bool:
+        """Whether ``_prox`` takes a stack of rows."""
+        return False
+
+    def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
+        """The prox over the last axis of ``z``: of one point, and of a
+        stack of rows too where ``batched_rows``."""
         raise NotImplementedError
 
     def subgradient(self, x: np.ndarray) -> Optional[np.ndarray]:
@@ -140,9 +159,13 @@ class Quadratic(ConvexFn):
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.Q @ x + self.b @ x + self.c)
 
-    def prox_lam(self, z: np.ndarray, lam: float = 1.0) -> np.ndarray:
+    batched_rows = True
+
+    def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         A = np.eye(self.dim) + lam * self.Q
-        return np.linalg.solve(A, np.asarray(z, dtype=float) - lam * self.b)
+        # one right-hand side per solve: a multi-column solve rounds
+        # differently from the solve of one point
+        return np.linalg.solve(A, (z - lam * self.b)[..., None])[..., 0]
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         return self.Q @ np.asarray(x, dtype=float) + self.b
@@ -178,11 +201,14 @@ class NormFn(ConvexFn):
     def eval(self, x: np.ndarray) -> float:
         return self.scale * vector_norm(np.asarray(x, dtype=float), self.kind)
 
-    def prox_lam(self, z: np.ndarray, lam: float = 1.0) -> np.ndarray:
+    @property
+    def batched_rows(self) -> bool:
+        # the dual ball of the linf norm is the l1 ball
+        return self.kind is not NormTag.LINF
+
+    def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         # Moreau: z minus projection onto the dual ball of radius lam*scale
-        z = np.asarray(z, dtype=float)
-        kind = {"l1": "linf", "linf": "l1", "l2": "l2"}[self.kind.value]
-        return z - project_ball(z, lam * self.scale, kind)
+        return z - project_ball(z, lam * self.scale, self.kind.dual().value)
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         return self.scale * norm_subgradient(np.asarray(x, float), self.kind)
@@ -211,10 +237,11 @@ class SupportFn(ConvexFn):
     def eval(self, x: np.ndarray) -> float:
         return self.set_.support(np.asarray(x, dtype=float))
 
-    def prox_lam(self, z: np.ndarray, lam: float = 1.0) -> np.ndarray:
+    batched_rows = True
+
+    def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         # Moreau: prox of lam*support = z - P_{lam*set}(z)
-        z = np.asarray(z, dtype=float)
-        return z - lam * self.set_.project(z / lam)
+        return z - lam * _project(self.set_, z / lam)
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         return self.set_.argmax_support(np.asarray(x, dtype=float))
@@ -243,8 +270,10 @@ class IndicatorFn(ConvexFn):
         return 0.0 if self.set_.contains(np.asarray(x, float),
                                          self.membership_tol) else INF
 
-    def prox_lam(self, z: np.ndarray, lam: float = 1.0) -> np.ndarray:
-        return self.set_.project(np.asarray(z, dtype=float))
+    batched_rows = True
+
+    def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
+        return _project(self.set_, z)
 
     def subgradient(self, x: np.ndarray) -> Optional[np.ndarray]:
         if not self.set_.contains(np.asarray(x, float), self.membership_tol):
@@ -275,8 +304,10 @@ class Affine(ConvexFn):
     def eval(self, x: np.ndarray) -> float:
         return float(self.a @ np.asarray(x, dtype=float)) + self.c
 
-    def prox_lam(self, z: np.ndarray, lam: float = 1.0) -> np.ndarray:
-        return np.asarray(z, dtype=float) - lam * self.a
+    batched_rows = True
+
+    def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
+        return z - lam * self.a
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         return self.a.copy()
@@ -305,8 +336,10 @@ class HalfSqNorm(ConvexFn):
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ x)
 
-    def prox_lam(self, z: np.ndarray, lam: float = 1.0) -> np.ndarray:
-        return np.asarray(z, dtype=float) / (1.0 + lam)
+    batched_rows = True
+
+    def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
+        return z / (1.0 + lam)
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float).copy()
@@ -339,10 +372,11 @@ class Translate(ConvexFn):
         x = np.asarray(x, dtype=float)
         return self.inner.eval(x + self.shift) - float(x @ self.tilt) + self.offset
 
-    def prox_lam(self, z: np.ndarray, lam: float = 1.0) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        u = self.inner.prox_lam(z + self.shift + lam * self.tilt, lam)
-        return u - self.shift
+    batched_rows = True
+
+    def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
+        return _prox(self.inner, z + self.shift + lam * self.tilt,
+                     lam) - self.shift
 
     def subgradient(self, x: np.ndarray) -> Optional[np.ndarray]:
         g = self.inner.subgradient(np.asarray(x, float) + self.shift)
@@ -387,13 +421,26 @@ class SumFn(ConvexFn):
         b = self.g.eval(x)
         return a + b if np.isfinite(b) else INF
 
-    def prox_lam(self, z: np.ndarray, lam: float = 1.0) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        for first, second in ((self.f, self.g), (self.g, self.f)):
-            folded = _fold_into_prox(first, second, z, lam)
-            if folded is not None:
-                return folded
-        return self._prox_dr(z, lam)
+    @property
+    def batched_rows(self) -> bool:
+        # Douglas-Rachford runs one point at a time
+        return self._fold() is not None
+
+    def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
+        fold = self._fold()
+        if fold is None:
+            return self._prox_dr(z, lam)
+        other, aim = fold
+        return _prox(other, *aim(z, lam))
+
+    def _fold(self):
+        """(other, aim) when one summand folds into the other's prox:
+        the prox of f + g at (z, lam) is other's at aim(z, lam)."""
+        for smooth, other in ((self.f, self.g), (self.g, self.f)):
+            aim = _fold_aim(smooth)
+            if aim is not None:
+                return other, aim
+        return None
 
     def _prox_dr(self, z: np.ndarray, lam: float) -> np.ndarray:
         # 0 in df(s) + [dg(s) + (s - z)/lam]; resolvent of the bracket at
@@ -423,23 +470,35 @@ class SumFn(ConvexFn):
         return gf + gg, df + dg
 
 
-def _fold_into_prox(
-    smooth: ConvexFn, other: ConvexFn, z: np.ndarray, lam: float
-) -> Optional[np.ndarray]:
-    """Closed-form prox of other + smooth when ``smooth`` is affine,
-    half-squared-norm, or quadratic."""
+def _fold_aim(smooth: ConvexFn) -> Optional[Callable]:
+    """The map (z, lam) -> (z', lam') with prox_lam(other + smooth)(z) =
+    prox_lam'(other)(z'), when ``smooth`` is affine, half-squared-norm,
+    or quadratic with Q a multiple of I."""
     if isinstance(smooth, Affine):
-        return other.prox_lam(z - lam * smooth.a, lam)
+        return lambda z, lam: (z - lam * smooth.a, lam)
     if isinstance(smooth, HalfSqNorm):
-        return other.prox_lam(z / (1.0 + lam), lam / (1.0 + lam))
+        return lambda z, lam: (z / (1.0 + lam), lam / (1.0 + lam))
     if isinstance(smooth, Quadratic):
-        # prox via preconditioned fixed point only when Q is a multiple of I
         Q = smooth.Q
         if np.allclose(Q, Q[0, 0] * np.eye(Q.shape[0]), atol=1e-14):
             q = float(Q[0, 0])
-            denom = 1.0 + lam * q
-            return other.prox_lam((z - lam * smooth.b) / denom, lam / denom)
+
+            def aim(z: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+                denom = 1.0 + lam * q
+                return (z - lam * smooth.b) / denom, lam / denom
+
+            return aim
     return None
+
+
+def _prox(f: ConvexFn, z: np.ndarray, lam: float) -> np.ndarray:
+    """f's prox over the last axis of ``z``, a point or a stack of rows."""
+    return f.prox_lam(z, lam) if z.ndim == 1 else f.prox_rows(z, lam)
+
+
+def _project(K: CompactConvexSet, y: np.ndarray) -> np.ndarray:
+    """K's projection over the last axis of ``y``, a point or a stack."""
+    return K.project(y) if y.ndim == 1 else K.project_rows(y)
 
 
 def add_fns(*fns: ConvexFn) -> ConvexFn:

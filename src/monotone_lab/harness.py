@@ -42,8 +42,8 @@ from .operators import (
     ResolventError,
     Shift,
     Subdifferential,
-    SumOp,
     SupportSubdiff,
+    add,
     inverse,
     parallel_sum,
     tail_operator,
@@ -130,7 +130,13 @@ def parse_operator(desc: dict, pair: DualPair) -> MonotoneOperator:
     if not isinstance(desc, dict) or len(desc) == 0:
         raise ScenarioError("empty operator descriptor")
     if "tail" in desc:
-        return tail_operator(int(desc["tail"]))
+        T = tail_operator(int(desc["tail"]))
+        if T.pair != pair:
+            raise ScenarioError(
+                f"the tail operator of size {T.pair.dim} lives on the l1 "
+                f"pair of dimension {T.pair.dim}, not on the "
+                f"{pair.primal_norm.value} pair of dimension {pair.dim}")
+        return T
     if "graph" in desc:
         pts = [PairedPoint(np.asarray(a, float), np.asarray(b, float))
                for a, b in desc["graph"]]
@@ -157,7 +163,7 @@ def parse_operator(desc: dict, pair: DualPair) -> MonotoneOperator:
         ops = [parse_operator(d, pair) for d in desc["sum"]]
         if len(ops) != 2:
             raise ScenarioError("operator sum needs exactly two operands")
-        return SumOp(pair=pair, S=ops[0], T=ops[1])
+        return add(ops[0], ops[1])
     if "inverse" in desc:
         return inverse(parse_operator(
             desc["inverse"], DualPair(pair.dim, pair.dual_norm)))
@@ -510,7 +516,7 @@ def sum_test(
     found."""
     if mode == "domain":
         witness = _interior_domain_witness(S, T, seed)
-        combined: MonotoneOperator = SumOp(pair=S.pair, S=S, T=T)
+        combined = add(S, T)
     elif mode == "range":
         witness = _interior_domain_witness(inverse(S), inverse(T), seed)
         combined = parallel_sum(S, T)

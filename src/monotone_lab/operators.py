@@ -4,6 +4,14 @@ Set-valued evaluation is never materialized: every quantifier over G(S)
 runs over seeded samples plus variant-specific exact enumerations.  The
 scaled resolvent J_lam(z) = (I + lam*S)^{-1} z is the one Euclidean
 oracle everything else leans on; it returns genuine graph points.
+
+The oracle also takes rows: ``resolvent_rows`` resolves an (m, n) stack
+Z and returns (X, X*, ok), ok marking the rows that succeeded.  Each
+closed form (finite-graph lookup, linear solve, prox of a
+subdifferential, shift, inverse) is written once over the last axis and
+serves a point and a stack alike; Douglas-Rachford sums loop the
+single-point path and stop at their first failure.  Graph samples come
+as rows too (``graph_rows``).
 """
 
 from __future__ import annotations
@@ -32,14 +40,63 @@ class MonotoneOperator:
 
     def resolvent_scaled(self, z: np.ndarray, lam: float = 1.0) -> PairedPoint:
         """Graph point (s, s*) with s + lam*s* = z (Euclidean oracle)."""
-        raise NotImplementedError
+        return PairedPoint.of_rows(*self._resolve(self.pair.check_dim(z, "z"),
+                                                  lam))
 
     def resolvent(self, z: np.ndarray) -> PairedPoint:
         return self.resolvent_scaled(np.asarray(z, dtype=float), 1.0)
 
-    def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
-        """Deterministic seeded list of graph points."""
+    def resolvent_rows(
+        self, Z: np.ndarray, lam: float = 1.0
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``resolvent_scaled`` of each row of the (m, n) stack ``Z``, as
+        (X, X*, ok) with ok marking the rows that succeeded; a failed
+        row holds NaN.  Where ``batched_rows`` it is one call over the
+        stack, in which every row fails or none; otherwise a loop over
+        the rows that stops at the first failure."""
+        Z = self.pair.check_rows(Z, "Z")
+        X, Xs, ok = (np.full_like(Z, np.nan), np.full_like(Z, np.nan),
+                     np.zeros(len(Z), dtype=bool))
+        if self.batched_rows:
+            try:
+                X, Xs = self._resolve(Z, lam)
+                ok[:] = True
+            except ResolventError:
+                pass
+            return X, Xs, ok
+        for i, z in enumerate(Z):
+            try:
+                p = self.resolvent_scaled(z, lam)
+            except ResolventError:
+                break
+            X[i], Xs[i], ok[i] = p.x, p.xstar, True
+        return X, Xs, ok
+
+    @property
+    def batched_rows(self) -> bool:
+        """Whether ``_resolve`` takes a stack of rows."""
+        return False
+
+    def _resolve(self, z: np.ndarray,
+                 lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """(x, x*) over the last axis of ``z``: for one point, and for a
+        stack of rows too where ``batched_rows``.  Raises
+        ``ResolventError`` when the point, or every row, fails."""
         raise NotImplementedError
+
+    def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
+        """Deterministic seeded list of graph points, the rows of
+        ``graph_rows``; a variant overrides one of the two."""
+        return [PairedPoint.of_rows(x, xs)
+                for x, xs in zip(*self.graph_rows(budget, seed))]
+
+    def graph_rows(self, budget: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """``graph_sample`` as two (m, n) arrays X and X*."""
+        pts = self.graph_sample(budget, seed)
+        n = self.pair.dim
+        return (np.array([p.x for p in pts]).reshape(-1, n),
+                np.array([p.xstar for p in pts]).reshape(-1, n))
 
     def sample_radius(self, budget: int = 32, seed: int = 0) -> float:
         pts = self.graph_sample(budget, seed)
@@ -70,6 +127,19 @@ def _cloud(dim: int, count: int, seed: int, scale: float = 2.0) -> np.ndarray:
     return rng.uniform(-scale, scale, size=(count, dim))
 
 
+def _resolvent(S: "MonotoneOperator", z: np.ndarray,
+               lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """S's resolvent over the last axis of ``z`` as (x, x*), for an S
+    whose rows fail together; raises ``ResolventError`` when they do."""
+    if z.ndim == 1:
+        p = S.resolvent_scaled(z, lam)
+        return p.x, p.xstar
+    X, Xs, ok = S.resolvent_rows(z, lam)
+    if not ok.all():
+        raise ResolventError("the inner resolvent failed")
+    return X, Xs
+
+
 @dataclass(frozen=True)
 class FiniteGraph(MonotoneOperator):
     """Graph given by an explicit finite point list."""
@@ -87,14 +157,20 @@ class FiniteGraph(MonotoneOperator):
     def xstars(self) -> np.ndarray:
         return np.array([p.xstar for p in self.points])
 
-    def resolvent_scaled(self, z: np.ndarray, lam: float = 1.0) -> PairedPoint:
-        z = self.pair.check_dim(z, "z")
-        res = self.xs() + lam * self.xstars() - z
-        i = int(np.argmin(np.einsum("ij,ij->i", res, res)))
-        return self.points[i]
+    batched_rows = True
+
+    def _resolve(self, z: np.ndarray, lam: float):
+        X, Xs = self.xs(), self.xstars()
+        res = X + lam * Xs - z[..., None, :]
+        i = np.argmin(np.einsum("...j,...j->...", res, res), axis=-1)
+        return X[i], Xs[i]
 
     def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
         return list(self.points)
+
+    def graph_rows(self, budget: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.xs(), self.xstars()
 
     def contains(self, x, xstar, tol: float = 1e-7) -> str:
         x = self.pair.check_dim(x, "x")
@@ -130,18 +206,26 @@ class Linear(MonotoneOperator):
         object.__setattr__(self, "monotone", bool(
             np.linalg.eigvalsh(M + M.T)[0] >= -1e-12 * np.abs(M).sum()))
 
-    def resolvent_scaled(self, z: np.ndarray, lam: float = 1.0) -> PairedPoint:
-        z = self.pair.check_dim(z, "z")
+    batched_rows = True
+
+    def _resolve(self, z: np.ndarray, lam: float):
         A = np.eye(self.pair.dim) + lam * self.M
         try:
-            s = np.linalg.solve(A, z)
+            # one right-hand side per solve: a multi-column solve rounds
+            # differently from the solve of one point
+            s = np.linalg.solve(A, z[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise ResolventError(f"singular I + lam*M: {exc}") from exc
-        return PairedPoint(s, self.M @ s)
+        return s, self._apply(s)
 
-    def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """Mx over the last axis of ``x``, each row as its own product."""
+        return (self.M @ x[..., None])[..., 0]
+
+    def graph_rows(self, budget: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
         xs = _cloud(self.pair.dim, budget, seed)
-        return [PairedPoint(x, self.M @ x) for x in xs]
+        return xs, self._apply(xs)
 
     def contains(self, x, xstar, tol: float = 1e-7) -> str:
         x = self.pair.check_dim(x, "x")
@@ -168,15 +252,18 @@ class Subdifferential(MonotoneOperator):
         if self.f.dim != self.pair.dim:
             raise ValueError("function dimension does not match the pair")
 
-    def resolvent_scaled(self, z: np.ndarray, lam: float = 1.0) -> PairedPoint:
-        z = self.pair.check_dim(z, "z")
-        s = self.f.prox_lam(z, lam)
-        return PairedPoint(s, (z - s) / lam)
+    batched_rows = True
 
-    def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
+    def _resolve(self, z: np.ndarray, lam: float):
+        prox = self.f.prox_lam if z.ndim == 1 else self.f.prox_rows
+        s = prox(z, lam)
+        return s, (z - s) / lam
+
+    def graph_rows(self, budget: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
         scale = 2.0 * max(1.0, _domain_scale(self.f))
         zs = _cloud(self.pair.dim, budget, seed, scale)
-        return [self.resolvent(z) for z in zs]
+        return self.resolvent_rows(zs)[:2]
 
     def contains(self, x, xstar, tol: float = 1e-7) -> str:
         x = self.pair.check_dim(x, "x")
@@ -203,20 +290,23 @@ class NormalCone(Subdifferential):
     def K(self) -> CompactConvexSet:
         return self.f.set_  # type: ignore[attr-defined]
 
-    def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
-        base = super().graph_sample(max(budget // 2, 1), seed)
-        out: list[PairedPoint] = []
-        for p in base:
-            out.append(p)
-            if np.any(p.xstar):
-                for t in (0.0, 2.0, 5.0):
-                    out.append(PairedPoint(p.x, t * p.xstar))
+    def graph_rows(self, budget: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+        X, Xs = super().graph_rows(max(budget // 2, 1), seed)
+        # each point, then its normal rescaled by 0, 2 and 5 where nonzero
+        t = np.array([1.0, 0.0, 2.0, 5.0])[:, None]
+        keep = np.ones((len(X), 4), dtype=bool)
+        keep[:, 1:] = np.any(Xs, axis=1)[:, None]
+        keep = keep.ravel()
+        X_out = np.repeat(X, 4, axis=0)[keep]
+        Xs_out = (t * Xs[:, None, :]).reshape(-1, self.pair.dim)[keep]
         from .sets import Polytope
 
         if isinstance(self.K, Polytope):
-            for v in self.K.vertices:
-                out.append(PairedPoint(v, np.zeros(self.pair.dim)))
-        return out[: max(budget, len(base))]
+            X_out = np.vstack([X_out, self.K.vertices])
+            Xs_out = np.vstack([Xs_out, np.zeros_like(self.K.vertices)])
+        m = max(budget, len(X))
+        return X_out[:m], Xs_out[:m]
 
 
 @dataclass(frozen=True)
@@ -228,15 +318,16 @@ class SupportSubdiff(Subdifferential):
     def Kt(self) -> CompactConvexSet:
         return self.f.set_  # type: ignore[attr-defined]
 
-    def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
-        xs = _cloud(self.pair.dim, budget, seed)
-        out = [PairedPoint(x, self.Kt.argmax_support(x)) for x in xs]
+    def graph_rows(self, budget: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+        X = _cloud(self.pair.dim, budget, seed)
+        Xs = np.array([self.Kt.argmax_support(x) for x in X]).reshape(X.shape)
         from .sets import Polytope
 
         if isinstance(self.Kt, Polytope):
-            for v in self.Kt.vertices:
-                out.append(PairedPoint(np.zeros(self.pair.dim), v))
-        return out
+            X = np.vstack([X, np.zeros_like(self.Kt.vertices)])
+            Xs = np.vstack([Xs, self.Kt.vertices])
+        return X, Xs
 
 
 def support_subdiff(pair: DualPair, Kt: CompactConvexSet) -> SupportSubdiff:
@@ -257,16 +348,18 @@ class Shift(MonotoneOperator):
         object.__setattr__(self, "dxstar",
                            np.asarray(self.dxstar, float).ravel())
 
-    def resolvent_scaled(self, z: np.ndarray, lam: float = 1.0) -> PairedPoint:
-        z = self.pair.check_dim(z, "z")
-        p = self.inner.resolvent_scaled(z + self.dx + lam * self.dxstar, lam)
-        return PairedPoint(p.x - self.dx, p.xstar - self.dxstar)
+    @property
+    def batched_rows(self) -> bool:
+        return self.inner.batched_rows
 
-    def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
-        return [
-            PairedPoint(p.x - self.dx, p.xstar - self.dxstar)
-            for p in self.inner.graph_sample(budget, seed)
-        ]
+    def _resolve(self, z: np.ndarray, lam: float):
+        x, xs = _resolvent(self.inner, z + self.dx + lam * self.dxstar, lam)
+        return x - self.dx, xs - self.dxstar
+
+    def graph_rows(self, budget: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+        X, Xs = self.inner.graph_rows(budget, seed)
+        return X - self.dx, Xs - self.dxstar
 
     def contains(self, x, xstar, tol: float = 1e-7) -> str:
         return self.inner.contains(
@@ -282,9 +375,8 @@ class SumOp(MonotoneOperator):
     S: MonotoneOperator = None  # type: ignore[assignment]
     T: MonotoneOperator = None  # type: ignore[assignment]
 
-    def resolvent_scaled(self, z: np.ndarray, lam: float = 1.0) -> PairedPoint:
+    def _resolve(self, z: np.ndarray, lam: float):
         # Douglas-Rachford on 0 in lam*S(x) + [lam*T(x) + x - z]
-        z = self.pair.check_dim(z, "z")
         t = lam
 
         def prox_a(v: np.ndarray) -> np.ndarray:
@@ -300,7 +392,7 @@ class SumOp(MonotoneOperator):
                                       tol=1e-13)
         if not ok and res > 1e-6:
             raise ResolventError(f"operator DR stalled at residual {res:.2e}")
-        return PairedPoint(x, (z - x) / lam)
+        return x, (z - x) / lam
 
     def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
         scale = 2.0 * max(self.S.sample_radius(8, seed),
@@ -327,17 +419,23 @@ class InverseOp(MonotoneOperator):
                 or self.pair.primal_norm is not self.inner.pair.dual_norm):
             raise ValueError("an inverse lives on the swapped pair")
 
-    def resolvent_scaled(self, z: np.ndarray, lam: float = 1.0) -> PairedPoint:
+    @property
+    def batched_rows(self) -> bool:
+        return self.inner.batched_rows
+
+    def _resolve(self, z: np.ndarray, lam: float):
         # (s*, s) with s* + lam*s = z is the inner point (s, s*) with
         # s + s*/lam = z/lam (Bauschke-Combettes, ch. 23)
-        z = self.pair.check_dim(z, "z")
-        return self.inner.resolvent_scaled(z / lam, 1.0 / lam).swapped()
+        x, xs = _resolvent(self.inner, z / lam, 1.0 / lam)
+        return xs, x
 
     def resolvent(self, z: np.ndarray) -> PairedPoint:
         return self.inner.resolvent(z).swapped()
 
-    def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
-        return [p.swapped() for p in self.inner.graph_sample(budget, seed)]
+    def graph_rows(self, budget: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+        X, Xs = self.inner.graph_rows(budget, seed)
+        return Xs, X
 
     def contains(self, x, xstar, tol: float = 1e-7) -> str:
         return self.inner.contains(xstar, x, tol)
@@ -356,11 +454,19 @@ def inverse(S: MonotoneOperator) -> MonotoneOperator:
     return InverseOp(pair=pair, inner=S)
 
 
+def add(S: MonotoneOperator, T: MonotoneOperator) -> MonotoneOperator:
+    """S + T on S's pair: ``Linear(M1 + M2)`` for two linear maps on one
+    pair, whose resolvent is then one solve, else a ``SumOp`` resolved
+    by Douglas-Rachford."""
+    if isinstance(S, Linear) and isinstance(T, Linear) and S.pair == T.pair:
+        return Linear(pair=S.pair, M=S.M + T.M)
+    return SumOp(pair=S.pair, S=S, T=T)
+
+
 def parallel_sum(S: MonotoneOperator, T: MonotoneOperator) -> MonotoneOperator:
     """(S^{-1} + T^{-1})^{-1}, evaluated through resolvents of the
     inverses."""
-    Si, Ti = inverse(S), inverse(T)
-    return inverse(SumOp(pair=Si.pair, S=Si, T=Ti))
+    return inverse(add(inverse(S), inverse(T)))
 
 
 @dataclass(frozen=True)

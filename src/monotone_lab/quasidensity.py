@@ -21,6 +21,7 @@ from scipy.optimize import minimize
 
 from .operators import (
     FiniteGraph,
+    InverseOp,
     Linear,
     MonotoneOperator,
     ResolventError,
@@ -81,7 +82,8 @@ def gap(
     """Infimum estimate of the r-objective over G(S) at q.target.
 
     Exact for finite graphs; exact through the resolvent on Euclidean
-    pairs; one convex QP for monotone linear maps on l1/linf pairs;
+    pairs; one convex QP for monotone linear maps on l1/linf pairs and
+    for their inverses (r of S^{-1} at (x*, x) is r of S at (x, x*));
     otherwise, a non-monotone ``Linear`` included, a sampled upper
     bound.
     """
@@ -105,6 +107,10 @@ def gap(
                 pass
         elif isinstance(S, Linear):
             return gap_linear_qp(S, target)[0]
+        elif isinstance(S, InverseOp) and isinstance(S.inner, Linear) \
+                and S.inner.monotone:
+            rep = gap_linear_qp(S.inner, target.swapped())[0]
+            return replace(rep, witness=rep.witness.swapped())
 
     best = np.inf
     wit = None

@@ -52,6 +52,25 @@ class CompactConvexSet:
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """Euclidean projection of ``y`` onto the set."""
+        return self._project(self._check(y))
+
+    def project_rows(self, Y: np.ndarray) -> np.ndarray:
+        """``project`` of each row of ``Y``, as an (m, n) array: one call
+        of the closed form over the stack where ``batched_rows``, else a
+        loop over the rows."""
+        Y = self._check_rows(Y)
+        if self.batched_rows:
+            return self._project(Y)
+        return np.array([self.project(y) for y in Y]).reshape(Y.shape)
+
+    @property
+    def batched_rows(self) -> bool:
+        """Whether ``_project`` takes a stack of rows."""
+        return False
+
+    def _project(self, y: np.ndarray) -> np.ndarray:
+        """The projection over the last axis of ``y``: of one point, and
+        of a stack of rows too where ``batched_rows``."""
         raise NotImplementedError
 
     def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
@@ -173,8 +192,11 @@ class Polytope(CompactConvexSet):
         ties = self.vertices[vals >= top - _LEX_TOL * scale]
         return _lex_smallest(ties).copy()
 
-    def project(self, y: np.ndarray) -> np.ndarray:
-        y = self._check(y)
+    @property
+    def batched_rows(self) -> bool:
+        return self._box is not None
+
+    def _project(self, y: np.ndarray) -> np.ndarray:
         if self._box is not None:
             return np.clip(y, *self._box)
         return nearest_hull_point(self.vertices, y)
@@ -187,8 +209,8 @@ class Polytope(CompactConvexSet):
             return super().interior_mask(Y, tol)
         P = self._probes(Y, tol)
         # contains is dist <= tol, and dist is ||y - clip(y)||_2 on a box
-        return np.all(row_norms(P - np.clip(P, *self._box), NormTag.L2)
-                      <= tol, axis=1)
+        return np.all(row_norms(P - self._project(P), NormTag.L2) <= tol,
+                      axis=1)
 
 
 def _box_bounds(V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -258,14 +280,13 @@ class Ball(CompactConvexSet):
         y = self._check(y)
         return self.center + self.radius * _dual_unit(y, self.norm)
 
-    def project(self, y: np.ndarray) -> np.ndarray:
-        y = self._check(y)
-        if self.norm is NormTag.L2:
-            return self.center + project_ball(
-                y - self.center, self.radius, "l2"
-            )
-        kind = "linf" if self.norm is NormTag.LINF else "l1"
-        return self.center + project_ball(y - self.center, self.radius, kind)
+    @property
+    def batched_rows(self) -> bool:
+        return self.norm is not NormTag.L1
+
+    def _project(self, y: np.ndarray) -> np.ndarray:
+        return self.center + project_ball(y - self.center, self.radius,
+                                          self.norm.value)
 
     def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
         y = self._check(y)
@@ -364,8 +385,7 @@ class Capsule(CompactConvexSet):
         t = float(np.clip((y - self.a) @ d / dd, 0.0, 1.0))
         return self.a + t * d
 
-    def project(self, y: np.ndarray) -> np.ndarray:
-        y = self._check(y)
+    def _project(self, y: np.ndarray) -> np.ndarray:
         if self.norm is NormTag.L2:
             p = self._project_segment(y)
             gap = y - p

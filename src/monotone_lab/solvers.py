@@ -10,6 +10,8 @@ from typing import Callable
 
 import numpy as np
 
+from .spaces import NormTag, row_norms
+
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``v`` onto the probability simplex."""
@@ -44,11 +46,15 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def project_ball(v: np.ndarray, radius: float, kind: str) -> np.ndarray:
-    """Euclidean projection onto the centered norm ball ``{||x||_kind <= r}``."""
+    """Euclidean projection onto the centered norm ball ``{||x||_kind <= r}``:
+    of each row of ``v`` (over its last axis) for l2 and linf, of one
+    point for l1."""
     v = np.asarray(v, dtype=float)
     if kind == "l2":
-        n = np.linalg.norm(v)
-        return v if n <= radius else v * (radius / n)
+        n = row_norms(v, NormTag.L2)
+        # the factor is 1 inside the ball and radius / n outside; for
+        # radius 0 any positive floor gives 0 (v is 0 where n is)
+        return v * (radius / np.maximum(n, radius or 1.0))[..., None]
     if kind == "linf":
         return np.clip(v, -radius, radius)
     if kind == "l1":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -45,18 +46,35 @@ def vector_norm(v: np.ndarray, tag: NormTag) -> float:
     return float(np.linalg.norm(v))
 
 
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``a @ b`` for each pair of rows of ``A`` and ``B`` (over their last
+    axes, broadcast), equal to it bit for bit: every pair is a 1 x n by
+    n x 1 matmul in one stack, the same kernel ``a @ b`` runs, while an
+    axis reduction may sum the products in another order."""
+    # [()] turns the 0-d result of two vectors into a scalar
+    return (A[..., None, :] @ B[..., :, None])[..., 0, 0][()]
+
+
+def first_min(v: np.ndarray) -> Optional[int]:
+    """Index of the first smallest entry of ``v`` below +inf, NaN skipped,
+    or None: the entry a scalar loop ``if v_i < best`` from best = inf
+    keeps, where ``np.argmin`` would return a NaN."""
+    low = np.min(v, initial=np.inf, where=~np.isnan(v))
+    if not low < np.inf:
+        return None
+    return int(np.argmax(v == low))
+
+
 def row_norms(V: np.ndarray, tag: NormTag) -> np.ndarray:
     """``vector_norm`` of each row of ``V`` (over its last axis), equal to
-    it bit for bit: the l2 case takes each row's dot product through a
-    stacked matmul, the reduction ``np.linalg.norm`` of one vector uses,
-    where ``np.linalg.norm(V, axis=-1)`` sums the squares in another
-    order."""
+    it bit for bit; the l2 case is the square root of ``row_dots``, the
+    reduction ``np.linalg.norm`` of one vector uses."""
     V = np.asarray(V, dtype=float)
     if tag is NormTag.L1:
         return np.sum(np.abs(V), axis=-1)
     if tag is NormTag.LINF:
         return np.max(np.abs(V), axis=-1, initial=0.0)
-    return np.sqrt((V[..., None, :] @ V[..., :, None])[..., 0, 0])
+    return np.sqrt(row_dots(V, V))
 
 
 def norm_subgradient(v: np.ndarray, tag: NormTag) -> np.ndarray:
@@ -100,6 +118,14 @@ class DualPair:
             )
         return v
 
+    def check_rows(self, V: np.ndarray, name: str = "rows") -> np.ndarray:
+        V = np.asarray(V, dtype=float)
+        if V.ndim != 2 or V.shape[1] != self.dim:
+            raise ValueError(
+                f"{name} has shape {V.shape}, expected (m, {self.dim})"
+            )
+        return V
+
     def pairing(self, x: np.ndarray, xstar: np.ndarray) -> float:
         """The bilinear pairing <x, x*> = sum_i x_i x*_i."""
         x = self.check_dim(x, "x")
@@ -133,13 +159,18 @@ class PairedPoint:
     def as_tuple(self) -> tuple[np.ndarray, np.ndarray]:
         return self.x, self.xstar
 
-    def swapped(self) -> "PairedPoint":
-        """(x*, x), the point of the inverse graph.  Both components are
-        already checked, so ``__post_init__`` is not run again."""
-        out = object.__new__(PairedPoint)
-        object.__setattr__(out, "x", self.xstar)
-        object.__setattr__(out, "xstar", self.x)
+    @classmethod
+    def of_rows(cls, x: np.ndarray, xstar: np.ndarray) -> "PairedPoint":
+        """(x, x*) from two float arrays of shape (n,), such as a row of a
+        stack each; they are not checked again by ``__post_init__``."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "x", x)
+        object.__setattr__(out, "xstar", xstar)
         return out
+
+    def swapped(self) -> "PairedPoint":
+        """(x*, x), the point of the inverse graph."""
+        return PairedPoint.of_rows(self.xstar, self.x)
 
 
 def pairing(pair: DualPair, x: np.ndarray, xstar: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from monotone_lab import (
     DualPair,
     FiniteGraph,
     IndicatorFn,
+    Linear,
     NormFn,
     NormTag,
     NormalCone,
@@ -95,8 +97,8 @@ class TestDescriptorParsing:
             parse_fn({"mystery": {}})
 
     def test_operator_variants(self):
-        pair2 = DualPair(2)
-        T = parse_operator({"tail": 2}, pair2)
+        # the tail map lives on the l1 pair of its own size
+        T = parse_operator({"tail": 2}, DualPair(2, NormTag.L1))
         assert T.M.shape == (2, 2)
         G = parse_operator({"graph": [[[0.0], [0.0]], [[1.0], [1.0]]]}, PAIR1)
         assert isinstance(G, FiniteGraph)
@@ -130,6 +132,44 @@ class TestDescriptorParsing:
     def test_unknown_operator_key_is_named(self):
         with pytest.raises(ScenarioError, match="gizmo"):
             parse_operator({"gizmo": 1}, PAIR1)
+
+
+class TestTailDescriptor:
+    """{"tail": n} is the tail map on the l1 pair of dimension n."""
+
+    def _run(self, tmp_path, space, desc, probe):
+        data = base_scenario(
+            [{"kind": "gap", "operator": "T", "seed": 0,
+              "probes": [probe]}],
+            operators={"T": desc}, space=space)
+        return main(["run", write_scenario(tmp_path, data)])
+
+    def test_wrong_norm_exits_2(self, capsys, tmp_path):
+        code = self._run(tmp_path, {"dim": 2, "norm": "l2"}, {"tail": 2},
+                         [[0.0, 0.0], [1.0, 1.0]])
+        assert code == 2
+        assert "l1 pair of dimension 2" in capsys.readouterr().err
+
+    def test_wrong_dim_exits_2(self, capsys, tmp_path):
+        code = self._run(tmp_path, {"dim": 2, "norm": "l1"}, {"tail": 3},
+                         [[0.0, 0.0], [1.0, 1.0]])
+        assert code == 2
+        assert "tail operator of size 3" in capsys.readouterr().err
+
+    def test_valid_tail_and_its_inverse_run(self, capsys, tmp_path):
+        assert self._run(tmp_path, {"dim": 3, "norm": "l1"}, {"tail": 3},
+                         [[0.0] * 3, [1.0] * 3]) == 0
+        rec = json.loads(capsys.readouterr().out)["tasks"][0]["records"][0]
+        assert rec["method"] == "qp"
+        # the inverse lives on the swapped (linf) pair
+        assert self._run(tmp_path, {"dim": 3, "norm": "linf"},
+                         {"inverse": {"tail": 3}},
+                         [[1.0] * 3, [0.0] * 3]) == 0
+        inv = json.loads(capsys.readouterr().out)["tasks"][0]["records"][0]
+        assert (inv["method"], inv["value"]) == ("qp", rec["value"])
+        assert self._run(tmp_path, {"dim": 3, "norm": "l1"},
+                         {"inverse": {"tail": 3}},
+                         [[1.0] * 3, [0.0] * 3]) == 2
 
 
 class TestScenarioValidation:
@@ -344,6 +384,27 @@ class TestSumTest:
         S = Subdifferential(pair=PAIR1, f=NormFn(1))
         with pytest.raises(ScenarioError):
             sum_test(S, S, "sideways")
+
+    def test_sum_of_linear_maps_is_one_linear_map(self):
+        A = parse_operator({"sum": [{"linear": [[1.0, 1.0], [-1.0, 1.0]]},
+                                    {"linear": [[1.0, 0.0], [0.0, 2.0]]}]},
+                           DualPair(2))
+        assert isinstance(A, Linear)
+        assert np.array_equal(A.M, [[2.0, 1.0], [-1.0, 3.0]])
+
+    def test_fitz_of_a_linear_sum_at_a_huge_point_is_fast(self, capsys):
+        # the sum was a Douglas-Rachford resolvent, which took over 30 s
+        # here; as one linear map its Fitzpatrick value is a closed form
+        op = json.dumps({"sum": [{"linear": [[1.0, 1.0], [-1.0, 1.0]]},
+                                 {"linear": [[1.0, 0.0], [0.0, 1.0]]}]})
+        t0 = time.perf_counter()
+        code = main(["fitz", "--space", '{"dim": 2, "norm": "l2"}',
+                     "--operator", op,
+                     "--points", "[[[1e17, 1e17], [1e17, -1e17]]]"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        rec = json.loads(capsys.readouterr().out)["tasks"][0]["records"][0]
+        assert rec["phi_status"] == "exact"
 
 
 class TestReportFormats:

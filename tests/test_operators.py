@@ -22,6 +22,7 @@ from monotone_lab import (
     SumOp,
     SupportFn,
     SupportSubdiff,
+    add,
     gap,
     interval,
     inverse,
@@ -252,6 +253,24 @@ class TestCombinators:
         pt = S.resolvent(np.array([3.0]))
         assert pt.x[0] == pytest.approx(1.0, abs=1e-7)
         assert pt.xstar[0] == pytest.approx(2.0, abs=1e-7)
+
+    def test_add_of_two_linear_maps_is_one_linear_map(self):
+        rng = np.random.default_rng(11)
+        pair = DualPair(2, NormTag.L1)
+        B1, B2 = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        M1, M2 = B1 @ B1.T, B2 - B2.T
+        S = add(Linear(pair=pair, M=M1), Linear(pair=pair, M=M2))
+        assert isinstance(S, Linear) and S.pair == pair
+        for _ in range(20):
+            z = rng.normal(size=2) * 5
+            assert np.array_equal(S.resolvent(z).x, np.linalg.solve(
+                np.eye(2) + M1 + M2, z))
+
+    def test_add_keeps_a_sum_op_otherwise(self):
+        assert isinstance(add(ABS_OP, IDENTITY), SumOp)
+        other = Linear(pair=DualPair(1, NormTag.L1), M=np.array([[1.0]]))
+        S = add(IDENTITY, other)
+        assert isinstance(S, SumOp) and S.pair == PAIR1
 
     def test_parallel_sum_resolvent(self):
         # identity || identity = (1/2) identity:

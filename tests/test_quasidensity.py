@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from monotone_lab import (
@@ -402,6 +402,33 @@ class TestInverseSymmetry:
         b = gap(inverse(S), GapQuery(PairedPoint(xs, x)))
         assert a.method == b.method == "resolvent"
         assert a.value == b.value
+
+    @pytest.mark.parametrize("norm", [NormTag.L1, NormTag.LINF])
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)),
+        arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)),
+        arrays(np.float64, (2, n), elements=COORD))))
+    def test_monotone_linear_on_l1_and_linf(self, norm, case):
+        # r of S^-1 at (x*, x) is r of S at (x, x*), so one QP answers
+        # both, singular M included
+        B, K, probe = case
+        n = B.shape[0]
+        S = Linear(pair=DualPair(n, norm), M=B @ B.T + K - K.T)
+        # rounding in B B^T + K - K^T can leave M just short of monotone
+        assume(S.monotone)
+        x, xs = probe
+        a = gap(S, GapQuery(PairedPoint(x, xs)))
+        b = gap(inverse(S), GapQuery(PairedPoint(xs, x)))
+        assert a.method == b.method == "qp"
+        assert a.value == b.value
+        assert np.array_equal(a.witness.x, b.witness.xstar)
+        assert np.array_equal(a.witness.xstar, b.witness.x)
+
+    def test_inverse_tail_map_is_a_qp(self):
+        T = tail_operator(4)
+        rep = gap(inverse(T), GapQuery(PairedPoint(np.ones(4), np.zeros(4))))
+        assert (rep.value, rep.method) == (0.0, "qp")
 
 
 class TestIsQuasidense:

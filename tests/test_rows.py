@@ -1,0 +1,342 @@
+"""The row form of the oracle stack: ``project_rows``, ``prox_rows``,
+``resolvent_rows`` and ``graph_rows`` against their single-point paths,
+bit for bit, and the stacked window probes and candidate scans built on
+them."""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from monotone_lab import (
+    Affine,
+    Ball,
+    Capsule,
+    DualPair,
+    FiniteGraph,
+    HalfSqNorm,
+    IndicatorFn,
+    Linear,
+    MonotoneOperator,
+    NormFn,
+    NormTag,
+    NormalCone,
+    PairedPoint,
+    Polytope,
+    Quadratic,
+    ResolventError,
+    Shift,
+    Subdifferential,
+    SumFn,
+    SumOp,
+    SupportFn,
+    SupportSubdiff,
+    Translate,
+    box,
+    interval,
+    inverse,
+)
+from monotone_lab.classifiers import LocalWindow, _window_probes, check_fpv
+from monotone_lab.fitzpatrick import phi
+from monotone_lab.solvers import project_ball
+from monotone_lab.spaces import first_min, row_dots, row_norms, vector_norm
+
+NORMS = (NormTag.L1, NormTag.L2, NormTag.LINF)
+
+
+def _set(rng, n, kind):
+    if kind == "box":
+        lo = rng.uniform(-2.0, 0.0, n)
+        return box(lo, lo + rng.uniform(0.0, 2.0, n))
+    if kind == "hull":
+        return Polytope(vertices=rng.uniform(-2.0, 2.0, (n + 2, n)))
+    if kind == "capsule":
+        return Capsule(a=rng.uniform(-1.0, 1.0, n),
+                       b=rng.uniform(-1.0, 1.0, n),
+                       radius=float(rng.uniform(0.0, 1.0)),
+                       norm=NORMS[int(rng.integers(3))])
+    return Ball(center=rng.uniform(-1.0, 1.0, n),
+                radius=float(rng.uniform(0.0, 2.0)),
+                norm=NormTag(kind.split("_")[1]))
+
+
+SET_KINDS = ("box", "hull", "capsule", "ball_l1", "ball_l2", "ball_linf")
+
+
+def _fn(rng, n, kind):
+    if kind == "norm":
+        return NormFn(n, float(rng.uniform(0.0, 2.0)),
+                      NORMS[int(rng.integers(3))])
+    if kind == "half_sq":
+        return HalfSqNorm(n)
+    if kind == "quadratic":
+        B = rng.normal(size=(n, n))
+        return Quadratic(B @ B.T, rng.normal(size=n), 0.5)
+    if kind == "affine":
+        return Affine(rng.normal(size=n), 1.0)
+    if kind == "translate":
+        return Translate(_fn(rng, n, "norm"), rng.normal(size=n),
+                         rng.normal(size=n), 0.25)
+    if kind == "indicator":
+        return IndicatorFn(_set(rng, n, SET_KINDS[int(rng.integers(6))]))
+    if kind == "support":
+        return SupportFn(_set(rng, n, SET_KINDS[int(rng.integers(6))]))
+    if kind == "sum_folded":
+        smooth = [Affine(rng.normal(size=n)), HalfSqNorm(n),
+                  Quadratic(2.0 * np.eye(n), rng.normal(size=n))]
+        other = _fn(rng, n, ("norm", "indicator", "support")[
+            int(rng.integers(3))])
+        s = smooth[int(rng.integers(3))]
+        return SumFn(s, other) if rng.integers(2) else SumFn(other, s)
+    # two summands with no fold: Douglas-Rachford, one point at a time
+    return SumFn(NormFn(n, 0.5, NormTag.L2), IndicatorFn(_set(rng, n, "box")))
+
+
+FN_KINDS = ("norm", "half_sq", "quadratic", "affine", "translate",
+            "indicator", "support", "sum_folded", "sum_dr")
+
+
+def _op(rng, pair, kind):
+    n = pair.dim
+    if kind == "graph":
+        return FiniteGraph(pair=pair, points=tuple(
+            PairedPoint(rng.normal(size=n), rng.normal(size=n))
+            for _ in range(int(rng.integers(1, 5)))))
+    if kind == "linear":
+        B, K = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+        return Linear(pair=pair, M=B @ B.T + K - K.T)
+    if kind == "subdiff":
+        return Subdifferential(pair=pair, f=_fn(
+            rng, n, FN_KINDS[int(rng.integers(len(FN_KINDS)))]))
+    if kind == "normal_cone":
+        return NormalCone(pair=pair, f=IndicatorFn(
+            _set(rng, n, SET_KINDS[int(rng.integers(6))])))
+    if kind == "support_subdiff":
+        return SupportSubdiff(pair=pair, f=SupportFn(
+            _set(rng, n, SET_KINDS[int(rng.integers(6))])))
+    if kind == "shift":
+        return Shift(pair=pair, inner=_op(rng, pair, "subdiff"),
+                     dx=rng.normal(size=n), dxstar=rng.normal(size=n))
+    if kind == "sum":
+        return SumOp(pair=pair, S=_op(rng, pair, "linear"),
+                     T=Subdifferential(pair=pair, f=HalfSqNorm(n)))
+    inner_pair = DualPair(n, pair.dual_norm)
+    return inverse(_op(rng, inner_pair, kind.split("_", 1)[1]))
+
+
+OP_KINDS = ("graph", "linear", "subdiff", "normal_cone", "support_subdiff",
+            "shift", "sum", "inverse_linear", "inverse_subdiff",
+            "inverse_normal_cone", "inverse_shift")
+
+CASE = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 3),
+                 st.integers(1, 4), st.floats(0.05, 4.0))
+
+
+def _stack(seed, n, m):
+    return np.random.default_rng([seed, 1]).uniform(-4.0, 4.0, (m, n))
+
+
+class TestRowsEqualPoints:
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(case=CASE)
+    def test_project_rows(self, kind, case):
+        seed, n, m, _ = case
+        K = _set(np.random.default_rng(seed), n, kind)
+        Y = _stack(seed, n, m)
+        P = K.project_rows(Y)
+        for y, p in zip(Y, P):
+            assert np.array_equal(p, K.project(y))
+
+    @pytest.mark.parametrize("kind", FN_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(case=CASE)
+    def test_prox_rows(self, kind, case):
+        seed, n, m, lam = case
+        f = _fn(np.random.default_rng(seed), n, kind)
+        Z = _stack(seed, n, m)
+        P = f.prox_rows(Z, lam)
+        for z, p in zip(Z, P):
+            assert np.array_equal(p, f.prox_lam(z, lam))
+
+    @pytest.mark.parametrize("kind", OP_KINDS)
+    @pytest.mark.parametrize("norm", NORMS)
+    @settings(max_examples=20, deadline=None)
+    @given(case=CASE)
+    def test_resolvent_rows(self, kind, norm, case):
+        seed, n, m, lam = case
+        S = _op(np.random.default_rng(seed), DualPair(n, norm), kind)
+        Z = _stack(seed, n, m)
+        X, Xs, ok = S.resolvent_rows(Z, lam)
+        for i, z in enumerate(Z):
+            try:
+                p = S.resolvent_scaled(z, lam)
+            except ResolventError:
+                # a looping variant stops at its first failure
+                assert not ok[i:].any()
+                break
+            assert ok[i]
+            assert np.array_equal(X[i], p.x)
+            assert np.array_equal(Xs[i], p.xstar)
+
+    @pytest.mark.parametrize("kind", OP_KINDS)
+    @settings(max_examples=10, deadline=None)
+    @given(case=CASE)
+    def test_graph_rows(self, kind, case):
+        seed, n, m, _ = case
+        S = _op(np.random.default_rng(seed), DualPair(n, NormTag.L1), kind)
+        X, Xs = S.graph_rows(3 * m, seed)
+        pts = S.graph_sample(3 * m, seed)
+        assert len(pts) == len(X)
+        for p, x, xs in zip(pts, X, Xs):
+            assert np.array_equal(p.x, x) and np.array_equal(p.xstar, xs)
+
+    def test_singular_linear_fails_every_row(self):
+        S = Linear(pair=DualPair(2), M=-np.eye(2))
+        X, Xs, ok = S.resolvent_rows(np.ones((3, 2)))
+        assert not ok.any() and np.isnan(X).all() and np.isnan(Xs).all()
+
+    def test_rows_must_match_the_dimension(self):
+        S = Linear(pair=DualPair(2), M=np.eye(2))
+        with pytest.raises(ValueError, match="Z"):
+            S.resolvent_rows(np.ones(2))
+
+    def test_row_dots_are_the_vector_dots(self):
+        rng = np.random.default_rng(4)
+        for n in range(1, 9):
+            A, B = rng.normal(size=(50, n)), rng.normal(size=(50, n)) * 1e3
+            assert np.array_equal(row_dots(A, B),
+                                  [a @ b for a, b in zip(A, B)])
+            assert row_dots(A[0], B[0]) == A[0] @ B[0]
+            for tag in NORMS:
+                assert np.array_equal(row_norms(A, tag),
+                                      [vector_norm(a, tag) for a in A])
+
+    @pytest.mark.parametrize("radius", [0.0, 0.5, 2.0])
+    def test_l2_ball_projection_is_the_scalar_formula(self, radius):
+        rng = np.random.default_rng(5)
+        V = rng.normal(size=(400, 6)) * rng.uniform(0.0, 2.0, (400, 1))
+        V[::7] = 0.0
+        V[3, 2] = np.nan
+        for v, p in zip(V, project_ball(V, radius, "l2")):
+            n = np.linalg.norm(v)
+            ref = v if n <= radius else v * (radius / n)
+            assert np.array_equal(p, ref, equal_nan=True)
+            assert np.array_equal(project_ball(v, radius, "l2"), ref,
+                                  equal_nan=True)
+
+
+@dataclass(frozen=True)
+class _Scripted(MonotoneOperator):
+    """The identity map, whose resolvent raises on the calls whose index
+    is in ``fail``; ``calls`` records each aim z in call order."""
+
+    fail: frozenset = frozenset()
+    batched: bool = False
+    calls: list = field(default_factory=list, compare=False)
+
+    @property
+    def batched_rows(self) -> bool:
+        return self.batched
+
+    def _resolve(self, z, lam):
+        self.calls.append(z.copy())
+        if len(self.calls) - 1 in self.fail:
+            raise ResolventError("scripted failure")
+        return z / (1.0 + lam), z / (1.0 + lam)
+
+    def graph_rows(self, budget, seed):
+        X = np.random.default_rng(seed).uniform(-1.0, 1.0, (budget, 1))
+        return X, X
+
+
+def _reference_probes(S, window, wstar, base_xstar, seed):
+    """The one-point-at-a-time loop the stacked probes replace."""
+    region = window.region
+    rng = np.random.default_rng(seed + 17)
+    targets = [region.project(rng.normal(size=region.dim) * 3.0)
+               for _ in range(8)]
+    targets.append(region.project(np.zeros(region.dim)))
+    out = []
+    for u in targets:
+        for v in [wstar] + list(base_xstar[:6]):
+            try:
+                p = S.resolvent(u + v)
+                out.append(p)
+                out.append(S.resolvent(u + p.xstar))
+            except ResolventError:
+                return out
+    return out
+
+
+class TestWindowProbes:
+    WINDOW = LocalWindow(interval(-0.5, 1.5))
+    W, WS = np.array([0.5]), np.array([0.5])
+
+    def _probes(self, S):
+        _, Xs = S.graph_rows(10, 3)
+        return _window_probes(S, self.WINDOW, self.W, self.WS, Xs, 3)
+
+    @pytest.mark.parametrize("fail", [(), (0,), (1,), (2,), (7,), (8,),
+                                      (57,), (125,), (3, 4)])
+    def test_looping_operator_stops_at_the_first_failure(self, fail):
+        S = _Scripted(pair=DualPair(1), fail=frozenset(fail))
+        X, Xs = self._probes(S)
+        ref_op = _Scripted(pair=DualPair(1), fail=frozenset(fail))
+        ref = _reference_probes(ref_op, self.WINDOW, self.WS,
+                                ref_op.graph_rows(10, 3)[1], 3)
+        assert np.array_equal(X, np.array([p.x for p in ref]).reshape(-1, 1))
+        assert np.array_equal(Xs, np.array([p.xstar for p in ref])
+                              .reshape(-1, 1))
+        # the same aims in the same order, and none past the failure
+        assert np.array_equal(np.array(S.calls), np.array(ref_op.calls))
+        expected = min(fail) + 1 if fail else 126
+        assert len(S.calls) == expected and len(X) == expected - bool(fail)
+
+    @pytest.mark.parametrize("fail, count", [((), 126), ((0,), 0),
+                                             ((1,), 1)])
+    def test_batched_operator_fails_by_stage(self, fail, count):
+        # stage 1 is one call over all 63 aims, stage 2 a second call
+        S = _Scripted(pair=DualPair(1), fail=frozenset(fail), batched=True)
+        X, _ = self._probes(S)
+        assert len(X) == count
+        assert len(S.calls) == (2 if 0 not in fail else 1)
+
+
+class TestNonFiniteCandidates:
+    def test_premise_witness_skips_nan_and_plus_inf(self):
+        # (x - w)(x* - w*) is NaN, +inf, -0.5, -0.25 in this order
+        G = FiniteGraph(pair=DualPair(1), points=tuple(
+            PairedPoint([0.5], [s]) for s in (np.nan, np.inf, -1.0, -0.5)))
+        v = check_fpv(G, LocalWindow(interval(-1.0, 1.0)), [0.0], [0.0],
+                      budget=4)
+        assert not v.premise_holds
+        assert v.premise_witness.xstar[0] == -1.0
+
+    def test_premise_holds_when_only_nan_and_plus_inf(self):
+        G = FiniteGraph(pair=DualPair(1), points=(
+            PairedPoint([0.5], [np.nan]), PairedPoint([0.5], [np.inf])))
+        v = check_fpv(G, LocalWindow(interval(-1.0, 1.0)), [0.0], [0.0],
+                      budget=4)
+        assert v.premise_holds and v.premise_witness is None
+
+    def test_phi_witness_skips_nan_and_minus_inf(self):
+        @dataclass(frozen=True)
+        class Rows(MonotoneOperator):
+            def resolvent_scaled(self, z, lam=1.0):
+                raise ResolventError("no resolvent")
+
+            def graph_rows(self, budget, seed):
+                # the piece value at (x, x*) = (1, 0) of (-1, s*) is 2 s*
+                return (-np.ones((4, 1)),
+                        np.array([[np.nan], [-np.inf], [0.1], [0.5]]))
+
+        ev = phi(Rows(pair=DualPair(1)), [1.0], [0.0])
+        assert ev.value == 1.0 and ev.witness.xstar[0] == 0.5
+
+    def test_first_min(self):
+        assert first_min(np.array([np.nan, 2.0, 1.0, 1.0])) == 2
+        assert first_min(np.array([np.nan, np.inf])) is None
+        assert first_min(np.array([3.0, -np.inf, -np.inf])) == 1
+        assert first_min(np.empty(0)) is None
