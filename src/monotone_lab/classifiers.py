@@ -25,7 +25,7 @@ from .operators import (
     ResolventError,
     inverse,
 )
-from .sets import CompactConvexSet
+from .sets import CompactConvexSet, Polytope
 from .spaces import PairedPoint, first_min, row_dots, vector_norm
 
 _PREMISE_TOL = 1e-10
@@ -124,7 +124,7 @@ def _window_probes(
         return X[0], Xs[0]
     region = window.region
     rng = np.random.default_rng(seed + 17)
-    targets = region.project_rows(np.vstack([
+    targets = region.project(np.vstack([
         rng.normal(size=(8, region.dim)) * 3.0, np.zeros((1, region.dim))]))
     partners = np.vstack([wstar, base_xstar[:6]])
     U = np.repeat(targets, len(partners), axis=0)
@@ -262,15 +262,13 @@ def strong_max_dual(
     """Tests max<s - w, s* - Wt> >= 0 over samples; when the premise
     holds, searches for w* in Wt with (w, w*) in G(S)."""
     w = S.pair.check_dim(w, "w")
-    worst, wit = np.inf, None
-    for p in S.graph_sample(budget, seed):
-        # max over the fuzz set: <s-w, s*> + support(Wt, -(s-w))
-        v = float((p.x - w) @ p.xstar) + Wt.support(w - p.x)
-        if v < worst:
-            worst, wit = v, p
-    if worst < -_PREMISE_TOL:
-        return StrongMaxResult(False, wit, False, None, np.inf,
-                               "premise_failed")
+    X, Xs = S.graph_rows(budget, seed)
+    # max over the fuzz set: <s-w, s*> + support(Wt, -(s-w))
+    vals = row_dots(X - w, Xs) + np.array([Wt.support(w - x) for x in X])
+    i = first_min(vals)
+    if i is not None and vals[i] < -_PREMISE_TOL:
+        return StrongMaxResult(False, PairedPoint.of_rows(X[i], Xs[i]),
+                               False, None, np.inf, "premise_failed")
 
     best_res, best_pt = np.inf, None
     for v0 in _search_seeds(Wt, seed):
@@ -312,14 +310,11 @@ def strong_max_primal(
 
 
 def _search_seeds(set_: CompactConvexSet, seed: int) -> list[np.ndarray]:
-    from .sets import Polytope
-
     seeds = [set_.project(np.zeros(set_.dim))]
     if isinstance(set_, Polytope):
         seeds.extend(list(set_.vertices))
     rng = np.random.default_rng(seed)
-    for _ in range(3):
-        seeds.append(set_.project(rng.normal(size=set_.dim) * 2.0))
+    seeds.extend(set_.project(rng.normal(size=(3, set_.dim)) * 2.0))
     return seeds
 
 

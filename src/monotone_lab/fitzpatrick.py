@@ -76,33 +76,33 @@ def phi(
     Exact for finite graphs (enumeration) and linear maps (concave
     quadratic maximized in closed form); otherwise a sampled lower
     bound that always includes the resolvent point at z = x + x*, which
-    pins phi >= <x, x*> constructively.
+    pins phi >= <x, x*> constructively.  NaN and -inf pieces are
+    skipped; with none left, phi is a -inf lower bound.
     """
     x = S.pair.check_dim(x, "x")
     xstar = S.pair.check_dim(xstar, "xstar")
 
-    if isinstance(S, FiniteGraph):
-        vals = _piece_value(S.xs(), S.xstars(), x, xstar)
-        i = int(np.argmax(vals))
-        return FitzEvaluation(float(vals[i]), "exact", S.points[i])
-
     if isinstance(S, Linear):
         return _phi_linear(S, x, xstar)
 
+    # the rows of a finite graph are all its points
+    finite = isinstance(S, FiniteGraph)
     X, Xs = S.graph_rows(budget, seed)
-    try:
-        p = S.resolvent(x + xstar)
-        X, Xs = np.vstack([X, p.x]), np.vstack([Xs, p.xstar])
-    except ResolventError:
-        pass
+    if not finite:
+        try:
+            p = S.resolvent(x + xstar)
+            X, Xs = np.vstack([X, p.x]), np.vstack([Xs, p.xstar])
+        except ResolventError:
+            pass
     vals = _piece_value(X, Xs, x, xstar)
     i = first_min(-vals)
     if i is None:
         return FitzEvaluation(-INF, "lower_bound")
+    wit = PairedPoint.of_rows(X[i], Xs[i])
+    if finite:
+        return FitzEvaluation(float(vals[i]), "exact", wit)
     # local refinement around the best candidate through the resolvent
-    best, wit = _ascend_resolvent(S, x, xstar,
-                                  PairedPoint.of_rows(X[i], Xs[i]),
-                                  float(vals[i]), seed)
+    best, wit = _ascend_resolvent(S, x, xstar, wit, float(vals[i]), seed)
     return FitzEvaluation(best, "lower_bound", wit)
 
 

@@ -6,6 +6,10 @@ f(x) >= -gamma0*||x|| - delta0, and -- whenever the variant admits one --
 an exact conjugate as another ConvexFn.  Conjugates without a closed
 form fall back to a proximal-point ascent that reports lower-bound
 status, so downstream equality tests degrade to three-valued logic.
+
+``prox_lam`` takes a point (n,) or a stack (m, n): each closed form runs
+once over the last axis, bit for bit the point's result in each row; a
+sum that no summand folds into runs Douglas-Rachford row by row.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sets import Ball, CompactConvexSet, Polytope, singleton
+from .sets import Ball, CompactConvexSet, singleton
 from .solvers import douglas_rachford, project_ball
-from .spaces import NormTag, norm_subgradient, vector_norm
+from .spaces import NormTag, each_row, norm_subgradient, vector_norm
 
 INF = float("inf")
 
@@ -41,26 +45,13 @@ class ConvexFn:
         raise NotImplementedError
 
     def prox_lam(self, z: np.ndarray, lam: float = 1.0) -> np.ndarray:
-        """argmin_s f(s) + ||s - z||_2^2 / (2*lam).  Euclidean only."""
+        """argmin_s f(s) + ||s - z||_2^2 / (2*lam).  Euclidean only.  Of a
+        point ``z`` (n,), or of each row of a stack ``z`` (m, n)."""
         return self._prox(np.asarray(z, dtype=float), lam)
 
-    def prox_rows(self, Z: np.ndarray, lam: float = 1.0) -> np.ndarray:
-        """``prox_lam`` of each row of the (m, n) stack ``Z``: one call of
-        the closed form over the stack where ``batched_rows``, else a
-        loop over the rows."""
-        Z = np.asarray(Z, dtype=float)
-        if self.batched_rows:
-            return self._prox(Z, lam)
-        return np.array([self.prox_lam(z, lam) for z in Z]).reshape(Z.shape)
-
-    @property
-    def batched_rows(self) -> bool:
-        """Whether ``_prox`` takes a stack of rows."""
-        return False
-
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
-        """The prox over the last axis of ``z``: of one point, and of a
-        stack of rows too where ``batched_rows``."""
+        """The prox over the last axis of ``z``, a point or a stack of
+        rows; a row gives the point's result bit for bit."""
         raise NotImplementedError
 
     def subgradient(self, x: np.ndarray) -> Optional[np.ndarray]:
@@ -159,8 +150,6 @@ class Quadratic(ConvexFn):
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.Q @ x + self.b @ x + self.c)
 
-    batched_rows = True
-
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         A = np.eye(self.dim) + lam * self.Q
         # one right-hand side per solve: a multi-column solve rounds
@@ -201,11 +190,6 @@ class NormFn(ConvexFn):
     def eval(self, x: np.ndarray) -> float:
         return self.scale * vector_norm(np.asarray(x, dtype=float), self.kind)
 
-    @property
-    def batched_rows(self) -> bool:
-        # the dual ball of the linf norm is the l1 ball
-        return self.kind is not NormTag.LINF
-
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         # Moreau: z minus projection onto the dual ball of radius lam*scale
         return z - project_ball(z, lam * self.scale, self.kind.dual().value)
@@ -237,11 +221,9 @@ class SupportFn(ConvexFn):
     def eval(self, x: np.ndarray) -> float:
         return self.set_.support(np.asarray(x, dtype=float))
 
-    batched_rows = True
-
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         # Moreau: prox of lam*support = z - P_{lam*set}(z)
-        return z - lam * _project(self.set_, z / lam)
+        return z - lam * self.set_.project(z / lam)
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         return self.set_.argmax_support(np.asarray(x, dtype=float))
@@ -270,10 +252,8 @@ class IndicatorFn(ConvexFn):
         return 0.0 if self.set_.contains(np.asarray(x, float),
                                          self.membership_tol) else INF
 
-    batched_rows = True
-
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
-        return _project(self.set_, z)
+        return self.set_.project(z)
 
     def subgradient(self, x: np.ndarray) -> Optional[np.ndarray]:
         if not self.set_.contains(np.asarray(x, float), self.membership_tol):
@@ -304,8 +284,6 @@ class Affine(ConvexFn):
     def eval(self, x: np.ndarray) -> float:
         return float(self.a @ np.asarray(x, dtype=float)) + self.c
 
-    batched_rows = True
-
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         return z - lam * self.a
 
@@ -335,8 +313,6 @@ class HalfSqNorm(ConvexFn):
     def eval(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ x)
-
-    batched_rows = True
 
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         return z / (1.0 + lam)
@@ -372,11 +348,9 @@ class Translate(ConvexFn):
         x = np.asarray(x, dtype=float)
         return self.inner.eval(x + self.shift) - float(x @ self.tilt) + self.offset
 
-    batched_rows = True
-
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
-        return _prox(self.inner, z + self.shift + lam * self.tilt,
-                     lam) - self.shift
+        return self.inner.prox_lam(z + self.shift + lam * self.tilt,
+                                   lam) - self.shift
 
     def subgradient(self, x: np.ndarray) -> Optional[np.ndarray]:
         g = self.inner.subgradient(np.asarray(x, float) + self.shift)
@@ -421,17 +395,13 @@ class SumFn(ConvexFn):
         b = self.g.eval(x)
         return a + b if np.isfinite(b) else INF
 
-    @property
-    def batched_rows(self) -> bool:
-        # Douglas-Rachford runs one point at a time
-        return self._fold() is not None
-
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         fold = self._fold()
         if fold is None:
-            return self._prox_dr(z, lam)
+            # Douglas-Rachford runs one point at a time
+            return each_row(lambda v: self._prox_dr(v, lam), z)
         other, aim = fold
-        return _prox(other, *aim(z, lam))
+        return other.prox_lam(*aim(z, lam))
 
     def _fold(self):
         """(other, aim) when one summand folds into the other's prox:
@@ -489,16 +459,6 @@ def _fold_aim(smooth: ConvexFn) -> Optional[Callable]:
 
             return aim
     return None
-
-
-def _prox(f: ConvexFn, z: np.ndarray, lam: float) -> np.ndarray:
-    """f's prox over the last axis of ``z``, a point or a stack of rows."""
-    return f.prox_lam(z, lam) if z.ndim == 1 else f.prox_rows(z, lam)
-
-
-def _project(K: CompactConvexSet, y: np.ndarray) -> np.ndarray:
-    """K's projection over the last axis of ``y``, a point or a stack."""
-    return K.project(y) if y.ndim == 1 else K.project_rows(y)
 
 
 def add_fns(*fns: ConvexFn) -> ConvexFn:

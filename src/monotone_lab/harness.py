@@ -30,9 +30,9 @@ from .functions import (
     IndicatorFn,
     NormFn,
     Quadratic,
-    SumFn,
     SupportFn,
     Translate,
+    add_fns,
 )
 from .operators import (
     FiniteGraph,
@@ -119,10 +119,7 @@ def parse_fn(desc: dict) -> ConvexFn:
         fns = [parse_fn(d) for d in desc["sum"]]
         if len(fns) < 2:
             raise ScenarioError("function sum needs at least two summands")
-        out = fns[0]
-        for f in fns[1:]:
-            out = SumFn(out, f)
-        return out
+        return add_fns(*fns)
     raise ScenarioError(f"unknown function descriptor key: {sorted(desc)[0]!r}")
 
 
@@ -480,8 +477,7 @@ def _interior_domain_witness(
     axis perturbations."""
     delta = 1e-4
     n = S.pair.dim
-    cands = [p.x for p in S.graph_sample(budget, seed)]
-    for c in cands:
+    for c in S.graph_rows(budget, seed)[0]:
         try:
             c = _domain_projection(S, c)
             ok = True

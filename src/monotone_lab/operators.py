@@ -10,8 +10,9 @@ Z and returns (X, X*, ok), ok marking the rows that succeeded.  Each
 closed form (finite-graph lookup, linear solve, prox of a
 subdifferential, shift, inverse) is written once over the last axis and
 serves a point and a stack alike; Douglas-Rachford sums loop the
-single-point path and stop at their first failure.  Graph samples come
-as rows too (``graph_rows``).
+single-point path and stop at their first failure.  The graph sample
+is rows too: ``graph_rows`` gives all points of a finite graph, and a
+seeded sample of any other graph.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .functions import ConvexFn, IndicatorFn, SupportFn
-from .sets import CompactConvexSet
+from .sets import CompactConvexSet, Polytope
 from .solvers import douglas_rachford
-from .spaces import DualPair, NormTag, PairedPoint
+from .spaces import DualPair, NormTag, PairedPoint, first_min, row_norms
 
 
 class ResolventError(RuntimeError):
@@ -84,26 +85,18 @@ class MonotoneOperator:
         ``ResolventError`` when the point, or every row, fails."""
         raise NotImplementedError
 
-    def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
-        """Deterministic seeded list of graph points, the rows of
-        ``graph_rows``; a variant overrides one of the two."""
-        return [PairedPoint.of_rows(x, xs)
-                for x, xs in zip(*self.graph_rows(budget, seed))]
-
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """``graph_sample`` as two (m, n) arrays X and X*."""
-        pts = self.graph_sample(budget, seed)
-        n = self.pair.dim
-        return (np.array([p.x for p in pts]).reshape(-1, n),
-                np.array([p.xstar for p in pts]).reshape(-1, n))
+        """A deterministic seeded sample of graph points (x_i, x*_i), as
+        two (m, n) arrays X and X*."""
+        raise NotImplementedError
 
     def sample_radius(self, budget: int = 32, seed: int = 0) -> float:
-        pts = self.graph_sample(budget, seed)
-        r = 1.0
-        for p in pts:
-            r = max(r, float(np.max(np.abs(p.x))), float(np.max(np.abs(p.xstar))))
-        return r
+        """The largest |entry| of the sampled points, at least 1; a
+        component with a NaN entry is skipped."""
+        top = np.max(np.abs(np.stack(self.graph_rows(budget, seed))),
+                     axis=-1)
+        return float(np.max(top, initial=1.0, where=~np.isnan(top)))
 
     def contains(self, x: np.ndarray, xstar: np.ndarray,
                  tol: float = 1e-7) -> str:
@@ -165,9 +158,6 @@ class FiniteGraph(MonotoneOperator):
         i = np.argmin(np.einsum("...j,...j->...", res, res), axis=-1)
         return X[i], Xs[i]
 
-    def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
-        return list(self.points)
-
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
         return self.xs(), self.xstars()
@@ -175,11 +165,9 @@ class FiniteGraph(MonotoneOperator):
     def contains(self, x, xstar, tol: float = 1e-7) -> str:
         x = self.pair.check_dim(x, "x")
         xstar = self.pair.check_dim(xstar, "xstar")
-        for p in self.points:
-            if (np.linalg.norm(p.x - x) + np.linalg.norm(p.xstar - xstar)
-                    <= tol):
-                return "yes"
-        return "no"
+        res = (row_norms(self.xs() - x, NormTag.L2)
+               + row_norms(self.xstars() - xstar, NormTag.L2))
+        return "yes" if np.any(res <= tol) else "no"
 
 
 @dataclass(frozen=True)
@@ -255,8 +243,7 @@ class Subdifferential(MonotoneOperator):
     batched_rows = True
 
     def _resolve(self, z: np.ndarray, lam: float):
-        prox = self.f.prox_lam if z.ndim == 1 else self.f.prox_rows
-        s = prox(z, lam)
+        s = self.f.prox_lam(z, lam)
         return s, (z - s) / lam
 
     def graph_rows(self, budget: int,
@@ -300,8 +287,6 @@ class NormalCone(Subdifferential):
         keep = keep.ravel()
         X_out = np.repeat(X, 4, axis=0)[keep]
         Xs_out = (t * Xs[:, None, :]).reshape(-1, self.pair.dim)[keep]
-        from .sets import Polytope
-
         if isinstance(self.K, Polytope):
             X_out = np.vstack([X_out, self.K.vertices])
             Xs_out = np.vstack([Xs_out, np.zeros_like(self.K.vertices)])
@@ -322,8 +307,6 @@ class SupportSubdiff(Subdifferential):
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
         X = _cloud(self.pair.dim, budget, seed)
         Xs = np.array([self.Kt.argmax_support(x) for x in X]).reshape(X.shape)
-        from .sets import Polytope
-
         if isinstance(self.Kt, Polytope):
             X = np.vstack([X, np.zeros_like(self.Kt.vertices)])
             Xs = np.vstack([Xs, self.Kt.vertices])
@@ -394,17 +377,21 @@ class SumOp(MonotoneOperator):
             raise ResolventError(f"operator DR stalled at residual {res:.2e}")
         return x, (z - x) / lam
 
-    def graph_sample(self, budget: int, seed: int) -> list[PairedPoint]:
+    def graph_rows(self, budget: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+        # unlike resolvent_rows, a stalled solve is skipped, not the end
         scale = 2.0 * max(self.S.sample_radius(8, seed),
                           self.T.sample_radius(8, seed + 1))
-        zs = _cloud(self.pair.dim, budget, seed, scale)
-        out = []
-        for z in zs:
+        X, Xs = [], []
+        for z in _cloud(self.pair.dim, budget, seed, scale):
             try:
-                out.append(self.resolvent(z))
+                p = self.resolvent(z)
             except ResolventError:
                 continue
-        return out
+            X.append(p.x)
+            Xs.append(p.xstar)
+        n = self.pair.dim
+        return np.array(X).reshape(-1, n), np.array(Xs).reshape(-1, n)
 
 
 @dataclass(frozen=True)
@@ -481,20 +468,19 @@ def monotone_check(
     S: MonotoneOperator, budget: int = 50, seed: int = 0,
     tol: float = 1e-10,
 ) -> MonotonicityVerdict:
-    """All-pairs monotonicity test on a seeded graph sample."""
-    pts = S.graph_sample(budget, seed)
-    X = np.array([p.x for p in pts])
-    Y = np.array([p.xstar for p in pts])
-    n = len(pts)
+    """All-pairs monotonicity test on a seeded graph sample; a pair with
+    a NaN value is skipped."""
+    X, Y = S.graph_rows(budget, seed)
     worst = np.inf
     wit = None
-    for i in range(n):
+    for i in range(len(X)):
         dx = X[i] - X
         dy = Y[i] - Y
         vals = np.einsum("ij,ij->i", dx, dy)
-        j = int(np.argmin(vals))
-        if vals[j] < worst:
+        j = first_min(vals)
+        if j is not None and vals[j] < worst:
             worst = float(vals[j])
-            wit = (pts[i], pts[j])
+            wit = (PairedPoint.of_rows(X[i], Y[i]),
+                   PairedPoint.of_rows(X[j], Y[j]))
     ok = worst >= -tol
     return MonotonicityVerdict(ok, worst, None if ok else wit)

@@ -28,7 +28,7 @@ from .operators import (
     inverse,
 )
 from .sets import CompactConvexSet, Polytope
-from .spaces import NormTag, PairedPoint, vector_norm
+from .spaces import NormTag, PairedPoint, first_min, row_dots, row_norms
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,13 @@ class GapReport:
 
 def r_objective(
     S: MonotoneOperator, target: PairedPoint, s: np.ndarray, sstar: np.ndarray
-) -> float:
+) -> np.ndarray:
+    """r at a graph point (s, s*), or at each row of a stack."""
     a = s - target.x
     b = sstar - target.xstar
-    na = vector_norm(a, S.pair.primal_norm)
-    nb = vector_norm(b, S.pair.dual_norm)
-    return 0.5 * na * na + 0.5 * nb * nb + float(a @ b)
+    na = row_norms(a, S.pair.primal_norm)
+    nb = row_norms(b, S.pair.dual_norm)
+    return 0.5 * na * na + 0.5 * nb * nb + row_dots(a, b)
 
 
 def gap(
@@ -81,25 +82,22 @@ def gap(
 ) -> GapReport:
     """Infimum estimate of the r-objective over G(S) at q.target.
 
-    Exact for finite graphs; exact through the resolvent on Euclidean
-    pairs; one convex QP for monotone linear maps on l1/linf pairs and
-    for their inverses (r of S^{-1} at (x*, x) is r of S at (x, x*));
-    otherwise, a non-monotone ``Linear`` included, a sampled upper
-    bound.
+    Exact through the resolvent on Euclidean pairs; one convex QP for
+    monotone linear maps on l1/linf pairs and for their inverses (r of
+    S^{-1} at (x*, x) is r of S at (x, x*)); otherwise, a non-monotone
+    ``Linear`` included, the first best row of ``graph_rows``, NaN and
+    +inf skipped: exact on a finite graph, whose rows are all its
+    points, and a sampled upper bound on the rest.
     """
     if q.dual_fuzz is not None:
         return fuzzy_gap_dual(S, q.target.x, q.dual_fuzz, budget, seed)
     if q.primal_fuzz is not None:
         return fuzzy_gap_primal(S, q.primal_fuzz, q.target.xstar, budget, seed)
     target = q.target
-
-    if isinstance(S, FiniteGraph):
-        vals = [r_objective(S, target, p.x, p.xstar) for p in S.points]
-        i = int(np.argmin(vals))
-        return GapReport(vals[i], S.points[i], "exact", "enumeration")
+    finite = isinstance(S, FiniteGraph)
 
     # both exact paths assume a monotone map
-    if not isinstance(S, Linear) or S.monotone:
+    if not finite and (not isinstance(S, Linear) or S.monotone):
         if S.pair.primal_norm is NormTag.L2:
             try:
                 return gap_euclidean_oracle(S, target)
@@ -112,15 +110,14 @@ def gap(
             rep = gap_linear_qp(S.inner, target.swapped())[0]
             return replace(rep, witness=rep.witness.swapped())
 
-    best = np.inf
-    wit = None
-    for p in S.graph_sample(budget, seed):
-        v = r_objective(S, target, p.x, p.xstar)
-        if v < best:
-            best, wit = v, p
-    if wit is None:
+    X, Xs = S.graph_rows(budget, seed)
+    vals = r_objective(S, target, X, Xs)
+    i = first_min(vals)
+    if i is None:
         raise ResolventError("no graph points available for the gap bound")
-    return GapReport(best, wit, "upper_bound", "sampled")
+    return GapReport(float(vals[i]), PairedPoint.of_rows(X[i], Xs[i]),
+                     *(("exact", "enumeration") if finite
+                       else ("upper_bound", "sampled")))
 
 
 def gap_euclidean_oracle(
@@ -206,10 +203,9 @@ def _piece_solve(M: np.ndarray, y: np.ndarray, a: np.ndarray, l1: bool
     return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
-def _fuzz_candidates(set_: CompactConvexSet, anchors: list[np.ndarray]
+def _fuzz_candidates(set_: CompactConvexSet, anchors: np.ndarray
                      ) -> list[np.ndarray]:
-    cands = [set_.project(a) for a in anchors]
-    cands.append(set_.project(np.zeros(set_.dim)))
+    cands = list(set_.project(np.vstack([anchors, np.zeros(set_.dim)])))
     if isinstance(set_, Polytope):
         cands.extend(list(set_.vertices))
     return cands
@@ -223,47 +219,48 @@ def fuzzy_gap_dual(
     seed: int = 0,
 ) -> GapReport:
     """Infimum estimate of the dual-fuzzy objective
-    ||s-w||^2/2 + dist(s*, Wt)^2/2 + max<s-w, s*-Wt> over G(S)."""
+    ||s-w||^2/2 + dist(s*, Wt)^2/2 + max<s-w, s*-Wt> over G(S), scanned
+    like ``gap``'s rows; but for a finite graph, the rows gain the
+    points of an alternating resolvent search.  With no finite value
+    the report is +inf with no witness."""
     w = S.pair.check_dim(w, "w")
-
-    def obj(p: PairedPoint) -> float:
-        # max<s-w, s*-Wt> = <s-w, s*> + support(Wt, w-s)
-        a = p.x - w
-        na = vector_norm(a, S.pair.primal_norm)
-        d = Wt.dist(p.xstar, S.pair.dual_norm)
-        return (0.5 * na * na + 0.5 * d * d + float(a @ p.xstar)
-                + Wt.support(w - p.x))
-
-    if isinstance(S, FiniteGraph):
-        vals = [obj(p) for p in S.points]
-        i = int(np.argmin(vals))
-        return GapReport(vals[i], S.points[i], "exact", "enumeration")
-
-    candidates = list(S.graph_sample(budget, seed))
-    # alternating refinement: plug a fuzz point, take the resolvent gap
-    # witness, re-project its dual component back into the fuzz set
-    wt = Wt.project(np.zeros(Wt.dim))
-    for _ in range(12):
-        try:
-            pt = S.resolvent(w + wt)
-        except ResolventError:
-            break
-        candidates.append(pt)
-        wt_new = Wt.project(pt.xstar)
-        if np.linalg.norm(wt_new - wt) <= 1e-13:
-            break
-        wt = wt_new
-    for wt0 in _fuzz_candidates(Wt, [c.xstar for c in candidates[:5]]):
-        try:
-            candidates.append(S.resolvent(w + wt0))
-        except ResolventError:
-            break
-    best, wit = np.inf, None
-    for p in candidates:
-        v = obj(p)
-        if v < best:
-            best, wit = v, p
-    return GapReport(best, wit, "upper_bound", "fuzzy_search")
+    X, Xs = S.graph_rows(budget, seed)
+    finite = isinstance(S, FiniteGraph)
+    if not finite:
+        # alternating refinement: plug a fuzz point, take the resolvent
+        # gap witness, re-project its dual component back into the fuzz
+        # set; then the fuzz candidates of the first five rows
+        found = []
+        wt = Wt.project(np.zeros(Wt.dim))
+        for _ in range(12):
+            try:
+                pt = S.resolvent(w + wt)
+            except ResolventError:
+                break
+            found.append(pt)
+            wt_new = Wt.project(pt.xstar)
+            if np.linalg.norm(wt_new - wt) <= 1e-13:
+                break
+            wt = wt_new
+        anchors = np.vstack([Xs] + [p.xstar for p in found])[:5]
+        for wt0 in _fuzz_candidates(Wt, anchors):
+            try:
+                found.append(S.resolvent(w + wt0))
+            except ResolventError:
+                break
+        X = np.vstack([X] + [p.x for p in found])
+        Xs = np.vstack([Xs] + [p.xstar for p in found])
+    # max<s-w, s*-Wt> = <s-w, s*> + support(Wt, w-s)
+    na = row_norms(X - w, S.pair.primal_norm)
+    d = np.array([Wt.dist(xs, S.pair.dual_norm) for xs in Xs])
+    vals = (0.5 * na * na + 0.5 * d * d + row_dots(X - w, Xs)
+            + np.array([Wt.support(v) for v in w - X]))
+    method = "enumeration" if finite else "fuzzy_search"
+    i = first_min(vals)
+    if i is None:
+        return GapReport(np.inf, None, "upper_bound", method)
+    return GapReport(float(vals[i]), PairedPoint.of_rows(X[i], Xs[i]),
+                     "exact" if finite else "upper_bound", method)
 
 
 def fuzzy_gap_primal(

@@ -8,10 +8,14 @@ package needs is a vertex list, a ball, or a segment fattened by a ball
 
 A polytope whose vertices include every corner of their bounding box is
 that axis-aligned box and projects by a coordinatewise clip; other hulls
-use Wolfe's algorithm.  l2 distances are always exact.  l1/linf
-distances are exact on boxes (linf balls included) and on every 1-D
-set; to a non-box set in dimension >= 2 they remain the upper bound of a
-projected subgradient descent.
+use Wolfe's algorithm.  A capsule fattened by an l1 or linf ball is a
+polytope and projects as one.  ``project`` takes a point (n,) or a stack
+(m, n): each closed form (a clip, an l2 or linf ball) runs once over the
+last axis, bit for bit the point's result in each row; Wolfe hulls, l1
+balls and l2 capsules loop the rows.  l2 distances are always exact.
+l1/linf distances are exact on boxes (linf balls and box-shaped capsules
+included) and on every 1-D set; to a non-box set in dimension >= 2 they
+remain the upper bound of a projected subgradient descent.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .solvers import nearest_hull_point, project_ball, subgradient_descent
-from .spaces import NormTag, norm_subgradient, row_norms, vector_norm
+from .spaces import (NormTag, each_row, norm_subgradient, row_norms,
+                     vector_norm)
 
 _LEX_TOL = 1e-12
 
@@ -51,26 +56,15 @@ class CompactConvexSet:
         raise NotImplementedError
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        """Euclidean projection of ``y`` onto the set."""
-        return self._project(self._check(y))
-
-    def project_rows(self, Y: np.ndarray) -> np.ndarray:
-        """``project`` of each row of ``Y``, as an (m, n) array: one call
-        of the closed form over the stack where ``batched_rows``, else a
-        loop over the rows."""
-        Y = self._check_rows(Y)
-        if self.batched_rows:
-            return self._project(Y)
-        return np.array([self.project(y) for y in Y]).reshape(Y.shape)
-
-    @property
-    def batched_rows(self) -> bool:
-        """Whether ``_project`` takes a stack of rows."""
-        return False
+        """Euclidean projection onto the set of a point ``y`` (n,), or of
+        each row of a stack ``y`` (m, n)."""
+        y = np.asarray(y, dtype=float)
+        return self._project(self._check_rows(y) if y.ndim == 2
+                             else self._check(y))
 
     def _project(self, y: np.ndarray) -> np.ndarray:
-        """The projection over the last axis of ``y``: of one point, and
-        of a stack of rows too where ``batched_rows``."""
+        """The projection over the last axis of ``y``, a point or a stack
+        of rows; a row gives the point's result bit for bit."""
         raise NotImplementedError
 
     def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
@@ -192,14 +186,10 @@ class Polytope(CompactConvexSet):
         ties = self.vertices[vals >= top - _LEX_TOL * scale]
         return _lex_smallest(ties).copy()
 
-    @property
-    def batched_rows(self) -> bool:
-        return self._box is not None
-
     def _project(self, y: np.ndarray) -> np.ndarray:
         if self._box is not None:
             return np.clip(y, *self._box)
-        return nearest_hull_point(self.vertices, y)
+        return each_row(lambda p: nearest_hull_point(self.vertices, p), y)
 
     def _is_box(self) -> bool:
         return self._box is not None
@@ -280,10 +270,6 @@ class Ball(CompactConvexSet):
         y = self._check(y)
         return self.center + self.radius * _dual_unit(y, self.norm)
 
-    @property
-    def batched_rows(self) -> bool:
-        return self.norm is not NormTag.L1
-
     def _project(self, y: np.ndarray) -> np.ndarray:
         return self.center + project_ball(y - self.center, self.radius,
                                           self.norm.value)
@@ -345,19 +331,30 @@ def _dual_unit(y: np.ndarray, ball_norm: NormTag) -> np.ndarray:
 @dataclass(frozen=True)
 class Capsule(CompactConvexSet):
     """Segment [a, b] fattened by a norm ball: {p + q : p in [a,b],
-    ||q||_norm <= radius}.  Exact support function; projections under
-    non-Euclidean fattening fall back to descent."""
+    ||q||_norm <= radius}.  Exact support function.  Under l1 or linf
+    fattening it is the polytope conv({a, b} + V), V the ball's vertices
+    (+-radius e_i, or the box corners radius {-1, 1}^n), and projects as
+    that polytope; under l2 fattening it projects in closed form."""
 
     a: np.ndarray = None  # type: ignore[assignment]
     b: np.ndarray = None  # type: ignore[assignment]
     radius: float = 0.0
     norm: NormTag = NormTag.L2
+    # conv({a, b} + V) under l1/linf fattening, else None
+    _hull: Polytope | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float).ravel())
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
         if self.radius < 0:
             raise ValueError("capsule radius must be nonnegative")
+        r = np.full(self.dim, float(self.radius))
+        if self.norm is not NormTag.L2:
+            V = (np.vstack([np.diag(r), -np.diag(r)])
+                 if self.norm is NormTag.L1 else box(-r, r).vertices)
+            object.__setattr__(self, "_hull", Polytope(
+                side=self.side, vertices=np.vstack([self.a + V, self.b + V])))
 
     @property
     def dim(self) -> int:
@@ -386,25 +383,20 @@ class Capsule(CompactConvexSet):
         return self.a + t * d
 
     def _project(self, y: np.ndarray) -> np.ndarray:
-        if self.norm is NormTag.L2:
-            p = self._project_segment(y)
-            gap = y - p
-            n = np.linalg.norm(gap)
-            if n <= self.radius:
-                return y.copy()
-            return p + gap * (self.radius / n)
-        # alternate projections on the Minkowski structure p + q
+        if self._hull is not None:
+            return self._hull._project(y)
+        return each_row(self._project_l2, y)
+
+    def _project_l2(self, y: np.ndarray) -> np.ndarray:
         p = self._project_segment(y)
-        kind = "linf" if self.norm is NormTag.LINF else "l1"
-        q = np.zeros_like(y)
-        for _ in range(200):
-            q = project_ball(y - p, self.radius, kind)
-            p_new = self._project_segment(y - q)
-            if np.linalg.norm(p_new - p) <= 1e-13:
-                p = p_new
-                break
-            p = p_new
-        return p + q
+        gap = y - p
+        n = np.linalg.norm(gap)
+        if n <= self.radius:
+            return y.copy()
+        return p + gap * (self.radius / n)
+
+    def _is_box(self) -> bool:
+        return self._hull._is_box() if self._hull else super()._is_box()
 
     def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
         y = self._check(y)

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spaces import NormTag, row_norms
+from .spaces import NormTag, each_row, row_norms
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -46,9 +46,9 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def project_ball(v: np.ndarray, radius: float, kind: str) -> np.ndarray:
-    """Euclidean projection onto the centered norm ball ``{||x||_kind <= r}``:
-    of each row of ``v`` (over its last axis) for l2 and linf, of one
-    point for l1."""
+    """Euclidean projection onto the centered norm ball ``{||x||_kind <= r}``
+    over the last axis of ``v``, one point or a stack of rows: a closed
+    form for l2 and linf, a loop over the rows for l1."""
     v = np.asarray(v, dtype=float)
     if kind == "l2":
         n = row_norms(v, NormTag.L2)
@@ -58,7 +58,7 @@ def project_ball(v: np.ndarray, radius: float, kind: str) -> np.ndarray:
     if kind == "linf":
         return np.clip(v, -radius, radius)
     if kind == "l1":
-        return project_l1_ball(v, radius)
+        return each_row(lambda row: project_l1_ball(row, radius), v)
     raise ValueError(f"unknown ball kind {kind!r}")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,6 +53,15 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     axis reduction may sum the products in another order."""
     # [()] turns the 0-d result of two vectors into a scalar
     return (A[..., None, :] @ B[..., :, None])[..., 0, 0][()]
+
+
+def each_row(f: Callable[[np.ndarray], np.ndarray],
+             v: np.ndarray) -> np.ndarray:
+    """``f``, which maps a point (n,) to a point (n,), over the last axis
+    of ``v``: of the point ``v``, or of each row of a stack in turn."""
+    if v.ndim == 1:
+        return f(v)
+    return np.array([f(row) for row in v]).reshape(v.shape)
 
 
 def first_min(v: np.ndarray) -> Optional[int]:

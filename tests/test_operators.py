@@ -107,7 +107,9 @@ class TestGraphSample:
         pts = (PairedPoint([0.0], [0.0]), PairedPoint([1.0], [1.0]),
                PairedPoint([2.0], [3.0]))
         G = FiniteGraph(pair=PAIR1, points=pts)
-        assert G.graph_sample(10, 0) == list(pts)
+        X, Xs = G.graph_rows(10, 0)
+        assert X.tolist() == [[0.0], [1.0], [2.0]]
+        assert Xs.tolist() == [[0.0], [1.0], [3.0]]
 
     def test_abs_soft_threshold_pattern(self):
         # z = -2, 0.5, 2 map to (-1,-1), (0, 0.5), (1, 1)
@@ -118,29 +120,27 @@ class TestGraphSample:
             assert pt.xstar[0] == pytest.approx(expect[1])
 
     def test_normal_cone_includes_scaled_normals(self):
-        pts = CONE_OP.graph_sample(40, 1)
-        hits = [p for p in pts
-                if abs(p.x[0] - 1.0) < 1e-9 and p.xstar[0] > 1e-9]
+        X, Xs = CONE_OP.graph_rows(40, 1)
+        hits = [x for x, xs in zip(X, Xs)
+                if abs(x[0] - 1.0) < 1e-9 and xs[0] > 1e-9]
         assert hits  # (1, lambda) with lambda > 0 appears
 
     def test_normal_cone_domain_stays_inside(self):
         K = interval(-1.0, 1.0)
         S = NormalCone(pair=PAIR1, f=IndicatorFn(K))
-        for p in S.graph_sample(60, 2):
-            assert K.contains(p.x, tol=1e-7)
+        for x in S.graph_rows(60, 2)[0]:
+            assert K.contains(x, tol=1e-7)
 
     def test_support_subdiff_range_stays_inside(self):
         Kt = interval(-1.0, 1.0, side="dual")
         S = SupportSubdiff(pair=PAIR1, f=SupportFn(Kt))
-        for p in S.graph_sample(60, 3):
-            assert Kt.contains(p.xstar, tol=1e-7)
+        for xs in S.graph_rows(60, 3)[1]:
+            assert Kt.contains(xs, tol=1e-7)
 
     def test_deterministic_under_seed(self):
-        a = ABS_OP.graph_sample(20, 5)
-        b = ABS_OP.graph_sample(20, 5)
-        assert all(np.array_equal(p.x, q.x) and
-                   np.array_equal(p.xstar, q.xstar)
-                   for p, q in zip(a, b))
+        a = ABS_OP.graph_rows(20, 5)
+        b = ABS_OP.graph_rows(20, 5)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestMonotoneCheck:
@@ -176,19 +176,16 @@ class TestCombinators:
     def test_shift_translates_samples_exactly(self):
         dx, dxstar = np.array([0.5]), np.array([-1.5])
         S = Shift(pair=PAIR1, inner=ABS_OP, dx=dx, dxstar=dxstar)
-        inner = ABS_OP.graph_sample(15, 7)
-        outer = S.graph_sample(15, 7)
-        for p, q in zip(inner, outer):
-            assert np.array_equal(q.x, p.x - dx)
-            assert np.array_equal(q.xstar, p.xstar - dxstar)
+        X, Xs = ABS_OP.graph_rows(15, 7)
+        SX, SXs = S.graph_rows(15, 7)
+        assert np.array_equal(SX, X - dx)
+        assert np.array_equal(SXs, Xs - dxstar)
 
     def test_inverse_swaps_samples(self):
         S = InverseOp(pair=PAIR1, inner=ABS_OP)
-        inner = ABS_OP.graph_sample(15, 8)
-        outer = S.graph_sample(15, 8)
-        for p, q in zip(inner, outer):
-            assert np.array_equal(q.x, p.xstar)
-            assert np.array_equal(q.xstar, p.x)
+        X, Xs = ABS_OP.graph_rows(15, 8)
+        SX, SXs = S.graph_rows(15, 8)
+        assert np.array_equal(SX, Xs) and np.array_equal(SXs, X)
 
     def test_inverse_resolvent_is_graph_point(self):
         S = InverseOp(pair=PAIR1, inner=CONE_OP)

@@ -282,8 +282,8 @@ class _NoGraph(MonotoneOperator):
     def resolvent_scaled(self, z, lam=1.0):
         raise ResolventError("no graph point")
 
-    def graph_sample(self, budget, seed):
-        return []
+    def graph_rows(self, budget, seed):
+        return np.empty((0, self.pair.dim)), np.empty((0, self.pair.dim))
 
 
 class TestPrimalFuzzOnInverse:

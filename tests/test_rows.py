@@ -1,7 +1,7 @@
-"""The row form of the oracle stack: ``project_rows``, ``prox_rows``,
-``resolvent_rows`` and ``graph_rows`` against their single-point paths,
-bit for bit, and the stacked window probes and candidate scans built on
-them."""
+"""The row form of the oracle stack: ``project`` and ``prox_lam`` of a
+stack and ``resolvent_rows`` against their single-point paths, bit for
+bit, the rows of ``graph_rows`` against the graph, and the stacked
+window probes and candidate scans built on them."""
 
 from dataclasses import dataclass, field
 
@@ -36,9 +36,12 @@ from monotone_lab import (
     box,
     interval,
     inverse,
+    monotone_check,
+    singleton,
 )
 from monotone_lab.classifiers import LocalWindow, _window_probes, check_fpv
 from monotone_lab.fitzpatrick import phi
+from monotone_lab.quasidensity import GapQuery, fuzzy_gap_dual, gap
 from monotone_lab.solvers import project_ball
 from monotone_lab.spaces import first_min, row_dots, row_norms, vector_norm
 
@@ -145,7 +148,8 @@ class TestRowsEqualPoints:
         seed, n, m, _ = case
         K = _set(np.random.default_rng(seed), n, kind)
         Y = _stack(seed, n, m)
-        P = K.project_rows(Y)
+        P = K.project(Y)
+        assert P.shape == Y.shape
         for y, p in zip(Y, P):
             assert np.array_equal(p, K.project(y))
 
@@ -156,7 +160,8 @@ class TestRowsEqualPoints:
         seed, n, m, lam = case
         f = _fn(np.random.default_rng(seed), n, kind)
         Z = _stack(seed, n, m)
-        P = f.prox_rows(Z, lam)
+        P = f.prox_lam(Z, lam)
+        assert P.shape == Z.shape
         for z, p in zip(Z, P):
             assert np.array_equal(p, f.prox_lam(z, lam))
 
@@ -181,16 +186,17 @@ class TestRowsEqualPoints:
             assert np.array_equal(Xs[i], p.xstar)
 
     @pytest.mark.parametrize("kind", OP_KINDS)
-    @settings(max_examples=10, deadline=None)
-    @given(case=CASE)
-    def test_graph_rows(self, kind, case):
-        seed, n, m, _ = case
-        S = _op(np.random.default_rng(seed), DualPair(n, NormTag.L1), kind)
-        X, Xs = S.graph_rows(3 * m, seed)
-        pts = S.graph_sample(3 * m, seed)
-        assert len(pts) == len(X)
-        for p, x, xs in zip(pts, X, Xs):
-            assert np.array_equal(p.x, x) and np.array_equal(p.xstar, xs)
+    def test_graph_rows(self, kind):
+        # every sampled row is a graph point: the operator's own
+        # membership test never rejects it, on each of the three pairs
+        for norm in NORMS:
+            for seed in range(24):
+                n, m = 1 + seed % 3, 1 + seed % 4
+                S = _op(np.random.default_rng(seed), DualPair(n, norm), kind)
+                X, Xs = S.graph_rows(3 * m, seed)
+                assert X.shape == Xs.shape and X.shape[1] == n
+                for x, xs in zip(X, Xs):
+                    assert S.contains(x, xs) != "no", (norm, seed, x, xs)
 
     def test_singular_linear_fails_every_row(self):
         S = Linear(pair=DualPair(2), M=-np.eye(2))
@@ -334,6 +340,60 @@ class TestNonFiniteCandidates:
 
         ev = phi(Rows(pair=DualPair(1)), [1.0], [0.0])
         assert ev.value == 1.0 and ev.witness.xstar[0] == 0.5
+
+    NAN_GRAPH = FiniteGraph(pair=DualPair(1), points=(
+        PairedPoint([0.0], [np.nan]), PairedPoint([1.0], [1.0])))
+
+    def test_finite_graph_scans_skip_a_nan_point(self):
+        # phi, the gap and the fuzzy gap at (1, 1) all come from (1, 1)
+        ev = phi(self.NAN_GRAPH, [1.0], [1.0])
+        assert (ev.value, ev.status) == (1.0, "exact")
+        assert ev.witness.x[0] == 1.0
+        for rep in (gap(self.NAN_GRAPH, GapQuery(PairedPoint([1.0], [1.0]))),
+                    fuzzy_gap_dual(self.NAN_GRAPH, np.array([1.0]),
+                                   singleton([1.0], side="dual"))):
+            assert (rep.value, rep.status, rep.method) == (
+                0.0, "exact", "enumeration")
+            assert rep.witness.x[0] == 1.0 and rep.witness.xstar[0] == 1.0
+
+    def test_phi_of_nan_pieces_only_is_a_lower_bound(self):
+        G = FiniteGraph(pair=DualPair(1), points=(
+            PairedPoint([0.0], [np.nan]),))
+        ev = phi(G, [1.0], [1.0])
+        assert (ev.value, ev.status, ev.witness) == (
+            -np.inf, "lower_bound", None)
+
+    def test_overflowing_finite_graph_has_no_gap_witness(self):
+        G = FiniteGraph(pair=DualPair(1), points=(
+            PairedPoint([1e200], [1e200]),))
+        with pytest.raises(ResolventError, match="no graph points"):
+            gap(G, GapQuery(PairedPoint([0.0], [0.0])))
+        rep = fuzzy_gap_dual(G, np.zeros(1), singleton([0.0], side="dual"))
+        assert rep.value == np.inf and rep.witness is None
+
+    def test_monotone_check_skips_a_nan_pair(self):
+        pts = (PairedPoint([0.0], [0.0]), PairedPoint([1.0], [-1.0]))
+        for extra in ((), (PairedPoint([2.0], [np.nan]),)):
+            v = monotone_check(FiniteGraph(pair=DualPair(1),
+                                           points=pts + extra), budget=10)
+            assert not v.ok and v.worst_value == -1.0
+            assert [p.x[0] for p in v.witness] == [0.0, 1.0]
+
+    def test_sample_radius_skips_a_component_with_nan(self):
+        @dataclass(frozen=True)
+        class Rows(MonotoneOperator):
+            X: np.ndarray = None
+            Xs: np.ndarray = None
+
+            def graph_rows(self, budget, seed):
+                return self.X, self.Xs
+
+        S = Rows(pair=DualPair(2), X=np.array([[np.nan, 9.0], [2.0, 1.0]]),
+                 Xs=np.array([[0.5, -0.5], [1.0, -7.0]]))
+        assert S.sample_radius() == 7.0
+        S = Rows(pair=DualPair(2), X=np.full((1, 2), np.nan),
+                 Xs=np.full((1, 2), np.nan))
+        assert S.sample_radius() == 1.0
 
     def test_first_min(self):
         assert first_min(np.array([np.nan, 2.0, 1.0, 1.0])) == 2

@@ -3,16 +3,19 @@
 import contextlib
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from monotone_lab import (Ball, Capsule, NormTag, Polytope, box, interval,
-                          singleton)
-from monotone_lab import sets as sets_module
+from monotone_lab import (Ball, Capsule, DualPair, NormFn, NormTag,
+                          PairedPoint, Polytope, Subdifferential, box,
+                          interval, singleton)
+from monotone_lab import quasidensity, sets as sets_module
 from monotone_lab.cli import main
+from monotone_lab.quasidensity import GapQuery
 from monotone_lab.solvers import nearest_hull_point
 from monotone_lab.spaces import vector_norm
 
@@ -170,6 +173,45 @@ class TestCapsule:
                     radius=0.5)
         p = c.project(np.array([1.0, 2.0]))
         assert np.allclose(p, np.array([1.0, 0.5]), atol=1e-9)
+
+
+class TestPolyhedralCapsule:
+    """A capsule fattened by an l1 or linf ball is the polytope
+    conv({a, b} + ball vertices) and projects as that polytope."""
+
+    @pytest.mark.parametrize("norm", [NormTag.L1, NormTag.LINF])
+    def test_projection_is_wolfe_on_the_hull_and_idempotent(self, norm):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            a, b = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+            r = float(rng.uniform(0.0, 1.0))
+            c = Capsule(a=a, b=b, radius=r, norm=norm)
+            ball = (np.vstack([r * np.eye(n), -r * np.eye(n)])
+                    if norm is NormTag.L1 else
+                    r * np.array(list(itertools.product((-1.0, 1.0),
+                                                        repeat=n))))
+            V = np.vstack([a + ball, b + ball])
+            for y in rng.uniform(-3.0, 3.0, (5, n)):
+                p = c.project(y)
+                assert np.allclose(p, nearest_hull_point(V, y), rtol=0.0,
+                                   atol=1e-9)
+                assert c.dist(p) <= 1e-12 and c.contains(p)
+
+    def test_point_capsule_fuzz_gap_is_fast(self):
+        # a = b, radius 0: a single point, so a box whose l1/linf
+        # distances come from the clip, with no descent
+        K = Capsule(side="dual", a=np.zeros(2), b=np.zeros(2), radius=0.0,
+                    norm=NormTag.LINF)
+        assert K._is_box()
+        S = Subdifferential(pair=DualPair(2, NormTag.L1),
+                            f=NormFn(2, 1.0, NormTag.L1))
+        t0 = time.perf_counter()
+        rep = quasidensity.gap(S, GapQuery(
+            PairedPoint([0.3, -0.2], [0.1, 0.4]), dual_fuzz=K))
+        assert time.perf_counter() - t0 < 0.1
+        assert (rep.status, rep.method) == ("upper_bound", "fuzzy_search")
+        assert rep.value == pytest.approx(0.0017272006919786809, rel=1e-12)
 
 
 class TestInterior:
