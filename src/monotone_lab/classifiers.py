@@ -5,8 +5,8 @@ extension membership.
 
 Premise testing is one-sided by construction: "premise holds" means no
 sampled counterexample at the given (budget, seed), and every verdict
-records both.  Graph membership "(w, w*) in G(S)" is variant-specific
-(graph lookup, Fenchel-Young, resolvent residual) and three-valued.
+records both.  Graph membership "(w, w*) in G(S)" is the operator's
+three-valued ``contains``, or its ``residual`` (+inf on failure).
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .fitzpatrick import theta
-from .operators import (
-    FiniteGraph,
-    InverseOp,
-    Linear,
-    MonotoneOperator,
-    ResolventError,
-    inverse,
-)
+from .operators import FiniteGraph, MonotoneOperator, ResolventError, inverse
 from .sets import CompactConvexSet, Polytope
 from .spaces import PairedPoint, first_min, row_dots, vector_norm
 
@@ -221,27 +214,6 @@ def ni_infimum(
     return p - theta(S, wstar, wstarstar, budget, seed).value
 
 
-def _graph_membership_residual(
-    S: MonotoneOperator, x: np.ndarray, xstar: np.ndarray
-) -> float:
-    """Euclidean residual of (x, x*) against G(S) through the natural
-    oracle of the variant."""
-    if isinstance(S, FiniteGraph):
-        return min(
-            float(np.linalg.norm(p.x - x) + np.linalg.norm(p.xstar - xstar))
-            for p in S.points
-        )
-    if isinstance(S, Linear):
-        return float(np.linalg.norm(S.M @ x - xstar))
-    if isinstance(S, InverseOp):
-        return _graph_membership_residual(S.inner, xstar, x)
-    try:
-        pt = S.resolvent(x + xstar)
-    except ResolventError:
-        return np.inf
-    return float(np.linalg.norm(pt.x - x) + np.linalg.norm(pt.xstar - xstar))
-
-
 @dataclass(frozen=True)
 class StrongMaxResult:
     premise_holds: bool
@@ -274,7 +246,10 @@ def strong_max_dual(
     for v0 in _search_seeds(Wt, seed):
         v = v0
         for _ in range(200):
-            res = _graph_membership_residual(S, w, v)
+            try:
+                res = S.residual(w, v)
+            except ResolventError:
+                res = np.inf
             if res < best_res:
                 best_res, best_pt = res, PairedPoint(w, v)
             if res <= 1e-8:

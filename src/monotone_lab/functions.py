@@ -1,27 +1,28 @@
 """Proper convex lsc functions with the oracles the procedures consume.
 
 Each variant carries: evaluation (extended real), a scaled prox
-(Euclidean), one subgradient where finite, an affine minorant
-f(x) >= -gamma0*||x|| - delta0, and -- whenever the variant admits one --
-an exact conjugate as another ConvexFn.  Conjugates without a closed
-form fall back to a proximal-point ascent that reports lower-bound
-status, so downstream equality tests degrade to three-valued logic.
+(Euclidean), an affine minorant f(x) >= -gamma0*||x|| - delta0, and --
+whenever the variant admits one -- an exact conjugate as another
+ConvexFn.  Conjugates without a closed form fall back to a
+proximal-point ascent that reports lower-bound status, so downstream
+equality tests degrade to three-valued logic.
 
 ``prox_lam`` takes a point (n,) or a stack (m, n): each closed form runs
 once over the last axis, bit for bit the point's result in each row; a
-sum that no summand folds into runs Douglas-Rachford row by row.
+sum that no summand folds into is resolved row by row by
+``solvers.sum_resolvent``, the Douglas-Rachford routine ``SumOp`` uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .sets import Ball, CompactConvexSet, singleton
-from .solvers import douglas_rachford, project_ball
-from .spaces import NormTag, each_row, norm_subgradient, vector_norm
+from .solvers import project_ball, sum_resolvent
+from .spaces import NormTag, each_row, vector_norm
 
 INF = float("inf")
 
@@ -52,10 +53,6 @@ class ConvexFn:
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         """The prox over the last axis of ``z``, a point or a stack of
         rows; a row gives the point's result bit for bit."""
-        raise NotImplementedError
-
-    def subgradient(self, x: np.ndarray) -> Optional[np.ndarray]:
-        """One element of the subdifferential at x, or None off-domain."""
         raise NotImplementedError
 
     def minorant(self) -> tuple[float, float]:
@@ -156,9 +153,6 @@ class Quadratic(ConvexFn):
         # differently from the solve of one point
         return np.linalg.solve(A, (z - lam * self.b)[..., None])[..., 0]
 
-    def subgradient(self, x: np.ndarray) -> np.ndarray:
-        return self.Q @ np.asarray(x, dtype=float) + self.b
-
     def minorant(self) -> tuple[float, float]:
         return float(np.linalg.norm(self.b)), max(-self.c, 0.0)
 
@@ -194,9 +188,6 @@ class NormFn(ConvexFn):
         # Moreau: z minus projection onto the dual ball of radius lam*scale
         return z - project_ball(z, lam * self.scale, self.kind.dual().value)
 
-    def subgradient(self, x: np.ndarray) -> np.ndarray:
-        return self.scale * norm_subgradient(np.asarray(x, float), self.kind)
-
     def minorant(self) -> tuple[float, float]:
         return 0.0, 0.0
 
@@ -225,9 +216,6 @@ class SupportFn(ConvexFn):
         # Moreau: prox of lam*support = z - P_{lam*set}(z)
         return z - lam * self.set_.project(z / lam)
 
-    def subgradient(self, x: np.ndarray) -> np.ndarray:
-        return self.set_.argmax_support(np.asarray(x, dtype=float))
-
     def minorant(self) -> tuple[float, float]:
         # max<x, K> >= <x, k0> >= -||k0||*||x|| for any k0 in K
         k0 = self.set_.project(np.zeros(self.dim))
@@ -254,11 +242,6 @@ class IndicatorFn(ConvexFn):
 
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         return self.set_.project(z)
-
-    def subgradient(self, x: np.ndarray) -> Optional[np.ndarray]:
-        if not self.set_.contains(np.asarray(x, float), self.membership_tol):
-            return None
-        return np.zeros(self.dim)
 
     def minorant(self) -> tuple[float, float]:
         return 0.0, 0.0
@@ -287,9 +270,6 @@ class Affine(ConvexFn):
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         return z - lam * self.a
 
-    def subgradient(self, x: np.ndarray) -> np.ndarray:
-        return self.a.copy()
-
     def minorant(self) -> tuple[float, float]:
         return float(np.linalg.norm(self.a)), max(-self.c, 0.0)
 
@@ -316,9 +296,6 @@ class HalfSqNorm(ConvexFn):
 
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         return z / (1.0 + lam)
-
-    def subgradient(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float).copy()
 
     def minorant(self) -> tuple[float, float]:
         return 0.0, 0.0
@@ -351,12 +328,6 @@ class Translate(ConvexFn):
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         return self.inner.prox_lam(z + self.shift + lam * self.tilt,
                                    lam) - self.shift
-
-    def subgradient(self, x: np.ndarray) -> Optional[np.ndarray]:
-        g = self.inner.subgradient(np.asarray(x, float) + self.shift)
-        if g is None:
-            return None
-        return g - self.tilt
 
     def minorant(self) -> tuple[float, float]:
         g0, d0 = self.inner.minorant()
@@ -398,8 +369,10 @@ class SumFn(ConvexFn):
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         fold = self._fold()
         if fold is None:
-            # Douglas-Rachford runs one point at a time
-            return each_row(lambda v: self._prox_dr(v, lam), z)
+            # Douglas-Rachford runs one point at a time; its convergence
+            # flag is dropped
+            return each_row(lambda v: sum_resolvent(
+                self.f.prox_lam, self.g.prox_lam, v, lam)[0], z)
         other, aim = fold
         return other.prox_lam(*aim(z, lam))
 
@@ -411,28 +384,6 @@ class SumFn(ConvexFn):
             if aim is not None:
                 return other, aim
         return None
-
-    def _prox_dr(self, z: np.ndarray, lam: float) -> np.ndarray:
-        # 0 in df(s) + [dg(s) + (s - z)/lam]; resolvent of the bracket at
-        # step t folds into a scaled prox of g
-        t = lam
-
-        def prox_a(v: np.ndarray) -> np.ndarray:
-            return self.f.prox_lam(v, t)
-
-        def prox_b(v: np.ndarray) -> np.ndarray:
-            mu = t / (1.0 + t / lam)
-            return self.g.prox_lam((v + (t / lam) * z) / (1.0 + t / lam), mu)
-
-        x, _, _ = douglas_rachford(prox_a, prox_b, z, max_iter=6000, tol=1e-13)
-        return x
-
-    def subgradient(self, x: np.ndarray) -> Optional[np.ndarray]:
-        gf = self.f.subgradient(x)
-        gg = self.g.subgradient(x)
-        if gf is None or gg is None:
-            return None
-        return gf + gg
 
     def minorant(self) -> tuple[float, float]:
         gf, df = self.f.minorant()

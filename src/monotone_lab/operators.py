@@ -9,10 +9,14 @@ The oracle also takes rows: ``resolvent_rows`` resolves an (m, n) stack
 Z and returns (X, X*, ok), ok marking the rows that succeeded.  Each
 closed form (finite-graph lookup, linear solve, prox of a
 subdifferential, shift, inverse) is written once over the last axis and
-serves a point and a stack alike; Douglas-Rachford sums loop the
-single-point path and stop at their first failure.  The graph sample
-is rows too: ``graph_rows`` gives all points of a finite graph, and a
-seeded sample of any other graph.
+serves a point and a stack alike; a sum is resolved one point at a time
+by ``solvers.sum_resolvent`` and stops at its first failure.  The graph
+sample is rows too: ``graph_rows`` gives all points of a finite graph,
+and a seeded sample of any other graph.
+
+Graph membership is one oracle, ``residual`` (0 on G(S)), which
+``contains`` compares with a tolerance; a subdifferential's ``contains``
+tests Fenchel-Young instead.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .functions import ConvexFn, IndicatorFn, SupportFn
 from .sets import CompactConvexSet, Polytope
-from .solvers import douglas_rachford
+from .solvers import sum_resolvent
 from .spaces import DualPair, NormTag, PairedPoint, first_min, row_norms
 
 
@@ -98,21 +102,26 @@ class MonotoneOperator:
                      axis=-1)
         return float(np.max(top, initial=1.0, where=~np.isnan(top)))
 
+    def residual(self, x: np.ndarray, xstar: np.ndarray) -> float:
+        """||s - x||_2 + ||s* - x*||_2 at the resolvent (s, s*) of x + x*;
+        raises ``ResolventError`` when that resolvent fails."""
+        x = self.pair.check_dim(x, "x")
+        xstar = self.pair.check_dim(xstar, "xstar")
+        pt = self.resolvent(x + xstar)
+        return float(np.linalg.norm(pt.x - x)
+                     + np.linalg.norm(pt.xstar - xstar))
+
     def contains(self, x: np.ndarray, xstar: np.ndarray,
                  tol: float = 1e-7) -> str:
         """Membership of (x, x*) in G(S): 'yes' / 'no' / 'unknown'.
 
-        Variant-specific: graph lookup, Fenchel-Young, or resolvent
-        residual at z = x + lam*x*.
+        ``residual`` at most ``tol``, 'unknown' when the resolvent
+        fails; a subdifferential tests Fenchel-Young instead.
         """
-        x = self.pair.check_dim(x, "x")
-        xstar = self.pair.check_dim(xstar, "xstar")
         try:
-            pt = self.resolvent(x + xstar)
+            return "yes" if self.residual(x, xstar) <= tol else "no"
         except ResolventError:
             return "unknown"
-        res = np.linalg.norm(pt.x - x) + np.linalg.norm(pt.xstar - xstar)
-        return "yes" if res <= tol else "no"
 
 
 def _cloud(dim: int, count: int, seed: int, scale: float = 2.0) -> np.ndarray:
@@ -155,19 +164,22 @@ class FiniteGraph(MonotoneOperator):
     def _resolve(self, z: np.ndarray, lam: float):
         X, Xs = self.xs(), self.xstars()
         res = X + lam * Xs - z[..., None, :]
-        i = np.argmin(np.einsum("...j,...j->...", res, res), axis=-1)
+        d2 = np.einsum("...j,...j->...", res, res)
+        # a point with a NaN entry is never the nearest
+        i = np.argmin(np.where(np.isnan(d2), np.inf, d2), axis=-1)
         return X[i], Xs[i]
 
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
         return self.xs(), self.xstars()
 
-    def contains(self, x, xstar, tol: float = 1e-7) -> str:
+    def residual(self, x, xstar) -> float:
+        """The smallest residual over the points, NaN skipped."""
         x = self.pair.check_dim(x, "x")
         xstar = self.pair.check_dim(xstar, "xstar")
         res = (row_norms(self.xs() - x, NormTag.L2)
                + row_norms(self.xstars() - xstar, NormTag.L2))
-        return "yes" if np.any(res <= tol) else "no"
+        return float(np.min(res, initial=np.inf, where=~np.isnan(res)))
 
 
 @dataclass(frozen=True)
@@ -215,10 +227,10 @@ class Linear(MonotoneOperator):
         xs = _cloud(self.pair.dim, budget, seed)
         return xs, self._apply(xs)
 
-    def contains(self, x, xstar, tol: float = 1e-7) -> str:
+    def residual(self, x, xstar) -> float:
         x = self.pair.check_dim(x, "x")
         xstar = self.pair.check_dim(xstar, "xstar")
-        return "yes" if np.linalg.norm(self.M @ x - xstar) <= tol else "no"
+        return float(np.linalg.norm(self.M @ x - xstar))
 
 
 def tail_operator(n: int) -> Linear:
@@ -359,20 +371,9 @@ class SumOp(MonotoneOperator):
     T: MonotoneOperator = None  # type: ignore[assignment]
 
     def _resolve(self, z: np.ndarray, lam: float):
-        # Douglas-Rachford on 0 in lam*S(x) + [lam*T(x) + x - z]
-        t = lam
-
-        def prox_a(v: np.ndarray) -> np.ndarray:
-            return self.S.resolvent_scaled(v, t).x
-
-        def prox_b(v: np.ndarray) -> np.ndarray:
-            mu = t / (1.0 + t / lam)
-            return self.T.resolvent_scaled(
-                (v + (t / lam) * z) / (1.0 + t / lam), mu
-            ).x
-
-        x, res, ok = douglas_rachford(prox_a, prox_b, z, max_iter=6000,
-                                      tol=1e-13)
+        x, res, ok = sum_resolvent(
+            lambda v, t: self.S.resolvent_scaled(v, t).x,
+            lambda v, t: self.T.resolvent_scaled(v, t).x, z, lam)
         if not ok and res > 1e-6:
             raise ResolventError(f"operator DR stalled at residual {res:.2e}")
         return x, (z - x) / lam
@@ -416,13 +417,13 @@ class InverseOp(MonotoneOperator):
         x, xs = _resolvent(self.inner, z / lam, 1.0 / lam)
         return xs, x
 
-    def resolvent(self, z: np.ndarray) -> PairedPoint:
-        return self.inner.resolvent(z).swapped()
-
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
         X, Xs = self.inner.graph_rows(budget, seed)
         return Xs, X
+
+    def residual(self, x, xstar) -> float:
+        return self.inner.residual(xstar, x)
 
     def contains(self, x, xstar, tol: float = 1e-7) -> str:
         return self.inner.contains(xstar, x, tol)

@@ -296,9 +296,10 @@ class Ball(CompactConvexSet):
 def _dual_unit(y: np.ndarray, ball_norm: NormTag) -> np.ndarray:
     """A unit vector u of the ball's norm with <u, y> = ||y||_dual.
 
-    Deterministic tie rule: lexicographically smallest maximizer (zero
-    coordinates map to -1 under linf-type attainment; the first max-abs
-    index wins for l1-type attainment).
+    Deterministic tie rule: the lexicographically smallest maximizer.
+    For an l2 ball it is unique; for a linf ball a zero coordinate maps
+    to -1; for an l1 ball it is -e_i at the first negative max-abs index,
+    else +e_i at the last max-abs index (a zero entry counts as +).
     """
     y = np.asarray(y, dtype=float)
     if not np.any(y):
@@ -317,15 +318,13 @@ def _dual_unit(y: np.ndarray, ball_norm: NormTag) -> np.ndarray:
     a = np.abs(y)
     top = float(np.max(a))
     idx = np.nonzero(a >= top - _LEX_TOL * max(top, 1.0))[0]
-    # lexicographically smallest vertex: prefer -e_i with the largest i
-    # among negative-sign candidates, else the canonical first index
-    best = None
-    for i in idx:
-        cand = np.zeros_like(y)
-        cand[i] = np.sign(y[i]) if y[i] != 0 else 1.0
-        if best is None or tuple(cand) < tuple(best):
-            best = cand
-    return best
+    neg = idx[y[idx] < 0]
+    u = np.zeros_like(y)
+    if neg.size:
+        u[neg[0]] = -1.0
+    else:
+        u[idx[-1]] = 1.0
+    return u
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""Small numerical workhorses shared by the rest of the package.
+"""Small numerical workhorses shared by the rest of the package: simplex,
+ball and hull projections, Douglas-Rachford with the one sum resolvent
+of ``SumOp`` and ``SumFn`` on it, and projected subgradient descent.
 
 Everything here is deterministic given its inputs (and seed, where one
 appears); nothing keeps state between calls.
@@ -95,12 +97,12 @@ def nearest_hull_point(vertices: np.ndarray, y: np.ndarray) -> np.ndarray:
     for _ in range(8 * m + 8):
         p = w @ V[S]
         x = p - y
-        vx = V @ x
-        j = int(np.argmin(vx))
-        # x.x - P_j.x = x.p - V_j.x.  No relative tolerance: when x is
-        # nearly normal to a face, a gap below tol leaves p up to
-        # sqrt(tol) from the projection (1.2e-7 for tol = 1.4e-14).
-        if j in S or float(x @ p) - float(vx[j]) <= 0.0:
+        # x.x - P_j.x = (p - V_j).x from vertex differences, as x.p and
+        # V_j.x round off eps |x| |p|, more than a thin face offers.  No
+        # relative tolerance: it would leave p sqrt(tol) off near a face.
+        gain = (p - V) @ x
+        j = int(np.argmax(gain))
+        if j in S or gain[j] <= 0.0:
             break
         corral = list(S)
         S.append(j)
@@ -164,6 +166,20 @@ def douglas_rachford(
         if res <= tol:
             return x, res, True
     return x, res, False
+
+
+def sum_resolvent(ja: Callable, jb: Callable, z: np.ndarray,
+                  lam: float) -> tuple[np.ndarray, float, bool]:
+    """(I + lam*(A + B))^{-1} z by Douglas-Rachford, from the step-t
+    resolvents ``ja(v, t)`` of A and ``jb(v, t)`` of B.
+
+    Splits 0 in lam*A(x) + [lam*B(x) + x - z]: the resolvent of the
+    bracket at step lam is that of B at step lam/2 aimed at (v + z)/2.
+    Returns (x, residual, converged) as ``douglas_rachford`` does.
+    """
+    return douglas_rachford(lambda v: ja(v, lam),
+                            lambda v: jb((v + z) / 2.0, lam / 2.0),
+                            z, max_iter=6000, tol=1e-13)
 
 
 def subgradient_descent(

@@ -9,15 +9,19 @@ from hypothesis.extra.numpy import arrays
 from monotone_lab import (
     Affine,
     Ball,
+    DualPair,
     HalfSqNorm,
     IndicatorFn,
     NormFn,
     NormTag,
     Polytope,
     Quadratic,
+    Subdifferential,
     SumFn,
+    SumOp,
     SupportFn,
     Translate,
+    box,
     interval,
     minimize,
 )
@@ -141,6 +145,25 @@ class TestProx:
             p = f.prox(z)
             verdict = f.subdiff_contains(p, z - p, tol=1e-7)
             assert verdict in ("yes", "unknown")
+
+
+class TestSumResolvent:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           lam=st.floats(0.05, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_sum_prox_is_the_sum_operator_resolvent(self, seed, n, lam):
+        # no summand folds, so both run the one Douglas-Rachford routine
+        rng = np.random.default_rng(seed)
+        kind = (NormTag.L1, NormTag.L2, NormTag.LINF)[seed % 3]
+        lo = rng.uniform(-2.0, 0.0, n)
+        f = NormFn(n, float(rng.uniform(0.1, 2.0)), kind)
+        g = IndicatorFn(box(lo, lo + rng.uniform(0.0, 2.0, n)))
+        pair = DualPair(n)
+        S = SumOp(pair=pair, S=Subdifferential(pair=pair, f=f),
+                  T=Subdifferential(pair=pair, f=g))
+        z = rng.uniform(-4.0, 4.0, n)
+        assert np.array_equal(SumFn(f, g).prox_lam(z, lam),
+                              S.resolvent_scaled(z, lam).x)
 
 
 class TestFenchelYoung:

@@ -16,6 +16,7 @@ from monotone_lab import (
     NormalCone,
     PairedPoint,
     Polytope,
+    ResolventError,
     Shift,
     GapQuery,
     Subdifferential,
@@ -28,6 +29,7 @@ from monotone_lab import (
     inverse,
     monotone_check,
     parallel_sum,
+    strong_max_dual,
     tail_operator,
 )
 
@@ -291,6 +293,55 @@ class TestContains:
         G = FiniteGraph(pair=PAIR1, points=(PairedPoint([1.0], [2.0]),))
         assert G.contains(np.array([1.0]), np.array([2.0])) == "yes"
         assert G.contains(np.array([1.0]), np.array([2.1])) == "no"
+
+
+class TestResidual:
+    NAN_GRAPH = FiniteGraph(pair=PAIR1,
+                            points=(PairedPoint([0.0], [np.nan]),
+                                    PairedPoint([1.0], [1.0])))
+
+    def test_finite_graph_skips_a_nan_row(self):
+        G = self.NAN_GRAPH
+        assert G.residual(np.array([1.0]), np.array([1.0])) == 0.0
+        assert G.residual(np.array([0.0]), np.array([0.0])) == 2.0
+        assert G.contains(np.array([0.0]), np.array([0.0])) == "no"
+
+    def test_linear(self):
+        S = Linear(pair=PAIR1, M=np.array([[2.0]]))
+        assert S.residual(np.array([2.0]), np.array([1.5])) == 2.5
+        assert S.residual(np.array([2.0]), np.array([4.0])) == 0.0
+
+    def test_inverse_swaps_the_components(self):
+        S = Linear(pair=PAIR1, M=np.array([[2.0]]))
+        T = inverse(S)
+        assert isinstance(T, InverseOp)
+        for x, xs in (([4.0], [2.0]), ([1.0], [1.0]), ([-3.0], [0.5])):
+            assert T.residual(np.array(x), np.array(xs)) == S.residual(
+                np.array(xs), np.array(x))
+
+    def test_base_residual_is_zero_at_a_resolvent_point(self):
+        pt = ABS_OP.resolvent(np.array([2.5]))
+        assert ABS_OP.residual(pt.x, pt.xstar) == 0.0
+        assert ABS_OP.residual(np.array([1.0]), np.array([0.0])) == 2.0
+
+    def test_base_residual_raises_when_the_resolvent_fails(self):
+        # I + lam*(-1) is singular at lam = 1, so the summand's resolvent
+        # fails inside the sum's
+        S = SumOp(pair=PAIR1, S=Linear(pair=PAIR1, M=np.array([[-1.0]])),
+                  T=IDENTITY)
+        with pytest.raises(ResolventError):
+            S.residual(np.array([1.0]), np.array([0.0]))
+        assert S.contains(np.array([1.0]), np.array([0.0])) == "unknown"
+
+    def test_nan_graph_point_is_never_the_lookup(self):
+        pt = self.NAN_GRAPH.resolvent(np.array([2.0]))
+        assert pt.x[0] == 1.0 and pt.xstar[0] == 1.0
+
+    def test_strong_max_finds_the_finite_point_past_a_nan_row(self):
+        res = strong_max_dual(self.NAN_GRAPH, np.array([1.0]),
+                              interval(0.5, 1.5, side="dual"))
+        assert res.found and res.residual == 0.0
+        assert res.point.xstar[0] == 1.0
 
 
 class TestValidation:

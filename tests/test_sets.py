@@ -63,6 +63,16 @@ class TestArgmaxSupport:
         v = SQUARE.argmax_support(np.array([1.0, 0.0]))
         assert np.array_equal(v, np.array([1.0, -1.0]))
 
+    def test_l1_ball_tie_rule(self):
+        # the lexicographically smallest maximizer: -e_i at the first
+        # negative max-abs index, else +e_i at the last max-abs index
+        ball = Ball(center=np.zeros(2), radius=1.0, norm=NormTag.L1)
+        cases = {(-1.0, -1.0): (-1.0, 0.0), (1.0, 1.0): (0.0, 1.0),
+                 (1.0, -1.0): (0.0, -1.0)}
+        for y, expected in cases.items():
+            assert np.array_equal(ball.argmax_support(np.array(y)),
+                                  np.array(expected)), y
+
     def test_singleton(self):
         s = singleton(np.array([2.0, 3.0]))
         for y in (np.array([1.0, 0.0]), np.array([-5.0, 2.0])):

@@ -120,6 +120,17 @@ class TestNearestHullPoint:
                 p = P.project(y)
                 assert np.linalg.norm(p - P.argmax_support(y)) <= 1e-9
 
+    def test_thin_box_lands_on_the_clip_in_every_vertex_order(self):
+        # vertices 1e-7 apart at scale 12: the entering test must come
+        # from vertex differences, whose rounding is far below the face
+        V = np.array([[12.0, 0.0], [12.0, 1e-7], [12.0000001, 0.0],
+                      [12.0000001, 1e-7]])
+        y = np.zeros(2)
+        ref = np.clip(y, V.min(axis=0), V.max(axis=0))
+        for order in itertools.permutations(range(4)):
+            p = nearest_hull_point(V[list(order)], y)
+            assert np.max(np.abs(p - ref)) <= 1e-14 * scale_of(V, y), order
+
     def test_square_faces_and_corners(self):
         V = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         cases = {(3.0, 0.5): (1.0, 0.5), (3.0, 4.0): (1.0, 1.0),

@@ -16,6 +16,17 @@ stripped outputs, one JSON line per operation, for a diff. Scenario
 files go to a temporary directory that is deleted at the end. Run it
 on a second checkout (``git archive`` of the parent commit, say) to
 compare a change against its parent.
+
+A fourth line, ``library``, digests a fixed grid of library calls that
+the workloads never reach: every operator kind (finite graph, linear,
+subdifferential, normal cone, support subdifferential, shift, sum and
+inverses) on the l1, l2 and linf pairs for three seeds, through gap,
+both fuzzy gaps, phi, ``fitz_membership``, both strong-maximality
+searches, ``contains`` on the graph rows and ``monotone_check``; and
+``project`` and the three ``dist`` of every set kind. It uses public
+names only, so it runs on older checkouts too. The fuzz sets are boxes
+on the l1/linf pairs, where a distance to any other hull is a slow
+descent, and hulls on l2.
 """
 
 from __future__ import annotations
@@ -40,6 +51,17 @@ import numpy as np  # noqa: E402
 SEEDS = (1, 2, 3)
 ROUNDS = 4
 
+LIBRARY_SEEDS = (0, 1, 2)
+LIBRARY_BUDGET = 16
+NORMS = ("l1", "l2", "linf")
+SET_KINDS = ("box", "hull", "capsule", "ball_l1", "ball_l2", "ball_linf")
+FN_KINDS = ("norm", "half_sq", "quadratic", "affine", "translate",
+            "indicator", "support", "sum_folded", "sum_dr")
+OP_KINDS = ("graph", "linear", "subdiff", "normal_cone", "support_subdiff",
+            "shift", "sum", "inverse_graph", "inverse_linear",
+            "inverse_subdiff", "inverse_normal_cone", "inverse_shift",
+            "inverse_sum")
+
 
 def plain(obj):
     """``obj`` as JSON-ready lists, dicts and floats, field by field."""
@@ -60,10 +82,7 @@ def plain(obj):
 def run_op(op, lab, path: str | None) -> dict:
     """The stripped output of one operation."""
     if op.call is not None:
-        try:
-            return {"result": plain(op.call(lab))}
-        except Exception as exc:
-            return {"error": f"{type(exc).__name__}: {exc}"}
+        return record(lambda: op.call(lab))
     argv = [path if a == "{scenario}" else a for a in op.argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -88,6 +107,146 @@ def run_op(op, lab, path: str | None) -> dict:
         rec["stderr"] = (err.getvalue() if path is None
                          else err.getvalue().replace(path, "{scenario}"))
     return rec
+
+
+def make_set(lab, rng, n: int, kind: str, side: str = "primal"):
+    if kind == "box":
+        lo = rng.uniform(-2.0, 0.0, n)
+        return lab.box(lo, lo + rng.uniform(0.0, 2.0, n), side=side)
+    if kind == "hull":
+        return lab.Polytope(side=side,
+                            vertices=rng.uniform(-2.0, 2.0, (n + 2, n)))
+    if kind == "capsule":
+        return lab.Capsule(side=side, a=rng.uniform(-1.0, 1.0, n),
+                           b=rng.uniform(-1.0, 1.0, n),
+                           radius=float(rng.uniform(0.0, 1.0)),
+                           norm=lab.NormTag(NORMS[int(rng.integers(3))]))
+    return lab.Ball(side=side, center=rng.uniform(-1.0, 1.0, n),
+                    radius=float(rng.uniform(0.0, 2.0)),
+                    norm=lab.NormTag(kind.split("_")[1]))
+
+
+def make_fn(lab, rng, n: int, kind: str):
+    norm = lab.NormTag(NORMS[int(rng.integers(3))])
+    if kind == "norm":
+        return lab.NormFn(n, float(rng.uniform(0.0, 2.0)), norm)
+    if kind == "half_sq":
+        return lab.HalfSqNorm(n)
+    if kind == "quadratic":
+        B = rng.normal(size=(n, n))
+        return lab.Quadratic(B @ B.T, rng.normal(size=n), 0.5)
+    if kind == "affine":
+        return lab.Affine(rng.normal(size=n), 1.0)
+    if kind == "translate":
+        return lab.Translate(make_fn(lab, rng, n, "norm"),
+                             rng.normal(size=n), rng.normal(size=n), 0.25)
+    set_kind = SET_KINDS[int(rng.integers(len(SET_KINDS)))]
+    if kind == "indicator":
+        return lab.IndicatorFn(make_set(lab, rng, n, set_kind))
+    if kind == "support":
+        return lab.SupportFn(make_set(lab, rng, n, set_kind, "dual"))
+    if kind == "sum_folded":
+        return lab.SumFn(lab.HalfSqNorm(n), make_fn(lab, rng, n, "norm"))
+    # no summand folds: Douglas-Rachford
+    return lab.SumFn(lab.NormFn(n, 0.5, norm),
+                     lab.IndicatorFn(make_set(lab, rng, n, "box")))
+
+
+def make_op(lab, rng, pair, kind: str):
+    n = pair.dim
+    if kind == "graph":
+        return lab.FiniteGraph(pair=pair, points=tuple(
+            lab.PairedPoint(rng.normal(size=n), rng.normal(size=n))
+            for _ in range(int(rng.integers(1, 5)))))
+    if kind == "linear":
+        B, K = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+        return lab.Linear(pair=pair, M=B @ B.T + K - K.T)
+    if kind == "subdiff":
+        fn_kind = FN_KINDS[int(rng.integers(len(FN_KINDS)))]
+        return lab.Subdifferential(pair=pair,
+                                   f=make_fn(lab, rng, n, fn_kind))
+    set_kind = SET_KINDS[int(rng.integers(len(SET_KINDS)))]
+    if kind == "normal_cone":
+        return lab.normal_cone(pair, make_set(lab, rng, n, set_kind))
+    if kind == "support_subdiff":
+        return lab.support_subdiff(pair,
+                                   make_set(lab, rng, n, set_kind, "dual"))
+    if kind == "shift":
+        return lab.Shift(pair=pair, inner=make_op(lab, rng, pair, "subdiff"),
+                         dx=rng.normal(size=n), dxstar=rng.normal(size=n))
+    if kind == "sum":
+        return lab.SumOp(pair=pair, S=make_op(lab, rng, pair, "linear"),
+                         T=lab.Subdifferential(pair=pair,
+                                               f=lab.NormFn(n, 0.5)))
+    inner_pair = lab.DualPair(n, pair.dual_norm)
+    return lab.inverse(make_op(lab, rng, inner_pair, kind.split("_", 1)[1]))
+
+
+def record(call) -> dict:
+    """The result of ``call()`` field by field, or its error text."""
+    try:
+        return {"result": plain(call())}
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def library_records(lab):
+    """(label, record) for each call of the library grid, in order."""
+    budget = LIBRARY_BUDGET
+    for seed in LIBRARY_SEEDS:
+        n = 1 + seed
+        for j, norm in enumerate(NORMS):
+            pair = lab.DualPair(n, lab.NormTag(norm))
+            for k, kind in enumerate(OP_KINDS):
+                rng = np.random.default_rng([seed, j, k])
+                S = make_op(lab, rng, pair, kind)
+                x, xs = rng.uniform(-2.0, 2.0, (2, n))
+                fuzz = "box" if norm != "l2" else "hull"
+                W = make_set(lab, rng, n, fuzz)
+                Wt = make_set(lab, rng, n, fuzz, "dual")
+                calls = {
+                    "gap": lambda: lab.gap(
+                        S, lab.GapQuery(lab.PairedPoint(x, xs)), budget,
+                        seed),
+                    "fuzzy_dual": lambda: lab.fuzzy_gap_dual(
+                        S, x, Wt, budget, seed),
+                    "fuzzy_primal": lambda: lab.fuzzy_gap_primal(
+                        S, W, xs, budget, seed),
+                    "phi": lambda: lab.phi(S, x, xs, budget, seed),
+                    "fitz_membership": lambda: lab.fitz_membership(
+                        S, xs, x, budget=budget, seed=seed),
+                    "strong_max_dual": lambda: lab.strong_max_dual(
+                        S, x, Wt, budget, seed),
+                    "strong_max_primal": lambda: lab.strong_max_primal(
+                        S, W, xs, budget, seed),
+                    "contains": lambda: [S.contains(a, b) for a, b in zip(
+                        *S.graph_rows(budget, seed))] + [S.contains(x, xs)],
+                    "monotone_check": lambda: lab.monotone_check(
+                        S, budget, seed),
+                }
+                for name, call in calls.items():
+                    yield f"{kind}/{norm}/{seed}/{name}", record(call)
+        for k, kind in enumerate(SET_KINDS):
+            rng = np.random.default_rng([seed, len(NORMS), k])
+            K = make_set(lab, rng, n, kind)
+            Y = rng.uniform(-4.0, 4.0, (2, n))
+            yield (f"set/{kind}/{seed}/project",
+                   record(lambda: [K.project(y) for y in Y]))
+            for norm in NORMS:
+                yield (f"set/{kind}/{seed}/dist/{norm}",
+                       record(lambda: [K.dist(y, lab.NormTag(norm))
+                                       for y in Y]))
+
+
+def library_digest(lab, out_file=None) -> str:
+    h = hashlib.sha256()
+    for label, rec in library_records(lab):
+        line = json.dumps({"workload": "library", "label": label, **rec},
+                          sort_keys=True) + "\n"
+        h.update(line.encode())
+        if out_file is not None:
+            out_file.write(line)
+    return h.hexdigest()
 
 
 def digests(root: str, out_file=None) -> dict[str, str]:
@@ -124,6 +283,7 @@ def digests(root: str, out_file=None) -> dict[str, str]:
                         if out_file is not None:
                             out_file.write(line)
             result[name] = h.hexdigest()
+    result["library"] = library_digest(monotone_lab, out_file)
     return result
 
 
