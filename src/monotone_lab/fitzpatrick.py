@@ -9,9 +9,10 @@ is stated under that identification.
 
 Extension membership tests theta(y*, y**) <= <y*, y**> + tol.  Sampled
 sups only bound from below, so verdicts are three-valued: "out" needs a
-witness violating the inequality, "in" needs an exact path (finite
-graph, closed-form conjugate chain, or a resolvent residual on
-operators maximal by construction).
+lower bound on theta violating the inequality (a sampled witness, or a
+resolvent residual on operators maximal by construction), "in" needs an
+upper bound meeting it (an exact theta, graph membership, or the
+closed-form conjugate chain).
 """
 
 from __future__ import annotations
@@ -241,10 +242,12 @@ def fitz_membership(
 
     The criterion is theta(y*, y**) <= <y*, y**> + tol.  Decisive
     paths, in order: exact theta; a sampled witness exceeding the bound
-    (out); operator graph membership of the swapped point (in); the
-    closed-form conjugate chain for subdifferentials (in); the resolvent
-    residual for operators maximal by construction, where the resolvent
-    point at z = y** + y* shows theta >= pairing + ||s - y**||_2^2.
+    (out); operator graph membership of the swapped point (in); for a
+    subdifferential of f, the closed-form conjugate chain
+    theta <= f(y**) + f*(y*), which can only show in; for operators
+    maximal by construction, the resolvent point s at z = y** + y*,
+    whose theta >= pairing + ||s - y**||_2^2 can only show out.
+    Otherwise unknown.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -264,15 +267,15 @@ def fitz_membership(
     if isinstance(S, Subdifferential):
         fy = S.f.eval(ystarstar)
         cv = S.f.conjugate(ystar)
-        if np.isfinite(fy) and cv.exact:
-            return "in" if fy + cv.value <= p + tol else "out"
+        if np.isfinite(fy) and cv.exact and fy + cv.value <= p + tol:
+            return "in"
 
     if _is_maximal_by_construction(S):
         try:
             pt = S.resolvent(ystarstar + ystar)
         except ResolventError:
             return "unknown"
-        resid = float(np.sum((pt.x - ystarstar) ** 2))
-        return "in" if resid <= tol else "out"
+        if float(np.sum((pt.x - ystarstar) ** 2)) > tol:
+            return "out"
 
     return "unknown"

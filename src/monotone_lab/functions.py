@@ -9,8 +9,9 @@ equality tests degrade to three-valued logic.
 
 ``prox_lam`` takes a point (n,) or a stack (m, n): each closed form runs
 once over the last axis, bit for bit the point's result in each row; a
-sum that no summand folds into is resolved row by row by
-``solvers.sum_resolvent``, the Douglas-Rachford routine ``SumOp`` uses.
+sum that no summand folds into is resolved, a point or a whole stack in
+one run, by ``solvers.sum_resolvent``, the Douglas-Rachford routine
+``SumOp`` uses.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .sets import Ball, CompactConvexSet, singleton
 from .solvers import project_ball, sum_resolvent
-from .spaces import NormTag, each_row, vector_norm
+from .spaces import NormTag, vector_norm
 
 INF = float("inf")
 
@@ -369,10 +370,9 @@ class SumFn(ConvexFn):
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         fold = self._fold()
         if fold is None:
-            # Douglas-Rachford runs one point at a time; its convergence
-            # flag is dropped
-            return each_row(lambda v: sum_resolvent(
-                self.f.prox_lam, self.g.prox_lam, v, lam)[0], z)
+            # one Douglas-Rachford run over the point or the whole stack;
+            # its convergence flags are dropped
+            return sum_resolvent(self.f.prox_lam, self.g.prox_lam, z, lam)[0]
         other, aim = fold
         return other.prox_lam(*aim(z, lam))
 

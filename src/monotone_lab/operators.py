@@ -9,10 +9,11 @@ The oracle also takes rows: ``resolvent_rows`` resolves an (m, n) stack
 Z and returns (X, X*, ok), ok marking the rows that succeeded.  Each
 closed form (finite-graph lookup, linear solve, prox of a
 subdifferential, shift, inverse) is written once over the last axis and
-serves a point and a stack alike; a sum is resolved one point at a time
-by ``solvers.sum_resolvent`` and stops at its first failure.  The graph
-sample is rows too: ``graph_rows`` gives all points of a finite graph,
-and a seeded sample of any other graph.
+serves a point and a stack alike; a sum resolves a point or a whole
+stack in one ``solvers.sum_resolvent`` run, and a stack fails when any
+of its rows stalls.  The graph sample is rows too: ``graph_rows`` gives
+all points of a finite graph, and a seeded sample of any other graph; a
+sum's sample drops only the rows that stall.
 
 Graph membership is one oracle, ``residual`` (0 on G(S)), which
 ``contains`` compares with a tolerance; a subdifferential's ``contains``
@@ -21,6 +22,7 @@ tests Fenchel-Young instead.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -132,7 +134,11 @@ def _cloud(dim: int, count: int, seed: int, scale: float = 2.0) -> np.ndarray:
 def _resolvent(S: "MonotoneOperator", z: np.ndarray,
                lam: float) -> tuple[np.ndarray, np.ndarray]:
     """S's resolvent over the last axis of ``z`` as (x, x*), for an S
-    whose rows fail together; raises ``ResolventError`` when they do."""
+    whose rows fail together; raises ``ResolventError`` when they do.
+    A batched S is called directly, for a point too: ``z`` is already a
+    float array of the pair's dimension."""
+    if S.batched_rows:
+        return S._resolve(z, lam)
     if z.ndim == 1:
         p = S.resolvent_scaled(z, lam)
         return p.x, p.xstar
@@ -370,29 +376,46 @@ class SumOp(MonotoneOperator):
     S: MonotoneOperator = None  # type: ignore[assignment]
     T: MonotoneOperator = None  # type: ignore[assignment]
 
+    batched_rows = True
+
+    def _dr(self, z: np.ndarray, lam: float):
+        """``sum_resolvent`` of the summands at ``z``, a point or a stack;
+        a summand that fails raises ``ResolventError``."""
+        return sum_resolvent(lambda v, t: _resolvent(self.S, v, t)[0],
+                             lambda v, t: _resolvent(self.T, v, t)[0], z, lam)
+
     def _resolve(self, z: np.ndarray, lam: float):
-        x, res, ok = sum_resolvent(
-            lambda v, t: self.S.resolvent_scaled(v, t).x,
-            lambda v, t: self.T.resolvent_scaled(v, t).x, z, lam)
-        if not ok and res > 1e-6:
-            raise ResolventError(f"operator DR stalled at residual {res:.2e}")
+        x, res, ok = self._dr(z, lam)
+        stalled = np.flatnonzero(_stalled(res, ok))
+        if stalled.size:
+            raise ResolventError("operator DR stalled at residual "
+                                 f"{np.ravel(res)[stalled[0]]:.2e}")
         return x, (z - x) / lam
 
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
-        # unlike resolvent_rows, a stalled solve is skipped, not the end
+        # unlike resolvent_rows, which then fails the whole stack, a
+        # stalled row is skipped
         scale = 2.0 * max(self.S.sample_radius(8, seed),
                           self.T.sample_radius(8, seed + 1))
-        X, Xs = [], []
-        for z in _cloud(self.pair.dim, budget, seed, scale):
-            try:
-                p = self.resolvent(z)
-            except ResolventError:
-                continue
-            X.append(p.x)
-            Xs.append(p.xstar)
-        n = self.pair.dim
-        return np.array(X).reshape(-1, n), np.array(Xs).reshape(-1, n)
+        Z = _cloud(self.pair.dim, budget, seed, scale)
+        try:
+            X, res, ok = self._dr(Z, 1.0)
+            keep = ~_stalled(res, ok)
+        except ResolventError:
+            # a summand failed on the stack: resolve z by z, skipping
+            # each z whose resolvent fails
+            X, keep = np.full_like(Z, np.nan), np.zeros(len(Z), dtype=bool)
+            for i, z in enumerate(Z):
+                with contextlib.suppress(ResolventError):
+                    X[i], keep[i] = self.resolvent(z).x, True
+        return X[keep], (Z - X)[keep]
+
+
+def _stalled(res, ok) -> np.ndarray:
+    """The Douglas-Rachford runs a sum rejects: unconverged with a
+    residual above 1e-6 (a NaN residual is not above it)."""
+    return ~np.asarray(ok) & (res > 1e-6)
 
 
 @dataclass(frozen=True)

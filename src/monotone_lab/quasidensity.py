@@ -96,8 +96,7 @@ def gap(
     target = q.target
     finite = isinstance(S, FiniteGraph)
 
-    # both exact paths assume a monotone map
-    if not finite and (not isinstance(S, Linear) or S.monotone):
+    if _exact_paths(S):
         if S.pair.primal_norm is NormTag.L2:
             try:
                 return gap_euclidean_oracle(S, target)
@@ -120,6 +119,14 @@ def gap(
                        else ("upper_bound", "sampled")))
 
 
+def _exact_paths(S: MonotoneOperator) -> bool:
+    """Whether ``gap`` tries an exact path for S (the resolvent oracle or
+    the QP): both assume a monotone map, and a finite graph is scanned
+    whole instead."""
+    return not isinstance(S, FiniteGraph) and (not isinstance(S, Linear)
+                                               or S.monotone)
+
+
 def gap_euclidean_oracle(
     S: MonotoneOperator, target: PairedPoint
 ) -> GapReport:
@@ -129,8 +136,32 @@ def gap_euclidean_oracle(
         raise ValueError("the resolvent oracle requires the Euclidean pair")
     z = target.x + target.xstar
     pt = S.resolvent(z)
-    d = (pt.x + pt.xstar) - z
-    return GapReport(0.5 * float(d @ d), pt, "exact", "resolvent")
+    return GapReport(float(_oracle_value(pt.x, pt.xstar, z)), pt, "exact",
+                     "resolvent")
+
+
+def _oracle_value(X: np.ndarray, Xs: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Half the squared Euclidean distance of z to x + x*, of a point or
+    of each row of a stack."""
+    d = (X + Xs) - Z
+    return 0.5 * row_dots(d, d)
+
+
+def oracle_gaps(
+    S: MonotoneOperator, probes: list[PairedPoint]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``gap``'s value at each probe where it comes from the resolvent
+    oracle, with one stacked resolvent call for all probes, as (values,
+    ok): ok marks the probes whose value is the oracle's, equal to
+    ``gap(S, GapQuery(probe)).value`` bit for bit.  A probe off ok (every
+    probe where ``gap`` takes another path for S, or its row failed)
+    needs its own ``gap`` call."""
+    m = len(probes)
+    if not (m and _exact_paths(S) and S.pair.primal_norm is NormTag.L2):
+        return np.full(m, np.nan), np.zeros(m, dtype=bool)
+    Z = np.array([p.x + p.xstar for p in probes])
+    X, Xs, ok = S.resolvent_rows(Z)
+    return _oracle_value(X, Xs, Z), ok
 
 
 def gap_linear_qp(

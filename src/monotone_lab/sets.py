@@ -299,15 +299,20 @@ def _dual_unit(y: np.ndarray, ball_norm: NormTag) -> np.ndarray:
     Deterministic tie rule: the lexicographically smallest maximizer.
     For an l2 ball it is unique; for a linf ball a zero coordinate maps
     to -1; for an l1 ball it is -e_i at the first negative max-abs index,
-    else +e_i at the last max-abs index (a zero entry counts as +).
+    else +e_i at the last max-abs index (a zero entry counts as +).  A
+    direction with a NaN entry gives a NaN vector, as its support is NaN.
     """
     y = np.asarray(y, dtype=float)
-    if not np.any(y):
+    a = np.abs(y)
+    top = float(np.max(a))  # NaN when an entry is
+    if top != top:
+        return np.full_like(y, np.nan)
+    if top == 0.0:
         return np.zeros_like(y)
     if ball_norm is NormTag.L2:
         # rescale first: squares of tiny entries underflow to subnormals
         # and the norm then loses most of its digits
-        z = y / np.max(np.abs(y))
+        z = y / top
         return z / np.linalg.norm(z)
     if ball_norm is NormTag.LINF:
         # support is r*||y||_1, attained at sign pattern; break 0-ties low
@@ -315,8 +320,6 @@ def _dual_unit(y: np.ndarray, ball_norm: NormTag) -> np.ndarray:
         u[u == 0] = -1.0
         return u
     # l1 ball: support is r*||y||_inf, attained at +-e_i on a max-abs index
-    a = np.abs(y)
-    top = float(np.max(a))
     idx = np.nonzero(a >= top - _LEX_TOL * max(top, 1.0))[0]
     neg = idx[y[idx] < 0]
     u = np.zeros_like(y)

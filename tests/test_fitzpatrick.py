@@ -177,6 +177,18 @@ class TestMembership:
         # theta(0, 2) = 4 + 0 - 2 = 2 > <0, 2> = 0
         assert fitz_membership(G, arr(0.0), arr(2.0)) == "out"
 
+    def test_verdicts_keep_to_the_criterion(self):
+        # theta(1.0017, 1) = (2.0017)^2 / 4 lies 7.2e-7 above the pairing,
+        # within tol: the conjugate chain's f + f* (1.4e-6 above) cannot
+        # show out, and the resolvent residual (7.2e-7) cannot show in
+        ystar, yss = arr(1.0017), arr(1.0)
+        th = (ystar[0] + yss[0]) ** 2 / 4.0 - ystar[0] * yss[0]
+        assert 0.0 < th <= 1e-6
+        assert fitz_membership(HALF_SQ, ystar, yss, tol=1e-6) == "unknown"
+        # off the graph at tol 1e-7, f + f* 1.25e-7 above the pairing: in
+        assert HALF_SQ.contains(arr(1.0), arr(1.0005)) == "no"
+        assert fitz_membership(HALF_SQ, arr(1.0005), arr(1.0)) == "in"
+
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
             fitz_membership(IDENTITY, arr(0.0), arr(0.0), tol=0.0)

@@ -73,6 +73,13 @@ class TestArgmaxSupport:
             assert np.array_equal(ball.argmax_support(np.array(y)),
                                   np.array(expected)), y
 
+    @pytest.mark.parametrize("norm", [NormTag.L1, NormTag.L2, NormTag.LINF])
+    def test_nan_direction_gives_a_nan_vector(self, norm):
+        ball = Ball(center=np.array([1.0, -1.0]), radius=2.0, norm=norm)
+        for y in ([np.nan, 1.0], [0.0, np.nan], [np.nan, np.nan]):
+            assert np.isnan(ball.argmax_support(np.array(y))).all()
+            assert np.isnan(ball.support(np.array(y)))
+
     def test_singleton(self):
         s = singleton(np.array([2.0, 3.0]))
         for y in (np.array([1.0, 0.0]), np.array([-5.0, 2.0])):

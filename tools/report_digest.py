@@ -23,7 +23,9 @@ subdifferential, normal cone, support subdifferential, shift, sum and
 inverses) on the l1, l2 and linf pairs for three seeds, through gap,
 both fuzzy gaps, phi, ``fitz_membership``, both strong-maximality
 searches, ``contains`` on the graph rows and ``monotone_check``; and
-``project`` and the three ``dist`` of every set kind. It uses public
+``project`` and the three ``dist`` of every set kind; and
+``harness.sum_test`` in both modes on 2-D sums (the pair's norm or a
+linear map, plus the normal cone of a box) on each pair. It uses public
 names only, so it runs on older checkouts too. The fuzz sets are boxes
 on the l1/linf pairs, where a distance to any other hull is a slow
 descent, and hulls on l2.
@@ -41,6 +43,7 @@ import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -61,6 +64,14 @@ OP_KINDS = ("graph", "linear", "subdiff", "normal_cone", "support_subdiff",
             "shift", "sum", "inverse_graph", "inverse_linear",
             "inverse_subdiff", "inverse_normal_cone", "inverse_shift",
             "inverse_sum")
+# (S, T) of the sum_test entries on the three 2-D pairs: T is the normal
+# cone of a box about 0 or of a small one, so that the interior witness
+# of at least one mode is found
+SUM_CASES = (("norm", "small_box"), ("linear", "box"),
+             ("linear", "small_box"))
+SUM_BOXES = {"box": ([-1.0, -1.0], [1.5, 1.5]),
+             "small_box": ([-0.05, -0.05], [0.04, 0.06])}
+SUM_PROBES = 4
 
 
 def plain(obj):
@@ -238,9 +249,26 @@ def library_records(lab):
                                        for y in Y]))
 
 
+def sum_test_records(lab):
+    """(label, record) for each sum_test call of the library grid."""
+    for j, norm in enumerate(NORMS):
+        pair = lab.DualPair(2, lab.NormTag(norm))
+        for k, (s_kind, box_kind) in enumerate(SUM_CASES):
+            rng = np.random.default_rng([len(LIBRARY_SEEDS), j, k])
+            S = (lab.Subdifferential(pair=pair,
+                                     f=lab.NormFn(2, 1.0, pair.primal_norm))
+                 if s_kind == "norm" else make_op(lab, rng, pair, s_kind))
+            T = lab.normal_cone(pair, lab.box(*SUM_BOXES[box_kind]))
+            for mode in ("domain", "range"):
+                yield (f"sum_test/{s_kind}+{box_kind}/{norm}/{mode}",
+                       record(lambda: lab.harness.sum_test(
+                           S, T, mode, probes=SUM_PROBES, seed=k)))
+
+
 def library_digest(lab, out_file=None) -> str:
     h = hashlib.sha256()
-    for label, rec in library_records(lab):
+    for label, rec in itertools.chain(library_records(lab),
+                                      sum_test_records(lab)):
         line = json.dumps({"workload": "library", "label": label, **rec},
                           sort_keys=True) + "\n"
         h.update(line.encode())
