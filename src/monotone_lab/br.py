@@ -68,7 +68,7 @@ _SLACK_TOL = -1e-7
 def _ray_shrink_prox(u: np.ndarray, weight: float):
     """prox of z -> weight * ||z - u||_2 (step already in the weight)."""
 
-    def prox(z: np.ndarray) -> np.ndarray:
+    def prox(z: np.ndarray, _rows) -> np.ndarray:
         d = z - u
         n = float(np.linalg.norm(d))
         if n <= weight:
@@ -103,7 +103,7 @@ def br_point(req: BRRequest) -> BRResult:
     t_ext = 1e-3
     best: Optional[BRResult] = None
     for _ in range(3):
-        prox_a = lambda z, _t=1.0: h.prox_lam(z, _t)  # noqa: E731
+        prox_a = lambda z, _rows: h.prox_lam(z, 1.0)  # noqa: E731
         prox_b = _ray_shrink_prox(u, beta)
         v, _, _ = douglas_rachford(prox_a, prox_b, u, max_iter=max_iter,
                                    tol=1e-14)

@@ -107,10 +107,11 @@ def _window_probes(
     re-aim once at u + p* with the observed partner p* so that the
     windowed component lands near u.  The points come in the order
     p_0, q_0, p_1, q_1, ... (q_k the re-aimed p_k) and stop at the first
-    resolvent failure.  Each stage is one stacked resolvent call; an
-    operator whose rows can fail one by one goes row by row, so that
-    no resolvent runs past the first failure.  A finite graph is
-    sampled whole already and gets none.
+    resolvent failure.  Each stage is one stacked resolvent call,
+    whose rows count up to the first failure; an operator that
+    resolves only points goes row by row, so that no resolvent runs
+    past the first failure.  A finite graph is sampled whole already
+    and gets none.
     """
     X, Xs = [np.empty((0, S.pair.dim))], [np.empty((0, S.pair.dim))]
     if isinstance(S, FiniteGraph):

@@ -510,7 +510,8 @@ def sum_test(
     """Gap sweep over the operator sum (domain mode) or the parallel
     sum (range mode); skipped when no interior-intersection witness is
     found.  The probes whose gap is the resolvent oracle's are resolved
-    in one stacked call; each other probe takes its own ``gap``."""
+    by ``oracle_gaps`` in one stacked call; each other probe, a failed
+    one included, takes its own ``gap``."""
     if mode == "domain":
         witness = _interior_domain_witness(S, T, seed)
         combined = add(S, T)

@@ -6,14 +6,15 @@ scaled resolvent J_lam(z) = (I + lam*S)^{-1} z is the one Euclidean
 oracle everything else leans on; it returns genuine graph points.
 
 The oracle also takes rows: ``resolvent_rows`` resolves an (m, n) stack
-Z and returns (X, X*, ok), ok marking the rows that succeeded.  Each
-closed form (finite-graph lookup, linear solve, prox of a
-subdifferential, shift, inverse) is written once over the last axis and
-serves a point and a stack alike; a sum resolves a point or a whole
-stack in one ``solvers.sum_resolvent`` run, and a stack fails when any
-of its rows stalls.  The graph sample is rows too: ``graph_rows`` gives
-all points of a finite graph, and a seeded sample of any other graph; a
-sum's sample drops only the rows that stall.
+Z and returns (X, X*, ok), ok marking the rows before the first failure,
+as a loop over the rows that stops there gives.  Each closed form
+(finite-graph lookup, linear solve, prox of a subdifferential, shift,
+inverse) is written once over the last axis and serves a point and a
+stack alike; a sum resolves a point or a whole stack in one
+``solvers.sum_resolvent`` run, in which a row that stalls fails alone.
+The graph sample is rows too: ``graph_rows`` gives all points of a
+finite graph, and a seeded sample of any other graph; a sum's sample
+drops only the rows that fail.
 
 Graph membership is one oracle, ``residual`` (0 on G(S)), which
 ``contains`` compares with a tolerance; a subdifferential's ``contains``
@@ -57,20 +58,18 @@ class MonotoneOperator:
         self, Z: np.ndarray, lam: float = 1.0
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``resolvent_scaled`` of each row of the (m, n) stack ``Z``, as
-        (X, X*, ok) with ok marking the rows that succeeded; a failed
-        row holds NaN.  Where ``batched_rows`` it is one call over the
-        stack, in which every row fails or none; otherwise a loop over
-        the rows that stops at the first failure."""
+        (X, X*, ok) with ok marking the rows before the first failure;
+        the rows from it on hold NaN, as a loop over the rows that stops
+        there gives.  Where ``batched_rows`` it is one ``_resolve_rows``
+        call over the stack; otherwise that loop."""
         Z = self.pair.check_rows(Z, "Z")
-        X, Xs, ok = (np.full_like(Z, np.nan), np.full_like(Z, np.nan),
-                     np.zeros(len(Z), dtype=bool))
         if self.batched_rows:
-            try:
-                X, Xs = self._resolve(Z, lam)
-                ok[:] = True
-            except ResolventError:
-                pass
+            X, Xs, ok = self._resolve_rows(Z, lam)
+            if not ok.all():
+                ok = np.logical_and.accumulate(ok)
+                X, Xs = _nan_off(ok, X), _nan_off(ok, Xs)
             return X, Xs, ok
+        X, Xs, ok = _failed_rows(Z)
         for i, z in enumerate(Z):
             try:
                 p = self.resolvent_scaled(z, lam)
@@ -90,6 +89,18 @@ class MonotoneOperator:
         stack of rows too where ``batched_rows``.  Raises
         ``ResolventError`` when the point, or every row, fails."""
         raise NotImplementedError
+
+    def _resolve_rows(self, Z: np.ndarray, lam: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X, X*, ok) over the stack ``Z`` of a ``batched_rows`` S, ok
+        marking every row that succeeded and a failed row holding NaN:
+        one ``_resolve`` call, whose rows fail together, unless S can
+        tell its rows apart."""
+        try:
+            X, Xs = self._resolve(Z, lam)
+        except ResolventError:
+            return _failed_rows(Z)
+        return X, Xs, np.ones(len(Z), dtype=bool)
 
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,6 +140,18 @@ class MonotoneOperator:
 def _cloud(dim: int, count: int, seed: int, scale: float = 2.0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.uniform(-scale, scale, size=(count, dim))
+
+
+def _failed_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, X*, ok) of a stack whose rows all failed."""
+    return (np.full_like(Z, np.nan), np.full_like(Z, np.nan),
+            np.zeros(len(Z), dtype=bool))
+
+
+def _nan_off(ok: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X with NaN in the rows off ``ok``, as a new array: a resolvent's
+    rows may be read-only views."""
+    return np.where(ok[:, None], X, np.nan)
 
 
 def _resolvent(S: "MonotoneOperator", z: np.ndarray,
@@ -357,6 +380,11 @@ class Shift(MonotoneOperator):
         x, xs = _resolvent(self.inner, z + self.dx + lam * self.dxstar, lam)
         return x - self.dx, xs - self.dxstar
 
+    def _resolve_rows(self, Z: np.ndarray, lam: float):
+        X, Xs, ok = self.inner._resolve_rows(
+            Z + self.dx + lam * self.dxstar, lam)
+        return X - self.dx, Xs - self.dxstar, ok
+
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
         X, Xs = self.inner.graph_rows(budget, seed)
@@ -392,24 +420,29 @@ class SumOp(MonotoneOperator):
                                  f"{np.ravel(res)[stalled[0]]:.2e}")
         return x, (z - x) / lam
 
-    def graph_rows(self, budget: int,
-                   seed: int) -> tuple[np.ndarray, np.ndarray]:
-        # unlike resolvent_rows, which then fails the whole stack, a
-        # stalled row is skipped
-        scale = 2.0 * max(self.S.sample_radius(8, seed),
-                          self.T.sample_radius(8, seed + 1))
-        Z = _cloud(self.pair.dim, budget, seed, scale)
+    def _resolve_rows(self, Z: np.ndarray, lam: float):
+        # a stalled row fails alone
         try:
-            X, res, ok = self._dr(Z, 1.0)
-            keep = ~_stalled(res, ok)
+            X, res, ok = self._dr(Z, lam)
+            ok = ~_stalled(res, ok)
         except ResolventError:
-            # a summand failed on the stack: resolve z by z, skipping
-            # each z whose resolvent fails
-            X, keep = np.full_like(Z, np.nan), np.zeros(len(Z), dtype=bool)
+            # a summand failed on the stack: resolve z by z
+            X, _, ok = _failed_rows(Z)
             for i, z in enumerate(Z):
                 with contextlib.suppress(ResolventError):
-                    X[i], keep[i] = self.resolvent(z).x, True
-        return X[keep], (Z - X)[keep]
+                    X[i], ok[i] = self.resolvent_scaled(z, lam).x, True
+        X = _nan_off(ok, X)
+        return X, (Z - X) / lam, ok
+
+    def graph_rows(self, budget: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+        # unlike resolvent_rows, which ends at the first failed row, a
+        # failed row is skipped
+        scale = 2.0 * max(self.S.sample_radius(8, seed),
+                          self.T.sample_radius(8, seed + 1))
+        X, Xs, ok = self._resolve_rows(
+            _cloud(self.pair.dim, budget, seed, scale), 1.0)
+        return X[ok], Xs[ok]
 
 
 def _stalled(res, ok) -> np.ndarray:
@@ -439,6 +472,10 @@ class InverseOp(MonotoneOperator):
         # s + s*/lam = z/lam (Bauschke-Combettes, ch. 23)
         x, xs = _resolvent(self.inner, z / lam, 1.0 / lam)
         return xs, x
+
+    def _resolve_rows(self, Z: np.ndarray, lam: float):
+        X, Xs, ok = self.inner._resolve_rows(Z / lam, 1.0 / lam)
+        return Xs, X, ok
 
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:

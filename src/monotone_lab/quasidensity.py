@@ -96,15 +96,15 @@ def gap(
     target = q.target
     finite = isinstance(S, FiniteGraph)
 
-    if _exact_paths(S):
-        if S.pair.primal_norm is NormTag.L2:
-            try:
-                return gap_euclidean_oracle(S, target)
-            except ResolventError:
-                pass
-        elif isinstance(S, Linear):
+    if _oracle_path(S):
+        try:
+            return gap_euclidean_oracle(S, target)
+        except ResolventError:
+            pass
+    elif _exact_paths(S):
+        if isinstance(S, Linear):
             return gap_linear_qp(S, target)[0]
-        elif isinstance(S, InverseOp) and isinstance(S.inner, Linear) \
+        if isinstance(S, InverseOp) and isinstance(S.inner, Linear) \
                 and S.inner.monotone:
             rep = gap_linear_qp(S.inner, target.swapped())[0]
             return replace(rep, witness=rep.witness.swapped())
@@ -125,6 +125,12 @@ def _exact_paths(S: MonotoneOperator) -> bool:
     whole instead."""
     return not isinstance(S, FiniteGraph) and (not isinstance(S, Linear)
                                                or S.monotone)
+
+
+def _oracle_path(S: MonotoneOperator) -> bool:
+    """Whether ``gap`` tries the resolvent oracle for S: an exact path on
+    the Euclidean pair."""
+    return _exact_paths(S) and S.pair.primal_norm is NormTag.L2
 
 
 def gap_euclidean_oracle(
@@ -151,17 +157,25 @@ def oracle_gaps(
     S: MonotoneOperator, probes: list[PairedPoint]
 ) -> tuple[np.ndarray, np.ndarray]:
     """``gap``'s value at each probe where it comes from the resolvent
-    oracle, with one stacked resolvent call for all probes, as (values,
-    ok): ok marks the probes whose value is the oracle's, equal to
-    ``gap(S, GapQuery(probe)).value`` bit for bit.  A probe off ok (every
-    probe where ``gap`` takes another path for S, or its row failed)
-    needs its own ``gap`` call."""
+    oracle, as (values, ok): ok marks the probes whose value is the
+    oracle's, equal to ``gap(S, GapQuery(probe)).value`` bit for bit.  A
+    probe off ok (every probe where ``gap`` takes another path for S, or
+    whose resolvent failed) needs its own ``gap`` call.  The probes are
+    resolved in one stacked call, and once more past each failed one."""
     m = len(probes)
-    if not (m and _exact_paths(S) and S.pair.primal_norm is NormTag.L2):
-        return np.full(m, np.nan), np.zeros(m, dtype=bool)
+    values, ok = np.full(m, np.nan), np.zeros(m, dtype=bool)
+    if not (m and _oracle_path(S)):
+        return values, ok
     Z = np.array([p.x + p.xstar for p in probes])
-    X, Xs, ok = S.resolvent_rows(Z)
-    return _oracle_value(X, Xs, Z), ok
+    lo = 0
+    while lo < m:
+        # resolvent_rows ends at the first failed row: go on past it
+        X, Xs, rows_ok = S.resolvent_rows(Z[lo:])
+        k = int(np.count_nonzero(rows_ok))
+        values[lo:lo + k] = _oracle_value(X[:k], Xs[:k], Z[lo:lo + k])
+        ok[lo:lo + k] = True
+        lo += k + 1
+    return values, ok
 
 
 def gap_linear_qp(

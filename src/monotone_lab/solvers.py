@@ -1,7 +1,8 @@
 """Small numerical workhorses shared by the rest of the package: simplex,
 ball and hull projections, Douglas-Rachford (over a point or a stack of
-rows, each row stopping on its own) with the one sum resolvent of
-``SumOp`` and ``SumFn`` on it, and projected subgradient descent.
+rows, each row stopping on its own and leaving the prox calls) with the
+one sum resolvent of ``SumOp`` and ``SumFn`` on it, and projected
+subgradient descent.
 
 Everything here is deterministic given its inputs (and seed, where one
 appears); nothing keeps state between calls.
@@ -143,8 +144,8 @@ def _affine_minimizer(Q: np.ndarray, y: np.ndarray) -> np.ndarray | None:
 
 
 def douglas_rachford(
-    prox_a: Callable[[np.ndarray], np.ndarray],
-    prox_b: Callable[[np.ndarray], np.ndarray],
+    prox_a: Callable[[np.ndarray, object], np.ndarray],
+    prox_b: Callable[[np.ndarray, object], np.ndarray],
     z0: np.ndarray,
     max_iter: int = 4000,
     tol: float = 1e-12,
@@ -153,35 +154,50 @@ def douglas_rachford(
     axis of ``z0``: one point (n,) or a stack of rows (m, n).
 
     ``prox_a`` / ``prox_b`` are the resolvents of A and B (step already
-    absorbed), taking what ``z0`` is.  Returns (x, residual, converged)
-    where x = J_A(y) at the final shadow iterate.  Each row stops at its
-    own test residual <= tol, after which its y and x are never updated,
-    so with proxes that act row by row each row of a stack is its point
-    run bit for bit.  For a point the residual is a float and converged
-    a bool; for a stack they are an (m,) array and a tuple of m bools: a
-    tuple has a truth value where an array of several rows raises, and
-    the benchmark's tracer tests ``not converged`` on every result.
+    absorbed), called as ``prox(v, rows)`` on the iterates v of the rows
+    ``rows`` of ``z0``: ``...`` while every row runs, else an index
+    array.  Returns (x, residual, converged) where x = J_A(y) at the
+    final shadow iterate.  Each row stops at its own test residual <=
+    tol and is left out of the later calls, so with proxes that act row
+    by row each row of a stack is its point run bit for bit.  For a
+    point the residual is a float and converged a bool; for a stack
+    they are an (m,) array and a tuple of m bools: a tuple has a truth
+    value where an array of several rows raises, and the benchmark's
+    tracer tests ``not converged`` on every result.
     """
-    y = np.array(z0, dtype=float)
-    x = prox_a(y)
-    rows = y.ndim > 1
-    res = np.full(y.shape[:-1], np.inf)
+    yl = np.array(z0, dtype=float)
+    xl = prox_a(yl, ...)
+    rl = np.full(yl.shape[:-1], np.inf)
+    rows = yl.ndim > 1
+    # the rows still running (their index in z0) and their iterates yl,
+    # xl and residuals rl; x and res take each row as it stops
+    live, x, res = ..., xl, rl
+    # an empty stack has no row to run
+    for _ in range(max_iter if rl.size else 0):
+        w = prox_b(2.0 * xl - yl, live)
+        yl = yl + w - xl
+        x_new = prox_a(yl, live)
+        rl = row_norms(x_new - xl, NormTag.L2) + row_norms(w - xl, NormTag.L2)
+        xl = x_new
+        stop = rl <= tol
+        if not rows:
+            # a point's test is a numpy bool, which needs no reduction
+            if stop:
+                break
+        elif stop.any():
+            if live is ...:
+                x, res, live = np.array(xl), rl, np.arange(len(yl))
+            else:
+                x[live[stop]], res[live[stop]] = xl[stop], rl[stop]
+            run = ~stop
+            live, yl, xl, rl = live[run], yl[run], xl[run], rl[run]
+            if not live.size:
+                break
+    if live is ...:
+        x, res = xl, rl
+    else:
+        x[live], res[live] = xl, rl
     done = res <= tol
-    for _ in range(max_iter):
-        w = prox_b(2.0 * x - y)
-        y_new = y + w - x
-        x_new = prox_a(y_new)
-        r = row_norms(x_new - x, NormTag.L2) + row_norms(w - x, NormTag.L2)
-        if rows and done.any():  # the rows that stopped keep their iterates
-            keep = done[:, None]
-            y, x = np.where(keep, y, y_new), np.where(keep, x, x_new)
-            res = np.where(done, res, r)
-        else:
-            y, x, res = y_new, x_new, r
-        done = res <= tol
-        # a point's test is a numpy bool, which needs no reduction
-        if done.all() if rows else done:
-            break
     if rows:
         return x, res, tuple(done.tolist())
     return x, float(res), bool(done)
@@ -198,8 +214,9 @@ def sum_resolvent(ja: Callable, jb: Callable, z: np.ndarray,
     bracket at step lam is that of B at step lam/2 aimed at (v + z)/2.
     Returns (x, residual, converged) as ``douglas_rachford`` does.
     """
-    return douglas_rachford(lambda v: ja(v, lam),
-                            lambda v: jb((v + z) / 2.0, lam / 2.0),
+    return douglas_rachford(lambda v, _: ja(v, lam),
+                            lambda v, rows: jb((v + z[rows]) / 2.0,
+                                               lam / 2.0),
                             z, max_iter=6000, tol=1e-13)
 
 

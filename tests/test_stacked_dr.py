@@ -14,16 +14,20 @@ from monotone_lab import (
     GapQuery,
     IndicatorFn,
     Linear,
+    LocalWindow,
     MonotoneOperator,
     NormFn,
     NormTag,
     PairedPoint,
     ResolventError,
+    Shift,
     Subdifferential,
     SumOp,
     box,
+    check_fpv,
     gap,
     interval,
+    inverse,
     normal_cone,
 )
 from monotone_lab import harness
@@ -48,23 +52,28 @@ class TestDouglasRachfordRows:
     Z = np.array([[3.0, 3.0], [-2.0, -2.0], [0.7, 0.7], [-7.0, -7.0]])
 
     @staticmethod
-    def _prox_a(v):
+    def _prox_a(v, _rows=...):
         return np.clip(v, 0.0, 1.0)
 
     def _point_run(self, i, max_iter):
         calls = []
 
-        def prox_b(v):
+        def prox_b(v, _rows):
             calls.append(1)
             return np.clip(v, self.LO[i], self.HI[i])
 
         return douglas_rachford(self._prox_a, prox_b, self.Z[i],
                                 max_iter=max_iter), len(calls)
 
+    def _stacked_prox_b(self, calls):
+        def prox_b(v, rows):
+            calls.append(np.arange(4)[rows].tolist())
+            return np.clip(v, self.LO[rows], self.HI[rows])
+        return prox_b
+
     def test_rows_are_their_point_runs(self):
         X, res, ok = douglas_rachford(
-            self._prox_a, lambda v: np.clip(v, self.LO, self.HI), self.Z,
-            max_iter=50)
+            self._prox_a, self._stacked_prox_b([]), self.Z, max_iter=50)
         assert ok == (True, True, False, True)
         assert res.shape == (4,)
         iters = []
@@ -76,6 +85,19 @@ class TestDouglasRachfordRows:
             assert ok[i] is c
         assert iters == [3, 3, 50, 26]
         assert res[2] > 1e-12 and not ok[2]
+
+    def test_stopped_rows_are_left_out(self):
+        calls = []
+        douglas_rachford(self._prox_a, self._stacked_prox_b(calls), self.Z,
+                         max_iter=50)
+        assert calls == ([[0, 1, 2, 3]] * 3 + [[2, 3]] * 23 + [[2]] * 24)
+
+    def test_an_empty_stack_runs_no_iteration(self):
+        calls = []
+        X, res, ok = douglas_rachford(self._prox_a, self._stacked_prox_b(
+            calls), np.empty((0, 2)))
+        assert X.shape == (0, 2) and res.shape == (0,) and ok == ()
+        assert calls == []
 
     def test_a_point_returns_scalars(self):
         x, r, c = douglas_rachford(self._prox_a, self._prox_a, self.Z[0])
@@ -152,13 +174,45 @@ def _reference_graph_rows(S, budget, seed):
     return np.array(X).reshape(-1, n), np.array(Xs).reshape(-1, n)
 
 
+# the summand -0.6 I is not monotone: Douglas-Rachford converges at
+# z = 0, stalls at a finite residual near it and overflows to a NaN
+# residual (kept, as a point run keeps it) further out
+STALLING = SumOp(pair=PAIR1, S=Linear(pair=PAIR1, M=np.array([[-0.6]])),
+                 T=normal_cone(PAIR1, interval(-1.0, 1.0)))
+
+
+def _wrapped(S):
+    """S, a shift of it and its inverse: the operators whose stacks S's
+    resolvent resolves."""
+    return (S, Shift(pair=S.pair, inner=S, dx=[0.25], dxstar=[-0.5]),
+            inverse(S))
+
+
+@dataclass(frozen=True)
+class _Looped(MonotoneOperator):
+    """``inner`` resolved one point at a time: the loop over the rows
+    that stops at the first failure, as the reference for a stack."""
+
+    inner: MonotoneOperator = None
+
+    def _resolve(self, z, lam):
+        p = self.inner.resolvent_scaled(z, lam)
+        return p.x, p.xstar
+
+    def graph_rows(self, budget, seed):
+        return self.inner.graph_rows(budget, seed)
+
+    def contains(self, x, xstar, tol=1e-7):
+        return self.inner.contains(x, xstar, tol)
+
+
+def _looped(S):
+    return _Looped(pair=S.pair, inner=S)
+
+
 class TestSumOpRows:
     def test_stalled_rows_are_skipped(self):
-        # the summand -0.6 I is not monotone: Douglas-Rachford converges
-        # at z = 0, stalls at a finite residual near it and overflows to
-        # a NaN residual (kept, as a point run keeps it) further out
-        S = SumOp(pair=PAIR1, S=Linear(pair=PAIR1, M=np.array([[-0.6]])),
-                  T=normal_cone(PAIR1, interval(-1.0, 1.0)))
+        S = STALLING
         with np.errstate(all="ignore"):
             _, res, ok = S._dr(np.linspace(-4.0, 4.0, 9)[:, None], 1.0)
             stalled = ~np.array(ok) & (res > 1e-6)
@@ -168,16 +222,32 @@ class TestSumOpRows:
         assert 0 < len(X) < 8
         assert _same(X, RX) and _same(Xs, RXs)
 
-    def test_a_stalled_row_fails_the_stacked_resolvent(self):
-        S = SumOp(pair=PAIR1, S=Linear(pair=PAIR1, M=np.array([[-0.6]])),
-                  T=normal_cone(PAIR1, interval(-1.0, 1.0)))
+    def test_a_stalled_row_ends_the_rows(self):
+        # resolvent_rows keeps the rows before the first stall, as the
+        # loop over the rows does, on the sum and on its wrappers
         with np.errstate(all="ignore"):
             with pytest.raises(ResolventError, match="stalled at residual"):
-                S.resolvent(np.array([1.0]))
-            X, Xs, ok = S.resolvent_rows(np.array([[0.0], [1.0]]))
-        assert not ok.any()
-        X, Xs, ok = S.resolvent_rows(np.array([[0.0], [0.0]]))
+                STALLING.resolvent(np.array([1.0]))
+            Z = np.array([[0.0], [0.1], [1.0], [0.0]])
+            for S in _wrapped(STALLING):
+                X, Xs, ok = S.resolvent_rows(Z)
+                RX, RXs, rok = _looped(S).resolvent_rows(Z)
+                assert ok.tolist() == rok.tolist() == [True, True, False,
+                                                       False]
+                assert _same(X, RX) and _same(Xs, RXs)
+        X, Xs, ok = STALLING.resolvent_rows(np.array([[0.0], [0.0]]))
         assert ok.all() and np.array_equal(X, np.zeros((2, 1)))
+
+    def test_windowed_checks_equal_the_row_loop(self):
+        # the window probes of a sum keep every point up to its first
+        # stalled resolvent, as the row loop does: here they are the only
+        # points in the window, and without them the premise is vacuous
+        win = LocalWindow(interval(0.2, 0.9))
+        w, ws = np.array([0.55]), np.array([0.0])
+        with np.errstate(all="ignore"):
+            v = check_fpv(STALLING, win, w, ws, 20, 2)
+            assert v.premise_holds and not v.vacuous
+            assert v == check_fpv(_looped(STALLING), win, w, ws, 20, 2)
 
     def test_a_raising_summand_skips_only_its_points(self):
         capped = _Capped(pair=PAIR1, cap=1.5)
@@ -259,18 +329,21 @@ class TestSumTestSweep:
             assert out["status"] == "ok"
             assert out == _reference_sum_test(S, T, mode, 3, 2)
 
-    def test_failed_rows_take_gap(self):
+    def test_failed_rows_take_gap(self, monkeypatch):
         # a probe whose point run stalls takes the sampled bound, so its
-        # row stalls too and fails the stacked probe resolvent: every
-        # probe takes its own gap call, the others the oracle's value
-        S = Linear(pair=PAIR1, M=np.array([[-0.6]]))
-        T = normal_cone(PAIR1, interval(-1.0, 1.0))
+        # row stalls too: that probe alone takes its own gap call, the
+        # others the oracle's value
+        S, T = STALLING.S, STALLING.T
         with np.errstate(all="ignore"):
-            out = harness.sum_test(S, T, "domain", probes=3, seed=1)
             methods = set()
             ref = _reference_sum_test(S, T, "domain", 3, 1, methods=methods)
+            calls = []
+            monkeypatch.setattr(qd, "gap", lambda *a, **k: calls.append(1)
+                                or gap(*a, **k))
+            out = harness.sum_test(S, T, "domain", probes=3, seed=1)
         assert methods == {"resolvent", "sampled"}
         assert out == ref and out["status"] == "ok"
+        assert 0 < len(calls) < out["probes"]
 
 
 @dataclass(frozen=True)
@@ -297,10 +370,11 @@ class TestOracleGaps:
               ((0.5, 1.0), (-2.0, 0.3), (1.5, -1.5), (0.0, 4.0))]
 
     def test_ok_rows_are_gap_bit_for_bit(self):
-        # a looping operator resolves rows up to its first failure
+        # a looping operator resolves rows up to its first failure, and
+        # the probes after it in one more call
         values, ok = qd.oracle_gaps(_Scripted(pair=PAIR1, fail={2}),
                                     self.PROBES)
-        assert ok.tolist() == [True, True, False, False]
+        assert ok.tolist() == [True, True, False, True]
         for p, v, exact in zip(self.PROBES, values, ok):
             if exact:
                 assert v == gap(_Scripted(pair=PAIR1), GapQuery(p)).value
