@@ -199,10 +199,14 @@ def ni_infimum(
     budget: int = 200,
     seed: int = 0,
 ) -> float:
-    """Best estimate of inf over the graph of <s* - w*, s - w**>.
+    """Best estimate of inf over the graph of <s* - w*, s - w**>, through
+    the identity inf = <w*, w**> - theta(w*, w**).
 
-    Exact through theta on finite graphs and linear maps via the
-    identity inf = <w*, w**> - theta(w*, w**); otherwise the minimum
+    Exact wherever theta is: on finite graphs, linear maps, normal
+    cones, subdifferentials of support functions and norms, and shifts
+    and inverses of these; there the infimum is -inf where theta is
+    +inf (a report writes it "-inf").  Otherwise theta is a sampled
+    lower bound, so this is an upper bound on the infimum: the minimum
     over samples plus the resolvent candidate at z = w** + w*, which
     contributes -||s - w**||_2^2.
     """

@@ -25,6 +25,7 @@ from .operators import (
     Linear,
     MonotoneOperator,
     ResolventError,
+    Shift,
     inverse,
 )
 from .sets import CompactConvexSet, Polytope
@@ -121,10 +122,14 @@ def gap(
 
 def _exact_paths(S: MonotoneOperator) -> bool:
     """Whether ``gap`` tries an exact path for S (the resolvent oracle or
-    the QP): both assume a monotone map, and a finite graph is scanned
-    whole instead."""
-    return not isinstance(S, FiniteGraph) and (not isinstance(S, Linear)
-                                               or S.monotone)
+    the QP): both assume a monotone map, so not for a non-monotone
+    ``Linear``, shifted or inverted; a finite graph is scanned whole
+    instead."""
+    if isinstance(S, FiniteGraph):
+        return False
+    while isinstance(S, (Shift, InverseOp)):
+        S = S.inner
+    return not isinstance(S, Linear) or S.monotone
 
 
 def _oracle_path(S: MonotoneOperator) -> bool:

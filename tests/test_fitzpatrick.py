@@ -2,22 +2,35 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monotone_lab import (
+    Ball,
     DualPair,
     FiniteGraph,
     HalfSqNorm,
+    IndicatorFn,
     Linear,
     NormFn,
     NormTag,
     PairedPoint,
+    Polytope,
+    Shift,
     Subdifferential,
+    SumFn,
+    SupportFn,
+    box,
     fitz_membership,
+    interval,
+    inverse,
+    normal_cone,
     phi,
     phi_conj,
+    support_subdiff,
     theta,
     theta_conj,
 )
+from monotone_lab.fitzpatrick import _phi_exact
 
 PAIR1 = DualPair(1, NormTag.L2)
 IDENTITY = Linear(pair=PAIR1, M=np.array([[1.0]]))
@@ -65,12 +78,18 @@ class TestPhi:
             assert ev.value == pytest.approx(float(p.x @ p.xstar), abs=1e-12)
 
     def test_sampled_lower_bound_includes_resolvent_point(self):
-        S = Subdifferential(pair=PAIR1, f=NormFn(1))
-        # true phi for the abs subdifferential at (0, 2) is 1, attained
-        # near (1, 1); the sampled path must reach it via the resolvent
+        # phi of d(|x| + indicator of [-1, 1]) at (0, 2) is 1, attained at
+        # (1, 1); the sampled path must reach it via the resolvent
+        S = Subdifferential(pair=PAIR1, f=SumFn(NormFn(1),
+                                                IndicatorFn(interval(-1, 1))))
         ev = phi(S, arr(0.0), arr(2.0))
         assert ev.status == "lower_bound"
-        assert ev.value >= 1.0 - 1e-9
+        assert 1.0 - 1e-9 <= ev.value <= 1.0 + 1e-12
+        # without the indicator the pieces s (2 - 1) along (s, 1) grow
+        # without bound
+        ev = phi(Subdifferential(pair=PAIR1, f=NormFn(1)), arr(0.0), arr(2.0))
+        assert (ev.value, ev.status) == (np.inf, "exact")
+        assert ev.direction is not None
 
     def test_skew_linear_is_pairing(self):
         # for a skew matrix the sup collapses: phi = <x, x*> when
@@ -192,3 +211,166 @@ class TestMembership:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
             fitz_membership(IDENTITY, arr(0.0), arr(0.0), tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# closed forms: normal cones, support subdifferentials, shifts, inverses
+
+SET_KINDS = ("box", "hull", "ball_l1", "ball_l2", "ball_linf")
+FORMS = ("normal_cone", "subdiff_indicator", "support_subdiff",
+         "subdiff_support", "norm")
+WRAPS = ("none", "shift", "inverse", "inverse_shift")
+
+
+def make_set(rng, n, kind, side="primal"):
+    if kind == "box":
+        lo = rng.uniform(-2.0, 0.0, n)
+        return box(lo, lo + rng.uniform(0.1, 2.0, n), side=side)
+    if kind == "hull":
+        return Polytope(side=side, vertices=rng.uniform(-2.0, 2.0, (n + 2, n)))
+    return Ball(side=side, center=rng.uniform(-1.0, 1.0, n),
+                radius=float(rng.uniform(0.1, 2.0)),
+                norm=NormTag(kind.split("_")[1]))
+
+
+def make_form(rng, pair, form, set_kind, norm_kind):
+    n = pair.dim
+    if form == "normal_cone":
+        return normal_cone(pair, make_set(rng, n, set_kind))
+    if form == "subdiff_indicator":
+        return Subdifferential(pair=pair,
+                               f=IndicatorFn(make_set(rng, n, set_kind)))
+    if form == "support_subdiff":
+        return support_subdiff(pair, make_set(rng, n, set_kind, "dual"))
+    if form == "subdiff_support":
+        return Subdifferential(
+            pair=pair, f=SupportFn(make_set(rng, n, set_kind, "dual")))
+    return Subdifferential(pair=pair, f=NormFn(n, float(rng.uniform(0, 2)),
+                                               norm_kind))
+
+
+@st.composite
+def closed_form_case(draw):
+    """(S, x, x*, seed): a normal-cone or support form on one of the three
+    pairs, maybe shifted and inverted, and a probe that is free, a graph
+    row, or a graph row moved in one component."""
+    n = draw(st.integers(1, 3))
+    norm = draw(st.sampled_from(list(NormTag)))
+    wrap = draw(st.sampled_from(WRAPS))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    pair = DualPair(n, norm)
+    inner_pair = DualPair(n, norm.dual()) if "inverse" in wrap else pair
+    S = make_form(rng, inner_pair, draw(st.sampled_from(FORMS)),
+                  draw(st.sampled_from(SET_KINDS)),
+                  draw(st.sampled_from(list(NormTag))))
+    if "shift" in wrap:
+        S = Shift(pair=inner_pair, inner=S, dx=rng.normal(size=n),
+                  dxstar=rng.normal(size=n))
+    if "inverse" in wrap:
+        S = inverse(S)
+    probe = draw(st.sampled_from(("free", "graph", "move_x", "move_xstar")))
+    if probe == "free":
+        x, xs = rng.uniform(-3.0, 3.0, (2, n))
+    else:
+        X, Xs = S.graph_rows(8, seed)
+        i = int(rng.integers(len(X)))
+        x, xs = X[i].copy(), Xs[i].copy()
+        if probe != "graph":
+            (x if probe == "move_x" else xs)[:] += rng.normal(size=n)
+    return S, x, xs, seed, probe
+
+
+def pieces(X, Xs, x, xs):
+    """<s, x*> + <x, s*> - <s, s*> at each row (s, s*) of (X, Xs)."""
+    X, Xs = np.atleast_2d(X), np.atleast_2d(Xs)
+    return X @ xs + Xs @ x - np.sum(X * Xs, axis=1)
+
+
+class TestClosedForms:
+    @settings(max_examples=300, deadline=None)
+    @given(closed_form_case())
+    def test_closed_form_bounds_attains_and_certifies(self, case):
+        S, x, xs, seed, probe = case
+        ev = phi(S, x, xs, budget=16, seed=seed)
+        assert _phi_exact(S, x, xs, np.abs(x), np.abs(xs)) is not None
+        # theta(w*, w**) = phi(w**, w*) on the same path
+        th = theta(S, xs, x, budget=16, seed=seed)
+        assert (th.value, th.status) == (ev.value, ev.status)
+        w = ev.witness
+        if probe == "graph":
+            # phi is the pairing on the graph, whichever path decides
+            assert ev.value == pytest.approx(
+                float(x @ xs), abs=1e-9 * (1.0 + np.abs(x) @ np.abs(xs)))
+        if ev.value == np.inf:
+            # a graph ray from the witness whose pieces grow without bound
+            assert ev.status == "exact" and ev.direction is not None
+            # the piece at w + t d is its value at w plus t slope minus
+            # t^2 curvature; a ray of a normal cone form has curvature 0
+            d = ev.direction
+            slope = d.x @ (xs - w.xstar) + (x - w.x) @ d.xstar
+            assert d.x @ d.xstar == 0.0 and slope > 0.0
+            assert S.contains(w.x + d.x, w.xstar + d.xstar) != "no"
+            return
+        assert np.isfinite(ev.value)
+        if ev.status != "exact":
+            return
+        X, Xs = S.graph_rows(64, seed)
+        vals = pieces(X, Xs, x, xs)
+        scale = 1.0 + float(np.max(np.abs(vals)))
+        assert ev.value >= float(np.max(vals)) - 1e-9 * scale
+        assert pieces(w.x, w.xstar, x, xs)[0] == pytest.approx(
+            ev.value, abs=1e-9 * scale)
+        assert S.contains(w.x, w.xstar) != "no"
+
+    def test_just_off_the_interval_is_out(self):
+        # C = [0, 1], y* = 0, y** = -1e-9: theta(y*, y**) = phi(y**, y*)
+        # is +inf, though the indicator's tolerance admits y**
+        S = normal_cone(PAIR1, interval(0.0, 1.0))
+        th = theta(S, arr(0.0), arr(-1e-9))
+        assert (th.value, th.status) == (np.inf, "exact")
+        assert fitz_membership(S, arr(0.0), arr(-1e-9)) == "out"
+        assert fitz_membership(S, arr(0.0), arr(0.0)) == "in"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_hull_inside_is_finite(self, n):
+        # Wolfe's projection returns a convex combination of vertices,
+        # which can miss a point of the hull by a rounding-sized d; that
+        # d must not certify +inf, whatever near tie argmax_support picks
+        rng = np.random.default_rng(n)
+        pair = DualPair(n)
+        C = Polytope(vertices=rng.uniform(-2.0, 2.0, (n + 2, n)))
+        S = normal_cone(pair, C)
+        for _ in range(40):
+            y = rng.uniform(-4.0, 4.0, n)
+            xs = rng.uniform(-1.0, 1.0, n)
+            # an interior point: phi is sigma_C(x*)
+            w = rng.dirichlet(np.ones(n + 2)) @ C.vertices
+            ev = phi(S, w, xs)
+            assert ev.value == pytest.approx(C.support(xs), abs=1e-12)
+            # a projected boundary point with a normal: phi is the pairing
+            x = C.project(y)
+            ev = phi(S, x, y - x)
+            assert ev.value == pytest.approx(float(x @ (y - x)), abs=1e-9)
+            assert fitz_membership(S, y - x, x) == "in"
+            # a point off the hull: +inf, "out"
+            assert phi(S, y + (y - x), xs).value == np.inf or np.allclose(
+                y, x)
+
+    def test_linear_infinity_carries_a_graph_ray(self):
+        M = np.array([[0.0, -1.0], [1.0, 0.0]])
+        S = Linear(pair=DualPair(2), M=M)
+        x = np.array([1.0, 0.5])
+        xs = M @ x + np.array([0.1, 0.0])
+        ev = phi(S, x, xs)
+        assert ev.value == np.inf
+        w, d = ev.witness, ev.direction
+        assert np.allclose(M @ d.x, d.xstar) and np.allclose(M @ w.x, w.xstar)
+        vals = pieces(np.vstack([w.x, w.x + d.x, w.x + 4 * d.x]),
+                      np.vstack([w.xstar, w.xstar + d.xstar,
+                                 w.xstar + 4 * d.xstar]), x, xs)
+        assert vals[0] < vals[1] < vals[2]
+        # the inverse reads the same ray swapped
+        inv = phi(inverse(S), xs, x)
+        assert inv.value == np.inf
+        assert np.array_equal(inv.direction.x, d.xstar)

@@ -39,6 +39,7 @@ from monotone_lab import (
     tail_experiment,
     tail_operator,
 )
+from monotone_lab import harness as harness_mod
 from monotone_lab.cli import main
 
 PAIR1 = DualPair(1, NormTag.L2)
@@ -372,6 +373,20 @@ class TestSumTest:
         assert out["status"] == "ok"
         assert out["failed"] == 0
         assert out["worst_gap"] <= 1e-6
+
+    def test_a_nan_probe_gap_makes_the_worst_gap_nan(self, monkeypatch):
+        # probe gaps stubbed: the second probe's NaN gap fails it, and
+        # the worst gap must not read as the first probe's 0.0
+        monkeypatch.setattr(harness_mod, "_interior_domain_witness",
+                            lambda S, T, seed: np.zeros(1))
+        monkeypatch.setattr(harness_mod.qd_mod, "oracle_gaps",
+                            lambda S, probes: (np.array([0.0, np.nan]),
+                                               np.ones(2, dtype=bool)))
+        S = Subdifferential(pair=PAIR1, f=NormFn(1))
+        out = sum_test(S, S, "domain", probes=2, seed=0)
+        assert (out["passed"], out["failed"]) == (1, 1)
+        assert np.isnan(out["worst_gap"])
+        assert json.loads(report_json(out))["worst_gap"] == "nan"
 
     def test_disjoint_domains_skipped(self):
         T1 = normal_cone(PAIR1, interval(-2.0, -1.0))

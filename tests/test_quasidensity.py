@@ -19,6 +19,7 @@ from monotone_lab import (
     NormalCone,
     PairedPoint,
     ResolventError,
+    Shift,
     Subdifferential,
     box,
     fuzzy_gap_dual,
@@ -397,11 +398,28 @@ class TestInverseSymmetry:
         B, K, probe = case
         n = B.shape[0]
         S = Linear(pair=DualPair(n), M=B @ B.T + K - K.T)
+        # rounding in B B^T + K - K^T can leave M just short of monotone
+        assume(S.monotone)
         x, xs = probe
         a = gap(S, GapQuery(PairedPoint(x, xs)))
         b = gap(inverse(S), GapQuery(PairedPoint(xs, x)))
         assert a.method == b.method == "resolvent"
         assert a.value == b.value
+
+    @pytest.mark.parametrize("norm", list(NormTag))
+    def test_non_monotone_linear_is_sampled_through_inverse_and_shift(
+            self, norm):
+        # B = 9.927e-11 on every entry and K = e1 e1^T round B B^T + K - K^T
+        # to this M, whose M + M^T has an eigenvalue -2.5e-20
+        S = Linear(pair=DualPair(2, norm),
+                   M=np.array([[0.0, 2e-20], [2e-20, 2e-20]]))
+        assert not S.monotone
+        x, xs = np.array([0.3, -1.2]), np.array([0.7, 0.4])
+        reports = [gap(S, GapQuery(PairedPoint(x, xs))),
+                   gap(inverse(S), GapQuery(PairedPoint(xs, x))),
+                   gap(Shift(pair=S.pair, inner=S, dx=xs, dxstar=x),
+                       GapQuery(PairedPoint(x, xs)))]
+        assert [r.method for r in reports] == ["sampled"] * 3
 
     @pytest.mark.parametrize("norm", [NormTag.L1, NormTag.LINF])
     @settings(max_examples=30, deadline=None)

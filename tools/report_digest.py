@@ -3,6 +3,7 @@ stripped, so that two source checkouts can be compared for identical
 output.
 
     python3 tools/report_digest.py --root CHECKOUT [--out FILE]
+    python3 tools/report_digest.py --diff A.jsonl B.jsonl
 
 Imports the program from ``CHECKOUT/src`` and the operations from
 ``CHECKOUT/perfbench/workloads.py``, runs rounds 0-3 of seeds 1-3 of
@@ -29,6 +30,14 @@ linear map, plus the normal cone of a box) on each pair. It uses public
 names only, so it runs on older checkouts too. The fuzz sets are boxes
 on the l1/linf pairs, where a distance to any other hull is a slow
 descent, and hulls on l2.
+
+``--diff A B`` reads two ``--out`` files (A the parent's, say) and
+prints, for each label whose records moved, how many did and how: the
+status moves of every ``*status`` field (``lower_bound->exact``), the
+direction of every scalar number that moved (``up``/``down``/``nan``;
+witness and probe coordinates are list entries and count under
+``other``), and every verdict that moved (a membership word or a
+boolean). A library label counts its seeds together.
 """
 
 from __future__ import annotations
@@ -39,12 +48,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads: one BLAS thread, as run.py
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
 import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
@@ -315,12 +326,107 @@ def digests(root: str, out_file=None) -> dict[str, str]:
     return result
 
 
+VERDICTS = {"in", "out", "unknown", "yes", "no"}
+
+
+def read_records(path: str) -> list[dict]:
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def group_of(rec: dict) -> str:
+    """The label a record is counted under: workload/label, with the
+    seed of a library label (a number between slashes) as ``*``."""
+    label = re.sub(r"(?<=/)\d+(?=/)", "*", rec["label"])
+    return f"{rec['workload']}/{label}"
+
+
+def as_number(v):
+    """``v`` as a float where it is a JSON number or "inf"/"-inf"/"nan",
+    else None."""
+    if isinstance(v, bool):
+        return None
+    if isinstance(v, (int, float)):
+        return float(v)
+    if v in ("inf", "-inf", "nan"):
+        return float(v)
+    return None
+
+
+def is_verdict(v) -> bool:
+    return isinstance(v, bool) or (isinstance(v, str) and v in VERDICTS)
+
+
+def moves(a, b, key: str = "", in_list: bool = False, out=None) -> list:
+    """(kind, text) for each leaf where the JSON trees ``a`` and ``b``
+    differ; kind is status, value, verdict or other."""
+    out = [] if out is None else out
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for k in a:
+            moves(a[k], b[k], k, False, out)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for u, v in zip(a, b):
+            moves(u, v, key, True, out)
+    elif a != b and not (a != a and b != b):  # two NaN leaves are equal
+        x, y = as_number(a), as_number(b)
+        if is_verdict(a) or is_verdict(b):
+            out.append(("verdict", f"{key} {a}->{b}"))
+        elif key.endswith("status"):
+            out.append(("status", f"{key} {a}->{b}"))
+        elif x is not None and y is not None and not in_list:
+            way = "nan" if x != x or y != y else ("up" if y > x else "down")
+            out.append(("value", f"{key} {way}"))
+        else:
+            out.append(("other", key or "record"))
+    return out
+
+
+def diff(path_a: str, path_b: str) -> int:
+    """Prints which records moved between two ``--out`` files, per label;
+    records are matched by position, and the files must list the same
+    operations in the same order."""
+    recs_a, recs_b = read_records(path_a), read_records(path_b)
+    if len(recs_a) != len(recs_b):
+        raise SystemExit(f"{len(recs_a)} records against {len(recs_b)}")
+    totals = collections.Counter()
+    changed = collections.Counter()
+    kinds = collections.defaultdict(collections.Counter)
+    for a, b in zip(recs_a, recs_b):
+        group = group_of(a)
+        if group != group_of(b):
+            raise SystemExit(f"operations differ: {group} against "
+                             f"{group_of(b)}")
+        totals[group] += 1
+        if a == b:
+            continue
+        changed[group] += 1
+        # one count per record for each kind of move it shows
+        for move in set(moves(a, b)):
+            kinds[group][move] += 1
+    for group in sorted(changed):
+        print(f"{group}: {changed[group]} of {totals[group]} changed")
+        for kind in ("status", "value", "verdict", "other"):
+            found = sorted((text, n) for (k, text), n in kinds[group].items()
+                           if k == kind)
+            if found:
+                print(f"  {kind}: " + ", ".join(f"{text} x{n}"
+                                                 for text, n in found))
+    print(f"{sum(changed.values())} of {len(recs_a)} records changed, "
+          f"in {len(changed)} of {len(totals)} labels")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--root", required=True,
-                    help="source checkout holding src/ and perfbench/")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--root",
+                      help="source checkout holding src/ and perfbench/")
+    mode.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                      help="compare two --out files instead")
     ap.add_argument("--out", help="write the stripped outputs here")
     args = ap.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff)
     root = os.path.abspath(args.root)
     with (open(args.out, "w", encoding="utf-8") if args.out
           else contextlib.nullcontext()) as fh:
