@@ -107,15 +107,14 @@ def _window_probes(
     re-aim once at u + p* with the observed partner p* so that the
     windowed component lands near u.  The points come in the order
     p_0, q_0, p_1, q_1, ... (q_k the re-aimed p_k) and stop at the first
-    resolvent failure.  Each stage is one stacked resolvent call,
-    whose rows count up to the first failure; an operator that
-    resolves only points goes row by row, so that no resolvent runs
-    past the first failure.  A finite graph is sampled whole already
-    and gets none.
+    resolvent failure.  Each stage is one stacked resolvent call whose
+    rows count up to the first failed one, and the re-aim resolves only
+    the leading rows that succeeded.  A finite graph is sampled whole
+    already and gets none.
     """
-    X, Xs = [np.empty((0, S.pair.dim))], [np.empty((0, S.pair.dim))]
+    empty = np.empty((0, S.pair.dim))
     if isinstance(S, FiniteGraph):
-        return X[0], Xs[0]
+        return empty, empty
     region = window.region
     rng = np.random.default_rng(seed + 17)
     targets = region.project(np.vstack([
@@ -123,26 +122,16 @@ def _window_probes(
     partners = np.vstack([wstar, base_xstar[:6]])
     U = np.repeat(targets, len(partners), axis=0)
     Z = U + np.tile(partners, (len(targets), 1))
-    step = len(Z) if S.batched_rows else 1
-    for lo in range(0, len(Z), step):
-        P, Ps, ok = S.resolvent_rows(Z[lo:lo + step])
-        k = _ok_prefix(ok)
-        if k == 0:
-            break
-        Q, Qs, ok = S.resolvent_rows(U[lo:lo + k] + Ps[:k])
-        j = _ok_prefix(ok)
-        # p_0, q_0, ..., p_(j-1), q_(j-1), then p_j if its re-aim failed
-        m = min(j + 1, k)
-        X.append(_interleave(P[:m], Q[:j]))
-        Xs.append(_interleave(Ps[:m], Qs[:j]))
-        if j < len(P):
-            break
-    return np.vstack(X), np.vstack(Xs)
-
-
-def _ok_prefix(ok: np.ndarray) -> int:
-    """The number of leading True entries of ``ok``."""
-    return int(np.argmin(ok)) if not ok.all() else len(ok)
+    # k and j count the leading rows that succeeded
+    P, Ps, ok = S.resolvent(Z)
+    k = int(np.cumprod(ok).sum())
+    if k == 0:
+        return empty, empty
+    Q, Qs, ok = S.resolvent(U[:k] + Ps[:k])
+    j = int(np.cumprod(ok).sum())
+    # p_0, q_0, ..., p_(j-1), q_(j-1), then p_j if its re-aim failed
+    m = min(j + 1, k)
+    return _interleave(P[:m], Q[:j]), _interleave(Ps[:m], Qs[:j])
 
 
 def _interleave(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

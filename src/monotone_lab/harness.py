@@ -466,7 +466,7 @@ def tail_experiment(
 
 def _domain_projection(S: MonotoneOperator, x: np.ndarray) -> np.ndarray:
     """Approximate nearest point of cl D(S): the small-step resolvent."""
-    return S.resolvent_scaled(x, 1e-8).x
+    return S.resolvent(x, 1e-8).x
 
 
 def _interior_domain_witness(

@@ -5,16 +5,17 @@ runs over seeded samples plus variant-specific exact enumerations.  The
 scaled resolvent J_lam(z) = (I + lam*S)^{-1} z is the one Euclidean
 oracle everything else leans on; it returns genuine graph points.
 
-The oracle also takes rows: ``resolvent_rows`` resolves an (m, n) stack
-Z and returns (X, X*, ok), ok marking the rows before the first failure,
-as a loop over the rows that stops there gives.  Each closed form
-(finite-graph lookup, linear solve, prox of a subdifferential, shift,
-inverse) is written once over the last axis and serves a point and a
-stack alike; a sum resolves a point or a whole stack in one
-``solvers.sum_resolvent`` run, in which a row that stalls fails alone.
-The graph sample is rows too: ``graph_rows`` gives all points of a
-finite graph, and a seeded sample of any other graph; a sum's sample
-drops only the rows that fail.
+``resolvent(z, lam)`` is its one entry point, over a point or a stack,
+as ``project`` and ``prox_lam`` are: a point (n,) gives a
+``PairedPoint`` or raises ``ResolventError``, and an (m, n) stack gives
+(X, X*, ok), ok marking every row that succeeded and a failed row
+holding NaN.  Each closed form (finite-graph lookup, linear solve, prox
+of a subdifferential, shift, inverse) is written once over the last
+axis and serves a point and a stack alike; a sum resolves a point or a
+whole stack in one ``solvers.sum_resolvent`` run, in which a row that
+stalls fails alone.  The graph sample is rows too: ``graph_rows`` gives
+all points of a finite graph, and a seeded sample of any other graph;
+a sum's sample drops the rows that fail.
 
 Graph membership is one oracle, ``residual`` (0 on G(S)), which
 ``contains`` compares with a tolerance; a subdifferential's ``contains``
@@ -46,61 +47,37 @@ class MonotoneOperator:
 
     pair: DualPair
 
-    def resolvent_scaled(self, z: np.ndarray, lam: float = 1.0) -> PairedPoint:
-        """Graph point (s, s*) with s + lam*s* = z (Euclidean oracle)."""
-        return PairedPoint.of_rows(*self._resolve(self.pair.check_dim(z, "z"),
-                                                  lam))
-
-    def resolvent(self, z: np.ndarray) -> PairedPoint:
-        return self.resolvent_scaled(np.asarray(z, dtype=float), 1.0)
-
-    def resolvent_rows(
-        self, Z: np.ndarray, lam: float = 1.0
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``resolvent_scaled`` of each row of the (m, n) stack ``Z``, as
-        (X, X*, ok) with ok marking the rows before the first failure;
-        the rows from it on hold NaN, as a loop over the rows that stops
-        there gives.  Where ``batched_rows`` it is one ``_resolve_rows``
-        call over the stack; otherwise that loop."""
-        Z = self.pair.check_rows(Z, "Z")
-        if self.batched_rows:
-            X, Xs, ok = self._resolve_rows(Z, lam)
-            if not ok.all():
-                ok = np.logical_and.accumulate(ok)
-                X, Xs = _nan_off(ok, X), _nan_off(ok, Xs)
-            return X, Xs, ok
-        X, Xs, ok = _failed_rows(Z)
-        for i, z in enumerate(Z):
-            try:
-                p = self.resolvent_scaled(z, lam)
-            except ResolventError:
-                break
-            X[i], Xs[i], ok[i] = p.x, p.xstar, True
-        return X, Xs, ok
-
-    @property
-    def batched_rows(self) -> bool:
-        """Whether ``_resolve`` takes a stack of rows."""
-        return False
-
-    def _resolve(self, z: np.ndarray,
-                 lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """(x, x*) over the last axis of ``z``: for one point, and for a
-        stack of rows too where ``batched_rows``.  Raises
-        ``ResolventError`` when the point, or every row, fails."""
-        raise NotImplementedError
-
-    def _resolve_rows(self, Z: np.ndarray, lam: float
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X, X*, ok) over the stack ``Z`` of a ``batched_rows`` S, ok
-        marking every row that succeeded and a failed row holding NaN:
-        one ``_resolve`` call, whose rows fail together, unless S can
-        tell its rows apart."""
+    def resolvent(self, z: np.ndarray, lam: float = 1.0
+                  ) -> PairedPoint | tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The graph point (s, s*) with s + lam*s* = z, for a step lam
+        that is finite and > 0 with a finite reciprocal (an inverse
+        resolves at step 1/lam).  Of a point ``z`` (n,), a ``PairedPoint``,
+        raising ``ResolventError`` where it fails; of each row of a stack
+        ``z`` (m, n), (X, X*, ok) with ok marking every row that
+        succeeded, each such row the point's result bit for bit, and a
+        failed row holding NaN."""
+        if not (0.0 < lam < np.inf and 1.0 / lam < np.inf):
+            raise ValueError("resolvent step lam must be finite and > 0 "
+                             f"with a finite reciprocal, got {lam}")
+        z = np.asarray(z, dtype=float)
+        if z.ndim != 2:
+            x, xs, _ = self._resolve(self.pair.check_dim(z, "z"), lam)
+            return PairedPoint.of_rows(x, xs)
+        z = self.pair.check_rows(z, "z")
         try:
-            X, Xs = self._resolve(Z, lam)
+            X, Xs, ok = self._resolve(z, lam)
         except ResolventError:
-            return _failed_rows(Z)
-        return X, Xs, np.ones(len(Z), dtype=bool)
+            return _failed_rows(z)
+        return X, Xs, np.full(len(z), ok)
+
+    def _resolve(self, z: np.ndarray, lam: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | bool]:
+        """(x, x*, ok) over the last axis of ``z``, a point or a stack of
+        rows: ok marks the rows that succeeded, a failed row holding NaN,
+        or is True where every row did (so that the closed forms, which
+        Douglas-Rachford calls at each step, build no mask).  Raises
+        ``ResolventError`` only when the point, or every row, fails."""
+        raise NotImplementedError
 
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,29 +125,6 @@ def _failed_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.zeros(len(Z), dtype=bool))
 
 
-def _nan_off(ok: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """X with NaN in the rows off ``ok``, as a new array: a resolvent's
-    rows may be read-only views."""
-    return np.where(ok[:, None], X, np.nan)
-
-
-def _resolvent(S: "MonotoneOperator", z: np.ndarray,
-               lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """S's resolvent over the last axis of ``z`` as (x, x*), for an S
-    whose rows fail together; raises ``ResolventError`` when they do.
-    A batched S is called directly, for a point too: ``z`` is already a
-    float array of the pair's dimension."""
-    if S.batched_rows:
-        return S._resolve(z, lam)
-    if z.ndim == 1:
-        p = S.resolvent_scaled(z, lam)
-        return p.x, p.xstar
-    X, Xs, ok = S.resolvent_rows(z, lam)
-    if not ok.all():
-        raise ResolventError("the inner resolvent failed")
-    return X, Xs
-
-
 @dataclass(frozen=True)
 class FiniteGraph(MonotoneOperator):
     """Graph given by an explicit finite point list."""
@@ -188,15 +142,13 @@ class FiniteGraph(MonotoneOperator):
     def xstars(self) -> np.ndarray:
         return np.array([p.xstar for p in self.points])
 
-    batched_rows = True
-
     def _resolve(self, z: np.ndarray, lam: float):
         X, Xs = self.xs(), self.xstars()
         res = X + lam * Xs - z[..., None, :]
         d2 = np.einsum("...j,...j->...", res, res)
         # a point with a NaN entry is never the nearest
         i = np.argmin(np.where(np.isnan(d2), np.inf, d2), axis=-1)
-        return X[i], Xs[i]
+        return X[i], Xs[i], True
 
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,8 +187,6 @@ class Linear(MonotoneOperator):
         object.__setattr__(self, "monotone", bool(
             np.linalg.eigvalsh(M + M.T)[0] >= -1e-12 * np.abs(M).sum()))
 
-    batched_rows = True
-
     def _resolve(self, z: np.ndarray, lam: float):
         A = np.eye(self.pair.dim) + lam * self.M
         try:
@@ -245,7 +195,7 @@ class Linear(MonotoneOperator):
             s = np.linalg.solve(A, z[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise ResolventError(f"singular I + lam*M: {exc}") from exc
-        return s, self._apply(s)
+        return s, self._apply(s), True
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """Mx over the last axis of ``x``, each row as its own product."""
@@ -281,17 +231,15 @@ class Subdifferential(MonotoneOperator):
         if self.f.dim != self.pair.dim:
             raise ValueError("function dimension does not match the pair")
 
-    batched_rows = True
-
     def _resolve(self, z: np.ndarray, lam: float):
         s = self.f.prox_lam(z, lam)
-        return s, (z - s) / lam
+        return s, (z - s) / lam, True
 
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
         scale = 2.0 * max(1.0, _domain_scale(self.f))
         zs = _cloud(self.pair.dim, budget, seed, scale)
-        return self.resolvent_rows(zs)[:2]
+        return self.resolvent(zs)[:2]
 
     def contains(self, x, xstar, tol: float = 1e-7) -> str:
         x = self.pair.check_dim(x, "x")
@@ -372,18 +320,9 @@ class Shift(MonotoneOperator):
         object.__setattr__(self, "dxstar",
                            np.asarray(self.dxstar, float).ravel())
 
-    @property
-    def batched_rows(self) -> bool:
-        return self.inner.batched_rows
-
     def _resolve(self, z: np.ndarray, lam: float):
-        x, xs = _resolvent(self.inner, z + self.dx + lam * self.dxstar, lam)
-        return x - self.dx, xs - self.dxstar
-
-    def _resolve_rows(self, Z: np.ndarray, lam: float):
-        X, Xs, ok = self.inner._resolve_rows(
-            Z + self.dx + lam * self.dxstar, lam)
-        return X - self.dx, Xs - self.dxstar, ok
+        x, xs, ok = self.inner._resolve(z + self.dx + lam * self.dxstar, lam)
+        return x - self.dx, xs - self.dxstar, ok
 
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -404,51 +343,49 @@ class SumOp(MonotoneOperator):
     S: MonotoneOperator = None  # type: ignore[assignment]
     T: MonotoneOperator = None  # type: ignore[assignment]
 
-    batched_rows = True
-
-    def _dr(self, z: np.ndarray, lam: float):
-        """``sum_resolvent`` of the summands at ``z``, a point or a stack;
-        a summand that fails raises ``ResolventError``."""
-        return sum_resolvent(lambda v, t: _resolvent(self.S, v, t)[0],
-                             lambda v, t: _resolvent(self.T, v, t)[0], z, lam)
-
     def _resolve(self, z: np.ndarray, lam: float):
-        x, res, ok = self._dr(z, lam)
-        stalled = np.flatnonzero(_stalled(res, ok))
-        if stalled.size:
-            raise ResolventError("operator DR stalled at residual "
-                                 f"{np.ravel(res)[stalled[0]]:.2e}")
-        return x, (z - x) / lam
-
-    def _resolve_rows(self, Z: np.ndarray, lam: float):
-        # a stalled row fails alone
         try:
-            X, res, ok = self._dr(Z, lam)
-            ok = ~_stalled(res, ok)
+            x, res, ok = sum_resolvent(_whole(self.S), _whole(self.T), z, lam)
         except ResolventError:
+            if z.ndim == 1:
+                raise
             # a summand failed on the stack: resolve z by z
-            X, _, ok = _failed_rows(Z)
-            for i, z in enumerate(Z):
+            x, _, ok = _failed_rows(z)
+            for i, row in enumerate(z):
                 with contextlib.suppress(ResolventError):
-                    X[i], ok[i] = self.resolvent_scaled(z, lam).x, True
-        X = _nan_off(ok, X)
-        return X, (Z - X) / lam, ok
+                    x[i], ok[i] = self._resolve(row, lam)[0], True
+        else:
+            # a row fails alone where its run stopped unconverged with a
+            # residual above 1e-6 (a NaN residual is not above it); a
+            # point's residual is a float, so compare through numpy
+            ok = np.asarray(ok) | ~np.greater(res, 1e-6)
+            if z.ndim == 1:
+                if not ok:
+                    raise ResolventError(
+                        f"operator DR stalled at residual {res:.2e}")
+            elif not ok.all():
+                x = np.where(ok[:, None], x, np.nan)
+        return x, (z - x) / lam, ok
 
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
-        # unlike resolvent_rows, which ends at the first failed row, a
-        # failed row is skipped
         scale = 2.0 * max(self.S.sample_radius(8, seed),
                           self.T.sample_radius(8, seed + 1))
-        X, Xs, ok = self._resolve_rows(
-            _cloud(self.pair.dim, budget, seed, scale), 1.0)
+        X, Xs, ok = self.resolvent(
+            _cloud(self.pair.dim, budget, seed, scale))
         return X[ok], Xs[ok]
 
 
-def _stalled(res, ok) -> np.ndarray:
-    """The Douglas-Rachford runs a sum rejects: unconverged with a
-    residual above 1e-6 (a NaN residual is not above it)."""
-    return ~np.asarray(ok) & (res > 1e-6)
+def _whole(S: MonotoneOperator):
+    """The summand S's resolvent as ``j(v, t)``, x over the last axis of
+    ``v``; it raises ``ResolventError`` unless every row succeeds, so
+    that a sum whose summand fails on a stack goes z by z."""
+    def j(v: np.ndarray, t: float) -> np.ndarray:
+        x, _, ok = S._resolve(v, t)
+        if ok is not True and not ok.all():
+            raise ResolventError("a summand's resolvent failed")
+        return x
+    return j
 
 
 @dataclass(frozen=True)
@@ -463,19 +400,11 @@ class InverseOp(MonotoneOperator):
                 or self.pair.primal_norm is not self.inner.pair.dual_norm):
             raise ValueError("an inverse lives on the swapped pair")
 
-    @property
-    def batched_rows(self) -> bool:
-        return self.inner.batched_rows
-
     def _resolve(self, z: np.ndarray, lam: float):
         # (s*, s) with s* + lam*s = z is the inner point (s, s*) with
         # s + s*/lam = z/lam (Bauschke-Combettes, ch. 23)
-        x, xs = _resolvent(self.inner, z / lam, 1.0 / lam)
-        return xs, x
-
-    def _resolve_rows(self, Z: np.ndarray, lam: float):
-        X, Xs, ok = self.inner._resolve_rows(Z / lam, 1.0 / lam)
-        return Xs, X, ok
+        x, xs, ok = self.inner._resolve(z / lam, 1.0 / lam)
+        return xs, x, ok
 
     def graph_rows(self, budget: int,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:

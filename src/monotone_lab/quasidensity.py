@@ -165,22 +165,15 @@ def oracle_gaps(
     oracle, as (values, ok): ok marks the probes whose value is the
     oracle's, equal to ``gap(S, GapQuery(probe)).value`` bit for bit.  A
     probe off ok (every probe where ``gap`` takes another path for S, or
-    whose resolvent failed) needs its own ``gap`` call.  The probes are
-    resolved in one stacked call, and once more past each failed one."""
+    whose resolvent failed) needs its own ``gap`` call; its value is
+    NaN.  The probes are resolved in one stacked call, in which a row
+    that fails fails alone."""
     m = len(probes)
-    values, ok = np.full(m, np.nan), np.zeros(m, dtype=bool)
     if not (m and _oracle_path(S)):
-        return values, ok
+        return np.full(m, np.nan), np.zeros(m, dtype=bool)
     Z = np.array([p.x + p.xstar for p in probes])
-    lo = 0
-    while lo < m:
-        # resolvent_rows ends at the first failed row: go on past it
-        X, Xs, rows_ok = S.resolvent_rows(Z[lo:])
-        k = int(np.count_nonzero(rows_ok))
-        values[lo:lo + k] = _oracle_value(X[:k], Xs[:k], Z[lo:lo + k])
-        ok[lo:lo + k] = True
-        lo += k + 1
-    return values, ok
+    X, Xs, ok = S.resolvent(Z)
+    return _oracle_value(X, Xs, Z), ok
 
 
 def gap_linear_qp(

@@ -163,7 +163,7 @@ class TestSumResolvent:
                   T=Subdifferential(pair=pair, f=g))
         z = rng.uniform(-4.0, 4.0, n)
         assert np.array_equal(SumFn(f, g).prox_lam(z, lam),
-                              S.resolvent_scaled(z, lam).x)
+                              S.resolvent(z, lam).x)
 
 
 class TestFenchelYoung:

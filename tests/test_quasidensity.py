@@ -280,7 +280,7 @@ GRAPH1 = FiniteGraph(pair=PAIR1, points=(PairedPoint([0.0], [0.5]),
 class _NoGraph(MonotoneOperator):
     """An operator with no reachable graph point."""
 
-    def resolvent_scaled(self, z, lam=1.0):
+    def _resolve(self, z, lam):
         raise ResolventError("no graph point")
 
     def graph_rows(self, budget, seed):

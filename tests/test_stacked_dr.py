@@ -139,18 +139,16 @@ class TestDouglasRachfordRows:
 @dataclass(frozen=True)
 class _Capped(MonotoneOperator):
     """The identity map, whose resolvent fails, every row together, once
-    an aim exceeds ``cap``; ``calls`` counts the resolvent calls."""
+    an aim exceeds ``cap``; ``calls`` records the shape of each call."""
 
     cap: float = 1.0
     calls: list = field(default_factory=list, compare=False)
-
-    batched_rows = True
 
     def _resolve(self, z, lam):
         self.calls.append(z.shape)
         if np.any(z > self.cap):
             raise ResolventError("aim above the cap")
-        return z / (1.0 + lam), z / (1.0 + lam)
+        return z / (1.0 + lam), z / (1.0 + lam), np.ones(z.shape[:-1], bool)
 
     def graph_rows(self, budget, seed):
         X = np.random.default_rng(seed).uniform(-1.0, 1.0, (budget, 1))
@@ -196,8 +194,18 @@ class _Looped(MonotoneOperator):
     inner: MonotoneOperator = None
 
     def _resolve(self, z, lam):
-        p = self.inner.resolvent_scaled(z, lam)
-        return p.x, p.xstar
+        if z.ndim == 1:
+            p = self.inner.resolvent(z, lam)
+            return p.x, p.xstar, True
+        X, Xs = np.full_like(z, np.nan), np.full_like(z, np.nan)
+        ok = np.zeros(len(z), dtype=bool)
+        for i, row in enumerate(z):
+            try:
+                p = self.inner.resolvent(row, lam)
+            except ResolventError:
+                break
+            X[i], Xs[i], ok[i] = p.x, p.xstar, True
+        return X, Xs, ok
 
     def graph_rows(self, budget, seed):
         return self.inner.graph_rows(budget, seed)
@@ -214,7 +222,9 @@ class TestSumOpRows:
     def test_stalled_rows_are_skipped(self):
         S = STALLING
         with np.errstate(all="ignore"):
-            _, res, ok = S._dr(np.linspace(-4.0, 4.0, 9)[:, None], 1.0)
+            _, res, ok = sum_resolvent(lambda v, t: S.S.resolvent(v, t)[0],
+                                       lambda v, t: S.T.resolvent(v, t)[0],
+                                       np.linspace(-4.0, 4.0, 9)[:, None], 1.0)
             stalled = ~np.array(ok) & (res > 1e-6)
             assert stalled.any() and np.isnan(res).any() and any(ok)
             X, Xs = S.graph_rows(8, 1)
@@ -223,19 +233,21 @@ class TestSumOpRows:
         assert _same(X, RX) and _same(Xs, RXs)
 
     def test_a_stalled_row_ends_the_rows(self):
-        # resolvent_rows keeps the rows before the first stall, as the
-        # loop over the rows does, on the sum and on its wrappers
+        # a stalled row fails alone, on the sum and on its wrappers: the
+        # rows before it are the loop's, which ends there, and the row
+        # after it is resolved as well
         with np.errstate(all="ignore"):
             with pytest.raises(ResolventError, match="stalled at residual"):
                 STALLING.resolvent(np.array([1.0]))
             Z = np.array([[0.0], [0.1], [1.0], [0.0]])
             for S in _wrapped(STALLING):
-                X, Xs, ok = S.resolvent_rows(Z)
-                RX, RXs, rok = _looped(S).resolvent_rows(Z)
-                assert ok.tolist() == rok.tolist() == [True, True, False,
-                                                       False]
-                assert _same(X, RX) and _same(Xs, RXs)
-        X, Xs, ok = STALLING.resolvent_rows(np.array([[0.0], [0.0]]))
+                X, Xs, ok = S.resolvent(Z)
+                RX, RXs, rok = _looped(S).resolvent(Z)
+                assert ok.tolist() == [True, True, False, True]
+                assert rok.tolist() == [True, True, False, False]
+                assert _same(X[:3], RX[:3]) and _same(Xs[:3], RXs[:3])
+                assert _same(X[3], X[0]) and _same(Xs[3], Xs[0])
+        X, Xs, ok = STALLING.resolvent(np.array([[0.0], [0.0]]))
         assert ok.all() and np.array_equal(X, np.zeros((2, 1)))
 
     def test_windowed_checks_equal_the_row_loop(self):
@@ -348,17 +360,18 @@ class TestSumTestSweep:
 
 @dataclass(frozen=True)
 class _Scripted(MonotoneOperator):
-    """The identity map resolved one point at a time, whose resolvent
-    raises on the calls whose index is in ``fail``."""
+    """The identity map, whose resolvent fails at the aims z in ``fail``
+    (as tuples), whichever call or row brings them."""
 
     fail: frozenset = frozenset()
-    calls: list = field(default_factory=list, compare=False)
 
     def _resolve(self, z, lam):
-        self.calls.append(z.copy())
-        if len(self.calls) - 1 in self.fail:
+        ok = np.array([tuple(r) not in self.fail
+                       for r in np.atleast_2d(z)]).reshape(z.shape[:-1])
+        if not ok.any():
             raise ResolventError("scripted failure")
-        return z / (1.0 + lam), z / (1.0 + lam)
+        x = np.where(ok[..., None], z / (1.0 + lam), np.nan)
+        return x, x, ok
 
     def graph_rows(self, budget, seed):
         X = np.random.default_rng(seed).uniform(-1.0, 1.0, (budget, 1))
@@ -370,9 +383,8 @@ class TestOracleGaps:
               ((0.5, 1.0), (-2.0, 0.3), (1.5, -1.5), (0.0, 4.0))]
 
     def test_ok_rows_are_gap_bit_for_bit(self):
-        # a looping operator resolves rows up to its first failure, and
-        # the probes after it in one more call
-        values, ok = qd.oracle_gaps(_Scripted(pair=PAIR1, fail={2}),
+        # the probe whose aim x + x* = 0 fails fails alone
+        values, ok = qd.oracle_gaps(_Scripted(pair=PAIR1, fail={(0.0,)}),
                                     self.PROBES)
         assert ok.tolist() == [True, True, False, True]
         for p, v, exact in zip(self.PROBES, values, ok):
