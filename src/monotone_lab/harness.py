@@ -433,11 +433,11 @@ def tail_experiment(
 
     The default probe is x = 0, x* = all-ones.  n = 1 is solved in
     closed form (the 1-D objective is a perfect square, minimized at
-    the midpoint of x and x*).  Larger n report r at the graph point of
-    the gap's convex QP (``quasidensity.gap_linear_qp``, at most
-    ``step_cap`` SLSQP iterations, counted in ``steps``; one start, no
-    random draws, so ``restarts`` is 1) as an upper bound whose lower
-    bound is 0 by Fenchel-Young.
+    the midpoint of x and x*).  Larger n report r at the best graph
+    point of the gap's LCP (``quasidensity.gap_linear_qp``: Lemke's
+    pivots, at most ``step_cap`` of them, counted in ``steps``; one
+    start, no random draws, so ``restarts`` is 1) as an upper bound
+    whose lower bound is 0 by Fenchel-Young.
     """
     rows = []
     for n in n_list:
@@ -456,9 +456,9 @@ def tail_experiment(
             row.update(gap_bound=float(val), status="exact", steps=0,
                        restarts=0)
         else:
-            rep, nit = qd_mod.gap_linear_qp(T, target, maxiter=step_cap)
+            rep, pivots = qd_mod.gap_linear_qp(T, target, step_cap)
             row.update(gap_bound=rep.value, status=rep.status,
-                       steps=max(1, nit), restarts=1,
+                       steps=pivots, restarts=1,
                        witness=_jsonable(rep.witness))
         rows.append(row)
     return rows
@@ -508,9 +508,10 @@ def sum_test(
 ) -> dict:
     """Gap sweep over the operator sum (domain mode) or the parallel
     sum (range mode); skipped when no interior-intersection witness is
-    found.  The probes whose gap is the resolvent oracle's are resolved
-    by ``oracle_gaps`` in one stacked call; each other probe, a failed
-    one included, takes its own ``gap``."""
+    found.  ``probe_gaps`` gives the probes' gaps from one stacked
+    resolvent call (Euclidean pair) or one scanned graph sample (a sum
+    off it); each other probe, a failed one included, takes its own
+    ``gap``."""
     if mode == "domain":
         witness = _interior_domain_witness(S, T, seed)
         combined = add(S, T)
@@ -528,7 +529,7 @@ def sum_test(
     probe_pts = qd_mod.default_probes(combined, probes, seed)
     # built first: GapQuery rejects a non-positive eta before any solve
     queries = [qd_mod.GapQuery(p, eta=eta) for p in probe_pts]
-    values, ok = qd_mod.oracle_gaps(combined, probe_pts)
+    values, ok = qd_mod.probe_gaps(combined, probe_pts, seed=seed)
     passed = failed = errors = 0
     worst = 0.0
     for q, value, exact in zip(queries, values.tolist(), ok):

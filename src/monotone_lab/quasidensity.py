@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .operators import (
     FiniteGraph,
@@ -29,6 +28,7 @@ from .operators import (
     inverse,
 )
 from .sets import CompactConvexSet, Polytope
+from .solvers import lemke
 from .spaces import NormTag, PairedPoint, first_min, row_dots, row_norms
 
 
@@ -83,12 +83,13 @@ def gap(
 ) -> GapReport:
     """Infimum estimate of the r-objective over G(S) at q.target.
 
-    Exact through the resolvent on Euclidean pairs; one convex QP for
-    monotone linear maps on l1/linf pairs and for their inverses (r of
-    S^{-1} at (x*, x) is r of S at (x, x*)); otherwise, a non-monotone
-    ``Linear`` included, the first best row of ``graph_rows``, NaN and
-    +inf skipped: exact on a finite graph, whose rows are all its
-    points, and a sampled upper bound on the rest.
+    Exact through the resolvent on Euclidean pairs; one LCP solve
+    (``gap_linear_qp``) for monotone linear maps on l1/linf pairs and
+    for their inverses (r of S^{-1} at (x*, x) is r of S at (x, x*));
+    otherwise, a non-monotone ``Linear`` included, the first best row
+    of ``graph_rows``, NaN and +inf skipped: exact on a finite graph,
+    whose rows are all its points, and a sampled upper bound on the
+    rest.
     """
     if q.dual_fuzz is not None:
         return fuzzy_gap_dual(S, q.target.x, q.dual_fuzz, budget, seed)
@@ -102,17 +103,14 @@ def gap(
             return gap_euclidean_oracle(S, target)
         except ResolventError:
             pass
-    elif _exact_paths(S):
+    elif _qp_path(S):
         if isinstance(S, Linear):
             return gap_linear_qp(S, target)[0]
-        if isinstance(S, InverseOp) and isinstance(S.inner, Linear) \
-                and S.inner.monotone:
-            rep = gap_linear_qp(S.inner, target.swapped())[0]
-            return replace(rep, witness=rep.witness.swapped())
+        rep = gap_linear_qp(S.inner, target.swapped())[0]
+        return replace(rep, witness=rep.witness.swapped())
 
     X, Xs = S.graph_rows(budget, seed)
-    vals = r_objective(S, target, X, Xs)
-    i = first_min(vals)
+    vals, i = _scan(S, target, X, Xs)
     if i is None:
         raise ResolventError("no graph points available for the gap bound")
     return GapReport(float(vals[i]), PairedPoint.of_rows(X[i], Xs[i]),
@@ -120,9 +118,17 @@ def gap(
                        else ("upper_bound", "sampled")))
 
 
+def _scan(S: MonotoneOperator, target: PairedPoint, X: np.ndarray,
+          Xs: np.ndarray) -> tuple[np.ndarray, Optional[int]]:
+    """r at each graph row and the first best one, NaN and +inf
+    skipped (None when no row is finite)."""
+    vals = r_objective(S, target, X, Xs)
+    return vals, first_min(vals)
+
+
 def _exact_paths(S: MonotoneOperator) -> bool:
     """Whether ``gap`` tries an exact path for S (the resolvent oracle or
-    the QP): both assume a monotone map, so not for a non-monotone
+    the LCP): both assume a monotone map, so not for a non-monotone
     ``Linear``, shifted or inverted; a finite graph is scanned whole
     instead."""
     if isinstance(S, FiniteGraph):
@@ -136,6 +142,14 @@ def _oracle_path(S: MonotoneOperator) -> bool:
     """Whether ``gap`` tries the resolvent oracle for S: an exact path on
     the Euclidean pair."""
     return _exact_paths(S) and S.pair.primal_norm is NormTag.L2
+
+
+def _qp_path(S: MonotoneOperator) -> bool:
+    """Whether ``gap`` runs ``gap_linear_qp`` for S: a monotone
+    ``Linear``, or the inverse of one, off the Euclidean pair."""
+    L = S.inner if isinstance(S, InverseOp) else S
+    return (isinstance(L, Linear) and L.monotone
+            and S.pair.primal_norm is not NormTag.L2)
 
 
 def gap_euclidean_oracle(
@@ -176,55 +190,83 @@ def oracle_gaps(
     return _oracle_value(X, Xs, Z), ok
 
 
-def gap_linear_qp(
-    S: Linear, target: PairedPoint, maxiter: int = 1000
-) -> tuple[GapReport, int]:
-    """min over s of r(s, Ms) on an l1/linf pair as one QP, solved by
-    SLSQP (D. Kraft, "A software package for sequential quadratic
-    programming", DFVLR 1988); returns the report and the iteration count.
+def probe_gaps(
+    S: MonotoneOperator, probes: list[PairedPoint], budget: int = 100,
+    seed: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``gap(S, GapQuery(probe), budget, seed).value`` at each probe where
+    it comes from a path shared by all probes, as (values, ok) like
+    ``oracle_gaps``: the resolvent oracle's stacked call on the Euclidean
+    pair, else, where ``gap`` goes straight to the graph rows, one draw
+    of them scanned against every probe.  A probe off ok (a ``qp`` gap,
+    a failed resolvent, a probe with no finite row) needs its own
+    ``gap`` call; its value is NaN."""
+    if _oracle_path(S):
+        return oracle_gaps(S, probes)
+    m = len(probes)
+    values, ok = np.full(m, np.nan), np.zeros(m, dtype=bool)
+    if not m or _qp_path(S):
+        return values, ok
+    try:
+        X, Xs = S.graph_rows(budget, seed)
+    except ResolventError:
+        return values, ok
+    for k, p in enumerate(probes):
+        vals, i = _scan(S, p, X, Xs)
+        if i is not None:
+            values[k], ok[k] = vals[i], True
+    return values, ok
 
-    Epigraph form: an l1 side v gets an aux vector p >= +-v, an linf side
-    an aux scalar u >= +-v_i; the objective is (sum p)^2/2 or u^2/2 per
-    side plus <s - x, Ms - x*>, convex for monotone M.  r is
-    2-homogeneous, so the solve runs on the probe scaled to unit size.
-    A Newton step on the piece of its solution (``_piece_solve``) makes
-    it exact where SLSQP stalls on near-degenerate M.  The value is r at
-    the best graph point (s, Ms) of the start (x + x*)/2, the solve and
-    the step, clipped at its Fenchel-Young lower bound 0.
+
+def gap_linear_qp(
+    S: Linear, target: PairedPoint, max_pivots: int = 100000
+) -> tuple[GapReport, int]:
+    """min over s of r(s, Ms) on an l1/linf pair, by one linear
+    complementarity problem solved with ``solvers.lemke``; returns the
+    report and the pivot count.
+
+    r >= 0 by Fenchel-Young, with equality where y - Ma is in J(a), for
+    a = s - x, y = x* - Mx and J the duality map of the primal norm; for
+    monotone M that inclusion is an LCP w = q + Qz, z, w >= 0, z'w = 0
+    with Q positive semidefinite, and E = 11' below.  l1: z = (u, v),
+    a = u - v, Q = [[E+M, E-M], [E-M, E+M]], q = (-y, y), so that
+    |y - Ma| <= 1'(u + v) with equality on the support of a.  linf:
+    z = (s+, s-, u, v), s = s+ - s-, u - v = x* - Ms,
+    Q = [[M, -M, I, -I], [-M, M, -I, I], [-I, I, E, E], [I, -I, E, E]],
+    q = (-x*, x*, x, -x), with no inverse of M.  r is 2-homogeneous, so
+    the solve runs on the probe scaled to unit size.  A Newton step on
+    the piece of Lemke's point (``_piece_solve``) removes its rounding.
+    The value is r at the best graph point (s, Ms) of the start
+    (x + x*)/2, Lemke's point and the step, clipped at 0; a solve that
+    ends on a ray or after ``max_pivots`` pivots leaves the start alone.
     """
     M, n = S.M, S.pair.dim
     l1 = S.pair.primal_norm is NormTag.L1
     c = float(np.abs(np.concatenate(target.as_tuple())).max()) or 1.0
     x, xs = target.x / c, target.xstar / c
-    Ea, Eb = ((np.eye(n), np.ones((n, 1))) if l1
-              else (np.ones((n, 1)), np.eye(n)))
-    ka, kb = Ea.shape[1], Eb.shape[1]
-    Za, Zb, eye = np.zeros((n, ka)), np.zeros((n, kb)), np.eye(n)
-    # A z + h >= 0 for z = (s, aux_a, aux_b)
-    A = np.block([[-eye, Ea, Zb], [eye, Ea, Zb], [-M, Za, Eb], [M, Za, Eb]])
-    h = np.concatenate([x, -x, xs, -xs])
-
-    def obj_grad(z: np.ndarray) -> tuple[float, np.ndarray]:
-        a, b = z[:n] - x, M @ z[:n] - xs
-        ta, tb = z[n:n + ka].sum(), z[n + ka:].sum()
-        g = np.concatenate([b + M.T @ a, np.full(ka, ta), np.full(kb, tb)])
-        return 0.5 * ta * ta + 0.5 * tb * tb + float(a @ b), g
-
-    s0 = 0.5 * (x + xs)
-    a0, b0 = np.abs(s0 - x), np.abs(M @ s0 - xs)  # a feasible start
-    z0 = np.concatenate([s0, a0 if l1 else [a0.max()],
-                         [b0.max()] if l1 else b0])
-    # ftol is absolute: the 1e-6 default stops early on the unit-size QP
-    res = minimize(obj_grad, z0, jac=True, method="SLSQP",
-                   constraints=[{"type": "ineq", "fun": lambda z: A @ z + h,
-                                 "jac": lambda z: A}],
-                   options={"maxiter": maxiter, "ftol": 1e-12})
-    cands = [s0, res.x[:n],
-             x + _piece_solve(M, xs - M @ x, res.x[:n] - x, l1)]
+    z, pivots = lemke(*_gap_lcp(M, x, xs, l1), max_pivots)
+    cands = [0.5 * (x + xs)]
+    if z is not None:
+        s = x + z[:n] - z[n:] if l1 else z[:n] - z[n:2 * n]
+        cands += [s, x + _piece_solve(M, xs - M @ x, s - x, l1)]
     r = [r_objective(S, target, c * s, M @ (c * s)) for s in cands]
     s = c * cands[int(np.nanargmin(r))]
     return (GapReport(max(float(np.nanmin(r)), 0.0), PairedPoint(s, M @ s),
-                      "upper_bound", "qp"), int(res.nit))
+                      "upper_bound", "qp"), pivots)
+
+
+def _gap_lcp(M: np.ndarray, x: np.ndarray, xs: np.ndarray, l1: bool
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The LCP (Q, q) of ``gap_linear_qp`` at the probe (x, x*)."""
+    n = len(x)
+    E, eye = np.ones((n, n)), np.eye(n)
+    if l1:
+        y = xs - M @ x
+        return (np.block([[E + M, E - M], [E - M, E + M]]),
+                np.concatenate([-y, y]))
+    return (np.block([[M, -M, eye, -eye], [-M, M, -eye, eye],
+                      [-eye, eye, E, E], [eye, -eye, E, E]]),
+            np.concatenate([-xs, xs, x, -x]))
 
 
 def _piece_solve(M: np.ndarray, y: np.ndarray, a: np.ndarray, l1: bool

@@ -1,8 +1,8 @@
 """Small numerical workhorses shared by the rest of the package: simplex,
 ball and hull projections, Douglas-Rachford (over a point or a stack of
 rows, each row stopping on its own and leaving the prox calls) with the
-one sum resolvent of ``SumOp`` and ``SumFn`` on it, and projected
-subgradient descent.
+one sum resolvent of ``SumOp`` and ``SumFn`` on it, Lemke's pivoting
+for linear complementarity problems, and projected subgradient descent.
 
 Everything here is deterministic given its inputs (and seed, where one
 appears); nothing keeps state between calls.
@@ -218,6 +218,134 @@ def sum_resolvent(ja: Callable, jb: Callable, z: np.ndarray,
                             lambda v, rows: jb((v + z[rows]) / 2.0,
                                                lam / 2.0),
                             z, max_iter=6000, tol=1e-13)
+
+
+def lemke(Q: np.ndarray, q: np.ndarray, max_pivots: int = 100000
+          ) -> tuple[np.ndarray | None, int]:
+    """z >= 0 with w = q + Qz >= 0 and z'w = 0, by Lemke's complementary
+    pivoting (C. E. Lemke, "Bimatrix equilibrium points and mathematical
+    programming", Management Science 11 (1965) 681-689).
+
+    A dense tableau over (w, z, z0) for w - Qz - z0 1 = q, with q and Q
+    each scaled to unit size (z scales back).  z0 first enters at the
+    most negative q_i; then the complement of each leaving variable
+    enters, until z0 leaves; a q that is >= 0 up to 1e-12 of max |q|
+    needs no pivot.  The ratio test (``_ratio_test``) is lexicographic
+    in (basic values, B^-1) (Cottle, Pang & Stone, "The Linear
+    Complementarity Problem", 1992, 4.9), so a degenerate q, with tied
+    entries, is no special case, but it first takes Harris's tolerance
+    band and its large pivots.  Where Q spans many scales the exact
+    path can pivot on entries near 1e-10, and rounding can then end the
+    pivots on a ray or in a cycle, or the band can leave w a tolerance
+    below 0: such a run is pivoted again in extended precision
+    (``np.longdouble``, a 64-bit mantissa on x86), first with double's
+    rounding tolerance and then with its own, each with the pivots
+    left.  Returns (z, pivots): z is None when no run found a solution
+    (each ended on a secondary ray, where the entering column has no
+    positive entry, or in a cycle) or after ``max_pivots`` pivots in
+    all.  For a positive semidefinite Q the pivots end on a solution
+    whenever one exists (in exact arithmetic).
+    """
+    q = np.asarray(q, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    N = q.size
+    sq, sQ = np.abs(q).max(initial=0.0), np.abs(Q).max(initial=0.0) or 1.0
+    if q.min(initial=0.0) >= -1e-12 * sq:
+        return np.zeros(N), 0
+    # the tableau [B^-1 A | B^-1 q] over the columns (w, z, z0)
+    A = np.hstack([np.eye(N), -Q / sQ, -np.ones((N, 1)), q[:, None] / sq])
+    # a run that finds no z, or a z whose w = q + Qz dips below its
+    # tolerance, hands on to the next; the last z found is kept
+    z, pivots = None, 0
+    for dtype, eps in ((np.float64, np.finfo(float).eps),
+                       (np.longdouble, np.finfo(float).eps),
+                       (np.longdouble, np.finfo(np.longdouble).eps)):
+        zx, k = _pivot(A.astype(dtype), max_pivots - pivots, 1e4 * eps)
+        z, pivots = z if zx is None else zx, pivots + k
+        if pivots == max_pivots or zx is not None and (
+                A[:, -1] - A[:, N:2 * N] @ zx).min() >= -1e4 * eps:
+            break
+    return None if z is None else z * (sq / sQ), pivots
+
+
+def _pivot(T: np.ndarray, max_pivots: int, tol: float
+           ) -> tuple[np.ndarray | None, int]:
+    """Lemke's pivots on the tableau T of ``lemke``, in T's precision
+    with rounding tolerance ``tol``: (z, pivots), z None on a ray, on a
+    basis met before (exact pivots never repeat one, so rounding has
+    made them cycle) or after ``max_pivots`` pivots."""
+    N = len(T)
+    b = T[:, -1]
+    basis = np.arange(N)
+    basic = np.arange(2 * N + 1) < N
+    seen = set()
+    # z0 enters at the lexicographically smallest row of (b, B^-1), and
+    # stays in that row until it leaves
+    enter = 2 * N
+    r = r0 = _lex_min(b, T, np.arange(N), np.ones(N), tol)
+    for pivots in range(1, max_pivots + 1):
+        d = T[:, enter].copy()
+        T[r] /= d[r]
+        d[r] = 0.0
+        T -= d[:, None] * T[r]
+        leave, basis[r] = basis[r], enter
+        if leave == 2 * N:
+            x = np.zeros(2 * N + 1)
+            x[basis] = b
+            return np.maximum(x[N:2 * N], 0.0), pivots
+        basic[leave], basic[enter] = False, True
+        if basic.tobytes() in seen:
+            return None, pivots
+        seen.add(basic.tobytes())
+        enter = leave + N if leave < N else leave - N
+        r = _ratio_test(b, T, T[:, enter], r0, tol)
+        if r is None:
+            return None, pivots
+    return None, max_pivots
+
+
+def _ratio_test(b: np.ndarray, T: np.ndarray, d: np.ndarray, r0: int,
+                tol: float) -> int | None:
+    """The leaving row for the entering column d, None on a ray; ``tol``
+    is the rounding tolerance, relative to the largest entry.  The step
+    is the least (b_i + 10 tol)/d_i over the rows with d_i > tol max d,
+    clipped at 0, so that no basic value falls more than 10 tol below 0
+    (P. M. J. Harris, "Pivot selection methods of the Devex LP code",
+    Math. Programming 5 (1973) 1-28).  z0's row r0 leaves, ending the
+    pivots, where the step takes its value to 0 within tol max |b|; else,
+    of the rows whose ratio b_i/d_i is within the step, the
+    lexicographic minimum of those with a pivot of at least a tenth of
+    the largest."""
+    pos = d > tol * np.abs(d).max()
+    rows = np.flatnonzero(pos)
+    if not rows.size:
+        return None
+    br, dr = b[rows], d[rows]
+    step = max(((br + 10.0 * tol) / dr).min(), 0.0)
+    if pos[r0] and b[r0] - step * d[r0] <= tol * np.abs(b).max():
+        return r0
+    # the row of the least (b_i + 10 tol)/d_i is always within the step
+    within = br / dr <= step
+    rows, dr = rows[within], dr[within]
+    return _lex_min(b, T, rows[dr >= 0.1 * dr.max()], d, tol)
+
+
+def _lex_min(b: np.ndarray, T: np.ndarray, rows: np.ndarray,
+             d: np.ndarray, tol: float) -> int:
+    """The row i among ``rows`` with the lexicographically smallest
+    (b_i, B^-1_i)/d_i, B^-1 being the first len(b) columns of T.  In
+    each column v a row ties with the least ratio m where v_i - m d_i,
+    its entry after the pivot, is within tol max |v| of zero, so that
+    rounding breaks no tie."""
+    if rows.size == 1:
+        return int(rows[0])
+    for k in range(-1, len(b)):
+        v = b if k < 0 else T[:, k]
+        m = (v[rows] / d[rows]).min()
+        rows = rows[v[rows] - m * d[rows] <= tol * np.abs(v).max()]
+        if rows.size == 1:
+            break
+    return int(rows[0])
 
 
 def subgradient_descent(

@@ -352,6 +352,17 @@ class TestTailExperiment:
             assert 0.0 <= row["gap_bound"] <= 1e-9
             assert row["steps"] >= 1 and row["restarts"] == 1
 
+    def test_pivot_cap_leaves_the_start(self):
+        # one pivot cannot end Lemke's run: the row reports r at the
+        # start s = (x + x*)/2, still an upper bound on the graph
+        row = tail_experiment([8], step_cap=1)[0]
+        assert row["status"] == "upper_bound" and row["steps"] >= 1
+        T = tail_operator(8)
+        s, ss = (np.array(row["witness"][k]) for k in ("x", "xstar"))
+        assert np.array_equal(T.M @ s, ss)
+        probe = PairedPoint(np.zeros(8), np.ones(8))
+        assert row["gap_bound"] == r_objective(T, probe, s, ss) > 0.0
+
     @pytest.mark.parametrize("n", [2, 16, 64])
     def test_closed_form_witness(self, n):
         # s = e_n/2 maps to the all-halves vector: r = 1/8 + 1/8 - 1/4

@@ -128,7 +128,7 @@ def linear_witness_cases(draw):
     """A monotone M on an l1/linf pair and a probe whose gap is 0 at a
     known graph point.  On l1: x = s + a, x* = Ms - ||a||_1 sign(a); on
     linf the dual construction x* = Ms - a, x = s + ||a||_1 sign(a)."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 24))
     norm = draw(st.sampled_from([NormTag.L1, NormTag.LINF]))
     kind = draw(st.sampled_from(["psd+skew", "rank1", "zero", "triu"]))
     scale = draw(st.sampled_from([1e-3, 1.0, 100.0]))
@@ -149,11 +149,13 @@ def linear_witness_cases(draw):
 
 class TestLinearQp:
     @given(case=linear_witness_cases())
-    # SLSQP alone stops at r = 1.5e-7 here: r is flat along a face
+    # r is flat along a face here: an iterative solve can stop at
+    # r = 1.5e-7, short of the complementary point
     @example(case=(Linear(pair=DualPair(2, NormTag.L1),
                           M=np.diag([1.9073486328125e-06, 0.0])),
                    np.array([-0.5, -1.0]), np.array([1.5, 1.5]), 1.0))
-    # an infeasible SLSQP start ends at s = x, r = 8e-8
+    # M = 0 at a small scale: the linf LCP has a zero block, and a
+    # solve that ends at s = x reads r = 8e-8
     @example(case=(Linear(pair=DualPair(2, NormTag.LINF), M=np.zeros((2, 2))),
                    np.array([6e-4, 6e-4]), np.array([2e-4, 2e-4]), 1e-3))
     @settings(max_examples=150, deadline=None)

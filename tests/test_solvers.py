@@ -1,13 +1,16 @@
-"""Euclidean projection onto a convex hull (Wolfe's minimum-norm point)."""
+"""Euclidean projection onto a convex hull (Wolfe's minimum-norm point),
+l1-ball projection and Lemke's complementary pivoting."""
 
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from monotone_lab import Polytope
-from monotone_lab.solvers import nearest_hull_point, project_l1_ball
+from monotone_lab import Polytope, tail_operator
+from monotone_lab.quasidensity import _gap_lcp
+from monotone_lab.solvers import lemke, nearest_hull_point, project_l1_ball
 
 
 def brute_force_projection(V: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -167,3 +170,63 @@ class TestProjectL1Ball:
             ref = np.sign(v) * np.maximum(np.abs(v) - hi, 0.0)
             assert np.allclose(project_l1_ball(v, r), ref, rtol=0.0,
                                atol=1e-12)
+
+
+@st.composite
+def monotone_lcps(draw):
+    """(M, q) with M = B B' + K - K' monotone (rank 1, zero and skew
+    among them) and q = w0 - M z0 for some z0, w0 >= 0, so the LCP is
+    feasible and hence, M being positive semidefinite, solvable.  The
+    entries are multiples of 1/8, so M and q are exact: rounding a
+    singular B B' can leave it slightly indefinite, and then an LCP
+    that probes its null space has no solution at all."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["psd+skew", "rank1", "zero", "skew"]))
+    unit = st.integers(-8, 8).map(lambda k: k / 8.0)
+    B, K = (draw(arrays(np.float64, (n, n), elements=unit)) for _ in "BK")
+    if kind == "rank1":
+        B[:, 1:] = 0.0
+    M = {"psd+skew": B @ B.T + K - K.T, "rank1": B @ B.T,
+         "zero": np.zeros((n, n)), "skew": K - K.T}[kind]
+    z0, w0 = (np.maximum(draw(arrays(np.float64, (n,), elements=unit)), 0.0)
+              for _ in "zw")
+    return M, w0 - M @ z0
+
+
+class TestLemke:
+    @given(case=monotone_lcps())
+    @settings(max_examples=100, deadline=None)
+    def test_monotone_lcp_is_solved(self, case):
+        M, q = case
+        z, _ = lemke(M, q)
+        assert z is not None
+        w = q + M @ z
+        scale = 1.0 + np.abs(q).max() + np.abs(M).max() * np.abs(z).max()
+        assert np.all(z >= 0.0)
+        assert np.all(w >= -1e-9 * scale)
+        assert abs(z @ w) <= 1e-9 * scale * (1.0 + np.abs(z).sum())
+
+    @pytest.mark.parametrize("l1", [True, False])
+    @pytest.mark.parametrize("n", [2, 5, 16, 64])
+    def test_tied_q_of_the_tail_probe(self, n, l1):
+        # q holds n equal entries (-1 on l1; -1, 1 and 0 on linf), so
+        # the first pivot and the later ratio tests tie; ties go by the
+        # rows of B^-1, which reach the complementary point in 2 pivots
+        # on l1 and 4 on linf whatever n (a first-row rule takes n + 1
+        # on l1)
+        Q, q = _gap_lcp(tail_operator(n).M, np.zeros(n), np.ones(n), l1)
+        z, pivots = lemke(Q, q)
+        assert pivots == (2 if l1 else 4)
+        w = q + Q @ z
+        assert np.all(z >= 0.0) and np.all(w >= -1e-12)
+        assert abs(z @ w) <= 1e-12
+
+    def test_nonnegative_q_needs_no_pivot(self):
+        z, pivots = lemke(np.eye(3), np.array([0.0, 1.0, 2.0]))
+        assert pivots == 0 and np.array_equal(z, np.zeros(3))
+
+    def test_infeasible_lcp_ends_on_a_ray(self):
+        # w = -1 + 0 z has no solution: z enters on a zero column, in
+        # each precision that lemke tries
+        z, pivots = lemke(np.zeros((1, 1)), np.array([-1.0]))
+        assert z is None and pivots == 3

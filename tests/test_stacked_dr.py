@@ -410,3 +410,29 @@ class TestOracleGaps:
         for p, v in zip(self.PROBES, values):
             rep = gap(S, GapQuery(p))
             assert rep.method == "resolvent" and v == rep.value
+
+
+class TestProbeGaps:
+    PAIR = DualPair(2, NormTag.LINF)
+
+    def test_sampled_probes_share_one_draw(self, monkeypatch):
+        # off the Euclidean pair a sum's probe gaps are sampled: one
+        # draw of its graph rows serves every probe, each value gap's
+        norm = Subdifferential(pair=self.PAIR, f=NormFn(2, 1.0, NormTag.LINF))
+        S = add(norm, normal_cone(self.PAIR, box(np.full(2, -0.05),
+                                                 np.full(2, 0.04))))
+        probes = qd.default_probes(S, 4, 0)
+        draws = []
+        rows = SumOp.graph_rows
+        monkeypatch.setattr(SumOp, "graph_rows", lambda self, budget, seed:
+                            draws.append(seed) or rows(self, budget, seed))
+        values, ok = qd.probe_gaps(S, probes, seed=3)
+        assert ok.all() and draws == [3]
+        for p, v in zip(probes, values):
+            rep = gap(S, GapQuery(p), seed=3)
+            assert rep.method == "sampled" and v == rep.value
+
+    def test_qp_probes_are_not_ok(self):
+        S = Linear(pair=self.PAIR, M=np.eye(2))
+        values, ok = qd.probe_gaps(S, [PairedPoint([1.0, 0.0], [0.0, 1.0])])
+        assert not ok.any() and np.isnan(values).all()
