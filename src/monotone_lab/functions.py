@@ -9,14 +9,14 @@ equality tests degrade to three-valued logic.
 
 ``prox_lam`` takes a point (n,) or a stack (m, n): each closed form runs
 once over the last axis, bit for bit the point's result in each row; a
-sum that no summand folds into is resolved, a point or a whole stack in
-one run, by ``solvers.sum_resolvent``, the Douglas-Rachford routine
-``SumOp`` uses.
+sum with no closed-form prox (``SumFn.folds`` false) is resolved, a
+point or a whole stack in one run, by ``solvers.sum_resolvent``, the
+Douglas-Rachford routine ``SumOp`` uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -346,15 +346,34 @@ class Translate(ConvexFn):
 
 @dataclass(frozen=True)
 class SumFn(ConvexFn):
-    """f + g.  Prox folds quadratic-like summands analytically and uses
-    Douglas-Rachford otherwise; the conjugate is numeric-only."""
+    """f + g, whose prox rule is chosen once, at construction.  A smooth
+    summand (``_fold_aim``) folds into the other summand's prox.  Else
+    the indicator of a box B (a box polytope, an linf ball, or any set
+    in dimension 1) beside a separable f of full domain (any f of full
+    domain in dimension 1, else an l1 norm or the support function of a
+    box) clips the prox of f to B: prox(f + i_B)(z) = P_B(prox f(z)), a
+    1-D fact applied coordinate by coordinate.  Any other sum runs
+    Douglas-Rachford.  ``folds`` is true when the prox is a closed form:
+    a rule applies and no summand is a sum that runs Douglas-Rachford.
+    The conjugate is numeric-only."""
 
     f: ConvexFn
     g: ConvexFn
+    # the prox (z, lam) -> prox_lam(f + g)(z) by a fold rule, else None
+    _fold: Optional[Callable] = field(default=None, init=False, repr=False,
+                                      compare=False)
+    # whether that prox is a closed form: a fold rule applies and neither
+    # summand runs Douglas-Rachford
+    folds: bool = field(default=False, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self) -> None:
         if self.f.dim != self.g.dim:
             raise ValueError("summand dimensions differ")
+        fold = _fold_prox(self.f, self.g)
+        object.__setattr__(self, "_fold", fold)
+        object.__setattr__(self, "folds", fold is not None and all(
+            _closed_prox(h) for h in (self.f, self.g)))
 
     @property
     def dim(self) -> int:
@@ -368,27 +387,56 @@ class SumFn(ConvexFn):
         return a + b if np.isfinite(b) else INF
 
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
-        fold = self._fold()
-        if fold is None:
+        if self._fold is None:
             # one Douglas-Rachford run over the point or the whole stack;
             # its convergence flags are dropped
             return sum_resolvent(self.f.prox_lam, self.g.prox_lam, z, lam)[0]
-        other, aim = fold
-        return other.prox_lam(*aim(z, lam))
-
-    def _fold(self):
-        """(other, aim) when one summand folds into the other's prox:
-        the prox of f + g at (z, lam) is other's at aim(z, lam)."""
-        for smooth, other in ((self.f, self.g), (self.g, self.f)):
-            aim = _fold_aim(smooth)
-            if aim is not None:
-                return other, aim
-        return None
+        return self._fold(z, lam)
 
     def minorant(self) -> tuple[float, float]:
         gf, df = self.f.minorant()
         gg, dg = self.g.minorant()
         return gf + gg, df + dg
+
+
+def full_domain(f: ConvexFn) -> bool:
+    """Whether dom f is the whole space."""
+    if isinstance(f, Translate):
+        return full_domain(f.inner)
+    if isinstance(f, SumFn):
+        return full_domain(f.f) and full_domain(f.g)
+    return isinstance(f, (Quadratic, NormFn, SupportFn, Affine, HalfSqNorm))
+
+
+def _fold_prox(f: ConvexFn, g: ConvexFn) -> Optional[Callable]:
+    """``SumFn``'s prox of f + g by a fold rule, or None."""
+    for smooth, other in ((f, g), (g, f)):
+        aim = _fold_aim(smooth)
+        if aim is not None:
+            return lambda z, lam: other.prox_lam(*aim(z, lam))
+    for ind, other in ((g, f), (f, g)):
+        if (isinstance(ind, IndicatorFn) and ind.set_._is_box()
+                and _separable(other)):
+            return lambda z, lam: ind.set_.project(other.prox_lam(z, lam))
+    return None
+
+
+def _closed_prox(f: ConvexFn) -> bool:
+    """Whether the prox of f is a closed form: every variant's is but that
+    of a ``SumFn`` that does not fold."""
+    while isinstance(f, Translate):
+        f = f.inner
+    return not isinstance(f, SumFn) or f.folds
+
+
+def _separable(f: ConvexFn) -> bool:
+    """Whether f is a sum of 1-D functions of full domain, one per
+    coordinate."""
+    if f.dim == 1:
+        return full_domain(f)
+    if isinstance(f, NormFn):
+        return f.kind is NormTag.L1
+    return isinstance(f, SupportFn) and f.set_._is_box()
 
 
 def _fold_aim(smooth: ConvexFn) -> Optional[Callable]:

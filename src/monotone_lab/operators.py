@@ -11,15 +11,19 @@ as ``project`` and ``prox_lam`` are: a point (n,) gives a
 (X, X*, ok), ok marking every row that succeeded and a failed row
 holding NaN.  Each closed form (finite-graph lookup, linear solve, prox
 of a subdifferential, shift, inverse) is written once over the last
-axis and serves a point and a stack alike; a sum resolves a point or a
-whole stack in one ``solvers.sum_resolvent`` run, in which a row that
+axis and serves a point and a stack alike.  A sum is a closed form
+where the math allows: ``add`` folds two linear maps into one, and
+df + dg into d(f + g) where the ``SumFn`` prox folds; ``parallel_sum``
+of df and dg is the inverse of such a fold of df* + dg*.  Any other sum
+is a ``SumOp``, which resolves a point or a whole stack in one
+``solvers.sum_resolvent`` (Douglas-Rachford) run, in which a row that
 stalls fails alone.  The graph sample is rows too: ``graph_rows`` gives
 all points of a finite graph, and a seeded sample of any other graph;
 a sum's sample drops the rows that fail.
 
 Graph membership is one oracle, ``residual`` (0 on G(S)), which
-``contains`` compares with a tolerance; a subdifferential's ``contains``
-tests Fenchel-Young instead.
+``contains`` compares with a tolerance; a subdifferential of f with a
+closed-form conjugate tests Fenchel-Young instead.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .functions import ConvexFn, IndicatorFn, SupportFn
+from .functions import (ConvexFn, IndicatorFn, SumFn, SupportFn,
+                        full_domain)
 from .sets import CompactConvexSet, Polytope
 from .solvers import sum_resolvent
 from .spaces import DualPair, NormTag, PairedPoint, first_min, row_norms
@@ -242,6 +247,11 @@ class Subdifferential(MonotoneOperator):
         return self.resolvent(zs)[:2]
 
     def contains(self, x, xstar, tol: float = 1e-7) -> str:
+        """Fenchel-Young where f has a closed-form conjugate, else (a
+        ``SumFn``, say) the resolvent residual, as a numeric conjugate
+        costs thousands of prox steps and can only certify 'no'."""
+        if self.f.conjugate_fn() is None:
+            return super().contains(x, xstar, tol)
         x = self.pair.check_dim(x, "x")
         xstar = self.pair.check_dim(xstar, "xstar")
         return self.f.subdiff_contains(x, xstar, tol)
@@ -433,16 +443,43 @@ def inverse(S: MonotoneOperator) -> MonotoneOperator:
 
 def add(S: MonotoneOperator, T: MonotoneOperator) -> MonotoneOperator:
     """S + T on S's pair: ``Linear(M1 + M2)`` for two linear maps on one
-    pair, whose resolvent is then one solve, else a ``SumOp`` resolved
-    by Douglas-Rachford."""
-    if isinstance(S, Linear) and isinstance(T, Linear) and S.pair == T.pair:
-        return Linear(pair=S.pair, M=S.M + T.M)
+    pair, whose resolvent is then one solve; ``Subdifferential(f + g)``
+    for subdifferentials of f and g on one pair where one of f, g has
+    full domain and the ``SumFn`` folds, as df + dg = d(f + g) once
+    ri dom f meets ri dom g (Rockafellar, Convex Analysis, Thm 23.8);
+    else a ``SumOp`` resolved by Douglas-Rachford."""
+    if S.pair == T.pair:
+        if isinstance(S, Linear) and isinstance(T, Linear):
+            return Linear(pair=S.pair, M=S.M + T.M)
+        fn = _folded_sum(S, T)
+        if fn is not None:
+            return Subdifferential(pair=S.pair, f=fn)
     return SumOp(pair=S.pair, S=S, T=T)
+
+
+def _folded_sum(S: MonotoneOperator, T: MonotoneOperator) -> Optional[SumFn]:
+    """f + g for S = df and T = dg where ``add`` folds it, else None."""
+    if not (isinstance(S, Subdifferential) and isinstance(T, Subdifferential)
+            and (full_domain(S.f) or full_domain(T.f))):
+        return None
+    fn = SumFn(S.f, T.f)
+    return fn if fn.folds else None
 
 
 def parallel_sum(S: MonotoneOperator, T: MonotoneOperator) -> MonotoneOperator:
     """(S^{-1} + T^{-1})^{-1}, evaluated through resolvents of the
-    inverses."""
+    inverses.  For S = df and T = dg with closed-form conjugates,
+    (df)^{-1} = df* (Rockafellar, Cor. 23.5.1), so where ``add`` folds
+    df* + dg* on the swapped pair the result is the inverse of that one
+    subdifferential."""
+    if S.pair == T.pair and all(isinstance(U, Subdifferential)
+                                for U in (S, T)):
+        conj = [U.f.conjugate_fn() for U in (S, T)]
+        if all(h is not None for h in conj):
+            pair = DualPair(S.pair.dim, S.pair.dual_norm)
+            folded = add(*(Subdifferential(pair=pair, f=h) for h in conj))
+            if isinstance(folded, Subdifferential):
+                return inverse(folded)
     return inverse(add(inverse(S), inverse(T)))
 
 

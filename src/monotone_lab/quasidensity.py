@@ -96,8 +96,6 @@ def gap(
     if q.primal_fuzz is not None:
         return fuzzy_gap_primal(S, q.primal_fuzz, q.target.xstar, budget, seed)
     target = q.target
-    finite = isinstance(S, FiniteGraph)
-
     if _oracle_path(S):
         try:
             return gap_euclidean_oracle(S, target)
@@ -110,20 +108,24 @@ def gap(
         return replace(rep, witness=rep.witness.swapped())
 
     X, Xs = S.graph_rows(budget, seed)
-    vals, i = _scan(S, target, X, Xs)
-    if i is None:
+    rep = _scan(S, target, X, Xs)
+    if rep is None:
         raise ResolventError("no graph points available for the gap bound")
-    return GapReport(float(vals[i]), PairedPoint.of_rows(X[i], Xs[i]),
-                     *(("exact", "enumeration") if finite
-                       else ("upper_bound", "sampled")))
+    return rep
 
 
 def _scan(S: MonotoneOperator, target: PairedPoint, X: np.ndarray,
-          Xs: np.ndarray) -> tuple[np.ndarray, Optional[int]]:
-    """r at each graph row and the first best one, NaN and +inf
-    skipped (None when no row is finite)."""
+          Xs: np.ndarray) -> Optional[GapReport]:
+    """``gap`` at the first best graph row, NaN and +inf skipped (None
+    when no row is finite): exact on a finite graph, whose rows are all
+    its points, else a sampled upper bound."""
     vals = r_objective(S, target, X, Xs)
-    return vals, first_min(vals)
+    i = first_min(vals)
+    if i is None:
+        return None
+    return GapReport(float(vals[i]), PairedPoint.of_rows(X[i], Xs[i]),
+                     *(("exact", "enumeration") if isinstance(S, FiniteGraph)
+                       else ("upper_bound", "sampled")))
 
 
 def _exact_paths(S: MonotoneOperator) -> bool:
@@ -182,40 +184,54 @@ def oracle_gaps(
     whose resolvent failed) needs its own ``gap`` call; its value is
     NaN.  The probes are resolved in one stacked call, in which a row
     that fails fails alone."""
-    m = len(probes)
-    if not (m and _oracle_path(S)):
-        return np.full(m, np.nan), np.zeros(m, dtype=bool)
-    Z = np.array([p.x + p.xstar for p in probes])
-    X, Xs, ok = S.resolvent(Z)
-    return _oracle_value(X, Xs, Z), ok
+    return _values(probe_reports(S, probes) if _oracle_path(S)
+                   else [None] * len(probes))
 
 
 def probe_gaps(
     S: MonotoneOperator, probes: list[PairedPoint], budget: int = 100,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``gap(S, GapQuery(probe), budget, seed).value`` at each probe where
-    it comes from a path shared by all probes, as (values, ok) like
-    ``oracle_gaps``: the resolvent oracle's stacked call on the Euclidean
-    pair, else, where ``gap`` goes straight to the graph rows, one draw
-    of them scanned against every probe.  A probe off ok (a ``qp`` gap,
-    a failed resolvent, a probe with no finite row) needs its own
-    ``gap`` call; its value is NaN."""
+    """The values of ``probe_reports`` as (values, ok) like
+    ``oracle_gaps``, NaN where a probe needs its own ``gap`` call."""
     if _oracle_path(S):
         return oracle_gaps(S, probes)
+    return _values(probe_reports(S, probes, budget, seed))
+
+
+def probe_reports(
+    S: MonotoneOperator, probes: list[PairedPoint], budget: int = 100,
+    seed: int = 0,
+) -> list[Optional[GapReport]]:
+    """``gap(S, GapQuery(probe), budget, seed)`` at each probe where it
+    comes from a path shared by all probes, equal to it bit for bit: the
+    resolvent oracle's stacked call on the Euclidean pair, else, where
+    ``gap`` goes straight to the graph rows, one draw of them scanned
+    against every probe.  None where a probe needs its own ``gap`` call
+    (a ``qp`` gap, a failed resolvent, a probe with no finite row)."""
     m = len(probes)
-    values, ok = np.full(m, np.nan), np.zeros(m, dtype=bool)
     if not m or _qp_path(S):
-        return values, ok
+        return [None] * m
+    if _oracle_path(S):
+        Z = np.array([p.x + p.xstar for p in probes])
+        X, Xs, ok = S.resolvent(Z)
+        values = _oracle_value(X, Xs, Z)
+        return [GapReport(float(values[k]), PairedPoint.of_rows(X[k], Xs[k]),
+                          "exact", "resolvent") if ok[k] else None
+                for k in range(m)]
     try:
         X, Xs = S.graph_rows(budget, seed)
     except ResolventError:
-        return values, ok
-    for k, p in enumerate(probes):
-        vals, i = _scan(S, p, X, Xs)
-        if i is not None:
-            values[k], ok[k] = vals[i], True
-    return values, ok
+        return [None] * m
+    return [_scan(S, p, X, Xs) for p in probes]
+
+
+def _values(reports: list[Optional[GapReport]]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(values, ok) of ``probe_reports``, NaN off ok."""
+    ok = np.array([r is not None for r in reports], dtype=bool)
+    return np.array([np.nan if r is None else r.value
+                     for r in reports]), ok
 
 
 def gap_linear_qp(

@@ -25,9 +25,12 @@ from monotone_lab import (
     interval,
     minimize,
 )
+from monotone_lab.solvers import sum_resolvent
 
 SQUARE = Polytope(vertices=np.array([[1.0, 1.0], [1.0, -1.0],
                                      [-1.0, 1.0], [-1.0, -1.0]]))
+SQUARE_ROTATED = Polytope(vertices=np.array([[1.0, 0.0], [0.0, 1.0],
+                                             [-1.0, 0.0], [0.0, -1.0]]))
 ABS = NormFn(1)
 HALF_SQ_1D = Quadratic(np.array([[1.0]]), np.array([0.0]))
 
@@ -148,22 +151,108 @@ class TestProx:
 
 
 class TestSumResolvent:
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3),
            lam=st.floats(0.05, 4.0))
     @settings(max_examples=40, deadline=None)
     def test_sum_prox_is_the_sum_operator_resolvent(self, seed, n, lam):
-        # no summand folds, so both run the one Douglas-Rachford routine
+        # no summand folds (an l2 or linf norm beside a box, an l1 norm
+        # beside a non-box hull), so both run the one Douglas-Rachford
+        # routine
         rng = np.random.default_rng(seed)
         kind = (NormTag.L1, NormTag.L2, NormTag.LINF)[seed % 3]
         lo = rng.uniform(-2.0, 0.0, n)
         f = NormFn(n, float(rng.uniform(0.1, 2.0)), kind)
-        g = IndicatorFn(box(lo, lo + rng.uniform(0.0, 2.0, n)))
+        g = IndicatorFn(
+            Polytope(vertices=rng.uniform(-2.0, 2.0, (n + 2, n)))
+            if kind is NormTag.L1
+            else box(lo, lo + rng.uniform(0.0, 2.0, n)))
+        assert not SumFn(f, g).folds
         pair = DualPair(n)
         S = SumOp(pair=pair, S=Subdifferential(pair=pair, f=f),
                   T=Subdifferential(pair=pair, f=g))
         z = rng.uniform(-4.0, 4.0, n)
         assert np.array_equal(SumFn(f, g).prox_lam(z, lam),
                               S.resolvent(z, lam).x)
+
+
+def _separable_fn(rng, n):
+    """A separable function of full domain: an l1 norm or the support
+    function of a box, and in 1-D also any norm, a ball's support
+    function or a translated norm."""
+    kind = NormTag((NormTag.L1, NormTag.L2, NormTag.LINF)[rng.integers(3)])
+    lo = rng.uniform(-2.0, 1.0, n)
+    choices = [NormFn(n, float(rng.uniform(0.0, 2.0)), NormTag.L1),
+               SupportFn(box(lo, lo + rng.uniform(0.0, 2.0, n), side="dual"))]
+    if n == 1:
+        choices += [
+            NormFn(1, float(rng.uniform(0.0, 2.0)), kind),
+            SupportFn(Ball(side="dual", center=rng.uniform(-1.0, 1.0, 1),
+                           radius=float(rng.uniform(0.0, 2.0)), norm=kind)),
+            Translate(NormFn(1), shift=rng.normal(size=1),
+                      tilt=rng.normal(size=1), offset=0.5)]
+    return choices[rng.integers(len(choices))]
+
+
+def _box_set(rng, n):
+    """A box polytope or an linf ball, and in 1-D also an l2 ball."""
+    lo = rng.uniform(-2.0, 0.0, n)
+    center = rng.uniform(-1.0, 1.0, n)
+    radius = float(rng.uniform(0.0, 2.0))
+    choices = [box(lo, lo + rng.uniform(0.0, 2.0, n)),
+               Ball(center=center, radius=radius, norm=NormTag.LINF)]
+    if n == 1:
+        choices.append(Ball(center=center, radius=radius))
+    return choices[rng.integers(len(choices))]
+
+
+class TestBoxFold:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           lam=st.floats(0.05, 4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_clip_is_the_converged_douglas_rachford_prox(self, seed, n, lam):
+        rng = np.random.default_rng(seed)
+        f, g = _separable_fn(rng, n), IndicatorFn(_box_set(rng, n))
+        fn = SumFn(f, g) if rng.integers(2) else SumFn(g, f)
+        assert fn.folds
+        Z = rng.uniform(-4.0, 4.0, (5, n))
+        P = fn.prox_lam(Z, lam)
+        scale = max(1.0, float(np.abs(Z).max()))
+        x, _, ok = sum_resolvent(f.prox_lam, g.prox_lam, Z, lam)
+        # Douglas-Rachford can stall where the box edge sits near a kink
+        # of f (a box from 2e-5 beside a support function's kink at 0
+        # moves its iterate by 2e-5 a step), so the match is on the rows
+        # it converged on, and every row must do at least as well as its
+        # Douglas-Rachford point clipped into the box
+        assert np.abs(P - x)[np.array(ok)].max(initial=0.0) <= 1e-10 * scale
+
+        def objective(s, z):
+            return fn.eval(s) + float((s - z) @ (s - z)) / (2.0 * lam)
+
+        for z, p, xr in zip(Z, P, x):
+            # feasible, and a row is the point's result bit for bit
+            assert g.set_.contains(p, 1e-12 * scale)
+            assert np.array_equal(fn.prox_lam(z, lam), p)
+            assert objective(p, z) <= (objective(g.set_.project(xr), z)
+                                       + 1e-12 * scale * scale)
+
+    def test_the_1d_clip(self):
+        # prox of |x| + i_[-1, 1] at z: soft threshold by lam, then clip
+        fn = SumFn(ABS, IndicatorFn(interval(-1.0, 1.0)))
+        assert fn.folds
+        z = np.array([[-5.0], [-1.5], [0.3], [1.8], [3.0]])
+        assert np.array_equal(fn.prox_lam(z, 0.5),
+                              [[-1.0], [-1.0], [0.0], [1.0], [1.0]])
+
+    def test_sums_that_stay_douglas_rachford(self):
+        sq = box(-np.ones(2), np.ones(2))
+        for fn in (SumFn(NormFn(2), IndicatorFn(sq)),  # not separable
+                   SumFn(NormFn(2, 1.0, NormTag.L1),
+                         IndicatorFn(SQUARE_ROTATED)),  # not a box
+                   SumFn(IndicatorFn(interval(0.0, 1.0)),
+                         IndicatorFn(interval(-1.0, 0.5))),
+                   # a 1-D clip of a sum that runs Douglas-Rachford
+                   SumFn(SumFn(ABS, ABS), IndicatorFn(interval(-1.0, 1.0)))):
+            assert not fn.folds
 
 
 class TestFenchelYoung:

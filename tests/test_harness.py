@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from monotone_lab import (
     DualPair,
     FiniteGraph,
+    GapQuery,
     IndicatorFn,
     Linear,
     NormFn,
@@ -22,6 +23,8 @@ from monotone_lab import (
     PairedPoint,
     ScenarioError,
     Subdifferential,
+    SumOp,
+    gap,
     interval,
     normal_cone,
     parse_fn,
@@ -333,6 +336,53 @@ class TestRunScenario:
         assert br["ok"]
 
 
+class TestGapTask:
+    BOX = [[-0.05, -0.05], [0.04, -0.05], [-0.05, 0.06], [0.04, 0.06]]
+    PROBES = [[[0.3, -0.2], [1.0, 0.5]], [[-1.0, 2.0], [0.0, 0.1]],
+              [[0.0, 0.0], [0.0, 0.0]], [[2.5, 1.0], [-0.4, 0.3]],
+              [[0.01, 0.02], [3.0, -3.0]], [[-0.7, -0.7], [0.2, 0.9]]]
+
+    def _records(self, tmp_path, norm, op_desc):
+        data = base_scenario(
+            [{"kind": "gap", "operator": "S", "seed": 4, "budget": 30,
+              "probes": self.PROBES}],
+            operators={"S": op_desc}, space={"dim": 2, "norm": norm})
+        S = parse_operator(op_desc, parse_space(data["space"]))
+        rep = run_scenario(write_scenario(tmp_path, data))
+        assert rep["tasks"][0]["status"] == "ok"
+        return S, rep["tasks"][0]["records"]
+
+    @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+    def test_records_are_gap_bit_for_bit(self, tmp_path, norm):
+        sum_desc = {"sum": [{"subdiff": {"norm": {"dim": 2,
+                                                  "kind": "linf"}}},
+                            {"normal_cone": {"polytope": self.BOX}}]}
+        graph = {"graph": [[[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0],
+                                                      [0.5, 0.5]]]}
+        for desc in (sum_desc, graph):
+            S, records = self._records(tmp_path, norm, desc)
+            for rec, (x, xs) in zip(records, self.PROBES):
+                rep = gap(S, GapQuery(PairedPoint(x, xs)), 30, 4)
+                assert (rec["value"], rec["status"], rec["method"]) == (
+                    rep.value, rep.status, rep.method)
+                assert rec["witness"] == {"x": list(rep.witness.x),
+                                          "xstar": list(rep.witness.xstar)}
+
+    def test_sampled_probes_share_one_draw(self, tmp_path, monkeypatch):
+        # off the Euclidean pair six sampled probe gaps scan one graph
+        # draw of the sum (the probes are given, so no radius draw)
+        draws = []
+        rows = SumOp.graph_rows
+        monkeypatch.setattr(SumOp, "graph_rows", lambda self, budget, seed:
+                            draws.append(seed) or rows(self, budget, seed))
+        S, records = self._records(tmp_path, "linf", {"sum": [
+            {"subdiff": {"norm": {"dim": 2, "kind": "linf"}}},
+            {"normal_cone": {"polytope": self.BOX}}]})
+        assert isinstance(S, SumOp) and draws == [4]
+        assert len(records) == 6
+        assert all(r["method"] == "sampled" for r in records)
+
+
 class TestTailExperiment:
     def test_n1_exact_zero(self):
         rows = tail_experiment([1])
@@ -405,6 +455,24 @@ class TestSumTest:
         out = sum_test(T1, T2, "domain", probes=5, seed=0)
         assert out["status"] == "skipped"
         assert "witness" in out["reason"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_domains_find_a_witness(self, seed):
+        # both domains are the plane, so every sampled point is interior
+        pair = DualPair(2)
+        S = Linear(pair=pair, M=np.array([[2.0, 1.0], [-1.0, 1.0]]))
+        T = Subdifferential(pair=pair, f=NormFn(2, 0.5))
+        out = sum_test(S, T, "domain", seed=seed)
+        assert out["status"] == "ok" and out["probes"] == 50
+        assert out["passed"] == 50
+
+    def test_touching_domains_skipped(self):
+        # [-1, 0] and [0, 1] meet at 0 alone, with no interior point
+        T1 = normal_cone(PAIR1, interval(-1.0, 0.0))
+        T2 = normal_cone(PAIR1, interval(0.0, 1.0))
+        for seed in range(4):
+            assert sum_test(T1, T2, "domain", probes=5,
+                            seed=seed)["status"] == "skipped"
 
     def test_unknown_mode(self):
         S = Subdifferential(pair=PAIR1, f=NormFn(1))

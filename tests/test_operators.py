@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monotone_lab import (
     Ball,
+    ConvexFn,
     DualPair,
     FiniteGraph,
     HalfSqNorm,
@@ -20,16 +22,20 @@ from monotone_lab import (
     Shift,
     GapQuery,
     Subdifferential,
+    SumFn,
     SumOp,
     SupportFn,
     SupportSubdiff,
     add,
+    box,
     gap,
     interval,
     inverse,
     monotone_check,
+    normal_cone,
     parallel_sum,
     strong_max_dual,
+    support_subdiff,
     tail_operator,
 )
 
@@ -278,6 +284,107 @@ class TestCombinators:
         pt = P.resolvent(np.array([3.0]))
         assert pt.x[0] == pytest.approx(2.0, abs=1e-6)
         assert pt.xstar[0] == pytest.approx(1.0, abs=1e-6)
+
+
+NORM_TAGS = (NormTag.L1, NormTag.L2, NormTag.LINF)
+
+
+def _separable_subdiff(rng, pair):
+    """The subdifferential of an l1 norm, or of any norm in 1-D."""
+    kind = NORM_TAGS[rng.integers(3)] if pair.dim == 1 else NormTag.L1
+    return Subdifferential(pair=pair,
+                           f=NormFn(pair.dim, float(rng.uniform(0.1, 2.0)),
+                                    kind))
+
+
+def _box_cone(rng, pair):
+    lo = rng.uniform(-2.0, 0.0, pair.dim)
+    return normal_cone(pair, box(lo, lo + rng.uniform(0.0, 2.0, pair.dim)))
+
+
+def _assert_rows_match(P, ref, Z, lam):
+    X, Xs, ok = P.resolvent(Z, lam)
+    assert ok.all()
+    # compared where Douglas-Rachford converged: a row of the reference
+    # can stall (the box [-0.126, -0.0009] beside 1.73|x| at z = 3.05,
+    # lam = 2 stops at residual 9e-4), which the closed form does not
+    Xr, Xsr, ok_r = ref.resolvent(Z, lam)
+    scale = max(1.0, float(np.abs(Z).max()))
+    # x + lam x* = z in both, so x* differs by the x gap over lam
+    assert np.abs(X - Xr)[ok_r].max(initial=0.0) <= 1e-10 * scale
+    assert np.abs(lam * (Xs - Xsr))[ok_r].max(initial=0.0) <= 1e-10 * scale
+
+
+class TestFoldedSums:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           k=st.integers(0, 2), lam=st.floats(0.05, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_folded_add_is_the_douglas_rachford_sum(self, seed, n, k, lam):
+        rng = np.random.default_rng(seed)
+        pair = DualPair(n, NORM_TAGS[k])
+        S, T = _separable_subdiff(rng, pair), _box_cone(rng, pair)
+        A = add(S, T) if rng.integers(2) else add(T, S)
+        assert type(A) is Subdifferential and A.f.folds
+        assert A.pair == pair
+        _assert_rows_match(A, SumOp(pair=pair, S=S, T=T),
+                           rng.uniform(-4.0, 4.0, (6, n)), lam)
+        assert all(A.contains(x, xs) == "yes"
+                   for x, xs in zip(*A.graph_rows(12, seed % 1000)))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           k=st.integers(0, 2), lam=st.floats(0.05, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_folded_parallel_sum_is_the_douglas_rachford_one(self, seed, n,
+                                                             k, lam):
+        # (d||.||_1)^-1 is the normal cone of an linf ball and (N_B)^-1
+        # the subdifferential of B's support function; d(|.|^2/2) is its
+        # own inverse
+        rng = np.random.default_rng(seed)
+        pair = DualPair(n, NORM_TAGS[k])
+        S = _separable_subdiff(rng, pair)
+        T = (_box_cone(rng, pair) if rng.integers(2)
+             else Subdifferential(pair=pair, f=HalfSqNorm(n)))
+        P = parallel_sum(S, T)
+        assert isinstance(P, InverseOp) and P.pair == pair
+        assert type(P.inner) is Subdifferential and P.inner.f.folds
+        dual = DualPair(n, pair.dual_norm)
+        ref = InverseOp(pair=pair, inner=SumOp(
+            pair=dual, S=InverseOp(pair=dual, inner=S),
+            T=InverseOp(pair=dual, inner=T)))
+        _assert_rows_match(P, ref, rng.uniform(-4.0, 4.0, (6, n)), lam)
+        assert all(P.contains(x, xs) == "yes"
+                   for x, xs in zip(*P.graph_rows(12, seed % 1000)))
+
+    def test_sums_that_need_douglas_rachford_stay_sum_ops(self):
+        pair = DualPair(2)
+        l2 = Subdifferential(pair=pair, f=NormFn(2))
+        cone = normal_cone(pair, box(-np.ones(2), np.ones(2)))
+        small = normal_cone(pair, box(np.zeros(2), np.ones(2)))
+        # not separable; no summand of full domain; on two pairs
+        assert isinstance(add(l2, cone), SumOp)
+        assert isinstance(add(cone, small), SumOp)
+        assert isinstance(add(ABS_OP, Subdifferential(
+            pair=DualPair(1, NormTag.L1), f=NormFn(1))), SumOp)
+        # a summand that is itself a Douglas-Rachford sum
+        dr = Subdifferential(pair=PAIR1, f=SumFn(NormFn(1), NormFn(1)))
+        assert isinstance(add(dr, CONE_OP), SumOp)
+        # the conjugates are the indicators of two boxes
+        P = parallel_sum(support_subdiff(pair, box(-np.ones(2), np.ones(2),
+                                                   side="dual")),
+                         Subdifferential(pair=pair,
+                                         f=NormFn(2, 1.0, NormTag.L1)))
+        assert isinstance(P.inner, SumOp)
+        # no closed-form conjugate
+        assert isinstance(parallel_sum(dr, CONE_OP).inner, SumOp)
+
+    def test_contains_of_a_sum_reads_the_residual(self, monkeypatch):
+        # no numeric conjugate: the resolvent residual decides
+        monkeypatch.setattr(ConvexFn, "_conjugate_numeric",
+                            lambda *a: pytest.fail("numeric conjugate"))
+        A = add(ABS_OP, CONE_OP)
+        assert A.contains(np.array([1.0]), np.array([3.0])) == "yes"
+        assert A.contains(np.array([0.5]), np.array([3.0])) == "no"
+        assert A.contains(np.array([1.5]), np.array([1.0])) == "no"
 
 
 class TestContains:

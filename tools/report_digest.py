@@ -169,7 +169,8 @@ def make_fn(lab, rng, n: int, kind: str):
         return lab.SupportFn(make_set(lab, rng, n, set_kind, "dual"))
     if kind == "sum_folded":
         return lab.SumFn(lab.HalfSqNorm(n), make_fn(lab, rng, n, "norm"))
-    # no summand folds: Douglas-Rachford
+    # Douglas-Rachford, but for an l1 norm or in 1-D, where the box
+    # clips the norm's prox
     return lab.SumFn(lab.NormFn(n, 0.5, norm),
                      lab.IndicatorFn(make_set(lab, rng, n, "box")))
 
