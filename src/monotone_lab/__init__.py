@@ -83,6 +83,7 @@ from .quasidensity import (
     fuzzy_gap_primal,
     gap,
     gap_euclidean_oracle,
+    gaps,
     is_quasidense,
     r_objective,
 )

@@ -297,16 +297,10 @@ def _task_gap(sc: Scenario, task: dict) -> list[dict]:
     queries = [qd_mod.GapQuery(p, dual_fuzz=fuzz_dual,
                                primal_fuzz=fuzz_primal, eta=eta)
                for p in probes]
-    shared = [None] * len(probes)
-    if (fuzz_dual is None and fuzz_primal is None
-            and all(p.x.shape == (S.pair.dim,) for p in probes)):
-        # one stacked resolvent or one graph draw for all probes; a probe
-        # of the wrong size is left to gap, which rejects it
-        shared = qd_mod.probe_reports(S, probes, budget, seed)
     records = []
-    for p, q, rep in zip(probes, queries, shared):
-        if rep is None:
-            rep = qd_mod.gap(S, q, budget=budget, seed=seed)
+    for p, rep in zip(probes, qd_mod.gaps(S, queries, budget, seed)):
+        if isinstance(rep, ResolventError):
+            raise rep
         records.append({
             "anchor": "gap objective over the operator graph",
             "probe": _jsonable(p),
@@ -511,10 +505,8 @@ def sum_test(
 ) -> dict:
     """Gap sweep over the operator sum (domain mode) or the parallel
     sum (range mode); skipped when no interior-intersection witness is
-    found.  ``probe_gaps`` gives the probes' gaps from one stacked
-    resolvent call (Euclidean pair) or one scanned graph sample (a sum
-    off it); each other probe, a failed one included, takes its own
-    ``gap``."""
+    found.  The probes' gaps come from one ``quasidensity.gaps`` call; a
+    probe whose gap raises ``ResolventError`` counts in ``errors``."""
     if mode == "domain":
         witness = _interior_domain_witness(S, T, seed)
         combined = add(S, T)
@@ -532,16 +524,13 @@ def sum_test(
     probe_pts = qd_mod.default_probes(combined, probes, seed)
     # built first: GapQuery rejects a non-positive eta before any solve
     queries = [qd_mod.GapQuery(p, eta=eta) for p in probe_pts]
-    values, ok = qd_mod.probe_gaps(combined, probe_pts, seed=seed)
     passed = failed = errors = 0
     worst = 0.0
-    for q, value, exact in zip(queries, values.tolist(), ok):
-        if not exact:
-            try:
-                value = qd_mod.gap(combined, q, seed=seed).value
-            except ResolventError:
-                errors += 1
-                continue
+    for rep in qd_mod.gaps(combined, queries, seed=seed):
+        if isinstance(rep, ResolventError):
+            errors += 1
+            continue
+        value = rep.value
         # max() would skip a NaN gap; it makes the worst gap NaN
         worst = value if np.isnan(value) else max(worst, value)
         if value <= eta:

@@ -9,6 +9,12 @@ algebraic identity a^2/2 + b^2/2 + <a,b> = ||a + b||_2^2/2 turns the
 infimum into half the squared distance of x + x* to {s + s*}, which the
 resolvent computes exactly.  A probe gap of (numerically) zero
 certifies density at that probe; nothing universal is ever claimed.
+
+``gap`` takes one path per probe, picked by ``_path``: the resolvent
+oracle (the graph scan where it fails), the LCP of a linear map off the
+Euclidean pair, the graph scan, or the fuzzy search.  ``gaps`` is
+``gap`` over a list of probes, with one stacked resolvent call for its
+oracle probes and one graph draw for its scan probes.
 """
 
 from __future__ import annotations
@@ -81,77 +87,111 @@ def gap(
     budget: int = 100,
     seed: int = 0,
 ) -> GapReport:
-    """Infimum estimate of the r-objective over G(S) at q.target.
-
-    Exact through the resolvent on Euclidean pairs; one LCP solve
-    (``gap_linear_qp``) for monotone linear maps on l1/linf pairs and
-    for their inverses (r of S^{-1} at (x*, x) is r of S at (x, x*));
-    otherwise, a non-monotone ``Linear`` included, the first best row
-    of ``graph_rows``, NaN and +inf skipped: exact on a finite graph,
-    whose rows are all its points, and a sampled upper bound on the
-    rest.
-    """
-    if q.dual_fuzz is not None:
-        return fuzzy_gap_dual(S, q.target.x, q.dual_fuzz, budget, seed)
-    if q.primal_fuzz is not None:
-        return fuzzy_gap_primal(S, q.primal_fuzz, q.target.xstar, budget, seed)
-    target = q.target
-    if _oracle_path(S):
+    """Infimum estimate of the r-objective over G(S) at q.target, by the
+    path ``_path`` picks; the LCP (``gap_linear_qp``) serves the inverse
+    of a map too, as r of S^{-1} at (x*, x) is r of S at (x, x*)."""
+    path = _path(S, q)
+    if path == "fuzzy":
+        if q.dual_fuzz is not None:
+            return fuzzy_gap_dual(S, q.target.x, q.dual_fuzz, budget, seed)
+        return fuzzy_gap_primal(S, q.primal_fuzz, q.target.xstar, budget,
+                                seed)
+    if path == "qp":
+        if isinstance(S, Linear):
+            return gap_linear_qp(S, q.target)[0]
+        rep = gap_linear_qp(S.inner, q.target.swapped())[0]
+        return replace(rep, witness=rep.witness.swapped())
+    if path == "oracle":
         try:
-            return gap_euclidean_oracle(S, target)
+            return gap_euclidean_oracle(S, q.target)
         except ResolventError:
             pass
-    elif _qp_path(S):
-        if isinstance(S, Linear):
-            return gap_linear_qp(S, target)[0]
-        rep = gap_linear_qp(S.inner, target.swapped())[0]
-        return replace(rep, witness=rep.witness.swapped())
+    return _scan(S, q.target, *S.graph_rows(budget, seed))
 
-    X, Xs = S.graph_rows(budget, seed)
-    rep = _scan(S, target, X, Xs)
-    if rep is None:
-        raise ResolventError("no graph points available for the gap bound")
-    return rep
+
+def gaps(
+    S: MonotoneOperator,
+    queries: list[GapQuery],
+    budget: int = 100,
+    seed: int = 0,
+) -> list[GapReport | ResolventError]:
+    """``gap(S, q, budget, seed)`` at each query, equal to it bit for
+    bit, or the ``ResolventError`` that call raises, held as data; any
+    other error is raised.  The oracle probes are resolved in one
+    stacked call, in which a row that fails fails alone and, as in
+    ``gap``, takes the scan; every scan probe is scanned against one
+    ``graph_rows`` draw; each other probe (a fuzz set, an LCP, a probe
+    of the wrong size) takes its own ``gap`` call."""
+    out: list = [None] * len(queries)
+    paths = [_path(S, q) if q.target.x.shape == (S.pair.dim,) else "gap"
+             for q in queries]
+    scan = [k for k, path in enumerate(paths) if path == "scan"]
+    oracle = [k for k, path in enumerate(paths) if path == "oracle"]
+    if oracle:
+        Z = np.array([queries[k].target.x + queries[k].target.xstar
+                      for k in oracle])
+        X, Xs, ok = S.resolvent(Z)
+        values = _oracle_value(X, Xs, Z)
+        for i, k in enumerate(oracle):
+            if ok[i]:
+                out[k] = GapReport(float(values[i]),
+                                   PairedPoint.of_rows(X[i], Xs[i]),
+                                   "exact", "resolvent")
+            else:
+                scan.append(k)
+    if scan:
+        rows = _held(S.graph_rows, budget, seed)
+        for k in scan:
+            out[k] = rows if isinstance(rows, ResolventError) else _held(
+                _scan, S, queries[k].target, *rows)
+    for k, rep in enumerate(out):
+        if rep is None:
+            # through the module global, so that a wrapped gap sees it
+            out[k] = _held(gap, S, queries[k], budget, seed)
+    return out
+
+
+def _held(fn, *args):
+    """``fn(*args)``, or the ``ResolventError`` it raises."""
+    try:
+        return fn(*args)
+    except ResolventError as exc:
+        return exc
+
+
+def _path(S: MonotoneOperator, q: GapQuery) -> str:
+    """The path ``gap`` takes at q: "fuzzy" for a fuzz set; "scan" for a
+    finite graph and a non-monotone ``Linear``, shifted or inverted (the
+    exact paths assume a monotone map); else "oracle" on the Euclidean
+    pair, "qp" for a ``Linear`` or its inverse off it, "scan" for the
+    rest."""
+    if q.dual_fuzz is not None or q.primal_fuzz is not None:
+        return "fuzzy"
+    if isinstance(S, FiniteGraph):
+        return "scan"
+    L = S
+    while isinstance(L, (Shift, InverseOp)):
+        L = L.inner
+    if isinstance(L, Linear) and not L.monotone:
+        return "scan"
+    if S.pair.primal_norm is NormTag.L2:
+        return "oracle"
+    L = S.inner if isinstance(S, InverseOp) else S
+    return "qp" if isinstance(L, Linear) else "scan"
 
 
 def _scan(S: MonotoneOperator, target: PairedPoint, X: np.ndarray,
-          Xs: np.ndarray) -> Optional[GapReport]:
-    """``gap`` at the first best graph row, NaN and +inf skipped (None
-    when no row is finite): exact on a finite graph, whose rows are all
-    its points, else a sampled upper bound."""
+          Xs: np.ndarray) -> GapReport:
+    """``gap`` at the first best graph row, NaN and +inf skipped,
+    raising ``ResolventError`` when no row is finite: exact on a finite
+    graph, whose rows are all its points, else a sampled upper bound."""
     vals = r_objective(S, target, X, Xs)
     i = first_min(vals)
     if i is None:
-        return None
+        raise ResolventError("no graph points available for the gap bound")
     return GapReport(float(vals[i]), PairedPoint.of_rows(X[i], Xs[i]),
                      *(("exact", "enumeration") if isinstance(S, FiniteGraph)
                        else ("upper_bound", "sampled")))
-
-
-def _exact_paths(S: MonotoneOperator) -> bool:
-    """Whether ``gap`` tries an exact path for S (the resolvent oracle or
-    the LCP): both assume a monotone map, so not for a non-monotone
-    ``Linear``, shifted or inverted; a finite graph is scanned whole
-    instead."""
-    if isinstance(S, FiniteGraph):
-        return False
-    while isinstance(S, (Shift, InverseOp)):
-        S = S.inner
-    return not isinstance(S, Linear) or S.monotone
-
-
-def _oracle_path(S: MonotoneOperator) -> bool:
-    """Whether ``gap`` tries the resolvent oracle for S: an exact path on
-    the Euclidean pair."""
-    return _exact_paths(S) and S.pair.primal_norm is NormTag.L2
-
-
-def _qp_path(S: MonotoneOperator) -> bool:
-    """Whether ``gap`` runs ``gap_linear_qp`` for S: a monotone
-    ``Linear``, or the inverse of one, off the Euclidean pair."""
-    L = S.inner if isinstance(S, InverseOp) else S
-    return (isinstance(L, Linear) and L.monotone
-            and S.pair.primal_norm is not NormTag.L2)
 
 
 def gap_euclidean_oracle(
@@ -172,66 +212,6 @@ def _oracle_value(X: np.ndarray, Xs: np.ndarray, Z: np.ndarray) -> np.ndarray:
     of each row of a stack."""
     d = (X + Xs) - Z
     return 0.5 * row_dots(d, d)
-
-
-def oracle_gaps(
-    S: MonotoneOperator, probes: list[PairedPoint]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``gap``'s value at each probe where it comes from the resolvent
-    oracle, as (values, ok): ok marks the probes whose value is the
-    oracle's, equal to ``gap(S, GapQuery(probe)).value`` bit for bit.  A
-    probe off ok (every probe where ``gap`` takes another path for S, or
-    whose resolvent failed) needs its own ``gap`` call; its value is
-    NaN.  The probes are resolved in one stacked call, in which a row
-    that fails fails alone."""
-    return _values(probe_reports(S, probes) if _oracle_path(S)
-                   else [None] * len(probes))
-
-
-def probe_gaps(
-    S: MonotoneOperator, probes: list[PairedPoint], budget: int = 100,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The values of ``probe_reports`` as (values, ok) like
-    ``oracle_gaps``, NaN where a probe needs its own ``gap`` call."""
-    if _oracle_path(S):
-        return oracle_gaps(S, probes)
-    return _values(probe_reports(S, probes, budget, seed))
-
-
-def probe_reports(
-    S: MonotoneOperator, probes: list[PairedPoint], budget: int = 100,
-    seed: int = 0,
-) -> list[Optional[GapReport]]:
-    """``gap(S, GapQuery(probe), budget, seed)`` at each probe where it
-    comes from a path shared by all probes, equal to it bit for bit: the
-    resolvent oracle's stacked call on the Euclidean pair, else, where
-    ``gap`` goes straight to the graph rows, one draw of them scanned
-    against every probe.  None where a probe needs its own ``gap`` call
-    (a ``qp`` gap, a failed resolvent, a probe with no finite row)."""
-    m = len(probes)
-    if not m or _qp_path(S):
-        return [None] * m
-    if _oracle_path(S):
-        Z = np.array([p.x + p.xstar for p in probes])
-        X, Xs, ok = S.resolvent(Z)
-        values = _oracle_value(X, Xs, Z)
-        return [GapReport(float(values[k]), PairedPoint.of_rows(X[k], Xs[k]),
-                          "exact", "resolvent") if ok[k] else None
-                for k in range(m)]
-    try:
-        X, Xs = S.graph_rows(budget, seed)
-    except ResolventError:
-        return [None] * m
-    return [_scan(S, p, X, Xs) for p in probes]
-
-
-def _values(reports: list[Optional[GapReport]]
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, ok) of ``probe_reports``, NaN off ok."""
-    ok = np.array([r is not None for r in reports], dtype=bool)
-    return np.array([np.nan if r is None else r.value
-                     for r in reports]), ok
 
 
 def gap_linear_qp(
@@ -419,9 +399,10 @@ def is_quasidense(
     set only."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    gaps = []
-    for p in probes:
-        rep = gap(S, GapQuery(p, eta=eta), budget=budget, seed=seed)
-        gaps.append(rep.value)
-    passes = tuple(g <= eta for g in gaps)
-    return QuasidensityReport(tuple(probes), tuple(gaps), passes, eta)
+    reports = gaps(S, [GapQuery(p, eta=eta) for p in probes], budget, seed)
+    for rep in reports:
+        if isinstance(rep, ResolventError):
+            raise rep
+    values = tuple(rep.value for rep in reports)
+    passes = tuple(v <= eta for v in values)
+    return QuasidensityReport(tuple(probes), values, passes, eta)

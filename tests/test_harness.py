@@ -15,6 +15,7 @@ from monotone_lab import (
     DualPair,
     FiniteGraph,
     GapQuery,
+    GapReport,
     IndicatorFn,
     Linear,
     NormFn,
@@ -440,9 +441,10 @@ class TestSumTest:
         # the worst gap must not read as the first probe's 0.0
         monkeypatch.setattr(harness_mod, "_interior_domain_witness",
                             lambda S, T, seed: np.zeros(1))
-        monkeypatch.setattr(harness_mod.qd_mod, "oracle_gaps",
-                            lambda S, probes: (np.array([0.0, np.nan]),
-                                               np.ones(2, dtype=bool)))
+        monkeypatch.setattr(harness_mod.qd_mod, "gaps",
+                            lambda S, queries, seed: [
+                                GapReport(v, None, "exact", "resolvent")
+                                for v in (0.0, np.nan)])
         S = Subdifferential(pair=PAIR1, f=NormFn(1))
         out = sum_test(S, S, "domain", probes=2, seed=0)
         assert (out["passed"], out["failed"]) == (1, 1)

@@ -343,19 +343,24 @@ class TestSumTestSweep:
 
     def test_failed_rows_take_gap(self, monkeypatch):
         # a probe whose point run stalls takes the sampled bound, so its
-        # row stalls too: that probe alone takes its own gap call, the
-        # others the oracle's value
+        # row stalls too: that probe alone takes gap's scan, the others
+        # the oracle's value
         S, T = STALLING.S, STALLING.T
         with np.errstate(all="ignore"):
             methods = set()
             ref = _reference_sum_test(S, T, "domain", 3, 1, methods=methods)
-            calls = []
+            calls, draws = [], []
             monkeypatch.setattr(qd, "gap", lambda *a, **k: calls.append(1)
                                 or gap(*a, **k))
+            rows = SumOp.graph_rows
+            monkeypatch.setattr(SumOp, "graph_rows", lambda self, budget, seed:
+                                draws.append(budget) or rows(self, budget,
+                                                              seed))
             out = harness.sum_test(S, T, "domain", probes=3, seed=1)
         assert methods == {"resolvent", "sampled"}
         assert out == ref and out["status"] == "ok"
-        assert 0 < len(calls) < out["probes"]
+        # the failed rows share one scanned draw of 100 graph rows
+        assert calls == [] and draws.count(100) == 1
 
 
 @dataclass(frozen=True)
@@ -378,61 +383,81 @@ class _Scripted(MonotoneOperator):
         return X, X
 
 
+def _same_report(a, b) -> bool:
+    """Two gap outcomes equal field for field: value (NaN equal to NaN),
+    status, method and witness bits, or the same error text."""
+    if isinstance(a, ResolventError) or isinstance(b, ResolventError):
+        return type(a) is type(b) and str(a) == str(b)
+    return (_same(a.value, b.value) and (a.status, a.method)
+            == (b.status, b.method) and _same(a.witness.x, b.witness.x)
+            and _same(a.witness.xstar, b.witness.xstar))
+
+
+def _gap_or_error(S, q, budget=100, seed=0):
+    try:
+        return gap(S, q, budget, seed)
+    except ResolventError as exc:
+        return exc
+
+
 class TestOracleGaps:
     PROBES = [PairedPoint([a], [b]) for a, b in
               ((0.5, 1.0), (-2.0, 0.3), (1.5, -1.5), (0.0, 4.0))]
+    QUERIES = [GapQuery(p) for p in PROBES]
 
     def test_ok_rows_are_gap_bit_for_bit(self):
-        # the probe whose aim x + x* = 0 fails fails alone
-        values, ok = qd.oracle_gaps(_Scripted(pair=PAIR1, fail={(0.0,)}),
-                                    self.PROBES)
-        assert ok.tolist() == [True, True, False, True]
-        for p, v, exact in zip(self.PROBES, values, ok):
-            if exact:
-                assert v == gap(_Scripted(pair=PAIR1), GapQuery(p)).value
+        # the probe whose aim x + x* = 0 fails takes the scan, as in gap
+        S = _Scripted(pair=PAIR1, fail={(0.0,)})
+        reports = qd.gaps(S, self.QUERIES)
+        assert [r.method for r in reports] == ["resolvent"] * 2 + [
+            "sampled", "resolvent"]
+        for q, rep in zip(self.QUERIES, reports):
+            assert _same_report(rep, gap(S, q))
 
-    def test_other_paths_are_not_ok(self):
+    def test_other_paths_equal_gap(self):
         pair = DualPair(1, NormTag.L1)
         graph = FiniteGraph(pair=PAIR1, points=(PairedPoint([0.0], [1.0]),))
         # the QP, a non-monotone map, a finite graph, an l1 normal cone
-        for S in (Linear(pair=pair, M=np.array([[1.0]])),
-                  Linear(pair=PAIR1, M=np.array([[-1.0]])), graph,
-                  normal_cone(pair, interval(0.0, 1.0))):
-            values, ok = qd.oracle_gaps(S, self.PROBES)
-            assert not ok.any() and np.isnan(values).all()
-        assert qd.oracle_gaps(IDENTITY, [])[1].shape == (0,)
+        cases = ((Linear(pair=pair, M=np.array([[1.0]])), "qp"),
+                 (Linear(pair=PAIR1, M=np.array([[-1.0]])), "sampled"),
+                 (graph, "enumeration"),
+                 (normal_cone(pair, interval(0.0, 1.0)), "sampled"))
+        for S, method in cases:
+            reports = qd.gaps(S, self.QUERIES)
+            assert {r.method for r in reports} == {method}
+            for q, rep in zip(self.QUERIES, reports):
+                assert _same_report(rep, gap(S, q))
+        assert qd.gaps(IDENTITY, []) == []
 
     def test_l2_rows_equal_gap(self):
         S = add(Subdifferential(pair=PAIR1, f=NormFn(1)),
                 normal_cone(PAIR1, interval(-1.0, 0.5)))
-        values, ok = qd.oracle_gaps(S, self.PROBES)
-        assert ok.all()
-        for p, v in zip(self.PROBES, values):
-            rep = gap(S, GapQuery(p))
-            assert rep.method == "resolvent" and v == rep.value
+        for q, rep in zip(self.QUERIES, qd.gaps(S, self.QUERIES)):
+            assert rep.method == "resolvent" and _same_report(rep, gap(S, q))
 
 
 class TestProbeGaps:
-    PAIR = DualPair(2, NormTag.LINF)
+    LINF = DualPair(2, NormTag.LINF)
 
     def test_sampled_probes_share_one_draw(self, monkeypatch):
         # off the Euclidean pair a sum's probe gaps are sampled: one
-        # draw of its graph rows serves every probe, each value gap's
-        norm = Subdifferential(pair=self.PAIR, f=NormFn(2, 1.0, NormTag.LINF))
-        S = add(norm, normal_cone(self.PAIR, box(np.full(2, -0.05),
+        # draw of its graph rows serves every probe, each report gap's
+        norm = Subdifferential(pair=self.LINF, f=NormFn(2, 1.0, NormTag.LINF))
+        S = add(norm, normal_cone(self.LINF, box(np.full(2, -0.05),
                                                  np.full(2, 0.04))))
-        probes = qd.default_probes(S, 4, 0)
+        queries = [GapQuery(p) for p in qd.default_probes(S, 4, 0)]
         draws = []
         rows = SumOp.graph_rows
         monkeypatch.setattr(SumOp, "graph_rows", lambda self, budget, seed:
                             draws.append(seed) or rows(self, budget, seed))
-        values, ok = qd.probe_gaps(S, probes, seed=3)
-        assert ok.all() and draws == [3]
-        for p, v in zip(probes, values):
-            rep = gap(S, GapQuery(p), seed=3)
-            assert rep.method == "sampled" and v == rep.value
+        reports = qd.gaps(S, queries, seed=3)
+        assert draws == [3]
+        for q, rep in zip(queries, reports):
+            assert rep.method == "sampled"
+            assert _same_report(rep, gap(S, q, seed=3))
 
-    def test_qp_probes_are_not_ok(self):
-        S = Linear(pair=self.PAIR, M=np.eye(2))
-        values, ok = qd.probe_gaps(S, [PairedPoint([1.0, 0.0], [0.0, 1.0])])
-        assert not ok.any() and np.isnan(values).all()
+    def test_qp_probes_equal_gap(self):
+        S = Linear(pair=self.LINF, M=np.eye(2))
+        q = GapQuery(PairedPoint([1.0, 0.0], [0.0, 1.0]))
+        [rep] = qd.gaps(S, [q])
+        assert rep.method == "qp" and _same_report(rep, gap(S, q))
