@@ -2,13 +2,14 @@
 
 br_point takes an approximate minimizer u of a convex h with
 h(u) < inf h + alpha*beta and produces an exact subgradient pair
-(s, x*) in G(dh) with h(s) <= h(u), ||s - u|| <= alpha, ||x*|| <= beta.
-The construction is the one-step Ekeland argument: minimize
-h + beta*||. - u||_2 (Douglas-Rachford on the two proxes), then extract
-an exact graph point through a small-step prox, whose optimality
-condition gives the subgradient identity for free.  All three
-certificates are re-measured on the output, never trusted from the
-solver.
+(s, x*) in G(dh) with h(s) <= h(u), ||s - u|| <= alpha, ||x*|| <= beta,
+by one proximal step: with t = alpha/beta, s = prox_{th}(u) and
+x* = (u - s)/t lie in G(dh) by prox optimality, and the subgradient
+inequality at u gives h(s) + t||x*||^2 <= h(u), so the premise gives
+||x*|| < beta and ||s - u|| = t||x*|| < alpha.  Where t < 1, x* carries
+the rounding of s times 1/t; a step-1 prox at s + x*, which is s in
+exact arithmetic, takes it out.  All three certificates are re-measured
+on the output, never trusted from the construction.
 
 van_point minimizes g + ||.||^2/2 to produce (s, s*) in G(dg) with
 ||s||^2/2 + <s, s*> + ||s*||^2/2 < eps; on the Euclidean pair that
@@ -20,12 +21,10 @@ translate g := f(. + x) - <., x*> and certifies a gap value at (x, x*).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .functions import ConvexFn, HalfSqNorm, SumFn, Translate, minimize
-from .solvers import douglas_rachford
 from .spaces import PairedPoint
 
 
@@ -65,21 +64,9 @@ class BRResult:
 _SLACK_TOL = -1e-7
 
 
-def _ray_shrink_prox(u: np.ndarray, weight: float):
-    """prox of z -> weight * ||z - u||_2 (step already in the weight)."""
-
-    def prox(z: np.ndarray, _rows) -> np.ndarray:
-        d = z - u
-        n = float(np.linalg.norm(d))
-        if n <= weight:
-            return u.copy()
-        return u + d * (1.0 - weight / n)
-
-    return prox
-
-
 def br_point(req: BRRequest) -> BRResult:
-    """Exact subgradient pair certifying the near-minimizer u.
+    """Exact subgradient pair certifying the near-minimizer u, by the
+    prox step of the module docstring.
 
     Raises ValueError when the premise h(u) < inf h + alpha*beta is
     measurably violated against the best found infimum (which upper
@@ -95,31 +82,14 @@ def br_point(req: BRRequest) -> BRResult:
             f"premise violated: h(u) = {hu:.6g} is not below "
             f"{f_inf:.6g} + {alpha * beta:.6g}"
         )
-
-    # the extraction step is kept moderate: the Moreau gradient is
-    # 1/t-Lipschitz in v, so a tiny t would amplify solver error in v,
-    # while ||s - v|| <= t*beta stays well inside the distance margin
-    max_iter = 4000
-    t_ext = 1e-3
-    best: Optional[BRResult] = None
-    for _ in range(3):
-        prox_a = lambda z, _rows: h.prox_lam(z, 1.0)  # noqa: E731
-        prox_b = _ray_shrink_prox(u, beta)
-        v, _, _ = douglas_rachford(prox_a, prox_b, u, max_iter=max_iter,
-                                   tol=1e-14)
-        # exact graph point: prox optimality gives (v - s)/t in dh(s)
-        s = h.prox_lam(v, t_ext)
-        xstar = (v - s) / t_ext
-        res = _measure(req, s, xstar)
-        if best is None or min(res.slack_value, res.slack_dist,
-                               res.slack_slope) > min(
-                best.slack_value, best.slack_dist, best.slack_slope):
-            best = res
-        if res.ok:
-            return res
-        max_iter *= 4
-    assert best is not None
-    return best
+    t = alpha / beta
+    s = h.prox_lam(u, t)
+    xstar = (u - s) / t
+    if t < 1.0:
+        v = s + xstar
+        s = h.prox_lam(v, 1.0)
+        xstar = v - s
+    return _measure(req, s, xstar)
 
 
 def _measure(req: BRRequest, s: np.ndarray, xstar: np.ndarray) -> BRResult:
@@ -128,10 +98,7 @@ def _measure(req: BRRequest, s: np.ndarray, xstar: np.ndarray) -> BRResult:
     sd = req.alpha - float(np.linalg.norm(s - req.u))
     ss = req.beta - float(np.linalg.norm(xstar))
     member = h.subdiff_contains(s, xstar, tol=1e-7)
-    ok = (
-        min(sv, sd, ss) >= _SLACK_TOL
-        and member != "no"
-    )
+    ok = min(sv, sd, ss) >= _SLACK_TOL and member != "no"
     return BRResult(s, xstar, sv, sd, ss, member, ok)
 
 
@@ -150,18 +117,15 @@ def van_point(g: ConvexFn, eps: float) -> PairedPoint:
     if eps <= 0:
         raise ValueError("eps must be positive")
     h = SumFn(g, HalfSqNorm(g.dim))
-    beta = min(1.0, float(np.sqrt(1.6 * eps)))
-    for _ in range(4):
-        res = br_corollary(h, beta)
-        s = res.s
-        sstar = res.xstar - s  # split x* in dg(s) + s
-        q = float(0.5 * s @ s + s @ sstar + 0.5 * sstar @ sstar)
-        if q < eps:
-            return PairedPoint(s, sstar)
-        beta *= 0.25
-    raise RuntimeError(
-        f"could not reach quantity below {eps:.3g}; best was {q:.3g}"
-    )
+    # q = ||x*||^2/2 < beta^2/2 <= 0.8 eps, for x* = s + s* in dh(s)
+    res = br_corollary(h, min(1.0, float(np.sqrt(1.6 * eps))))
+    s = res.s
+    sstar = res.xstar - s  # split x* in dg(s) + s
+    q = float(0.5 * s @ s + s @ sstar + 0.5 * sstar @ sstar)
+    if q >= eps:
+        raise RuntimeError(
+            f"could not reach quantity below {eps:.3g}; got {q:.3g}")
+    return PairedPoint(s, sstar)
 
 
 def quasidense_witness(

@@ -3,6 +3,7 @@ quasidensity witnesses they build."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monotone_lab import (
     BRRequest,
@@ -13,6 +14,7 @@ from monotone_lab import (
     NormFn,
     NormTag,
     PairedPoint,
+    Quadratic,
     Subdifferential,
     SumFn,
     Translate,
@@ -69,6 +71,39 @@ class TestBrPoint:
             BRRequest(HALF_SQ, arr(0.0), 0.0, 1.0)
         with pytest.raises(ValueError):
             BRRequest(HALF_SQ, arr(0.0), 1.0, -1.0)
+
+
+QUAD = Quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]), arr(-1.0, 0.5))
+# the test families with their infima in closed form
+FAMILIES = [
+    (HALF_SQ, 0.0),
+    (ABS, 0.0),
+    (QUAD, float(-0.5 * QUAD.b @ np.linalg.solve(QUAD.Q, QUAD.b))),
+    (SumFn(ABS, HALF_SQ), 0.0),
+    (Translate(ABS, shift=arr(-1.5), tilt=arr(0.0)), 0.0),
+    (SumFn(HALF_SQ, IndicatorFn(interval(1.0, 2.0))), 0.5),
+]
+
+
+class TestBrPremise:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, len(FAMILIES) - 1),
+           seed=st.integers(0, 2**32 - 1),
+           alpha=st.floats(1e-3, 10.0), margin=st.floats(1.01, 100.0))
+    def test_the_premise_gives_every_certificate(self, k, seed, alpha,
+                                                 margin):
+        # u anywhere in the domain, beta just large enough for the
+        # premise h(u) - inf h < alpha*beta
+        h, inf = FAMILIES[k]
+        u = np.random.default_rng(seed).uniform(-3.0, 3.0, h.dim)
+        if k == len(FAMILIES) - 1:
+            u = np.clip(u, 1.0, 2.0)
+        beta = margin * max(h.eval(u) - inf, 1e-9) / alpha
+        res = br_point(BRRequest(h, u, alpha, beta))
+        scale = 1e-9 * max(1.0, abs(h.eval(u)), alpha, beta)
+        assert min(res.slack_value, res.slack_dist,
+                   res.slack_slope) >= -scale
+        assert res.membership != "no"
 
 
 class TestBrCorollary:
