@@ -336,13 +336,15 @@ class Capsule(CompactConvexSet):
     ||q||_norm <= radius}.  Exact support function.  Under l1 or linf
     fattening it is the polytope conv({a, b} + V), V the ball's vertices
     (+-radius e_i, or the box corners radius {-1, 1}^n), and projects as
-    that polytope; under l2 fattening it projects in closed form."""
+    that polytope, as does a zero-radius l2 capsule that is a point or
+    an axis-parallel segment (a box, clipped); any other l2 capsule
+    projects in closed form."""
 
     a: np.ndarray = None  # type: ignore[assignment]
     b: np.ndarray = None  # type: ignore[assignment]
     radius: float = 0.0
     norm: NormTag = NormTag.L2
-    # conv({a, b} + V) under l1/linf fattening, else None
+    # conv({a, b} + V) where it projects as a polytope, else None
     _hull: Polytope | None = field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -355,8 +357,12 @@ class Capsule(CompactConvexSet):
         if self.norm is not NormTag.L2:
             V = (np.vstack([np.diag(r), -np.diag(r)])
                  if self.norm is NormTag.L1 else box(-r, r).vertices)
-            object.__setattr__(self, "_hull", Polytope(
-                side=self.side, vertices=np.vstack([self.a + V, self.b + V])))
+        elif self.radius == 0 and np.count_nonzero(self.a != self.b) <= 1:
+            V = r[None, :]
+        else:
+            return
+        object.__setattr__(self, "_hull", Polytope(
+            side=self.side, vertices=np.vstack([self.a + V, self.b + V])))
 
     @property
     def dim(self) -> int:

@@ -379,6 +379,28 @@ class TestExactDistances:
                     else:
                         assert s.dist(y, tag) == gap, (s, tag)
 
+    @given(d=st.integers(2, 3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_radius_axis_segment_is_a_box(self, d, data):
+        # an l2 capsule of radius 0 that is a point or a segment along
+        # one axis is the box between a and b, clipped
+        coord = st.floats(-50.0, 50.0, allow_nan=False)
+        a = data.draw(arrays(np.float64, (d,), elements=coord))
+        b = a.copy()
+        b[data.draw(st.integers(0, d - 1))] = data.draw(st.one_of(
+            st.just(0.0), coord))
+        y = data.draw(arrays(np.float64, (d,), elements=coord))
+        K = Capsule(a=a, b=b, radius=0.0, norm=NormTag.L2)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        per = interval_dist(y, lo, hi)
+        assert K._is_box()
+        assert np.array_equal(K.project(y), np.clip(y, lo, hi))
+        with no_descent():
+            assert K.dist(y, NormTag.L1) == np.sum(per)
+            assert K.dist(y, NormTag.LINF) == np.max(per)
+        # a diagonal segment is no box
+        assert not Capsule(a=a, b=a + 1.0, norm=NormTag.L2)._is_box()
+
     def test_fuzzy_gap_on_the_l1_pair_runs_no_descent(self, capsys):
         # dual-fuzz gap of |x| in one dimension against an l2 ball on
         # the l1 pair; every norm is |.| here, so the objective at the
