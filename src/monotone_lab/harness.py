@@ -505,8 +505,12 @@ def sum_test(
 ) -> dict:
     """Gap sweep over the operator sum (domain mode) or the parallel
     sum (range mode); skipped when no interior-intersection witness is
-    found.  The probes' gaps come from one ``quasidensity.gaps`` call; a
-    probe whose gap raises ``ResolventError`` counts in ``errors``."""
+    found.  The probes' gaps come from one ``quasidensity.gaps`` call,
+    and each probe's outcome follows its report: ``passed`` when the gap
+    is at most eta, ``failed`` only when an exact gap is not (a NaN
+    included), else ``unproven`` (an upper bound above eta shows no
+    positive gap); a probe whose gap raises ``ResolventError`` counts in
+    ``errors``.  ``worst_gap_status`` is the status of the worst gap."""
     if mode == "domain":
         witness = _interior_domain_witness(S, T, seed)
         combined = add(S, T)
@@ -524,24 +528,28 @@ def sum_test(
     probe_pts = qd_mod.default_probes(combined, probes, seed)
     # built first: GapQuery rejects a non-positive eta before any solve
     queries = [qd_mod.GapQuery(p, eta=eta) for p in probe_pts]
-    passed = failed = errors = 0
-    worst = 0.0
+    passed = failed = unproven = errors = 0
+    # r >= 0 by Fenchel-Young, so a worst gap of 0 is exact
+    worst, worst_status = 0.0, "exact"
     for rep in qd_mod.gaps(combined, queries, seed=seed):
         if isinstance(rep, ResolventError):
             errors += 1
             continue
-        value = rep.value
-        # max() would skip a NaN gap; it makes the worst gap NaN
-        worst = value if np.isnan(value) else max(worst, value)
-        if value <= eta:
+        # a NaN gap makes the worst gap NaN, and it stays NaN
+        if np.isnan(rep.value) or rep.value > worst:
+            worst, worst_status = rep.value, rep.status
+        if rep.value <= eta:
             passed += 1
-        else:
+        elif rep.status == "exact":
             failed += 1
+        else:
+            unproven += 1
     return {
         "anchor": "sum-rule gap sweep",
         "mode": mode, "status": "ok", "witness": _jsonable(witness),
         "probes": len(probe_pts), "passed": passed, "failed": failed,
-        "errors": errors, "worst_gap": worst, "eta": eta,
+        "unproven": unproven, "errors": errors, "worst_gap": worst,
+        "worst_gap_status": worst_status, "eta": eta,
     }
 
 

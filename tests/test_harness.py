@@ -25,6 +25,7 @@ from monotone_lab import (
     ScenarioError,
     Subdifferential,
     SumOp,
+    box,
     gap,
     interval,
     normal_cone,
@@ -450,6 +451,22 @@ class TestSumTest:
         assert (out["passed"], out["failed"]) == (1, 1)
         assert np.isnan(out["worst_gap"])
         assert json.loads(report_json(out))["worst_gap"] == "nan"
+
+    @pytest.mark.parametrize("norm, outcome", [
+        (NormTag.L1, (0, 0, 4, "upper_bound")),
+        (NormTag.L2, (4, 0, 0, "exact")),
+        (NormTag.LINF, (0, 0, 4, "upper_bound"))])
+    def test_sampled_gaps_above_eta_are_unproven(self, norm, outcome):
+        # a parallel sum of two maximal monotone operators has gap 0
+        # everywhere: exact on the Euclidean pair, and off it a sampled
+        # upper bound, which cannot show a failure
+        pair = DualPair(2, norm)
+        S = Linear(pair=pair, M=np.array([[2.0, 1.0], [-1.0, 1.0]]))
+        T = normal_cone(pair, box(np.array([-1.0, -1.0]),
+                                  np.array([1.5, 1.5])))
+        out = sum_test(S, T, "range", probes=4, seed=1)
+        assert (out["passed"], out["failed"], out["unproven"],
+                out["worst_gap_status"]) == outcome
 
     def test_disjoint_domains_skipped(self):
         T1 = normal_cone(PAIR1, interval(-2.0, -1.0))

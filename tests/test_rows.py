@@ -41,7 +41,7 @@ from monotone_lab import (
 )
 from monotone_lab.classifiers import LocalWindow, _window_probes, check_fpv
 from monotone_lab.fitzpatrick import phi
-from monotone_lab.quasidensity import GapQuery, fuzzy_gap_dual, gap
+from monotone_lab.quasidensity import GapQuery, fuzzy_gap_dual, gap, gaps
 from monotone_lab.solvers import project_ball
 from monotone_lab.spaces import first_min, row_dots, row_norms, vector_norm
 
@@ -269,6 +269,52 @@ class TestRowsEqualPoints:
             assert np.array_equal(p, ref, equal_nan=True)
             assert np.array_equal(project_ball(v, radius, "l2"), ref,
                                   equal_nan=True)
+
+
+def _same_report(a, b) -> bool:
+    """Two gap outcomes equal field for field: value (NaN equal to NaN),
+    status, method and witness bits, or the same error text."""
+    if isinstance(a, ResolventError) or isinstance(b, ResolventError):
+        return type(a) is type(b) and str(a) == str(b)
+    if a.witness is None or b.witness is None:
+        same_witness = a.witness is b.witness
+    else:
+        same_witness = (np.array_equal(a.witness.x, b.witness.x, True)
+                        and np.array_equal(a.witness.xstar, b.witness.xstar,
+                                           True))
+    return (np.array_equal(a.value, b.value, True) and same_witness
+            and (a.status, a.method) == (b.status, b.method))
+
+
+def _gap_or_error(S, q, budget, seed):
+    try:
+        return gap(S, q, budget, seed)
+    except ResolventError as exc:
+        return exc
+
+
+class TestGaps:
+    @pytest.mark.parametrize("kind", OP_KINDS)
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(NORMS),
+           n=st.integers(1, 2), fuzz=st.sampled_from(("none", "dual",
+                                                      "primal")))
+    def test_gaps_are_gap(self, kind, seed, norm, n, fuzz):
+        # each probe's outcome is its own gap call's, on every path; a
+        # fuzz set off the Euclidean pair is a box, since the distance
+        # to any other hull is a descent there
+        rng = np.random.default_rng(seed)
+        S = _op(rng, DualPair(n, norm), kind)
+        W = _set(rng, n, "box" if norm is not NormTag.L2
+                 else SET_KINDS[int(rng.integers(6))])
+        queries = [GapQuery(PairedPoint(*rng.uniform(-3.0, 3.0, (2, n))),
+                            dual_fuzz=W if fuzz == "dual" else None,
+                            primal_fuzz=W if fuzz == "primal" else None)
+                   for _ in range(3)]
+        reports = gaps(S, queries, 12, seed % 4)
+        assert len(reports) == len(queries)
+        for q, rep in zip(queries, reports):
+            assert _same_report(rep, _gap_or_error(S, q, 12, seed % 4))
 
 
 @dataclass(frozen=True)

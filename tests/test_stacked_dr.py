@@ -34,6 +34,7 @@ from monotone_lab import harness
 from monotone_lab import quasidensity as qd
 from monotone_lab.operators import _cloud, add, parallel_sum
 from monotone_lab.solvers import douglas_rachford, sum_resolvent
+from test_rows import _same_report
 
 PAIR1 = DualPair(1)
 IDENTITY = Linear(pair=PAIR1, M=np.array([[1.0]]))
@@ -296,8 +297,8 @@ def _reference_sum_test(S, T, mode, probes, seed, eta=1e-6, methods=None):
         return out
     combined = add(S, T) if mode == "domain" else parallel_sum(S, T)
     probe_pts = qd.default_probes(combined, probes, seed)
-    passed = failed = errors = 0
-    worst = 0.0
+    passed = failed = unproven = errors = 0
+    worst, worst_status = 0.0, "exact"
     for p in probe_pts:
         try:
             rep = gap(combined, GapQuery(p, eta=eta), seed=seed)
@@ -306,13 +307,17 @@ def _reference_sum_test(S, T, mode, probes, seed, eta=1e-6, methods=None):
             continue
         if methods is not None:
             methods.add(rep.method)
-        worst = max(worst, rep.value)
+        if rep.value > worst:
+            worst, worst_status = rep.value, rep.status
         if rep.value <= eta:
             passed += 1
-        else:
+        elif rep.status == "exact":
             failed += 1
+        else:
+            unproven += 1
     out.update(probes=len(probe_pts), passed=passed, failed=failed,
-               errors=errors, worst_gap=worst)
+               unproven=unproven, errors=errors, worst_gap=worst,
+               worst_gap_status=worst_status)
     return out
 
 
@@ -381,23 +386,6 @@ class _Scripted(MonotoneOperator):
     def graph_rows(self, budget, seed):
         X = np.random.default_rng(seed).uniform(-1.0, 1.0, (budget, 1))
         return X, X
-
-
-def _same_report(a, b) -> bool:
-    """Two gap outcomes equal field for field: value (NaN equal to NaN),
-    status, method and witness bits, or the same error text."""
-    if isinstance(a, ResolventError) or isinstance(b, ResolventError):
-        return type(a) is type(b) and str(a) == str(b)
-    return (_same(a.value, b.value) and (a.status, a.method)
-            == (b.status, b.method) and _same(a.witness.x, b.witness.x)
-            and _same(a.witness.xstar, b.witness.xstar))
-
-
-def _gap_or_error(S, q, budget=100, seed=0):
-    try:
-        return gap(S, q, budget, seed)
-    except ResolventError as exc:
-        return exc
 
 
 class TestOracleGaps:
