@@ -23,7 +23,8 @@ the workloads never reach: every operator kind (finite graph, linear,
 subdifferential, normal cone, support subdifferential, shift, sum and
 inverses) on the l1, l2 and linf pairs for three seeds, through gap,
 both fuzzy gaps, phi, ``fitz_membership``, both strong-maximality
-searches, ``contains`` on the graph rows and ``monotone_check``; and
+searches, ``contains`` on the graph rows, ``monotone_check`` and
+``is_quasidense`` at three probes (the batched gap path); and
 ``project`` and the three ``dist`` of every set kind; and
 ``harness.sum_test`` in both modes on 2-D sums (the pair's norm or a
 linear map, plus the normal cone of a box) on each pair. It uses public
@@ -36,8 +37,9 @@ prints, for each label whose records moved, how many did and how: the
 status moves of every ``*status`` field (``lower_bound->exact``), the
 direction of every scalar number that moved (``up``/``down``/``nan``;
 witness and probe coordinates are list entries and count under
-``other``), and every verdict that moved (a membership word or a
-boolean). A library label counts its seeds together.
+``other``), every verdict that moved (a membership word or a
+boolean), and every record key added (``+key``) or removed (``-key``).
+A library label counts its seeds together.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ SUM_CASES = (("norm", "small_box"), ("linear", "box"),
 SUM_BOXES = {"box": ([-1.0, -1.0], [1.5, 1.5]),
              "small_box": ([-0.05, -0.05], [0.04, 0.06])}
 SUM_PROBES = 4
+QD_PROBES = 3
 
 
 def plain(obj):
@@ -227,6 +230,8 @@ def library_records(lab):
                 fuzz = "box" if norm != "l2" else "hull"
                 W = make_set(lab, rng, n, fuzz)
                 Wt = make_set(lab, rng, n, fuzz, "dual")
+                probes = [lab.PairedPoint(*rng.uniform(-2.0, 2.0, (2, n)))
+                          for _ in range(QD_PROBES)]
                 calls = {
                     "gap": lambda: lab.gap(
                         S, lab.GapQuery(lab.PairedPoint(x, xs)), budget,
@@ -246,6 +251,8 @@ def library_records(lab):
                         *S.graph_rows(budget, seed))] + [S.contains(x, xs)],
                     "monotone_check": lambda: lab.monotone_check(
                         S, budget, seed),
+                    "is_quasidense": lambda: lab.is_quasidense(
+                        S, probes, budget=budget, seed=seed),
                 }
                 for name, call in calls.items():
                     yield f"{kind}/{norm}/{seed}/{name}", record(call)
@@ -360,11 +367,16 @@ def is_verdict(v) -> bool:
 
 def moves(a, b, key: str = "", in_list: bool = False, out=None) -> list:
     """(kind, text) for each leaf where the JSON trees ``a`` and ``b``
-    differ; kind is status, value, verdict or other."""
+    differ, and for each key one dict has and the other lacks; kind is
+    status, value, verdict, keys (``+key`` added, ``-key`` removed) or
+    other."""
     out = [] if out is None else out
-    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+    if isinstance(a, dict) and isinstance(b, dict):
+        out += [("keys", f"-{k}") for k in sorted(a.keys() - b.keys())]
+        out += [("keys", f"+{k}") for k in sorted(b.keys() - a.keys())]
         for k in a:
-            moves(a[k], b[k], k, False, out)
+            if k in b:
+                moves(a[k], b[k], k, False, out)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for u, v in zip(a, b):
             moves(u, v, key, True, out)
@@ -406,7 +418,7 @@ def diff(path_a: str, path_b: str) -> int:
             kinds[group][move] += 1
     for group in sorted(changed):
         print(f"{group}: {changed[group]} of {totals[group]} changed")
-        for kind in ("status", "value", "verdict", "other"):
+        for kind in ("status", "value", "verdict", "keys", "other"):
             found = sorted((text, n) for (k, text), n in kinds[group].items()
                            if k == kind)
             if found:
