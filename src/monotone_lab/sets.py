@@ -358,7 +358,7 @@ class Capsule(CompactConvexSet):
             V = (np.vstack([np.diag(r), -np.diag(r)])
                  if self.norm is NormTag.L1 else box(-r, r).vertices)
         elif self.radius == 0 and np.count_nonzero(self.a != self.b) <= 1:
-            V = r[None, :]
+            V = np.zeros((1, self.dim))
         else:
             return
         object.__setattr__(self, "_hull", Polytope(
