@@ -32,11 +32,14 @@ from .functions import (
     IndicatorFn,
     NormFn,
     Quadratic,
+    Separable,
+    Staircase,
     SumFn,
     SupportFn,
     Translate,
     add_fns,
     minimize,
+    separable_pieces,
 )
 from .harness import (
     Scenario,

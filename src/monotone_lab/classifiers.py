@@ -192,8 +192,9 @@ def ni_infimum(
     the identity inf = <w*, w**> - theta(w*, w**).
 
     Exact wherever theta is: on finite graphs, linear maps, normal
-    cones, subdifferentials of support functions and norms, and shifts
-    and inverses of these; there the infimum is -inf where theta is
+    cones, subdifferentials of support functions, norms and separable
+    functions, and shifts and inverses of these; there the infimum is
+    -inf where theta is
     +inf (a report writes it "-inf").  Otherwise theta is a sampled
     lower bound, so this is an upper bound on the infimum: the minimum
     over samples plus the resolvent candidate at z = w** + w*, which
@@ -230,7 +231,7 @@ def strong_max_dual(
     w = S.pair.check_dim(w, "w")
     X, Xs = S.graph_rows(budget, seed)
     # max over the fuzz set: <s-w, s*> + support(Wt, -(s-w))
-    vals = row_dots(X - w, Xs) + np.array([Wt.support(w - x) for x in X])
+    vals = row_dots(X - w, Xs) + Wt.support(w - X)
     i = first_min(vals)
     if i is not None and vals[i] < -_PREMISE_TOL:
         return StrongMaxResult(False, PairedPoint.of_rows(X[i], Xs[i]),

@@ -10,9 +10,16 @@ is stated under that identification.
 phi, and so theta, is exact by calculus on finite graphs, linear maps,
 normal cones (phi = sigma_C(x*) on C, +inf off C by more than
 rounding, with a graph ray as the certificate), subdifferentials of
-support functions and norms (the inverses of normal cones), and on
-shifts and inverses of these.  Any other operator gets a sampled lower
-bound.
+support functions and norms (the inverses of normal cones),
+subdifferentials of separable functions (``functions.separable_pieces``:
+folded sums among them), and on shifts and inverses of these; a
+translated function's subdifferential is a shift.  For a separable f,
+dF is a product of 1-D staircases, so phi is the sum over coordinates
+of a maximum over each staircase's corners and slanted segments, or
++inf where an end ray's sign test fails.  Any other operator gets a
+sampled lower bound, with the Fenchel-Young upper bound
+phi <= f(x) + f*(x*) of a subdifferential whose conjugate is a closed
+form.
 
 Extension membership tests theta(y*, y**) <= <y*, y**> + tol.  Sampled
 sups only bound from below, so verdicts are three-valued: "out" needs a
@@ -24,13 +31,14 @@ closed-form conjugate chain).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .functions import IndicatorFn
+from .functions import IndicatorFn, Staircase, Translate, separable_pieces
 from .operators import (
     FiniteGraph,
     InverseOp,
@@ -88,8 +96,10 @@ def phi(
 
     Exact wherever ``_phi_exact`` has a calculus rule for S; otherwise a
     sampled lower bound that always includes the resolvent point at
-    z = x + x*, which pins phi >= <x, x*> constructively.  NaN and -inf
-    pieces are skipped.
+    z = x + x*, which pins phi >= <x, x*> constructively, and for a
+    subdifferential of f with a closed-form conjugate the finite upper
+    bound f(x) + f*(x*) (Fitzpatrick's inequality).  NaN and -inf pieces
+    are skipped.
     """
     x = S.pair.check_dim(x, "x")
     xstar = S.pair.check_dim(xstar, "xstar")
@@ -110,7 +120,19 @@ def phi(
     wit = PairedPoint.of_rows(X[i], Xs[i])
     # local refinement around the best candidate through the resolvent
     best, wit = _ascend_resolvent(S, x, xstar, wit, float(vals[i]), seed)
-    return FitzEvaluation(best, "lower_bound", wit)
+    return FitzEvaluation(best, "lower_bound", wit,
+                          upper=_fenchel_upper(S, x, xstar))
+
+
+def _fenchel_upper(S: MonotoneOperator, x: np.ndarray,
+                   xstar: np.ndarray) -> Optional[float]:
+    """f(x) + f*(x*) >= phi(x, x*) for S = df with a closed-form f*, where
+    finite; else None."""
+    if not isinstance(S, Subdifferential):
+        return None
+    g = S.f.conjugate_fn()
+    upper = S.f.eval(x) + g.eval(xstar) if g is not None else INF
+    return upper if np.isfinite(upper) else None
 
 
 def _phi_exact(S: MonotoneOperator, x: np.ndarray, xstar: np.ndarray,
@@ -128,6 +150,9 @@ def _phi_exact(S: MonotoneOperator, x: np.ndarray, xstar: np.ndarray,
     - a subdifferential of f with f* the indicator of K (support
       functions and norms): d sigma_K is the inverse of N_K, so phi is
       the normal cone's at the swapped point;
+    - d(inner(. + shift) - <., tilt> + c): the shift of d inner by
+      (shift, tilt);
+    - a subdifferential of a separable f: ``_phi_separable``;
     - S^-1: phi_{S^-1}(x, x*) = phi_S(x*, x);
     - a shift S - (d, d*): phi_S(x + d, x* + d*) - <x + d, x* + d*>
       + <x, x*>.
@@ -145,12 +170,21 @@ def _phi_exact(S: MonotoneOperator, x: np.ndarray, xstar: np.ndarray,
         return FitzEvaluation(float(vals[i]), "exact",
                               PairedPoint.of_rows(X[i], Xs[i]))
     if isinstance(S, Subdifferential):
-        if isinstance(S.f, IndicatorFn):
-            return _phi_normal_cone(S.f.set_, x, xstar, ax)
-        conj = S.f.conjugate_fn()
+        f = S.f
+        if isinstance(f, IndicatorFn):
+            return _phi_normal_cone(f.set_, x, xstar, ax)
+        conj = f.conjugate_fn()
         if isinstance(conj, IndicatorFn):
             return _swapped(_phi_normal_cone(conj.set_, xstar, x, axstar))
-        return None
+        if (isinstance(f, Translate)
+                and f.shift.shape == f.tilt.shape == x.shape):
+            return _phi_exact(
+                Shift(pair=S.pair, inner=Subdifferential(pair=S.pair,
+                                                         f=f.inner),
+                      dx=f.shift, dxstar=f.tilt), x, xstar, ax, axstar)
+        pieces = separable_pieces(f)
+        return None if pieces is None else _phi_separable(
+            pieces, x, xstar, ax, axstar)
     if isinstance(S, InverseOp):
         ev = _phi_exact(S.inner, xstar, x, axstar, ax)
         return None if ev is None else _swapped(ev)
@@ -201,10 +235,75 @@ def _phi_normal_cone(C: CompactConvexSet, x: np.ndarray, xstar: np.ndarray,
                           wit)
 
 
+def _phi_separable(pieces: tuple[Staircase, ...], x: np.ndarray,
+                   xstar: np.ndarray, ax: np.ndarray,
+                   axstar: np.ndarray) -> Optional[FitzEvaluation]:
+    """phi of df = dF_1 x ... x dF_n, the staircases ``pieces`` of a
+    separable f, at (x, x*): phi splits over a product, so it is the sum
+    of each staircase's phi (``_phi_staircase``) at (x_i, x*_i).  The
+    witness takes each coordinate's best point; +inf takes the first
+    coordinate whose ray test fails, with that ray, embedded in its
+    coordinate, as the direction.  None for a non-finite point or
+    staircase (the sampled path then runs)."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xstar)) and all(
+            math.isfinite(v) for p in pieces for c in p.corners for v in c)):
+        return None
+    parts = [_phi_staircase(p, *a) for p, a in zip(pieces, zip(
+        x.tolist(), xstar.tolist(), ax.tolist(), axstar.tolist()))]
+    wit = PairedPoint(*zip(*(pt for _, _, pt, _ in parts)))
+    for i, (_, _, _, ray) in enumerate(parts):
+        if ray is not None:
+            D = np.zeros((len(parts), 2))
+            D[i] = ray
+            return FitzEvaluation(INF, "exact", wit,
+                                  direction=PairedPoint(D[:, 0], D[:, 1]))
+    exact = all(ok for _, ok, _, _ in parts)
+    return FitzEvaluation(sum(v for v, _, _, _ in parts),
+                          "exact" if exact else "lower_bound", wit)
+
+
+def _phi_staircase(st: Staircase, x: float, xstar: float, ax: float,
+                   axstar: float) -> tuple[float, bool, tuple, Optional[tuple]]:
+    """phi of a staircase graph at (x, x*) as (value, exact, point, ray).
+
+    The piece s x* + x s* - s s* is concave along each segment (both
+    coordinates grow together), so it peaks at a corner or at the one
+    stationary point of a slanted segment, and a slanted end ray peaks
+    too.  Along an axis ray it is linear with slope g: x - s or s - x on
+    a vertical ray, x* - s* or s* - x* on a horizontal one.  g > 0 beyond
+    the rounding of x (known to a few ulps of ax, or ax* for x*) and of
+    the ray's base makes phi +inf with that ray, its base the point; a
+    g > 0 within rounding leaves the finite value a lower bound.
+    """
+    C = st.corners
+    # (start, direction, reach): each segment, then the two end rays
+    edges = [((s0, t0), (s1 - s0, t1 - t0), 1.0)
+             for (s0, t0), (s1, t1) in zip(C, C[1:])]
+    edges += [(C[0], st.ray0, INF), (C[-1], st.ray1, INF)]
+    points = list(C)
+    exact = True
+    for (s0, t0), (ds, dt), reach in edges:
+        a = ds * dt
+        g = ds * (xstar - t0) + dt * (x - s0)
+        if a > 0:
+            # the stationary point of the piece, clipped to the edge
+            tau = min(max(g / (2.0 * a), 0.0), reach)
+            points.append((s0 + tau * ds, t0 + tau * dt))
+        elif g > 0 and reach == INF:
+            size = ax + abs(s0) if ds == 0 else axstar + abs(t0)
+            if g > 4 * (len(C) + 2) * _EPS * size:
+                return INF, True, (s0, t0), (ds, dt)
+            exact = False
+    # the piece as <x, x*> - (s - x)(s* - x*), exact at (x, x*) itself
+    vals = [x * xstar - (s - x) * (t - xstar) for s, t in points]
+    k = vals.index(max(vals))
+    return vals[k], exact, points[k], None
+
+
 def _extent(C: CompactConvexSet) -> float:
     """max |c_i| over c in C and i: the largest |sigma_C(+-e_i)|."""
     E = np.eye(C.dim)
-    return max(abs(C.support(e)) for e in np.vstack([E, -E]))
+    return float(np.max(np.abs(C.support(np.vstack([E, -E])))))
 
 
 def _swapped(ev: FitzEvaluation) -> FitzEvaluation:

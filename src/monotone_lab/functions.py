@@ -12,11 +12,20 @@ once over the last axis, bit for bit the point's result in each row; a
 sum with no closed-form prox (``SumFn.folds`` false) is resolved, a
 point or a whole stack in one run, by ``solvers.sum_resolvent``, the
 Douglas-Rachford routine ``SumOp`` uses.
+
+``separable_pieces`` decides, in one place, whether f is a sum of 1-D
+functions, one per coordinate, and returns them as ``Staircase``s: the
+graph of a 1-D subdifferential is a staircase of corners and two end
+rays, from which the value, the prox and the conjugate (the staircase
+with its coordinates swapped) are closed forms.  A separable ``SumFn``
+so has an exact conjugate, a ``Separable`` of the swapped staircases.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,6 +80,12 @@ class ConvexFn:
     def prox(self, z: np.ndarray) -> np.ndarray:
         return self.prox_lam(z, 1.0)
 
+    def eval_within(self, x: np.ndarray, tol: float) -> float:
+        """f(x), but an indicator (and a ``Separable``) reads a point within
+        ``tol`` of its domain as the nearest point there, so that rounding
+        just outside the domain does not make f infinite."""
+        return self.eval(x)
+
     def conjugate(self, y: np.ndarray, max_iter: int = 4000) -> ConjValue:
         """f*(y) = sup_x [<x,y> - f(x)], exact when a closed form exists."""
         g = self.conjugate_fn()
@@ -104,13 +119,17 @@ class ConvexFn:
     def subdiff_contains(
         self, x: np.ndarray, xstar: np.ndarray, tol: float = 1e-8
     ) -> str:
-        """Fenchel-Young equality test; returns 'yes', 'no', or 'unknown'."""
+        """Fenchel-Young equality test; returns 'yes', 'no', or 'unknown'.
+        Where f or its closed-form conjugate is an indicator, membership of
+        its set is tested at ``tol`` too (``eval_within``)."""
         x = np.asarray(x, dtype=float)
         xstar = np.asarray(xstar, dtype=float)
-        fx = self.eval(x)
+        fx = self.eval_within(x, tol)
         if not np.isfinite(fx):
             return "no"
-        cv = self.conjugate(xstar)
+        g = self.conjugate_fn()
+        cv = (self.conjugate(xstar) if g is None
+              else ConjValue(g.eval_within(xstar, tol)))
         lhs = fx + cv.value
         rhs = float(x @ xstar)
         if cv.exact:
@@ -241,6 +260,10 @@ class IndicatorFn(ConvexFn):
         return 0.0 if self.set_.contains(np.asarray(x, float),
                                          self.membership_tol) else INF
 
+    def eval_within(self, x: np.ndarray, tol: float) -> float:
+        return 0.0 if self.set_.contains(
+            np.asarray(x, float), max(tol, self.membership_tol)) else INF
+
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         return self.set_.project(z)
 
@@ -349,13 +372,14 @@ class SumFn(ConvexFn):
     """f + g, whose prox rule is chosen once, at construction.  A smooth
     summand (``_fold_aim``) folds into the other summand's prox.  Else
     the indicator of a box B (a box polytope, an linf ball, or any set
-    in dimension 1) beside a separable f of full domain (any f of full
-    domain in dimension 1, else an l1 norm or the support function of a
-    box) clips the prox of f to B: prox(f + i_B)(z) = P_B(prox f(z)), a
-    1-D fact applied coordinate by coordinate.  Any other sum runs
-    Douglas-Rachford.  ``folds`` is true when the prox is a closed form:
-    a rule applies and no summand is a sum that runs Douglas-Rachford.
-    The conjugate is numeric-only."""
+    in dimension 1) beside a separable f of full domain
+    (``separable_pieces``) clips the prox of f to B:
+    prox(f + i_B)(z) = P_B(prox f(z)), a 1-D fact applied coordinate by
+    coordinate.  Any other sum runs Douglas-Rachford.  ``folds`` is true
+    when the prox is a closed form: a rule applies and no summand is a
+    sum that runs Douglas-Rachford.  A separable sum, folded or not, has
+    an exact conjugate: the ``Separable`` of its pieces' conjugates, each
+    a swapped staircase; any other sum's conjugate is numeric."""
 
     f: ConvexFn
     g: ConvexFn
@@ -398,6 +422,276 @@ class SumFn(ConvexFn):
         gg, dg = self.g.minorant()
         return gf + gg, df + dg
 
+    def conjugate_fn(self) -> Optional[ConvexFn]:
+        return self._conjugate
+
+    @cached_property
+    def _pieces(self) -> Optional[tuple[Staircase, ...]]:
+        """``separable_pieces`` of f + g: the pieces of f and of g added
+        coordinate by coordinate, or None."""
+        pf, pg = separable_pieces(self.f), separable_pieces(self.g)
+        if pf is None or pg is None:
+            return None
+        out = tuple(_add_staircases(a, b) for a, b in zip(pf, pg))
+        return None if any(p is None for p in out) else out
+
+    @cached_property
+    def _conjugate(self) -> Optional[ConvexFn]:
+        pieces = self._pieces
+        return None if pieces is None else Separable(
+            tuple(p.conjugate_fn() for p in pieces))
+
+
+@dataclass(frozen=True)
+class Staircase(ConvexFn):
+    """A convex function of one variable, given by the graph of its
+    subdifferential: a staircase of corners (s_i, s*_i), in order along
+    the graph and so non-decreasing in both coordinates, joined by
+    segments (horizontal where f is linear, vertical at a kink, slanted
+    where f is quadratic), with a ray leaving the first corner along
+    ``ray0`` and one leaving the last along ``ray1``: (0, -1) and (0, 1)
+    at an end of dom f, else -(a, b) and (a, b) with a > 0 <= b, b/a the
+    curvature of f out there ((1, q) for q s^2/2, and (q, 1) for its
+    conjugate).  ``value`` is f at the first corner; f
+    elsewhere is that plus the integral of s* along the graph.  The prox
+    at z is the graph point with s + lam*s* = z, on the segment or ray
+    that brackets z; the conjugate is the staircase with the coordinates
+    swapped, and value s_0 s*_0 - value at its first corner.  A staircase
+    has a handful of corners, so they are plain floats."""
+
+    corners: tuple[tuple[float, float], ...]
+    ray0: tuple[float, float] = (-1.0, 0.0)
+    ray1: tuple[float, float] = (1.0, 0.0)
+    value: float = 0.0
+    # the s_i, and f at each corner
+    _s: tuple[float, ...] = field(default=(), init=False, repr=False,
+                                  compare=False)
+    _values: tuple[float, ...] = field(default=(), init=False, repr=False,
+                                       compare=False)
+
+    def __post_init__(self) -> None:
+        # a kink of no jump or an interval of no width repeats a corner
+        C = []
+        for s, t in self.corners:
+            c = (float(s), float(t))
+            if not C or C[-1] != c:
+                C.append(c)
+        F = [float(self.value)]
+        for (s0, t0), (s1, t1) in zip(C, C[1:]):
+            F.append(F[-1] + (s1 - s0) * (t0 + t1) / 2.0)
+        object.__setattr__(self, "corners", tuple(C))
+        object.__setattr__(self, "_s", tuple(s for s, _ in C))
+        object.__setattr__(self, "_values", tuple(F))
+
+    @property
+    def dim(self) -> int:
+        return 1
+
+    @property
+    def lo(self) -> float:
+        """The lower end of dom f."""
+        return self._s[0] if self.ray0[0] == 0 else -INF
+
+    @property
+    def hi(self) -> float:
+        """The upper end of dom f."""
+        return self._s[-1] if self.ray1[0] == 0 else INF
+
+    def eval(self, x: np.ndarray) -> float:
+        return self._at(float(np.asarray(x, dtype=float).ravel()[0]))
+
+    def _onward(self, u: float) -> tuple[int, Optional[tuple]]:
+        """(i, None) where u is the s of corner i, the first such, else
+        (k, d): u lies past corner k along d, the next segment's
+        (ds, ds*) or an end ray."""
+        C, S = self.corners, self._s
+        if u < S[0]:
+            return 0, self.ray0
+        if u > S[-1]:
+            return len(S) - 1, self.ray1
+        i = bisect.bisect_left(S, u)
+        if S[i] == u:
+            return i, None
+        return i - 1, (S[i] - S[i - 1], C[i][1] - C[i - 1][1])
+
+    def _at(self, u: float) -> float:
+        """f(u), as the value at the corner before u plus the trapezoid
+        of s* from there."""
+        if u != u:
+            return u
+        k, d = self._onward(u)
+        if d is None:
+            return self._values[k]
+        if d[0] == 0:
+            return INF
+        s0, t0 = self.corners[k]
+        tu = t0 + (u - s0) * (d[1] / d[0])
+        return self._values[k] + (u - s0) * (t0 + tu) / 2.0
+
+    def _span(self, p: float) -> tuple[float, float, float]:
+        """(L, R, m) at p in dom f: the subdifferential [L, R] at p, ends
+        infinite at an end of dom f, and a finite m in it."""
+        C = self.corners
+        k, d = self._onward(p)
+        if d is not None:
+            m = C[k][1] + (p - C[k][0]) * (d[1] / d[0])
+            return m, m, m
+        j = bisect.bisect_right(self._s, p)
+        L = -INF if k == 0 and self.ray0[0] == 0 else C[k][1]
+        R = INF if j == len(C) and self.ray1[0] == 0 else C[j - 1][1]
+        return L, R, C[k][1]
+
+    def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
+        C = np.array(self.corners if len(self.corners) > 1
+                     else self.corners * 2)
+        s, t = C[:, 0], C[:, 1]
+        h = s + lam * t  # s + lam*s* grows along the graph
+        u = z[..., 0]
+        i = np.clip(np.searchsorted(h, u, side="right") - 1, 0, len(h) - 2)
+        dh = h[i + 1] - h[i]
+        frac = np.clip(np.divide(u - h[i], dh, out=np.zeros_like(u),
+                                 where=dh > 0), 0.0, 1.0)
+        x = s[i] + frac * (s[i + 1] - s[i])
+        for k, ray, beyond in ((0, self.ray0, u < h[0]),
+                               (-1, self.ray1, u > h[-1])):
+            step = (u - h[k]) / (ray[0] + lam * ray[1])
+            x = np.where(beyond, s[k] + step * ray[0], x)
+        return x[..., None]
+
+    def minorant(self) -> tuple[float, float]:
+        # the subgradient inequality at the first corner
+        s0, t0 = self.corners[0]
+        return abs(t0), max(t0 * s0 - self.value, 0.0)
+
+    def conjugate_fn(self) -> Optional[ConvexFn]:
+        s0, t0 = self.corners[0]
+        return Staircase(tuple((t, s) for s, t in self.corners),
+                         self.ray0[::-1], self.ray1[::-1],
+                         s0 * t0 - self.value)
+
+    def translated(self, shift: float, tilt: float,
+                   offset: float = 0.0) -> "Staircase":
+        """s -> f(s + shift) - tilt*s + offset."""
+        C = tuple((s - shift, t - tilt) for s, t in self.corners)
+        return Staircase(C, self.ray0, self.ray1,
+                         self.value - tilt * C[0][0] + offset)
+
+
+def _kink(k: float, a: float, b: float) -> Staircase:
+    """s -> a(s - k) left of k, b(s - k) right of it (a <= b)."""
+    return Staircase(((k, a), (k, b)))
+
+
+def _interval(lo: float, hi: float) -> Staircase:
+    """The indicator of [lo, hi]."""
+    return Staircase(((lo, 0.0), (hi, 0.0)), (0.0, -1.0), (0.0, 1.0))
+
+
+def _parabola(q: float, b: float, c: float = 0.0) -> Staircase:
+    """s -> q s^2/2 + b s + c (q >= 0)."""
+    return Staircase(((0.0, b),), (-1.0, -q), (1.0, q), c)
+
+
+def _add_staircases(A: Staircase, B: Staircase) -> Optional[Staircase]:
+    """The staircase of f + g from theirs, or None where dom f and dom g
+    do not meet: d(f + g)(p) = df(p) + dg(p) at each corner p of either
+    inside the common domain and at its ends, and both are linear in
+    between."""
+    lo, hi = max(A.lo, B.lo), min(A.hi, B.hi)
+    if not lo <= hi:
+        return None
+    P = sorted({p for p in A._s + B._s if lo <= p <= hi}
+               | {e for e in (lo, hi) if abs(e) < INF})
+    corners = []
+    for p in P:
+        La, Ra, ma = A._span(p)
+        Lb, Rb, mb = B._span(p)
+        ends = [v for v in (La + Lb, Ra + Rb) if abs(v) < INF]
+        corners += [(p, v) for v in ends or [ma + mb]]
+    q0 = A.ray0[1] / A.ray0[0] + B.ray0[1] / B.ray0[0] if lo == -INF else 0.0
+    q1 = A.ray1[1] / A.ray1[0] + B.ray1[1] / B.ray1[0] if hi == INF else 0.0
+    return Staircase(tuple(corners),
+                     (-1.0, -q0) if lo == -INF else (0.0, -1.0),
+                     (1.0, q1) if hi == INF else (0.0, 1.0),
+                     A._at(P[0]) + B._at(P[0]))
+
+
+@dataclass(frozen=True)
+class Separable(ConvexFn):
+    """f(x) = sum_i f_i(x_i), one ``Staircase`` per coordinate: the form
+    of the conjugate of a separable ``SumFn``."""
+
+    pieces: tuple[Staircase, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.pieces)
+
+    def eval(self, x: np.ndarray) -> float:
+        x = np.asarray(x, dtype=float).ravel().tolist()
+        return sum(p._at(u) for p, u in zip(self.pieces, x))
+
+    def eval_within(self, x: np.ndarray, tol: float) -> float:
+        x = np.asarray(x, dtype=float).ravel()
+        y = np.clip(x, [p.lo for p in self.pieces],
+                    [p.hi for p in self.pieces])
+        return self.eval(y) if np.linalg.norm(x - y) <= tol else INF
+
+    def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
+        return np.stack([p._prox(z[..., i:i + 1], lam)[..., 0]
+                         for i, p in enumerate(self.pieces)], axis=-1)
+
+    def minorant(self) -> tuple[float, float]:
+        g, d = np.array([p.minorant() for p in self.pieces]).T
+        return float(np.linalg.norm(g)), float(np.sum(d))
+
+    def conjugate_fn(self) -> Optional[ConvexFn]:
+        return Separable(tuple(p.conjugate_fn() for p in self.pieces))
+
+
+def separable_pieces(f: ConvexFn) -> Optional[tuple[Staircase, ...]]:
+    """The 1-D functions f_i with f(x) = sum_i f_i(x_i), one staircase per
+    coordinate, or None where f is no such sum (or is +inf everywhere).
+    They are: a norm in dimension 1 or an l1 norm; the support function
+    and the indicator of a box (any set in dimension 1); an affine
+    function, the half squared norm and a quadratic with diagonal Q, the
+    constant going to the first piece; and translates and sums of
+    separable functions."""
+    if isinstance(f, Separable):
+        return f.pieces
+    if isinstance(f, Staircase):
+        return (f,)
+    if isinstance(f, SumFn):
+        return f._pieces
+    n = f.dim
+    if isinstance(f, Translate):
+        inner = separable_pieces(f.inner)
+        if inner is None or f.shift.shape != (n,) or f.tilt.shape != (n,):
+            return None
+        return tuple(p.translated(d, t, f.offset if i == 0 else 0.0)
+                     for i, (p, d, t) in enumerate(zip(inner, f.shift,
+                                                        f.tilt)))
+    if isinstance(f, NormFn) and (n == 1 or f.kind is NormTag.L1):
+        return (_kink(0.0, -f.scale, f.scale),) * n
+    if isinstance(f, (SupportFn, IndicatorFn)) and f.set_._is_box():
+        E = np.eye(n)
+        bounds = zip((-f.set_.support(-E)).tolist(),
+                     f.set_.support(E).tolist())
+        if isinstance(f, SupportFn):
+            return tuple(_kink(0.0, lo, hi) for lo, hi in bounds)
+        return tuple(_interval(lo, hi) for lo, hi in bounds)
+    if isinstance(f, HalfSqNorm):
+        return (_parabola(1.0, 0.0),) * n
+    if isinstance(f, Affine):
+        q, b, c = np.zeros(n), f.a, f.c
+    elif (isinstance(f, Quadratic)
+          and not np.any(f.Q - np.diag(np.diag(f.Q)))):
+        q, b, c = np.diag(f.Q), f.b, f.c
+    else:
+        return None
+    return tuple(_parabola(qi, bi, c if i == 0 else 0.0)
+                 for i, (qi, bi) in enumerate(zip(q.tolist(), b.tolist())))
+
 
 def full_domain(f: ConvexFn) -> bool:
     """Whether dom f is the whole space."""
@@ -405,6 +699,9 @@ def full_domain(f: ConvexFn) -> bool:
         return full_domain(f.inner)
     if isinstance(f, SumFn):
         return full_domain(f.f) and full_domain(f.g)
+    if isinstance(f, (Staircase, Separable)):
+        return all(p.lo == -INF and p.hi == INF
+                   for p in separable_pieces(f))
     return isinstance(f, (Quadratic, NormFn, SupportFn, Affine, HalfSqNorm))
 
 
@@ -416,7 +713,8 @@ def _fold_prox(f: ConvexFn, g: ConvexFn) -> Optional[Callable]:
             return lambda z, lam: other.prox_lam(*aim(z, lam))
     for ind, other in ((g, f), (f, g)):
         if (isinstance(ind, IndicatorFn) and ind.set_._is_box()
-                and _separable(other)):
+                and full_domain(other)
+                and separable_pieces(other) is not None):
             return lambda z, lam: ind.set_.project(other.prox_lam(z, lam))
     return None
 
@@ -427,16 +725,6 @@ def _closed_prox(f: ConvexFn) -> bool:
     while isinstance(f, Translate):
         f = f.inner
     return not isinstance(f, SumFn) or f.folds
-
-
-def _separable(f: ConvexFn) -> bool:
-    """Whether f is a sum of 1-D functions of full domain, one per
-    coordinate."""
-    if f.dim == 1:
-        return full_domain(f)
-    if isinstance(f, NormFn):
-        return f.kind is NormTag.L1
-    return isinstance(f, SupportFn) and f.set_._is_box()
 
 
 def _fold_aim(smooth: ConvexFn) -> Optional[Callable]:

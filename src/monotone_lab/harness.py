@@ -283,8 +283,12 @@ def _task_gap(sc: Scenario, task: dict) -> list[dict]:
     budget = int(task.get("budget", 100))
     eta = float(task.get("eta", 1e-6))
     if "probes" in task:
-        probes = [PairedPoint(_vec(p[0]), _vec(p[1]))
-                  for p in task["probes"]]
+        try:
+            probes = [PairedPoint(sc.pair.check_dim(_vec(p[0]), "probe"),
+                                  sc.pair.check_dim(_vec(p[1]), "probe"))
+                      for p in task["probes"]]
+        except ValueError as exc:  # a probe of the wrong size
+            raise ScenarioError(str(exc)) from exc
     else:
         probes = qd_mod.default_probes(S, int(task.get("count", 20)), seed)
     fuzz_dual = fuzz_primal = None

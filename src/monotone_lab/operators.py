@@ -248,8 +248,9 @@ class Subdifferential(MonotoneOperator):
 
     def contains(self, x, xstar, tol: float = 1e-7) -> str:
         """Fenchel-Young where f has a closed-form conjugate, else (a
-        ``SumFn``, say) the resolvent residual, as a numeric conjugate
-        costs thousands of prox steps and can only certify 'no'."""
+        non-separable ``SumFn``, say) the resolvent residual, as a numeric
+        conjugate costs thousands of prox steps and can only certify
+        'no'."""
         if self.f.conjugate_fn() is None:
             return super().contains(x, xstar, tol)
         x = self.pair.check_dim(x, "x")

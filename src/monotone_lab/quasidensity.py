@@ -120,11 +120,11 @@ def gaps(
     other error is raised.  The oracle probes are resolved in one
     stacked call, in which a row that fails fails alone and, as in
     ``gap``, takes the scan; every scan probe is scanned against one
-    ``graph_rows`` draw; each other probe (a fuzz set, an LCP, a probe
-    of the wrong size) takes its own ``gap`` call."""
+    ``graph_rows`` draw; each other probe (a fuzz set, an LCP) takes its
+    own ``gap`` call.  A probe of the wrong size raises ``ValueError``
+    before any solve."""
     out: list = [None] * len(queries)
-    paths = [_path(S, q) if q.target.x.shape == (S.pair.dim,) else "gap"
-             for q in queries]
+    paths = [_path(S, q) for q in queries]
     scan = [k for k, path in enumerate(paths) if path == "scan"]
     oracle = [k for k, path in enumerate(paths) if path == "oracle"]
     if oracle:
@@ -164,7 +164,8 @@ def _path(S: MonotoneOperator, q: GapQuery) -> str:
     finite graph and a non-monotone ``Linear``, shifted or inverted (the
     exact paths assume a monotone map); else "oracle" on the Euclidean
     pair, "qp" for a ``Linear`` or its inverse off it, "scan" for the
-    rest."""
+    rest.  Raises ``ValueError`` for a probe not of the pair's size."""
+    S.pair.check_dim(q.target.x, "probe")
     if q.dual_fuzz is not None or q.primal_fuzz is not None:
         return "fuzzy"
     if isinstance(S, FiniteGraph):
@@ -335,7 +336,7 @@ def fuzzy_gap_dual(
     na = row_norms(X - w, S.pair.primal_norm)
     d = np.array([Wt.dist(xs, S.pair.dual_norm) for xs in Xs])
     vals = (0.5 * na * na + 0.5 * d * d + row_dots(X - w, Xs)
-            + np.array([Wt.support(v) for v in w - X]))
+            + Wt.support(w - X))
     method = "enumeration" if finite else "fuzzy_search"
     i = first_min(vals)
     if i is None:

@@ -9,10 +9,11 @@ package needs is a vertex list, a ball, or a segment fattened by a ball
 A polytope whose vertices include every corner of their bounding box is
 that axis-aligned box and projects by a coordinatewise clip; other hulls
 use Wolfe's algorithm.  A capsule fattened by an l1 or linf ball is a
-polytope and projects as one.  ``project`` takes a point (n,) or a stack
-(m, n): each closed form (a clip, an l2 or linf ball) runs once over the
-last axis, bit for bit the point's result in each row; Wolfe hulls, l1
-balls and l2 capsules loop the rows.  l2 distances are always exact.
+polytope and projects as one.  ``project`` and ``support`` take a point
+(n,) or a stack (m, n): each closed form (a clip, an l2 or linf ball,
+every support function) runs once over the last axis, bit for bit the
+point's result in each row; Wolfe hulls, l1 balls and l2 capsules loop
+the rows of a projection.  l2 distances are always exact.
 l1/linf distances are exact on boxes (linf balls and box-shaped capsules
 included) and on every 1-D set; to a non-box set in dimension >= 2 they
 remain the upper bound of a projected subgradient descent.
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .solvers import nearest_hull_point, project_ball, subgradient_descent
-from .spaces import (NormTag, each_row, norm_subgradient, row_norms,
-                     vector_norm)
+from .spaces import (NormTag, each_row, norm_subgradient, row_dots,
+                     row_norms, vector_norm)
 
 _LEX_TOL = 1e-12
 
@@ -47,8 +48,18 @@ class CompactConvexSet:
     def dim(self) -> int:
         raise NotImplementedError
 
-    def support(self, y: np.ndarray) -> float:
-        """sup over the set of <., y>."""
+    def support(self, y: np.ndarray) -> float | np.ndarray:
+        """sup over the set of <., y>: of a point ``y`` (n,) as a float, or
+        of each row of a stack ``y`` (m, n) as an (m,) array, each row
+        the point's value bit for bit."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 2:
+            return self._support(self._check_rows(y))
+        return float(self._support(self._check(y)))
+
+    def _support(self, y: np.ndarray) -> np.ndarray:
+        """The support function over the last axis of ``y``, a point or a
+        stack of rows; a row gives the point's value bit for bit."""
         raise NotImplementedError
 
     def argmax_support(self, y: np.ndarray) -> np.ndarray:
@@ -174,9 +185,9 @@ class Polytope(CompactConvexSet):
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    def support(self, y: np.ndarray) -> float:
-        y = self._check(y)
-        return float(np.max(self.vertices @ y))
+    def _support(self, y: np.ndarray) -> np.ndarray:
+        # V @ row for each row, the product a point takes
+        return np.max((self.vertices @ y[..., None])[..., 0], axis=-1)
 
     def argmax_support(self, y: np.ndarray) -> np.ndarray:
         y = self._check(y)
@@ -260,11 +271,9 @@ class Ball(CompactConvexSet):
     def dim(self) -> int:
         return self.center.size
 
-    def support(self, y: np.ndarray) -> float:
-        y = self._check(y)
-        return float(self.center @ y) + self.radius * vector_norm(
-            y, self.norm.dual()
-        )
+    def _support(self, y: np.ndarray) -> np.ndarray:
+        return row_dots(y, self.center) + self.radius * row_norms(
+            y, self.norm.dual())
 
     def argmax_support(self, y: np.ndarray) -> np.ndarray:
         y = self._check(y)
@@ -368,10 +377,9 @@ class Capsule(CompactConvexSet):
     def dim(self) -> int:
         return self.a.size
 
-    def support(self, y: np.ndarray) -> float:
-        y = self._check(y)
-        seg = max(float(self.a @ y), float(self.b @ y))
-        return seg + self.radius * vector_norm(y, self.norm.dual())
+    def _support(self, y: np.ndarray) -> np.ndarray:
+        seg = np.maximum(row_dots(y, self.a), row_dots(y, self.b))
+        return seg + self.radius * row_norms(y, self.norm.dual())
 
     def argmax_support(self, y: np.ndarray) -> np.ndarray:
         y = self._check(y)

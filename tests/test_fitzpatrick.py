@@ -10,20 +10,26 @@ from monotone_lab import (
     FiniteGraph,
     HalfSqNorm,
     IndicatorFn,
+    InverseOp,
     Linear,
     NormFn,
     NormTag,
     PairedPoint,
     Polytope,
+    Quadratic,
     Shift,
     Subdifferential,
     SumFn,
+    SumOp,
     SupportFn,
+    Translate,
+    add,
     box,
     fitz_membership,
     interval,
     inverse,
     normal_cone,
+    parallel_sum,
     phi,
     phi_conj,
     support_subdiff,
@@ -31,6 +37,7 @@ from monotone_lab import (
     theta_conj,
 )
 from monotone_lab.fitzpatrick import _phi_exact
+from test_rows import OP_KINDS, _op
 
 PAIR1 = DualPair(1, NormTag.L2)
 IDENTITY = Linear(pair=PAIR1, M=np.array([[1.0]]))
@@ -78,13 +85,17 @@ class TestPhi:
             assert ev.value == pytest.approx(float(p.x @ p.xstar), abs=1e-12)
 
     def test_sampled_lower_bound_includes_resolvent_point(self):
-        # phi of d(|x| + indicator of [-1, 1]) at (0, 2) is 1, attained at
-        # (1, 1); the sampled path must reach it via the resolvent
-        S = Subdifferential(pair=PAIR1, f=SumFn(NormFn(1),
-                                                IndicatorFn(interval(-1, 1))))
-        ev = phi(S, arr(0.0), arr(2.0))
+        # phi of d|x| + N_[-1, 1] at (0, 2) is 1, attained at (1, 1); the
+        # unfolded sum has no calculus rule, so the sampled path must
+        # reach it via the resolvent
+        abs_, cone = (Subdifferential(pair=PAIR1, f=NormFn(1)),
+                      normal_cone(PAIR1, interval(-1, 1)))
+        ev = phi(SumOp(pair=PAIR1, S=abs_, T=cone), arr(0.0), arr(2.0))
         assert ev.status == "lower_bound"
         assert 1.0 - 1e-9 <= ev.value <= 1.0 + 1e-12
+        # folded into d(|x| + i_[-1, 1]), a staircase, it is exact
+        ev = phi(add(abs_, cone), arr(0.0), arr(2.0))
+        assert (ev.value, ev.status) == (1.0, "exact")
         # without the indicator the pieces s (2 - 1) along (s, 1) grow
         # without bound
         ev = phi(Subdifferential(pair=PAIR1, f=NormFn(1)), arr(0.0), arr(2.0))
@@ -198,12 +209,22 @@ class TestMembership:
 
     def test_verdicts_keep_to_the_criterion(self):
         # theta(1.0017, 1) = (2.0017)^2 / 4 lies 7.2e-7 above the pairing,
-        # within tol: the conjugate chain's f + f* (1.4e-6 above) cannot
-        # show out, and the resolvent residual (7.2e-7) cannot show in
+        # within tol, and is exact on d(x^2/2), a staircase: in
         ystar, yss = arr(1.0017), arr(1.0)
         th = (ystar[0] + yss[0]) ** 2 / 4.0 - ystar[0] * yss[0]
         assert 0.0 < th <= 1e-6
-        assert fitz_membership(HALF_SQ, ystar, yss, tol=1e-6) == "unknown"
+        assert fitz_membership(HALF_SQ, ystar, yss, tol=1e-6) == "in"
+        # d(s'Ms/2) with M not diagonal has a sampled theta.  y* = My** +
+        # d v, v the unit eigenvector of M's eigenvalue 1.5, puts theta
+        # d^2/6 = 7.2e-7 above the pairing: the conjugate chain's f + f*
+        # (2x, 1.44e-6 above) cannot show in, and the squared resolvent
+        # residual (d^2/6.25) cannot show out
+        M = np.array([[1.0, 0.5], [0.5, 1.0]])
+        S = Subdifferential(pair=DualPair(2), f=Quadratic(M, np.zeros(2)))
+        yss = np.array([1.0, 0.0])
+        ystar = M @ yss + np.sqrt(4.32e-6) * np.ones(2) / np.sqrt(2.0)
+        assert theta(S, ystar, yss).status == "lower_bound"
+        assert fitz_membership(S, ystar, yss, tol=1e-6) == "unknown"
         # off the graph at tol 1e-7, f + f* 1.25e-7 above the pairing: in
         assert HALF_SQ.contains(arr(1.0), arr(1.0005)) == "no"
         assert fitz_membership(HALF_SQ, arr(1.0005), arr(1.0)) == "in"
@@ -374,3 +395,169 @@ class TestClosedForms:
         inv = phi(inverse(S), xs, x)
         assert inv.value == np.inf
         assert np.array_equal(inv.direction.x, d.xstar)
+
+
+# ---------------------------------------------------------------------------
+# separable functions: staircases, coordinate by coordinate
+
+SEPARABLE_SUMS = ("l1+box", "support+box", "half_sq+l1")
+
+
+@st.composite
+def separable_case(draw):
+    """(S, x, x*, seed, probe): d(f + g) for one of the three folded
+    separable sums in dimension 1-3 on one of the three pairs, and a probe
+    that is free, a graph row, or a graph row moved in one component."""
+    n = draw(st.integers(1, 3))
+    pair = DualPair(n, draw(st.sampled_from(list(NormTag))))
+    kind = draw(st.sampled_from(SEPARABLE_SUMS))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    lo, lo2 = rng.uniform(-2.0, 0.0, (2, n))
+    scale = float(rng.uniform(0.1, 2.0))
+    l1 = NormFn(n, scale, NormTag.L1)
+    f, g = {
+        "l1+box": (l1, IndicatorFn(box(lo, lo + rng.uniform(0.1, 2.0, n)))),
+        "support+box": (SupportFn(box(lo2, lo2 + rng.uniform(0.0, 2.0, n),
+                                      side="dual")),
+                        IndicatorFn(box(lo, lo + rng.uniform(0.1, 2.0, n)))),
+        "half_sq+l1": (HalfSqNorm(n), l1),
+    }[kind]
+    S = add(Subdifferential(pair=pair, f=f), Subdifferential(pair=pair, f=g))
+    probe = draw(st.sampled_from(("free", "graph", "move_x", "move_xstar")))
+    if probe == "free":
+        x, xs = rng.uniform(-3.0, 3.0, (2, n))
+    else:
+        X, Xs = S.graph_rows(8, seed)
+        i = int(rng.integers(len(X)))
+        x, xs = X[i].copy(), Xs[i].copy()
+        if probe != "graph":
+            (x if probe == "move_x" else xs)[:] += rng.normal(size=n)
+    return S, x, xs, seed, probe
+
+
+class TestSeparable:
+    @settings(max_examples=200, deadline=None)
+    @given(separable_case())
+    def test_staircases_bound_samples_attain_and_certify(self, case):
+        S, x, xs, seed, probe = case
+        assert isinstance(S, Subdifferential) and S.f.folds
+        ev = phi(S, x, xs)
+        assert ev.status == "exact"
+        w = ev.witness
+        # the sampled phi at budget 2000, with the resolvent point
+        X, Xs = S.graph_rows(2000, seed)
+        p = S.resolvent(x + xs)
+        vals = pieces(np.vstack([X, p.x]), np.vstack([Xs, p.xstar]), x, xs)
+        scale = 1.0 + float(np.max(np.abs(vals)))
+        assert ev.value >= float(np.max(vals)) - 1e-9 * scale
+        assert S.contains(w.x, w.xstar) == "yes"
+        if ev.value == np.inf:
+            # a graph ray from the witness, in one coordinate, whose
+            # pieces grow
+            d = ev.direction
+            assert np.count_nonzero(np.abs(d.x) + np.abs(d.xstar)) == 1
+            grow = [pieces(w.x + t * d.x, w.xstar + t * d.xstar, x, xs)[0]
+                    for t in (0.0, 1.0, 10.0)]
+            assert grow[0] < grow[1] < grow[2]
+            assert S.contains(w.x + 10.0 * d.x, w.xstar + 10.0 * d.xstar) \
+                == "yes"
+            return
+        # the value is the pieces at the point it names
+        assert pieces(w.x, w.xstar, x, xs)[0] == pytest.approx(
+            ev.value, abs=1e-12 * scale)
+        if probe == "graph":
+            assert ev.value == pytest.approx(
+                float(x @ xs), abs=1e-12 * (1.0 + np.abs(x) @ np.abs(xs)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(separable_case())
+    def test_conjugate_meets_fenchel_young(self, case):
+        # f* >= <s, y> - f(s) at sampled s, with equality on the graph
+        S, x, xs, seed, _ = case
+        f, g = S.f, S.f.conjugate_fn()
+        X, Xs = S.graph_rows(64, seed)
+        y = np.random.default_rng(seed).uniform(-4.0, 4.0, len(x))
+        low = max(float(s @ y) - f.eval(s) for s in X)
+        assert g.eval(y) >= low - 1e-9 * (1.0 + abs(low))
+        for s, ss in zip(X, Xs):
+            gap = f.eval(s) + g.eval(ss) - float(s @ ss)
+            assert abs(gap) <= 1e-9 * (1.0 + np.abs(s) @ np.abs(ss))
+        assert fitz_membership(S, Xs[0], X[0]) == "in"
+        assert phi_conj(S, Xs[0], X[0]).status == "exact"
+
+    def test_off_the_domain_is_inf_on_it_a_corner(self):
+        # d(|x| + i_[-1, 1]): x = 2 lies past the vertical ray at 1; at
+        # (0.5, 2) the best corner is (1, 1): 2 + 0.5 - 1
+        S = add(Subdifferential(pair=PAIR1, f=NormFn(1)),
+                normal_cone(PAIR1, interval(-1.0, 1.0)))
+        ev = phi(S, arr(2.0), arr(0.5))
+        assert (ev.value, ev.status) == (np.inf, "exact")
+        assert (ev.direction.x[0], ev.direction.xstar[0]) == (0.0, 1.0)
+        ev = phi(S, arr(0.5), arr(2.0))
+        assert (ev.value, ev.status) == (1.5, "exact")
+        assert (ev.witness.x[0], ev.witness.xstar[0]) == (1.0, 1.0)
+
+    def test_folded_parallel_sums_are_exact(self):
+        # d(|x| + i_[-1, 1]) # d(x^2/2) is the inverse of the fold of the
+        # conjugates, a staircase plus the half square; its phi is exact
+        # and bounds the sampled pieces of its graph
+        S = add(Subdifferential(pair=PAIR1, f=NormFn(1)),
+                normal_cone(PAIR1, interval(-1.0, 1.0)))
+        P = parallel_sum(S, HALF_SQ)
+        assert isinstance(P, InverseOp)
+        X, Xs = P.graph_rows(200, 0)
+        for x, xs in np.random.default_rng(7).uniform(-3.0, 3.0, (20, 2)):
+            ev = phi(P, arr(x), arr(xs))
+            assert ev.status == "exact"
+            assert ev.value >= float(np.max(pieces(X, Xs, arr(x), arr(xs)))
+                                     ) - 1e-12
+
+    def test_translates_are_shifts(self):
+        # d(||. + a||_2 - <., b>) in 2-D is not separable; it is d||.||_2
+        # shifted by (a, b), so exact as the shift of a norm's rule
+        a, b = np.array([0.5, -1.0]), np.array([0.2, 0.1])
+        pair = DualPair(2)
+        T = Subdifferential(pair=pair, f=Translate(NormFn(2), a, b))
+        N = Shift(pair=pair, inner=Subdifferential(pair=pair, f=NormFn(2)),
+                  dx=a, dxstar=b)
+        rng = np.random.default_rng(5)
+        for x, xs in rng.uniform(-2.0, 2.0, (20, 2, 2)):
+            ev, ref = phi(T, x, xs), phi(N, x, xs)
+            assert ev.status == "exact"
+            assert (ev.value, ev.status) == (ref.value, ref.status)
+
+
+class TestPhiAgainstPairing:
+    # maximal monotone kinds: a finite graph need not be
+    @pytest.mark.parametrize("kind", [k for k in OP_KINDS if "graph" not in k])
+    @pytest.mark.parametrize("norm", list(NormTag))
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 3))
+    def test_phi_is_above_the_pairing_and_below_upper(self, kind, norm,
+                                                      seed, n):
+        rng = np.random.default_rng(seed)
+        S = _op(rng, DualPair(n, norm), kind)
+        x, xs = rng.uniform(-2.0, 2.0, (2, n))
+        ev = phi(S, x, xs, budget=16, seed=seed)
+        p = float(x @ xs)
+        tol = 1e-9 * (1.0 + np.abs(x) @ np.abs(xs))
+        assert ev.value >= p - tol
+        if ev.upper is not None:
+            assert ev.value <= ev.upper + tol * (1.0 + abs(ev.upper))
+
+    @pytest.mark.parametrize("norm", list(NormTag))
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 3))
+    def test_a_sampled_phi_reports_the_fenchel_upper(self, norm, seed, n):
+        # d(s'Qs/2 + b's) with Q not diagonal samples phi, and its
+        # conjugate is a closed form: pairing <= phi <= f(x) + f*(x*)
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(n, n))
+        f = Quadratic(B @ B.T + 0.1 * np.eye(n), rng.normal(size=n))
+        S = Subdifferential(pair=DualPair(n, norm), f=f)
+        x, xs = rng.uniform(-2.0, 2.0, (2, n))
+        ev = phi(S, x, xs, budget=16, seed=seed)
+        assert ev.status == "lower_bound" and ev.upper is not None
+        tol = 1e-9 * (1.0 + np.abs(x) @ np.abs(xs) + abs(ev.upper))
+        assert float(x @ xs) - tol <= ev.value <= ev.upper + tol

@@ -25,6 +25,7 @@ from monotone_lab import (
     interval,
     minimize,
 )
+from monotone_lab.functions import separable_pieces
 from monotone_lab.solvers import sum_resolvent
 
 SQUARE = Polytope(vertices=np.array([[1.0, 1.0], [1.0, -1.0],
@@ -76,26 +77,44 @@ class TestConjugate:
         assert f.conjugate(np.array([1.0, 2.0])).value == pytest.approx(3.0)
 
     def test_numeric_fallback_matches_closed_form(self):
-        # a sum with no closed-form conjugate: |x| + x^2/2; its true
-        # conjugate is (dist(y, [-1,1]))^2/2 by Moreau composition
-        f = SumFn(ABS, HalfSqNorm(1))
-        for y in (0.0, 0.4, 1.5, -3.0):
-            cv = f.conjugate(np.array([y]))
-            truth = 0.5 * max(0.0, abs(y) - 1.0) ** 2
-            assert cv.value == pytest.approx(truth, abs=1e-6)
+        # ||x||_2 + ||x||^2/2 has conjugate dist(y, unit ball)^2/2 by
+        # Moreau composition: numeric in 2-D, where the sum is not
+        # separable, and a staircase in 1-D
+        for n in (1, 2):
+            f = SumFn(NormFn(n), HalfSqNorm(n))
+            assert (f.conjugate_fn() is None) == (n == 2)
+            for y in (0.0, 0.4, 1.5, -3.0):
+                cv = f.conjugate(np.full(n, y))
+                truth = 0.5 * max(0.0, abs(y) * np.sqrt(n) - 1.0) ** 2
+                assert cv.value == pytest.approx(truth, abs=1e-6)
 
     def test_unbounded_conjugate_reports_direction(self):
-        f = IndicatorFn(interval(0.0, 1.0))
-        g = SupportFn(interval(0.0, 1.0, side="dual"))
-        # support of [0,1] has conjugate indicator of [0,1]; off it the
-        # numeric path of a sum must flag +inf with a direction
-        s = SumFn(g, Affine(np.array([0.0]), 0.0))
-        cv = s.conjugate(np.array([5.0]))
+        # the support function of the unit l2 disc has conjugate the
+        # indicator of the disc; off it the numeric path of a sum, which
+        # is not separable, must flag +inf with a direction
+        disc = Ball(side="dual", center=np.zeros(2), radius=1.0)
+        s = SumFn(SupportFn(disc), Affine(np.zeros(2), 0.0))
+        assert s.conjugate_fn() is None
+        cv = s.conjugate(np.array([5.0, 0.0]))
         assert cv.value == np.inf
         assert cv.direction is not None
+        # in 1-D the sum is separable and its conjugate a closed form
+        g = SupportFn(interval(0.0, 1.0, side="dual"))
+        cv = SumFn(g, Affine(np.array([0.0]), 0.0)).conjugate(np.array([5.0]))
+        assert (cv.value, cv.exact) == (np.inf, True)
 
 
 class TestSubdiffContains:
+    def test_indicators_take_the_tolerance(self):
+        # x* outside the dual ball of |x|, and x outside [0, 1], by
+        # rounding far below tol
+        assert NormFn(1).subdiff_contains(
+            [-2.6], [-1 - 3.5e-9], tol=1e-7) == "yes"
+        assert IndicatorFn(interval(0.0, 1.0)).subdiff_contains(
+            [1 + 1e-9], [1.0], tol=1e-7) == "yes"
+        assert NormFn(1).subdiff_contains([-2.6], [-1 - 1e-6],
+                                          tol=1e-7) == "no"
+
     def test_abs_at_zero(self):
         assert ABS.subdiff_contains(np.array([0.0]), np.array([0.7])) == "yes"
 
@@ -341,3 +360,48 @@ class TestMinimize:
         f = SumFn(HalfSqNorm(1), IndicatorFn(interval(1.0, 2.0)))
         x, v = minimize(f)
         assert x[0] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestStaircase:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           lam=st.floats(0.05, 4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_conjugate_prox_is_moreau(self, seed, n, lam):
+        # prox_{lam f*}(z) = z - lam prox_{f/lam}(z/lam), the conjugate's
+        # staircase against f's closed-form prox, rows against points
+        rng = np.random.default_rng(seed)
+        f, g = _separable_fn(rng, n), IndicatorFn(_box_set(rng, n))
+        fn = SumFn(f, g)
+        assert fn.folds and fn.conjugate_fn() is not None
+        Z = rng.uniform(-4.0, 4.0, (5, n))
+        P = fn.conjugate_fn().prox_lam(Z, lam)
+        ref = Z - lam * fn.prox_lam(Z / lam, 1.0 / lam)
+        assert np.abs(P - ref).max() <= 1e-9 * (1.0 + np.abs(Z).max())
+        for z, p in zip(Z, P):
+            assert np.array_equal(fn.conjugate_fn().prox_lam(z, lam), p)
+
+    def test_pieces_of_each_kind(self):
+        lo, hi = np.array([-1.0, 0.5]), np.array([2.0, 0.5])
+        kinds = [NormFn(2, 3.0, NormTag.L1), SupportFn(box(lo, hi)),
+                 IndicatorFn(box(lo, hi)), Affine(np.array([1.0, -2.0]), 4.0),
+                 HalfSqNorm(2), Quadratic(np.diag([2.0, 0.0]),
+                                          np.array([1.0, 1.0]), 0.5),
+                 Translate(NormFn(2, 1.0, NormTag.L1), np.ones(2),
+                           np.ones(2), 1.0)]
+        rng = np.random.default_rng(0)
+        for f in kinds:
+            pieces = separable_pieces(f)
+            assert len(pieces) == 2
+            for x in rng.uniform(-3.0, 3.0, (20, 2)):
+                x[1] = 0.5 if isinstance(f, IndicatorFn) else x[1]
+                want = f.eval(x)
+                got = sum(p.eval(x[i:i + 1]) for i, p in enumerate(pieces))
+                assert got == pytest.approx(want, abs=1e-12) or (
+                    want == got == np.inf)
+        # an l2 norm and a rotated quadratic in 2-D are not separable
+        assert separable_pieces(NormFn(2)) is None
+        assert separable_pieces(
+            Quadratic(np.array([[2.0, 1.0], [1.0, 2.0]]), np.zeros(2))) is None
+        # disjoint domains: +inf everywhere
+        assert separable_pieces(SumFn(IndicatorFn(interval(0.0, 1.0)),
+                                      IndicatorFn(interval(2.0, 3.0)))) is None

@@ -631,6 +631,28 @@ class TestCli:
         rec = out["tasks"][0]["records"][0]
         assert rec["phi"] == "inf"
 
+    def test_a_gap_probe_of_the_wrong_size_exits_2(self, capsys):
+        code = main(["gap", "--space", '{"dim": 2, "norm": "l1"}',
+                     "--operator", '{"normal_cone": {"polytope": '
+                     '[[-1, -1], [-1, 1], [1, -1], [1, 1]]}}',
+                     "--probes", "[[[0.5], [0.2]]]"])
+        assert code == 2
+        assert "probe has shape (1,), expected (2,)" in \
+            capsys.readouterr().err
+
+    def test_fitz_of_a_folded_sum_is_exact(self, capsys):
+        # d(|x| + i_[-1, 1]): phi reads the point as (x, x*), +inf past
+        # the domain's end and a staircase corner's value inside it
+        op = json.dumps({"subdiff": {"sum": [
+            {"norm": {"dim": 1}},
+            {"indicator": {"polytope": [[-1.0], [1.0]]}}]}})
+        code = main(["fitz", "--operator", op, "--points",
+                     "[[[2.0], [0.5]], [[0.5], [2.0]]]"])
+        assert code == 0
+        recs = json.loads(capsys.readouterr().out)["tasks"][0]["records"]
+        assert [(r["phi"], r["phi_status"]) for r in recs] == [
+            ("inf", "exact"), (1.5, "exact")]
+
     def test_run_scenario_accepts_parsed_scenario(self):
         data = base_scenario([{"kind": "gap", "operator": "abs",
                                "seed": 0, "count": 1}])

@@ -26,6 +26,7 @@ from monotone_lab import (
     fuzzy_gap_primal,
     gap,
     gap_euclidean_oracle,
+    gaps,
     interval,
     inverse,
     is_quasidense,
@@ -87,6 +88,18 @@ class TestGap:
         rep = gap(S, GapQuery(pp(0.0, 2.0)), budget=20, seed=0)
         assert rep.method == "sampled"
         assert rep.status == "upper_bound"
+
+
+    @pytest.mark.parametrize("norm", list(NormTag))
+    def test_a_probe_of_the_wrong_size_is_refused(self, norm):
+        # on l1 the scan once broadcast a size-1 probe against 2-D rows
+        S = NormalCone(pair=DualPair(2, norm),
+                       f=IndicatorFn(box([-1.0, -1.0], [1.0, 1.0])))
+        q = GapQuery(pp(0.5, 0.2))
+        with pytest.raises(ValueError, match="probe has shape"):
+            gap(S, q)
+        with pytest.raises(ValueError, match="probe has shape"):
+            gaps(S, [GapQuery(pp([0.5, 0.5], [0.2, 0.2])), q])
 
 
 class TestNonMonotoneLinear:

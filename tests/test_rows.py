@@ -179,6 +179,24 @@ class TestRowsEqualPoints:
         for y, p in zip(Y, P):
             assert np.array_equal(p, K.project(y))
 
+    @pytest.mark.parametrize("kind", SET_KINDS + ("capsule_l1",
+                                                  "capsule_l2"))
+    @settings(max_examples=25, deadline=None)
+    @given(case=CASE, size=st.floats(-6.0, 6.0))
+    def test_support_rows(self, kind, case, size):
+        seed, n, m, _ = case
+        rng = np.random.default_rng(seed)
+        K = (Capsule(a=rng.uniform(-1.0, 1.0, n), b=rng.uniform(-1.0, 1.0, n),
+                     radius=float(rng.uniform(0.0, 1.0)),
+                     norm=NormTag(kind.split("_")[1]))
+             if kind.startswith("capsule_") else _set(rng, n, kind))
+        Y = _stack(seed, n, m) * 10.0 ** size
+        vals = K.support(Y)
+        assert vals.shape == (m,)
+        for y, v in zip(Y, vals):
+            s = K.support(y)
+            assert type(s) is float and np.array_equal(v, s)
+
     @pytest.mark.parametrize("kind", FN_KINDS)
     @settings(max_examples=25, deadline=None)
     @given(case=CASE)

@@ -27,10 +27,14 @@ searches, ``contains`` on the graph rows, ``monotone_check`` and
 ``is_quasidense`` at three probes (the batched gap path); and
 ``project`` and the three ``dist`` of every set kind; and
 ``harness.sum_test`` in both modes on 2-D sums (the pair's norm or a
-linear map, plus the normal cone of a box) on each pair. It uses public
-names only, so it runs on older checkouts too. The fuzz sets are boxes
-on the l1/linf pairs, where a distance to any other hull is a slow
-descent, and hulls on l2.
+linear map, plus the normal cone of a box) on each pair; and ``phi``,
+``fitz_membership`` and ``phi_conj`` of 2-D and 3-D separable folded
+sums on each pair (an l1 norm plus a box's indicator, a box's support
+function plus a box's indicator, and the half squared norm plus an l1
+norm) at a free point and at a graph point. It uses public names only,
+so it runs on older checkouts too. The fuzz sets are boxes on the
+l1/linf pairs, where a distance to any other hull is a slow descent,
+and hulls on l2.
 
 ``--diff A B`` reads two ``--out`` files (A the parent's, say) and
 prints, for each label whose records moved, how many did and how: the
@@ -86,6 +90,7 @@ SUM_BOXES = {"box": ([-1.0, -1.0], [1.5, 1.5]),
              "small_box": ([-0.05, -0.05], [0.04, 0.06])}
 SUM_PROBES = 4
 QD_PROBES = 3
+SEPARABLE_SUMS = ("l1+box", "support+box", "half_sq+l1")
 
 
 def plain(obj):
@@ -284,10 +289,46 @@ def sum_test_records(lab):
                            S, T, mode, probes=SUM_PROBES, seed=k)))
 
 
+def separable_records(lab):
+    """(label, record) for each call of the library grid on folded
+    separable sums."""
+    for n in (2, 3):
+        for j, norm in enumerate(NORMS):
+            pair = lab.DualPair(n, lab.NormTag(norm))
+            for k, kind in enumerate(SEPARABLE_SUMS):
+                rng = np.random.default_rng([n, j, k])
+                lo, lo2 = rng.uniform(-2.0, 0.0, (2, n))
+                l1 = lab.NormFn(n, float(rng.uniform(0.1, 2.0)),
+                                lab.NormTag.L1)
+                B = lab.IndicatorFn(lab.box(lo, lo + rng.uniform(0.1, 2.0, n)))
+                f, g = {"l1+box": (l1, B),
+                        "support+box": (lab.SupportFn(lab.box(
+                            lo2, lo2 + rng.uniform(0.0, 2.0, n),
+                            side="dual")), B),
+                        "half_sq+l1": (lab.HalfSqNorm(n), l1)}[kind]
+                S = lab.add(lab.Subdifferential(pair=pair, f=f),
+                            lab.Subdifferential(pair=pair, f=g))
+                X, Xs = S.graph_rows(LIBRARY_BUDGET, k)
+                points = {"free": rng.uniform(-2.0, 2.0, (2, n)),
+                          "graph": (X[0], Xs[0])}
+                for where, (x, xs) in points.items():
+                    calls = {
+                        "phi": lambda: lab.phi(S, x, xs, LIBRARY_BUDGET, k),
+                        "fitz_membership": lambda: lab.fitz_membership(
+                            S, xs, x, budget=LIBRARY_BUDGET, seed=k),
+                        "phi_conj": lambda: lab.phi_conj(
+                            S, xs, x, LIBRARY_BUDGET, k),
+                    }
+                    for name, call in calls.items():
+                        yield (f"separable/{kind}/{norm}/{n}d/{where}/{name}",
+                               record(call))
+
+
 def library_digest(lab, out_file=None) -> str:
     h = hashlib.sha256()
     for label, rec in itertools.chain(library_records(lab),
-                                      sum_test_records(lab)):
+                                      sum_test_records(lab),
+                                      separable_records(lab)):
         line = json.dumps({"workload": "library", "label": label, **rec},
                           sort_keys=True) + "\n"
         h.update(line.encode())
