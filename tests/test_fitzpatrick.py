@@ -547,7 +547,7 @@ class TestPhiAgainstPairing:
             assert ev.value <= ev.upper + tol * (1.0 + abs(ev.upper))
 
     @pytest.mark.parametrize("norm", list(NormTag))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(2, 3))
     def test_a_sampled_phi_reports_the_fenchel_upper(self, norm, seed, n):
         # d(s'Qs/2 + b's) with Q not diagonal samples phi, and its
