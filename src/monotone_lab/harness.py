@@ -3,9 +3,9 @@
 A scenario is a UTF-8 JSON file (top-level "schema": 1) declaring a
 space, named operators, and a task list.  Tasks run in declaration
 order; per-task failures are recorded and never abort the batch.  JSON
-is the canonical report format and is bit-reproducible under a fixed
-seed (timing fields are excluded from comparisons); CSV is a lossy flat
-projection.
+is the canonical report format, one line of strict JSON with sorted
+keys, and its parsed report is reproducible under a fixed seed (timing
+fields are excluded from comparisons); CSV is a lossy flat projection.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -228,7 +229,7 @@ def finite_float(text: str) -> float:
     """JSON number hook that rejects NaN, Infinity, -Infinity and
     overflowing literals such as 1e400."""
     v = float(text)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ScenarioError(f"non-finite number {text!r}")
     return v
 
@@ -648,8 +649,8 @@ def run_scenario(scenario: str | dict) -> dict:
 def _finite_json(obj: Any) -> Any:
     """Copy of ``obj`` with each non-finite float replaced by the string
     "inf", "-inf" or "nan", which strict JSON can carry."""
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return "nan" if np.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, dict):
         return {k: _finite_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -658,10 +659,15 @@ def _finite_json(obj: Any) -> Any:
 
 
 def report_json(report: dict) -> str:
-    """Strict JSON: non-finite floats are written as the strings "inf",
-    "-inf" and "nan"."""
-    return json.dumps(_finite_json(report), indent=2, sort_keys=True,
-                      allow_nan=False)
+    """One line of strict JSON with sorted keys: non-finite floats are
+    written as the strings "inf", "-inf" and "nan".  The C encoder
+    writes a finite report as it stands; only a report that it refuses
+    for a non-finite float is copied by ``_finite_json`` first."""
+    try:
+        return json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float
+        return json.dumps(_finite_json(report), sort_keys=True,
+                          allow_nan=False)
 
 
 def strip_timings(report: dict) -> dict:

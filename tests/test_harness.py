@@ -537,6 +537,48 @@ class TestReportFormats:
         text = report_json(rep)
         assert json.loads(text) == json.loads(report_json(json.loads(text)))
 
+    def test_json_is_one_line(self, tmp_path):
+        data = base_scenario([{"kind": "gap", "operator": "abs",
+                               "seed": 0, "count": 2}])
+        text = report_json(run_scenario(write_scenario(tmp_path, data)))
+        assert "\n" not in text
+
+    @pytest.mark.parametrize("report", [
+        {"b": 1.5, "a": [1, 2.0], "c": {"z": True, "y": None, "x": "s"}},
+        {"v": float("inf")},
+        {"v": np.float64("-inf"), "w": np.float64(0.25)},
+        {"z": [{"n": float("nan")}, (float("inf"), 2.0)],
+         "a": {"b": {"c": (np.float64("nan"), [float("-inf")])}}},
+    ], ids=["finite", "inf", "np-float64", "nested"])
+    def test_json_parses_as_the_indented_copy(self, report):
+        # the C encoder's line and the fallback through _finite_json
+        # both parse to what the indented encoding of the copy parses to
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = report_json(report)
+        expected = json.dumps(harness_mod._finite_json(report), indent=2,
+                              sort_keys=True)
+        assert "\n" not in text
+        assert json.loads(text, parse_constant=reject) == json.loads(expected)
+        assert list(json.loads(text)) == list(json.loads(expected))
+
+    def test_strip_timings_round_trips(self, tmp_path):
+        data = base_scenario([{"kind": "gap", "operator": "abs",
+                               "seed": 0, "count": 1}])
+        rep = run_scenario(write_scenario(tmp_path, data))
+        rep["tasks"][0]["records"][0]["value"] = float("inf")
+        out = strip_timings(rep)
+        assert "elapsed_s" not in out["tasks"][0]
+        assert out["tasks"][0]["records"][0]["value"] == "inf"
+        assert strip_timings(out) == out
+        assert json.loads(report_json(out)) == out
+
+    @pytest.mark.parametrize("token", ["1e400", "NaN", "-Infinity"])
+    def test_load_json_rejects_non_finite_numbers(self, token):
+        with pytest.raises(ScenarioError, match="non-finite number"):
+            harness_mod.load_json(f'{{"probe": [{token}, 0.0]}}')
+
 
 class TestCli:
     def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch):

@@ -12,11 +12,11 @@ and prints one sha256 per workload over the outputs in run order. Each
 output is the parsed report with every ``elapsed_s`` removed and the
 scenario path replaced by ``{scenario}``, the exit code, and the error
 text of a failed call; a library call's result is written out field by
-field. Equal digests mean byte-identical reports. ``--out`` writes the
-stripped outputs, one JSON line per operation, for a diff. Scenario
-files go to a temporary directory that is deleted at the end. Run it
-on a second checkout (``git archive`` of the parent commit, say) to
-compare a change against its parent.
+field. Equal digests mean equal parsed reports (whitespace is not
+compared). ``--out`` writes the stripped outputs, one JSON line per
+operation, for a diff. Scenario files go to a temporary directory that
+is deleted at the end. Run it on a second checkout (``git archive`` of
+the parent commit, say) to compare a change against its parent.
 
 A fourth line, ``library``, digests a fixed grid of library calls that
 the workloads never reach: every operator kind (finite graph, linear,
