@@ -13,13 +13,14 @@ rounding, with a graph ray as the certificate), subdifferentials of
 support functions and norms (the inverses of normal cones),
 subdifferentials of separable functions (``functions.separable_pieces``:
 folded sums among them), and on shifts and inverses of these; a
-translated function's subdifferential is a shift.  For a separable f,
-dF is a product of 1-D staircases, so phi is the sum over coordinates
-of a maximum over each staircase's corners and slanted segments, or
-+inf where an end ray's sign test fails.  Any other operator gets a
-sampled lower bound, with the Fenchel-Young upper bound
-phi <= f(x) + f*(x*) of a subdifferential whose conjugate is a closed
-form.
+translated function's subdifferential is a shift, and so is that of a
+quadratic s'Qs/2 + b's + c, the linear map Q shifted by (0, -b).  For
+a separable f, dF is a product of 1-D staircases, so phi is the sum
+over coordinates of a maximum over each staircase's corners and
+slanted segments, or +inf where an end ray's sign test fails.  Any
+other operator gets a sampled lower bound, with the Fenchel-Young
+upper bound phi <= f(x) + f*(x*) of a subdifferential whose conjugate
+is a closed form.
 
 Extension membership tests theta(y*, y**) <= <y*, y**> + tol.  Sampled
 sups only bound from below, so verdicts are three-valued: "out" needs a
@@ -38,7 +39,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from .functions import IndicatorFn, Staircase, Translate, separable_pieces
+from .functions import (IndicatorFn, Quadratic, Staircase, Translate,
+                        separable_pieces)
 from .operators import (
     FiniteGraph,
     InverseOp,
@@ -153,6 +155,8 @@ def _phi_exact(S: MonotoneOperator, x: np.ndarray, xstar: np.ndarray,
     - d(inner(. + shift) - <., tilt> + c): the shift of d inner by
       (shift, tilt);
     - a subdifferential of a separable f: ``_phi_separable``;
+    - d(s'Qs/2 + b's + c) with Q not diagonal: the linear map Q shifted
+      by (0, -b);
     - S^-1: phi_{S^-1}(x, x*) = phi_S(x*, x);
     - a shift S - (d, d*): phi_S(x + d, x* + d*) - <x + d, x* + d*>
       + <x, x*>.
@@ -183,8 +187,14 @@ def _phi_exact(S: MonotoneOperator, x: np.ndarray, xstar: np.ndarray,
                                                          f=f.inner),
                       dx=f.shift, dxstar=f.tilt), x, xstar, ax, axstar)
         pieces = separable_pieces(f)
-        return None if pieces is None else _phi_separable(
-            pieces, x, xstar, ax, axstar)
+        if pieces is not None:
+            return _phi_separable(pieces, x, xstar, ax, axstar)
+        if isinstance(f, Quadratic):
+            # d f is s -> Qs + b, the graph of Q less (0, -b)
+            return _phi_exact(
+                Shift(pair=S.pair, inner=Linear(pair=S.pair, M=f.Q),
+                      dx=np.zeros_like(x), dxstar=-f.b), x, xstar, ax, axstar)
+        return None
     if isinstance(S, InverseOp):
         ev = _phi_exact(S.inner, xstar, x, axstar, ax)
         return None if ev is None else _swapped(ev)

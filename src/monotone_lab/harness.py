@@ -262,6 +262,16 @@ def _vec(v) -> np.ndarray:
     return out
 
 
+def _point(pair: DualPair, v, name: str) -> np.ndarray:
+    """``_vec(v)`` of the pair's dimension; a point of another size is a
+    ScenarioError, so a task refuses it before any solve."""
+    out = _vec(v)
+    try:
+        return pair.check_dim(out, name)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
 def _jsonable(x: Any) -> Any:
     if isinstance(x, np.ndarray):
         return [float(v) for v in x.ravel()]
@@ -284,12 +294,9 @@ def _task_gap(sc: Scenario, task: dict) -> list[dict]:
     budget = int(task.get("budget", 100))
     eta = float(task.get("eta", 1e-6))
     if "probes" in task:
-        try:
-            probes = [PairedPoint(sc.pair.check_dim(_vec(p[0]), "probe"),
-                                  sc.pair.check_dim(_vec(p[1]), "probe"))
-                      for p in task["probes"]]
-        except ValueError as exc:  # a probe of the wrong size
-            raise ScenarioError(str(exc)) from exc
+        probes = [PairedPoint(_point(sc.pair, p[0], "probe"),
+                              _point(sc.pair, p[1], "probe"))
+                  for p in task["probes"]]
     else:
         probes = qd_mod.default_probes(S, int(task.get("count", 20)), seed)
     fuzz_dual = fuzz_primal = None
@@ -323,9 +330,11 @@ def _task_fitz(sc: Scenario, task: dict) -> list[dict]:
     seed = int(task["seed"])
     budget = int(task.get("budget", 200))
     tol = float(task.get("tol", 1e-6))
+    points = [(_point(sc.pair, p[0], "point"),
+               _point(sc.pair, p[1], "point"))
+              for p in task.get("points", [])]
     records = []
-    for p in task.get("points", []):
-        ystar, ystarstar = _vec(p[0]), _vec(p[1])
+    for ystar, ystarstar in points:
         # phi reads the probe as a primal pair (x, x*); theta and the
         # membership verdict read it as a dual pair (y*, y**)
         ph = fitz_mod.phi(S, ystar, ystarstar, budget, seed)
@@ -350,8 +359,8 @@ def _task_classify(sc: Scenario, task: dict) -> list[dict]:
     budget = int(task.get("budget", 200))
     cls = task.get("class")
     if cls == "ni":
-        w_star = _vec(task["wstar"])
-        w_ss = _vec(task["wstarstar"])
+        w_star = _point(sc.pair, task["wstar"], "wstar")
+        w_ss = _point(sc.pair, task["wstarstar"], "wstarstar")
         val = cls_mod.ni_infimum(S, w_star, w_ss, budget, seed)
         return [{
             "anchor": "negative-infimum criterion over the graph",
@@ -363,8 +372,8 @@ def _task_classify(sc: Scenario, task: dict) -> list[dict]:
         side = "primal" if cls == "fpv" else "dual"
         window = cls_mod.LocalWindow(parse_set(task["window"], side=side),
                                      side=side)
-        w = _vec(task["w"])
-        wstar = _vec(task["wstar"])
+        w = _point(sc.pair, task["w"], "w")
+        wstar = _point(sc.pair, task["wstar"], "wstar")
         fn = cls_mod.check_fpv if cls == "fpv" else cls_mod.check_fp
         v = fn(S, window, w, wstar, budget, seed)
         return [{
@@ -381,13 +390,13 @@ def _task_classify(sc: Scenario, task: dict) -> list[dict]:
         side = task.get("fuzz_side", "dual")
         if side == "dual":
             res = cls_mod.strong_max_dual(
-                S, _vec(task["w"]), parse_set(task["fuzz"], side="dual"),
-                budget, seed,
+                S, _point(sc.pair, task["w"], "w"),
+                parse_set(task["fuzz"], side="dual"), budget, seed,
             )
         else:
             res = cls_mod.strong_max_primal(
-                S, parse_set(task["fuzz"]), _vec(task["wstar"]),
-                budget, seed,
+                S, parse_set(task["fuzz"]),
+                _point(sc.pair, task["wstar"], "wstar"), budget, seed,
             )
         return [{
             "anchor": "fuzzy-set strong maximality search",

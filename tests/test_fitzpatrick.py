@@ -1,11 +1,14 @@
 """Fitzpatrick function, its conjugate, theta, extension membership."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from monotone_lab import (
     Ball,
+    ConvexFn,
     DualPair,
     FiniteGraph,
     HalfSqNorm,
@@ -49,6 +52,30 @@ TWO_POINT = FiniteGraph(pair=PAIR1,
 
 def arr(*vals):
     return np.array([float(v) for v in vals])
+
+
+@dataclass(frozen=True)
+class Opaque(ConvexFn):
+    """f's oracles and closed-form conjugate under a type that no phi rule
+    knows, so that phi of its subdifferential is sampled."""
+
+    f: ConvexFn
+
+    @property
+    def dim(self) -> int:
+        return self.f.dim
+
+    def eval(self, x):
+        return self.f.eval(x)
+
+    def _prox(self, z, lam):
+        return self.f._prox(z, lam)
+
+    def minorant(self):
+        return self.f.minorant()
+
+    def conjugate_fn(self):
+        return self.f.conjugate_fn()
 
 
 class TestPhi:
@@ -214,15 +241,23 @@ class TestMembership:
         th = (ystar[0] + yss[0]) ** 2 / 4.0 - ystar[0] * yss[0]
         assert 0.0 < th <= 1e-6
         assert fitz_membership(HALF_SQ, ystar, yss, tol=1e-6) == "in"
-        # d(s'Ms/2) with M not diagonal has a sampled theta.  y* = My** +
-        # d v, v the unit eigenvector of M's eigenvalue 1.5, puts theta
-        # d^2/6 = 7.2e-7 above the pairing: the conjugate chain's f + f*
-        # (2x, 1.44e-6 above) cannot show in, and the squared resolvent
-        # residual (d^2/6.25) cannot show out
+        # y* = My** + d v, v the unit eigenvector of M's eigenvalue 1.5,
+        # puts theta of d(s'Ms/2) d^2/6 = 7.2e-7 above the pairing.  With
+        # M not diagonal it is exact as a linear map's: in
         M = np.array([[1.0, 0.5], [0.5, 1.0]])
-        S = Subdifferential(pair=DualPair(2), f=Quadratic(M, np.zeros(2)))
+        f = Quadratic(M, np.zeros(2))
         yss = np.array([1.0, 0.0])
         ystar = M @ yss + np.sqrt(4.32e-6) * np.ones(2) / np.sqrt(2.0)
+        S = Subdifferential(pair=DualPair(2), f=f)
+        th = theta(S, ystar, yss)
+        assert th.status == "exact"
+        assert th.value - float(ystar @ yss) == pytest.approx(7.2e-7,
+                                                              rel=1e-6)
+        assert fitz_membership(S, ystar, yss, tol=1e-6) == "in"
+        # behind a type no rule knows, theta is sampled: the conjugate
+        # chain's f + f* (2x, 1.44e-6 above) cannot show in, and the
+        # squared resolvent residual (d^2/6.25) cannot show out
+        S = Subdifferential(pair=DualPair(2), f=Opaque(f))
         assert theta(S, ystar, yss).status == "lower_bound"
         assert fitz_membership(S, ystar, yss, tol=1e-6) == "unknown"
         # off the graph at tol 1e-7, f + f* 1.25e-7 above the pairing: in
@@ -513,6 +548,44 @@ class TestSeparable:
             assert ev.value >= float(np.max(pieces(X, Xs, arr(x), arr(xs)))
                                      ) - 1e-12
 
+    @pytest.mark.parametrize("norm", list(NormTag))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_quadratic_is_a_shifted_linear_map(self, norm, n):
+        # d(s'Qs/2 + b's + c) with Q not diagonal is s -> Qs + b, whose
+        # phi is sup_s <s, c> - s'Qs with c = x* + Qx - b, plus <x, b>:
+        # c'Q^-1 c / 4 + <x, b> for Q positive definite
+        rng = np.random.default_rng(n)
+        B = rng.normal(size=(n, n))
+        Q, b = B @ B.T + 0.1 * np.eye(n), rng.normal(size=n)
+        pair = DualPair(n, norm)
+        S = Subdifferential(pair=pair, f=Quadratic(Q, b, 0.5))
+        for x, xs in rng.uniform(-2.0, 2.0, (10, 2, n)):
+            ev = phi(S, x, xs)
+            c = xs + Q @ x - b
+            ref = 0.25 * float(c @ np.linalg.solve(Q, c)) + float(x @ b)
+            assert ev.status == "exact"
+            assert ev.value == pytest.approx(ref, rel=1e-12, abs=1e-12)
+            w = ev.witness
+            assert np.allclose(w.xstar, Q @ w.x + b, rtol=0, atol=1e-12)
+            # a translate of it is a shift too
+            T = Subdifferential(pair=pair, f=Translate(Quadratic(Q, b), x,
+                                                       xs))
+            assert phi(T, x, xs).status == "exact"
+        # on the graph phi is the pairing
+        x = rng.normal(size=n)
+        ev = phi(S, x, Q @ x + b)
+        assert ev.value == pytest.approx(float(x @ (Q @ x + b)), abs=1e-12)
+        # a singular Q: +inf off its range, along a graph ray
+        Q = np.ones((n, n))
+        S = Subdifferential(pair=pair, f=Quadratic(Q, b))
+        x, xs = np.zeros(n), np.eye(n)[0]
+        ev = phi(S, x, xs)
+        assert (ev.value, ev.status) == (np.inf, "exact")
+        w, d = ev.witness, ev.direction
+        assert np.allclose(w.xstar, Q @ w.x + b)
+        assert np.allclose(d.xstar, Q @ d.x)
+        assert d.x @ (xs - w.xstar) + (x - w.x) @ d.xstar > 0.0
+
     def test_translates_are_shifts(self):
         # d(||. + a||_2 - <., b>) in 2-D is not separable; it is d||.||_2
         # shifted by (a, b), so exact as the shift of a norm's rule
@@ -550,12 +623,12 @@ class TestPhiAgainstPairing:
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(2, 3))
     def test_a_sampled_phi_reports_the_fenchel_upper(self, norm, seed, n):
-        # d(s'Qs/2 + b's) with Q not diagonal samples phi, and its
+        # d(s'Qs/2 + b's) behind a type no rule knows samples phi, and its
         # conjugate is a closed form: pairing <= phi <= f(x) + f*(x*)
         rng = np.random.default_rng(seed)
         B = rng.normal(size=(n, n))
         f = Quadratic(B @ B.T + 0.1 * np.eye(n), rng.normal(size=n))
-        S = Subdifferential(pair=DualPair(n, norm), f=f)
+        S = Subdifferential(pair=DualPair(n, norm), f=Opaque(f))
         x, xs = rng.uniform(-2.0, 2.0, (2, n))
         ev = phi(S, x, xs, budget=16, seed=seed)
         assert ev.status == "lower_bound" and ev.upper is not None

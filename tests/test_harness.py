@@ -535,13 +535,8 @@ class TestReportFormats:
                                "seed": 0, "count": 1}])
         rep = run_scenario(write_scenario(tmp_path, data))
         text = report_json(rep)
+        assert "\n" not in text  # one line
         assert json.loads(text) == json.loads(report_json(json.loads(text)))
-
-    def test_json_is_one_line(self, tmp_path):
-        data = base_scenario([{"kind": "gap", "operator": "abs",
-                               "seed": 0, "count": 2}])
-        text = report_json(run_scenario(write_scenario(tmp_path, data)))
-        assert "\n" not in text
 
     @pytest.mark.parametrize("report", [
         {"b": 1.5, "a": [1, 2.0], "c": {"z": True, "y": None, "x": "s"}},
@@ -681,6 +676,34 @@ class TestCli:
         assert code == 2
         assert "probe has shape (1,), expected (2,)" in \
             capsys.readouterr().err
+
+    def test_a_fitz_point_of_the_wrong_size_exits_2(self, capsys):
+        code = main(["fitz", "--operator", '{"linear": [[1.0]]}',
+                     "--points", "[[[1.0], [1.0]], [[1.0, 2.0], [1.0, 2.0]]]"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "point has shape (2,), expected (1,)" in captured.err
+        assert captured.out == ""  # refused before the first point's solve
+
+    @pytest.mark.parametrize("cls, task, message", [
+        ("ni", {"wstar": [2.0, 1.0], "wstarstar": [0.0, 1.0]},
+         "wstar has shape (2,), expected (1,)"),
+        ("fpv", {"window": {"polytope": [[-1.0], [1.0]]}, "w": [0.0],
+                 "wstar": [0.0, 0.0]}, "wstar has shape (2,), expected (1,)"),
+        ("fp", {"window": {"polytope": [[-1.0], [1.0]]}, "w": [0.0, 0.0],
+                "wstar": [0.0]}, "w has shape (2,), expected (1,)"),
+        ("strongmax", {"w": [0.0, 0.0], "fuzz": {"polytope": [[-1.0], [1.0]]}},
+         "w has shape (2,), expected (1,)"),
+        ("strongmax", {"fuzz_side": "primal", "wstar": [0.0, 0.0],
+                       "fuzz": {"polytope": [[-1.0], [1.0]]}},
+         "wstar has shape (2,), expected (1,)"),
+    ])
+    def test_a_classify_point_of_the_wrong_size_exits_2(self, capsys, cls,
+                                                         task, message):
+        code = main(["classify", "--operator", '{"linear": [[1.0]]}',
+                     "--class", cls, "--task", json.dumps(task)])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_fitz_of_a_folded_sum_is_exact(self, capsys):
         # d(|x| + i_[-1, 1]): phi reads the point as (x, x*), +inf past
