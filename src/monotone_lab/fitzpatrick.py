@@ -20,7 +20,9 @@ over coordinates of a maximum over each staircase's corners and
 slanted segments, or +inf where an end ray's sign test fails.  Any
 other operator gets a sampled lower bound, with the Fenchel-Young
 upper bound phi <= f(x) + f*(x*) of a subdifferential whose conjugate
-is a closed form.
+is a closed form.  phi* of a finite graph is a linear program, solved by
+Lemke's pivots and exact only where its duality certificate closes;
++inf comes with a separating direction checked by evaluation.
 
 Extension membership tests theta(y*, y**) <= <y*, y**> + tol.  Sampled
 sups only bound from below, so verdicts are three-valued: "out" needs a
@@ -37,7 +39,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .functions import (IndicatorFn, Quadratic, Staircase, Translate,
                         separable_pieces)
@@ -51,6 +52,7 @@ from .operators import (
     Subdifferential,
 )
 from .sets import CompactConvexSet
+from .solvers import linprog, nearest_hull_point
 from .spaces import PairedPoint, first_min, row_dots
 
 INF = float("inf")
@@ -65,8 +67,10 @@ class FitzEvaluation:
     status: str  # "exact" or "lower_bound"
     witness: Optional[PairedPoint] = None
     upper: Optional[float] = None  # co-bound when a sandwich is known
-    # certificate for +inf: the graph ray witness + t * direction, t >= 0,
-    # along which the pieces grow without bound
+    # certificate for +inf: for phi, the graph ray witness + t * direction,
+    # t >= 0, along which the pieces grow without bound; for phi*, the
+    # ray t * direction in (x, x*) along which <(y*, y**), .> - phi grows
+    # without bound
     direction: Optional[PairedPoint] = None
 
 
@@ -180,8 +184,7 @@ def _phi_exact(S: MonotoneOperator, x: np.ndarray, xstar: np.ndarray,
         conj = f.conjugate_fn()
         if isinstance(conj, IndicatorFn):
             return _swapped(_phi_normal_cone(conj.set_, xstar, x, axstar))
-        if (isinstance(f, Translate)
-                and f.shift.shape == f.tilt.shape == x.shape):
+        if isinstance(f, Translate):
             return _phi_exact(
                 Shift(pair=S.pair, inner=Subdifferential(pair=S.pair,
                                                          f=f.inner),
@@ -398,31 +401,41 @@ def phi_conj(
     """Conjugate of the Fitzpatrick function at (y*, y**).
 
     Finite graphs: phi is a finite max of affine pieces with gradients
-    (s*, s) and offsets -<s,s*>, so the conjugate is the exact LP
-    min sum_i lam_i <s_i, s_i*> over simplex weights reproducing
-    (y*, y**); infeasible means +inf.  Subdifferentials: the sandwich
-    f*(y*) + f(y**) >= phi* >= <y*, y**> (f closed, so f** = f).
-    Anything else: the pairing lower bound.
+    (s*, s) and offsets -<s,s*>, so the conjugate is the LP
+    min sum_i lam_i <s_i, s_i*> over simplex weights lam with
+    sum_i lam_i (s_i*, s_i) = (y*, y**), solved by ``solvers.linprog``.
+    Its value is exact only when the duality certificate closes: the
+    primal residual, the dual infeasibility and the duality gap each
+    within 1e4 eps of the scale they round at (``linprog``).  Off the
+    hull of the (s_i*, s_i) the LP is infeasible and phi* is +inf,
+    reported only with a separating d (``_separation``) whose halves
+    (d[:n], d[n:]) are the ``direction`` (x, x*) along which
+    <(y*, y**), .> - phi grows without bound.  Otherwise the pairing,
+    a lower bound on a monotone graph: there the cost less <y*, y**> is
+    half the sum over i, j of lam_i lam_j <s_i - s_j, s_i* - s_j*> >= 0.
+    Subdifferentials: the sandwich f*(y*) + f(y**) >= phi* >= <y*, y**>
+    (f closed, so f** = f).  Anything else: the pairing lower bound.
     """
     ystar = S.pair.check_dim(ystar, "ystar")
     ystarstar = S.pair.check_dim(ystarstar, "ystarstar")
     p = float(ystar @ ystarstar)
 
     if isinstance(S, FiniteGraph):
-        n = S.pair.dim
-        m = len(S.points)
-        cost = np.array([float(pt.x @ pt.xstar) for pt in S.points])
-        A_eq = np.vstack([S.xstars().T, S.xs().T, np.ones((1, m))])
-        b_eq = np.concatenate([ystar, ystarstar, [1.0]])
-        res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
-                      method="highs")
-        if res.status == 2:  # infeasible
-            return FitzEvaluation(INF, "exact")
-        if not res.success:
-            return FitzEvaluation(p, "lower_bound")
-        lam = res.x
-        i = int(np.argmax(lam))
-        return FitzEvaluation(float(res.fun), "exact", S.points[i])
+        X, Xs = S.xs(), S.xstars()
+        V = np.hstack([Xs, X])
+        y = np.concatenate([ystar, ystarstar])
+        cost = row_dots(X, Xs)
+        lam, _, certified = linprog(cost, np.vstack([V.T, np.ones(len(V))]),
+                                    np.append(y, 1.0))
+        if certified:
+            return FitzEvaluation(float(cost @ lam), "exact",
+                                  S.points[int(np.argmax(lam))])
+        d = _separation(V, y)
+        if d is not None:
+            n = S.pair.dim
+            return FitzEvaluation(INF, "exact",
+                                  direction=PairedPoint(d[:n], d[n:]))
+        return FitzEvaluation(p, "lower_bound")
 
     if isinstance(S, Subdifferential):
         f = S.f
@@ -435,6 +448,21 @@ def phi_conj(
                               upper=upper if cv.exact else None)
 
     return FitzEvaluation(p, "lower_bound")
+
+
+def _separation(V: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
+    """A d with max_i <d, V_i> < <d, y> by more than the rounding of
+    either side, so that y is off conv(rows of V), or None.  d is y less
+    its nearest hull point; the test evaluates the inner products
+    themselves, so it holds whatever rounding the projection left."""
+    if not (np.all(np.isfinite(V)) and np.all(np.isfinite(y))):
+        return None
+    d = y - nearest_hull_point(V, y)
+    ad = np.abs(d)
+    margin = float(d @ y) - float((V @ d).max())
+    rounding = 4 * (y.size + 2) * _EPS * (float(ad @ np.abs(y))
+                                          + float((np.abs(V) @ ad).max()))
+    return d if margin > rounding else None
 
 
 def theta_conj(

@@ -330,7 +330,8 @@ class HalfSqNorm(ConvexFn):
 
 @dataclass(frozen=True)
 class Translate(ConvexFn):
-    """g(x) = inner(x + shift) - <x, tilt> + offset."""
+    """g(x) = inner(x + shift) - <x, tilt> + offset; shift and tilt
+    must have the inner function's dimension."""
 
     inner: ConvexFn
     shift: np.ndarray
@@ -338,8 +339,12 @@ class Translate(ConvexFn):
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shift", np.asarray(self.shift, float).ravel())
-        object.__setattr__(self, "tilt", np.asarray(self.tilt, float).ravel())
+        for name in ("shift", "tilt"):
+            v = np.asarray(getattr(self, name), float).ravel()
+            if v.shape != (self.inner.dim,):
+                raise ValueError(f"translate {name} has shape {v.shape}, "
+                                 f"expected ({self.inner.dim},)")
+            object.__setattr__(self, name, v)
 
     @property
     def dim(self) -> int:
@@ -666,7 +671,7 @@ def separable_pieces(f: ConvexFn) -> Optional[tuple[Staircase, ...]]:
     n = f.dim
     if isinstance(f, Translate):
         inner = separable_pieces(f.inner)
-        if inner is None or f.shift.shape != (n,) or f.tilt.shape != (n,):
+        if inner is None:
             return None
         return tuple(p.translated(d, t, f.offset if i == 0 else 0.0)
                      for i, (p, d, t) in enumerate(zip(inner, f.shift,

@@ -112,10 +112,15 @@ def parse_fn(desc: dict) -> ConvexFn:
         return HalfSqNorm(int(desc["half_sq"]["dim"]))
     if "translate" in desc:
         t = desc["translate"]
-        return Translate(parse_fn(t["inner"]),
-                         shift=np.asarray(t.get("shift", []), float),
-                         tilt=np.asarray(t.get("tilt", []), float),
-                         offset=float(t.get("offset", 0.0)))
+        inner = parse_fn(t["inner"])
+        zero = [0.0] * inner.dim
+        try:
+            return Translate(inner, shift=np.asarray(t.get("shift", zero),
+                                                     float),
+                             tilt=np.asarray(t.get("tilt", zero), float),
+                             offset=float(t.get("offset", 0.0)))
+        except ValueError as e:
+            raise ScenarioError(str(e)) from None
     if "sum" in desc:
         fns = [parse_fn(d) for d in desc["sum"]]
         if len(fns) < 2:

@@ -2,7 +2,9 @@
 ball and hull projections, Douglas-Rachford (over a point or a stack of
 rows, each row stopping on its own and leaving the prox calls) with the
 one sum resolvent of ``SumOp`` and ``SumFn`` on it, Lemke's pivoting
-for linear complementarity problems, and projected subgradient descent.
+for linear complementarity problems, linear programs in standard form
+as the skew-symmetric LCP of their optimality conditions (with a
+duality certificate), and projected subgradient descent.
 
 Everything here is deterministic given its inputs (and seed, where one
 appears); nothing keeps state between calls.
@@ -266,6 +268,67 @@ def lemke(Q: np.ndarray, q: np.ndarray, max_pivots: int = 100000
                 A[:, -1] - A[:, N:2 * N] @ zx).min() >= -1e4 * eps:
             break
     return None if z is None else z * (sq / sQ), pivots
+
+
+def linprog(c: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray
+            ) -> tuple[np.ndarray | None, np.ndarray | None, bool]:
+    """min c'lam subject to A lam = b, lam >= 0, with A = ``A_eq`` and
+    b = ``b_eq``, by ``lemke`` on its optimality conditions.
+
+    lam >= 0, c - A'u >= 0 complementary to lam and A lam = b are the
+    LCP in z = (lam, u+, u-) with Q = [[0, -A', A'], [A, 0, 0],
+    [-A, 0, 0]] and q = (c, -b, b): Q is skew-symmetric, so positive
+    semidefinite, and the pivots end on a solution whenever the LP has
+    one.  The equality rows come as opposite pairs, so every basis is
+    degenerate; Harris's band in ``_ratio_test`` takes them.  The
+    pivots run on the rows and columns of A each scaled to unit size,
+    and on b and c each scaled to unit size apart (scaling c scales u
+    alone, scaling b lam alone), so that data of scales far apart keep
+    their digits.
+
+    Returns (lam, u, certified) with the dual u = u+ - u-; (None, None,
+    False) when the pivots find no z (an infeasible or unbounded LP) or
+    the data are not finite.  ``certified`` is true when the primal
+    residual max |A lam - b| is within tol P, the dual infeasibility
+    max (A'u - c)+ within tol D and the duality gap |c'lam - b'u| within
+    tol (sum(lam) D + sum(|u|) P), the scales at which they round, with
+    P = max |A| sum(lam) + max |b|, D = max |c| + max |A| sum(|u|) and
+    tol = 1e4 eps (the gap is lam'(c - A'u) + u'(A lam - b)).  lam is
+    then optimal to that tolerance and c'lam its value.
+    """
+    c, A, b = (np.asarray(v, dtype=float) for v in (c, A_eq, b_eq))
+    if not all(np.all(np.isfinite(v)) for v in (c, A, b)):
+        return None, None, False
+    # pivot on D_r A D_c, D_r b / beta and D_c c / alpha: lam = beta D_c
+    # lam' and u = alpha D_r u'
+    r = 1.0 / _unit(np.abs(A).max(axis=1, initial=0.0))
+    col = 1.0 / _unit(np.abs(A * r[:, None]).max(axis=0, initial=0.0))
+    As, bs, cs = A * r[:, None] * col, r * b, col * c
+    beta = _unit(np.abs(bs).max(initial=0.0))
+    alpha = _unit(np.abs(cs).max(initial=0.0))
+    k, m = A.shape
+    Z = np.zeros((k, k))
+    Q = np.block([[np.zeros((m, m)), -As.T, As.T], [As, Z, Z], [-As, Z, Z]])
+    z, _ = lemke(Q, np.concatenate([cs / alpha, -bs / beta, bs / beta]))
+    if z is None:
+        return None, None, False
+    lam, u = beta * col * z[:m], alpha * r * (z[m:m + k] - z[m + k:])
+    tol = 1e4 * np.finfo(float).eps
+    sA = np.abs(A).max(initial=0.0)
+    primal = sA * lam.sum() + np.abs(b).max(initial=0.0)
+    dual = np.abs(c).max(initial=0.0) + sA * np.abs(u).sum()
+    certified = (
+        np.abs(A @ lam - b).max(initial=0.0) <= tol * primal
+        and (A.T @ u - c).max(initial=0.0) <= tol * dual
+        and abs(c @ lam - b @ u) <= tol * (lam.sum() * dual
+                                           + np.abs(u).sum() * primal))
+    return lam, u, bool(certified)
+
+
+def _unit(s: np.ndarray) -> np.ndarray:
+    """``s`` with its zeros read as ones: the scale of an all-zero row,
+    column or vector, which no scaling changes."""
+    return np.where(s > 0.0, s, 1.0)
 
 
 def _pivot(T: np.ndarray, max_pivots: int, tol: float

@@ -1,10 +1,12 @@
 """Fitzpatrick function, its conjugate, theta, extension membership."""
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from monotone_lab import (
     Ball,
@@ -39,6 +41,7 @@ from monotone_lab import (
     theta,
     theta_conj,
 )
+from monotone_lab import solvers
 from monotone_lab.fitzpatrick import _phi_exact
 from test_rows import OP_KINDS, _op
 
@@ -212,6 +215,126 @@ class TestPhiConj:
             u = theta_conj(TWO_POINT, arr(a), arr(b))
             v = phi_conj(TWO_POINT, arr(b), arr(a))
             assert u.value == v.value
+
+
+def lp_by_enumeration(c, A, b, tol):
+    """min c'lam over lam >= 0 with A lam = b, by the basic solutions:
+    every set of linearly independent columns whose solve is feasible
+    to ``tol``; +inf when none is."""
+    best = np.inf
+    for r in range(1, min(A.shape) + 1):
+        for cols in itertools.combinations(range(A.shape[1]), r):
+            B = A[:, cols]
+            if np.linalg.matrix_rank(B) < r:
+                continue
+            lam = np.linalg.lstsq(B, b, rcond=None)[0]
+            if lam.min() >= -tol and np.abs(B @ lam - b).max() <= tol:
+                best = min(best, float(c[list(cols)] @ lam))
+    return best
+
+
+@st.composite
+def monotone_graphs(draw):
+    """A finite graph in 1-3 D of the monotone map s -> Ms + t s^3 (M
+    positive semidefinite plus skew, t in {0, 1}) at grid points drawn
+    with repeats, whose grid also gives tied coordinates; and the
+    points (s_i*, s_i) as rows."""
+    n = draw(st.integers(1, 3))
+    unit = st.integers(-8, 8).map(lambda k: k / 4.0)
+    B, K = (draw(arrays(np.float64, (n, n), elements=unit)) for _ in "BK")
+    t = draw(st.sampled_from([0.0, 1.0]))
+    base = draw(arrays(np.float64, (draw(st.integers(1, 5)), n),
+                       elements=unit))
+    rows = draw(st.lists(st.integers(0, len(base) - 1), min_size=1,
+                         max_size=8))
+    X = base[rows]
+    Xs = X @ (B @ B.T + K - K.T).T + t * X ** 3
+    G = FiniteGraph(pair=DualPair(n, NormTag.L2), points=tuple(
+        PairedPoint(a, b) for a, b in zip(X, Xs)))
+    return G, np.hstack([Xs, X])
+
+
+@st.composite
+def hull_points(draw):
+    """A monotone graph and a convex combination (y*, y**) of its
+    points (s_i*, s_i), on a vertex, a face or inside."""
+    G, V = draw(monotone_graphs())
+    w = np.array(draw(st.lists(st.integers(0, 4), min_size=len(V),
+                               max_size=len(V))), dtype=float)
+    w[draw(st.integers(0, len(V) - 1))] += 1.0
+    y = (w / w.sum()) @ V
+    return G, V, y
+
+
+@st.composite
+def off_hull_points(draw):
+    """A monotone graph and a (y*, y**) beyond its hull: past the point
+    maximising <g, .> along a nonzero g."""
+    G, V = draw(monotone_graphs())
+    g = draw(arrays(np.float64, V.shape[1], elements=st.integers(-4, 4)))
+    g[draw(st.integers(0, len(g) - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+    step = draw(st.sampled_from([1e-3, 0.25, 4.0]))
+    return G, V, V[int(np.argmax(V @ g))] + step * g
+
+
+class TestPhiConjCertificate:
+    @given(case=hull_points())
+    @settings(max_examples=150, deadline=None)
+    def test_inside_the_hull_the_lp_value_is_exact(self, case):
+        G, V, y = case
+        n = G.pair.dim
+        cost = np.einsum("ij,ij->i", V[:, :n], V[:, n:])
+        A = np.vstack([V.T, np.ones(len(V))])
+        scale = 1.0 + np.abs(cost).max()
+        ev = phi_conj(G, y[:n], y[n:])
+        assert ev.status == "exact"
+        ref = lp_by_enumeration(cost, A, np.append(y, 1.0),
+                                1e-9 * (1.0 + np.abs(A).max()))
+        assert ev.value == pytest.approx(ref, abs=1e-9 * scale)
+        # the cost less the pairing is a lam-weighted sum of
+        # monotonicity products
+        assert ev.value >= float(y[:n] @ y[n:]) - 1e-9 * scale
+
+    @given(case=off_hull_points())
+    @settings(max_examples=150, deadline=None)
+    def test_off_the_hull_it_is_inf_with_a_separating_direction(self, case):
+        G, V, y = case
+        n = G.pair.dim
+        ev = phi_conj(G, y[:n], y[n:])
+        assert (ev.value, ev.status) == (np.inf, "exact")
+        d = np.concatenate([ev.direction.x, ev.direction.xstar])
+        assert float(d @ y) > float((V @ d).max())
+
+    @given(case=hull_points())
+    @settings(max_examples=50, deadline=None)
+    def test_no_label_without_a_closed_certificate(self, case):
+        # a z that Lemke's pivots did not end on, and no z at all: the
+        # LP value is not certified, and inside the hull no direction
+        # separates, so the pairing stays a lower bound
+        G, V, y = case
+        n = G.pair.dim
+        real = solvers.lemke
+
+        def perturbed(Q, q, *args):
+            z, pivots = real(Q, q, *args)
+            return z + 1e-6, pivots
+
+        for stub in (perturbed, lambda Q, q, *args: (None, 0)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solvers, "lemke", stub)
+                ev = phi_conj(G, y[:n], y[n:])
+            assert ev.status == "lower_bound"
+            assert ev.value == float(y[:n] @ y[n:])
+            assert ev.direction is None
+
+    def test_a_nan_point_leaves_the_pairing(self):
+        # no LP over a NaN cost and no hull test: the pairing, unlabelled
+        G = FiniteGraph(pair=PAIR1, points=(
+            PairedPoint([0.0], [np.nan]), PairedPoint([1.0], [1.0]),
+            PairedPoint([-1.0], [-1.0])))
+        ev = phi_conj(G, arr(0.5), arr(0.5))
+        assert (ev.value, ev.status, ev.direction) == (0.25, "lower_bound",
+                                                       None)
 
 
 class TestMembership:

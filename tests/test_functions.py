@@ -322,6 +322,14 @@ class TestTranslate:
         # prox of |x + 2| at z: shift, soft-threshold, unshift
         assert g.prox(np.array([0.0]))[0] == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("shift, tilt", [([], [1.0]), ([0.0, 1.0], [1.0]),
+                                             ([1.0], [[1.0, 2.0]])])
+    def test_a_vector_of_another_size_is_refused(self, shift, tilt):
+        # an empty shift would broadcast x + shift away: |.| at 2 less
+        # <2, 1> would read -2, not 0
+        with pytest.raises(ValueError, match="expected \\(1,\\)"):
+            Translate(ABS, shift=np.array(shift), tilt=np.array(tilt))
+
 
 class TestConvexityOnSegments:
     def test_midpoint_convexity(self):

@@ -98,6 +98,22 @@ class TestDescriptorParsing:
                                     "shift": [-2.0], "tilt": [0.0]}})
         assert h.eval(np.array([2.0])) == 0.0
 
+    def test_translate_reads_a_missing_shift_or_tilt_as_zeros(self):
+        # |x| - x at x = 2 is 0; an empty shift read -2
+        f = parse_fn({"translate": {"inner": {"norm": {"dim": 1}},
+                                    "tilt": [1.0]}})
+        assert f.eval(np.array([2.0])) == 0.0
+        g = parse_fn({"translate": {"inner": {"norm": {"dim": 2}},
+                                    "shift": [3.0, 4.0]}})
+        assert np.array_equal(g.tilt, np.zeros(2))
+        assert g.eval(np.zeros(2)) == 5.0
+
+    def test_translate_of_the_wrong_size_is_a_scenario_error(self):
+        with pytest.raises(ScenarioError,
+                           match=r"tilt has shape \(3,\), expected \(2,\)"):
+            parse_fn({"translate": {"inner": {"norm": {"dim": 2}},
+                                    "tilt": [1.0, 0.5, 0.0]}})
+
     def test_unknown_fn_key_is_named(self):
         with pytest.raises(ScenarioError, match="mystery"):
             parse_fn({"mystery": {}})
@@ -704,6 +720,27 @@ class TestCli:
                      "--class", cls, "--task", json.dumps(task)])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_fitz_of_a_translate_without_shift(self, capsys):
+        # d(|x|_2 - <x, (1, 0.5)>) at ((1, 0), (0.5, 0.5)): the pieces grow
+        # along s = t u, u the unit vector of x* + tilt, |x* + tilt| > 1
+        code = main(["fitz", "--space", '{"dim": 2}', "--operator",
+                     '{"subdiff": {"translate": {"inner": {"norm": '
+                     '{"dim": 2}}, "tilt": [1.0, 0.5]}}}',
+                     "--points", "[[[1.0, 0.0], [0.5, 0.5]]]"])
+        assert code == 0
+        rec = json.loads(capsys.readouterr().out)["tasks"][0]["records"][0]
+        assert (rec["phi"], rec["phi_status"]) == ("inf", "exact")
+
+    def test_a_translate_of_the_wrong_size_exits_2(self, capsys):
+        code = main(["fitz", "--space", '{"dim": 2}', "--operator",
+                     '{"subdiff": {"translate": {"inner": {"norm": '
+                     '{"dim": 2}}, "shift": [1.0]}}}',
+                     "--points", "[[[1.0, 0.0], [0.5, 0.5]]]"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "shift has shape (1,), expected (2,)" in captured.err
+        assert captured.out == ""
 
     def test_fitz_of_a_folded_sum_is_exact(self, capsys):
         # d(|x| + i_[-1, 1]): phi reads the point as (x, x*), +inf past

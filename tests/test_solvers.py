@@ -1,5 +1,6 @@
 """Euclidean projection onto a convex hull (Wolfe's minimum-norm point),
-l1-ball projection and Lemke's complementary pivoting."""
+l1-ball projection, Lemke's complementary pivoting and the linear
+programs solved by it."""
 
 import itertools
 
@@ -10,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from monotone_lab import Polytope, tail_operator
 from monotone_lab.quasidensity import _gap_lcp
-from monotone_lab.solvers import lemke, nearest_hull_point, project_l1_ball
+from monotone_lab.solvers import (lemke, linprog, nearest_hull_point,
+                                  project_l1_ball)
 
 
 def brute_force_projection(V: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -230,3 +232,40 @@ class TestLemke:
         # each precision that lemke tries
         z, pivots = lemke(np.zeros((1, 1)), np.array([-1.0]))
         assert z is None and pivots == 3
+
+
+class TestLinprog:
+    def test_a_simplex_lp_and_its_dual(self):
+        # min lam_1 + 2 lam_2 + 3 lam_3 on the simplex: lam = e_1, u = 1
+        lam, u, certified = linprog(np.array([1.0, 2.0, 3.0]),
+                                    np.ones((1, 3)), np.array([1.0]))
+        assert certified
+        assert np.allclose(lam, [1.0, 0.0, 0.0], atol=1e-15)
+        assert np.allclose(u, [1.0], atol=1e-15)
+
+    def test_scales_apart_are_certified(self):
+        # rows and costs 1e6 apart: lam = (1/2, 1/2) has cost 5e5 + 5e-7
+        A = np.array([[1e3, -1e3], [1.0, 1.0]])
+        c = np.array([1e6, 1e-6])
+        lam, u, certified = linprog(c, A, np.array([0.0, 1.0]))
+        assert certified
+        assert c @ lam == pytest.approx(5e5 + 5e-7, rel=1e-14)
+        assert u @ np.array([0.0, 1.0]) == pytest.approx(c @ lam, rel=1e-14)
+
+    def test_redundant_rows_and_columns(self):
+        # a repeated row and a repeated column: the dual is not unique
+        # and every basis is degenerate
+        A = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
+        lam, u, certified = linprog(np.array([2.0, 2.0, 3.0]), A,
+                                    np.array([2.0, 2.0]))
+        assert certified
+        assert np.allclose(lam, [0.0, 0.0, 1.0], atol=1e-15)
+
+    @pytest.mark.parametrize("c, A, b", [
+        ([1.0, 1.0], [[1.0, 1.0]], [-1.0]),  # infeasible
+        ([-1.0, 0.0], [[1.0, -1.0]], [0.0]),  # unbounded
+        ([1.0, np.nan], [[1.0, 1.0]], [1.0]),  # not finite
+    ])
+    def test_no_solution_is_not_certified(self, c, A, b):
+        assert linprog(np.array(c), np.array(A), np.array(b)) == (
+            None, None, False)
