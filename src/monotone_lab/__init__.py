@@ -26,7 +26,6 @@ from .fitzpatrick import (
 )
 from .functions import (
     Affine,
-    ConjValue,
     ConvexFn,
     HalfSqNorm,
     IndicatorFn,

@@ -49,7 +49,7 @@ class BRResult:
     slack_value: float  # h(u) - h(s)
     slack_dist: float  # alpha - ||s - u||
     slack_slope: float  # beta - ||x*||
-    membership: str  # three-valued G(dh) membership
+    membership: str  # G(dh) membership, "yes" or "no"
     ok: bool
 
     @property

@@ -18,11 +18,11 @@ quadratic s'Qs/2 + b's + c, the linear map Q shifted by (0, -b).  For
 a separable f, dF is a product of 1-D staircases, so phi is the sum
 over coordinates of a maximum over each staircase's corners and
 slanted segments, or +inf where an end ray's sign test fails.  Any
-other operator gets a sampled lower bound, with the Fenchel-Young
-upper bound phi <= f(x) + f*(x*) of a subdifferential whose conjugate
-is a closed form.  phi* of a finite graph is a linear program, solved by
-Lemke's pivots and exact only where its duality certificate closes;
-+inf comes with a separating direction checked by evaluation.
+other operator gets a sampled lower bound.  phi* of a finite graph is a
+linear program, solved by Lemke's pivots and exact only where its
+duality certificate closes; +inf comes with a separating direction
+checked by evaluation.  phi* of df with a closed-form f* is bounded
+below by f(y**) + f*(y*), and equals the pairing on the graph.
 
 Extension membership tests theta(y*, y**) <= <y*, y**> + tol.  Sampled
 sups only bound from below, so verdicts are three-valued: "out" needs a
@@ -66,7 +66,6 @@ class FitzEvaluation:
     value: float
     status: str  # "exact" or "lower_bound"
     witness: Optional[PairedPoint] = None
-    upper: Optional[float] = None  # co-bound when a sandwich is known
     # certificate for +inf: for phi, the graph ray witness + t * direction,
     # t >= 0, along which the pieces grow without bound; for phi*, the
     # ray t * direction in (x, x*) along which <(y*, y**), .> - phi grows
@@ -102,10 +101,8 @@ def phi(
 
     Exact wherever ``_phi_exact`` has a calculus rule for S; otherwise a
     sampled lower bound that always includes the resolvent point at
-    z = x + x*, which pins phi >= <x, x*> constructively, and for a
-    subdifferential of f with a closed-form conjugate the finite upper
-    bound f(x) + f*(x*) (Fitzpatrick's inequality).  NaN and -inf pieces
-    are skipped.
+    z = x + x*, which pins phi >= <x, x*> constructively.  NaN and -inf
+    pieces are skipped.
     """
     x = S.pair.check_dim(x, "x")
     xstar = S.pair.check_dim(xstar, "xstar")
@@ -126,19 +123,7 @@ def phi(
     wit = PairedPoint.of_rows(X[i], Xs[i])
     # local refinement around the best candidate through the resolvent
     best, wit = _ascend_resolvent(S, x, xstar, wit, float(vals[i]), seed)
-    return FitzEvaluation(best, "lower_bound", wit,
-                          upper=_fenchel_upper(S, x, xstar))
-
-
-def _fenchel_upper(S: MonotoneOperator, x: np.ndarray,
-                   xstar: np.ndarray) -> Optional[float]:
-    """f(x) + f*(x*) >= phi(x, x*) for S = df with a closed-form f*, where
-    finite; else None."""
-    if not isinstance(S, Subdifferential):
-        return None
-    g = S.f.conjugate_fn()
-    upper = S.f.eval(x) + g.eval(xstar) if g is not None else INF
-    return upper if np.isfinite(upper) else None
+    return FitzEvaluation(best, "lower_bound", wit)
 
 
 def _phi_exact(S: MonotoneOperator, x: np.ndarray, xstar: np.ndarray,
@@ -413,8 +398,12 @@ def phi_conj(
     <(y*, y**), .> - phi grows without bound.  Otherwise the pairing,
     a lower bound on a monotone graph: there the cost less <y*, y**> is
     half the sum over i, j of lam_i lam_j <s_i - s_j, s_i* - s_j*> >= 0.
-    Subdifferentials: the sandwich f*(y*) + f(y**) >= phi* >= <y*, y**>
-    (f closed, so f** = f).  Anything else: the pairing lower bound.
+    Subdifferentials of f with a closed-form f*: phi <= f + f* on E x E*
+    (Fitzpatrick's inequality), so phi*(y*, y**) >= f(y**) + f*(y*)
+    >= <y*, y**> (f closed, so f** = f), with equality on the graph.
+    That sum is the pairing, exact, within 1e-12 of it; +inf, exact,
+    where it is +inf; else a lower bound.  Anything else: the pairing
+    lower bound.
     """
     ystar = S.pair.check_dim(ystar, "ystar")
     ystarstar = S.pair.check_dim(ystarstar, "ystarstar")
@@ -437,15 +426,15 @@ def phi_conj(
                                   direction=PairedPoint(d[:n], d[n:]))
         return FitzEvaluation(p, "lower_bound")
 
-    if isinstance(S, Subdifferential):
-        f = S.f
-        fy = f.eval(ystarstar)
-        cv = f.conjugate(ystar)
-        upper = fy + cv.value if np.isfinite(fy) else INF
-        if cv.exact and np.isfinite(upper) and upper <= p + 1e-12:
-            return FitzEvaluation(p, "exact", upper=upper)
-        return FitzEvaluation(p, "lower_bound",
-                              upper=upper if cv.exact else None)
+    g = S.f.conjugate_fn() if isinstance(S, Subdifferential) else None
+    if g is not None:
+        low = S.f.eval(ystarstar) + g.eval(ystar)
+        if low <= p + 1e-12:
+            return FitzEvaluation(p, "exact")
+        if low == INF:
+            return FitzEvaluation(INF, "exact")
+        # a NaN sum bounds nothing; the pairing still does
+        return FitzEvaluation(low if low > p else p, "lower_bound")
 
     return FitzEvaluation(p, "lower_bound")
 
@@ -520,11 +509,9 @@ def _membership_verdict(S: MonotoneOperator, ystar: np.ndarray,
     if S.contains(ystarstar, ystar, tol=1e-7) == "yes":
         return "in"
 
-    if isinstance(S, Subdifferential):
-        fy = S.f.eval(ystarstar)
-        cv = S.f.conjugate(ystar)
-        if np.isfinite(fy) and cv.exact and fy + cv.value <= p + tol:
-            return "in"
+    g = S.f.conjugate_fn() if isinstance(S, Subdifferential) else None
+    if g is not None and S.f.eval(ystarstar) + g.eval(ystar) <= p + tol:
+        return "in"
 
     if _is_maximal_by_construction(S):
         try:

@@ -3,9 +3,9 @@
 Each variant carries: evaluation (extended real), a scaled prox
 (Euclidean), an affine minorant f(x) >= -gamma0*||x|| - delta0, and --
 whenever the variant admits one -- an exact conjugate as another
-ConvexFn.  Conjugates without a closed form fall back to a
-proximal-point ascent that reports lower-bound status, so downstream
-equality tests degrade to three-valued logic.
+ConvexFn, ``conjugate_fn``.  f* is read only there: where it is None
+(a sum that is not separable, say), nothing evaluates f*, and
+membership of df is the resolvent residual instead of Fenchel-Young.
 
 ``prox_lam`` takes a point (n,) or a stack (m, n): each closed form runs
 once over the last axis, bit for bit the point's result in each row; a
@@ -18,7 +18,8 @@ functions, one per coordinate, and returns them as ``Staircase``s: the
 graph of a 1-D subdifferential is a staircase of corners and two end
 rays, from which the value, the prox and the conjugate (the staircase
 with its coordinates swapped) are closed forms.  A separable ``SumFn``
-so has an exact conjugate, a ``Separable`` of the swapped staircases.
+so has an exact conjugate, a ``Separable`` of the swapped staircases,
+and a closed-form prox.
 """
 
 from __future__ import annotations
@@ -35,15 +36,6 @@ from .solvers import project_ball, sum_resolvent
 from .spaces import NormTag, vector_norm
 
 INF = float("inf")
-
-
-@dataclass(frozen=True)
-class ConjValue:
-    """An extended-real conjugate value with an exactness flag."""
-
-    value: float
-    exact: bool = True
-    direction: Optional[np.ndarray] = None  # certificate for +inf
 
 
 class ConvexFn:
@@ -86,56 +78,25 @@ class ConvexFn:
         just outside the domain does not make f infinite."""
         return self.eval(x)
 
-    def conjugate(self, y: np.ndarray, max_iter: int = 4000) -> ConjValue:
-        """f*(y) = sup_x [<x,y> - f(x)], exact when a closed form exists."""
-        g = self.conjugate_fn()
-        if g is not None:
-            return ConjValue(g.eval(np.asarray(y, dtype=float)))
-        return self._conjugate_numeric(np.asarray(y, dtype=float), max_iter)
-
-    def _conjugate_numeric(self, y: np.ndarray, max_iter: int) -> ConjValue:
-        # proximal point on x -> f(x) - <x,y>; the fixed point satisfies
-        # y in df(x) and then <x,y> - f(x) equals f*(y) exactly
-        t = 1.0
-        x = np.zeros(self.dim)
-        best = -INF
-        prev = None
-        for k in range(max_iter):
-            x = self.prox_lam(x + t * y, t)
-            val = float(x @ y) - self.eval(x)
-            best = max(best, val)
-            if prev is not None and np.linalg.norm(x - prev) <= 1e-12 * (
-                1.0 + np.linalg.norm(x)
-            ):
-                return ConjValue(best, exact=True)
-            prev = x.copy()
-            if np.linalg.norm(x) > 1e8:
-                d = x / np.linalg.norm(x)
-                return ConjValue(INF, exact=True, direction=d)
-            if k > 50 and k % 25 == 0:
-                t = min(t * 2.0, 1e6)
-        return ConjValue(best, exact=False)
-
     def subdiff_contains(
         self, x: np.ndarray, xstar: np.ndarray, tol: float = 1e-8
     ) -> str:
-        """Fenchel-Young equality test; returns 'yes', 'no', or 'unknown'.
-        Where f or its closed-form conjugate is an indicator, membership of
-        its set is tested at ``tol`` too (``eval_within``)."""
+        """Whether x* is in df(x): 'yes' or 'no'.  Fenchel-Young,
+        f(x) + f*(x*) <= <x, x*> + tol, where f* is a closed form, and
+        where f or f* is an indicator, membership of its set is tested at
+        ``tol`` too (``eval_within``).  Else the resolvent residual
+        ||s - x||_2 + ||s* - x*||_2 <= tol at s = prox(x + x*),
+        s* = x + x* - s."""
         x = np.asarray(x, dtype=float)
         xstar = np.asarray(xstar, dtype=float)
-        fx = self.eval_within(x, tol)
-        if not np.isfinite(fx):
-            return "no"
         g = self.conjugate_fn()
-        cv = (self.conjugate(xstar) if g is None
-              else ConjValue(g.eval_within(xstar, tol)))
-        lhs = fx + cv.value
-        rhs = float(x @ xstar)
-        if cv.exact:
-            return "yes" if lhs <= rhs + tol else "no"
-        # lower bound on f*: can only certify 'no'
-        return "no" if lhs > rhs + tol else "unknown"
+        if g is None:
+            z = x + xstar
+            s = self.prox(z)
+            res = float(np.linalg.norm(s - x) + np.linalg.norm(z - s - xstar))
+            return "yes" if res <= tol else "no"
+        lhs = self.eval_within(x, tol) + g.eval_within(xstar, tol)
+        return "yes" if lhs <= float(x @ xstar) + tol else "no"
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +341,13 @@ class SumFn(ConvexFn):
     in dimension 1) beside a separable f of full domain
     (``separable_pieces``) clips the prox of f to B:
     prox(f + i_B)(z) = P_B(prox f(z)), a 1-D fact applied coordinate by
-    coordinate.  Any other sum runs Douglas-Rachford.  ``folds`` is true
-    when the prox is a closed form: a rule applies and no summand is a
-    sum that runs Douglas-Rachford.  A separable sum, folded or not, has
-    an exact conjugate: the ``Separable`` of its pieces' conjugates, each
-    a swapped staircase; any other sum's conjugate is numeric."""
+    coordinate.  Else a separable f + g (``separable_pieces``) takes the
+    prox of the ``Separable`` of its pieces.  Any other sum runs
+    Douglas-Rachford.  ``folds`` is true when the prox is a closed form:
+    a rule applies and no summand is a sum that runs Douglas-Rachford.
+    A separable sum has an exact conjugate: the ``Separable`` of its
+    pieces' conjugates, each a swapped staircase; any other sum has no
+    closed-form conjugate."""
 
     f: ConvexFn
     g: ConvexFn
@@ -400,6 +363,8 @@ class SumFn(ConvexFn):
         if self.f.dim != self.g.dim:
             raise ValueError("summand dimensions differ")
         fold = _fold_prox(self.f, self.g)
+        if fold is None and self._pieces is not None:
+            fold = Separable(self._pieces)._prox
         object.__setattr__(self, "_fold", fold)
         object.__setattr__(self, "folds", fold is not None and all(
             _closed_prox(h) for h in (self.f, self.g)))

@@ -22,8 +22,10 @@ all points of a finite graph, and a seeded sample of any other graph;
 a sum's sample drops the rows that fail.
 
 Graph membership is one oracle, ``residual`` (0 on G(S)), which
-``contains`` compares with a tolerance; a subdifferential of f with a
-closed-form conjugate tests Fenchel-Young instead.
+``contains`` compares with a tolerance; a subdifferential of f asks
+``f.subdiff_contains``, which tests Fenchel-Young where f* is a closed
+form and the same residual elsewhere, and so answers only 'yes' or
+'no'.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class MonotoneOperator:
         """Membership of (x, x*) in G(S): 'yes' / 'no' / 'unknown'.
 
         ``residual`` at most ``tol``, 'unknown' when the resolvent
-        fails; a subdifferential tests Fenchel-Young instead.
+        fails; a subdifferential asks ``f.subdiff_contains``.
         """
         try:
             return "yes" if self.residual(x, xstar) <= tol else "no"
@@ -247,15 +249,11 @@ class Subdifferential(MonotoneOperator):
         return self.resolvent(zs)[:2]
 
     def contains(self, x, xstar, tol: float = 1e-7) -> str:
-        """Fenchel-Young where f has a closed-form conjugate, else (a
-        non-separable ``SumFn``, say) the resolvent residual, as a numeric
-        conjugate costs thousands of prox steps and can only certify
-        'no'."""
-        if self.f.conjugate_fn() is None:
-            return super().contains(x, xstar, tol)
-        x = self.pair.check_dim(x, "x")
-        xstar = self.pair.check_dim(xstar, "xstar")
-        return self.f.subdiff_contains(x, xstar, tol)
+        """``f.subdiff_contains``: Fenchel-Young where f has a closed-form
+        conjugate, else the resolvent residual."""
+        return self.f.subdiff_contains(self.pair.check_dim(x, "x"),
+                                       self.pair.check_dim(xstar, "xstar"),
+                                       tol)
 
 
 def _domain_scale(f: ConvexFn) -> float:

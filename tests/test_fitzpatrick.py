@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from monotone_lab import (
@@ -43,7 +43,7 @@ from monotone_lab import (
 )
 from monotone_lab import solvers
 from monotone_lab.fitzpatrick import _phi_exact
-from test_rows import OP_KINDS, _op
+from test_rows import FN_KINDS, OP_KINDS, _fn, _op
 
 PAIR1 = DualPair(1, NormTag.L2)
 IDENTITY = Linear(pair=PAIR1, M=np.array([[1.0]]))
@@ -186,13 +186,44 @@ class TestPhiConj:
         ev = phi_conj(HALF_SQ, arr(2.0), arr(2.0))
         assert ev.status == "exact"
         assert ev.value == pytest.approx(4.0, abs=1e-9)
-        assert ev.upper == pytest.approx(4.0, abs=1e-9)
 
-    def test_subdifferential_off_graph_is_bounded_bracket(self):
+    def test_subdifferential_off_graph_is_the_fenchel_young_bound(self):
+        # phi* >= f(y**) + f*(y*) = 4.5 + 0.5 (the identity's phi* is +inf
+        # at (1, 3)); +inf where that sum is; with no closed-form f*, the
+        # pairing
         ev = phi_conj(HALF_SQ, arr(1.0), arr(3.0))
-        assert ev.status == "lower_bound"
-        assert ev.value == pytest.approx(3.0)  # pairing
-        assert ev.upper == pytest.approx(0.5 + 4.5)  # f*(1) + f(3)
+        assert (ev.value, ev.status) == (5.0, "lower_bound")
+        ev = phi_conj(Subdifferential(pair=PAIR1, f=NormFn(1)), arr(2.0),
+                      arr(0.0))
+        assert (ev.value, ev.status) == (np.inf, "exact")
+        S = Subdifferential(pair=DualPair(2), f=SumFn(NormFn(2),
+                                                      HalfSqNorm(2)))
+        ev = phi_conj(S, arr(3.0, 0.0), arr(1.0, 1.0))
+        assert (ev.value, ev.status) == (3.0, "lower_bound")
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 3),
+           kind=st.sampled_from(FN_KINDS), norm=st.sampled_from(list(NormTag)))
+    def test_subdifferential_between_the_pairing_and_a_sub_graph(
+            self, seed, n, kind, norm):
+        # phi_G <= phi of df for G a sub-graph of G(df), so phi_G* bounds
+        # phi* of df from above, and phi* >= <y*, y**>; at a mixture of
+        # G's points phi_G* is finite
+        rng = np.random.default_rng(seed)
+        pair = DualPair(n, norm)
+        S = Subdifferential(pair=pair, f=_fn(rng, n, kind))
+        assume(S.f.conjugate_fn() is not None)
+        X, Xs = S.graph_rows(4, seed)
+        G = FiniteGraph(pair=pair, points=tuple(
+            PairedPoint(a, b) for a, b in zip(X, Xs)))
+        lam = rng.dirichlet(np.ones(len(X)))
+        for ys, yss in ((Xs[0], X[0]), (lam @ Xs, lam @ X)):
+            ev, ref = phi_conj(S, ys, yss), phi_conj(G, ys, yss)
+            p = float(ys @ yss)
+            tol = 1e-9 * (1.0 + np.abs(ys) @ np.abs(yss) + abs(ref.value))
+            assert ev.value >= p - tol
+            if ref.status == "exact":
+                assert ev.value <= ref.value + tol
 
     def test_dominates_pairing_on_mixtures(self):
         # phi* >= <y*, y**> wherever finite, for monotone graphs
@@ -739,21 +770,8 @@ class TestPhiAgainstPairing:
         p = float(x @ xs)
         tol = 1e-9 * (1.0 + np.abs(x) @ np.abs(xs))
         assert ev.value >= p - tol
-        if ev.upper is not None:
-            assert ev.value <= ev.upper + tol * (1.0 + abs(ev.upper))
-
-    @pytest.mark.parametrize("norm", list(NormTag))
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 2**16), n=st.integers(2, 3))
-    def test_a_sampled_phi_reports_the_fenchel_upper(self, norm, seed, n):
-        # d(s'Qs/2 + b's) behind a type no rule knows samples phi, and its
-        # conjugate is a closed form: pairing <= phi <= f(x) + f*(x*)
-        rng = np.random.default_rng(seed)
-        B = rng.normal(size=(n, n))
-        f = Quadratic(B @ B.T + 0.1 * np.eye(n), rng.normal(size=n))
-        S = Subdifferential(pair=DualPair(n, norm), f=Opaque(f))
-        x, xs = rng.uniform(-2.0, 2.0, (2, n))
-        ev = phi(S, x, xs, budget=16, seed=seed)
-        assert ev.status == "lower_bound" and ev.upper is not None
-        tol = 1e-9 * (1.0 + np.abs(x) @ np.abs(xs) + abs(ev.upper))
-        assert float(x @ xs) - tol <= ev.value <= ev.upper + tol
+        # Fitzpatrick's inequality: phi of df <= f(x) + f*(x*)
+        g = S.f.conjugate_fn() if isinstance(S, Subdifferential) else None
+        if g is not None:
+            upper = S.f.eval(x) + g.eval(xs)
+            assert ev.value <= upper + tol * (1.0 + abs(upper))

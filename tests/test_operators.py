@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from monotone_lab import (
     Ball,
-    ConvexFn,
     DualPair,
     FiniteGraph,
     HalfSqNorm,
@@ -366,8 +365,8 @@ class TestFoldedSums:
         assert isinstance(add(ABS_OP, Subdifferential(
             pair=DualPair(1, NormTag.L1), f=NormFn(1))), SumOp)
         # a summand that is itself a Douglas-Rachford sum
-        dr = Subdifferential(pair=PAIR1, f=SumFn(NormFn(1), NormFn(1)))
-        assert isinstance(add(dr, CONE_OP), SumOp)
+        dr = Subdifferential(pair=pair, f=SumFn(NormFn(2), NormFn(2)))
+        assert isinstance(add(dr, l2), SumOp)
         # the conjugates are the indicators of two boxes
         P = parallel_sum(support_subdiff(pair, box(-np.ones(2), np.ones(2),
                                                    side="dual")),
@@ -375,12 +374,22 @@ class TestFoldedSums:
                                          f=NormFn(2, 1.0, NormTag.L1)))
         assert isinstance(P.inner, SumOp)
         # no closed-form conjugate
-        assert isinstance(parallel_sum(dr, CONE_OP).inner, SumOp)
+        assert isinstance(parallel_sum(dr, l2).inner, SumOp)
 
-    def test_contains_of_a_sum_reads_the_residual(self, monkeypatch):
-        # no numeric conjugate: the resolvent residual decides
-        monkeypatch.setattr(ConvexFn, "_conjugate_numeric",
-                            lambda *a: pytest.fail("numeric conjugate"))
+    def test_a_separable_sum_no_rule_folds_takes_its_pieces(self):
+        # d(|x| + |x|) folds to the prox of 2|x|, and so does its sum with
+        # the normal cone of [-1, 1]; both equal the converged
+        # Douglas-Rachford resolvents
+        inner = add(ABS_OP, ABS_OP)
+        A = add(inner, CONE_OP)
+        assert type(A) is Subdifferential and A.f.folds
+        ref = SumOp(pair=PAIR1, S=SumOp(pair=PAIR1, S=ABS_OP, T=ABS_OP),
+                    T=CONE_OP)
+        for lam in (0.3, 1.0, 2.5):
+            _assert_rows_match(A, ref, np.linspace(-4.0, 4.0, 17)[:, None],
+                               lam)
+
+    def test_contains_of_a_sum_reads_the_residual(self):
         A = add(ABS_OP, CONE_OP)
         assert A.contains(np.array([1.0]), np.array([3.0])) == "yes"
         assert A.contains(np.array([0.5]), np.array([3.0])) == "no"

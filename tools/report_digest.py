@@ -31,10 +31,13 @@ linear map, plus the normal cone of a box) on each pair; and ``phi``,
 ``fitz_membership`` and ``phi_conj`` of 2-D and 3-D separable folded
 sums on each pair (an l1 norm plus a box's indicator, a box's support
 function plus a box's indicator, and the half squared norm plus an l1
-norm) at a free point and at a graph point. It uses public names only,
-so it runs on older checkouts too. The fuzz sets are boxes on the
-l1/linf pairs, where a distance to any other hull is a slow descent,
-and hulls on l2.
+norm), and those three and ``contains`` of 2-D and 3-D sums that are
+not separable (the l2 norm plus the half squared norm, a translate of
+it, and the l2 norm plus a box's indicator, each the subdifferential
+of its ``SumFn``), at a free point and at a graph point. It uses
+public names only, so it runs on older checkouts too. The fuzz sets
+are boxes on the l1/linf pairs, where a distance to any other hull is
+a slow descent, and hulls on l2.
 
 ``--diff A B`` reads two ``--out`` files (A the parent's, say) and
 prints, for each label whose records moved, how many did and how: the
@@ -91,6 +94,8 @@ SUM_BOXES = {"box": ([-1.0, -1.0], [1.5, 1.5]),
 SUM_PROBES = 4
 QD_PROBES = 3
 SEPARABLE_SUMS = ("l1+box", "support+box", "half_sq+l1")
+# sums that are not separable: no closed-form conjugate
+JOINT_SUMS = ("l2+half_sq", "translate", "l2+box")
 
 
 def plain(obj):
@@ -289,28 +294,45 @@ def sum_test_records(lab):
                            S, T, mode, probes=SUM_PROBES, seed=k)))
 
 
-def separable_records(lab):
-    """(label, record) for each call of the library grid on folded
-    separable sums."""
+def make_sum(lab, rng, pair, kind: str):
+    """The subdifferential of a 2-D or 3-D sum of ``SEPARABLE_SUMS``, as
+    ``add`` folds it, or of ``JOINT_SUMS``, as the subdifferential of the
+    ``SumFn``."""
+    n = pair.dim
+    if kind in JOINT_SUMS:
+        l2 = lab.SumFn(lab.NormFn(n), lab.HalfSqNorm(n))
+        if kind == "translate":
+            return lab.Subdifferential(pair=pair, f=lab.Translate(
+                l2, rng.normal(size=n), rng.normal(size=n), 0.25))
+        if kind == "l2+box":
+            lo = rng.uniform(-2.0, 0.0, n)
+            l2 = lab.SumFn(lab.NormFn(n), lab.IndicatorFn(
+                lab.box(lo, lo + rng.uniform(0.1, 2.0, n))))
+        return lab.Subdifferential(pair=pair, f=l2)
+    lo, lo2 = rng.uniform(-2.0, 0.0, (2, n))
+    l1 = lab.NormFn(n, float(rng.uniform(0.1, 2.0)), lab.NormTag.L1)
+    B = lab.IndicatorFn(lab.box(lo, lo + rng.uniform(0.1, 2.0, n)))
+    f, g = {"l1+box": (l1, B),
+            "support+box": (lab.SupportFn(lab.box(
+                lo2, lo2 + rng.uniform(0.0, 2.0, n), side="dual")), B),
+            "half_sq+l1": (lab.HalfSqNorm(n), l1)}[kind]
+    return lab.add(lab.Subdifferential(pair=pair, f=f),
+                   lab.Subdifferential(pair=pair, f=g))
+
+
+def sum_records(lab):
+    """(label, record) for each call of the library grid on 2-D and 3-D
+    sums of functions (``make_sum``)."""
     for n in (2, 3):
         for j, norm in enumerate(NORMS):
             pair = lab.DualPair(n, lab.NormTag(norm))
-            for k, kind in enumerate(SEPARABLE_SUMS):
+            for k, kind in enumerate(SEPARABLE_SUMS + JOINT_SUMS):
                 rng = np.random.default_rng([n, j, k])
-                lo, lo2 = rng.uniform(-2.0, 0.0, (2, n))
-                l1 = lab.NormFn(n, float(rng.uniform(0.1, 2.0)),
-                                lab.NormTag.L1)
-                B = lab.IndicatorFn(lab.box(lo, lo + rng.uniform(0.1, 2.0, n)))
-                f, g = {"l1+box": (l1, B),
-                        "support+box": (lab.SupportFn(lab.box(
-                            lo2, lo2 + rng.uniform(0.0, 2.0, n),
-                            side="dual")), B),
-                        "half_sq+l1": (lab.HalfSqNorm(n), l1)}[kind]
-                S = lab.add(lab.Subdifferential(pair=pair, f=f),
-                            lab.Subdifferential(pair=pair, f=g))
+                S = make_sum(lab, rng, pair, kind)
                 X, Xs = S.graph_rows(LIBRARY_BUDGET, k)
                 points = {"free": rng.uniform(-2.0, 2.0, (2, n)),
                           "graph": (X[0], Xs[0])}
+                group = "separable" if kind in SEPARABLE_SUMS else "joint"
                 for where, (x, xs) in points.items():
                     calls = {
                         "phi": lambda: lab.phi(S, x, xs, LIBRARY_BUDGET, k),
@@ -319,8 +341,10 @@ def separable_records(lab):
                         "phi_conj": lambda: lab.phi_conj(
                             S, xs, x, LIBRARY_BUDGET, k),
                     }
+                    if group == "joint":
+                        calls["contains"] = lambda: S.contains(x, xs)
                     for name, call in calls.items():
-                        yield (f"separable/{kind}/{norm}/{n}d/{where}/{name}",
+                        yield (f"{group}/{kind}/{norm}/{n}d/{where}/{name}",
                                record(call))
 
 
@@ -328,7 +352,7 @@ def library_digest(lab, out_file=None) -> str:
     h = hashlib.sha256()
     for label, rec in itertools.chain(library_records(lab),
                                       sum_test_records(lab),
-                                      separable_records(lab)):
+                                      sum_records(lab)):
         line = json.dumps({"workload": "library", "label": label, **rec},
                           sort_keys=True) + "\n"
         h.update(line.encode())
