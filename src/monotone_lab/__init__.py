@@ -7,12 +7,10 @@ from .br import BRRequest, BRResult, br_corollary, br_point, quasidense_witness,
 from .classifiers import (
     ClassifierVerdict,
     LocalWindow,
-    SeqCharVerdict,
     StrongMaxResult,
     check_fp,
     check_fpv,
     ni_infimum,
-    seqchar_check,
     strong_max_dual,
     strong_max_primal,
 )
@@ -95,9 +93,7 @@ from .spaces import (
     NormTag,
     PairedPoint,
     graph_norm,
-    norm,
     norm_subgradient,
-    pairing,
     vector_norm,
 )
 

@@ -1,7 +1,6 @@
 """Sampled instantiations of operator classes: domain-side local
 maximality, range-side local maximality, the negative-infimum criterion,
-strong maximality with fuzz sets, and the sequential characterization of
-extension membership.
+and strong maximality with fuzz sets.
 
 Premise testing is one-sided by construction: "premise holds" means no
 sampled counterexample at the given (budget, seed), and every verdict
@@ -19,7 +18,7 @@ import numpy as np
 from .fitzpatrick import theta
 from .operators import FiniteGraph, MonotoneOperator, ResolventError, inverse
 from .sets import CompactConvexSet, Polytope
-from .spaces import PairedPoint, first_min, row_dots, vector_norm
+from .spaces import PairedPoint, first_min, row_dots
 
 _PREMISE_TOL = 1e-10
 
@@ -286,68 +285,3 @@ def _search_seeds(set_: CompactConvexSet, seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     seeds.extend(set_.project(rng.normal(size=(3, set_.dim)) * 2.0))
     return seeds
-
-
-@dataclass(frozen=True)
-class SeqCharVerdict:
-    consistent: bool
-    counterexample_index: Optional[int]
-    pairing_limit_dev: float
-    dual_limit_dev: float
-
-
-def seqchar_check(
-    S: MonotoneOperator,
-    zstar: np.ndarray,
-    zstarstar: np.ndarray,
-    sequence: list[PairedPoint],
-    w: np.ndarray,
-    wstar: np.ndarray,
-    tol: float = 1e-6,
-) -> SeqCharVerdict:
-    """Checks the two sequential limits behind extension membership:
-
-        <s_n - w, s_n* - w*>  ->  <z* - w*, z** - w>
-        ||s_n* - z*||         ->  0
-
-    via Cauchy-tail criteria on the final quarter of the sequence: the
-    tail deviations must already sit within tol, or shrink by a clear
-    fraction across the tail (a harmonic 1/n decay passes, a constant
-    or drifting deviation fails).  Sequence points are validated against
-    G(S) first; a violating index is reported on failure.
-    """
-    if len(sequence) < 8:
-        raise ValueError("sequence must have at least 8 points")
-    zstar = S.pair.check_dim(zstar, "zstar")
-    zstarstar = S.pair.check_dim(zstarstar, "zstarstar")
-    w = S.pair.check_dim(w, "w")
-    wstar = S.pair.check_dim(wstar, "wstar")
-
-    for i, p in enumerate(sequence):
-        if S.contains(p.x, p.xstar, tol=max(tol, 1e-7)) == "no":
-            return SeqCharVerdict(False, i, np.inf, np.inf)
-
-    A = float((zstar - wstar) @ (zstarstar - w))
-    a_dev = np.array([
-        abs(float((p.x - w) @ (p.xstar - wstar)) - A) for p in sequence
-    ])
-    b_dev = np.array([
-        vector_norm(p.xstar - zstar, S.pair.dual_norm) for p in sequence
-    ])
-
-    tail = len(sequence) - max(len(sequence) // 4, 2)
-
-    def tail_ok(dev: np.ndarray) -> Optional[int]:
-        d = dev[tail:]
-        if float(d[-1]) <= tol:
-            return None
-        if float(d[-1]) <= 0.85 * float(d[0]) + tol:
-            return None
-        return tail + int(np.argmax(d))
-
-    bad_a = tail_ok(a_dev)
-    bad_b = tail_ok(b_dev)
-    ok = bad_a is None and bad_b is None
-    idx = bad_a if bad_a is not None else bad_b
-    return SeqCharVerdict(ok, None if ok else idx,
-                          float(a_dev[-1]), float(b_dev[-1]))

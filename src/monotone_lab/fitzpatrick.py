@@ -26,10 +26,10 @@ below by f(y**) + f*(y*), and equals the pairing on the graph.
 
 Extension membership tests theta(y*, y**) <= <y*, y**> + tol.  Sampled
 sups only bound from below, so verdicts are three-valued: "out" needs a
-lower bound on theta violating the inequality (a sampled witness, or a
-resolvent residual on operators maximal by construction), "in" needs an
-upper bound meeting it (an exact theta, graph membership, or the
-closed-form conjugate chain).
+lower bound on theta violating the inequality (a sampled theta, which
+includes the resolvent point at y** + y* and so carries the resolvent
+bound <y*, y**> + ||s - y**||_2^2), "in" needs an upper bound meeting it
+(an exact theta, graph membership, or the closed-form conjugate chain).
 """
 
 from __future__ import annotations
@@ -78,16 +78,6 @@ def _piece_value(s: np.ndarray, sstar: np.ndarray, x: np.ndarray,
     """<s, x*> + <x, s*> - <s, s*> over the last axis of (s, s*): for one
     graph point or for each row of a stack."""
     return row_dots(s, xstar) + row_dots(sstar, x) - row_dots(s, sstar)
-
-
-def _is_maximal_by_construction(S: MonotoneOperator) -> bool:
-    if isinstance(S, Subdifferential):
-        return True
-    if isinstance(S, Linear):
-        return True
-    if isinstance(S, (Shift, InverseOp)):
-        return _is_maximal_by_construction(S.inner)
-    return False
 
 
 def phi(
@@ -401,9 +391,11 @@ def phi_conj(
     Subdifferentials of f with a closed-form f*: phi <= f + f* on E x E*
     (Fitzpatrick's inequality), so phi*(y*, y**) >= f(y**) + f*(y*)
     >= <y*, y**> (f closed, so f** = f), with equality on the graph.
-    That sum is the pairing, exact, within 1e-12 of it; +inf, exact,
-    where it is +inf; else a lower bound.  Anything else: the pairing
-    lower bound.
+    That sum, both terms read by ``eval_within`` at the rounding
+    4(n + 2) eps (1 + max|y*| + max|y**|) so that a graph point an ulp
+    off dom f* is not +inf, is the pairing, exact, within 1e-12 of it;
+    +inf, exact, where it is +inf; else a lower bound.  Anything else:
+    the pairing lower bound.
     """
     ystar = S.pair.check_dim(ystar, "ystar")
     ystarstar = S.pair.check_dim(ystarstar, "ystarstar")
@@ -428,10 +420,12 @@ def phi_conj(
 
     g = S.f.conjugate_fn() if isinstance(S, Subdifferential) else None
     if g is not None:
-        low = S.f.eval(ystarstar) + g.eval(ystar)
+        tol = 4 * (ystar.size + 2) * _EPS * (
+            1.0 + np.abs(ystar).max() + np.abs(ystarstar).max())
+        low = S.f.eval_within(ystarstar, tol) + g.eval_within(ystar, tol)
         if low <= p + 1e-12:
             return FitzEvaluation(p, "exact")
-        if low == INF:
+        if low == INF and tol < INF:  # a non-finite point bounds nothing
             return FitzEvaluation(INF, "exact")
         # a NaN sum bounds nothing; the pairing still does
         return FitzEvaluation(low if low > p else p, "lower_bound")
@@ -478,12 +472,12 @@ def fitz_membership(
     extension: 'in', 'out', or 'unknown'.
 
     The criterion is theta(y*, y**) <= <y*, y**> + tol.  Decisive
-    paths, in order: exact theta; a sampled witness exceeding the bound
-    (out); operator graph membership of the swapped point (in); for a
-    subdifferential of f, the closed-form conjugate chain
-    theta <= f(y**) + f*(y*), which can only show in; for operators
-    maximal by construction, the resolvent point s at z = y** + y*,
-    whose theta >= pairing + ||s - y**||_2^2 can only show out.
+    paths, in order: exact theta; a sampled theta exceeding the bound
+    (out) -- it includes the resolvent point s at z = y** + y*, whose
+    piece is <y*, y**> + ||s - y**||_2^2, so no separate resolvent test
+    can show out where this one does not; operator graph membership of
+    the swapped point (in); for a subdifferential of f, the closed-form
+    conjugate chain theta <= f(y**) + f*(y*), which can only show in.
     Otherwise unknown.
     """
     if tol <= 0:
@@ -512,13 +506,4 @@ def _membership_verdict(S: MonotoneOperator, ystar: np.ndarray,
     g = S.f.conjugate_fn() if isinstance(S, Subdifferential) else None
     if g is not None and S.f.eval(ystarstar) + g.eval(ystar) <= p + tol:
         return "in"
-
-    if _is_maximal_by_construction(S):
-        try:
-            pt = S.resolvent(ystarstar + ystar)
-        except ResolventError:
-            return "unknown"
-        if float(np.sum((pt.x - ystarstar) ** 2)) > tol:
-            return "out"
-
     return "unknown"

@@ -1,11 +1,11 @@
 """Proper convex lsc functions with the oracles the procedures consume.
 
-Each variant carries: evaluation (extended real), a scaled prox
-(Euclidean), an affine minorant f(x) >= -gamma0*||x|| - delta0, and --
-whenever the variant admits one -- an exact conjugate as another
-ConvexFn, ``conjugate_fn``.  f* is read only there: where it is None
-(a sum that is not separable, say), nothing evaluates f*, and
-membership of df is the resolvent residual instead of Fenchel-Young.
+Each variant carries three oracles: evaluation (extended real), a
+scaled prox (Euclidean), and -- whenever the variant admits one -- an
+exact conjugate as another ConvexFn, ``conjugate_fn``.  f* is read only
+there: where it is None (a sum that is not separable, say), nothing
+evaluates f*, and membership of df is the resolvent residual instead of
+Fenchel-Young.
 
 ``prox_lam`` takes a point (n,) or a stack (m, n): each closed form runs
 once over the last axis, bit for bit the point's result in each row; a
@@ -36,6 +36,8 @@ from .solvers import project_ball, sum_resolvent
 from .spaces import NormTag, vector_norm
 
 INF = float("inf")
+# the tolerance at which an indicator's set admits a point
+_MEMBERSHIP_TOL = 1e-9
 
 
 class ConvexFn:
@@ -55,10 +57,6 @@ class ConvexFn:
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         """The prox over the last axis of ``z``, a point or a stack of
         rows; a row gives the point's result bit for bit."""
-        raise NotImplementedError
-
-    def minorant(self) -> tuple[float, float]:
-        """(gamma0, delta0) with f(x) >= -gamma0*||x||_2 - delta0."""
         raise NotImplementedError
 
     def conjugate_fn(self) -> Optional["ConvexFn"]:
@@ -134,9 +132,6 @@ class Quadratic(ConvexFn):
         # differently from the solve of one point
         return np.linalg.solve(A, (z - lam * self.b)[..., None])[..., 0]
 
-    def minorant(self) -> tuple[float, float]:
-        return float(np.linalg.norm(self.b)), max(-self.c, 0.0)
-
     def conjugate_fn(self) -> Optional[ConvexFn]:
         if np.min(np.linalg.eigvalsh(self.Q)) < 1e-12:
             return None
@@ -169,9 +164,6 @@ class NormFn(ConvexFn):
         # Moreau: z minus projection onto the dual ball of radius lam*scale
         return z - project_ball(z, lam * self.scale, self.kind.dual().value)
 
-    def minorant(self) -> tuple[float, float]:
-        return 0.0, 0.0
-
     def conjugate_fn(self) -> Optional[ConvexFn]:
         ball = Ball(
             side="dual", center=np.zeros(self.dim), radius=self.scale,
@@ -197,11 +189,6 @@ class SupportFn(ConvexFn):
         # Moreau: prox of lam*support = z - P_{lam*set}(z)
         return z - lam * self.set_.project(z / lam)
 
-    def minorant(self) -> tuple[float, float]:
-        # max<x, K> >= <x, k0> >= -||k0||*||x|| for any k0 in K
-        k0 = self.set_.project(np.zeros(self.dim))
-        return float(np.linalg.norm(k0)), 0.0
-
     def conjugate_fn(self) -> Optional[ConvexFn]:
         return IndicatorFn(self.set_)
 
@@ -211,7 +198,6 @@ class IndicatorFn(ConvexFn):
     """f(x) = 0 on the set, +inf off it."""
 
     set_: CompactConvexSet
-    membership_tol: float = 1e-9
 
     @property
     def dim(self) -> int:
@@ -219,17 +205,14 @@ class IndicatorFn(ConvexFn):
 
     def eval(self, x: np.ndarray) -> float:
         return 0.0 if self.set_.contains(np.asarray(x, float),
-                                         self.membership_tol) else INF
+                                         _MEMBERSHIP_TOL) else INF
 
     def eval_within(self, x: np.ndarray, tol: float) -> float:
         return 0.0 if self.set_.contains(
-            np.asarray(x, float), max(tol, self.membership_tol)) else INF
+            np.asarray(x, float), max(tol, _MEMBERSHIP_TOL)) else INF
 
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         return self.set_.project(z)
-
-    def minorant(self) -> tuple[float, float]:
-        return 0.0, 0.0
 
     def conjugate_fn(self) -> Optional[ConvexFn]:
         return SupportFn(self.set_)
@@ -255,9 +238,6 @@ class Affine(ConvexFn):
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         return z - lam * self.a
 
-    def minorant(self) -> tuple[float, float]:
-        return float(np.linalg.norm(self.a)), max(-self.c, 0.0)
-
     def conjugate_fn(self) -> Optional[ConvexFn]:
         # conjugate is the indicator of {a} minus c
         return Translate(IndicatorFn(singleton(self.a, side="dual")),
@@ -281,9 +261,6 @@ class HalfSqNorm(ConvexFn):
 
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         return z / (1.0 + lam)
-
-    def minorant(self) -> tuple[float, float]:
-        return 0.0, 0.0
 
     def conjugate_fn(self) -> Optional[ConvexFn]:
         return HalfSqNorm(self.dim_)
@@ -318,12 +295,6 @@ class Translate(ConvexFn):
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         return self.inner.prox_lam(z + self.shift + lam * self.tilt,
                                    lam) - self.shift
-
-    def minorant(self) -> tuple[float, float]:
-        g0, d0 = self.inner.minorant()
-        ns = float(np.linalg.norm(self.shift))
-        nt = float(np.linalg.norm(self.tilt))
-        return g0 + nt, d0 + g0 * ns + max(-self.offset, 0.0)
 
     def conjugate_fn(self) -> Optional[ConvexFn]:
         istar = self.inner.conjugate_fn()
@@ -386,11 +357,6 @@ class SumFn(ConvexFn):
             # its convergence flags are dropped
             return sum_resolvent(self.f.prox_lam, self.g.prox_lam, z, lam)[0]
         return self._fold(z, lam)
-
-    def minorant(self) -> tuple[float, float]:
-        gf, df = self.f.minorant()
-        gg, dg = self.g.minorant()
-        return gf + gg, df + dg
 
     def conjugate_fn(self) -> Optional[ConvexFn]:
         return self._conjugate
@@ -528,11 +494,6 @@ class Staircase(ConvexFn):
             x = np.where(beyond, s[k] + step * ray[0], x)
         return x[..., None]
 
-    def minorant(self) -> tuple[float, float]:
-        # the subgradient inequality at the first corner
-        s0, t0 = self.corners[0]
-        return abs(t0), max(t0 * s0 - self.value, 0.0)
-
     def conjugate_fn(self) -> Optional[ConvexFn]:
         s0, t0 = self.corners[0]
         return Staircase(tuple((t, s) for s, t in self.corners),
@@ -610,10 +571,6 @@ class Separable(ConvexFn):
     def _prox(self, z: np.ndarray, lam: float) -> np.ndarray:
         return np.stack([p._prox(z[..., i:i + 1], lam)[..., 0]
                          for i, p in enumerate(self.pieces)], axis=-1)
-
-    def minorant(self) -> tuple[float, float]:
-        g, d = np.array([p.minorant() for p in self.pieces]).T
-        return float(np.linalg.norm(g)), float(np.sum(d))
 
     def conjugate_fn(self) -> Optional[ConvexFn]:
         return Separable(tuple(p.conjugate_fn() for p in self.pieces))

@@ -294,7 +294,8 @@ def linprog(c: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray
     tol (sum(lam) D + sum(|u|) P), the scales at which they round, with
     P = max |A| sum(lam) + max |b|, D = max |c| + max |A| sum(|u|) and
     tol = 1e4 eps (the gap is lam'(c - A'u) + u'(A lam - b)).  lam is
-    then optimal to that tolerance and c'lam its value.
+    then optimal to that tolerance and c'lam its value.  For c = 0 the
+    dual is u = 0, so a feasible lam is certified by its residual alone.
     """
     c, A, b = (np.asarray(v, dtype=float) for v in (c, A_eq, b_eq))
     if not all(np.all(np.isfinite(v)) for v in (c, A, b)):
@@ -313,6 +314,8 @@ def linprog(c: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray
     if z is None:
         return None, None, False
     lam, u = beta * col * z[:m], alpha * r * (z[m:m + k] - z[m + k:])
+    if not c.any():  # the pivots' u is rounding on no scale c sets
+        u = np.zeros(k)
     tol = 1e4 * np.finfo(float).eps
     sA = np.abs(A).max(initial=0.0)
     primal = sA * lam.sum() + np.abs(b).max(initial=0.0)

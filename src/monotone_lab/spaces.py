@@ -182,14 +182,6 @@ class PairedPoint:
         return PairedPoint.of_rows(self.xstar, self.x)
 
 
-def pairing(pair: DualPair, x: np.ndarray, xstar: np.ndarray) -> float:
-    return pair.pairing(x, xstar)
-
-
-def norm(pair: DualPair, v: np.ndarray, side: str = "primal") -> float:
-    return pair.norm(v, side)
-
-
 def graph_norm(pair: DualPair, pt: PairedPoint) -> float:
     """sqrt(||x||^2 + ||x*||^2) with the pair's primal/dual norms."""
     nx = pair.norm(pt.x, "primal")

@@ -1,5 +1,5 @@
-"""Windowed class checks, the negative-infimum criterion, strong
-maximality with fuzz sets, and the sequential membership check."""
+"""Windowed class checks, the negative-infimum criterion and strong
+maximality with fuzz sets."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from monotone_lab import (
     check_fpv,
     interval,
     ni_infimum,
-    seqchar_check,
     singleton,
     strong_max_dual,
     strong_max_primal,
@@ -319,50 +318,3 @@ class TestRangeSideOnInverse:
             check_fp(ABS_OP, Ut, arr(0.0), arr(0.0, 0.0))
         with pytest.raises(ValueError, match="wstar"):
             strong_max_primal(ABS_OP, interval(-1.0, 1.0), arr(0.0, 0.0))
-
-
-class TestSeqChar:
-    def _identity_seq(self, offsets):
-        return [PairedPoint([1.0 + o], [1.0 + o]) for o in offsets]
-
-    def test_convergent_harmonic_sequence(self):
-        seq = self._identity_seq([1.0 / n for n in range(1, 41)])
-        v = seqchar_check(IDENTITY, arr(1.0), arr(1.0), seq,
-                          arr(0.0), arr(0.0))
-        assert v.consistent
-        assert v.counterexample_index is None
-
-    def test_exact_constant_sequence(self):
-        seq = self._identity_seq([0.0] * 10)
-        v = seqchar_check(IDENTITY, arr(1.0), arr(1.0), seq,
-                          arr(0.0), arr(0.0))
-        assert v.consistent
-
-    def test_wrong_limit_fails(self):
-        # sequence sits at (2,2) but the claimed limit is (1,1)
-        seq = self._identity_seq([1.0] * 12)
-        v = seqchar_check(IDENTITY, arr(1.0), arr(1.0), seq,
-                          arr(0.0), arr(0.0))
-        assert not v.consistent
-        assert v.counterexample_index is not None
-        assert v.dual_limit_dev == pytest.approx(1.0)
-
-    def test_drifting_sequence_fails(self):
-        seq = self._identity_seq([0.1 * n for n in range(12)])
-        v = seqchar_check(IDENTITY, arr(1.0), arr(1.0), seq,
-                          arr(0.0), arr(0.0))
-        assert not v.consistent
-
-    def test_off_graph_point_is_reported(self):
-        seq = self._identity_seq([1.0 / n for n in range(1, 13)])
-        seq[5] = PairedPoint([1.0], [2.0])
-        v = seqchar_check(IDENTITY, arr(1.0), arr(1.0), seq,
-                          arr(0.0), arr(0.0))
-        assert not v.consistent
-        assert v.counterexample_index == 5
-
-    def test_short_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            seqchar_check(IDENTITY, arr(1.0), arr(1.0),
-                          self._identity_seq([0.0] * 7),
-                          arr(0.0), arr(0.0))

@@ -366,18 +366,6 @@ class TestConvexityOnSegments:
                 assert mid <= 0.5 * (fa + fb) + 1e-10
 
 
-class TestMinorant:
-    def test_minorant_bounds_hold(self):
-        rng = np.random.default_rng(9)
-        for f in fn_families():
-            g0, d0 = f.minorant()
-            for _ in range(60):
-                x = rng.uniform(-5, 5, size=f.dim)
-                fx = f.eval(x)
-                if np.isfinite(fx):
-                    assert fx >= -g0 * np.linalg.norm(x) - d0 - 1e-9
-
-
 class TestMinimize:
     def test_quadratic(self):
         f = Quadratic(np.eye(2), np.array([-2.0, 0.0]))

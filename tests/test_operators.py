@@ -389,11 +389,30 @@ class TestFoldedSums:
             _assert_rows_match(A, ref, np.linspace(-4.0, 4.0, 17)[:, None],
                                lam)
 
-    def test_contains_of_a_sum_reads_the_residual(self):
+    def test_contains_of_a_separable_fold_is_fenchel_young(self):
+        # |x| + i_[-1, 1] folds to a separable sum, whose conjugate is a
+        # closed form: Fenchel-Young decides
         A = add(ABS_OP, CONE_OP)
+        assert A.f.conjugate_fn() is not None
         assert A.contains(np.array([1.0]), np.array([3.0])) == "yes"
         assert A.contains(np.array([0.5]), np.array([3.0])) == "no"
         assert A.contains(np.array([1.5]), np.array([1.0])) == "no"
+
+    def test_contains_of_a_sum_that_does_not_fold_reads_the_residual(self):
+        # d(||.||_2 + i_box) in 2-D is not separable: it stays a SumOp,
+        # and the Douglas-Rachford resolvent residual decides
+        pair = DualPair(2)
+        A = add(Subdifferential(pair=pair, f=NormFn(2)),
+                normal_cone(pair, box(-np.ones(2), np.ones(2))))
+        assert isinstance(A, SumOp)
+        for x, xs, verdict in (([1.0, 0.0], [3.0, 0.0], "yes"),
+                               ([1.0, 1.0], [2.0, 3.0], "yes"),
+                               ([0.3, 0.4], [0.6, 0.8], "yes"),
+                               ([1.0, 0.0], [3.0, 1.0], "no"),
+                               ([0.5, 0.0], [3.0, 0.0], "no")):
+            x, xs = np.array(x), np.array(xs)
+            assert A.contains(x, xs) == verdict
+            assert (A.residual(x, xs) <= 1e-7) == (verdict == "yes")
 
 
 class TestContains:

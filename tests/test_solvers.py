@@ -261,6 +261,16 @@ class TestLinprog:
         assert certified
         assert np.allclose(lam, [0.0, 0.0, 1.0], atol=1e-15)
 
+    def test_a_zero_cost_is_certified_by_the_zero_dual(self):
+        # every feasible lam is optimal: a dual the pivots leave at
+        # 1e-17 must not fail against the scale of c = 0
+        A = np.array([[0.0, 0.0], [-1.0, -1.5], [1.0, 1.0]])
+        lam, u, certified = linprog(np.zeros(2), A,
+                                    np.array([0.0, -1.1875, 1.0]))
+        assert certified
+        assert np.allclose(lam, [0.625, 0.375], atol=1e-15)
+        assert not u.any()
+
     @pytest.mark.parametrize("c, A, b", [
         ([1.0, 1.0], [[1.0, 1.0]], [-1.0]),  # infeasible
         ([-1.0, 0.0], [[1.0, -1.0]], [0.0]),  # unbounded

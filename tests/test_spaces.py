@@ -10,8 +10,6 @@ from monotone_lab import (
     NormTag,
     PairedPoint,
     graph_norm,
-    norm,
-    pairing,
     vector_norm,
 )
 
@@ -44,43 +42,43 @@ class TestNormTag:
 class TestPairing:
     def test_dot_product(self):
         p = DualPair(2)
-        assert pairing(p, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+        assert p.pairing(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
 
     def test_zero(self):
         p = DualPair(2)
-        assert pairing(p, np.zeros(2), np.array([5.0, -7.0])) == 0.0
+        assert p.pairing(np.zeros(2), np.array([5.0, -7.0])) == 0.0
 
     def test_tail_check_input(self):
         # hand arithmetic cross-checked by a brute-force sum
         p = DualPair(2, NormTag.L1)
         x = np.array([1.0, -1.0])
         xstar = np.array([0.0, -1.0])
-        assert pairing(p, x, xstar) == 1.0
-        assert pairing(p, x, xstar) == sum(a * b for a, b in zip(x, xstar))
+        assert p.pairing(x, xstar) == 1.0
+        assert p.pairing(x, xstar) == sum(a * b for a, b in zip(x, xstar))
 
     def test_dimension_mismatch(self):
         p = DualPair(2)
         with pytest.raises(ValueError):
-            pairing(p, np.ones(3), np.ones(2))
+            p.pairing(np.ones(3), np.ones(2))
 
 
 class TestNorm:
     def test_l1(self):
         p = DualPair(2, NormTag.L1)
-        assert norm(p, np.array([1.0, -2.0]), "primal") == 3.0
+        assert p.norm(np.array([1.0, -2.0]), "primal") == 3.0
 
     def test_linf(self):
         p = DualPair(2, NormTag.LINF)
-        assert norm(p, np.array([1.0, -2.0]), "primal") == 2.0
+        assert p.norm(np.array([1.0, -2.0]), "primal") == 2.0
 
     def test_l2(self):
         p = DualPair(2)
-        assert norm(p, np.array([3.0, 4.0]), "primal") == 5.0
+        assert p.norm(np.array([3.0, 4.0]), "primal") == 5.0
 
     def test_dual_side_uses_paired_tag(self):
         p = DualPair(2, NormTag.L1)
         v = np.array([1.0, -2.0])
-        assert norm(p, v, "dual") == 2.0  # linf on the dual side
+        assert p.norm(v, "dual") == 2.0  # linf on the dual side
 
     def test_rejects_dim(self):
         with pytest.raises(ValueError):
@@ -109,8 +107,8 @@ class TestProperties:
     def test_hoelder(self, x, xstar):
         for t in ALL_TAGS:
             p = DualPair(3, t)
-            lhs = abs(pairing(p, x, xstar))
-            rhs = norm(p, x, "primal") * norm(p, xstar, "dual")
+            lhs = abs(p.pairing(x, xstar))
+            rhs = p.norm(x, "primal") * p.norm(xstar, "dual")
             assert lhs <= rhs + 1e-12 * max(1.0, rhs)
 
     @given(a=vec(4), b=vec(4), c=vec(4))
@@ -129,8 +127,8 @@ class TestProperties:
             p = DualPair(3, t)
             pt = PairedPoint(x, xstar)
             g = graph_norm(p, pt)
-            nx = norm(p, x, "primal")
-            ns = norm(p, xstar, "dual")
+            nx = p.norm(x, "primal")
+            ns = p.norm(xstar, "dual")
             assert g >= max(nx, ns) - 1e-12 * max(1.0, g)
             assert g <= nx + ns + 1e-12 * max(1.0, g)
 
