@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from monotone_lab import (
+    Affine,
     Ball,
     ConvexFn,
     DualPair,
@@ -197,6 +198,18 @@ class TestPhiConj:
                                                       HalfSqNorm(2)))
         ev = phi_conj(S, arr(3.0, 0.0), arr(1.0, 1.0))
         assert (ev.value, ev.status) == (3.0, "lower_bound")
+
+    def test_past_the_rounding_of_dom_f_star_it_is_infinite(self):
+        # f = |x| + 0.3x folds to a separable sum with dom f* =
+        # [-0.7, 1.3], and (1, 1.3) is on the graph of df.  An ulp past
+        # 1.3 is rounding: phi* is the pairing.  1e-6 past it is +inf
+        S = Subdifferential(pair=PAIR1, f=SumFn(NormFn(1), Affine(arr(0.3))))
+        ystar = arr(np.nextafter(1.3, 2.0))
+        assert S.f.conjugate_fn().eval(ystar) == np.inf
+        ev = phi_conj(S, ystar, arr(1.0))
+        assert (ev.value, ev.status) == (float(ystar[0]), "exact")
+        ev = phi_conj(S, arr(1.3 + 1e-6), arr(1.0))
+        assert (ev.value, ev.status) == (np.inf, "exact")
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 3),
@@ -432,6 +445,37 @@ class TestMembership:
         # off the graph at tol 1e-7, f + f* 1.25e-7 above the pairing: in
         assert HALF_SQ.contains(arr(1.0), arr(1.0005)) == "no"
         assert fitz_membership(HALF_SQ, arr(1.0005), arr(1.0)) == "in"
+
+    def test_a_sampled_theta_carries_the_resolvent_bound(self):
+        # the sampled theta holds the resolvent point s of y** + y*, whose
+        # piece is <y*, y**> + ||s - y**||^2, so it alone says out off
+        # the graph
+        M = np.array([[1.0, 0.5], [0.5, 1.0]])
+        S = Subdifferential(pair=DualPair(2), f=Opaque(Quadratic(
+            M, np.zeros(2))))
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            yss = rng.normal(size=2)
+            ystar = M @ yss + rng.uniform(0.05, 1.0) * rng.normal(size=2)
+            th = theta(S, ystar, yss)
+            assert th.status == "lower_bound"
+            s = S.f.prox(ystar + yss)
+            gap = float(np.sum((s - yss) ** 2))
+            assert th.value >= float(ystar @ yss) + gap - 1e-9
+            assert fitz_membership(S, ystar, yss, tol=0.5 * gap) == "out"
+
+    def test_a_sampled_theta_on_the_graph_is_in_by_contains(self):
+        # on G(df) a sampled theta cannot rise above the pairing, and
+        # membership in df decides: in
+        M = np.array([[1.0, 0.5], [0.5, 1.0]])
+        S = Subdifferential(pair=DualPair(2), f=Opaque(Quadratic(
+            M, np.zeros(2))))
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            yss = rng.normal(size=2)
+            ystar = M @ yss
+            assert theta(S, ystar, yss).status == "lower_bound"
+            assert fitz_membership(S, ystar, yss) == "in"
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):

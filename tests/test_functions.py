@@ -55,6 +55,16 @@ class TestEval:
         assert f.eval(np.zeros(2)) == 0.0
         assert f.eval(np.array([2.0, 0.0])) == np.inf
 
+    def test_indicator_reads_its_set_within_1e_9(self):
+        # eval allows the set 1e-9 of rounding; eval_within widens that
+        # to its tol, never narrows it
+        f = IndicatorFn(interval(-1.0, 1.0))
+        assert f.eval(np.array([1.0 + 5e-10])) == 0.0
+        assert f.eval(np.array([1.0 + 1e-8])) == np.inf
+        assert f.eval_within(np.array([1.0 + 1e-8]), 1e-7) == 0.0
+        assert f.eval_within(np.array([1.0 + 5e-10]), 0.0) == 0.0
+        assert f.eval_within(np.array([1.0 + 1e-6]), 1e-7) == np.inf
+
     def test_support(self):
         f = SupportFn(SQUARE)
         assert f.eval(np.array([1.0, 2.0])) == 3.0
