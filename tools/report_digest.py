@@ -34,8 +34,12 @@ function plus a box's indicator, and the half squared norm plus an l1
 norm), and those three and ``contains`` of 2-D and 3-D sums that are
 not separable (the l2 norm plus the half squared norm, a translate of
 it, and the l2 norm plus a box's indicator, each the subdifferential
-of its ``SumFn``), at a free point and at a graph point. It uses
-public names only, so it runs on older checkouts too. The fuzz sets
+of its ``SumFn``), at a free point and at a graph point; and the
+linear-map gap's LCP at the sizes where its ties and long pivot runs
+occur: ``tail_experiment([32, 64])`` and the gaps of psd+skew
+``Linear`` maps at n = 32 on the l1 and linf pairs for three seeds, at
+a random probe and at the tied probe (0, 1). It uses public names only,
+so it runs on older checkouts too. The fuzz sets
 are boxes on the l1/linf pairs, where a distance to any other hull is
 a slow descent, and hulls on l2.
 
@@ -96,6 +100,9 @@ QD_PROBES = 3
 SEPARABLE_SUMS = ("l1+box", "support+box", "half_sq+l1")
 # sums that are not separable: no closed-form conjugate
 JOINT_SUMS = ("l2+half_sq", "translate", "l2+box")
+# the linear-map gap's LCP: tail rows, and psd+skew maps on l1 and linf
+LCP_TAIL_SIZES = (32, 64)
+LCP_DIM = 32
 
 
 def plain(obj):
@@ -348,11 +355,32 @@ def sum_records(lab):
                                record(call))
 
 
+def lcp_records(lab):
+    """(label, record) for each call of the library grid on the
+    linear-map gap's LCP at large n: tail rows at their default probe,
+    and psd+skew maps at a random probe and at the tied probe (0, 1)."""
+    yield "lcp/tail", record(
+        lambda: lab.tail_experiment(list(LCP_TAIL_SIZES)))
+    n = LCP_DIM
+    for j, norm in enumerate(("l1", "linf")):
+        pair = lab.DualPair(n, lab.NormTag(norm))
+        for seed in LIBRARY_SEEDS:
+            rng = np.random.default_rng([n, j, seed])
+            S = make_op(lab, rng, pair, "linear")
+            probes = {"random": rng.uniform(-2.0, 2.0, (2, n)),
+                      "tied": (np.zeros(n), np.ones(n))}
+            for where, (x, xs) in probes.items():
+                yield (f"lcp/linear/{norm}/{seed}/{where}",
+                       record(lambda: lab.gap(
+                           S, lab.GapQuery(lab.PairedPoint(x, xs)))))
+
+
 def library_digest(lab, out_file=None) -> str:
     h = hashlib.sha256()
     for label, rec in itertools.chain(library_records(lab),
                                       sum_test_records(lab),
-                                      sum_records(lab)):
+                                      sum_records(lab),
+                                      lcp_records(lab)):
         line = json.dumps({"workload": "library", "label": label, **rec},
                           sort_keys=True) + "\n"
         h.update(line.encode())
