@@ -234,7 +234,9 @@ def gap_linear_qp(
     the solve runs on the probe scaled to unit size.  A Newton step on
     the piece of Lemke's point (``_piece_solve``) removes its rounding.
     The value is r at the best graph point (s, Ms) of the start
-    (x + x*)/2, Lemke's point and the step, clipped at 0; a solve that
+    (x + x*)/2, Lemke's point and the step, clipped at 0, scored in one
+    stacked pass over the rows s of one array (Ms row by row, the bits
+    of each M @ s), the first best row kept, NaN skipped; a solve that
     ends on a ray or after ``max_pivots`` pivots leaves the start alone.
     """
     M, n = S.M, S.pair.dim
@@ -246,24 +248,40 @@ def gap_linear_qp(
     if z is not None:
         s = x + z[:n] - z[n:] if l1 else z[:n] - z[n:2 * n]
         cands += [s, x + _piece_solve(M, xs - M @ x, s - x, l1)]
-    r = [r_objective(S, target, c * s, M @ (c * s)) for s in cands]
-    s = c * cands[int(np.nanargmin(r))]
-    return (GapReport(max(float(np.nanmin(r)), 0.0), PairedPoint(s, M @ s),
-                      "upper_bound", "qp"), pivots)
+    C = c * np.array(cands)
+    Cs = S._apply(C)
+    r = r_objective(S, target, C, Cs)
+    i = int(np.nanargmin(r))
+    # the least score, NaN skipped (nanargmin reads NaN as +inf)
+    value = max(float(np.fmin.reduce(r)), 0.0)
+    return (GapReport(value, PairedPoint.of_rows(C[i], Cs[i]), "upper_bound",
+                      "qp"), pivots)
 
 
 def _gap_lcp(M: np.ndarray, x: np.ndarray, xs: np.ndarray, l1: bool
              ) -> tuple[np.ndarray, np.ndarray]:
     """The LCP (Q, q) of ``gap_linear_qp`` at the probe (x, x*)."""
     n = len(x)
-    E, eye = np.ones((n, n)), np.eye(n)
     if l1:
         y = xs - M @ x
-        return (np.block([[E + M, E - M], [E - M, E + M]]),
-                np.concatenate([-y, y]))
-    return (np.block([[M, -M, eye, -eye], [-M, M, -eye, eye],
-                      [-eye, eye, E, E], [eye, -eye, E, E]]),
-            np.concatenate([-xs, xs, x, -x]))
+        Q = np.empty((2 * n, 2 * n))
+        B = Q.reshape(2, n, 2, n)
+        B[0, :, 0] = B[1, :, 1] = 1.0 + M
+        B[0, :, 1] = B[1, :, 0] = 1.0 - M
+        return Q, np.concatenate([-y, y])
+    Q = np.empty((4 * n, 4 * n))
+    B = Q.reshape(4, n, 4, n)
+    # the +-I blocks, each with the signed zeros of +-eye, under the rest
+    np.multiply(_LINF_SIGNS[:, None, :, None], np.eye(n)[:, None, :], out=B)
+    B[0, :, 0] = B[1, :, 1] = M
+    B[0, :, 1] = B[1, :, 0] = -M
+    B[2:, :, 2:] = 1.0
+    return Q, np.concatenate([-xs, xs, x, -x])
+
+
+# the signs of the identity blocks of the linf LCP's Q
+_LINF_SIGNS = np.array([[0.0, 0.0, 1.0, -1.0], [0.0, 0.0, -1.0, 1.0],
+                        [-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]])
 
 
 def _piece_solve(M: np.ndarray, y: np.ndarray, a: np.ndarray, l1: bool

@@ -229,10 +229,13 @@ def lemke(Q: np.ndarray, q: np.ndarray, max_pivots: int = 100000
     programming", Management Science 11 (1965) 681-689).
 
     A dense tableau over (w, z, z0) for w - Qz - z0 1 = q, with q and Q
-    each scaled to unit size (z scales back).  z0 first enters at the
-    most negative q_i; then the complement of each leaving variable
-    enters, until z0 leaves; a q that is >= 0 up to 1e-12 of max |q|
-    needs no pivot.  The ratio test (``_ratio_test``) is lexicographic
+    each scaled to unit size (z scales back), filled in place.  z0 first
+    enters at the most negative q_i, the last of the rows within the
+    rounding tolerance of it: that is the lexicographic rule's row, as
+    at the start B^-1 = I and its column e_k, which the rule reads in
+    turn, drops row k from the tie (``_pivot``).  Then the complement
+    of each leaving variable enters, until z0 leaves; a q that is >= 0
+    up to 1e-12 of max |q| needs no pivot.  The ratio test (``_ratio_test``) is lexicographic
     in (basic values, B^-1) (Cottle, Pang & Stone, "The Linear
     Complementarity Problem", 1992, 4.9), so a degenerate q, with tied
     entries, is no special case, but it first takes Harris's tolerance
@@ -255,7 +258,10 @@ def lemke(Q: np.ndarray, q: np.ndarray, max_pivots: int = 100000
     if q.min(initial=0.0) >= -1e-12 * sq:
         return np.zeros(N), 0
     # the tableau [B^-1 A | B^-1 q] over the columns (w, z, z0)
-    A = np.hstack([np.eye(N), -Q / sQ, -np.ones((N, 1)), q[:, None] / sq])
+    A = np.eye(N, 2 * N + 2)
+    np.divide(Q, -sQ, out=A[:, N:2 * N])
+    A[:, 2 * N] = -1.0
+    np.divide(q, sq, out=A[:, -1])
     # a run that finds no z, or a z whose w = q + Qz dips below its
     # tolerance, hands on to the next; the last z found is kept
     z, pivots = None, 0
@@ -308,8 +314,9 @@ def linprog(c: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray
     beta = _unit(np.abs(bs).max(initial=0.0))
     alpha = _unit(np.abs(cs).max(initial=0.0))
     k, m = A.shape
-    Z = np.zeros((k, k))
-    Q = np.block([[np.zeros((m, m)), -As.T, As.T], [As, Z, Z], [-As, Z, Z]])
+    Q = np.zeros((m + 2 * k, m + 2 * k))
+    Q[:m, m:m + k], Q[:m, m + k:] = -As.T, As.T
+    Q[m:m + k, :m], Q[m + k:, :m] = As, -As
     z, _ = lemke(Q, np.concatenate([cs / alpha, -bs / beta, bs / beta]))
     if z is None:
         return None, None, False
@@ -346,9 +353,11 @@ def _pivot(T: np.ndarray, max_pivots: int, tol: float
     basic = np.arange(2 * N + 1) < N
     seen = set()
     # z0 enters at the lexicographically smallest row of (b, B^-1), and
-    # stays in that row until it leaves
+    # stays in that row until it leaves.  B^-1 = I here, and _lex_min's
+    # column e_k (with d = 1) drops row k from the rows tied in b while
+    # two are left: the row is the last of those ties
     enter = 2 * N
-    r = r0 = _lex_min(b, T, np.arange(N), np.ones(N), tol)
+    r = r0 = int(np.flatnonzero(b - b.min() <= tol * np.abs(b).max()).max())
     for pivots in range(1, max_pivots + 1):
         d = T[:, enter].copy()
         T[r] /= d[r]

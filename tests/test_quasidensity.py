@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from monotone_lab import quasidensity
 from monotone_lab import (
     DualPair,
     FiniteGraph,
@@ -185,6 +186,29 @@ class TestLinearQp:
         s0 = 0.5 * (x + xs)
         assert rep.value <= r_objective(S, t, s0, S.M @ s0) + 1e-12 * (
             1.0 + scale * scale)
+
+
+class TestLinearQpWithoutLemkePoint:
+    @pytest.mark.parametrize("norm", [NormTag.L1, NormTag.LINF])
+    def test_a_solve_that_finds_no_z_leaves_the_start_alone(self, norm,
+                                                             monkeypatch):
+        # a run that ends on a ray or at the pivot cap: the report is r
+        # at the graph point of the rescaled start s0 = c (x + x*)/(2c)
+        monkeypatch.setattr(quasidensity, "lemke",
+                            lambda Q, q, max_pivots: (None, max_pivots))
+        rng = np.random.default_rng(5)
+        B, K = rng.normal(size=(2, 4, 4))
+        S = Linear(pair=DualPair(4, norm), M=B @ B.T + K - K.T)
+        x, xs = rng.uniform(-3.0, 3.0, (2, 4))
+        t = PairedPoint(x, xs)
+        rep, pivots = quasidensity.gap_linear_qp(S, t, max_pivots=7)
+        c = np.abs(np.concatenate([x, xs])).max()
+        s0 = c * (0.5 * (x / c + xs / c))
+        assert pivots == 7
+        assert (rep.status, rep.method) == ("upper_bound", "qp")
+        assert np.array_equal(rep.witness.x, s0)
+        assert np.array_equal(rep.witness.xstar, S.M @ s0)
+        assert rep.value == max(float(r_objective(S, t, s0, S.M @ s0)), 0.0)
 
 
 class TestEuclideanOracle:

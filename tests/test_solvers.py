@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from monotone_lab import Polytope, tail_operator
 from monotone_lab.quasidensity import _gap_lcp
-from monotone_lab.solvers import (lemke, linprog, nearest_hull_point,
-                                  project_l1_ball)
+from monotone_lab.solvers import (_lex_min, _pivot, lemke, linprog,
+                                  nearest_hull_point, project_l1_ball)
 
 
 def brute_force_projection(V: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -232,6 +232,59 @@ class TestLemke:
         # each precision that lemke tries
         z, pivots = lemke(np.zeros((1, 1)), np.array([-1.0]))
         assert z is None and pivots == 3
+
+
+@st.composite
+def tied_lcps(draw):
+    """(Q, q) of an LCP whose q ties: entries drawn from a few values,
+    some nudged by about the rounding tolerance; linprog's (c, -b, b),
+    whose equality rows come as opposite pairs; or the tail probe of the
+    gap's LCP on l1 or linf."""
+    kind = draw(st.sampled_from(["repeated", "lp", "tail"]))
+    if kind == "tail":
+        n = draw(st.integers(1, 64))
+        return _gap_lcp(tail_operator(n).M, np.zeros(n), np.ones(n),
+                        draw(st.booleans()))
+    unit = st.integers(-8, 8).map(lambda k: k / 8.0)
+    if kind == "lp":
+        k, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+        A = draw(arrays(np.float64, (k, m), elements=unit))
+        b = draw(arrays(np.float64, (k,), elements=unit))
+        c = draw(arrays(np.float64, (m,), elements=unit))
+        Z = np.zeros((k, k))
+        return (np.block([[np.zeros((m, m)), -A.T, A.T], [A, Z, Z],
+                          [-A, Z, Z]]), np.concatenate([c, -b, b]))
+    N = draw(st.integers(1, 12))
+    values = draw(st.lists(unit, min_size=1, max_size=3))
+    q = np.array([draw(st.sampled_from(values)) for _ in range(N)])
+    # nudges across the tie test's edge, tol max |b| with tol = 1e4 eps
+    nudge = draw(arrays(np.float64, (N,), elements=st.sampled_from(
+        [0.0, 0.0, 0.5, 1.0, 1.5, -1.0])))
+    q = q + nudge * 1e4 * np.finfo(float).eps * np.abs(q).max()
+    return draw(arrays(np.float64, (N, N), elements=unit)), q
+
+
+class TestFirstRow:
+    @given(case=tied_lcps(),
+           precision=st.sampled_from([(np.float64, np.float64),
+                                      (np.longdouble, np.float64),
+                                      (np.longdouble, np.longdouble)]))
+    @settings(max_examples=150, deadline=None)
+    def test_it_is_the_lexicographic_rule_s_row(self, case, precision):
+        # z0 enters at _lex_min's row of (b, B^-1) with B^-1 = I, in each
+        # precision (and tolerance) lemke pivots in; after that pivot
+        # z0's column is the unit vector of its row
+        Q, q = case
+        dtype, eps = precision
+        N = len(q)
+        sq = np.abs(q).max(initial=0.0) or 1.0
+        sQ = np.abs(Q).max(initial=0.0) or 1.0
+        T = np.hstack([np.eye(N), -Q / sQ, -np.ones((N, 1)),
+                       q[:, None] / sq]).astype(dtype)
+        tol = 1e4 * np.finfo(eps).eps
+        row = _lex_min(T[:, -1], T, np.arange(N), np.ones(N), tol)
+        _pivot(T, 1, tol)
+        assert np.array_equal(T[:, 2 * N], np.eye(N)[row])
 
 
 class TestLinprog:
