@@ -78,10 +78,10 @@ def nearest_hull_point(vertices: np.ndarray, y: np.ndarray) -> np.ndarray:
     weights w, adds the vertex j minimizing <P_j, x> at x = P[S]' w
     (major cycle), and moves toward the affine minimizer of S, dropping
     the vertices whose weight that move zeroes (minor cycle).  It is
-    finite and exact.  It stops when no vertex lowers <P_j, x> below
-    <x, x> in floating point, when the entering vertex is already in S,
-    or when it leaves S again at once; the iteration cap only guards
-    against longer rounding cycles.  Ties go to the lowest vertex index.
+    finite and exact.  It stops when no vertex outside S lowers
+    <P_j, x> below <x, x> in floating point, or when the entering vertex
+    leaves S again at once; the iteration cap only guards against longer
+    rounding cycles.  Ties go to the lowest vertex index.
 
     The result is the convex combination V[S]' w of the original
     vertices, not y + x, which would cancel for far-away ``y``; for the
@@ -105,8 +105,11 @@ def nearest_hull_point(vertices: np.ndarray, y: np.ndarray) -> np.ndarray:
         # V_j.x round off eps |x| |p|, more than a thin face offers.  No
         # relative tolerance: it would leave p sqrt(tol) off near a face.
         gain = (p - V) @ x
+        # only a vertex outside S can enter: a corral vertex of weight
+        # near 0 can tie the one that should, on rounding alone
+        gain[S] = -np.inf
         j = int(np.argmax(gain))
-        if j in S or gain[j] <= 0.0:
+        if gain[j] <= 0.0:
             break
         corral = list(S)
         S.append(j)

@@ -109,6 +109,16 @@ class TestNearestHullPoint:
         for y, expected in ((-7.0, -2.0), (0.25, 0.25), (9.0, 3.0)):
             assert nearest_hull_point(V, np.array([y]))[0] == expected
 
+    def test_a_corral_vertex_tied_on_rounding_does_not_stop_it(self):
+        # the box [0, 4]^2 as its corners plus an inside point 1.35e-8
+        # above the lower face, and y on that face: a corral vertex of
+        # weight near 0 can tie the vertex that should enter, which must
+        # not end the loop 1.35e-8 off the answer (2, 0)
+        V = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0],
+                      [2.0, 1.35475e-8]])
+        p = nearest_hull_point(V, np.array([2.0, 0.0]))
+        assert np.allclose(p, [2.0, 0.0], rtol=0.0, atol=1e-15)
+
     def test_single_vertex(self):
         V = np.array([[1.0, -2.0]])
         p = nearest_hull_point(V, np.array([5.0, 5.0]))
