@@ -258,6 +258,11 @@ def gap_linear_qp(
                       "qp"), pivots)
 
 
+# the signs of the identity blocks of the linf LCP's Q
+_LINF_SIGNS = np.array([[0.0, 0.0, 1.0, -1.0], [0.0, 0.0, -1.0, 1.0],
+                        [-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]])
+
+
 def _gap_lcp(M: np.ndarray, x: np.ndarray, xs: np.ndarray, l1: bool
              ) -> tuple[np.ndarray, np.ndarray]:
     """The LCP (Q, q) of ``gap_linear_qp`` at the probe (x, x*)."""
@@ -271,17 +276,13 @@ def _gap_lcp(M: np.ndarray, x: np.ndarray, xs: np.ndarray, l1: bool
         return Q, np.concatenate([-y, y])
     Q = np.empty((4 * n, 4 * n))
     B = Q.reshape(4, n, 4, n)
-    # the +-I blocks, each with the signed zeros of +-eye, under the rest
+    # the +-I blocks first, -I with the -0.0 of -eye off its diagonal
+    # (the pivots can carry a zero's sign), then the rest over them
     np.multiply(_LINF_SIGNS[:, None, :, None], np.eye(n)[:, None, :], out=B)
     B[0, :, 0] = B[1, :, 1] = M
     B[0, :, 1] = B[1, :, 0] = -M
     B[2:, :, 2:] = 1.0
     return Q, np.concatenate([-xs, xs, x, -x])
-
-
-# the signs of the identity blocks of the linf LCP's Q
-_LINF_SIGNS = np.array([[0.0, 0.0, 1.0, -1.0], [0.0, 0.0, -1.0, 1.0],
-                        [-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]])
 
 
 def _piece_solve(M: np.ndarray, y: np.ndarray, a: np.ndarray, l1: bool

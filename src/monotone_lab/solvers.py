@@ -236,23 +236,23 @@ def lemke(Q: np.ndarray, q: np.ndarray, max_pivots: int = 100000
     enters at the most negative q_i, the last of the rows within the
     rounding tolerance of it: that is the lexicographic rule's row, as
     at the start B^-1 = I and its column e_k, which the rule reads in
-    turn, drops row k from the tie (``_pivot``).  Then the complement
-    of each leaving variable enters, until z0 leaves; a q that is >= 0
-    up to 1e-12 of max |q| needs no pivot.  The ratio test (``_ratio_test``) is lexicographic
-    in (basic values, B^-1) (Cottle, Pang & Stone, "The Linear
-    Complementarity Problem", 1992, 4.9), so a degenerate q, with tied
-    entries, is no special case, but it first takes Harris's tolerance
-    band and its large pivots.  Where Q spans many scales the exact
-    path can pivot on entries near 1e-10, and rounding can then end the
-    pivots on a ray or in a cycle, or the band can leave w a tolerance
-    below 0: such a run is pivoted again in extended precision
-    (``np.longdouble``, a 64-bit mantissa on x86), first with double's
-    rounding tolerance and then with its own, each with the pivots
-    left.  Returns (z, pivots): z is None when no run found a solution
-    (each ended on a secondary ray, where the entering column has no
-    positive entry, or in a cycle) or after ``max_pivots`` pivots in
-    all.  For a positive semidefinite Q the pivots end on a solution
-    whenever one exists (in exact arithmetic).
+    turn, drops row k from the tie (``_pivot``).  Then the complement of
+    each leaving variable enters, until z0 leaves; a q that is >= 0 up
+    to 1e-12 of max |q| needs no pivot.  The ratio test
+    (``_ratio_test``) is lexicographic in (basic values, B^-1) (Cottle,
+    Pang & Stone, "The Linear Complementarity Problem", 1992, 4.9), so a
+    degenerate q, with tied entries, is no special case, but it first
+    takes Harris's tolerance band and its large pivots.  Where Q spans
+    many scales the exact path can pivot on entries near 1e-10, and
+    rounding can then end the pivots on a ray or in a cycle, or the band
+    can leave w a tolerance below 0: such a run is pivoted again in
+    extended precision (``np.longdouble``, a 64-bit mantissa on x86),
+    first with double's rounding tolerance and then with its own, each
+    with the pivots left.  Returns (z, pivots): z is None when no run
+    found a solution (each ended on a secondary ray, where the entering
+    column has no positive entry, or in a cycle) or after ``max_pivots``
+    pivots in all.  For a positive semidefinite Q the pivots end on a
+    solution whenever one exists (in exact arithmetic).
     """
     q = np.asarray(q, dtype=float)
     Q = np.asarray(Q, dtype=float)

@@ -39,9 +39,9 @@ linear-map gap's LCP at the sizes where its ties and long pivot runs
 occur: ``tail_experiment([32, 64])`` and the gaps of psd+skew
 ``Linear`` maps at n = 32 on the l1 and linf pairs for three seeds, at
 a random probe and at the tied probe (0, 1). It uses public names only,
-so it runs on older checkouts too. The fuzz sets
-are boxes on the l1/linf pairs, where a distance to any other hull is
-a slow descent, and hulls on l2.
+so it runs on older checkouts too. The fuzz sets are boxes on the
+l1/linf pairs, where a distance to any other hull is a slow descent,
+and hulls on l2.
 
 ``--diff A B`` reads two ``--out`` files (A the parent's, say) and
 prints, for each label whose records moved, how many did and how: the
