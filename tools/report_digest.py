@@ -38,7 +38,10 @@ of its ``SumFn``), at a free point and at a graph point; and the
 linear-map gap's LCP at the sizes where its ties and long pivot runs
 occur: ``tail_experiment([32, 64])`` and the gaps of psd+skew
 ``Linear`` maps at n = 32 on the l1 and linf pairs for three seeds, at
-a random probe and at the tied probe (0, 1). It uses public names only,
+a random probe and at the tied probe (0, 1); and both strong-maximality
+searches on 20 seeds of 2-D monotone ``Linear`` maps B B'/2 + (K - K')/2
+with a box fuzz set on each pair (the family where the search has ended
+``unknown`` on a false premise). It uses public names only,
 so it runs on older checkouts too. The fuzz sets are boxes on the
 l1/linf pairs, where a distance to any other hull is a slow descent,
 and hulls on l2.
@@ -103,6 +106,8 @@ JOINT_SUMS = ("l2+half_sq", "translate", "l2+box")
 # the linear-map gap's LCP: tail rows, and psd+skew maps on l1 and linf
 LCP_TAIL_SIZES = (32, 64)
 LCP_DIM = 32
+# strong maximality on 2-D monotone linear maps with a box fuzz set
+STRONG_MAX_SEEDS = range(20)
 
 
 def plain(obj):
@@ -375,12 +380,36 @@ def lcp_records(lab):
                            S, lab.GapQuery(lab.PairedPoint(x, xs)))))
 
 
+def strong_max_records(lab):
+    """(label, record) for each strong-maximality call of the library
+    grid on 2-D monotone ``Linear`` maps B B'/2 + (K - K')/2, at w in
+    [-1, 1]^2 against a box in [-1, 1]^2 as Wt (dual side) and as W at
+    w* = w (primal side)."""
+    for j, norm in enumerate(NORMS):
+        pair = lab.DualPair(2, lab.NormTag(norm))
+        for seed in STRONG_MAX_SEEDS:
+            rng = np.random.default_rng([2, j, seed])
+            B, K = rng.normal(size=(2, 2, 2))
+            S = lab.Linear(pair=pair, M=0.5 * (B @ B.T + K - K.T))
+            w = rng.uniform(-1.0, 1.0, 2)
+            lo = rng.uniform(-1.0, 0.0, 2)
+            hi = lo + rng.uniform(0.0, 1.0, 2)
+            yield (f"strongmax/linear/{norm}/{seed}/dual", record(
+                lambda: lab.strong_max_dual(
+                    S, w, lab.box(lo, hi, side="dual"), LIBRARY_BUDGET,
+                    seed)))
+            yield (f"strongmax/linear/{norm}/{seed}/primal", record(
+                lambda: lab.strong_max_primal(
+                    S, lab.box(lo, hi), w, LIBRARY_BUDGET, seed)))
+
+
 def library_digest(lab, out_file=None) -> str:
     h = hashlib.sha256()
     for label, rec in itertools.chain(library_records(lab),
                                       sum_test_records(lab),
                                       sum_records(lab),
-                                      lcp_records(lab)):
+                                      lcp_records(lab),
+                                      strong_max_records(lab)):
         line = json.dumps({"workload": "library", "label": label, **rec},
                           sort_keys=True) + "\n"
         h.update(line.encode())
