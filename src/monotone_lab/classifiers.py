@@ -17,7 +17,8 @@ import numpy as np
 
 from .fitzpatrick import theta
 from .operators import FiniteGraph, MonotoneOperator, ResolventError, inverse
-from .sets import CompactConvexSet, Polytope
+from .quasidensity import fuzz_orbit
+from .sets import CompactConvexSet
 from .spaces import PairedPoint, first_min, row_dots
 
 _PREMISE_TOL = 1e-10
@@ -225,42 +226,40 @@ def strong_max_dual(
     budget: int = 200,
     seed: int = 0,
 ) -> StrongMaxResult:
-    """Tests max<s - w, s* - Wt> >= 0 over samples; when the premise
-    holds, searches for w* in Wt with (w, w*) in G(S)."""
+    """Tests the premise max<s - w, s* - Wt> >= 0 over sampled graph
+    rows, then on the rows of ``quasidensity.fuzz_orbit``: "found" when
+    (w, v) has residual <= 1e-6 at the orbit's last v, a point of Wt;
+    else "premise_failed" with an orbit row as witness, or "unknown"."""
     w = S.pair.check_dim(w, "w")
-    X, Xs = S.graph_rows(budget, seed)
-    # max over the fuzz set: <s-w, s*> + support(Wt, -(s-w))
-    vals = row_dots(X - w, Xs) + Wt.support(w - X)
-    i = first_min(vals)
-    if i is not None and vals[i] < -_PREMISE_TOL:
-        return StrongMaxResult(False, PairedPoint.of_rows(X[i], Xs[i]),
-                               False, None, np.inf, "premise_failed")
-
-    best_res, best_pt = np.inf, None
-    for v0 in _search_seeds(Wt, seed):
-        v = v0
-        for _ in range(200):
+    witness = _premise_witness(w, Wt, *S.graph_rows(budget, seed))
+    if witness is None:
+        X, Xs, v = fuzz_orbit(S, w, Wt)
+        point, res = None, np.inf
+        if v is not None:
+            point = PairedPoint(w, v)
             try:
                 res = S.residual(w, v)
             except ResolventError:
-                res = np.inf
-            if res < best_res:
-                best_res, best_pt = res, PairedPoint(w, v)
-            if res <= 1e-8:
-                break
-            try:
-                pt = S.resolvent(w + v)
-            except ResolventError:
-                break
-            v_new = Wt.project(pt.xstar)
-            if np.linalg.norm(v_new - v) <= 1e-14:
-                break
-            v = v_new
-        if best_res <= 1e-8:
-            break
-    found = best_res <= 1e-6
-    return StrongMaxResult(True, None, found, best_pt, best_res,
-                           "found" if found else "unknown")
+                pass
+        if res <= 1e-6:
+            return StrongMaxResult(True, None, True, point, res, "found")
+        witness = _premise_witness(w, Wt, X, Xs)
+        if witness is None:
+            return StrongMaxResult(True, None, False, point, res, "unknown")
+    return StrongMaxResult(False, witness, False, None, np.inf,
+                           "premise_failed")
+
+
+def _premise_witness(w: np.ndarray, Wt: CompactConvexSet, X: np.ndarray,
+                     Xs: np.ndarray) -> Optional[PairedPoint]:
+    """The first row (s, s*) of least premise value
+    <s - w, s*> + support(Wt, w - s), the max over the fuzz set of
+    <s - w, s* - w*>, when that value is below -1e-10; else None."""
+    vals = row_dots(X - w, Xs) + Wt.support(w - X)
+    i = first_min(vals)
+    if i is None or vals[i] >= -_PREMISE_TOL:
+        return None
+    return PairedPoint.of_rows(X[i], Xs[i])
 
 
 def strong_max_primal(
@@ -276,12 +275,3 @@ def strong_max_primal(
     res = strong_max_dual(inverse(S), wstar, W, budget, seed)
     return replace(res, premise_witness=_swapped(res.premise_witness),
                    point=_swapped(res.point))
-
-
-def _search_seeds(set_: CompactConvexSet, seed: int) -> list[np.ndarray]:
-    seeds = [set_.project(np.zeros(set_.dim))]
-    if isinstance(set_, Polytope):
-        seeds.extend(list(set_.vertices))
-    rng = np.random.default_rng(seed)
-    seeds.extend(set_.project(rng.normal(size=(3, set_.dim)) * 2.0))
-    return seeds

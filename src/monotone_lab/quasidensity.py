@@ -304,6 +304,40 @@ def _piece_solve(M: np.ndarray, y: np.ndarray, a: np.ndarray, l1: bool
     return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
+# the fixed-point orbit's step test and cap
+_ORBIT_STEP = 1e-13
+_ORBIT_CAP = 500
+
+
+def fuzz_orbit(
+    S: MonotoneOperator, w: np.ndarray, Wt: CompactConvexSet
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The orbit of T(v) = P_Wt(J_{S^-1}(w + v)) from v_0 = P_Wt(0), to a
+    step ||v_(k+1) - v_k||_2 <= 1e-13, 500 steps or a resolvent failure:
+    the resolvent points (s_k, s*_k) = J(w + v_k) as rows (X, X*), and
+    the last v_k resolved (None when none is).  T composes two firmly
+    nonexpansive maps and maps Wt into itself, so its iterates approach a
+    fixed point v, where s - w = v - s*: either s* = v lies in S(w) and
+    Wt, or <s - w, s*> + sigma_Wt(w - s) = -||s* - v||_2^2 breaks the
+    strong-maximality premise (and on l2 the dual-fuzzy objective is 0).
+    None of this holds for a finite graph's nearest-point resolvent."""
+    v = Wt.project(np.zeros(Wt.dim))
+    X, Xs, last = [], [], None
+    for _ in range(_ORBIT_CAP):
+        try:
+            pt = S.resolvent(w + v)
+        except ResolventError:
+            break
+        X.append(pt.x)
+        Xs.append(pt.xstar)
+        last = v
+        v_new = Wt.project(pt.xstar)
+        if np.linalg.norm(v_new - v) <= _ORBIT_STEP:
+            break
+        v = v_new
+    return np.reshape(X, (-1, w.size)), np.reshape(Xs, (-1, w.size)), last
+
+
 def _fuzz_candidates(set_: CompactConvexSet, anchors: np.ndarray
                      ) -> list[np.ndarray]:
     cands = list(set_.project(np.vstack([anchors, np.zeros(set_.dim)])))
@@ -321,36 +355,23 @@ def fuzzy_gap_dual(
 ) -> GapReport:
     """Infimum estimate of the dual-fuzzy objective
     ||s-w||^2/2 + dist(s*, Wt)^2/2 + max<s-w, s*-Wt> over G(S), scanned
-    like ``gap``'s rows; but for a finite graph, the rows gain the
-    points of an alternating resolvent search.  With no finite value
-    the report is +inf with no witness."""
+    like ``gap``'s rows; except for a finite graph, the rows gain the
+    points of ``fuzz_orbit`` and the resolvent points at the fuzz
+    candidates of the first five rows.  With no finite value the report
+    is +inf with no witness."""
     w = S.pair.check_dim(w, "w")
     X, Xs = S.graph_rows(budget, seed)
     finite = isinstance(S, FiniteGraph)
     if not finite:
-        # alternating refinement: plug a fuzz point, take the resolvent
-        # gap witness, re-project its dual component back into the fuzz
-        # set; then the fuzz candidates of the first five rows
+        OX, OXs, _ = fuzz_orbit(S, w, Wt)
         found = []
-        wt = Wt.project(np.zeros(Wt.dim))
-        for _ in range(12):
-            try:
-                pt = S.resolvent(w + wt)
-            except ResolventError:
-                break
-            found.append(pt)
-            wt_new = Wt.project(pt.xstar)
-            if np.linalg.norm(wt_new - wt) <= 1e-13:
-                break
-            wt = wt_new
-        anchors = np.vstack([Xs] + [p.xstar for p in found])[:5]
-        for wt0 in _fuzz_candidates(Wt, anchors):
+        for wt0 in _fuzz_candidates(Wt, np.vstack([Xs, OXs])[:5]):
             try:
                 found.append(S.resolvent(w + wt0))
             except ResolventError:
                 break
-        X = np.vstack([X] + [p.x for p in found])
-        Xs = np.vstack([Xs] + [p.xstar for p in found])
+        X = np.vstack([X, OX] + [p.x for p in found])
+        Xs = np.vstack([Xs, OXs] + [p.xstar for p in found])
     # max<s-w, s*-Wt> = <s-w, s*> + support(Wt, w-s)
     na = row_norms(X - w, S.pair.primal_norm)
     d = np.array([Wt.dist(xs, S.pair.dual_norm) for xs in Xs])

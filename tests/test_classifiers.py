@@ -1,6 +1,8 @@
 """Windowed class checks, the negative-infimum criterion and strong
 maximality with fuzz sets."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,16 @@ from monotone_lab import (
     NormTag,
     NormalCone,
     PairedPoint,
+    Polytope,
     Subdifferential,
     box,
     check_fp,
     check_fpv,
+    fuzzy_gap_dual,
+    fuzzy_gap_primal,
     interval,
     ni_infimum,
+    normal_cone,
     singleton,
     strong_max_dual,
     strong_max_primal,
@@ -235,6 +241,90 @@ class TestStrongMax:
             assert res.premise_holds
             assert res.found and res.residual <= 1e-6
 
+    def test_the_orbit_refutes_a_premise_the_sample_passed(self):
+        # Mw = (0.967, 0.02) lies outside Wt, so the conclusion fails and
+        # the premise must too; the sampled rows miss it, the orbit's
+        # fixed point breaks it
+        S = Linear(pair=PAIR2, M=np.array([[1.22, -0.92], [1.84, 0.86]]))
+        w = arr(0.31, -0.64)
+        Wt = box(arr(-0.36, -0.61), arr(0.65, 0.23), side="dual")
+        res = strong_max_dual(S, w, Wt)
+        assert (res.status, res.premise_holds, res.found) == (
+            "premise_failed", False, False)
+        p = res.premise_witness
+        assert S.contains(p.x, p.xstar) == "yes"
+        value = (p.x - w) @ p.xstar + Wt.support(w - p.x)
+        assert value == pytest.approx(-0.0204, abs=5e-5)
+
+
+def _orbit_case(seed, kind, n, norm, fuzz, side):
+    """A maximal monotone operator (a monotone ``Linear`` map, the normal
+    cone of a 4-point hull, or the subdifferential of the l2 or l1
+    norm), a point and a box or l2-ball fuzz set on the given side."""
+    rng = np.random.default_rng([seed, n, len(kind), len(norm), len(fuzz),
+                                 len(side)])
+    pair = DualPair(n, NormTag(norm))
+    if kind == "linear":
+        B, K = rng.normal(size=(2, n, n))
+        S = Linear(pair=pair, M=0.5 * (B @ B.T + K - K.T))
+    elif kind == "cone":
+        S = normal_cone(pair, Polytope(vertices=rng.uniform(-1.5, 1.5,
+                                                            (4, n))))
+    else:
+        S = Subdifferential(pair=pair, f=NormFn(n, 1.0, NormTag(kind)))
+    w = rng.uniform(-1.5, 1.5, n)
+    if fuzz == "box":
+        lo = rng.uniform(-1.5, 0.5, n)
+        F = box(lo, lo + rng.uniform(0.0, 1.0, n), side=side)
+        reach = float(np.max(np.sum(F.vertices ** 2, axis=1)))
+    else:
+        center, radius = rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 1.0)
+        F = Ball(side=side, center=center, radius=radius)
+        reach = (float(np.linalg.norm(center)) + radius) ** 2
+    return S, w, F, reach
+
+
+class TestFuzzOrbitSweep:
+    """Both strong-maximality searches over 384 seeded maximal cases:
+    the fixed-point orbit decides every one, each verdict checked on its
+    own.  A seeded sweep, not hypothesis: at an exact fixed point the
+    residual is 2 delta and the premise value -delta^2, so a thin band
+    of delta passes neither test."""
+
+    CASES = list(itertools.product(
+        range(4), ("linear", "cone", "l2", "l1"), (1, 2),
+        ("l1", "l2", "linf"), ("box", "ball"), ("dual", "primal")))
+
+    def test_every_case_is_decided_and_checked(self):
+        statuses = set()
+        for seed, kind, n, norm, fuzz, side in self.CASES:
+            S, w, F, reach = _orbit_case(seed, kind, n, norm, fuzz, side)
+            if side == "dual":
+                res = strong_max_dual(S, w, F, 16, seed)
+            else:
+                res = strong_max_primal(S, F, w, 16, seed)
+            statuses.add(res.status)
+            assert res.status != "unknown", (seed, kind, n, norm, fuzz,
+                                             side)
+            if res.status == "found":
+                pt = res.point
+                y = pt.xstar if side == "dual" else pt.x
+                assert F.dist(y, NormTag.L2) <= 1e-9
+                assert S.contains(pt.x, pt.xstar) == "yes"
+            else:
+                p = res.premise_witness
+                assert S.contains(p.x, p.xstar) == "yes"
+                if side == "dual":
+                    value = (p.x - w) @ p.xstar + F.support(w - p.x)
+                else:
+                    value = p.x @ (p.xstar - w) + F.support(w - p.xstar)
+                assert value < -1e-10
+            if norm == "l2":
+                fz = (fuzzy_gap_dual(S, w, F) if side == "dual"
+                      else fuzzy_gap_primal(S, F, w))
+                assert fz.value <= 1e-12 * (1.0 + w @ w + reach)
+        assert statuses == {"found", "premise_failed"}
+
 
 SKEW2 = Linear(pair=PAIR2, M=np.array([[0.0, 1.0], [-1.0, 0.0]]))
 GRAPH1 = FiniteGraph(pair=PAIR1, points=(PairedPoint([0.0], [0.5]),
@@ -252,7 +342,8 @@ def pinned(a, b):
 class TestRangeSideOnInverse:
     """check_fp and strong_max_primal run their dual-side twins on
     S^{-1}; the results are pinned to the mirrored routines they
-    replaced, and every witness or point lies in G(S)."""
+    replaced (the skew search to the fixed-point orbit that replaced
+    it), and every witness or point lies in G(S)."""
 
     @pytest.mark.parametrize("op, window, w, ws, premise, concl, wit", [
         ("abs", (-0.5, 0.5), [0.0], [0.0], True, "in", None),
@@ -288,9 +379,10 @@ class TestRangeSideOnInverse:
         ("cone", (-1.0, 1.0), [5.0], "found", ([1.0], [5.0]), 0.0),
         ("identity", (2.0, 3.0), [0.0], "premise_failed", None, np.inf),
         ("abs", (-0.5, 0.5), [0.3], "found", ([0.0], [0.3]), 0.0),
+        # the fixed-point orbit lands on M^-1 w* = (0.25, 0.5)
         ("skew", None, [0.5, -0.25], "found",
-         ([0.2500000037252903, 0.5000000074505806], [0.5, -0.25]),
-         8.33000234328132e-09),
+         ([0.25000000000005684, 0.5000000000001137], [0.5, -0.25]),
+         1.2710574864626038e-13),
         ("graph", (0.5, 1.5), [2.0], "found", ([1.0], [2.0]), 0.0),
         ("graph", (0.5, 1.5), [1.0], "unknown", ([0.5], [1.0]), 1.0),
     ])

@@ -328,7 +328,8 @@ class _NoGraph(MonotoneOperator):
 
 class TestPrimalFuzzOnInverse:
     """fuzzy_gap_primal runs fuzzy_gap_dual on S^{-1}; its reports are
-    pinned to the mirrored routine it replaced."""
+    pinned to the mirrored routine it replaced (the skew map's to the
+    fixed-point orbit that replaced its search)."""
 
     @pytest.mark.parametrize("S, W, ws, value, status, method, wit", [
         (GRAPH1, interval(2.0, 3.0), [0.0], 0.5, "exact", "enumeration",
@@ -339,9 +340,11 @@ class TestPrimalFuzzOnInverse:
          "upper_bound", "fuzzy_search", ([1.0], [0.30000000000000004])),
         (IDENTITY, interval(-1.0, 0.0), [0.5], 0.0, "upper_bound",
          "fuzzy_search", ([0.25], [0.25])),
+        # the fixed-point orbit reaches (x, Mx) = ((0.2, 0.3), w*), x in W
         (SKEW2, box(np.array([-0.5, 0.0]), np.array([0.5, 1.0])),
-         [0.3, -0.2], 0.005484619140625, "upper_bound", "fuzzy_search",
-         ([0.203125, 0.3046875], [0.3046875, -0.203125])),
+         [0.3, -0.2], 7.958078640513459e-14, "upper_bound", "fuzzy_search",
+         ([0.20000000000004547, 0.3000000000000682],
+          [0.3000000000000682, -0.20000000000004547])),
     ])
     def test_pinned(self, S, W, ws, value, status, method, wit):
         rep = fuzzy_gap_primal(S, W, np.array(ws))
