@@ -121,8 +121,8 @@ def gaps(
     stacked call, in which a row that fails fails alone and, as in
     ``gap``, takes the scan; every scan probe is scanned against one
     ``graph_rows`` draw; each other probe (a fuzz set, an LCP) takes its
-    own ``gap`` call.  A probe of the wrong size raises ``ValueError``
-    before any solve."""
+    own ``gap`` call.  A probe of the wrong size or with a non-finite
+    entry raises ``ValueError`` before any solve."""
     out: list = [None] * len(queries)
     paths = [_path(S, q) for q in queries]
     scan = [k for k, path in enumerate(paths) if path == "scan"]
@@ -164,8 +164,11 @@ def _path(S: MonotoneOperator, q: GapQuery) -> str:
     finite graph and a non-monotone ``Linear``, shifted or inverted (the
     exact paths assume a monotone map); else "oracle" on the Euclidean
     pair, "qp" for a ``Linear`` or its inverse off it, "scan" for the
-    rest.  Raises ``ValueError`` for a probe not of the pair's size."""
+    rest.  Raises ``ValueError`` for a probe not of the pair's size or
+    with a non-finite entry."""
     S.pair.check_dim(q.target.x, "probe")
+    if not np.isfinite(np.concatenate(q.target.as_tuple())).all():
+        raise ValueError("probe has a non-finite entry")
     if q.dual_fuzz is not None or q.primal_fuzz is not None:
         return "fuzzy"
     if isinstance(S, FiniteGraph):

@@ -102,6 +102,24 @@ class TestGap:
         with pytest.raises(ValueError, match="probe has shape"):
             gaps(S, [GapQuery(pp([0.5, 0.5], [0.2, 0.2])), q])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("side", ["x", "xstar"])
+    @pytest.mark.parametrize("kind", ["linear", "norm"])
+    @pytest.mark.parametrize("norm", list(NormTag))
+    def test_a_non_finite_probe_is_refused(self, norm, kind, side, bad):
+        # ((inf, 0), (1, 0)) once gave a NaN "exact" gap of the identity
+        # on l2, a numpy error from the LCP on l1 and a ResolventError
+        # for the l2 norm's subdifferential on l1
+        pair = DualPair(2, norm)
+        S = (Linear(pair=pair, M=np.eye(2)) if kind == "linear"
+             else Subdifferential(pair=pair, f=NormFn(2)))
+        v, u = [bad, 0.0], [1.0, 0.0]
+        q = GapQuery(pp(v, u) if side == "x" else pp(u, v))
+        with pytest.raises(ValueError, match="non-finite"):
+            gap(S, q)
+        with pytest.raises(ValueError, match="non-finite"):
+            gaps(S, [GapQuery(pp([0.5, 0.5], [0.2, 0.2])), q])
+
 
 class TestNonMonotoneLinear:
     @pytest.mark.parametrize("M", [[[-1.0]], [[1.0, 0.0], [0.0, -1.0]],
