@@ -342,10 +342,10 @@ def fuzz_orbit(
 
 
 def _fuzz_candidates(set_: CompactConvexSet, anchors: np.ndarray
-                     ) -> list[np.ndarray]:
-    cands = list(set_.project(np.vstack([anchors, np.zeros(set_.dim)])))
+                     ) -> np.ndarray:
+    cands = set_.project(np.vstack([anchors, np.zeros(set_.dim)]))
     if isinstance(set_, Polytope):
-        cands.extend(list(set_.vertices))
+        cands = np.vstack([cands, set_.vertices])
     return cands
 
 
@@ -359,22 +359,20 @@ def fuzzy_gap_dual(
     """Infimum estimate of the dual-fuzzy objective
     ||s-w||^2/2 + dist(s*, Wt)^2/2 + max<s-w, s*-Wt> over G(S), scanned
     like ``gap``'s rows; except for a finite graph, the rows gain the
-    points of ``fuzz_orbit`` and the resolvent points at the fuzz
-    candidates of the first five rows.  With no finite value the report
+    points of ``fuzz_orbit`` and, in one stacked resolvent call, those
+    at the fuzz candidates of the first five rows, up to the first that
+    fails.  With no finite value the report
     is +inf with no witness."""
     w = S.pair.check_dim(w, "w")
     X, Xs = S.graph_rows(budget, seed)
     finite = isinstance(S, FiniteGraph)
     if not finite:
         OX, OXs, _ = fuzz_orbit(S, w, Wt)
-        found = []
-        for wt0 in _fuzz_candidates(Wt, np.vstack([Xs, OXs])[:5]):
-            try:
-                found.append(S.resolvent(w + wt0))
-            except ResolventError:
-                break
-        X = np.vstack([X, OX] + [p.x for p in found])
-        Xs = np.vstack([Xs, OXs] + [p.xstar for p in found])
+        CX, CXs, ok = S.resolvent(w + _fuzz_candidates(
+            Wt, np.vstack([Xs, OXs])[:5]))
+        k = int(np.cumprod(ok).sum())  # the rows up to the first failure
+        X = np.vstack([X, OX, CX[:k]])
+        Xs = np.vstack([Xs, OXs, CXs[:k]])
     # max<s-w, s*-Wt> = <s-w, s*> + support(Wt, w-s)
     na = row_norms(X - w, S.pair.primal_norm)
     d = np.array([Wt.dist(xs, S.pair.dual_norm) for xs in Xs])
