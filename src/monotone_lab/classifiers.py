@@ -68,7 +68,7 @@ def _windowed_check(
         raise ValueError("the reference point must lie inside the window")
 
     X, Xs = S.graph_rows(budget, seed)
-    PX, PXs = _window_probes(S, window, w, wstar, Xs, seed)
+    PX, PXs = _window_probes(S, window, wstar, Xs, seed)
     X, Xs = np.vstack([X, PX]), np.vstack([Xs, PXs])
     inside = window.region.interior_mask(X, tol=1e-12)
     X, Xs = X[inside], Xs[inside]
@@ -92,7 +92,6 @@ def _windowed_check(
 def _window_probes(
     S: MonotoneOperator,
     window: LocalWindow,
-    w: np.ndarray,
     wstar: np.ndarray,
     base_xstar: np.ndarray,
     seed: int,
@@ -103,7 +102,7 @@ def _window_probes(
     The default sample cloud tracks the graph's own scale and can miss
     the window entirely, which would let a premise pass by blindness;
     these probes target z = u + v with u drawn inside the window and v
-    taken from the probe pair and the sampled partner components, then
+    taken from w* and the sampled partner components, then
     re-aim once at u + p* with the observed partner p* so that the
     windowed component lands near u.  The points come in the order
     p_0, q_0, p_1, q_1, ... (q_k the re-aimed p_k) and stop at the first

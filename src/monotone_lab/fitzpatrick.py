@@ -370,8 +370,6 @@ def phi_conj(
     S: MonotoneOperator,
     ystar: np.ndarray,
     ystarstar: np.ndarray,
-    budget: int = 200,
-    seed: int = 0,
 ) -> FitzEvaluation:
     """Conjugate of the Fitzpatrick function at (y*, y**).
 
@@ -452,12 +450,10 @@ def theta_conj(
     S: MonotoneOperator,
     wstarstar: np.ndarray,
     wstar: np.ndarray,
-    budget: int = 200,
-    seed: int = 0,
 ) -> FitzEvaluation:
     """Conjugate of theta at (w**, w*); equals phi_conj(w*, w**) under
     the finite-dimensional identification (rename the sup variable)."""
-    return phi_conj(S, wstar, wstarstar, budget, seed)
+    return phi_conj(S, wstar, wstarstar)
 
 
 def fitz_membership(

@@ -449,7 +449,6 @@ def _task_br(sc: Scenario, task: dict) -> list[dict]:
 
 def tail_experiment(
     n_list: list[int],
-    probe_rule=None,
     step_cap: int = 100000,
 ) -> list[dict]:
     """Gap upper bounds for tail-map truncations under the l1/linf pair.
@@ -465,11 +464,7 @@ def tail_experiment(
     rows = []
     for n in n_list:
         T = tail_operator(int(n))
-        if probe_rule is not None:
-            x, xstar = probe_rule(int(n))
-            x, xstar = _vec(x), _vec(xstar)
-        else:
-            x, xstar = np.zeros(n), np.ones(n)
+        x, xstar = np.zeros(n), np.ones(n)
         target = PairedPoint(x, xstar)
         row = {"anchor": "tail truncation gap at the designated probe",
                "n": int(n)}

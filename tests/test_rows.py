@@ -382,11 +382,11 @@ FAILS = [(), (0,), (1,), (2,), (7,), (8,), (57,), (125,), (3, 4)]
 
 class TestWindowProbes:
     WINDOW = LocalWindow(interval(-0.5, 1.5))
-    W, WS = np.array([0.5]), np.array([0.5])
+    WS = np.array([0.5])
 
     def _probes(self, S):
         _, Xs = S.graph_rows(10, 3)
-        return _window_probes(S, self.WINDOW, self.W, self.WS, Xs, 3)
+        return _window_probes(S, self.WINDOW, self.WS, Xs, 3)
 
     def _reference(self, fail):
         """The aims of the reference loop with no failure, in the order

@@ -350,8 +350,7 @@ def sum_records(lab):
                         "phi": lambda: lab.phi(S, x, xs, LIBRARY_BUDGET, k),
                         "fitz_membership": lambda: lab.fitz_membership(
                             S, xs, x, budget=LIBRARY_BUDGET, seed=k),
-                        "phi_conj": lambda: lab.phi_conj(
-                            S, xs, x, LIBRARY_BUDGET, k),
+                        "phi_conj": lambda: lab.phi_conj(S, xs, x),
                     }
                     if group == "joint":
                         calls["contains"] = lambda: S.contains(x, xs)
