@@ -65,8 +65,8 @@ class GapReport:
     witness: PairedPoint
     status: str  # "exact" or "upper_bound"
     # "enumeration", "resolvent" (the exact Euclidean oracle), "qp",
-    # "sampled", or "fuzzy_search" (the fuzzy gaps' alternating
-    # resolvent search, an upper bound)
+    # "sampled", or "fuzzy_search" (the fuzzy gaps' scan of the sample
+    # and the fixed-point orbit's rows, an upper bound)
     method: str
 
 
@@ -361,8 +361,7 @@ def fuzzy_gap_dual(
     like ``gap``'s rows; except for a finite graph, the rows gain the
     points of ``fuzz_orbit`` and, in one stacked resolvent call, those
     at the fuzz candidates of the first five rows, up to the first that
-    fails.  With no finite value the report
-    is +inf with no witness."""
+    fails.  With no finite value the report is +inf with no witness."""
     w = S.pair.check_dim(w, "w")
     X, Xs = S.graph_rows(budget, seed)
     finite = isinstance(S, FiniteGraph)

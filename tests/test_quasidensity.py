@@ -310,7 +310,7 @@ class TestFuzzy:
             assert fuzz <= plain + 1e-10
 
     def test_search_is_labelled_apart_from_the_exact_oracle(self):
-        # the alternating-resolvent search is a heuristic upper bound,
+        # the fuzzy scan of the sample and the orbit is an upper bound,
         # while the plain gap of the same map is the exact oracle
         w, ws = np.array([0.3]), np.array([1.4])
         dual = fuzzy_gap_dual(ABS_OP, w, interval(1.0, 2.0, side="dual"))
