@@ -41,10 +41,11 @@ occur: ``tail_experiment([32, 64])`` and the gaps of psd+skew
 a random probe and at the tied probe (0, 1); and both strong-maximality
 searches on 20 seeds of 2-D monotone ``Linear`` maps B B'/2 + (K - K')/2
 with a box fuzz set on each pair (the family where the search has ended
-``unknown`` on a false premise). It uses public names only,
-so it runs on older checkouts too. The fuzz sets are boxes on the
-l1/linf pairs, where a distance to any other hull is a slow descent,
-and hulls on l2.
+``unknown`` on a false premise); and both fuzzy gaps of finite graphs,
+their inverses and linear maps on the l1 and linf pairs at seeds 1 and 2
+against a hull of n + 2 random vertices, which is no box. It uses
+public names only, so it runs on older checkouts too. The fuzz sets of
+the operator grid are boxes on the l1/linf pairs and hulls on l2.
 
 ``--diff A B`` reads two ``--out`` files (A the parent's, say) and
 prints, for each label whose records moved, how many did and how: the
@@ -108,6 +109,8 @@ LCP_TAIL_SIZES = (32, 64)
 LCP_DIM = 32
 # strong maximality on 2-D monotone linear maps with a box fuzz set
 STRONG_MAX_SEEDS = range(20)
+# both fuzzy gaps against a hull that is no box, on the l1/linf pairs
+FUZZY_HULL_KINDS = ("graph", "inverse_graph", "linear")
 
 
 def plain(obj):
@@ -402,13 +405,36 @@ def strong_max_records(lab):
                     S, lab.box(lo, hi), w, LIBRARY_BUDGET, seed)))
 
 
+def fuzzy_hull_records(lab):
+    """(label, record) for each fuzzy gap of the library grid against a
+    hull of n + 2 random vertices: ``FUZZY_HULL_KINDS`` on the l1 and
+    linf pairs at library seeds 1 and 2 (n = 2, 3), on the dual side at
+    x and on the primal side at x*."""
+    for seed in LIBRARY_SEEDS[1:]:
+        n = 1 + seed
+        for j, norm in enumerate(("l1", "linf")):
+            pair = lab.DualPair(n, lab.NormTag(norm))
+            for k, kind in enumerate(FUZZY_HULL_KINDS):
+                rng = np.random.default_rng([n, j, k, seed])
+                S = make_op(lab, rng, pair, kind)
+                x, xs = rng.uniform(-2.0, 2.0, (2, n))
+                W = make_set(lab, rng, n, "hull")
+                Wt = make_set(lab, rng, n, "hull", "dual")
+                label = f"fuzzy_hull/{kind}/{norm}/{seed}"
+                yield f"{label}/dual", record(lambda: lab.fuzzy_gap_dual(
+                    S, x, Wt, LIBRARY_BUDGET, seed))
+                yield f"{label}/primal", record(lambda: lab.fuzzy_gap_primal(
+                    S, W, xs, LIBRARY_BUDGET, seed))
+
+
 def library_digest(lab, out_file=None) -> str:
     h = hashlib.sha256()
     for label, rec in itertools.chain(library_records(lab),
                                       sum_test_records(lab),
                                       sum_records(lab),
                                       lcp_records(lab),
-                                      strong_max_records(lab)):
+                                      strong_max_records(lab),
+                                      fuzzy_hull_records(lab)):
         line = json.dumps({"workload": "library", "label": label, **rec},
                           sort_keys=True) + "\n"
         h.update(line.encode())
