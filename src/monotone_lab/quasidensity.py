@@ -358,10 +358,11 @@ def fuzzy_gap_dual(
 ) -> GapReport:
     """Infimum estimate of the dual-fuzzy objective
     ||s-w||^2/2 + dist(s*, Wt)^2/2 + max<s-w, s*-Wt> over G(S), scanned
-    like ``gap``'s rows; except for a finite graph, the rows gain the
-    points of ``fuzz_orbit`` and, in one stacked resolvent call, those
-    at the fuzz candidates of the first five rows, up to the first that
-    fails.  With no finite value the report is +inf with no witness."""
+    like ``gap``'s rows (exact for a finite graph: ``dist`` is exact);
+    otherwise the rows gain the points of ``fuzz_orbit`` and, in one
+    stacked resolvent call, those at the fuzz candidates of the first
+    five rows, up to the first that fails.  With no finite value the
+    report is +inf with no witness."""
     w = S.pair.check_dim(w, "w")
     X, Xs = S.graph_rows(budget, seed)
     finite = isinstance(S, FiniteGraph)
@@ -374,7 +375,7 @@ def fuzzy_gap_dual(
         Xs = np.vstack([Xs, OXs, CXs[:k]])
     # max<s-w, s*-Wt> = <s-w, s*> + support(Wt, w-s)
     na = row_norms(X - w, S.pair.primal_norm)
-    d = np.array([Wt.dist(xs, S.pair.dual_norm) for xs in Xs])
+    d = Wt.dist(Xs, S.pair.dual_norm)
     vals = (0.5 * na * na + 0.5 * d * d + row_dots(X - w, Xs)
             + Wt.support(w - X))
     method = "enumeration" if finite else "fuzzy_search"

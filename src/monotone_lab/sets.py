@@ -9,14 +9,14 @@ package needs is a vertex list, a ball, or a segment fattened by a ball
 A polytope whose vertices include every corner of their bounding box is
 that axis-aligned box and projects by a coordinatewise clip; other hulls
 use Wolfe's algorithm.  A capsule fattened by an l1 or linf ball is a
-polytope and projects as one.  ``project`` and ``support`` take a point
-(n,) or a stack (m, n): each closed form (a clip, an l2 or linf ball,
-every support function) runs once over the last axis, bit for bit the
-point's result in each row; Wolfe hulls, l1 balls and l2 capsules loop
-the rows of a projection.  l2 distances are always exact.
-l1/linf distances are exact on boxes (linf balls and box-shaped capsules
-included) and on every 1-D set; to a non-box set in dimension >= 2 they
-remain the upper bound of a projected subgradient descent.
+polytope and projects as one.  ``project``, ``support`` and ``dist``
+take a point (n,) or a stack (m, n): each closed form (a clip, an l2 or
+linf ball, every support function) runs once over the last axis, bit
+for bit the point's result in each row; Wolfe hulls, l1 balls and l2
+capsules loop the rows of a projection.  Distances are exact in every
+norm: the gap to the Euclidean projection under l2 and on boxes (every
+1-D set included), else one LP over a hull's weights, a ball's closed
+form, or a bracket over a capsule's segment.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solvers import nearest_hull_point, project_ball, subgradient_descent
-from .spaces import (NormTag, each_row, norm_subgradient, row_dots,
-                     row_norms, vector_norm)
+from .solvers import linprog, nearest_hull_point, project_ball
+from .spaces import NormTag, each_row, row_dots, row_norms, vector_norm
 
 _LEX_TOL = 1e-12
+_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _lex_smallest(points: np.ndarray) -> np.ndarray:
@@ -82,36 +82,26 @@ class CompactConvexSet:
         y = self._check(y)
         return self.dist(y, NormTag.L2) <= tol
 
-    def dist(self, y: np.ndarray, norm: NormTag = NormTag.L2) -> float:
-        """inf over the set of ||y - z||_norm.
+    def dist(self, y: np.ndarray,
+             norm: NormTag = NormTag.L2) -> float | np.ndarray:
+        """inf over the set of ||y - z||_norm, of a point ``y`` (n,) as a
+        float or of each row of a stack ``y`` (m, n), bit for bit.
 
-        Exact as ||y - p|| at the Euclidean projection p when norm is l2,
-        and under l1/linf wherever p is also nearest in that norm: on
-        boxes, where the distance is the sum or max of per-coordinate
-        interval distances, and on every 1-D set, where all three norms
-        are |.|.  Under l1/linf to a non-box set in dimension >= 2, a
-        projected subgradient descent from p reports the best upper bound
-        found.
+        ||y - p|| at the Euclidean projection p under l2 and on boxes,
+        where p is nearest in every norm; else the set's exact ``_dist``
+        row by row.  A row with a NaN gives NaN, else one with an inf
+        +inf, before any solve.
         """
-        y = self._check(y)
-        p0 = self.project(y)
-        if norm is NormTag.L2:
-            return float(np.linalg.norm(y - p0))
-        if self._is_box():
-            return vector_norm(y - p0, norm)
-
-        def obj(z: np.ndarray) -> float:
-            return vector_norm(y - z, norm)
-
-        def sub(z: np.ndarray) -> np.ndarray:
-            return -norm_subgradient(y - z, norm)
-
-        scale = max(1.0, float(np.linalg.norm(y - p0)))
-        _, best, _ = subgradient_descent(
-            obj, sub, [p0], step_scale=0.3 * scale, max_steps=3000,
-            project=self.project,
-        )
-        return min(best, obj(p0))
+        y = np.asarray(y, dtype=float)
+        Y = self._check_rows(y) if y.ndim == 2 else self._check(y)[None]
+        d = np.abs(Y).max(axis=1, initial=0.0)  # NaN or inf if a row is
+        # a slice when every row is finite, so that Y[ok] is a view
+        ok = slice(None) if np.isfinite(d).all() else np.isfinite(d)
+        if norm is NormTag.L2 or self._is_box():
+            d[ok] = row_norms(Y[ok] - self._project(Y[ok]), norm)
+        else:
+            d[ok] = [self._dist(row, norm) for row in Y[ok]]
+        return d if y.ndim == 2 else float(d[0])
 
     def _is_box(self) -> bool:
         """Whether the set is an axis-aligned box, so that its Euclidean
@@ -131,8 +121,8 @@ class CompactConvexSet:
         correct for full-dimensional sets; balls use their closed form.
         """
         P = self._probes(Y, tol)
-        return np.array([all(self.contains(p, tol) for p in rows)
-                         for rows in P], dtype=bool)
+        d = self.dist(P.reshape(-1, self.dim))
+        return np.all(d.reshape(P.shape[:2]) <= tol, axis=1)
 
     def _probes(self, Y: np.ndarray, tol: float) -> np.ndarray:
         """(m, 2n+1, n) stack: each row of Y, then y + delta e_i and
@@ -165,8 +155,8 @@ class Polytope(CompactConvexSet):
     When the vertices include every corner of their bounding box [lo, hi]
     (a degenerate side lo_i == hi_i gives one coordinate value, and every
     1-D vertex list qualifies), the hull is that box: it projects by
-    ``np.clip(y, lo, hi)`` and its l1/linf distances are exact.  Any other
-    hull projects by Wolfe's algorithm (``solvers.nearest_hull_point``).
+    ``np.clip(y, lo, hi)``.  Any other hull projects by Wolfe's algorithm
+    (``solvers.nearest_hull_point``), and its l1/linf distance is one LP.
     """
 
     vertices: np.ndarray = None  # type: ignore[assignment]
@@ -205,13 +195,23 @@ class Polytope(CompactConvexSet):
     def _is_box(self) -> bool:
         return self._box is not None
 
-    def interior_mask(self, Y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        if self._box is None:
-            return super().interior_mask(Y, tol)
-        P = self._probes(Y, tol)
-        # contains is dist <= tol, and dist is ||y - clip(y)||_2 on a box
-        return np.all(row_norms(P - self._project(P), NormTag.L2) <= tol,
-                      axis=1)
+    def _dist(self, y: np.ndarray, norm: NormTag) -> float:
+        """||y - V'w|| at the LP's simplex weights w, clipped and summing
+        to 1: y - V'w = u - v, u, v >= 0, minimising 1'(u + v) under l1;
+        under linf also u + v + s = t 1, s >= 0, minimising t."""
+        k, n = self.vertices.shape
+        A = np.block([[self.vertices.T, np.eye(n), -np.eye(n)],
+                      [np.ones((1, k)), np.zeros((1, 2 * n))]])
+        b, c = np.append(y, 1.0), np.r_[np.zeros(k), np.ones(2 * n)]
+        if norm is NormTag.LINF:
+            A = np.block([[A, np.zeros((n + 1, n + 1))], [np.zeros((n, k)),
+                          np.tile(np.eye(n), 3), -np.ones((n, 1))]])
+            b, c = np.r_[b, np.zeros(n)], np.r_[np.zeros(k + 3 * n), 1.0]
+        lam, _, _ = linprog(c, A, b)
+        if lam is None:  # no solution in rounding; p is a hull point too
+            return vector_norm(y - self._project(y), norm)
+        w = np.maximum(lam[:k], 0.0)
+        return vector_norm(y - (w / w.sum()) @ self.vertices, norm)
 
 
 def _box_bounds(V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -287,11 +287,33 @@ class Ball(CompactConvexSet):
         y = self._check(y)
         return vector_norm(y - self.center, self.norm) <= self.radius + tol
 
-    def dist(self, y: np.ndarray, norm: NormTag = NormTag.L2) -> float:
-        y = self._check(y)
+    def _dist(self, y: np.ndarray, norm: NormTag) -> float:
+        """(||y - c|| - r)+ in the ball's norm; from an l2 ball, under l1
+        sum (a_i - lam)+ at ||min(a, lam)||_2 = r, under linf the least t
+        with ||(a - t)+||_2 <= r; from an l1 ball, under linf, the least t
+        with sum (a_i - t)+ <= r, for a = |y - c|, on its piece of sorted a."""
+        a, r = np.sort(np.abs(y - self.center))[::-1], self.radius
         if norm is self.norm:
-            return max(0.0, vector_norm(y - self.center, norm) - self.radius)
-        return super().dist(y, norm)
+            return max(0.0, vector_norm(a, norm) - r)
+        if vector_norm(a, self.norm) <= r:
+            return 0.0
+        if norm is NormTag.L1:
+            tail = np.append(np.cumsum((a * a)[::-1])[::-1][1:], 0.0)
+            j = np.arange(1, a.size + 1)
+            k = max(1, np.count_nonzero(j * a * a + tail >= r * r))
+            lam = np.sqrt(max(0.0, r * r - tail[k - 1]) / k)
+            return float(np.sum(np.maximum(a - lam, 0.0)))
+        # at t = a_j: G_j = sum (a_i - t)+ and H_j = sum (a_i - t)+^2
+        P = np.maximum(a[:, None] - a, 0.0)
+        G, H = P.sum(axis=0), (P * P).sum(axis=0)
+        if self.norm is NormTag.L1:
+            k = np.count_nonzero(G <= r)
+            return max(0.0, float(a[k - 1] - (r - G[k - 1]) / k))
+        # t = a_k - s with H_k + 2 s G_k + k s^2 = r^2, s >= 0
+        k = np.count_nonzero(H <= r * r)
+        q = r * r - H[k - 1]
+        s = q / (G[k - 1] + np.sqrt(G[k - 1] ** 2 + k * q)) if q > 0 else 0.0
+        return max(0.0, float(a[k - 1] - s))
 
     def _is_box(self) -> bool:
         return self.dim == 1 or self.norm is NormTag.LINF
@@ -390,21 +412,16 @@ class Capsule(CompactConvexSet):
             p = self.a if va > vb else self.b
         return p + self.radius * _dual_unit(y, self.norm)
 
-    def _project_segment(self, y: np.ndarray) -> np.ndarray:
-        d = self.b - self.a
-        dd = float(d @ d)
-        if dd == 0.0:
-            return self.a.copy()
-        t = float(np.clip((y - self.a) @ d / dd, 0.0, 1.0))
-        return self.a + t * d
-
     def _project(self, y: np.ndarray) -> np.ndarray:
         if self._hull is not None:
             return self._hull._project(y)
         return each_row(self._project_l2, y)
 
     def _project_l2(self, y: np.ndarray) -> np.ndarray:
-        p = self._project_segment(y)
+        d = self.b - self.a
+        dd = float(d @ d)
+        t = float(np.clip((y - self.a) @ d / dd, 0.0, 1.0)) if dd else 0.0
+        p = self.a + t * d
         gap = y - p
         n = np.linalg.norm(gap)
         if n <= self.radius:
@@ -414,9 +431,27 @@ class Capsule(CompactConvexSet):
     def _is_box(self) -> bool:
         return self._hull._is_box() if self._hull else super()._is_box()
 
-    def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
-        y = self._check(y)
-        p = self._project_segment(y)
-        if vector_norm(y - p, self.norm) <= self.radius + tol:
-            return True
-        return super().contains(y, tol)
+    def _dist(self, y: np.ndarray, norm: NormTag) -> float:
+        """The hull's LP; for an l2 capsule, the least ball distance of
+        z - theta d (z = y - a, d = b - a; convex in theta in [0, 1]) met
+        by a golden-section bracket that stops when its ends meet."""
+        if self._hull is not None:
+            return self._hull._dist(y, norm)
+        z, d = y - self.a, self.b - self.a
+        ball = Ball(center=np.zeros(self.dim), radius=self.radius)
+
+        def phi(t: float) -> float:
+            return ball._dist(z - t * d, norm)
+
+        lo, hi, best = 0.0, 1.0, min(phi(0.0), phi(1.0))
+        while True:
+            t1, t2 = hi - _GOLD * (hi - lo), lo + _GOLD * (hi - lo)
+            if not lo < t1 < t2 < hi or np.array_equal(z - t1 * d,
+                                                       z - t2 * d):
+                return best
+            f1, f2 = phi(t1), phi(t2)
+            best = min(best, f1, f2)
+            if f1 <= f2:
+                hi = t2
+            if f2 <= f1:
+                lo = t1

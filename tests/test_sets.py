@@ -10,13 +10,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from monotone_lab import (Ball, Capsule, DualPair, NormFn, NormTag,
-                          PairedPoint, Polytope, Subdifferential, box,
-                          interval, singleton)
+from monotone_lab import (Ball, Capsule, DualPair, FiniteGraph, NormFn,
+                          NormTag, PairedPoint, Polytope, Subdifferential,
+                          box, interval, singleton)
 from monotone_lab import quasidensity, sets as sets_module
+from monotone_lab import solvers as solvers_module
 from monotone_lab.cli import main
+from monotone_lab.harness import run_scenario
 from monotone_lab.quasidensity import GapQuery
-from monotone_lab.solvers import nearest_hull_point
+from monotone_lab.solvers import linprog, nearest_hull_point
 from monotone_lab.spaces import vector_norm
 
 SQUARE = Polytope(vertices=np.array([[1.0, 1.0], [1.0, -1.0],
@@ -325,9 +327,9 @@ def _refuse(*args, **kwargs):
 
 @contextlib.contextmanager
 def no_descent():
-    """Context in which ``sets.dist`` cannot fall back to the descent."""
+    """Context in which any call of the subgradient descent fails."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sets_module, "subgradient_descent", _refuse)
+        mp.setattr(solvers_module, "subgradient_descent", _refuse)
         yield
 
 
@@ -430,6 +432,167 @@ class TestExactDistances:
                          + c * (x - s) + rho * abs(x - s))
                 assert rec["value"] == pytest.approx(exact, rel=1e-12,
                                                      abs=1e-15)
+
+
+# conv{(0, 0), (1, 0.2), (0.3, 1)}: from (1, 1) the l1 distance is 0.7 and
+# the linf distance 28/75, both attained on the edge to (0.3, 1)
+TRIANGLE = [[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]]
+
+
+@contextlib.contextmanager
+def lp_certificates():
+    """Context that lists the certificate of each LP ``sets`` solves."""
+    certified = []
+
+    def wrapped(*args):
+        out = linprog(*args)
+        certified.append(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sets_module, "linprog", wrapped)
+        yield certified
+
+
+@st.composite
+def exact_sets(draw):
+    """A 2-D or 3-D hull (1-8 vertices drawn from a pool, so with
+    duplicates, or on one line), ball or capsule; a radius may be 0, so
+    that a capsule is a segment, diagonal as a rule."""
+    d = draw(st.integers(2, 3))
+    vec = arrays(np.float64, (d,), elements=st.floats(-5.0, 5.0))
+    kind = draw(st.sampled_from(["hull", "line", "ball", "capsule"]))
+    if kind == "hull":
+        pool = draw(st.lists(vec, min_size=1, max_size=5))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1,
+                              max_size=8))
+        return Polytope(vertices=np.array(picks))
+    if kind == "line":
+        a, step = draw(vec), draw(vec)
+        ts = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+        return Polytope(vertices=np.array([a + t * step for t in ts]))
+    norm = draw(st.sampled_from(list(NormTag)))
+    r = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    if kind == "ball":
+        return Ball(center=draw(vec), radius=r, norm=norm)
+    return Capsule(a=draw(vec), b=draw(vec), radius=r, norm=norm)
+
+
+def dual_units(norm, d, rng):
+    """Unit vectors of the norm dual to ``norm``, sign patterns and
+    coordinate vectors among them."""
+    if norm is NormTag.L1:  # linf units
+        U = np.vstack([np.array(list(itertools.product((-1.0, 1.0),
+                                                       repeat=d))),
+                       rng.uniform(-1.0, 1.0, (400, d))])
+        return U / np.max(np.abs(U), axis=1, keepdims=True)
+    U = np.vstack([np.eye(d), -np.eye(d), rng.normal(size=(400, d))])
+    return U / np.sum(np.abs(U), axis=1, keepdims=True)
+
+
+class TestExactSetDistance:
+    """l1/linf distances to every kind of set, against a sandwich that
+    uses only ``support`` and ``argmax_support``."""
+
+    @given(C=exact_sets(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_distance_lies_in_the_support_sandwich(self, C, data):
+        Y = data.draw(arrays(np.float64, (3, C.dim),
+                             elements=st.floats(-20.0, 20.0)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        with no_descent(), lp_certificates() as certified:
+            for norm in (NormTag.L1, NormTag.LINF):
+                D = C.dist(Y, norm)
+                U = dual_units(norm, C.dim, rng)
+                for y, dist in zip(Y, D):
+                    # weak duality: <u, y> - sigma_C(u) <= dist for every
+                    # dual unit u, and every point z of C gives ||y - z||
+                    lower = max(0.0, float(np.max(U @ y - C.support(U))))
+                    Z = np.vstack([C.project(y)] + [
+                        C.argmax_support(u) for u in U[::8]])
+                    upper = float(np.min([vector_norm(y - z, norm)
+                                          for z in Z]))
+                    scale = max(1.0, float(np.max(np.abs(Y))),
+                                float(np.max(np.abs(Z))))
+                    assert lower - 1e-12 * scale <= dist, (C, y, norm)
+                    assert dist <= upper + 1e-12 * scale, (C, y, norm)
+        assert all(certified)
+
+    @given(C=exact_sets(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_stack_is_the_point_row_by_row(self, C, data):
+        Y = data.draw(arrays(np.float64, (4, C.dim),
+                             elements=st.floats(-20.0, 20.0)))
+        with no_descent():
+            for norm in NormTag:
+                D = C.dist(Y, norm)
+                assert D.shape == (4,)
+                for y, dist in zip(Y, D):
+                    point = C.dist(y, norm)
+                    assert isinstance(point, float)
+                    assert dist.tobytes() == np.float64(point).tobytes()
+
+    def test_closed_forms(self):
+        y = np.array([2.0, 2.0])
+        l2 = Ball(center=np.zeros(2), radius=1.0)
+        l1 = Ball(center=np.zeros(2), radius=1.0, norm=NormTag.L1)
+        T = Polytope(vertices=TRIANGLE)
+        with no_descent():
+            assert l2.dist(y, NormTag.L1) == pytest.approx(
+                4.0 - np.sqrt(2.0), rel=0.0, abs=1e-15)
+            assert l2.dist(y, NormTag.LINF) == pytest.approx(
+                2.0 - 1.0 / np.sqrt(2.0), rel=0.0, abs=1e-15)
+            assert l1.dist(y, NormTag.LINF) == 1.5
+            assert T.dist(np.ones(2), NormTag.L1) == pytest.approx(
+                0.7, rel=0.0, abs=1e-15)
+            assert T.dist(np.ones(2), NormTag.LINF) == pytest.approx(
+                28 / 75, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("norm", list(NormTag))
+    def test_non_finite_rows(self, norm):
+        sets = [box([0.0, 0.0], [1.0, 1.0]), Polytope(vertices=TRIANGLE)]
+        sets += [Ball(center=[0.5, 0.0], radius=0.5, norm=tag)
+                 for tag in NormTag]
+        sets += [Capsule(a=[0.0, 0.0], b=[1.0, 2.0], radius=r, norm=tag)
+                 for tag in NormTag for r in (0.0, 0.3)]
+        inf, nan = np.inf, np.nan
+        Y = np.array([[nan, 0.0], [inf, 0.0], [0.0, -inf], [nan, inf],
+                      [1.0, 1.0]])
+        for s in sets:
+            D = s.dist(Y, norm)
+            assert np.isnan(D[[0, 3]]).all(), s
+            assert (D[[1, 2]] == inf).all(), s
+            assert np.isfinite(D[4]), s
+            for y, dist in zip(Y[:4], D):
+                assert np.array_equal(s.dist(y, norm), dist, equal_nan=True)
+
+    def test_finite_graph_fuzzy_gap_is_exact(self):
+        # the objective at the one graph point (0, (1, 1)) with w = 0 is
+        # half the squared linf distance of (1, 1) to the triangle
+        S = FiniteGraph(
+            pair=DualPair(2, NormTag.L1),
+            points=(PairedPoint([0.0, 0.0], [1.0, 1.0]),))
+        Wt = Polytope(side="dual", vertices=TRIANGLE)
+        rep = quasidensity.fuzzy_gap_dual(S, np.zeros(2), Wt)
+        assert (rep.status, rep.method) == ("exact", "enumeration")
+        assert rep.value == pytest.approx(392 / 5625, rel=0.0, abs=1e-15)
+
+    def test_overflowing_graph_row_leaves_the_fuzzy_gap(self):
+        # the l1 distance of (1e308, 1e308) overflows to +inf, so that
+        # row drops out; the other row gives 0.7^2 / 2
+        big = [1e308, 1e308]
+        data = {"schema": 1, "space": {"dim": 2, "norm": "linf"},
+                "operators": {"g": {"graph": [[big, big],
+                                              [[0.0, 0.0], [1.0, 1.0]]]}},
+                "tasks": [{"kind": "gap", "operator": "g", "seed": 0,
+                           "probes": [[[0.0, 0.0], [0.0, 0.0]]],
+                           "dual_fuzz": {"polytope": TRIANGLE}}]}
+        with np.errstate(over="ignore", invalid="ignore"):
+            task = run_scenario(data)["tasks"][0]
+        assert task["status"] == "ok", task
+        rec = task["records"][0]
+        assert (rec["status"], rec["method"]) == ("exact", "enumeration")
+        assert rec["value"] == pytest.approx(0.245, rel=0.0, abs=1e-15)
 
 
 def interior_reference(s, y, tol):
