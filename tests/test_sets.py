@@ -435,7 +435,8 @@ class TestExactDistances:
 
 
 # conv{(0, 0), (1, 0.2), (0.3, 1)}: from (1, 1) the l1 distance is 0.7 and
-# the linf distance 28/75, both attained on the edge to (0.3, 1)
+# the linf distance 28/75, both attained on the edge from (1, 0.2) to
+# (0.3, 1)
 TRIANGLE = [[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]]
 
 
