@@ -159,19 +159,18 @@ def run_op(op, lab, path: str | None) -> dict:
     return rec
 
 
-def make_set(lab, rng, n: int, kind: str, side: str = "primal"):
+def make_set(lab, rng, n: int, kind: str):
     if kind == "box":
         lo = rng.uniform(-2.0, 0.0, n)
-        return lab.box(lo, lo + rng.uniform(0.0, 2.0, n), side=side)
+        return lab.box(lo, lo + rng.uniform(0.0, 2.0, n))
     if kind == "hull":
-        return lab.Polytope(side=side,
-                            vertices=rng.uniform(-2.0, 2.0, (n + 2, n)))
+        return lab.Polytope(vertices=rng.uniform(-2.0, 2.0, (n + 2, n)))
     if kind == "capsule":
-        return lab.Capsule(side=side, a=rng.uniform(-1.0, 1.0, n),
+        return lab.Capsule(a=rng.uniform(-1.0, 1.0, n),
                            b=rng.uniform(-1.0, 1.0, n),
                            radius=float(rng.uniform(0.0, 1.0)),
                            norm=lab.NormTag(NORMS[int(rng.integers(3))]))
-    return lab.Ball(side=side, center=rng.uniform(-1.0, 1.0, n),
+    return lab.Ball(center=rng.uniform(-1.0, 1.0, n),
                     radius=float(rng.uniform(0.0, 2.0)),
                     norm=lab.NormTag(kind.split("_")[1]))
 
@@ -194,7 +193,7 @@ def make_fn(lab, rng, n: int, kind: str):
     if kind == "indicator":
         return lab.IndicatorFn(make_set(lab, rng, n, set_kind))
     if kind == "support":
-        return lab.SupportFn(make_set(lab, rng, n, set_kind, "dual"))
+        return lab.SupportFn(make_set(lab, rng, n, set_kind))
     if kind == "sum_folded":
         return lab.SumFn(lab.HalfSqNorm(n), make_fn(lab, rng, n, "norm"))
     # Douglas-Rachford, but for an l1 norm or in 1-D, where the box
@@ -220,8 +219,7 @@ def make_op(lab, rng, pair, kind: str):
     if kind == "normal_cone":
         return lab.normal_cone(pair, make_set(lab, rng, n, set_kind))
     if kind == "support_subdiff":
-        return lab.support_subdiff(pair,
-                                   make_set(lab, rng, n, set_kind, "dual"))
+        return lab.support_subdiff(pair, make_set(lab, rng, n, set_kind))
     if kind == "shift":
         return lab.Shift(pair=pair, inner=make_op(lab, rng, pair, "subdiff"),
                          dx=rng.normal(size=n), dxstar=rng.normal(size=n))
@@ -254,7 +252,7 @@ def library_records(lab):
                 x, xs = rng.uniform(-2.0, 2.0, (2, n))
                 fuzz = "box" if norm != "l2" else "hull"
                 W = make_set(lab, rng, n, fuzz)
-                Wt = make_set(lab, rng, n, fuzz, "dual")
+                Wt = make_set(lab, rng, n, fuzz)
                 probes = [lab.PairedPoint(*rng.uniform(-2.0, 2.0, (2, n)))
                           for _ in range(QD_PROBES)]
                 calls = {
@@ -329,7 +327,7 @@ def make_sum(lab, rng, pair, kind: str):
     B = lab.IndicatorFn(lab.box(lo, lo + rng.uniform(0.1, 2.0, n)))
     f, g = {"l1+box": (l1, B),
             "support+box": (lab.SupportFn(lab.box(
-                lo2, lo2 + rng.uniform(0.0, 2.0, n), side="dual")), B),
+                lo2, lo2 + rng.uniform(0.0, 2.0, n))), B),
             "half_sq+l1": (lab.HalfSqNorm(n), l1)}[kind]
     return lab.add(lab.Subdifferential(pair=pair, f=f),
                    lab.Subdifferential(pair=pair, f=g))
@@ -398,7 +396,7 @@ def strong_max_records(lab):
             hi = lo + rng.uniform(0.0, 1.0, 2)
             yield (f"strongmax/linear/{norm}/{seed}/dual", record(
                 lambda: lab.strong_max_dual(
-                    S, w, lab.box(lo, hi, side="dual"), LIBRARY_BUDGET,
+                    S, w, lab.box(lo, hi), LIBRARY_BUDGET,
                     seed)))
             yield (f"strongmax/linear/{norm}/{seed}/primal", record(
                 lambda: lab.strong_max_primal(
@@ -419,7 +417,7 @@ def fuzzy_hull_records(lab):
                 S = make_op(lab, rng, pair, kind)
                 x, xs = rng.uniform(-2.0, 2.0, (2, n))
                 W = make_set(lab, rng, n, "hull")
-                Wt = make_set(lab, rng, n, "hull", "dual")
+                Wt = make_set(lab, rng, n, "hull")
                 label = f"fuzzy_hull/{kind}/{norm}/{seed}"
                 yield f"{label}/dual", record(lambda: lab.fuzzy_gap_dual(
                     S, x, Wt, LIBRARY_BUDGET, seed))
