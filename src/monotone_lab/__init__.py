@@ -6,7 +6,6 @@ subgradient procedures, with a scenario-driven CLI."""
 from .br import BRRequest, BRResult, br_corollary, br_point, quasidense_witness, van_point
 from .classifiers import (
     ClassifierVerdict,
-    LocalWindow,
     StrongMaxResult,
     check_fp,
     check_fpv,

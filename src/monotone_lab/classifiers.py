@@ -25,29 +25,11 @@ _PREMISE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class LocalWindow:
-    """An open convex window, given as a closed set whose interior is
-    meant: points count as inside only strictly."""
-
-    region: CompactConvexSet
-    side: str = "primal"  # "primal" (domain window) or "dual" (range)
-
-    def __post_init__(self) -> None:
-        if self.side not in ("primal", "dual"):
-            raise ValueError("side must be 'primal' or 'dual'")
-
-    def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
-        return self.region.interior_contains(y, tol)
-
-
-@dataclass(frozen=True)
 class ClassifierVerdict:
     premise_holds: bool
     premise_witness: Optional[PairedPoint]
     conclusion: str  # "in" / "out" / "unknown"
     vacuous: bool
-    budget: int
-    seed: int
 
     @property
     def consistent_with_class(self) -> bool:
@@ -56,7 +38,7 @@ class ClassifierVerdict:
 
 def _windowed_check(
     S: MonotoneOperator,
-    window: LocalWindow,
+    U: CompactConvexSet,
     w: np.ndarray,
     wstar: np.ndarray,
     budget: int,
@@ -64,13 +46,13 @@ def _windowed_check(
 ) -> ClassifierVerdict:
     w = S.pair.check_dim(w, "w")
     wstar = S.pair.check_dim(wstar, "wstar")
-    if not window.contains(w):
+    if not U.interior_contains(w):
         raise ValueError("the reference point must lie inside the window")
 
     X, Xs = S.graph_rows(budget, seed)
-    PX, PXs = _window_probes(S, window, wstar, Xs, seed)
+    PX, PXs = _window_probes(S, U, wstar, Xs, seed)
     X, Xs = np.vstack([X, PX]), np.vstack([Xs, PXs])
-    inside = window.region.interior_mask(X, tol=1e-12)
+    inside = U.interior_mask(X, tol=1e-12)
     X, Xs = X[inside], Xs[inside]
     hits = len(X)
     vals = row_dots(X - w, Xs - wstar)
@@ -84,14 +66,12 @@ def _windowed_check(
         premise_witness=None if premise else PairedPoint.of_rows(X[i], Xs[i]),
         conclusion=conclusion,
         vacuous=hits == 0,
-        budget=budget,
-        seed=seed,
     )
 
 
 def _window_probes(
     S: MonotoneOperator,
-    window: LocalWindow,
+    U: CompactConvexSet,
     wstar: np.ndarray,
     base_xstar: np.ndarray,
     seed: int,
@@ -114,10 +94,9 @@ def _window_probes(
     empty = np.empty((0, S.pair.dim))
     if isinstance(S, FiniteGraph):
         return empty, empty
-    region = window.region
     rng = np.random.default_rng(seed + 17)
-    targets = region.project(np.vstack([
-        rng.normal(size=(8, region.dim)) * 3.0, np.zeros((1, region.dim))]))
+    targets = U.project(np.vstack([
+        rng.normal(size=(8, U.dim)) * 3.0, np.zeros((1, U.dim))]))
     partners = np.vstack([wstar, base_xstar[:6]])
     U = np.repeat(targets, len(partners), axis=0)
     Z = U + np.tile(partners, (len(targets), 1))
@@ -143,33 +122,31 @@ def _interleave(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def check_fpv(
     S: MonotoneOperator,
-    U: LocalWindow,
+    U: CompactConvexSet,
     w: np.ndarray,
     wstar: np.ndarray,
     budget: int = 200,
     seed: int = 0,
 ) -> ClassifierVerdict:
-    """Domain-side window test: every sampled (s, s*) with s in U must
-    satisfy <s - w, s* - w*> >= 0; the conclusion tests (w, w*) in
-    G(S)."""
-    if U.side != "primal":
-        raise ValueError("domain-side check needs a primal window")
+    """Domain-side window test: every sampled (s, s*) with s in the open
+    window U, the interior of the set U, must satisfy
+    <s - w, s* - w*> >= 0; w must lie in that interior, and the
+    conclusion tests (w, w*) in G(S)."""
     return _windowed_check(S, U, w, wstar, budget, seed)
 
 
 def check_fp(
     S: MonotoneOperator,
-    Ut: LocalWindow,
+    Ut: CompactConvexSet,
     w: np.ndarray,
     wstar: np.ndarray,
     budget: int = 200,
     seed: int = 0,
 ) -> ClassifierVerdict:
     """Range-side window test over sampled graph points with s* in the
-    dual window.  It is the domain-side test of S^{-1} at (w*, w), its
-    premise witness swapped back into G(S)."""
-    if Ut.side != "dual":
-        raise ValueError("range-side check needs a dual window")
+    open window Ut, the interior of the set Ut, which w* must lie in.
+    It is the domain-side test of S^{-1} at (w*, w), its premise witness
+    swapped back into G(S)."""
     w = S.pair.check_dim(w, "w")
     wstar = S.pair.check_dim(wstar, "wstar")
     v = _windowed_check(inverse(S), Ut, wstar, w, budget, seed)

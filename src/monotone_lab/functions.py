@@ -165,11 +165,8 @@ class NormFn(ConvexFn):
         return z - project_ball(z, lam * self.scale, self.kind.dual().value)
 
     def conjugate_fn(self) -> Optional[ConvexFn]:
-        ball = Ball(
-            side="dual", center=np.zeros(self.dim), radius=self.scale,
-            norm=self.kind.dual(),
-        )
-        return IndicatorFn(ball)
+        return IndicatorFn(Ball(np.zeros(self.dim), self.scale,
+                                self.kind.dual()))
 
 
 @dataclass(frozen=True)
@@ -240,7 +237,7 @@ class Affine(ConvexFn):
 
     def conjugate_fn(self) -> Optional[ConvexFn]:
         # conjugate is the indicator of {a} minus c
-        return Translate(IndicatorFn(singleton(self.a, side="dual")),
+        return Translate(IndicatorFn(singleton(self.a)),
                          shift=np.zeros(self.dim), tilt=np.zeros(self.dim),
                          offset=-self.c)
 

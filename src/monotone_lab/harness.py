@@ -15,7 +15,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -69,24 +69,20 @@ def parse_space(desc: dict) -> DualPair:
     return DualPair(int(desc["dim"]), NormTag.parse(desc.get("norm", "l2")))
 
 
-def parse_set(desc: dict, side: str = "primal") -> CompactConvexSet:
+def parse_set(desc: dict) -> CompactConvexSet:
     if not isinstance(desc, dict) or len(desc) == 0:
         raise ScenarioError("empty set descriptor")
-    side = desc.get("side", side)
     if "polytope" in desc:
-        return Polytope(side=side, vertices=np.asarray(desc["polytope"],
-                                                       dtype=float))
+        return Polytope(np.asarray(desc["polytope"], dtype=float))
     if "ball" in desc:
         b = desc["ball"]
-        return Ball(side=side, center=np.asarray(b["center"], float),
-                    radius=float(b["radius"]),
-                    norm=NormTag.parse(b.get("norm", "l2")))
+        return Ball(np.asarray(b["center"], float), float(b["radius"]),
+                    NormTag.parse(b.get("norm", "l2")))
     if "capsule" in desc:
         c = desc["capsule"]
-        return Capsule(side=side, a=np.asarray(c["a"], float),
-                       b=np.asarray(c["b"], float),
-                       radius=float(c.get("radius", 0.0)),
-                       norm=NormTag.parse(c.get("norm", "l2")))
+        return Capsule(np.asarray(c["a"], float), np.asarray(c["b"], float),
+                       float(c.get("radius", 0.0)),
+                       NormTag.parse(c.get("norm", "l2")))
     raise ScenarioError(f"unknown set descriptor key: {sorted(desc)[0]!r}")
 
 
@@ -102,7 +98,7 @@ def parse_fn(desc: dict) -> ConvexFn:
         return NormFn(int(n["dim"]), float(n.get("scale", 1.0)),
                       NormTag.parse(n.get("kind", "l2")))
     if "support" in desc:
-        return SupportFn(parse_set(desc["support"], side="dual"))
+        return SupportFn(parse_set(desc["support"]))
     if "indicator" in desc:
         return IndicatorFn(parse_set(desc["indicator"]))
     if "affine" in desc:
@@ -154,7 +150,7 @@ def parse_operator(desc: dict, pair: DualPair) -> MonotoneOperator:
     if "support_subdiff" in desc:
         return SupportSubdiff(
             pair=pair,
-            f=SupportFn(parse_set(desc["support_subdiff"], side="dual")),
+            f=SupportFn(parse_set(desc["support_subdiff"])),
         )
     if "shift" in desc:
         s = desc["shift"]
@@ -187,7 +183,8 @@ class Scenario:
     pair: DualPair
     operators: dict[str, MonotoneOperator]
     tasks: list[dict]
-    raw: dict = field(default_factory=dict)
+    # per task, the set and function descriptors its runner reads, parsed
+    descriptors: list[dict[str, Any]]
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -210,6 +207,7 @@ def parse_scenario(data: dict) -> Scenario:
     tasks = data.get("tasks", [])
     if not isinstance(tasks, list):
         raise ScenarioError("'tasks' must be a list")
+    descriptors = []
     for i, t in enumerate(tasks):
         if not isinstance(t, dict) or "kind" not in t:
             raise ScenarioError(f"task {i} needs a 'kind' key")
@@ -221,13 +219,35 @@ def parse_scenario(data: dict) -> Scenario:
             if key not in t:
                 raise ScenarioError(f"task {i} ({t['kind']}) needs a "
                                     f"{key!r} field")
+        for (kind, key), values in _CHOICES.items():
+            if t["kind"] == kind and t.get(key, values[0]) not in values:
+                raise ScenarioError(f"task {i} ({kind}) has unknown {key} "
+                                    f"{t[key]!r}; expected one of {values}")
         for key in ("operator", "S", "T"):
             ref = t.get(key)
             if ref is not None and (not isinstance(ref, str)
                                     or ref not in ops):
                 raise ScenarioError(f"task {i} references unknown operator "
                                     f"{ref!r}")
-    return Scenario(pair, ops, tasks, data)
+        descriptors.append(_parse_descriptors(i, t))
+    return Scenario(pair, ops, tasks, descriptors)
+
+
+def _parse_descriptors(i: int, task: dict) -> dict[str, Any]:
+    """The set and function descriptors that task ``i``'s runner reads,
+    parsed; a malformed one is a ScenarioError naming task and field."""
+    kind = task["kind"]
+    out = {}
+    for key in _DESCRIPTOR_FIELDS.get(
+            task["class"] if kind == "classify" else kind, ()):
+        if key in task:
+            try:
+                out[key] = (parse_fn if key == "fn" else parse_set)(task[key])
+            except (KeyError, TypeError, IndexError, ValueError) as exc:
+                raise ScenarioError(f"task {i} ({kind}) has a malformed "
+                                    f"{key!r}: {type(exc).__name__}: "
+                                    f"{exc}") from exc
+    return out
 
 
 def finite_float(text: str) -> float:
@@ -304,15 +324,10 @@ def _task_gap(sc: Scenario, task: dict) -> list[dict]:
                   for p in task["probes"]]
     else:
         probes = qd_mod.default_probes(S, int(task.get("count", 20)), seed)
-    fuzz_dual = fuzz_primal = None
-    if "dual_fuzz" in task:
-        fuzz_dual = parse_set(task["dual_fuzz"], side="dual")
-    if "primal_fuzz" in task:
-        fuzz_primal = parse_set(task["primal_fuzz"])
     # built first: GapQuery rejects a bad eta or two fuzz sets before any
     # solve
-    queries = [qd_mod.GapQuery(p, dual_fuzz=fuzz_dual,
-                               primal_fuzz=fuzz_primal, eta=eta)
+    queries = [qd_mod.GapQuery(p, dual_fuzz=task.get("dual_fuzz"),
+                               primal_fuzz=task.get("primal_fuzz"), eta=eta)
                for p in probes]
     records = []
     for p, rep in zip(probes, qd_mod.gaps(S, queries, budget, seed)):
@@ -362,7 +377,7 @@ def _task_classify(sc: Scenario, task: dict) -> list[dict]:
     S = sc.operators[task["operator"]]
     seed = int(task["seed"])
     budget = int(task.get("budget", 200))
-    cls = task.get("class")
+    cls = task["class"]
     if cls == "ni":
         w_star = _point(sc.pair, task["wstar"], "wstar")
         w_ss = _point(sc.pair, task["wstarstar"], "wstarstar")
@@ -374,13 +389,10 @@ def _task_classify(sc: Scenario, task: dict) -> list[dict]:
             "nonpositive": val <= 1e-6,
         }]
     if cls in ("fpv", "fp"):
-        side = "primal" if cls == "fpv" else "dual"
-        window = cls_mod.LocalWindow(parse_set(task["window"], side=side),
-                                     side=side)
         w = _point(sc.pair, task["w"], "w")
         wstar = _point(sc.pair, task["wstar"], "wstar")
         fn = cls_mod.check_fpv if cls == "fpv" else cls_mod.check_fp
-        v = fn(S, window, w, wstar, budget, seed)
+        v = fn(S, task["window"], w, wstar, budget, seed)
         return [{
             "anchor": "windowed local-maximality premise and graph "
                       "membership conclusion",
@@ -389,34 +401,27 @@ def _task_classify(sc: Scenario, task: dict) -> list[dict]:
             "vacuous": v.vacuous,
             "conclusion": v.conclusion,
             "consistent": v.consistent_with_class,
-            "budget": v.budget, "seed": v.seed,
+            "budget": budget, "seed": seed,
         }]
-    if cls == "strongmax":
-        side = task.get("fuzz_side", "dual")
-        if side == "dual":
-            res = cls_mod.strong_max_dual(
-                S, _point(sc.pair, task["w"], "w"),
-                parse_set(task["fuzz"], side="dual"), budget, seed,
-            )
-        else:
-            res = cls_mod.strong_max_primal(
-                S, parse_set(task["fuzz"]),
-                _point(sc.pair, task["wstar"], "wstar"), budget, seed,
-            )
-        return [{
-            "anchor": "fuzzy-set strong maximality search",
-            "class": "strongmax",
-            "premise_holds": res.premise_holds,
-            "status": res.status,
-            "point": _jsonable(res.point),
-            "residual": _jsonable(res.residual),
-        }]
-    raise ScenarioError(f"unknown classifier class {cls!r}")
+    if task.get("fuzz_side", "dual") == "dual":
+        res = cls_mod.strong_max_dual(S, _point(sc.pair, task["w"], "w"),
+                                      task["fuzz"], budget, seed)
+    else:
+        res = cls_mod.strong_max_primal(
+            S, task["fuzz"], _point(sc.pair, task["wstar"], "wstar"),
+            budget, seed)
+    return [{
+        "anchor": "fuzzy-set strong maximality search",
+        "class": "strongmax",
+        "premise_holds": res.premise_holds,
+        "status": res.status,
+        "point": _jsonable(res.point),
+        "residual": _jsonable(res.residual),
+    }]
 
 
 def _task_br(sc: Scenario, task: dict) -> list[dict]:
-    mode = task.get("mode")
-    fn = parse_fn(task["fn"])
+    mode, fn = task["mode"], task["fn"]
     if mode == "point":
         res = br_mod.br_point(br_mod.BRRequest(
             fn, _vec(task["u"]), float(task["alpha"]), float(task["beta"])
@@ -429,7 +434,7 @@ def _task_br(sc: Scenario, task: dict) -> list[dict]:
             "anchor": "near-zero subgradient pair",
             "mode": "van", "point": _jsonable(pt),
         }]
-    elif mode == "witness":
+    else:  # witness
         pt = br_mod.quasidense_witness(
             fn, _vec(task["x"]), _vec(task["xstar"]), float(task["eps"])
         )
@@ -437,8 +442,6 @@ def _task_br(sc: Scenario, task: dict) -> list[dict]:
             "anchor": "constructive gap witness",
             "mode": "witness", "point": _jsonable(pt),
         }]
-    else:
-        raise ScenarioError(f"unknown br mode {mode!r}")
     return [{
         "anchor": "approximate-minimizer subgradient certificates",
         "mode": mode, "s": _jsonable(res.s), "xstar": _jsonable(res.xstar),
@@ -595,7 +598,7 @@ _TASK_RUNNERS = {
 
 # the fields each runner reads without a default, by kind and then by the
 # kind's class or mode; a strongmax task also reads w (fuzz_side "dual",
-# the default) or wstar (any other side)
+# the default) or wstar (fuzz_side "primal")
 _TASK_FIELDS = {
     "gap": ("operator",),
     "fitz": ("operator",),
@@ -614,6 +617,21 @@ _MODE_FIELDS = {
     ("br", "van"): ("eps",),
     ("br", "witness"): ("x", "xstar", "eps"),
 }
+
+
+# the values a task's class, mode or fuzz side may take, by kind and
+# field; the first is the default where the field may be left out
+_CHOICES = {
+    ("classify", "class"): ("ni", "fpv", "fp", "strongmax"),
+    ("classify", "fuzz_side"): ("dual", "primal"),
+    ("br", "mode"): ("point", "corollary", "van", "witness"),
+    ("sum_test", "mode"): ("domain", "range"),
+}
+# the fields that hold a set or a function descriptor, by kind or by a
+# classify task's class
+_DESCRIPTOR_FIELDS = {"gap": ("dual_fuzz", "primal_fuzz"), "br": ("fn",),
+                      "fpv": ("window",), "fp": ("window",),
+                      "strongmax": ("fuzz",)}
 
 
 def _required_fields(task: dict) -> tuple[str, ...]:
@@ -643,7 +661,9 @@ def run_scenario(scenario: str | dict) -> dict:
                                  "task": task}
         t0 = time.perf_counter()
         try:
-            entry["records"] = _TASK_RUNNERS[task["kind"]](sc, task)
+            # the runner reads the task with its descriptors parsed
+            entry["records"] = _TASK_RUNNERS[task["kind"]](
+                sc, dict(task, **sc.descriptors[i]))
             entry["status"] = "ok"
         except ScenarioError:
             raise

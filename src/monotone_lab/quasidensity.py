@@ -89,7 +89,8 @@ def gap(
 ) -> GapReport:
     """Infimum estimate of the r-objective over G(S) at q.target, by the
     path ``_path`` picks; the LCP (``gap_linear_qp``) serves the inverse
-    of a map too, as r of S^{-1} at (x*, x) is r of S at (x, x*)."""
+    of a map too, as r of S^{-1} at (x*, x) is r of S at (x, x*); the
+    oracle and the scan run as ``gaps`` at the one probe."""
     path = _path(S, q)
     if path == "fuzzy":
         if q.dual_fuzz is not None:
@@ -101,12 +102,10 @@ def gap(
             return gap_linear_qp(S, q.target)[0]
         rep = gap_linear_qp(S.inner, q.target.swapped())[0]
         return replace(rep, witness=rep.witness.swapped())
-    if path == "oracle":
-        try:
-            return gap_euclidean_oracle(S, q.target)
-        except ResolventError:
-            pass
-    return _scan(S, q.target, *S.graph_rows(budget, seed))
+    rep = gaps(S, [q], budget, seed)[0]
+    if isinstance(rep, ResolventError):
+        raise rep
+    return rep
 
 
 def gaps(

@@ -40,9 +40,7 @@ def _lex_smallest(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompactConvexSet:
-    """Base for the three variants.  ``side`` marks primal vs dual ambient."""
-
-    side: str = "primal"
+    """Base for the three variants."""
 
     @property
     def dim(self) -> int:
@@ -159,7 +157,7 @@ class Polytope(CompactConvexSet):
     (``solvers.nearest_hull_point``), and its l1/linf distance is one LP.
     """
 
-    vertices: np.ndarray = None  # type: ignore[assignment]
+    vertices: np.ndarray
     # (lo, hi) when the hull is the vertices' bounding box, else None
     _box: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -208,9 +206,10 @@ class Polytope(CompactConvexSet):
                           np.tile(np.eye(n), 3), -np.ones((n, 1))]])
             b, c = np.r_[b, np.zeros(n)], np.r_[np.zeros(k + 3 * n), 1.0]
         lam, _, _ = linprog(c, A, b)
-        if lam is None:  # no solution in rounding; p is a hull point too
+        w = np.zeros(k) if lam is None else np.maximum(lam[:k], 0.0)
+        if not w.sum() > 0.0:  # unsolved, or y so far out that w has no
+            # mass in rounding and every hull point, p too, is nearest
             return vector_norm(y - self._project(y), norm)
-        w = np.maximum(lam[:k], 0.0)
         return vector_norm(y - (w / w.sum()) @ self.vertices, norm)
 
 
@@ -232,16 +231,16 @@ def _box_bounds(V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return (lo, hi) if np.unique(codes).size == 2**k else None
 
 
-def interval(lo: float, hi: float, side: str = "primal") -> Polytope:
+def interval(lo: float, hi: float) -> Polytope:
     """The 1-D polytope [lo, hi]."""
-    return Polytope(side=side, vertices=np.array([[float(lo)], [float(hi)]]))
+    return Polytope(np.array([[float(lo)], [float(hi)]]))
 
 
-def singleton(point: np.ndarray, side: str = "primal") -> Polytope:
-    return Polytope(side=side, vertices=np.atleast_2d(np.asarray(point, float)))
+def singleton(point: np.ndarray) -> Polytope:
+    return Polytope(np.atleast_2d(np.asarray(point, float)))
 
 
-def box(lo: np.ndarray, hi: np.ndarray, side: str = "primal") -> Polytope:
+def box(lo: np.ndarray, hi: np.ndarray) -> Polytope:
     """Axis-aligned box as an explicit vertex list."""
     lo = np.asarray(lo, float).ravel()
     hi = np.asarray(hi, float).ravel()
@@ -250,14 +249,14 @@ def box(lo: np.ndarray, hi: np.ndarray, side: str = "primal") -> Polytope:
     for mask in range(2**n):
         v = np.where([(mask >> i) & 1 for i in range(n)], hi, lo)
         corners.append(v)
-    return Polytope(side=side, vertices=np.array(corners))
+    return Polytope(np.array(corners))
 
 
 @dataclass(frozen=True)
 class Ball(CompactConvexSet):
     """Norm ball {x : ||x - center||_norm <= radius}."""
 
-    center: np.ndarray = None  # type: ignore[assignment]
+    center: np.ndarray
     radius: float = 0.0
     norm: NormTag = NormTag.L2
 
@@ -371,8 +370,8 @@ class Capsule(CompactConvexSet):
     an axis-parallel segment (a box, clipped); any other l2 capsule
     projects in closed form."""
 
-    a: np.ndarray = None  # type: ignore[assignment]
-    b: np.ndarray = None  # type: ignore[assignment]
+    a: np.ndarray
+    b: np.ndarray
     radius: float = 0.0
     norm: NormTag = NormTag.L2
     # conv({a, b} + V) where it projects as a polytope, else None
@@ -392,8 +391,8 @@ class Capsule(CompactConvexSet):
             V = np.zeros((1, self.dim))
         else:
             return
-        object.__setattr__(self, "_hull", Polytope(
-            side=self.side, vertices=np.vstack([self.a + V, self.b + V])))
+        object.__setattr__(self, "_hull",
+                           Polytope(np.vstack([self.a + V, self.b + V])))
 
     @property
     def dim(self) -> int:

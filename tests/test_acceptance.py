@@ -19,7 +19,6 @@ from monotone_lab import (
     HalfSqNorm,
     IndicatorFn,
     Linear,
-    LocalWindow,
     NormFn,
     NormTag,
     PairedPoint,
@@ -59,7 +58,7 @@ PAIR1 = DualPair(1, NormTag.L2)
 PAIR2 = DualPair(2, NormTag.L2)
 SQUARE = Polytope(vertices=np.array([[1.0, 1.0], [1.0, -1.0],
                                      [-1.0, 1.0], [-1.0, -1.0]]))
-SQUARE_DUAL = Polytope(side="dual", vertices=SQUARE.vertices)
+SQUARE_DUAL = Polytope(vertices=SQUARE.vertices)
 
 
 def _line(name: str, ok: bool, detail: str) -> None:
@@ -153,7 +152,7 @@ def test_criterion_03_subdifferential_quasidensity_both_paths():
         HalfSqNorm(1),
         NormFn(1),
         IndicatorFn(interval(-1.0, 1.0)),
-        SupportFn(interval(-1.0, 1.0, side="dual")),
+        SupportFn(interval(-1.0, 1.0)),
         Translate(NormFn(1), shift=arr(0.5), tilt=arr(-0.25)),
     ]
     rng = np.random.default_rng(303)
@@ -246,7 +245,7 @@ def test_criterion_05_extension_equals_conjugate_subdifferential():
         Quadratic(np.array([[1.0]]), arr(0.0)),
         NormFn(1),
         IndicatorFn(interval(-1.0, 1.0)),
-        SupportFn(interval(-1.0, 1.0, side="dual")),
+        SupportFn(interval(-1.0, 1.0)),
     ]
     disagreements = unknowns = total = 0
     for f in families:
@@ -284,7 +283,7 @@ def test_criterion_05_extension_equals_conjugate_subdifferential():
 
     # worked case B: the support subdifferential of Kt; membership iff
     # y* is in Kt and <y*, y**> attains sup<Kt, y**>
-    for Kt in (interval(-1.0, 1.0, side="dual"), SQUARE_DUAL):
+    for Kt in (interval(-1.0, 1.0), SQUARE_DUAL):
         pair = DualPair(Kt.dim, NormTag.L2)
         S = support_subdiff(pair, Kt)
         for _ in range(40):
@@ -323,12 +322,11 @@ def test_criterion_06_windowed_class_consistency():
         S = ops[trial % len(ops)]
         w = rng.uniform(-2.0, 2.0)
         ws = rng.uniform(-2.0, 2.0)
-        U = LocalWindow(interval(w - 1.0, w + 1.0))
+        U = interval(w - 1.0, w + 1.0)
         v = check_fpv(S, U, arr(w), arr(ws), budget=150, seed=trial)
         if v.premise_holds and v.conclusion == "out":
             bad += 1
-        Ut = LocalWindow(interval(ws - 1.0, ws + 1.0, side="dual"),
-                         side="dual")
+        Ut = interval(ws - 1.0, ws + 1.0)
         v = check_fp(S, Ut, arr(w), arr(ws), budget=150, seed=trial)
         if v.premise_holds and v.conclusion == "out":
             bad += 1
@@ -357,15 +355,13 @@ def test_criterion_07_strong_maximality():
     dual_configs = []
     for _ in range(10):
         c = rng.uniform(-1.0, 1.0)
-        dual_configs.append((sq_op, c, interval(c - 0.3, c + 0.3,
-                                                side="dual")))
+        dual_configs.append((sq_op, c, interval(c - 0.3, c + 0.3)))
     for _ in range(8):
         a = rng.uniform(-1.0, 0.8)
-        dual_configs.append((abs_op, 0.0, interval(a, a + 0.2,
-                                                   side="dual")))
+        dual_configs.append((abs_op, 0.0, interval(a, a + 0.2)))
     for _ in range(7):
         b = rng.uniform(0.0, 2.0)
-        dual_configs.append((cone, 1.0, interval(b, b + 0.5, side="dual")))
+        dual_configs.append((cone, 1.0, interval(b, b + 0.5)))
     assert len(dual_configs) == 25
     for S, w, Wt in dual_configs:
         res = strong_max_dual(S, arr(w), Wt)
@@ -396,7 +392,7 @@ def test_criterion_07_strong_maximality():
         w, ws = rng.uniform(-2, 2, size=2)
         plain = gap(abs_op, GapQuery(PairedPoint(arr(w), arr(ws)))).value
         d = fuzzy_gap_dual(abs_op, arr(w),
-                           singleton(arr(ws), side="dual")).value
+                           singleton(arr(ws))).value
         p = fuzzy_gap_primal(abs_op, singleton(arr(w)), arr(ws)).value
         reduction = max(reduction, abs(d - plain), abs(p - plain))
 

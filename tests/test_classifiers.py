@@ -13,7 +13,6 @@ from monotone_lab import (
     FiniteGraph,
     IndicatorFn,
     Linear,
-    LocalWindow,
     NormFn,
     NormTag,
     NormalCone,
@@ -47,7 +46,7 @@ def arr(*vals):
 
 class TestWindowedChecks:
     def test_fpv_graph_point_passes(self):
-        U = LocalWindow(interval(-2.0, 2.0))
+        U = interval(-2.0, 2.0)
         v = check_fpv(ABS_OP, U, arr(1.0), arr(1.0))
         assert v.premise_holds
         assert v.conclusion == "in"
@@ -56,7 +55,7 @@ class TestWindowedChecks:
 
     def test_fpv_off_graph_point_fails_premise(self):
         # (0.4, 0.5) is monotonically violated by nearby graph points
-        U = LocalWindow(interval(-2.0, 2.0))
+        U = interval(-2.0, 2.0)
         v = check_fpv(ABS_OP, U, arr(0.4), arr(0.5))
         assert not v.premise_holds
         assert v.premise_witness is not None
@@ -66,33 +65,26 @@ class TestWindowedChecks:
         assert v.consistent_with_class
 
     def test_fpv_vacuous_window(self):
-        U = LocalWindow(interval(5.0, 6.0))
+        U = interval(5.0, 6.0)
         v = check_fpv(CONE_OP, U, arr(5.5), arr(0.0))
         assert v.vacuous
         assert not v.premise_holds
 
     def test_fp_dual_window(self):
-        Ut = LocalWindow(interval(-0.5, 0.5, side="dual"), side="dual")
+        Ut = interval(-0.5, 0.5)
         v = check_fp(ABS_OP, Ut, arr(0.0), arr(0.0))
         assert v.premise_holds
         assert v.conclusion == "in"
 
     def test_fp_detects_dual_violation(self):
         # (0.5, 0.2): graph points (0, s*) with s* near 0.2 violate it
-        Ut = LocalWindow(interval(-0.9, 0.9, side="dual"), side="dual")
+        Ut = interval(-0.9, 0.9)
         v = check_fp(ABS_OP, Ut, arr(0.5), arr(0.2))
         assert not v.premise_holds
         assert v.consistent_with_class
 
-    def test_window_side_validation(self):
-        with pytest.raises(ValueError):
-            check_fpv(ABS_OP, LocalWindow(interval(0, 1, side="dual"),
-                                          side="dual"), arr(0.5), arr(1.0))
-        with pytest.raises(ValueError):
-            check_fp(ABS_OP, LocalWindow(interval(0, 1)), arr(0.5), arr(1.0))
-
     def test_anchor_must_be_interior(self):
-        U = LocalWindow(interval(-1.0, 1.0))
+        U = interval(-1.0, 1.0)
         with pytest.raises(ValueError):
             check_fpv(ABS_OP, U, arr(1.0), arr(1.0))  # boundary point
 
@@ -100,7 +92,7 @@ class TestWindowedChecks:
         # windowed premise plus membership failure never co-occur on
         # maximal families over many trial points
         rng = np.random.default_rng(2)
-        U = LocalWindow(interval(-3.0, 3.0))
+        U = interval(-3.0, 3.0)
         for _ in range(50):
             w = rng.uniform(-2.5, 2.5)
             ws = rng.uniform(-2.5, 2.5)
@@ -148,16 +140,14 @@ class TestBatchedWindowTest:
     def test_verdict_matches_scalar_interior_test(self, monkeypatch, op,
                                                   region, check):
         S, R = WINDOW_OPS[op], WINDOW_REGIONS[region]
-        side = "primal" if check == "fpv" else "dual"
         fn = check_fpv if check == "fpv" else check_fp
-        U = LocalWindow(R, side=side)
         for k, (w, ws) in enumerate([(arr(0.1, 0.05), arr(0.2, -0.1)),
                                      (arr(0.3, -0.2), arr(0.0, 0.0)),
                                      (arr(-0.2, 0.1), arr(0.4, 0.3))]):
-            got = fn(S, U, w, ws, budget=60, seed=k)
+            got = fn(S, R, w, ws, budget=60, seed=k)
             with monkeypatch.context() as mp:
                 mp.setattr(type(R), "interior_mask", scalar_interior_mask)
-                ref = fn(S, U, w, ws, budget=60, seed=k)
+                ref = fn(S, R, w, ws, budget=60, seed=k)
             assert (got.premise_holds, got.vacuous, got.conclusion) == \
                 (ref.premise_holds, ref.vacuous, ref.conclusion)
             if ref.premise_witness is None:
@@ -200,8 +190,7 @@ class TestNiInfimum:
 
 class TestStrongMax:
     def test_dual_kink_interval(self):
-        res = strong_max_dual(ABS_OP, arr(0.0), interval(0.2, 0.4,
-                                                         side="dual"))
+        res = strong_max_dual(ABS_OP, arr(0.0), interval(0.2, 0.4))
         assert res.premise_holds
         assert res.found
         assert res.residual <= 1e-6
@@ -209,13 +198,12 @@ class TestStrongMax:
 
     def test_dual_singleton_on_identity(self):
         res = strong_max_dual(IDENTITY, arr(1.0),
-                              singleton(arr(1.0), side="dual"))
+                              singleton(arr(1.0)))
         assert res.found
         assert res.point.xstar[0] == pytest.approx(1.0)
 
     def test_dual_premise_failure(self):
-        res = strong_max_dual(ABS_OP, arr(0.0), interval(2.0, 3.0,
-                                                         side="dual"))
+        res = strong_max_dual(ABS_OP, arr(0.0), interval(2.0, 3.0))
         assert not res.premise_holds
         assert res.status == "premise_failed"
         assert res.premise_witness is not None
@@ -237,7 +225,7 @@ class TestStrongMax:
             c = rng.uniform(-1.0, 1.0)
             res = strong_max_dual(
                 IDENTITY, arr(c),
-                interval(c - 0.3, c + 0.3, side="dual"))
+                interval(c - 0.3, c + 0.3))
             assert res.premise_holds
             assert res.found and res.residual <= 1e-6
 
@@ -247,7 +235,7 @@ class TestStrongMax:
         # fixed point breaks it
         S = Linear(pair=PAIR2, M=np.array([[1.22, -0.92], [1.84, 0.86]]))
         w = arr(0.31, -0.64)
-        Wt = box(arr(-0.36, -0.61), arr(0.65, 0.23), side="dual")
+        Wt = box(arr(-0.36, -0.61), arr(0.65, 0.23))
         res = strong_max_dual(S, w, Wt)
         assert (res.status, res.premise_holds, res.found) == (
             "premise_failed", False, False)
@@ -275,11 +263,11 @@ def _orbit_case(seed, kind, n, norm, fuzz, side):
     w = rng.uniform(-1.5, 1.5, n)
     if fuzz == "box":
         lo = rng.uniform(-1.5, 0.5, n)
-        F = box(lo, lo + rng.uniform(0.0, 1.0, n), side=side)
+        F = box(lo, lo + rng.uniform(0.0, 1.0, n))
         reach = float(np.max(np.sum(F.vertices ** 2, axis=1)))
     else:
         center, radius = rng.uniform(-1.0, 1.0, n), rng.uniform(0.1, 1.0)
-        F = Ball(side=side, center=center, radius=radius)
+        F = Ball(center=center, radius=radius)
         reach = (float(np.linalg.norm(center)) + radius) ** 2
     return S, w, F, reach
 
@@ -362,9 +350,9 @@ class TestRangeSideOnInverse:
     ])
     def test_check_fp_pinned(self, op, window, w, ws, premise, concl, wit):
         S = PINNED_OPS[op]
-        region = (box(arr(-1, -1), arr(1, 1), side="dual") if window is None
-                  else interval(*window, side="dual"))
-        v = check_fp(S, LocalWindow(region, side="dual"), arr(*w), arr(*ws))
+        region = (box(arr(-1, -1), arr(1, 1)) if window is None
+                  else interval(*window))
+        v = check_fp(S, region, arr(*w), arr(*ws))
         assert (v.premise_holds, v.conclusion, v.vacuous) == (premise, concl,
                                                              False)
         if wit is None:
@@ -405,7 +393,7 @@ class TestRangeSideOnInverse:
                 assert S.contains(res.point.x, res.point.xstar) == "yes"
 
     def test_shape_errors_name_the_callers_argument(self):
-        Ut = LocalWindow(interval(-1.0, 1.0, side="dual"), side="dual")
+        Ut = interval(-1.0, 1.0)
         with pytest.raises(ValueError, match="wstar"):
             check_fp(ABS_OP, Ut, arr(0.0), arr(0.0, 0.0))
         with pytest.raises(ValueError, match="wstar"):

@@ -491,13 +491,13 @@ FORMS = ("normal_cone", "subdiff_indicator", "support_subdiff",
 WRAPS = ("none", "shift", "inverse", "inverse_shift")
 
 
-def make_set(rng, n, kind, side="primal"):
+def make_set(rng, n, kind):
     if kind == "box":
         lo = rng.uniform(-2.0, 0.0, n)
-        return box(lo, lo + rng.uniform(0.1, 2.0, n), side=side)
+        return box(lo, lo + rng.uniform(0.1, 2.0, n))
     if kind == "hull":
-        return Polytope(side=side, vertices=rng.uniform(-2.0, 2.0, (n + 2, n)))
-    return Ball(side=side, center=rng.uniform(-1.0, 1.0, n),
+        return Polytope(vertices=rng.uniform(-2.0, 2.0, (n + 2, n)))
+    return Ball(center=rng.uniform(-1.0, 1.0, n),
                 radius=float(rng.uniform(0.1, 2.0)),
                 norm=NormTag(kind.split("_")[1]))
 
@@ -510,10 +510,10 @@ def make_form(rng, pair, form, set_kind, norm_kind):
         return Subdifferential(pair=pair,
                                f=IndicatorFn(make_set(rng, n, set_kind)))
     if form == "support_subdiff":
-        return support_subdiff(pair, make_set(rng, n, set_kind, "dual"))
+        return support_subdiff(pair, make_set(rng, n, set_kind))
     if form == "subdiff_support":
         return Subdifferential(
-            pair=pair, f=SupportFn(make_set(rng, n, set_kind, "dual")))
+            pair=pair, f=SupportFn(make_set(rng, n, set_kind)))
     return Subdifferential(pair=pair, f=NormFn(n, float(rng.uniform(0, 2)),
                                                norm_kind))
 
@@ -666,8 +666,7 @@ def separable_case(draw):
     l1 = NormFn(n, scale, NormTag.L1)
     f, g = {
         "l1+box": (l1, IndicatorFn(box(lo, lo + rng.uniform(0.1, 2.0, n)))),
-        "support+box": (SupportFn(box(lo2, lo2 + rng.uniform(0.0, 2.0, n),
-                                      side="dual")),
+        "support+box": (SupportFn(box(lo2, lo2 + rng.uniform(0.0, 2.0, n))),
                         IndicatorFn(box(lo, lo + rng.uniform(0.1, 2.0, n)))),
         "half_sq+l1": (HalfSqNorm(n), l1),
     }[kind]

@@ -41,7 +41,7 @@ def fn_families():
         HALF_SQ_1D,
         ABS,
         IndicatorFn(SQUARE),
-        SupportFn(Polytope(side="dual", vertices=SQUARE.vertices)),
+        SupportFn(Polytope(vertices=SQUARE.vertices)),
         Affine(np.array([1.0, -2.0]), 0.5),
         HalfSqNorm(2),
         Translate(NormFn(2), shift=np.array([0.5, 0.0]),
@@ -99,7 +99,7 @@ class TestConjugate:
         assert SumFn(NormFn(2), HalfSqNorm(2)).conjugate_fn() is None
         # the support function of [0, 1] plus zero: f* is the indicator
         # of [0, 1]
-        h = SumFn(SupportFn(interval(0.0, 1.0, side="dual")),
+        h = SumFn(SupportFn(interval(0.0, 1.0)),
                   Affine(np.array([0.0]), 0.0)).conjugate_fn()
         assert (h.eval(np.array([5.0])), h.eval(np.array([0.5]))) == \
             (np.inf, 0.0)
@@ -213,11 +213,11 @@ def _separable_fn(rng, n):
     kind = NormTag((NormTag.L1, NormTag.L2, NormTag.LINF)[rng.integers(3)])
     lo = rng.uniform(-2.0, 1.0, n)
     choices = [NormFn(n, float(rng.uniform(0.0, 2.0)), NormTag.L1),
-               SupportFn(box(lo, lo + rng.uniform(0.0, 2.0, n), side="dual"))]
+               SupportFn(box(lo, lo + rng.uniform(0.0, 2.0, n)))]
     if n == 1:
         choices += [
             NormFn(1, float(rng.uniform(0.0, 2.0)), kind),
-            SupportFn(Ball(side="dual", center=rng.uniform(-1.0, 1.0, 1),
+            SupportFn(Ball(center=rng.uniform(-1.0, 1.0, 1),
                            radius=float(rng.uniform(0.0, 2.0)), norm=kind)),
             Translate(NormFn(1), shift=rng.normal(size=1),
                       tilt=rng.normal(size=1), offset=0.5)]

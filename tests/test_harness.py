@@ -279,6 +279,92 @@ class TestScenarioValidation:
         assert captured.out == ""
         assert "task 0 (classify) needs a 'window' field" in captured.err
 
+    @pytest.mark.parametrize("task, field, error", [
+        ({"kind": "classify", "operator": "abs", "class": "fpv",
+          "window": {"ball": {"center": [0.0]}}, "w": [0.0],
+          "wstar": [0.0]}, "window", "KeyError: 'radius'"),
+        ({"kind": "classify", "operator": "abs", "class": "fp",
+          "window": {"polytope": [[0.0], [1.0, 2.0]]}, "w": [0.0],
+          "wstar": [0.0]}, "window", "ValueError"),
+        ({"kind": "classify", "operator": "abs", "class": "strongmax",
+          "fuzz": {"capsule": {"a": [0.0]}}, "w": [0.0]}, "fuzz",
+         "KeyError: 'b'"),
+        ({"kind": "gap", "operator": "abs", "count": 1,
+          "dual_fuzz": {"ball": {"radius": 1.0}}}, "dual_fuzz",
+         "KeyError: 'center'"),
+        ({"kind": "gap", "operator": "abs", "count": 1,
+          "primal_fuzz": {"sphere": {}}}, "primal_fuzz",
+         "ScenarioError: unknown set descriptor key: 'sphere'"),
+        ({"kind": "br", "mode": "corollary", "fn": {"norm": {}},
+          "beta": 0.1}, "fn", "KeyError: 'dim'"),
+    ])
+    def test_malformed_task_descriptor_exits_2(self, capsys, tmp_path,
+                                               task, field, error):
+        # refused before task 0, which is well formed, runs
+        data = base_scenario([{"kind": "gap", "operator": "abs", "seed": 0,
+                               "count": 1}, dict(task, seed=0)])
+        assert main(["run", write_scenario(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"task 1 ({task['kind']}) has a malformed {field!r}: "
+                f"{error}") in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--operator", '{"subdiff": {"norm": {"dim": 1}}}',
+          "--class", "fpv", "--task", '{"window": {"ball": {"center": '
+          '[0.0]}}, "w": [0.0], "wstar": [0.0]}'],
+         "task 0 (classify) has a malformed 'window': KeyError: 'radius'"),
+        (["br", "--mode", "point", "--fn", '{"norm": {}}', "--task",
+          '{"u": [0.1], "alpha": 0.1, "beta": 0.1}'],
+         "task 0 (br) has a malformed 'fn': KeyError: 'dim'"),
+    ])
+    def test_malformed_inline_descriptor_exits_2(self, capsys, argv,
+                                                 message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("task, message", [
+        ({"kind": "classify", "operator": "abs", "class": "strongmax",
+          "fuzz_side": "dusl", "fuzz": {"polytope": [[0.2], [0.4]]},
+          "w": [0.0], "wstar": [0.0]},
+         "task 1 (classify) has unknown fuzz_side 'dusl'"),
+        ({"kind": "classify", "operator": "abs", "class": "fpvv",
+          "w": [0.0], "wstar": [0.0]},
+         "task 1 (classify) has unknown class 'fpvv'"),
+        ({"kind": "br", "mode": "zz", "fn": {"half_sq": {"dim": 1}}},
+         "task 1 (br) has unknown mode 'zz'"),
+        ({"kind": "sum_test", "S": "abs", "T": "abs", "mode": "sideways"},
+         "task 1 (sum_test) has unknown mode 'sideways'"),
+    ])
+    def test_unknown_choice_exits_2_before_any_task(self, capsys, tmp_path,
+                                                     task, message):
+        data = base_scenario([{"kind": "gap", "operator": "abs", "seed": 0,
+                               "count": 1}, dict(task, seed=0)])
+        assert main(["run", write_scenario(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("cls, window, w, wstar", [
+        ("fpv", {"polytope": [[-1.0], [1.0]]}, [0.5], [1.0]),
+        ("fpv", {"ball": {"center": [0.0], "radius": 1.0}}, [0.0], [0.0]),
+        ("fp", {"polytope": [[-0.5], [0.5]]}, [0.0], [0.0]),
+    ])
+    def test_a_window_side_key_is_ignored(self, cls, window, w, wstar):
+        """A window descriptor may carry a "side" key, as the benchmark's
+        do; it reads as the same set."""
+        task = {"kind": "classify", "operator": "abs", "class": cls,
+                "seed": 2, "w": w, "wstar": wstar}
+        reports = [strip_timings(run_scenario(base_scenario(
+            [dict(task, window=dict(window, **side))])))
+            for side in ({}, {"side": "primal"}, {"side": "dual"})]
+        plain, *tagged = [r["tasks"][0] for r in reports]
+        assert plain["status"] == "ok"
+        for t in tagged:
+            assert t["records"] == plain["records"]
+
     def test_unknown_sum_operand(self):
         data = base_scenario([{"kind": "sum_test", "S": "abs", "T": "nope",
                                "seed": 0}])

@@ -139,7 +139,7 @@ class TestGraphSample:
             assert K.contains(x, tol=1e-7)
 
     def test_support_subdiff_range_stays_inside(self):
-        Kt = interval(-1.0, 1.0, side="dual")
+        Kt = interval(-1.0, 1.0)
         S = SupportSubdiff(pair=PAIR1, f=SupportFn(Kt))
         for xs in S.graph_rows(60, 3)[1]:
             assert Kt.contains(xs, tol=1e-7)
@@ -173,7 +173,7 @@ class TestMonotoneCheck:
             Subdifferential(pair=pair2, f=HalfSqNorm(2)),
             NormalCone(pair=pair2, f=IndicatorFn(square)),
             SupportSubdiff(pair=pair2, f=SupportFn(
-                Polytope(side="dual", vertices=square.vertices))),
+                Polytope(vertices=square.vertices))),
         ]
         for S in ops:
             assert monotone_check(S, budget=100, seed=1).ok
@@ -368,8 +368,7 @@ class TestFoldedSums:
         dr = Subdifferential(pair=pair, f=SumFn(NormFn(2), NormFn(2)))
         assert isinstance(add(dr, l2), SumOp)
         # the conjugates are the indicators of two boxes
-        P = parallel_sum(support_subdiff(pair, box(-np.ones(2), np.ones(2),
-                                                   side="dual")),
+        P = parallel_sum(support_subdiff(pair, box(-np.ones(2), np.ones(2))),
                          Subdifferential(pair=pair,
                                          f=NormFn(2, 1.0, NormTag.L1)))
         assert isinstance(P.inner, SumOp)
@@ -474,7 +473,7 @@ class TestResidual:
 
     def test_strong_max_finds_the_finite_point_past_a_nan_row(self):
         res = strong_max_dual(self.NAN_GRAPH, np.array([1.0]),
-                              interval(0.5, 1.5, side="dual"))
+                              interval(0.5, 1.5))
         assert res.found and res.residual == 0.0
         assert res.point.xstar[0] == 1.0
 

@@ -262,7 +262,7 @@ class TestFuzzy:
         # cross terms vanish and -2 already lies in Wt, so the value is 0
         G = FiniteGraph(pair=PAIR1, points=(PairedPoint([1.0], [-2.0]),))
         rep = fuzzy_gap_dual(G, np.array([1.0]),
-                             interval(-3.0, -1.0, side="dual"))
+                             interval(-3.0, -1.0))
         assert rep.status == "exact"
         assert rep.value == pytest.approx(0.0, abs=1e-12)
 
@@ -279,8 +279,7 @@ class TestFuzzy:
             ws = rng.normal() * 2
             plain = gap(ABS_OP, GapQuery(pp(w, ws))).value
             dual = fuzzy_gap_dual(ABS_OP, np.array([w]),
-                                  singleton(np.array([ws]),
-                                            side="dual")).value
+                                  singleton(np.array([ws]))).value
             primal = fuzzy_gap_primal(ABS_OP, singleton(np.array([w])),
                                       np.array([ws])).value
             assert dual == pytest.approx(plain, abs=1e-12)
@@ -295,7 +294,7 @@ class TestFuzzy:
         for _ in range(40):
             w = np.array([rng.normal() * 3])
             lo = rng.normal() * 2
-            Wt = interval(lo, lo + abs(rng.normal()), side="dual")
+            Wt = interval(lo, lo + abs(rng.normal()))
             assert fuzzy_gap_dual(G, w, Wt).value >= -1e-12
 
     def test_fuzzy_below_plain_on_resolvent_path(self):
@@ -306,14 +305,14 @@ class TestFuzzy:
             plain = gap(ABS_OP, GapQuery(pp(w, ws))).value
             fuzz = fuzzy_gap_dual(
                 ABS_OP, np.array([w]),
-                interval(ws - 0.5, ws + 0.5, side="dual")).value
+                interval(ws - 0.5, ws + 0.5)).value
             assert fuzz <= plain + 1e-10
 
     def test_search_is_labelled_apart_from_the_exact_oracle(self):
         # the fuzzy scan of the sample and the orbit is an upper bound,
         # while the plain gap of the same map is the exact oracle
         w, ws = np.array([0.3]), np.array([1.4])
-        dual = fuzzy_gap_dual(ABS_OP, w, interval(1.0, 2.0, side="dual"))
+        dual = fuzzy_gap_dual(ABS_OP, w, interval(1.0, 2.0))
         primal = fuzzy_gap_primal(ABS_OP, interval(0.0, 1.0), ws)
         for rep in (dual, primal):
             assert (rep.status, rep.method) == ("upper_bound",
@@ -322,7 +321,7 @@ class TestFuzzy:
 
     def test_query_rejects_double_fuzz(self):
         with pytest.raises(ValueError):
-            GapQuery(pp(0.0, 0.0), dual_fuzz=interval(0, 1, side="dual"),
+            GapQuery(pp(0.0, 0.0), dual_fuzz=interval(0, 1),
                      primal_fuzz=interval(0, 1))
 
 

@@ -39,7 +39,7 @@ from monotone_lab import (
     monotone_check,
     singleton,
 )
-from monotone_lab.classifiers import LocalWindow, _window_probes, check_fpv
+from monotone_lab.classifiers import _window_probes, check_fpv
 from monotone_lab.fitzpatrick import phi
 from monotone_lab.quasidensity import GapQuery, fuzzy_gap_dual, gap, gaps
 from monotone_lab.solvers import project_ball
@@ -358,9 +358,8 @@ class _Scripted(MonotoneOperator):
         return X, X
 
 
-def _reference_probes(S, window, wstar, base_xstar, seed):
+def _reference_probes(S, region, wstar, base_xstar, seed):
     """The one-point-at-a-time loop the stacked probes replace."""
-    region = window.region
     rng = np.random.default_rng(seed + 17)
     targets = [region.project(rng.normal(size=region.dim) * 3.0)
                for _ in range(8)]
@@ -381,7 +380,7 @@ FAILS = [(), (0,), (1,), (2,), (7,), (8,), (57,), (125,), (3, 4)]
 
 
 class TestWindowProbes:
-    WINDOW = LocalWindow(interval(-0.5, 1.5))
+    WINDOW = interval(-0.5, 1.5)
     WS = np.array([0.5])
 
     def _probes(self, S):
@@ -429,7 +428,7 @@ class TestNonFiniteCandidates:
         # (x - w)(x* - w*) is NaN, +inf, -0.5, -0.25 in this order
         G = FiniteGraph(pair=DualPair(1), points=tuple(
             PairedPoint([0.5], [s]) for s in (np.nan, np.inf, -1.0, -0.5)))
-        v = check_fpv(G, LocalWindow(interval(-1.0, 1.0)), [0.0], [0.0],
+        v = check_fpv(G, interval(-1.0, 1.0), [0.0], [0.0],
                       budget=4)
         assert not v.premise_holds
         assert v.premise_witness.xstar[0] == -1.0
@@ -437,7 +436,7 @@ class TestNonFiniteCandidates:
     def test_premise_holds_when_only_nan_and_plus_inf(self):
         G = FiniteGraph(pair=DualPair(1), points=(
             PairedPoint([0.5], [np.nan]), PairedPoint([0.5], [np.inf])))
-        v = check_fpv(G, LocalWindow(interval(-1.0, 1.0)), [0.0], [0.0],
+        v = check_fpv(G, interval(-1.0, 1.0), [0.0], [0.0],
                       budget=4)
         assert v.premise_holds and v.premise_witness is None
 
@@ -465,7 +464,7 @@ class TestNonFiniteCandidates:
         assert ev.witness.x[0] == 1.0
         for rep in (gap(self.NAN_GRAPH, GapQuery(PairedPoint([1.0], [1.0]))),
                     fuzzy_gap_dual(self.NAN_GRAPH, np.array([1.0]),
-                                   singleton([1.0], side="dual"))):
+                                   singleton([1.0]))):
             assert (rep.value, rep.status, rep.method) == (
                 0.0, "exact", "enumeration")
             assert rep.witness.x[0] == 1.0 and rep.witness.xstar[0] == 1.0
@@ -482,7 +481,7 @@ class TestNonFiniteCandidates:
             PairedPoint([1e200], [1e200]),))
         with pytest.raises(ResolventError, match="no graph points"):
             gap(G, GapQuery(PairedPoint([0.0], [0.0])))
-        rep = fuzzy_gap_dual(G, np.zeros(1), singleton([0.0], side="dual"))
+        rep = fuzzy_gap_dual(G, np.zeros(1), singleton([0.0]))
         assert rep.value == np.inf and rep.witness is None
 
     def test_monotone_check_skips_a_nan_pair(self):

@@ -220,7 +220,7 @@ class TestPolyhedralCapsule:
     def test_point_capsule_fuzz_gap_is_fast(self):
         # a = b, radius 0: a single point, so a box whose l1/linf
         # distances come from the clip, with no descent
-        K = Capsule(side="dual", a=np.zeros(2), b=np.zeros(2), radius=0.0,
+        K = Capsule(a=np.zeros(2), b=np.zeros(2), radius=0.0,
                     norm=NormTag.LINF)
         assert K._is_box()
         S = Subdifferential(pair=DualPair(2, NormTag.L1),
@@ -567,13 +567,26 @@ class TestExactSetDistance:
             for y, dist in zip(Y[:4], D):
                 assert np.array_equal(s.dist(y, norm), dist, equal_nan=True)
 
+    @pytest.mark.parametrize("norm", [NormTag.L1, NormTag.LINF])
+    def test_a_far_point_takes_the_projection(self, norm):
+        # at (1e20, 1e20) the LP's hull weights all round to 0; there
+        # every hull point is nearest to rounding, the projection too
+        y = np.array([1e20, 1e20])
+        sets = [Polytope(vertices=[[0.0, 0.0], [2.0, 0.5], [0.5, 2.0]]),
+                Capsule(a=[0.0, 0.0], b=[1.0, 2.0], radius=0.3, norm=norm)]
+        for s in sets:
+            d = s.dist(y, norm)
+            assert np.isfinite(d), s
+            assert d == vector_norm(y - s.project(y), norm), s
+            assert d == (2e20 if norm is NormTag.L1 else 1e20), s
+
     def test_finite_graph_fuzzy_gap_is_exact(self):
         # the objective at the one graph point (0, (1, 1)) with w = 0 is
         # half the squared linf distance of (1, 1) to the triangle
         S = FiniteGraph(
             pair=DualPair(2, NormTag.L1),
             points=(PairedPoint([0.0, 0.0], [1.0, 1.0]),))
-        Wt = Polytope(side="dual", vertices=TRIANGLE)
+        Wt = Polytope(vertices=TRIANGLE)
         rep = quasidensity.fuzzy_gap_dual(S, np.zeros(2), Wt)
         assert (rep.status, rep.method) == ("exact", "enumeration")
         assert rep.value == pytest.approx(392 / 5625, rel=0.0, abs=1e-15)

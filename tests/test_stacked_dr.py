@@ -14,7 +14,6 @@ from monotone_lab import (
     GapQuery,
     IndicatorFn,
     Linear,
-    LocalWindow,
     MonotoneOperator,
     NormFn,
     NormTag,
@@ -255,7 +254,7 @@ class TestSumOpRows:
         # the window probes of a sum keep every point up to its first
         # stalled resolvent, as the row loop does: here they are the only
         # points in the window, and without them the premise is vacuous
-        win = LocalWindow(interval(0.2, 0.9))
+        win = interval(0.2, 0.9)
         w, ws = np.array([0.55]), np.array([0.0])
         with np.errstate(all="ignore"):
             v = check_fpv(STALLING, win, w, ws, 20, 2)
