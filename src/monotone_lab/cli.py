@@ -15,8 +15,9 @@ import functools
 import sys
 from typing import Optional
 
-from .harness import (ScenarioError, finite_float, load_json, report_csv,
-                      report_json, run_scenario)
+from .harness import (BR_MODES, CLASSIFY_CLASSES, ScenarioError,
+                      finite_float, load_json, report_csv, report_json,
+                      run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,10 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="probe list [[ystar, ystarstar], ...]")
         if name == "classify":
             p.add_argument("--class", dest="cls", required=True,
-                           choices=["fpv", "fp", "ni", "strongmax"])
+                           choices=CLASSIFY_CLASSES)
         if name == "br":
-            p.add_argument("--mode", required=True,
-                           choices=["point", "corollary", "van", "witness"])
+            p.add_argument("--mode", required=True, choices=BR_MODES)
             p.add_argument("--fn", type=_json_arg, required=True,
                            help="function descriptor (JSON)")
         if name == "tail":

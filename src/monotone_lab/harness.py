@@ -1,8 +1,11 @@
 """Scenario execution and report generation.
 
 A scenario is a UTF-8 JSON file (top-level "schema": 1) declaring a
-space, named operators, and a task list.  Tasks run in declaration
-order; per-task failures are recorded and never abort the batch.  JSON
+space, named operators, and a task list.  Each task kind's runner
+reads every field of its task when the scenario is parsed, before any
+task runs, so a missing or malformed field is a ScenarioError naming
+the task and the field.  Tasks then run in declaration order; per-task
+failures are recorded and never abort the batch.  JSON
 is the canonical report format, one line of strict JSON with sorted
 keys, and its parsed report is reproducible under a fixed seed (timing
 fields are excluded from comparisons); CSV is a lossy flat projection.
@@ -16,7 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -180,11 +183,9 @@ def parse_operator(desc: dict, pair: DualPair) -> MonotoneOperator:
 
 @dataclass
 class Scenario:
-    pair: DualPair
-    operators: dict[str, MonotoneOperator]
     tasks: list[dict]
-    # per task, the set and function descriptors its runner reads, parsed
-    descriptors: list[dict[str, Any]]
+    # per task, its runner's closure: every field read, only the solves left
+    runs: list[Callable[[], list[dict]]]
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -207,47 +208,22 @@ def parse_scenario(data: dict) -> Scenario:
     tasks = data.get("tasks", [])
     if not isinstance(tasks, list):
         raise ScenarioError("'tasks' must be a list")
-    descriptors = []
+    runs = []
     for i, t in enumerate(tasks):
         if not isinstance(t, dict) or "kind" not in t:
             raise ScenarioError(f"task {i} needs a 'kind' key")
-        if not isinstance(t["kind"], str) or t["kind"] not in _TASK_RUNNERS:
-            raise ScenarioError(f"task {i} has unknown kind {t['kind']!r}")
-        if "seed" not in t and t["kind"] not in ("tail_experiment",):
-            raise ScenarioError(f"task {i} needs an explicit 'seed'")
-        for key in _required_fields(t):
-            if key not in t:
-                raise ScenarioError(f"task {i} ({t['kind']}) needs a "
-                                    f"{key!r} field")
-        for (kind, key), values in _CHOICES.items():
-            if t["kind"] == kind and t.get(key, values[0]) not in values:
-                raise ScenarioError(f"task {i} ({kind}) has unknown {key} "
-                                    f"{t[key]!r}; expected one of {values}")
-        for key in ("operator", "S", "T"):
-            ref = t.get(key)
-            if ref is not None and (not isinstance(ref, str)
-                                    or ref not in ops):
-                raise ScenarioError(f"task {i} references unknown operator "
-                                    f"{ref!r}")
-        descriptors.append(_parse_descriptors(i, t))
-    return Scenario(pair, ops, tasks, descriptors)
-
-
-def _parse_descriptors(i: int, task: dict) -> dict[str, Any]:
-    """The set and function descriptors that task ``i``'s runner reads,
-    parsed; a malformed one is a ScenarioError naming task and field."""
-    kind = task["kind"]
-    out = {}
-    for key in _DESCRIPTOR_FIELDS.get(
-            task["class"] if kind == "classify" else kind, ()):
-        if key in task:
-            try:
-                out[key] = (parse_fn if key == "fn" else parse_set)(task[key])
-            except (KeyError, TypeError, IndexError, ValueError) as exc:
-                raise ScenarioError(f"task {i} ({kind}) has a malformed "
-                                    f"{key!r}: {type(exc).__name__}: "
-                                    f"{exc}") from exc
-    return out
+        kind = t["kind"]
+        if not isinstance(kind, str) or kind not in _TASK_RUNNERS:
+            raise ScenarioError(f"task {i} has unknown kind {kind!r}")
+        try:
+            # an operator name is checked in every kind, read or not
+            for key in ("operator", "S", "T"):
+                if key in t:
+                    _op(ops, t, key)
+            runs.append(_TASK_RUNNERS[kind](pair, ops, t))
+        except ScenarioError as exc:
+            raise ScenarioError(f"task {i} ({kind}) {exc}") from exc
+    return Scenario(tasks, runs)
 
 
 def finite_float(text: str) -> float:
@@ -277,24 +253,81 @@ def load_scenario(path: str) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# task execution
+# task fields: each runner reads its task's through these, at parse
+
+_REQUIRED = object()  # the default of a field that has none
+
+# the values of a task's choice fields, which the CLI's choices share
+CLASSIFY_CLASSES = ("ni", "fpv", "fp", "strongmax")
+FUZZ_SIDES = ("dual", "primal")
+BR_MODES = ("point", "corollary", "van", "witness")
+SUM_MODES = ("domain", "range")
 
 
-def _vec(v) -> np.ndarray:
-    out = np.asarray(v, dtype=float).ravel()
-    if not np.all(np.isfinite(out)):
-        raise ScenarioError(f"non-finite entry in {v!r}")
-    return out
-
-
-def _point(pair: DualPair, v, name: str) -> np.ndarray:
-    """``_vec(v)`` of the pair's dimension; a point of another size is a
-    ScenarioError, so a task refuses it before any solve."""
-    out = _vec(v)
+def _field(task: dict, key: str, parse: Callable[[Any], Any] = lambda v: v,
+           default: Any = _REQUIRED) -> Any:
+    """``parse`` of the task's field ``key``, or ``default`` when it has
+    none; a required field left out, or a value that ``parse`` refuses,
+    is a ScenarioError naming the field."""
+    if key not in task:
+        if default is _REQUIRED:
+            raise ScenarioError(f"needs a {key!r} field")
+        return default
     try:
+        return parse(task[key])
+    except (KeyError, TypeError, IndexError, ValueError,
+            OverflowError) as exc:
+        raise ScenarioError(f"has a malformed {key!r}: "
+                            f"{type(exc).__name__}: {exc}") from exc
+
+
+def _pick(task: dict, key: str, choices: tuple[str, ...],
+          default: Any = _REQUIRED) -> str:
+    """The task's field ``key``, one of ``choices``."""
+    value = _field(task, key, default=default)
+    if value not in choices:
+        raise ScenarioError(f"has unknown {key} {value!r}; expected one "
+                            f"of {choices}")
+    return value
+
+
+def _op(ops: dict, task: dict, key: str = "operator") -> MonotoneOperator:
+    """The operator that the task's field ``key`` names."""
+    name = _field(task, key)
+    if not isinstance(name, str) or name not in ops:
+        raise ScenarioError(f"references unknown operator {name!r}")
+    return ops[name]
+
+
+def _point(pair: DualPair, name: str) -> Callable[[Any], np.ndarray]:
+    """Parser of a finite point, ``name``, of the pair's dimension."""
+    def parse(v) -> np.ndarray:
+        out = np.asarray(v, dtype=float).ravel()
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"non-finite entry in {v!r}")
         return pair.check_dim(out, name)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return parse
+
+
+def _at_least(lo: int) -> Callable[[Any], int]:
+    """Parser of an integer no less than ``lo``."""
+    def parse(v) -> int:
+        n = int(v)
+        if n < lo:
+            raise ValueError(f"{n} is below {lo}")
+        return n
+    return parse
+
+
+def _positive(v) -> float:
+    x = float(v)
+    if not x > 0:
+        raise ValueError(f"{x} is not positive")
+    return x
+
+
+# ---------------------------------------------------------------------------
+# task execution
 
 
 def _jsonable(x: Any) -> Any:
@@ -313,141 +346,176 @@ def _jsonable(x: Any) -> Any:
     return x
 
 
-def _task_gap(sc: Scenario, task: dict) -> list[dict]:
-    S = sc.operators[task["operator"]]
-    seed = int(task["seed"])
-    budget = int(task.get("budget", 100))
-    eta = float(task.get("eta", 1e-6))
-    if "probes" in task:
-        probes = [PairedPoint(_point(sc.pair, p[0], "probe"),
-                              _point(sc.pair, p[1], "probe"))
-                  for p in task["probes"]]
-    else:
-        probes = qd_mod.default_probes(S, int(task.get("count", 20)), seed)
-    # built first: GapQuery rejects a bad eta or two fuzz sets before any
-    # solve
-    queries = [qd_mod.GapQuery(p, dual_fuzz=task.get("dual_fuzz"),
-                               primal_fuzz=task.get("primal_fuzz"), eta=eta)
-               for p in probes]
-    records = []
-    for p, rep in zip(probes, qd_mod.gaps(S, queries, budget, seed)):
-        if isinstance(rep, ResolventError):
-            raise rep
-        records.append({
-            "anchor": "gap objective over the operator graph",
-            "probe": _jsonable(p),
-            "value": rep.value,
-            "status": rep.status,
-            "method": rep.method,
-            "witness": _jsonable(rep.witness),
-            "pass": rep.value <= eta,
-        })
-    return records
+def _task_gap(pair: DualPair, ops: dict, task: dict) -> Callable:
+    S = _op(ops, task)
+    seed = _field(task, "seed", int)
+    budget = _field(task, "budget", int, 100)
+    eta = _field(task, "eta", _positive, 1e-6)
+    probe = _point(pair, "probe")
+    probes = _field(task, "probes", lambda ps: [
+        PairedPoint(probe(p[0]), probe(p[1])) for p in ps], None)
+    if probes is None:
+        count = _field(task, "count", _at_least(0), 20)
+    dual_fuzz = _field(task, "dual_fuzz", parse_set, None)
+    primal_fuzz = _field(task, "primal_fuzz", parse_set, None)
+    if dual_fuzz is not None and primal_fuzz is not None:
+        raise ScenarioError("has both a 'dual_fuzz' and a 'primal_fuzz'")
+
+    def run() -> list[dict]:
+        ps = qd_mod.default_probes(S, count, seed) if probes is None \
+            else probes
+        queries = [qd_mod.GapQuery(p, dual_fuzz, primal_fuzz, eta)
+                   for p in ps]
+        records = []
+        for p, rep in zip(ps, qd_mod.gaps(S, queries, budget, seed)):
+            if isinstance(rep, ResolventError):
+                raise rep
+            records.append({
+                "anchor": "gap objective over the operator graph",
+                "probe": _jsonable(p),
+                "value": rep.value,
+                "status": rep.status,
+                "method": rep.method,
+                "witness": _jsonable(rep.witness),
+                "pass": rep.value <= eta,
+            })
+        return records
+    return run
 
 
-def _task_fitz(sc: Scenario, task: dict) -> list[dict]:
-    S = sc.operators[task["operator"]]
-    seed = int(task["seed"])
-    budget = int(task.get("budget", 200))
-    tol = float(task.get("tol", 1e-6))
-    points = [(_point(sc.pair, p[0], "point"),
-               _point(sc.pair, p[1], "point"))
-              for p in task.get("points", [])]
-    records = []
-    for ystar, ystarstar in points:
-        # phi reads the probe as a primal pair (x, x*); theta and the
-        # membership verdict read it as a dual pair (y*, y**)
-        ph = fitz_mod.phi(S, ystar, ystarstar, budget, seed)
-        th = fitz_mod.theta(S, ystar, ystarstar, budget, seed)
-        verdict = fitz_mod._membership_verdict(S, ystar, ystarstar, th, tol)
-        records.append({
-            "anchor": "Fitzpatrick sup and extension membership "
-                      "(finite-dimensional identification)",
-            "point": [_jsonable(ystar), _jsonable(ystarstar)],
-            "phi": _jsonable(ph.value),
-            "phi_status": ph.status,
-            "theta": _jsonable(th.value),
-            "theta_status": th.status,
-            "membership": verdict,
-        })
-    return records
+def _task_fitz(pair: DualPair, ops: dict, task: dict) -> Callable:
+    S = _op(ops, task)
+    seed = _field(task, "seed", int)
+    budget = _field(task, "budget", int, 200)
+    tol = _field(task, "tol", _positive, 1e-6)
+    point = _point(pair, "point")
+    points = _field(task, "points", lambda ps: [
+        (point(p[0]), point(p[1])) for p in ps], [])
+
+    def run() -> list[dict]:
+        records = []
+        for ystar, ystarstar in points:
+            # phi reads the probe as a primal pair (x, x*); theta and the
+            # membership verdict read it as a dual pair (y*, y**)
+            ph = fitz_mod.phi(S, ystar, ystarstar, budget, seed)
+            th = fitz_mod.theta(S, ystar, ystarstar, budget, seed)
+            verdict = fitz_mod._membership_verdict(S, ystar, ystarstar, th,
+                                                   tol)
+            records.append({
+                "anchor": "Fitzpatrick sup and extension membership "
+                          "(finite-dimensional identification)",
+                "point": [_jsonable(ystar), _jsonable(ystarstar)],
+                "phi": _jsonable(ph.value),
+                "phi_status": ph.status,
+                "theta": _jsonable(th.value),
+                "theta_status": th.status,
+                "membership": verdict,
+            })
+        return records
+    return run
 
 
-def _task_classify(sc: Scenario, task: dict) -> list[dict]:
-    S = sc.operators[task["operator"]]
-    seed = int(task["seed"])
-    budget = int(task.get("budget", 200))
-    cls = task["class"]
+def _task_classify(pair: DualPair, ops: dict, task: dict) -> Callable:
+    S = _op(ops, task)
+    seed = _field(task, "seed", int)
+    budget = _field(task, "budget", int, 200)
+    cls = _pick(task, "class", CLASSIFY_CLASSES)
+    # read in every class, so that a misspelt side is refused in each
+    fuzz_side = _pick(task, "fuzz_side", FUZZ_SIDES, "dual")
+
+    def point(key: str) -> np.ndarray:
+        return _field(task, key, _point(pair, key))
+
     if cls == "ni":
-        w_star = _point(sc.pair, task["wstar"], "wstar")
-        w_ss = _point(sc.pair, task["wstarstar"], "wstarstar")
-        val = cls_mod.ni_infimum(S, w_star, w_ss, budget, seed)
-        return [{
-            "anchor": "negative-infimum criterion over the graph",
-            "class": "ni", "wstar": _jsonable(w_star),
-            "wstarstar": _jsonable(w_ss), "infimum": val,
-            "nonpositive": val <= 1e-6,
-        }]
+        w_star, w_ss = point("wstar"), point("wstarstar")
+
+        def run() -> list[dict]:
+            val = cls_mod.ni_infimum(S, w_star, w_ss, budget, seed)
+            return [{
+                "anchor": "negative-infimum criterion over the graph",
+                "class": "ni", "wstar": _jsonable(w_star),
+                "wstarstar": _jsonable(w_ss), "infimum": val,
+                "nonpositive": val <= 1e-6,
+            }]
+        return run
     if cls in ("fpv", "fp"):
-        w = _point(sc.pair, task["w"], "w")
-        wstar = _point(sc.pair, task["wstar"], "wstar")
-        fn = cls_mod.check_fpv if cls == "fpv" else cls_mod.check_fp
-        v = fn(S, task["window"], w, wstar, budget, seed)
-        return [{
-            "anchor": "windowed local-maximality premise and graph "
-                      "membership conclusion",
-            "class": cls,
-            "premise_holds": v.premise_holds,
-            "vacuous": v.vacuous,
-            "conclusion": v.conclusion,
-            "consistent": v.consistent_with_class,
-            "budget": budget, "seed": seed,
-        }]
-    if task.get("fuzz_side", "dual") == "dual":
-        res = cls_mod.strong_max_dual(S, _point(sc.pair, task["w"], "w"),
-                                      task["fuzz"], budget, seed)
+        window = _field(task, "window", parse_set)
+        w, wstar = point("w"), point("wstar")
+        check = cls_mod.check_fpv if cls == "fpv" else cls_mod.check_fp
+
+        def run() -> list[dict]:
+            v = check(S, window, w, wstar, budget, seed)
+            return [{
+                "anchor": "windowed local-maximality premise and graph "
+                          "membership conclusion",
+                "class": cls,
+                "premise_holds": v.premise_holds,
+                "vacuous": v.vacuous,
+                "conclusion": v.conclusion,
+                "consistent": v.consistent_with_class,
+                "budget": budget, "seed": seed,
+            }]
+        return run
+    fuzz = _field(task, "fuzz", parse_set)
+    if fuzz_side == "dual":
+        search, args = cls_mod.strong_max_dual, (point("w"), fuzz)
     else:
-        res = cls_mod.strong_max_primal(
-            S, task["fuzz"], _point(sc.pair, task["wstar"], "wstar"),
-            budget, seed)
-    return [{
-        "anchor": "fuzzy-set strong maximality search",
-        "class": "strongmax",
-        "premise_holds": res.premise_holds,
-        "status": res.status,
-        "point": _jsonable(res.point),
-        "residual": _jsonable(res.residual),
-    }]
+        search, args = cls_mod.strong_max_primal, (fuzz, point("wstar"))
+
+    def run() -> list[dict]:
+        res = search(S, *args, budget, seed)
+        return [{
+            "anchor": "fuzzy-set strong maximality search",
+            "class": "strongmax",
+            "premise_holds": res.premise_holds,
+            "status": res.status,
+            "point": _jsonable(res.point),
+            "residual": _jsonable(res.residual),
+        }]
+    return run
 
 
-def _task_br(sc: Scenario, task: dict) -> list[dict]:
-    mode, fn = task["mode"], task["fn"]
+def _task_br(pair: DualPair, ops: dict, task: dict) -> Callable:
+    # every kind but tail_experiment names its seed; no br procedure draws
+    _field(task, "seed", int)
+    mode = _pick(task, "mode", BR_MODES)
+    fn = _field(task, "fn", parse_fn)
+    # u, x and x* are points of the function's own space
+    fn_pair = DualPair(fn.dim)
+
+    def point(key: str) -> np.ndarray:
+        return _field(task, key, _point(fn_pair, key))
+
+    if mode == "van":
+        eps = _field(task, "eps", _positive)
+        return lambda: [{"anchor": "near-zero subgradient pair",
+                         "mode": "van",
+                         "point": _jsonable(br_mod.van_point(fn, eps))}]
+    if mode == "witness":
+        x, xstar = point("x"), point("xstar")
+        eps = _field(task, "eps", _positive)
+        return lambda: [{"anchor": "constructive gap witness",
+                         "mode": "witness",
+                         "point": _jsonable(br_mod.quasidense_witness(
+                             fn, x, xstar, eps))}]
     if mode == "point":
-        res = br_mod.br_point(br_mod.BRRequest(
-            fn, _vec(task["u"]), float(task["alpha"]), float(task["beta"])
-        ))
-    elif mode == "corollary":
-        res = br_mod.br_corollary(fn, float(task["beta"]))
-    elif mode == "van":
-        pt = br_mod.van_point(fn, float(task["eps"]))
+        req = br_mod.BRRequest(fn, point("u"),
+                               _field(task, "alpha", _positive),
+                               _field(task, "beta", _positive))
+        solve = lambda: br_mod.br_point(req)
+    else:  # corollary
+        beta = _field(task, "beta", _positive)
+        solve = lambda: br_mod.br_corollary(fn, beta)
+
+    def run() -> list[dict]:
+        res = solve()
         return [{
-            "anchor": "near-zero subgradient pair",
-            "mode": "van", "point": _jsonable(pt),
+            "anchor": "approximate-minimizer subgradient certificates",
+            "mode": mode, "s": _jsonable(res.s),
+            "xstar": _jsonable(res.xstar), "certs": _jsonable(res.certs),
+            "membership": res.membership, "ok": res.ok,
         }]
-    else:  # witness
-        pt = br_mod.quasidense_witness(
-            fn, _vec(task["x"]), _vec(task["xstar"]), float(task["eps"])
-        )
-        return [{
-            "anchor": "constructive gap witness",
-            "mode": "witness", "point": _jsonable(pt),
-        }]
-    return [{
-        "anchor": "approximate-minimizer subgradient certificates",
-        "mode": mode, "s": _jsonable(res.s), "xstar": _jsonable(res.xstar),
-        "certs": _jsonable(res.certs), "membership": res.membership,
-        "ok": res.ok,
-    }]
+    return run
 
 
 def tail_experiment(
@@ -570,21 +638,19 @@ def sum_test(
     }
 
 
-def _task_tail(sc: Scenario, task: dict) -> list[dict]:
-    return tail_experiment(
-        [int(n) for n in task.get("n_list", [])],
-        step_cap=int(task.get("step_cap", 100000)),
-    )
+def _task_tail(pair: DualPair, ops: dict, task: dict) -> Callable:
+    n_list = _field(task, "n_list", lambda ns: list(map(_at_least(1), ns)), [])
+    step_cap = _field(task, "step_cap", int, 100000)
+    return lambda: tail_experiment(n_list, step_cap)
 
 
-def _task_sum(sc: Scenario, task: dict) -> list[dict]:
-    S = sc.operators[task["S"]]
-    T = sc.operators[task["T"]]
-    return [sum_test(
-        S, T, task.get("mode", "domain"),
-        probes=int(task.get("probes", 50)), seed=int(task["seed"]),
-        eta=float(task.get("eta", 1e-6)),
-    )]
+def _task_sum(pair: DualPair, ops: dict, task: dict) -> Callable:
+    S, T = _op(ops, task, "S"), _op(ops, task, "T")
+    mode = _pick(task, "mode", SUM_MODES, "domain")
+    probes = _field(task, "probes", _at_least(0), 50)
+    seed = _field(task, "seed", int)
+    eta = _field(task, "eta", _positive, 1e-6)
+    return lambda: [sum_test(S, T, mode, probes, seed, eta)]
 
 
 _TASK_RUNNERS = {
@@ -595,55 +661,6 @@ _TASK_RUNNERS = {
     "tail_experiment": _task_tail,
     "sum_test": _task_sum,
 }
-
-# the fields each runner reads without a default, by kind and then by the
-# kind's class or mode; a strongmax task also reads w (fuzz_side "dual",
-# the default) or wstar (fuzz_side "primal")
-_TASK_FIELDS = {
-    "gap": ("operator",),
-    "fitz": ("operator",),
-    "classify": ("operator", "class"),
-    "br": ("mode", "fn"),
-    "tail_experiment": (),
-    "sum_test": ("S", "T"),
-}
-_MODE_FIELDS = {
-    ("classify", "ni"): ("wstar", "wstarstar"),
-    ("classify", "fpv"): ("window", "w", "wstar"),
-    ("classify", "fp"): ("window", "w", "wstar"),
-    ("classify", "strongmax"): ("fuzz",),
-    ("br", "point"): ("u", "alpha", "beta"),
-    ("br", "corollary"): ("beta",),
-    ("br", "van"): ("eps",),
-    ("br", "witness"): ("x", "xstar", "eps"),
-}
-
-
-# the values a task's class, mode or fuzz side may take, by kind and
-# field; the first is the default where the field may be left out
-_CHOICES = {
-    ("classify", "class"): ("ni", "fpv", "fp", "strongmax"),
-    ("classify", "fuzz_side"): ("dual", "primal"),
-    ("br", "mode"): ("point", "corollary", "van", "witness"),
-    ("sum_test", "mode"): ("domain", "range"),
-}
-# the fields that hold a set or a function descriptor, by kind or by a
-# classify task's class
-_DESCRIPTOR_FIELDS = {"gap": ("dual_fuzz", "primal_fuzz"), "br": ("fn",),
-                      "fpv": ("window",), "fp": ("window",),
-                      "strongmax": ("fuzz",)}
-
-
-def _required_fields(task: dict) -> tuple[str, ...]:
-    kind = task["kind"]
-    mode = task.get("class" if kind == "classify" else "mode")
-    if not isinstance(mode, str):
-        mode = None
-    need = _TASK_FIELDS[kind] + _MODE_FIELDS.get((kind, mode), ())
-    if (kind, mode) == ("classify", "strongmax"):
-        need += ("w",) if task.get("fuzz_side", "dual") == "dual" \
-            else ("wstar",)
-    return need
 
 
 def run_scenario(scenario: str | dict) -> dict:
@@ -656,17 +673,13 @@ def run_scenario(scenario: str | dict) -> dict:
         sc, name = load_scenario(scenario), scenario
     report: dict[str, Any] = {"schema": SCHEMA_VERSION, "scenario": name,
                               "tasks": []}
-    for i, task in enumerate(sc.tasks):
+    for i, (task, run) in enumerate(zip(sc.tasks, sc.runs)):
         entry: dict[str, Any] = {"index": i, "kind": task["kind"],
                                  "task": task}
         t0 = time.perf_counter()
         try:
-            # the runner reads the task with its descriptors parsed
-            entry["records"] = _TASK_RUNNERS[task["kind"]](
-                sc, dict(task, **sc.descriptors[i]))
+            entry["records"] = run()
             entry["status"] = "ok"
-        except ScenarioError:
-            raise
         except Exception as exc:  # recorded, batch continues
             entry["status"] = "error"
             entry["error"] = f"{type(exc).__name__}: {exc}"

@@ -378,6 +378,136 @@ class TestScenarioValidation:
             run_scenario(str(p))
 
 
+ABS = {"subdiff": {"norm": {"dim": 1}}}
+HALF_SQ = {"half_sq": {"dim": 1}}
+
+
+def inline_argv(task):
+    """The inline CLI call that builds ``task`` as its one task, with
+    ``ABS`` for its operator."""
+    rest = {k: v for k, v in task.items()
+            if k not in ("kind", "operator", "class", "mode", "fn",
+                         "points")}
+    if task["kind"] == "tail_experiment":
+        return ["tail", "--task", json.dumps(rest)]
+    if task["kind"] == "br":
+        argv = ["br", "--mode", task["mode"], "--fn", json.dumps(task["fn"])]
+        if "operator" in task:
+            rest["operator"] = task["operator"]
+    else:
+        argv = [task["kind"], "--operator", json.dumps(ABS)]
+    if task["kind"] == "fitz":
+        argv += ["--points", json.dumps(task["points"])]
+    if task["kind"] == "classify":
+        argv += ["--class", task["class"]]
+    return argv + ["--task", json.dumps(rest)]
+
+
+class TestRefusedAtParse:
+    """A malformed number or point, a non-positive tolerance, a wrongly
+    sized br vector and two fuzz sets are refused when the scenario is
+    parsed, through ``run`` and the inline calls alike, before any task
+    solves."""
+
+    GAP = {"kind": "gap", "operator": "abs", "seed": 0, "count": 1}
+    FITZ = {"kind": "fitz", "operator": "abs", "seed": 0,
+            "points": [[[1.0], [1.0]]]}
+    NI = {"kind": "classify", "operator": "abs", "class": "ni", "seed": 0,
+          "wstar": [2.0], "wstarstar": [0.0]}
+    CASES = [
+        (dict(GAP, seed="abc"), "has a malformed 'seed'"),
+        (dict(GAP, budget="x"), "has a malformed 'budget'"),
+        (dict(GAP, count="x"), "has a malformed 'count'"),
+        (dict(GAP, count=-2), "has a malformed 'count'"),
+        (dict(GAP, eta=0.0), "has a malformed 'eta'"),
+        (dict(GAP, eta=-1), "has a malformed 'eta'"),
+        (dict(GAP, probes=[[[0.1, 0.2], [0.0]]]),
+         "has a malformed 'probes': ValueError: probe has shape (2,)"),
+        (dict(GAP, dual_fuzz={"polytope": [[0.0], [1.0]]},
+              primal_fuzz={"polytope": [[0.0], [1.0]]}),
+         "has both a 'dual_fuzz' and a 'primal_fuzz'"),
+        (dict(FITZ, tol=0.0), "has a malformed 'tol'"),
+        (dict(FITZ, points=[[[1.0], [1.0, 2.0]]]),
+         "has a malformed 'points': ValueError: point has shape (2,)"),
+        (dict(NI, wstarstar="x"), "has a malformed 'wstarstar'"),
+        (dict(NI, budget=[1]), "has a malformed 'budget'"),
+        ({"kind": "br", "mode": "point", "seed": 0, "fn": HALF_SQ,
+          "u": [0.01, 0.02], "alpha": 1.0, "beta": 1.0},
+         "has a malformed 'u': ValueError: u has shape (2,), expected (1,)"),
+        ({"kind": "br", "mode": "point", "seed": 0, "fn": HALF_SQ,
+          "u": [0.01], "alpha": "a", "beta": 1.0},
+         "has a malformed 'alpha'"),
+        ({"kind": "br", "mode": "point", "seed": 0, "fn": HALF_SQ,
+          "u": [0.01], "alpha": 1.0, "beta": -1.0},
+         "has a malformed 'beta'"),
+        ({"kind": "br", "mode": "corollary", "seed": 0, "fn": HALF_SQ,
+          "beta": 0}, "has a malformed 'beta'"),
+        ({"kind": "br", "mode": "van", "seed": 0, "fn": HALF_SQ,
+          "eps": 0.0}, "has a malformed 'eps'"),
+        ({"kind": "br", "mode": "witness", "seed": 0, "fn": HALF_SQ,
+          "x": [0.0], "xstar": [1.0, 1.0], "eps": 0.1},
+         "has a malformed 'xstar': ValueError: xstar has shape (2,)"),
+        ({"kind": "tail_experiment", "n_list": [0]},
+         "has a malformed 'n_list'"),
+        ({"kind": "tail_experiment", "n_list": ["a"]},
+         "has a malformed 'n_list'"),
+        ({"kind": "tail_experiment", "n_list": [1], "step_cap": "x"},
+         "has a malformed 'step_cap'"),
+        ({"kind": "sum_test", "S": "abs", "T": "abs", "seed": 0,
+          "probes": -1}, "has a malformed 'probes'"),
+        ({"kind": "sum_test", "S": "abs", "T": "abs", "seed": 0,
+          "eta": 0.0}, "has a malformed 'eta'"),
+        # refused at the parent too, for a field the kind never reads
+        ({"kind": "br", "mode": "corollary", "seed": 0, "fn": HALF_SQ,
+          "beta": 0.1, "operator": "nope"},
+         "references unknown operator 'nope'"),
+        (dict(NI, fuzz_side="x"), "has unknown fuzz_side 'x'"),
+    ]
+
+    @pytest.fixture
+    def gap_calls(self, monkeypatch):
+        calls = []
+        real = harness_mod.qd_mod.gaps
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness_mod.qd_mod, "gaps", spy)
+        return calls
+
+    @pytest.mark.parametrize("task, message", CASES)
+    def test_run_exits_2_before_any_solve(self, capsys, tmp_path, gap_calls,
+                                          task, message):
+        data = base_scenario([self.GAP, task])
+        assert main(["run", write_scenario(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"task 1 ({task['kind']}) {message}" in captured.err
+        assert gap_calls == []
+
+    # sum_test has no inline subcommand
+    @pytest.mark.parametrize("task, message", [
+        c for c in CASES if c[0]["kind"] != "sum_test"])
+    def test_inline_exits_2_before_any_solve(self, capsys, gap_calls, task,
+                                             message):
+        assert main(inline_argv(task)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"task 0 ({task['kind']}) {message}" in captured.err
+        assert gap_calls == []
+
+    @pytest.mark.parametrize("key", ["w", "wstar"])
+    def test_a_non_finite_point_is_refused(self, key):
+        task = {"kind": "classify", "operator": "abs", "class": "fpv",
+                "seed": 0, "window": {"polytope": [[-1.0], [1.0]]},
+                "w": [0.0], "wstar": [0.0]}
+        with pytest.raises(ScenarioError,
+                           match=f"task 0 \\(classify\\) has a malformed "
+                                 f"'{key}': ValueError: non-finite"):
+            parse_scenario(base_scenario([dict(task, **{key: [np.inf]})]))
+
+
 class TestRunScenario:
     def test_gap_sweep_passes_on_maximal_subdifferential(self, tmp_path):
         data = base_scenario([{"kind": "gap", "operator": "abs",
