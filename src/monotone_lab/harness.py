@@ -502,13 +502,12 @@ def _task_br(pair: DualPair, ops: dict, task: dict) -> Callable:
         req = br_mod.BRRequest(fn, point("u"),
                                _field(task, "alpha", _positive),
                                _field(task, "beta", _positive))
-        solve = lambda: br_mod.br_point(req)
     else:  # corollary
         beta = _field(task, "beta", _positive)
-        solve = lambda: br_mod.br_corollary(fn, beta)
 
     def run() -> list[dict]:
-        res = solve()
+        res = br_mod.br_point(req) if mode == "point" \
+            else br_mod.br_corollary(fn, beta)
         return [{
             "anchor": "approximate-minimizer subgradient certificates",
             "mode": mode, "s": _jsonable(res.s),
