@@ -15,8 +15,9 @@ linf ball, every support function) runs once over the last axis, bit
 for bit the point's result in each row; Wolfe hulls, l1 balls and l2
 capsules loop the rows of a projection.  Distances are exact in every
 norm: the gap to the Euclidean projection under l2 and on boxes (every
-1-D set included), else one LP over a hull's weights, a ball's closed
-form, or a bracket over a capsule's segment.
+1-D set included), else one LP over a hull's weights (its point held
+against the vertices and the projection), a ball's closed form, or a
+bracket over a capsule's segment.
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ class Polytope(CompactConvexSet):
     (a degenerate side lo_i == hi_i gives one coordinate value, and every
     1-D vertex list qualifies), the hull is that box: it projects by
     ``np.clip(y, lo, hi)``.  Any other hull projects by Wolfe's algorithm
-    (``solvers.nearest_hull_point``), and its l1/linf distance is one LP.
+    (``solvers.nearest_hull_point``), and its l1/linf distance is one LP
+    held against the vertices and the projection.
     """
 
     vertices: np.ndarray
@@ -194,9 +196,14 @@ class Polytope(CompactConvexSet):
         return self._box is not None
 
     def _dist(self, y: np.ndarray, norm: NormTag) -> float:
-        """||y - V'w|| at the LP's simplex weights w, clipped and summing
-        to 1: y - V'w = u - v, u, v >= 0, minimising 1'(u + v) under l1;
-        under linf also u + v + s = t 1, s >= 0, minimising t."""
+        """The least ||y - p|| over the hull points p: V'w at the LP's
+        simplex weights w, clipped and summing to 1 (y - V'w = u - v,
+        u, v >= 0, minimising 1'(u + v) under l1; under linf also
+        u + v + s = t 1, s >= 0, minimising t), each vertex, and the
+        Euclidean projection.  The pivots take vertices nearer each
+        other than their tolerance (1e4 eps of the data) for one, so
+        where some nearly coincide (a capsule of tiny radius) V'w can
+        miss by their spread, and a vertex or the projection is nearer."""
         k, n = self.vertices.shape
         A = np.block([[self.vertices.T, np.eye(n), -np.eye(n)],
                       [np.ones((1, k)), np.zeros((1, 2 * n))]])
@@ -206,11 +213,12 @@ class Polytope(CompactConvexSet):
                           np.tile(np.eye(n), 3), -np.ones((n, 1))]])
             b, c = np.r_[b, np.zeros(n)], np.r_[np.zeros(k + 3 * n), 1.0]
         lam, _, _ = linprog(c, A, b)
+        P = np.vstack([self.vertices, self._project(y)])
         w = np.zeros(k) if lam is None else np.maximum(lam[:k], 0.0)
-        if not w.sum() > 0.0:  # unsolved, or y so far out that w has no
-            # mass in rounding and every hull point, p too, is nearest
-            return vector_norm(y - self._project(y), norm)
-        return vector_norm(y - (w / w.sum()) @ self.vertices, norm)
+        if w.sum() > 0.0:  # else unsolved, or y so far out that w has
+            # no mass in rounding
+            P = np.vstack([P, (w / w.sum()) @ self.vertices])
+        return float(np.min(row_norms(y - P, norm)))
 
 
 def _box_bounds(V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -519,6 +519,21 @@ class TestExactSetDistance:
                     assert dist <= upper + 1e-12 * scale, (C, y, norm)
         assert all(certified)
 
+    def test_nearly_coincident_vertices_keep_their_distance(self):
+        # the hull's eight vertices lie within 2e-12 of each other, below
+        # the LP's tolerance: its point, (0, -1e-12), is 2e-12 off under
+        # l1 and 1.5e-12 under linf, where a vertex and the projection
+        # (5e-13, 5e-13) are nearest
+        C = Capsule(a=np.zeros(2), b=np.zeros(2), radius=1e-12,
+                    norm=NormTag.L1)
+        y = np.array([1.0, 1.0])
+        assert C.dist(y, NormTag.L1) == pytest.approx(2.0 - 1e-12,
+                                                      rel=0.0, abs=1e-15)
+        assert C.dist(y, NormTag.LINF) == pytest.approx(1.0 - 5e-13,
+                                                        rel=0.0, abs=1e-15)
+        assert np.array_equal(C.dist(np.vstack([y] * 3), NormTag.L1),
+                              [C.dist(y, NormTag.L1)] * 3)
+
     @given(C=exact_sets(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_a_stack_is_the_point_row_by_row(self, C, data):
