@@ -213,10 +213,16 @@ def strong_max_dual(
         point, res = None, np.inf
         if v is not None:
             point = PairedPoint(w, v)
-            try:
-                res = S.residual(w, v)
-            except ResolventError:
-                pass
+            if type(S).residual is MonotoneOperator.residual:
+                # the base residual at (w, v) resolves w + v, which is
+                # the orbit's last row
+                res = float(np.linalg.norm(X[-1] - w)
+                            + np.linalg.norm(Xs[-1] - v))
+            else:
+                try:
+                    res = S.residual(w, v)
+                except ResolventError:
+                    pass
         if res <= 1e-6:
             return StrongMaxResult(True, None, True, point, res, "found")
         witness = _premise_witness(w, Wt, X, Xs)

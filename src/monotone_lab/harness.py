@@ -235,9 +235,23 @@ def finite_float(text: str) -> float:
     return v
 
 
+# digits read as 0, E as e, signs dropped: a number literal that can
+# overflow a float reads "e000" (an exponent of three or more digits) or
+# holds a run of 210 or more digits, as an exponent of at most two
+# digits adds at most 99 to the 309 digits of the least overflow
+_NUMBER_SHAPE = str.maketrans("123456789E", "000000000e", "+-")
+
+
 def load_json(text: str) -> Any:
-    return json.loads(text, parse_constant=finite_float,
-                      parse_float=finite_float)
+    """The JSON ``text``, refusing NaN, Infinity and a number that
+    overflows; json's C parser reads every float where ``text`` holds no
+    literal that can overflow, and ``finite_float`` reads each
+    otherwise."""
+    shape = text.translate(_NUMBER_SHAPE)
+    if "e000" in shape or "0" * 210 in shape:
+        return json.loads(text, parse_constant=finite_float,
+                          parse_float=finite_float)
+    return json.loads(text, parse_constant=finite_float)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -309,6 +323,17 @@ def _point(pair: DualPair, name: str) -> Callable[[Any], np.ndarray]:
     return parse
 
 
+def _set(pair: DualPair) -> Callable[[Any], CompactConvexSet]:
+    """Parser of a set descriptor of the pair's dimension."""
+    def parse(desc) -> CompactConvexSet:
+        out = parse_set(desc)
+        if out.dim != pair.dim:
+            raise ValueError(f"set has dimension {out.dim}, expected "
+                             f"{pair.dim}")
+        return out
+    return parse
+
+
 def _at_least(lo: int) -> Callable[[Any], int]:
     """Parser of an integer no less than ``lo``."""
     def parse(v) -> int:
@@ -356,8 +381,8 @@ def _task_gap(pair: DualPair, ops: dict, task: dict) -> Callable:
         PairedPoint(probe(p[0]), probe(p[1])) for p in ps], None)
     if probes is None:
         count = _field(task, "count", _at_least(0), 20)
-    dual_fuzz = _field(task, "dual_fuzz", parse_set, None)
-    primal_fuzz = _field(task, "primal_fuzz", parse_set, None)
+    dual_fuzz = _field(task, "dual_fuzz", _set(pair), None)
+    primal_fuzz = _field(task, "primal_fuzz", _set(pair), None)
     if dual_fuzz is not None and primal_fuzz is not None:
         raise ScenarioError("has both a 'dual_fuzz' and a 'primal_fuzz'")
 
@@ -439,7 +464,7 @@ def _task_classify(pair: DualPair, ops: dict, task: dict) -> Callable:
             }]
         return run
     if cls in ("fpv", "fp"):
-        window = _field(task, "window", parse_set)
+        window = _field(task, "window", _set(pair))
         w, wstar = point("w"), point("wstar")
         check = cls_mod.check_fpv if cls == "fpv" else cls_mod.check_fp
 
@@ -456,7 +481,7 @@ def _task_classify(pair: DualPair, ops: dict, task: dict) -> Callable:
                 "budget": budget, "seed": seed,
             }]
         return run
-    fuzz = _field(task, "fuzz", parse_set)
+    fuzz = _field(task, "fuzz", _set(pair))
     if fuzz_side == "dual":
         search, args = cls_mod.strong_max_dual, (point("w"), fuzz)
     else:

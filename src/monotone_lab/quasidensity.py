@@ -229,35 +229,84 @@ def gap_linear_qp(
     monotone M that inclusion is an LCP w = q + Qz, z, w >= 0, z'w = 0
     with Q positive semidefinite, and E = 11' below.  l1: z = (u, v),
     a = u - v, Q = [[E+M, E-M], [E-M, E+M]], q = (-y, y), so that
-    |y - Ma| <= 1'(u + v) with equality on the support of a.  linf:
-    z = (s+, s-, u, v), s = s+ - s-, u - v = x* - Ms,
+    |y - Ma| <= 1'(u + v) with equality on the support of a.  linf: r of
+    M at (x, x*) is r of M^-1 on l1 at (x*, x), so where M has an
+    inverse K the solve is K's l1 LCP, whose point t gives s = Kt.  A
+    map with no inverse, one whose inverse has a non-finite entry, or
+    one whose value there is above rounding (1e4 eps (1 + c^2) at probe
+    scale c, where the gap of a monotone map is 0) also takes the LCP of
+    M itself: z = (s+, s-, u, v), s = s+ - s-, u - v = x* - Ms,
     Q = [[M, -M, I, -I], [-M, M, -I, I], [-I, I, E, E], [I, -I, E, E]],
-    q = (-x*, x*, x, -x), with no inverse of M.  r is 2-homogeneous, so
-    the solve runs on the probe scaled to unit size.  A Newton step on
-    the piece of Lemke's point (``_piece_solve``) removes its rounding.
-    The value is r at the best graph point (s, Ms) of the start
-    (x + x*)/2, Lemke's point and the step, clipped at 0, scored in one
-    stacked pass over the rows s of one array (Ms row by row, the bits
-    of each M @ s), the first best row kept, NaN skipped; a solve that
-    ends on a ray or after ``max_pivots`` pivots leaves the start alone.
+    q = (-x*, x*, x, -x), whose 4n rows come as opposite pairs; its
+    points join the inverse's and the pivots add up, ``max_pivots`` in
+    all.  r is 2-homogeneous, so the solves run on the probe scaled to
+    unit size.  A Newton step on the piece of Lemke's point
+    (``_piece_solve``; for s = Kt the piece is read off t) removes its
+    rounding.  The value is r at the best graph point (s, Ms) of the
+    start (x + x*)/2, Lemke's points and their steps, clipped at 0,
+    scored in one stacked pass over the rows s of one array (Ms row by
+    row, the bits of each M @ s), the first best row kept, NaN skipped;
+    a solve that ends on a ray or after ``max_pivots`` pivots adds no
+    point.
     """
-    M, n = S.M, S.pair.dim
+    M = S.M
     l1 = S.pair.primal_norm is NormTag.L1
     c = float(np.abs(np.concatenate(target.as_tuple())).max()) or 1.0
     x, xs = target.x / c, target.xstar / c
+    y = xs - M @ x
+    cands, pivots = [0.5 * (x + xs)], 0
+    K = None if l1 else _inverse(M)
+    if K is not None:
+        t, pivots = _lemke_point(K, xs, x, True, max_pivots)
+        if t is not None:
+            # x* - Ms lies in J(s - x), so the argmax set of |s - x| and
+            # its signs are the support and signs of t - x*; t holds
+            # them exactly, where s = Kt rounds by the condition of M
+            d = t - xs
+            m = np.abs(d)
+            s = K @ t
+            cands += [s, x + _piece_solve(
+                M, y, np.where(m > 1e-9 * m.sum(), np.sign(d), 0.0), False)]
+        rep = _best_point(S, target, c * np.array(cands))
+        if rep.value <= 1e4 * np.finfo(float).eps * (1.0 + c * c):
+            return rep, pivots
+    s, k = _lemke_point(M, x, xs, l1, max_pivots - pivots)
+    if s is not None:
+        cands += [s, x + _piece_solve(M, y, s - x, l1)]
+    return _best_point(S, target, c * np.array(cands)), pivots + k
+
+
+def _inverse(M: np.ndarray) -> Optional[np.ndarray]:
+    """M^-1, or None where ``np.linalg.inv`` finds M singular or the
+    inverse has a non-finite entry."""
+    try:
+        K = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return None
+    return K if np.isfinite(K).all() else None
+
+
+def _lemke_point(M: np.ndarray, x: np.ndarray, xs: np.ndarray, l1: bool,
+                 max_pivots: int) -> tuple[Optional[np.ndarray], int]:
+    """Lemke's point s of the LCP ``_gap_lcp(M, x, xs, l1)``, None when
+    the pivots find no z, and the pivot count."""
+    n = len(x)
     z, pivots = lemke(*_gap_lcp(M, x, xs, l1), max_pivots)
-    cands = [0.5 * (x + xs)]
-    if z is not None:
-        s = x + z[:n] - z[n:] if l1 else z[:n] - z[n:2 * n]
-        cands += [s, x + _piece_solve(M, xs - M @ x, s - x, l1)]
-    C = c * np.array(cands)
+    if z is None:
+        return None, pivots
+    return (x + z[:n] - z[n:] if l1 else z[:n] - z[n:2 * n]), pivots
+
+
+def _best_point(S: Linear, target: PairedPoint, C: np.ndarray) -> GapReport:
+    """The ``qp`` report at the first best graph point (s, Ms) over the
+    rows s of C, r clipped at 0, NaN skipped."""
     Cs = S._apply(C)
     r = r_objective(S, target, C, Cs)
     i = int(np.nanargmin(r))
     # the least score, NaN skipped (nanargmin reads NaN as +inf)
     value = max(float(np.fmin.reduce(r)), 0.0)
-    return (GapReport(value, PairedPoint.of_rows(C[i], Cs[i]), "upper_bound",
-                      "qp"), pivots)
+    return GapReport(value, PairedPoint.of_rows(C[i], Cs[i]), "upper_bound",
+                     "qp")
 
 
 # the signs of the identity blocks of the linf LCP's Q

@@ -353,8 +353,11 @@ def _pivot(T: np.ndarray, max_pivots: int, tol: float
     N = len(T)
     b = T[:, -1]
     basis = np.arange(N)
-    basic = np.arange(2 * N + 1) < N
+    # the basic columns as the bits of an int, and the sets met before
+    basic = (1 << N) - 1
     seen = set()
+    # the rank-1 update's product, written in place on each pivot
+    prod = np.empty_like(T)
     # z0 enters at the lexicographically smallest row of (b, B^-1), and
     # stays in that row until it leaves.  B^-1 = I here, and _lex_min's
     # column e_k (with d = 1) drops row k from the rows tied in b while
@@ -365,16 +368,16 @@ def _pivot(T: np.ndarray, max_pivots: int, tol: float
         d = T[:, enter].copy()
         T[r] /= d[r]
         d[r] = 0.0
-        T -= d[:, None] * T[r]
-        leave, basis[r] = basis[r], enter
+        T -= np.multiply(d[:, None], T[r], out=prod)
+        leave, basis[r] = int(basis[r]), enter
         if leave == 2 * N:
             x = np.zeros(2 * N + 1)
             x[basis] = b
             return np.maximum(x[N:2 * N], 0.0), pivots
-        basic[leave], basic[enter] = False, True
-        if basic.tobytes() in seen:
+        basic ^= (1 << leave) | (1 << enter)
+        if basic in seen:
             return None, pivots
-        seen.add(basic.tobytes())
+        seen.add(basic)
         enter = leave + N if leave < N else leave - N
         r = _ratio_test(b, T, T[:, enter], r0, tol)
         if r is None:
@@ -404,7 +407,10 @@ def _ratio_test(b: np.ndarray, T: np.ndarray, d: np.ndarray, r0: int,
         return r0
     # the row of the least (b_i + 10 tol)/d_i is always within the step
     within = br / dr <= step
-    rows, dr = rows[within], dr[within]
+    rows = rows[within]
+    if rows.size == 1:
+        return int(rows[0])
+    dr = dr[within]
     return _lex_min(b, T, rows[dr >= 0.1 * dr.max()], d, tol)
 
 

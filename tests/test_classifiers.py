@@ -32,6 +32,7 @@ from monotone_lab import (
     strong_max_primal,
     theta,
 )
+from monotone_lab.quasidensity import fuzz_orbit
 from monotone_lab.spaces import vector_norm
 
 PAIR1 = DualPair(1, NormTag.L2)
@@ -243,6 +244,28 @@ class TestStrongMax:
         assert S.contains(p.x, p.xstar) == "yes"
         value = (p.x - w) @ p.xstar + Wt.support(w - p.x)
         assert value == pytest.approx(-0.0204, abs=5e-5)
+
+    def test_the_orbit_end_is_resolved_once(self, monkeypatch):
+        # the base residual at (w, v) is read off the orbit's last row:
+        # no resolvent call beyond the sample's and the orbit's, and the
+        # bits of S.residual(w, v)
+        calls = []
+        real = Subdifferential.resolvent
+
+        def spy(self, z, *args):
+            calls.append(np.shape(z))
+            return real(self, z, *args)
+
+        monkeypatch.setattr(Subdifferential, "resolvent", spy)
+        w, Wt = arr(0.0), interval(0.2, 0.4)
+        res = strong_max_dual(ABS_OP, w, Wt)
+        run = list(calls)
+        calls.clear()
+        ABS_OP.graph_rows(200, 0)
+        X, _, v = fuzz_orbit(ABS_OP, w, Wt)
+        assert res.status == "found" and len(X) > 0
+        assert len(run) == len(calls)
+        assert res.residual == ABS_OP.residual(w, v)
 
 
 def _orbit_case(seed, kind, n, norm, fuzz, side):

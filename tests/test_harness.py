@@ -405,9 +405,9 @@ def inline_argv(task):
 
 class TestRefusedAtParse:
     """A malformed number or point, a non-positive tolerance, a wrongly
-    sized br vector and two fuzz sets are refused when the scenario is
-    parsed, through ``run`` and the inline calls alike, before any task
-    solves."""
+    sized br vector or set and two fuzz sets are refused when the
+    scenario is parsed, through ``run`` and the inline calls alike,
+    before any task solves."""
 
     GAP = {"kind": "gap", "operator": "abs", "seed": 0, "count": 1}
     FITZ = {"kind": "fitz", "operator": "abs", "seed": 0,
@@ -462,6 +462,21 @@ class TestRefusedAtParse:
           "beta": 0.1, "operator": "nope"},
          "references unknown operator 'nope'"),
         (dict(NI, fuzz_side="x"), "has unknown fuzz_side 'x'"),
+        # a set descriptor of the wrong dimension
+        (dict(GAP, dual_fuzz={"polytope": [[-1.0, 0.0], [1.0, 0.0]]}),
+         "has a malformed 'dual_fuzz': ValueError: set has dimension 2, "
+         "expected 1"),
+        (dict(GAP, primal_fuzz={"ball": {"center": [0.0, 0.0],
+                                         "radius": 1.0}}),
+         "has a malformed 'primal_fuzz': ValueError: set has dimension 2"),
+        ({"kind": "classify", "operator": "abs", "class": "fpv", "seed": 0,
+          "window": {"polytope": [[-1.0, 0.0], [1.0, 0.0]]}, "w": [0.0],
+          "wstar": [0.0]},
+         "has a malformed 'window': ValueError: set has dimension 2"),
+        ({"kind": "classify", "operator": "abs", "class": "strongmax",
+          "seed": 0, "fuzz": {"capsule": {"a": [0.0, 0.0], "b": [1.0, 0.0]}},
+          "w": [0.0]},
+         "has a malformed 'fuzz': ValueError: set has dimension 2"),
     ]
 
     @pytest.fixture
@@ -801,7 +816,10 @@ class TestReportFormats:
         assert strip_timings(out) == out
         assert json.loads(report_json(out)) == out
 
-    @pytest.mark.parametrize("token", ["1e400", "NaN", "-Infinity"])
+    @pytest.mark.parametrize("token", [
+        "1e400", "NaN", "-Infinity", "-1E+400",
+        pytest.param("1" + "0" * 399 + ".0", id="400-digits"),
+        pytest.param("9" * 250 + "e99", id="250-digits-e99")])
     def test_load_json_rejects_non_finite_numbers(self, token):
         with pytest.raises(ScenarioError, match="non-finite number"):
             harness_mod.load_json(f'{{"probe": [{token}, 0.0]}}')
@@ -1020,8 +1038,9 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["tasks"][0]["status"] == "error"
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
-                                       "1e400"])
+    @pytest.mark.parametrize("token", [
+        "NaN", "Infinity", "-Infinity", "1e400", "-1E+400",
+        pytest.param("1" + "0" * 399 + ".0", id="400-digits")])
     def test_non_finite_scenario_file_is_config_error(self, capsys,
                                                       tmp_path, token):
         text = json.dumps(base_scenario([{"kind": "gap", "operator": "abs",
@@ -1040,6 +1059,11 @@ class TestCli:
          "--points", "[[[-Infinity], [1.0]]]"],
         ["classify", "--operator", '{"linear": [[1.0]]}', "--class", "ni",
          "--task", '{"wstar": [NaN], "wstarstar": [0.0]}'],
+        ["gap", "--operator", '{"linear": [[1e400]]}', "--count", "1"],
+        ["gap", "--operator", '{"linear": [[1.0]]}',
+         "--probes", "[[[-1E+400], [0.0]]]"],
+        pytest.param(["gap", "--operator", '{"linear": [[1.0]]}', "--probes",
+                      "[[[1" + "0" * 399 + ".0], [0.0]]]"], id="400-digits"),
     ])
     def test_non_finite_inline_json_is_config_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from monotone_lab import quasidensity
+from monotone_lab.solvers import lemke
 from monotone_lab import (
     DualPair,
     FiniteGraph,
@@ -227,6 +228,98 @@ class TestLinearQpWithoutLemkePoint:
         assert np.array_equal(rep.witness.x, s0)
         assert np.array_equal(rep.witness.xstar, S.M @ s0)
         assert rep.value == max(float(r_objective(S, t, s0, S.M @ s0)), 0.0)
+
+
+def _lcp_rows(monkeypatch) -> list:
+    """The row counts of the LCPs ``quasidensity`` hands to lemke."""
+    rows = []
+
+    def spy(Q, q, max_pivots):
+        rows.append(len(q))
+        return lemke(Q, q, max_pivots)
+
+    monkeypatch.setattr(quasidensity, "lemke", spy)
+    return rows
+
+
+@st.composite
+def invertible_linf_cases(draw):
+    """A monotone M on linf, of largest entry 1 and condition at most
+    1e11, and a probe: psd+skew, the tail map, or U diag(sigma) U' with
+    sigma log-spaced from 1 down to as low as 1e-10, with or without a
+    1e-3 skew part."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["psd+skew", "tail", "ill"]))
+    unit = st.floats(-1.0, 1.0)
+    B, K = (draw(arrays(np.float64, (n, n), elements=unit)) for _ in "BK")
+    if kind == "psd+skew":
+        M = B @ B.T / n + 0.5 * (K - K.T)
+    elif kind == "tail":
+        M = np.triu(np.ones((n, n)))
+    else:
+        U = np.linalg.qr(B + n * np.eye(n))[0]
+        low = draw(st.floats(0.0, 10.0))
+        skew = draw(st.sampled_from([0.0, 1e-3]))
+        M = U @ np.diag(np.logspace(0.0, -low, n)) @ U.T + skew * (K - K.T)
+    scale = draw(st.sampled_from([1e-3, 1.0, 100.0]))
+    x, xs = scale * draw(arrays(np.float64, (2, n), elements=unit))
+    return M / (np.abs(M).max() or 1.0), x, xs, scale
+
+
+class TestLinfGapByTheInverse:
+    @given(case=invertible_linf_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_it_is_the_l1_gap_of_the_inverse(self, case):
+        # r of M on linf at (x, x*) is r of M^-1 on l1 at (x*, x); M^-1
+        # rounds by the condition of M, and so do the two solves
+        M, x, xs, scale = case
+        n = len(x)
+        S = Linear(pair=DualPair(n, NormTag.LINF), M=M)
+        assume(S.monotone and np.linalg.cond(M) <= 1e11)
+        with pytest.MonkeyPatch.context() as mp:
+            rows = _lcp_rows(mp)
+            rep = gap(S, GapQuery(PairedPoint(x, xs)))
+        assert rows == [2 * n]
+        inv = gap(Linear(pair=DualPair(n, NormTag.L1), M=np.linalg.inv(M)),
+                  GapQuery(PairedPoint(xs, x)))
+        assert (rep.status, rep.method) == ("upper_bound", "qp")
+        assert np.array_equal(S.M @ rep.witness.x, rep.witness.xstar)
+        c = np.abs(np.concatenate([x, xs])).max()
+        assert abs(rep.value - inv.value) <= (
+            1e4 * np.finfo(float).eps * (1.0 + c * c) * np.linalg.cond(M))
+
+    @pytest.mark.parametrize("M", [
+        np.zeros((3, 3)),
+        # rank 2 and positive semidefinite
+        np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]]),
+        # a skew map of odd size plus w w', w orthogonal to the skew kernel
+        np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 3.0], [-2.0, -3.0, 0.0]])
+        + np.outer([1.0, 1.0, -1.0], [1.0, 1.0, -1.0]),
+        # near rank one: an inverse of entries near 3e14 loses its digits
+        0.25 * np.ones((2, 2)) + 3e-8 * np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    ], ids=["zero", "rank-deficient-psd", "singular-skew+psd", "near-E"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0])
+    def test_a_map_without_a_usable_inverse_takes_the_4n_lcp(
+            self, M, scale, monkeypatch):
+        # the probe of test_witness_probe_gap_is_zero, gap 0 at (s, Ms)
+        n = len(M)
+        S = Linear(pair=DualPair(n, NormTag.LINF), M=M)
+        assert S.monotone
+        rng = np.random.default_rng(3)
+        rows = _lcp_rows(monkeypatch)
+        for _ in range(10):
+            s = rng.uniform(-1.0, 1.0, n)
+            a = rng.uniform(0.2, 1.0, n) * rng.choice([-1.0, 1.0], n)
+            t = PairedPoint(scale * (s + np.abs(a).sum() * np.sign(a)),
+                            scale * (M @ s - a))
+            rows.clear()
+            rep = gap(S, GapQuery(t))
+            assert 4 * n in rows
+            assert (rep.status, rep.method) == ("upper_bound", "qp")
+            assert 0.0 <= rep.value <= 1e-9 * (1.0 + scale * scale)
+            w = rep.witness
+            assert np.array_equal(S.M @ w.x, w.xstar)
+            assert rep.value == max(r_objective(S, t, w.x, w.xstar), 0.0)
 
 
 class TestEuclideanOracle:
