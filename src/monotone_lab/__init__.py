@@ -74,7 +74,6 @@ from .operators import (
     tail_operator,
 )
 from .quasidensity import (
-    GapQuery,
     GapReport,
     QuasidensityReport,
     default_probes,

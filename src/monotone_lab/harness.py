@@ -385,14 +385,25 @@ def _task_gap(pair: DualPair, ops: dict, task: dict) -> Callable:
     primal_fuzz = _field(task, "primal_fuzz", _set(pair), None)
     if dual_fuzz is not None and primal_fuzz is not None:
         raise ScenarioError("has both a 'dual_fuzz' and a 'primal_fuzz'")
+    # the objective: the gap, or a fuzzy gap whose set replaces one
+    # component of each probe
+    if dual_fuzz is not None:
+        def solve(ps: list[PairedPoint]) -> list:
+            return [qd_mod.fuzzy_gap_dual(S, p.x, dual_fuzz, budget, seed)
+                    for p in ps]
+    elif primal_fuzz is not None:
+        def solve(ps: list[PairedPoint]) -> list:
+            return [qd_mod.fuzzy_gap_primal(S, primal_fuzz, p.xstar, budget,
+                                            seed) for p in ps]
+    else:
+        def solve(ps: list[PairedPoint]) -> list:
+            return qd_mod.gaps(S, ps, budget, seed)
 
     def run() -> list[dict]:
         ps = qd_mod.default_probes(S, count, seed) if probes is None \
             else probes
-        queries = [qd_mod.GapQuery(p, dual_fuzz, primal_fuzz, eta)
-                   for p in ps]
         records = []
-        for p, rep in zip(ps, qd_mod.gaps(S, queries, budget, seed)):
+        for p, rep in zip(ps, solve(ps)):
             if isinstance(rep, ResolventError):
                 raise rep
             records.append({
@@ -619,7 +630,10 @@ def sum_test(
     is at most eta, ``failed`` only when an exact gap is not (a NaN
     included), else ``unproven`` (an upper bound above eta shows no
     positive gap); a probe whose gap raises ``ResolventError`` counts in
-    ``errors``.  ``worst_gap_status`` is the status of the worst gap."""
+    ``errors``.  ``worst_gap_status`` is the status of the worst gap.  A
+    non-positive eta raises ``ValueError`` before any solve."""
+    if eta <= 0:
+        raise ValueError("eta must be positive")
     if mode == "domain":
         witness = _interior_domain_witness(S, T, seed)
         combined = add(S, T)
@@ -635,12 +649,10 @@ def sum_test(
             "reason": "no interior witness",
         }
     probe_pts = qd_mod.default_probes(combined, probes, seed)
-    # built first: GapQuery rejects a non-positive eta before any solve
-    queries = [qd_mod.GapQuery(p, eta=eta) for p in probe_pts]
     passed = failed = unproven = errors = 0
     # r >= 0 by Fenchel-Young, so a worst gap of 0 is exact
     worst, worst_status = 0.0, "exact"
-    for rep in qd_mod.gaps(combined, queries, seed=seed):
+    for rep in qd_mod.gaps(combined, probe_pts, seed=seed):
         if isinstance(rep, ResolventError):
             errors += 1
             continue

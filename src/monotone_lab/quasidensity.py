@@ -12,9 +12,11 @@ certifies density at that probe; nothing universal is ever claimed.
 
 ``gap`` takes one path per probe, picked by ``_path``: the resolvent
 oracle (the graph scan where it fails), the LCP of a linear map off the
-Euclidean pair, the graph scan, or the fuzzy search.  ``gaps`` is
-``gap`` over a list of probes, with one stacked resolvent call for its
-oracle probes and one graph draw for its scan probes.
+Euclidean pair, or the graph scan.  ``gaps`` is ``gap`` over a list of
+probes, with one stacked resolvent call for its oracle probes and one
+graph draw for its scan probes.  The fuzzy variants, in which a set
+replaces one component of the probe, are their own functions,
+``fuzzy_gap_dual`` and ``fuzzy_gap_primal``.
 """
 
 from __future__ import annotations
@@ -39,30 +41,14 @@ from .spaces import NormTag, PairedPoint, first_min, row_dots, row_norms
 
 
 @dataclass(frozen=True)
-class GapQuery:
-    """A gap probe: the target point, an optional fuzz set replacing one
-    component, and the pass tolerance eta."""
-
-    target: PairedPoint
-    dual_fuzz: Optional[CompactConvexSet] = None
-    primal_fuzz: Optional[CompactConvexSet] = None
-    eta: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.dual_fuzz is not None and self.primal_fuzz is not None:
-            raise ValueError("at most one fuzz set may be given")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-
-
-@dataclass(frozen=True)
 class GapReport:
-    """Best infimum estimate; the witness is always a genuine graph
-    point and value equals the objective evaluated there ("qp" clips
-    it at its lower bound 0)."""
+    """Best infimum estimate; the witness is a genuine graph point and
+    value equals the objective evaluated there ("qp" clips it at its
+    lower bound 0), save a fuzzy gap with no finite value: +inf with no
+    witness."""
 
     value: float
-    witness: PairedPoint
+    witness: Optional[PairedPoint]
     status: str  # "exact" or "upper_bound"
     # "enumeration", "resolvent" (the exact Euclidean oracle), "qp",
     # "sampled", or "fuzzy_search" (the fuzzy gaps' scan of the sample
@@ -83,26 +69,21 @@ def r_objective(
 
 def gap(
     S: MonotoneOperator,
-    q: GapQuery,
+    target: PairedPoint,
     budget: int = 100,
     seed: int = 0,
 ) -> GapReport:
-    """Infimum estimate of the r-objective over G(S) at q.target, by the
-    path ``_path`` picks; the LCP (``gap_linear_qp``) serves the inverse
-    of a map too, as r of S^{-1} at (x*, x) is r of S at (x, x*); the
-    oracle and the scan run as ``gaps`` at the one probe."""
-    path = _path(S, q)
-    if path == "fuzzy":
-        if q.dual_fuzz is not None:
-            return fuzzy_gap_dual(S, q.target.x, q.dual_fuzz, budget, seed)
-        return fuzzy_gap_primal(S, q.primal_fuzz, q.target.xstar, budget,
-                                seed)
-    if path == "qp":
+    """Infimum estimate of the r-objective over G(S) at the probe
+    target, by the path ``_path`` picks; the LCP (``gap_linear_qp``)
+    serves the inverse of a map too, as r of S^{-1} at (x*, x) is r of S
+    at (x, x*); the oracle and the scan run as ``gaps`` at the one
+    probe."""
+    if _path(S, target) == "qp":
         if isinstance(S, Linear):
-            return gap_linear_qp(S, q.target)[0]
-        rep = gap_linear_qp(S.inner, q.target.swapped())[0]
+            return gap_linear_qp(S, target)[0]
+        rep = gap_linear_qp(S.inner, target.swapped())[0]
         return replace(rep, witness=rep.witness.swapped())
-    rep = gaps(S, [q], budget, seed)[0]
+    rep = gaps(S, [target], budget, seed)[0]
     if isinstance(rep, ResolventError):
         raise rep
     return rep
@@ -110,25 +91,24 @@ def gap(
 
 def gaps(
     S: MonotoneOperator,
-    queries: list[GapQuery],
+    targets: list[PairedPoint],
     budget: int = 100,
     seed: int = 0,
 ) -> list[GapReport | ResolventError]:
-    """``gap(S, q, budget, seed)`` at each query, equal to it bit for
+    """``gap(S, t, budget, seed)`` at each probe t, equal to it bit for
     bit, or the ``ResolventError`` that call raises, held as data; any
     other error is raised.  The oracle probes are resolved in one
     stacked call, in which a row that fails fails alone and, as in
     ``gap``, takes the scan; every scan probe is scanned against one
-    ``graph_rows`` draw; each other probe (a fuzz set, an LCP) takes its
-    own ``gap`` call.  A probe of the wrong size or with a non-finite
-    entry raises ``ValueError`` before any solve."""
-    out: list = [None] * len(queries)
-    paths = [_path(S, q) for q in queries]
+    ``graph_rows`` draw; each LCP probe takes its own ``gap`` call.  A
+    probe of the wrong size or with a non-finite entry raises
+    ``ValueError`` before any solve."""
+    out: list = [None] * len(targets)
+    paths = [_path(S, t) for t in targets]
     scan = [k for k, path in enumerate(paths) if path == "scan"]
     oracle = [k for k, path in enumerate(paths) if path == "oracle"]
     if oracle:
-        Z = np.array([queries[k].target.x + queries[k].target.xstar
-                      for k in oracle])
+        Z = np.array([targets[k].x + targets[k].xstar for k in oracle])
         X, Xs, ok = S.resolvent(Z)
         values = _oracle_value(X, Xs, Z)
         for i, k in enumerate(oracle):
@@ -142,11 +122,11 @@ def gaps(
         rows = _held(S.graph_rows, budget, seed)
         for k in scan:
             out[k] = rows if isinstance(rows, ResolventError) else _held(
-                _scan, S, queries[k].target, *rows)
+                _scan, S, targets[k], *rows)
     for k, rep in enumerate(out):
         if rep is None:
             # through the module global, so that a wrapped gap sees it
-            out[k] = _held(gap, S, queries[k], budget, seed)
+            out[k] = _held(gap, S, targets[k], budget, seed)
     return out
 
 
@@ -158,18 +138,16 @@ def _held(fn, *args):
         return exc
 
 
-def _path(S: MonotoneOperator, q: GapQuery) -> str:
-    """The path ``gap`` takes at q: "fuzzy" for a fuzz set; "scan" for a
-    finite graph and a non-monotone ``Linear``, shifted or inverted (the
-    exact paths assume a monotone map); else "oracle" on the Euclidean
-    pair, "qp" for a ``Linear`` or its inverse off it, "scan" for the
-    rest.  Raises ``ValueError`` for a probe not of the pair's size or
-    with a non-finite entry."""
-    S.pair.check_dim(q.target.x, "probe")
-    if not np.isfinite(np.concatenate(q.target.as_tuple())).all():
+def _path(S: MonotoneOperator, target: PairedPoint) -> str:
+    """The path ``gap`` takes at the probe target: "scan" for a finite
+    graph and a non-monotone ``Linear``, shifted or inverted (the exact
+    paths assume a monotone map); else "oracle" on the Euclidean pair,
+    "qp" for a ``Linear`` or its inverse off it, "scan" for the rest.
+    Raises ``ValueError`` for a probe not of the pair's size or with a
+    non-finite entry."""
+    S.pair.check_dim(target.x, "probe")
+    if not np.isfinite(np.concatenate(target.as_tuple())).all():
         raise ValueError("probe has a non-finite entry")
-    if q.dual_fuzz is not None or q.primal_fuzz is not None:
-        return "fuzzy"
     if isinstance(S, FiniteGraph):
         return "scan"
     L = S
@@ -489,7 +467,7 @@ def is_quasidense(
     set only."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    reports = gaps(S, [GapQuery(p, eta=eta) for p in probes], budget, seed)
+    reports = gaps(S, probes, budget, seed)
     for rep in reports:
         if isinstance(rep, ResolventError):
             raise rep

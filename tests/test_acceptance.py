@@ -15,7 +15,6 @@ from monotone_lab import (
     BRRequest,
     DualPair,
     FiniteGraph,
-    GapQuery,
     HalfSqNorm,
     IndicatorFn,
     Linear,
@@ -133,7 +132,7 @@ def test_criterion_02_euclidean_gap_identity():
         n = S.pair.dim
         for _ in range(100):
             t = PairedPoint(rng.uniform(-3, 3, n), rng.uniform(-3, 3, n))
-            a = gap(S, GapQuery(t)).value
+            a = gap(S, t).value
             b = gap_euclidean_oracle(S, t).value
             worst = max(worst, abs(a - b))
     elapsed = time.perf_counter() - t0
@@ -162,7 +161,7 @@ def test_criterion_03_subdifferential_quasidensity_both_paths():
         S = Subdifferential(pair=PAIR1, f=f)
         for _ in range(100):
             x, xs = rng.uniform(-2, 2, size=2)
-            res_gap = gap(S, GapQuery(PairedPoint(arr(x), arr(xs)))).value
+            res_gap = gap(S, PairedPoint(arr(x), arr(xs))).value
             p = quasidense_witness(f, arr(x), arr(xs), 1e-6)
             a, b = p.x - x, p.xstar - xs
             wit_gap = float(0.5 * a @ a + 0.5 * b @ b + a @ b)
@@ -390,7 +389,7 @@ def test_criterion_07_strong_maximality():
     reduction = 0.0
     for _ in range(20):
         w, ws = rng.uniform(-2, 2, size=2)
-        plain = gap(abs_op, GapQuery(PairedPoint(arr(w), arr(ws)))).value
+        plain = gap(abs_op, PairedPoint(arr(w), arr(ws))).value
         d = fuzzy_gap_dual(abs_op, arr(w),
                            singleton(arr(ws))).value
         p = fuzzy_gap_primal(abs_op, singleton(arr(w)), arr(ws)).value

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from monotone_lab import (
     BRRequest,
     DualPair,
-    GapQuery,
     HalfSqNorm,
     IndicatorFn,
     NormFn,
@@ -202,5 +201,5 @@ class TestQuasidenseWitness:
                 val = 0.5 * a @ a + 0.5 * b @ b + a @ b
                 assert val < 1e-6
                 # ... which can only exceed the true gap
-                assert gap(S, GapQuery(PairedPoint(arr(x), arr(xs)))
+                assert gap(S, PairedPoint(arr(x), arr(xs))
                            ).value <= val + 1e-9

@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 from monotone_lab import (
     DualPair,
     FiniteGraph,
-    GapQuery,
     GapReport,
     IndicatorFn,
     Linear,
+    MonotoneOperator,
     NormFn,
     NormTag,
     NormalCone,
@@ -26,6 +26,8 @@ from monotone_lab import (
     Subdifferential,
     SumOp,
     box,
+    fuzzy_gap_dual,
+    fuzzy_gap_primal,
     gap,
     interval,
     normal_cone,
@@ -591,10 +593,10 @@ class TestGapTask:
               [[0.0, 0.0], [0.0, 0.0]], [[2.5, 1.0], [-0.4, 0.3]],
               [[0.01, 0.02], [3.0, -3.0]], [[-0.7, -0.7], [0.2, 0.9]]]
 
-    def _records(self, tmp_path, norm, op_desc):
+    def _records(self, tmp_path, norm, op_desc, **fields):
         data = base_scenario(
             [{"kind": "gap", "operator": "S", "seed": 4, "budget": 30,
-              "probes": self.PROBES}],
+              "probes": self.PROBES, **fields}],
             operators={"S": op_desc}, space={"dim": 2, "norm": norm})
         S = parse_operator(op_desc, parse_space(data["space"]))
         rep = run_scenario(write_scenario(tmp_path, data))
@@ -611,11 +613,35 @@ class TestGapTask:
         for desc in (sum_desc, graph):
             S, records = self._records(tmp_path, norm, desc)
             for rec, (x, xs) in zip(records, self.PROBES):
-                rep = gap(S, GapQuery(PairedPoint(x, xs)), 30, 4)
+                rep = gap(S, PairedPoint(x, xs), 30, 4)
                 assert (rec["value"], rec["status"], rec["method"]) == (
                     rep.value, rep.status, rep.method)
                 assert rec["witness"] == {"x": list(rep.witness.x),
                                           "xstar": list(rep.witness.xstar)}
+
+    @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("side", ["dual_fuzz", "primal_fuzz"])
+    def test_fuzz_records_are_the_fuzzy_gap_bit_for_bit(self, tmp_path, norm,
+                                                        side):
+        # a fuzz set replaces the probe's x (dual) or x* (primal)
+        W = parse_set({"polytope": self.BOX})
+        norm_desc = {"subdiff": {"norm": {"dim": 2, "kind": "linf"}}}
+        graph = {"graph": [[[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0],
+                                                      [0.5, 0.5]]]}
+        for desc in (norm_desc, graph):
+            S, records = self._records(tmp_path, norm, desc,
+                                       **{side: {"polytope": self.BOX}})
+            assert len(records) == len(self.PROBES)
+            for rec, (x, xs) in zip(records, self.PROBES):
+                rep = (fuzzy_gap_dual(S, np.array(x), W, 30, 4)
+                       if side == "dual_fuzz" else
+                       fuzzy_gap_primal(S, W, np.array(xs), 30, 4))
+                assert (rec["value"], rec["status"], rec["method"],
+                        rec["pass"]) == (rep.value, rep.status, rep.method,
+                                         rep.value <= 1e-6)
+                assert rec["witness"] == (None if rep.witness is None else {
+                    "x": list(rep.witness.x),
+                    "xstar": list(rep.witness.xstar)})
 
     def test_sampled_probes_share_one_draw(self, tmp_path, monkeypatch):
         # off the Euclidean pair six sampled probe gaps scan one graph
@@ -714,6 +740,21 @@ class TestSumTest:
         out = sum_test(S, T, "range", probes=4, seed=1)
         assert (out["passed"], out["failed"], out["unproven"],
                 out["worst_gap_status"]) == outcome
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    def test_a_non_positive_eta_is_refused_before_any_solve(self, monkeypatch,
+                                                            eta):
+        # disjoint domains: the witness search would find none and skip
+        calls = []
+        resolvent = MonotoneOperator.resolvent
+        monkeypatch.setattr(MonotoneOperator, "resolvent",
+                            lambda self, *args: calls.append(args)
+                            or resolvent(self, *args))
+        T1 = normal_cone(PAIR1, interval(0.0, 1.0))
+        T2 = normal_cone(PAIR1, interval(2.0, 3.0))
+        with pytest.raises(ValueError, match="eta must be positive"):
+            sum_test(T1, T2, "domain", probes=5, seed=0, eta=eta)
+        assert calls == []
 
     def test_disjoint_domains_skipped(self):
         T1 = normal_cone(PAIR1, interval(-2.0, -1.0))

@@ -19,7 +19,6 @@ from monotone_lab import (
     Polytope,
     ResolventError,
     Shift,
-    GapQuery,
     Subdifferential,
     SumFn,
     SumOp,
@@ -212,13 +211,13 @@ class TestCombinators:
         probe = PairedPoint([0.4], [0.0])
         inv = inverse(G)
         assert isinstance(inv, FiniteGraph)
-        rep = gap(inv, GapQuery(probe))
+        rep = gap(inv, probe)
         assert (rep.status, rep.method) == ("exact", "enumeration")
         assert rep.value == pytest.approx(0.18, abs=1e-15)
         assert inv.contains(rep.witness.x, rep.witness.xstar) == "yes"
         # the same graph wrapped by hand takes the resolvent oracle, which
         # now returns a point of G^-1 as well
-        rep = gap(InverseOp(pair=PAIR1, inner=G), GapQuery(probe))
+        rep = gap(InverseOp(pair=PAIR1, inner=G), probe)
         assert (rep.status, rep.method) == ("exact", "resolvent")
         assert rep.value == pytest.approx(0.18, abs=1e-15)
         assert G.contains(rep.witness.xstar, rep.witness.x) == "yes"

@@ -10,7 +10,6 @@ from monotone_lab.solvers import lemke
 from monotone_lab import (
     DualPair,
     FiniteGraph,
-    GapQuery,
     HalfSqNorm,
     IndicatorFn,
     InverseOp,
@@ -50,17 +49,17 @@ def pp(x, xs):
 class TestGap:
     def test_origin_graph_positive_probe(self):
         # r((0,0); (1,1)) = 1/2 + 1/2 + 1 = 2
-        rep = gap(ORIGIN, GapQuery(pp(1.0, 1.0)))
+        rep = gap(ORIGIN, pp(1.0, 1.0))
         assert rep.status == "exact"
         assert rep.value == pytest.approx(2.0)
 
     def test_origin_graph_antidiagonal_probe(self):
         # r((0,0); (1,-1)) = 1/2 + 1/2 - 1 = 0
-        rep = gap(ORIGIN, GapQuery(pp(1.0, -1.0)))
+        rep = gap(ORIGIN, pp(1.0, -1.0))
         assert rep.value == pytest.approx(0.0)
 
     def test_abs_subdifferential_probe(self):
-        rep = gap(ABS_OP, GapQuery(pp(0.0, 2.0)))
+        rep = gap(ABS_OP, pp(0.0, 2.0))
         assert rep.status == "exact"
         assert rep.value == pytest.approx(0.0, abs=1e-12)
         assert rep.witness.x[0] == pytest.approx(1.0)
@@ -70,7 +69,7 @@ class TestGap:
         rng = np.random.default_rng(3)
         for _ in range(30):
             t = pp(rng.normal() * 2, rng.normal() * 2)
-            rep = gap(ABS_OP, GapQuery(t))
+            rep = gap(ABS_OP, t)
             assert rep.value == pytest.approx(
                 r_objective(ABS_OP, t, rep.witness.x, rep.witness.xstar),
                 abs=1e-10)
@@ -81,13 +80,13 @@ class TestGap:
         S = Subdifferential(pair=pair2, f=HalfSqNorm(2))
         for _ in range(50):
             t = PairedPoint(rng.normal(size=2) * 3, rng.normal(size=2) * 3)
-            assert gap(S, GapQuery(t)).value >= -1e-12
+            assert gap(S, t).value >= -1e-12
 
     def test_sampled_fallback_is_labelled_sampled(self):
         # |x| on the l1 pair: no finite graph, no Euclidean resolvent
         # oracle, no linear QP; the bound is a minimum over samples
         S = Subdifferential(pair=DualPair(1, NormTag.L1), f=NormFn(1))
-        rep = gap(S, GapQuery(pp(0.0, 2.0)), budget=20, seed=0)
+        rep = gap(S, pp(0.0, 2.0), budget=20, seed=0)
         assert rep.method == "sampled"
         assert rep.status == "upper_bound"
 
@@ -97,11 +96,11 @@ class TestGap:
         # on l1 the scan once broadcast a size-1 probe against 2-D rows
         S = NormalCone(pair=DualPair(2, norm),
                        f=IndicatorFn(box([-1.0, -1.0], [1.0, 1.0])))
-        q = GapQuery(pp(0.5, 0.2))
+        q = pp(0.5, 0.2)
         with pytest.raises(ValueError, match="probe has shape"):
             gap(S, q)
         with pytest.raises(ValueError, match="probe has shape"):
-            gaps(S, [GapQuery(pp([0.5, 0.5], [0.2, 0.2])), q])
+            gaps(S, [pp([0.5, 0.5], [0.2, 0.2]), q])
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("side", ["x", "xstar"])
@@ -115,11 +114,11 @@ class TestGap:
         S = (Linear(pair=pair, M=np.eye(2)) if kind == "linear"
              else Subdifferential(pair=pair, f=NormFn(2)))
         v, u = [bad, 0.0], [1.0, 0.0]
-        q = GapQuery(pp(v, u) if side == "x" else pp(u, v))
+        q = pp(v, u) if side == "x" else pp(u, v)
         with pytest.raises(ValueError, match="non-finite"):
             gap(S, q)
         with pytest.raises(ValueError, match="non-finite"):
-            gaps(S, [GapQuery(pp([0.5, 0.5], [0.2, 0.2])), q])
+            gaps(S, [pp([0.5, 0.5], [0.2, 0.2]), q])
 
 
 class TestNonMonotoneLinear:
@@ -130,7 +129,7 @@ class TestNonMonotoneLinear:
         n = len(M)
         S = Linear(pair=DualPair(n, norm), M=np.array(M))
         assert not S.monotone
-        rep = gap(S, GapQuery(PairedPoint(np.full(n, 0.5), np.ones(n))),
+        rep = gap(S, PairedPoint(np.full(n, 0.5), np.ones(n)),
                   budget=20, seed=0)
         assert (rep.status, rep.method) == ("upper_bound", "sampled")
         assert rep.value == pytest.approx(r_objective(
@@ -153,7 +152,7 @@ class TestNonMonotoneLinear:
                              (NormTag.LINF, "qp")):
             S = Linear(pair=DualPair(n, norm), M=M)
             assert S.monotone
-            assert gap(S, GapQuery(target)).method == method
+            assert gap(S, target).method == method
 
 
 @st.composite
@@ -195,7 +194,7 @@ class TestLinearQp:
     def test_witness_probe_gap_is_zero(self, case):
         S, x, xs, scale = case
         t = PairedPoint(x, xs)
-        rep = gap(S, GapQuery(t))
+        rep = gap(S, t)
         assert (rep.status, rep.method) == ("upper_bound", "qp")
         assert 0.0 <= rep.value <= 1e-9 * (1.0 + scale * scale)
         w = rep.witness
@@ -278,10 +277,10 @@ class TestLinfGapByTheInverse:
         assume(S.monotone and np.linalg.cond(M) <= 1e11)
         with pytest.MonkeyPatch.context() as mp:
             rows = _lcp_rows(mp)
-            rep = gap(S, GapQuery(PairedPoint(x, xs)))
+            rep = gap(S, PairedPoint(x, xs))
         assert rows == [2 * n]
         inv = gap(Linear(pair=DualPair(n, NormTag.L1), M=np.linalg.inv(M)),
-                  GapQuery(PairedPoint(xs, x)))
+                  PairedPoint(xs, x))
         assert (rep.status, rep.method) == ("upper_bound", "qp")
         assert np.array_equal(S.M @ rep.witness.x, rep.witness.xstar)
         c = np.abs(np.concatenate([x, xs])).max()
@@ -313,7 +312,7 @@ class TestLinfGapByTheInverse:
             t = PairedPoint(scale * (s + np.abs(a).sum() * np.sign(a)),
                             scale * (M @ s - a))
             rows.clear()
-            rep = gap(S, GapQuery(t))
+            rep = gap(S, t)
             assert 4 * n in rows
             assert (rep.status, rep.method) == ("upper_bound", "qp")
             assert 0.0 <= rep.value <= 1e-9 * (1.0 + scale * scale)
@@ -339,7 +338,7 @@ class TestEuclideanOracle:
         for S in (ABS_OP, cone, Subdifferential(pair=PAIR1, f=HalfSqNorm(1))):
             for _ in range(40):
                 t = pp(rng.normal() * 3, rng.normal() * 3)
-                a = gap(S, GapQuery(t)).value
+                a = gap(S, t).value
                 b = gap_euclidean_oracle(S, t).value
                 assert a == pytest.approx(b, abs=1e-10)
 
@@ -370,7 +369,7 @@ class TestFuzzy:
         for _ in range(25):
             w = rng.normal() * 2
             ws = rng.normal() * 2
-            plain = gap(ABS_OP, GapQuery(pp(w, ws))).value
+            plain = gap(ABS_OP, pp(w, ws)).value
             dual = fuzzy_gap_dual(ABS_OP, np.array([w]),
                                   singleton(np.array([ws]))).value
             primal = fuzzy_gap_primal(ABS_OP, singleton(np.array([w])),
@@ -395,7 +394,7 @@ class TestFuzzy:
         for _ in range(20):
             w = rng.normal() * 2
             ws = rng.normal() * 2
-            plain = gap(ABS_OP, GapQuery(pp(w, ws))).value
+            plain = gap(ABS_OP, pp(w, ws)).value
             fuzz = fuzzy_gap_dual(
                 ABS_OP, np.array([w]),
                 interval(ws - 0.5, ws + 0.5)).value
@@ -410,12 +409,7 @@ class TestFuzzy:
         for rep in (dual, primal):
             assert (rep.status, rep.method) == ("upper_bound",
                                                 "fuzzy_search")
-        assert gap(ABS_OP, GapQuery(pp(w, ws))).method == "resolvent"
-
-    def test_query_rejects_double_fuzz(self):
-        with pytest.raises(ValueError):
-            GapQuery(pp(0.0, 0.0), dual_fuzz=interval(0, 1),
-                     primal_fuzz=interval(0, 1))
+        assert gap(ABS_OP, pp(w, ws)).method == "resolvent"
 
 
 CONE_OP = NormalCone(pair=PAIR1, f=IndicatorFn(interval(-1.0, 1.0)))
@@ -485,8 +479,8 @@ class TestInverseGaps:
                pp([0.2, 0.6], [-0.4, 1.1]))
         S = FiniteGraph(pair=DualPair(2, NormTag.L1), points=pts)
         x, xs = np.array([0.5, -0.3]), np.array([0.2, 0.9])
-        a = gap(S, GapQuery(pp(x, xs)))
-        b = gap(inverse(S), GapQuery(pp(xs, x)))
+        a = gap(S, pp(x, xs))
+        b = gap(inverse(S), pp(xs, x))
         assert inverse(S).pair.primal_norm is NormTag.LINF
         assert (a.status, a.method) == (b.status, b.method) == (
             "exact", "enumeration")
@@ -517,8 +511,8 @@ class TestInverseSymmetry:
     @given(graph_and_probe())
     def test_finite_graph_gap(self, case):
         S, x, xs = case
-        a = gap(S, GapQuery(PairedPoint(x, xs)))
-        b = gap(inverse(S), GapQuery(PairedPoint(xs, x)))
+        a = gap(S, PairedPoint(x, xs))
+        b = gap(inverse(S), PairedPoint(xs, x))
         assert a.value == b.value
         assert (a.status, b.status) == ("exact", "exact")
 
@@ -553,8 +547,8 @@ class TestInverseSymmetry:
         # rounding in B B^T + K - K^T can leave M just short of monotone
         assume(S.monotone)
         x, xs = probe
-        a = gap(S, GapQuery(PairedPoint(x, xs)))
-        b = gap(inverse(S), GapQuery(PairedPoint(xs, x)))
+        a = gap(S, PairedPoint(x, xs))
+        b = gap(inverse(S), PairedPoint(xs, x))
         assert a.method == b.method == "resolvent"
         assert a.value == b.value
 
@@ -567,10 +561,10 @@ class TestInverseSymmetry:
                    M=np.array([[0.0, 2e-20], [2e-20, 2e-20]]))
         assert not S.monotone
         x, xs = np.array([0.3, -1.2]), np.array([0.7, 0.4])
-        reports = [gap(S, GapQuery(PairedPoint(x, xs))),
-                   gap(inverse(S), GapQuery(PairedPoint(xs, x))),
+        reports = [gap(S, PairedPoint(x, xs)),
+                   gap(inverse(S), PairedPoint(xs, x)),
                    gap(Shift(pair=S.pair, inner=S, dx=xs, dxstar=x),
-                       GapQuery(PairedPoint(x, xs)))]
+                       PairedPoint(x, xs))]
         assert [r.method for r in reports] == ["sampled"] * 3
 
     @pytest.mark.parametrize("norm", [NormTag.L1, NormTag.LINF])
@@ -588,8 +582,8 @@ class TestInverseSymmetry:
         # rounding in B B^T + K - K^T can leave M just short of monotone
         assume(S.monotone)
         x, xs = probe
-        a = gap(S, GapQuery(PairedPoint(x, xs)))
-        b = gap(inverse(S), GapQuery(PairedPoint(xs, x)))
+        a = gap(S, PairedPoint(x, xs))
+        b = gap(inverse(S), PairedPoint(xs, x))
         assert a.method == b.method == "qp"
         assert a.value == b.value
         assert np.array_equal(a.witness.x, b.witness.xstar)
@@ -597,7 +591,7 @@ class TestInverseSymmetry:
 
     def test_inverse_tail_map_is_a_qp(self):
         T = tail_operator(4)
-        rep = gap(inverse(T), GapQuery(PairedPoint(np.ones(4), np.zeros(4))))
+        rep = gap(inverse(T), PairedPoint(np.ones(4), np.zeros(4)))
         assert (rep.value, rep.method) == (0.0, "qp")
 
 

@@ -41,7 +41,7 @@ from monotone_lab import (
 )
 from monotone_lab.classifiers import _window_probes, check_fpv
 from monotone_lab.fitzpatrick import phi
-from monotone_lab.quasidensity import GapQuery, fuzzy_gap_dual, gap, gaps
+from monotone_lab.quasidensity import fuzzy_gap_dual, gap, gaps
 from monotone_lab.solvers import project_ball
 from monotone_lab.spaces import first_min, row_dots, row_norms, vector_norm
 
@@ -304,9 +304,9 @@ def _same_report(a, b) -> bool:
             and (a.status, a.method) == (b.status, b.method))
 
 
-def _gap_or_error(S, q, budget, seed):
+def _gap_or_error(S, p, budget, seed):
     try:
-        return gap(S, q, budget, seed)
+        return gap(S, p, budget, seed)
     except ResolventError as exc:
         return exc
 
@@ -315,24 +315,17 @@ class TestGaps:
     @pytest.mark.parametrize("kind", OP_KINDS)
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), norm=st.sampled_from(NORMS),
-           n=st.integers(1, 2), fuzz=st.sampled_from(("none", "dual",
-                                                      "primal")))
-    def test_gaps_are_gap(self, kind, seed, norm, n, fuzz):
-        # each probe's outcome is its own gap call's, on every path; a
-        # fuzz set off the Euclidean pair is a box, since the distance
-        # to any other hull is a descent there
+           n=st.integers(1, 2))
+    def test_gaps_are_gap(self, kind, seed, norm, n):
+        # each probe's outcome is its own gap call's, on every path
         rng = np.random.default_rng(seed)
         S = _op(rng, DualPair(n, norm), kind)
-        W = _set(rng, n, "box" if norm is not NormTag.L2
-                 else SET_KINDS[int(rng.integers(6))])
-        queries = [GapQuery(PairedPoint(*rng.uniform(-3.0, 3.0, (2, n))),
-                            dual_fuzz=W if fuzz == "dual" else None,
-                            primal_fuzz=W if fuzz == "primal" else None)
-                   for _ in range(3)]
-        reports = gaps(S, queries, 12, seed % 4)
-        assert len(reports) == len(queries)
-        for q, rep in zip(queries, reports):
-            assert _same_report(rep, _gap_or_error(S, q, 12, seed % 4))
+        probes = [PairedPoint(*rng.uniform(-3.0, 3.0, (2, n)))
+                  for _ in range(3)]
+        reports = gaps(S, probes, 12, seed % 4)
+        assert len(reports) == len(probes)
+        for p, rep in zip(probes, reports):
+            assert _same_report(rep, _gap_or_error(S, p, 12, seed % 4))
 
 
 @dataclass(frozen=True)
@@ -462,7 +455,7 @@ class TestNonFiniteCandidates:
         ev = phi(self.NAN_GRAPH, [1.0], [1.0])
         assert (ev.value, ev.status) == (1.0, "exact")
         assert ev.witness.x[0] == 1.0
-        for rep in (gap(self.NAN_GRAPH, GapQuery(PairedPoint([1.0], [1.0]))),
+        for rep in (gap(self.NAN_GRAPH, PairedPoint([1.0], [1.0])),
                     fuzzy_gap_dual(self.NAN_GRAPH, np.array([1.0]),
                                    singleton([1.0]))):
             assert (rep.value, rep.status, rep.method) == (
@@ -480,7 +473,7 @@ class TestNonFiniteCandidates:
         G = FiniteGraph(pair=DualPair(1), points=(
             PairedPoint([1e200], [1e200]),))
         with pytest.raises(ResolventError, match="no graph points"):
-            gap(G, GapQuery(PairedPoint([0.0], [0.0])))
+            gap(G, PairedPoint([0.0], [0.0]))
         rep = fuzzy_gap_dual(G, np.zeros(1), singleton([0.0]))
         assert rep.value == np.inf and rep.witness is None
 

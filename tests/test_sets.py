@@ -17,7 +17,6 @@ from monotone_lab import quasidensity, sets as sets_module
 from monotone_lab import solvers as solvers_module
 from monotone_lab.cli import main
 from monotone_lab.harness import run_scenario
-from monotone_lab.quasidensity import GapQuery
 from monotone_lab.solvers import linprog, nearest_hull_point
 from monotone_lab.spaces import vector_norm
 
@@ -226,8 +225,7 @@ class TestPolyhedralCapsule:
         S = Subdifferential(pair=DualPair(2, NormTag.L1),
                             f=NormFn(2, 1.0, NormTag.L1))
         t0 = time.perf_counter()
-        rep = quasidensity.gap(S, GapQuery(
-            PairedPoint([0.3, -0.2], [0.1, 0.4]), dual_fuzz=K))
+        rep = quasidensity.fuzzy_gap_dual(S, np.array([0.3, -0.2]), K)
         assert time.perf_counter() - t0 < 0.1
         assert (rep.status, rep.method) == ("upper_bound", "fuzzy_search")
         assert rep.value == pytest.approx(0.0017272006919786809, rel=1e-12)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from monotone_lab import (
     DualPair,
     FiniteGraph,
-    GapQuery,
     IndicatorFn,
     Linear,
     MonotoneOperator,
@@ -300,7 +299,7 @@ def _reference_sum_test(S, T, mode, probes, seed, eta=1e-6, methods=None):
     worst, worst_status = 0.0, "exact"
     for p in probe_pts:
         try:
-            rep = gap(combined, GapQuery(p, eta=eta), seed=seed)
+            rep = gap(combined, p, seed=seed)
         except ResolventError:
             errors += 1
             continue
@@ -390,15 +389,14 @@ class _Scripted(MonotoneOperator):
 class TestOracleGaps:
     PROBES = [PairedPoint([a], [b]) for a, b in
               ((0.5, 1.0), (-2.0, 0.3), (1.5, -1.5), (0.0, 4.0))]
-    QUERIES = [GapQuery(p) for p in PROBES]
 
     def test_ok_rows_are_gap_bit_for_bit(self):
         # the probe whose aim x + x* = 0 fails takes the scan, as in gap
         S = _Scripted(pair=PAIR1, fail={(0.0,)})
-        reports = qd.gaps(S, self.QUERIES)
+        reports = qd.gaps(S, self.PROBES)
         assert [r.method for r in reports] == ["resolvent"] * 2 + [
             "sampled", "resolvent"]
-        for q, rep in zip(self.QUERIES, reports):
+        for q, rep in zip(self.PROBES, reports):
             assert _same_report(rep, gap(S, q))
 
     def test_other_paths_equal_gap(self):
@@ -410,16 +408,16 @@ class TestOracleGaps:
                  (graph, "enumeration"),
                  (normal_cone(pair, interval(0.0, 1.0)), "sampled"))
         for S, method in cases:
-            reports = qd.gaps(S, self.QUERIES)
+            reports = qd.gaps(S, self.PROBES)
             assert {r.method for r in reports} == {method}
-            for q, rep in zip(self.QUERIES, reports):
+            for q, rep in zip(self.PROBES, reports):
                 assert _same_report(rep, gap(S, q))
         assert qd.gaps(IDENTITY, []) == []
 
     def test_l2_rows_equal_gap(self):
         S = add(Subdifferential(pair=PAIR1, f=NormFn(1)),
                 normal_cone(PAIR1, interval(-1.0, 0.5)))
-        for q, rep in zip(self.QUERIES, qd.gaps(S, self.QUERIES)):
+        for q, rep in zip(self.PROBES, qd.gaps(S, self.PROBES)):
             assert rep.method == "resolvent" and _same_report(rep, gap(S, q))
 
 
@@ -432,19 +430,19 @@ class TestProbeGaps:
         norm = Subdifferential(pair=self.LINF, f=NormFn(2, 1.0, NormTag.LINF))
         S = add(norm, normal_cone(self.LINF, box(np.full(2, -0.05),
                                                  np.full(2, 0.04))))
-        queries = [GapQuery(p) for p in qd.default_probes(S, 4, 0)]
+        probes = qd.default_probes(S, 4, 0)
         draws = []
         rows = SumOp.graph_rows
         monkeypatch.setattr(SumOp, "graph_rows", lambda self, budget, seed:
                             draws.append(seed) or rows(self, budget, seed))
-        reports = qd.gaps(S, queries, seed=3)
+        reports = qd.gaps(S, probes, seed=3)
         assert draws == [3]
-        for q, rep in zip(queries, reports):
+        for q, rep in zip(probes, reports):
             assert rep.method == "sampled"
             assert _same_report(rep, gap(S, q, seed=3))
 
     def test_qp_probes_equal_gap(self):
         S = Linear(pair=self.LINF, M=np.eye(2))
-        q = GapQuery(PairedPoint([1.0, 0.0], [0.0, 1.0]))
+        q = PairedPoint([1.0, 0.0], [0.0, 1.0])
         [rep] = qd.gaps(S, [q])
         assert rep.method == "qp" and _same_report(rep, gap(S, q))

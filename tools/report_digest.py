@@ -239,6 +239,14 @@ def record(call) -> dict:
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
+def probe_gap(lab, S, x, xs, *args):
+    """``lab.gap`` at the probe (x, x*), wrapped in the ``GapQuery`` of a
+    checkout that still has one."""
+    probe = lab.PairedPoint(x, xs)
+    query = lab.GapQuery(probe) if hasattr(lab, "GapQuery") else probe
+    return lab.gap(S, query, *args)
+
+
 def library_records(lab):
     """(label, record) for each call of the library grid, in order."""
     budget = LIBRARY_BUDGET
@@ -256,9 +264,7 @@ def library_records(lab):
                 probes = [lab.PairedPoint(*rng.uniform(-2.0, 2.0, (2, n)))
                           for _ in range(QD_PROBES)]
                 calls = {
-                    "gap": lambda: lab.gap(
-                        S, lab.GapQuery(lab.PairedPoint(x, xs)), budget,
-                        seed),
+                    "gap": lambda: probe_gap(lab, S, x, xs, budget, seed),
                     "fuzzy_dual": lambda: lab.fuzzy_gap_dual(
                         S, x, Wt, budget, seed),
                     "fuzzy_primal": lambda: lab.fuzzy_gap_primal(
@@ -376,8 +382,7 @@ def lcp_records(lab):
                       "tied": (np.zeros(n), np.ones(n))}
             for where, (x, xs) in probes.items():
                 yield (f"lcp/linear/{norm}/{seed}/{where}",
-                       record(lambda: lab.gap(
-                           S, lab.GapQuery(lab.PairedPoint(x, xs)))))
+                       record(lambda: probe_gap(lab, S, x, xs)))
 
 
 def strong_max_records(lab):
