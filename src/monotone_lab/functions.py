@@ -111,6 +111,9 @@ class Quadratic(ConvexFn):
     def __post_init__(self) -> None:
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         b = np.asarray(self.b, dtype=float).ravel()
+        if Q.shape != (b.size, b.size):
+            raise ValueError(f"Q has shape {Q.shape}, expected "
+                             f"({b.size}, {b.size}) for b of size {b.size}")
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
         if np.min(np.linalg.eigvalsh(Q)) < -1e-10:

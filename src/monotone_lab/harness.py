@@ -373,8 +373,8 @@ def _jsonable(x: Any) -> Any:
 
 def _task_gap(pair: DualPair, ops: dict, task: dict) -> Callable:
     S = _op(ops, task)
-    seed = _field(task, "seed", int)
-    budget = _field(task, "budget", int, 100)
+    seed = _field(task, "seed", _at_least(0))
+    budget = _field(task, "budget", _at_least(0), 100)
     eta = _field(task, "eta", _positive, 1e-6)
     probe = _point(pair, "probe")
     probes = _field(task, "probes", lambda ps: [
@@ -421,8 +421,8 @@ def _task_gap(pair: DualPair, ops: dict, task: dict) -> Callable:
 
 def _task_fitz(pair: DualPair, ops: dict, task: dict) -> Callable:
     S = _op(ops, task)
-    seed = _field(task, "seed", int)
-    budget = _field(task, "budget", int, 200)
+    seed = _field(task, "seed", _at_least(0))
+    budget = _field(task, "budget", _at_least(0), 200)
     tol = _field(task, "tol", _positive, 1e-6)
     point = _point(pair, "point")
     points = _field(task, "points", lambda ps: [
@@ -453,8 +453,8 @@ def _task_fitz(pair: DualPair, ops: dict, task: dict) -> Callable:
 
 def _task_classify(pair: DualPair, ops: dict, task: dict) -> Callable:
     S = _op(ops, task)
-    seed = _field(task, "seed", int)
-    budget = _field(task, "budget", int, 200)
+    seed = _field(task, "seed", _at_least(0))
+    budget = _field(task, "budget", _at_least(0), 200)
     cls = _pick(task, "class", CLASSIFY_CLASSES)
     # read in every class, so that a misspelt side is refused in each
     fuzz_side = _pick(task, "fuzz_side", FUZZ_SIDES, "dual")
@@ -513,7 +513,7 @@ def _task_classify(pair: DualPair, ops: dict, task: dict) -> Callable:
 
 def _task_br(pair: DualPair, ops: dict, task: dict) -> Callable:
     # every kind but tail_experiment names its seed; no br procedure draws
-    _field(task, "seed", int)
+    _field(task, "seed", _at_least(0))
     mode = _pick(task, "mode", BR_MODES)
     fn = _field(task, "fn", parse_fn)
     # u, x and x* are points of the function's own space
@@ -684,7 +684,7 @@ def _task_sum(pair: DualPair, ops: dict, task: dict) -> Callable:
     S, T = _op(ops, task, "S"), _op(ops, task, "T")
     mode = _pick(task, "mode", SUM_MODES, "domain")
     probes = _field(task, "probes", _at_least(0), 50)
-    seed = _field(task, "seed", int)
+    seed = _field(task, "seed", _at_least(0))
     eta = _field(task, "eta", _positive, 1e-6)
     return lambda: [sum_test(S, T, mode, probes, seed, eta)]
 

@@ -142,6 +142,8 @@ class FiniteGraph(MonotoneOperator):
         if not self.points:
             raise ValueError("graph must be nonempty")
         object.__setattr__(self, "points", tuple(self.points))
+        for p in self.points:
+            self.pair.check_dim(p.x, "graph point")
 
     def xs(self) -> np.ndarray:
         return np.array([p.x for p in self.points])
@@ -325,9 +327,9 @@ class Shift(MonotoneOperator):
     dxstar: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dx", np.asarray(self.dx, float).ravel())
+        object.__setattr__(self, "dx", self.pair.check_dim(self.dx, "dx"))
         object.__setattr__(self, "dxstar",
-                           np.asarray(self.dxstar, float).ravel())
+                           self.pair.check_dim(self.dxstar, "dxstar"))
 
     def _resolve(self, z: np.ndarray, lam: float):
         x, xs, ok = self.inner._resolve(z + self.dx + lam * self.dxstar, lam)

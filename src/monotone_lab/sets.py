@@ -389,6 +389,9 @@ class Capsule(CompactConvexSet):
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float).ravel())
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float).ravel())
+        if self.a.shape != self.b.shape:
+            raise ValueError(f"capsule ends have shapes {self.a.shape} and "
+                             f"{self.b.shape}")
         if self.radius < 0:
             raise ValueError("capsule radius must be nonnegative")
         r = np.full(self.dim, float(self.radius))

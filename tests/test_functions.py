@@ -72,6 +72,14 @@ class TestEval:
     def test_quadratic(self):
         assert HALF_SQ_1D.eval(np.array([3.0])) == 4.5
 
+    @pytest.mark.parametrize("Q, b", [([[1.0]], [0.0, 1.0]),
+                                      (np.eye(2), [0.0]),
+                                      ([[1.0, 0.0]], [0.0, 0.0])])
+    def test_quadratic_of_another_size_rejected(self, Q, b):
+        # numpy would broadcast a 1x1 Q onto every entry of I + lam Q
+        with pytest.raises(ValueError, match="Q has shape"):
+            Quadratic(np.array(Q), np.array(b))
+
 
 class TestConjugate:
     def test_abs_conjugate_is_unit_interval_indicator(self):

@@ -406,10 +406,11 @@ def inline_argv(task):
 
 
 class TestRefusedAtParse:
-    """A malformed number or point, a non-positive tolerance, a wrongly
-    sized br vector or set and two fuzz sets are refused when the
-    scenario is parsed, through ``run`` and the inline calls alike,
-    before any task solves."""
+    """A malformed number or point, a negative seed or budget, a
+    non-positive tolerance, a wrongly sized br vector or set, two fuzz
+    sets and an operator descriptor whose parts disagree in size are
+    refused when the scenario is parsed, through ``run`` and the inline
+    calls alike, before any task solves."""
 
     GAP = {"kind": "gap", "operator": "abs", "seed": 0, "count": 1}
     FITZ = {"kind": "fitz", "operator": "abs", "seed": 0,
@@ -479,6 +480,38 @@ class TestRefusedAtParse:
           "seed": 0, "fuzz": {"capsule": {"a": [0.0, 0.0], "b": [1.0, 0.0]}},
           "w": [0.0]},
          "has a malformed 'fuzz': ValueError: set has dimension 2"),
+        # a negative seed or budget
+        (dict(GAP, budget=-5),
+         "has a malformed 'budget': ValueError: -5 is below 0"),
+        (dict(GAP, seed=-1), "has a malformed 'seed'"),
+        (dict(FITZ, budget=-1), "has a malformed 'budget'"),
+        ({"kind": "classify", "operator": "abs", "class": "fpv", "seed": -20,
+          "window": {"polytope": [[-1.0], [1.0]]}, "w": [0.0],
+          "wstar": [0.0]},
+         "has a malformed 'seed': ValueError: -20 is below 0"),
+        ({"kind": "br", "mode": "corollary", "seed": -1, "fn": HALF_SQ,
+          "beta": 0.1}, "has a malformed 'seed'"),
+        ({"kind": "sum_test", "S": "abs", "T": "abs", "seed": -1},
+         "has a malformed 'seed'"),
+    ]
+    # (dimension, operator descriptor, message)
+    BAD_OPERATORS = [
+        (2, {"graph": [[[1], [2]]]},
+         "graph point has shape (1,), expected (2,)"),
+        (2, {"subdiff": {"quadratic": {"Q": [[1]], "b": [0, 1]}}},
+         "Q has shape (1, 1), expected (2, 2)"),
+        (2, {"normal_cone": {"capsule": {"a": [0, 0], "b": [1]}}},
+         "capsule ends have shapes (2,) and (1,)"),
+        (2, {"shift": {"inner": {"linear": [[1, 0], [0, 1]]}, "dx": [1]}},
+         "dx has shape (1,), expected (2,)"),
+        (1, {"graph": [[[1, 2], [3, 4]]]},
+         "graph point has shape (2,), expected (1,)"),
+        (1, {"subdiff": {"quadratic": {"Q": [[1, 0], [0, 1]], "b": [0]}}},
+         "Q has shape (2, 2), expected (1, 1)"),
+        (1, {"normal_cone": {"capsule": {"a": [0], "b": [1, 0]}}},
+         "capsule ends have shapes (1,) and (2,)"),
+        (1, {"shift": {"inner": {"linear": [[1]]}, "dxstar": [1, 2]}},
+         "dxstar has shape (2,), expected (1,)"),
     ]
 
     @pytest.fixture
@@ -513,6 +546,24 @@ class TestRefusedAtParse:
         assert captured.out == ""
         assert f"task 0 ({task['kind']}) {message}" in captured.err
         assert gap_calls == []
+
+    @pytest.mark.parametrize("dim, op, message", BAD_OPERATORS)
+    def test_a_descriptor_of_two_sizes_exits_2(self, capsys, tmp_path,
+                                               gap_calls, dim, op, message):
+        space = {"dim": dim, "norm": "l2"}
+        data = base_scenario([{"kind": "gap", "operator": "bad", "seed": 0,
+                               "count": 1}], {"bad": op}, space)
+        assert main(["run", write_scenario(tmp_path, data)]) == 2
+        assert main(["gap", "--space", json.dumps(space), "--operator",
+                     json.dumps(op), "--count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(message) == 2
+        assert gap_calls == []
+
+    def test_a_zero_budget_is_allowed(self):
+        for task in (self.GAP, self.FITZ, self.NI):
+            parse_scenario(base_scenario([dict(task, budget=0)]))
 
     @pytest.mark.parametrize("key", ["w", "wstar"])
     def test_a_non_finite_point_is_refused(self, key):

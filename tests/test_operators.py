@@ -486,6 +486,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             Linear(pair=DualPair(2), M=np.eye(3))
 
+    @pytest.mark.parametrize("points", [[([1.0], [2.0])],
+                                        [([1.0, 0.0], [2.0, 0.0]),
+                                         ([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])]])
+    def test_graph_point_of_another_size_rejected(self, points):
+        with pytest.raises(ValueError, match="graph point has shape"):
+            FiniteGraph(pair=DualPair(2), points=tuple(
+                PairedPoint(x, xs) for x, xs in points))
+
+    @pytest.mark.parametrize("dx, dxstar", [([1.0], [0.0, 0.0]),
+                                            ([0.0, 0.0], [1.0, 2.0, 3.0])])
+    def test_shift_of_another_size_rejected(self, dx, dxstar):
+        with pytest.raises(ValueError, match="has shape"):
+            Shift(pair=DualPair(2), inner=Linear(pair=DualPair(2),
+                                                 M=np.eye(2)),
+                  dx=np.array(dx), dxstar=np.array(dxstar))
+
     def test_singular_resolvent_raises(self):
         from monotone_lab import ResolventError
         S = Linear(pair=PAIR1, M=np.array([[-1.0]]))

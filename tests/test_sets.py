@@ -245,6 +245,11 @@ class TestInterior:
         with pytest.raises(ValueError):
             Polytope(vertices=np.empty((0, 2)))
 
+    @pytest.mark.parametrize("a, b", [([0.0, 0.0], [1.0]), ([0.0], [1.0, 0.0])])
+    def test_capsule_ends_of_two_sizes_rejected(self, a, b):
+        with pytest.raises(ValueError, match="capsule ends have shapes"):
+            Capsule(a=np.array(a), b=np.array(b))
+
 
 def scale_of(V: np.ndarray, y: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(V))), float(np.max(np.abs(y))))
