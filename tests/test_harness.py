@@ -767,7 +767,7 @@ class TestSumTest:
         monkeypatch.setattr(harness_mod, "_interior_domain_witness",
                             lambda S, T, seed: np.zeros(1))
         monkeypatch.setattr(harness_mod.qd_mod, "gaps",
-                            lambda S, queries, seed: [
+                            lambda S, probes, seed: [
                                 GapReport(v, None, "exact", "resolvent")
                                 for v in (0.0, np.nan)])
         S = Subdifferential(pair=PAIR1, f=NormFn(1))
