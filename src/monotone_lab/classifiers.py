@@ -46,15 +46,24 @@ def _windowed_check(
 ) -> ClassifierVerdict:
     w = S.pair.check_dim(w, "w")
     wstar = S.pair.check_dim(wstar, "wstar")
-    if not U.interior_contains(w):
-        raise ValueError("the reference point must lie inside the window")
-
+    n = S.pair.dim
     X, Xs = S.graph_rows(budget, seed)
-    PX, PXs = _window_probes(S, U, wstar, Xs, seed)
-    X, Xs = np.vstack([X, PX]), np.vstack([Xs, PXs])
-    inside = U.interior_mask(X, tol=1e-12)
-    X, Xs = X[inside], Xs[inside]
-    hits = len(X)
+    probes = _window_probes(S, U, wstar, Xs, seed)
+    # rows [s | s*]: the graph sample, the window probes, then (w, w*),
+    # all tested by one interior pass, w at its own tolerance
+    m, k = len(X), len(probes)
+    R = np.empty((m + k + 1, 2 * n))
+    R[:m, :n], R[:m, n:], R[m:-1] = X, Xs, probes
+    R[-1, :n], R[-1, n:] = w, wstar
+    tol = np.full(m + k + 1, 1e-12)
+    tol[-1] = 1e-9
+    inside = U.interior_mask(R[:, :n], tol)
+    if not inside[-1]:
+        raise ValueError("the reference point must lie inside the window")
+    inside[-1] = False
+    R = R[inside]
+    X, Xs = R[:, :n], R[:, n:]
+    hits = len(R)
     vals = row_dots(X - w, Xs - wstar)
     i = first_min(vals)
     worst = np.inf if i is None else float(vals[i])
@@ -75,9 +84,9 @@ def _window_probes(
     wstar: np.ndarray,
     base_xstar: np.ndarray,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Graph points aimed into the window through the resolvent, as rows
-    (X, X*).
+    [s | s*] of one (k, 2n) array.
 
     The default sample cloud tracks the graph's own scale and can miss
     the window entirely, which would let a premise pass by blindness;
@@ -88,36 +97,32 @@ def _window_probes(
     p_0, q_0, p_1, q_1, ... (q_k the re-aimed p_k) and stop at the first
     resolvent failure.  Each stage is one stacked resolvent call whose
     rows count up to the first failed one, and the re-aim resolves only
-    the leading rows that succeeded.  A finite graph is sampled whole
-    already and gets none.
+    the leading rows that succeeded; each stage's rows are written once,
+    the p_k to the even rows and the q_k to the odd ones.  A finite
+    graph is sampled whole already and gets none.
     """
-    empty = np.empty((0, S.pair.dim))
+    n = S.pair.dim
     if isinstance(S, FiniteGraph):
-        return empty, empty
+        return np.empty((0, 2 * n))
     rng = np.random.default_rng(seed + 17)
     targets = U.project(np.vstack([
-        rng.normal(size=(8, U.dim)) * 3.0, np.zeros((1, U.dim))]))
+        rng.normal(size=(8, n)) * 3.0, np.zeros((1, n))]))
     partners = np.vstack([wstar, base_xstar[:6]])
-    U = np.repeat(targets, len(partners), axis=0)
-    Z = U + np.tile(partners, (len(targets), 1))
-    # k and j count the leading rows that succeeded
-    P, Ps, ok = S.resolvent(Z)
-    k = int(np.cumprod(ok).sum())
+    # the aims u_i + v_j, i major; k and j count the leading rows that
+    # succeeded
+    P, Ps, ok = S.resolvent((targets[:, None, :] + partners).reshape(-1, n))
+    k = len(ok) if ok.all() else int(ok.argmin())
     if k == 0:
-        return empty, empty
-    Q, Qs, ok = S.resolvent(U[:k] + Ps[:k])
-    j = int(np.cumprod(ok).sum())
+        return np.empty((0, 2 * n))
+    u = targets[np.arange(k) // len(partners)]
+    Q, Qs, ok = S.resolvent(u + Ps[:k])
+    j = len(ok) if ok.all() else int(ok.argmin())
     # p_0, q_0, ..., p_(j-1), q_(j-1), then p_j if its re-aim failed
     m = min(j + 1, k)
-    return _interleave(P[:m], Q[:j]), _interleave(Ps[:m], Qs[:j])
-
-
-def _interleave(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Rows p_0, q_0, p_1, q_1, ..., with the rows of P past len(Q) at
-    the end."""
-    j = len(Q)
-    return np.vstack([np.stack([P[:j], Q], axis=1).reshape(-1, P.shape[1]),
-                      P[j:]])
+    out = np.empty((m + j, 2 * n))
+    out[0::2, :n], out[0::2, n:] = P[:m], Ps[:m]
+    out[1::2, :n], out[1::2, n:] = Q[:j], Qs[:j]
+    return out
 
 
 def check_fpv(

@@ -31,7 +31,8 @@ form and the same residual elsewhere, and so answers only 'yes' or
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -176,25 +177,28 @@ class FiniteGraph(MonotoneOperator):
 class Linear(MonotoneOperator):
     """Single-valued linear map x -> Mx.
 
-    Any square M is accepted; ``monotone`` records whether M + M^T is
+    Any square M is accepted; ``monotone`` says whether M + M^T is
     positive semidefinite, its smallest eigenvalue at least
     -1e-12 sum |M_ij|, so that callers can keep a non-monotone M off the
-    paths that assume monotonicity."""
+    paths that assume monotonicity.  It is computed the first time it is
+    read, so a map whose paths never ask pays no eigenvalue solve."""
 
     M: np.ndarray = None  # type: ignore[assignment]
-    monotone: bool = field(default=True, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self) -> None:
         M = np.atleast_2d(np.asarray(self.M, dtype=float))
         if M.shape != (self.pair.dim, self.pair.dim):
             raise ValueError("matrix shape does not match the pair dimension")
         object.__setattr__(self, "M", M)
+
+    @cached_property
+    def monotone(self) -> bool:
         # relative to M, whose rounding errors can tip the symmetric part
         # of a skew-dominated map just below 0; sum |M_ij| bounds ||M||_2
         # and, unlike a sum of squares, does not underflow
-        object.__setattr__(self, "monotone", bool(
-            np.linalg.eigvalsh(M + M.T)[0] >= -1e-12 * np.abs(M).sum()))
+        M = self.M
+        return bool(np.linalg.eigvalsh(M + M.T)[0]
+                    >= -1e-12 * np.abs(M).sum())
 
     def _resolve(self, z: np.ndarray, lam: float):
         A = np.eye(self.pair.dim) + lam * self.M

@@ -22,7 +22,9 @@ bracket over a capsule's segment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -92,15 +94,25 @@ class CompactConvexSet:
         +inf, before any solve.
         """
         y = np.asarray(y, dtype=float)
-        Y = self._check_rows(y) if y.ndim == 2 else self._check(y)[None]
+        y = self._check_rows(y) if y.ndim == 2 else self._check(y)
+        # the sum is finite only when every entry is; where it is not
+        # (or overflows), the finite rows are picked out one by one
+        if math.isfinite(y.sum()):
+            d = self._dists(y, norm)
+            return d if y.ndim == 2 else float(d)
+        Y = np.atleast_2d(y)
         d = np.abs(Y).max(axis=1, initial=0.0)  # NaN or inf if a row is
-        # a slice when every row is finite, so that Y[ok] is a view
-        ok = slice(None) if np.isfinite(d).all() else np.isfinite(d)
-        if norm is NormTag.L2 or self._is_box():
-            d[ok] = row_norms(Y[ok] - self._project(Y[ok]), norm)
-        else:
-            d[ok] = [self._dist(row, norm) for row in Y[ok]]
+        ok = np.isfinite(d)
+        d[ok] = self._dists(Y[ok], norm)
         return d if y.ndim == 2 else float(d[0])
+
+    def _dists(self, y: np.ndarray, norm: NormTag) -> np.ndarray:
+        """``dist`` over the last axis of a finite ``y``, a point or a
+        stack of rows."""
+        if norm is NormTag.L2 or self._is_box():
+            return row_norms(y - self._project(y), norm)
+        return np.reshape([self._dist(row, norm) for row in np.atleast_2d(y)],
+                          y.shape[:-1])
 
     def _is_box(self) -> bool:
         """Whether the set is an axis-aligned box, so that its Euclidean
@@ -112,26 +124,28 @@ class CompactConvexSet:
         the one-row case of ``interior_mask``."""
         return bool(self.interior_mask(self._check(y)[None, :], tol)[0])
 
-    def interior_mask(self, Y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def interior_mask(self, Y: np.ndarray,
+                      tol: float | np.ndarray = 1e-9) -> np.ndarray:
         """``interior_contains`` of each row of ``Y``, as a bool array.
 
         A row is interior when it and its 2n axis perturbations by
         delta = 16 max(tol, 1e-9) all lie in the set up to tol, which is
         correct for full-dimensional sets; balls use their closed form.
+        ``tol`` is one float for every row, or an (m,) array with each
+        row's own, so that rows held to different tolerances share one
+        pass: each row's delta and test are those of its tol, and its
+        result is that of the row tested alone.
         """
         P = self._probes(Y, tol)
         d = self.dist(P.reshape(-1, self.dim))
-        return np.all(d.reshape(P.shape[:2]) <= tol, axis=1)
+        return (d.reshape(P.shape[:2]) <= tol).all(axis=0)
 
-    def _probes(self, Y: np.ndarray, tol: float) -> np.ndarray:
-        """(m, 2n+1, n) stack: each row of Y, then y + delta e_i and
-        y - delta e_i for i = 0..n-1."""
+    def _probes(self, Y: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
+        """(2n+1, m, n) stack: the rows of Y, then y + delta e_i and
+        y - delta e_i for i = 0..n-1, each row's delta from its tol."""
         Y = self._check_rows(Y)
-        delta = 16 * max(tol, 1e-9)
-        E = delta * np.eye(self.dim)
-        offsets = np.vstack([np.zeros(self.dim),
-                             np.hstack([E, -E]).reshape(-1, self.dim)])
-        return Y[:, None, :] + offsets
+        delta = 16 * np.reshape(np.maximum(tol, 1e-9), (-1, 1))
+        return Y + delta * _axis_offsets(self.dim)[:, None, :]
 
     def _check(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float).ravel()
@@ -147,6 +161,15 @@ class CompactConvexSet:
         return Y
 
 
+@lru_cache
+def _axis_offsets(n: int) -> np.ndarray:
+    """(2n+1, n) rows 0, e_0, -e_0, ..., e_(n-1), -e_(n-1), read-only."""
+    E = np.eye(n)
+    out = np.vstack([np.zeros(n), np.hstack([E, -E]).reshape(-1, n)])
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Polytope(CompactConvexSet):
     """Convex hull of a nonempty finite vertex list.
@@ -156,20 +179,23 @@ class Polytope(CompactConvexSet):
     1-D vertex list qualifies), the hull is that box: it projects by
     ``np.clip(y, lo, hi)``.  Any other hull projects by Wolfe's algorithm
     (``solvers.nearest_hull_point``), and its l1/linf distance is one LP
-    held against the vertices and the projection.
+    held against the vertices and the projection.  Which of the two it
+    is, is decided the first time a projection or distance asks.
     """
 
     vertices: np.ndarray
-    # (lo, hi) when the hull is the vertices' bounding box, else None
-    _box: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         V = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if V.size == 0:
             raise ValueError("polytope needs at least one vertex")
         object.__setattr__(self, "vertices", V)
-        object.__setattr__(self, "_box", _box_bounds(V))
+
+    @cached_property
+    def _box(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(lo, hi) when the hull is the vertices' bounding box, else
+        None."""
+        return _box_bounds(self.vertices)
 
     @property
     def dim(self) -> int:
@@ -226,17 +252,23 @@ def _box_bounds(V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
     Every vertex lies in the box, so the hull is the box exactly when V
     holds all of its 2**k corners, k the number of sides with lo < hi.
-    A corner is coded by which of those coordinates sit at hi.
+    For k <= 1 the corners are a least and a largest vertex.  Otherwise
+    a corner is coded by which of those coordinates sit at hi, and each
+    code found is marked in a table of 2**k.
     """
     lo, hi = V.min(axis=0), V.max(axis=0)
     free = lo < hi
     k = int(np.count_nonzero(free))
+    if k <= 1:
+        return lo, hi
     if 2**k > len(V):
         return None
-    at_hi = V[:, free] == hi[free]
-    corner = np.all(at_hi | (V[:, free] == lo[free]), axis=1)
-    codes = at_hi[corner] @ (1 << np.arange(k))
-    return (lo, hi) if np.unique(codes).size == 2**k else None
+    W = V[:, free]
+    at_hi = W == hi[free]
+    corner = np.all(at_hi | (W == lo[free]), axis=1)
+    seen = np.zeros(2**k, dtype=bool)
+    seen[at_hi[corner] @ (1 << np.arange(k))] = True
+    return (lo, hi) if seen.all() else None
 
 
 def interval(lo: float, hi: float) -> Polytope:

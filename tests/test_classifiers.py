@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from monotone_lab import (
     Ball,
@@ -32,8 +34,9 @@ from monotone_lab import (
     strong_max_primal,
     theta,
 )
+from monotone_lab.operators import inverse
 from monotone_lab.quasidensity import fuzz_orbit
-from monotone_lab.spaces import vector_norm
+from monotone_lab.spaces import first_min, row_dots, vector_norm
 
 PAIR1 = DualPair(1, NormTag.L2)
 ABS_OP = Subdifferential(pair=PAIR1, f=NormFn(1))
@@ -103,8 +106,9 @@ class TestWindowedChecks:
 
 def scalar_interior_mask(region, Y, tol=1e-9):
     """Row-by-row interior test through 2n+1 scalar ``contains`` calls
-    (the closed form on balls), the path the batched mask replaces."""
-    def one(y):
+    (the closed form on balls), the path the batched mask replaces; a
+    row is held to its own entry of a per-row ``tol``."""
+    def one(y, tol):
         if isinstance(region, Ball):
             return region.radius > 0 and vector_norm(
                 y - region.center, region.norm) < region.radius - tol
@@ -112,7 +116,8 @@ def scalar_interior_mask(region, Y, tol=1e-9):
         probes = [y] + [y + sign * delta * e for e in np.eye(region.dim)
                         for sign in (1, -1)]
         return all(region.contains(p, tol) for p in probes)
-    return np.array([one(y) for y in Y], dtype=bool)
+    return np.array([one(y, t) for y, t in
+                     zip(Y, np.broadcast_to(tol, len(Y)))], dtype=bool)
 
 
 PAIR2 = DualPair(2, NormTag.L2)
@@ -421,3 +426,161 @@ class TestRangeSideOnInverse:
             check_fp(ABS_OP, Ut, arr(0.0), arr(0.0, 0.0))
         with pytest.raises(ValueError, match="wstar"):
             strong_max_primal(ABS_OP, interval(-1.0, 1.0), arr(0.0, 0.0))
+
+
+# --- the windowed check of one stacked interior pass, against the
+# algorithm it replaced: the reference point in its own
+# ``interior_contains``, the probes from np.repeat/np.tile and two
+# interleaves, and two vstacks before the candidates' interior pass
+
+
+def _interleave_reference(P, Q):
+    j = len(Q)
+    return np.vstack([np.stack([P[:j], Q], axis=1).reshape(-1, P.shape[1]),
+                      P[j:]])
+
+
+def _window_probes_reference(S, U, wstar, base_xstar, seed):
+    empty = np.empty((0, S.pair.dim))
+    if isinstance(S, FiniteGraph):
+        return empty, empty
+    rng = np.random.default_rng(seed + 17)
+    targets = U.project(np.vstack([
+        rng.normal(size=(8, U.dim)) * 3.0, np.zeros((1, U.dim))]))
+    partners = np.vstack([wstar, base_xstar[:6]])
+    aims = np.repeat(targets, len(partners), axis=0)
+    P, Ps, ok = S.resolvent(aims + np.tile(partners, (len(targets), 1)))
+    k = int(np.cumprod(ok).sum())
+    if k == 0:
+        return empty, empty
+    Q, Qs, ok = S.resolvent(aims[:k] + Ps[:k])
+    j = int(np.cumprod(ok).sum())
+    m = min(j + 1, k)
+    return (_interleave_reference(P[:m], Q[:j]),
+            _interleave_reference(Ps[:m], Qs[:j]))
+
+
+def _windowed_check_reference(S, U, w, wstar, budget, seed):
+    """(premise_holds, witness rows or None, conclusion, vacuous)."""
+    if not U.interior_contains(w):
+        raise ValueError("the reference point must lie inside the window")
+    X, Xs = S.graph_rows(budget, seed)
+    PX, PXs = _window_probes_reference(S, U, wstar, Xs, seed)
+    X, Xs = np.vstack([X, PX]), np.vstack([Xs, PXs])
+    inside = U.interior_mask(X, tol=1e-12)
+    X, Xs = X[inside], Xs[inside]
+    vals = row_dots(X - w, Xs - wstar)
+    i = first_min(vals)
+    premise = (np.inf if i is None else float(vals[i])) >= -1e-10
+    member = S.contains(w, wstar, tol=1e-7)
+    return (premise and len(X) > 0, None if premise else (X[i], Xs[i]),
+            {"yes": "in", "no": "out"}.get(member, "unknown"), len(X) == 0)
+
+
+def _check_reference(cls, S, U, w, ws, budget, seed):
+    if cls == "fpv":
+        return _windowed_check_reference(S, U, w, ws, budget, seed)
+    held, wit, concl, vac = _windowed_check_reference(
+        inverse(S), U, ws, w, budget, seed)
+    return held, None if wit is None else wit[::-1], concl, vac
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def assert_same_verdict(got, ref):
+    held, wit, concl, vac = ref
+    assert (got.premise_holds, got.conclusion, got.vacuous) == \
+        (held, concl, vac)
+    if wit is None:
+        assert got.premise_witness is None
+    else:
+        assert _bits(got.premise_witness.x) == _bits(wit[0])
+        assert _bits(got.premise_witness.xstar) == _bits(wit[1])
+
+
+@st.composite
+def window_cases(draw):
+    """(S, U, w, w*): a finite graph, a linear map, a normal cone or a
+    norm subdifferential in 1-3 D, and an interval, box, hull or ball
+    window with w inside it, near its edge or outside."""
+    d = draw(st.integers(1, 3))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    point = arrays(np.float64, (d,), elements=coord)
+    pair = DualPair(d, draw(st.sampled_from(list(NormTag))))
+    kind = draw(st.sampled_from(["graph", "linear", "cone", "norm"]))
+    if kind == "graph":
+        S = FiniteGraph(pair=pair, points=[
+            PairedPoint(draw(point), draw(point))
+            for _ in range(draw(st.integers(1, 8)))])
+    elif kind == "linear":
+        S = Linear(pair=pair, M=draw(arrays(np.float64, (d, d),
+                                            elements=coord)))
+    elif kind == "cone":
+        lo = draw(point)
+        S = NormalCone(pair=pair, f=IndicatorFn(box(lo, lo + 1.0)))
+    else:
+        S = Subdifferential(pair=pair, f=NormFn(d, kind=draw(
+            st.sampled_from(list(NormTag)))))
+    window = draw(st.sampled_from(["box", "hull", "ball"]))
+    c = draw(point)
+    if window == "box":  # an interval in 1-D
+        U = box(c - 1.0, c + draw(st.floats(0.1, 2.0)))
+        anchor = c
+    elif window == "hull":
+        V = c + draw(arrays(np.float64, (d + 2, d),
+                            elements=st.floats(-1.5, 1.5)))
+        U = Polytope(vertices=V)
+        anchor = V.mean(axis=0)
+    else:
+        U = Ball(center=c, radius=draw(st.floats(0.2, 2.0)),
+                 norm=draw(st.sampled_from(list(NormTag))))
+        anchor = c
+    w = anchor + draw(arrays(np.float64, (d,),
+                             elements=st.floats(-1.2, 1.2)))
+    return S, U, w, draw(point)
+
+
+class TestOneStackedInteriorPass:
+    """``check_fpv`` and ``check_fp`` test the graph rows, the window
+    probes and the reference point in one interior pass; their verdicts
+    and witnesses equal, bit for bit, those of the separate passes."""
+
+    @given(case=window_cases(), cls=st.sampled_from(["fpv", "fp"]),
+           seed=st.integers(0, 1000))
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_is_the_separate_passes_bit_for_bit(self, case, cls,
+                                                         seed):
+        S, U, w, ws = case
+        fn = check_fpv if cls == "fpv" else check_fp
+        try:
+            ref = _check_reference(cls, S, U, w, ws, 30, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                fn(S, U, w, ws, budget=30, seed=seed)
+            return
+        assert_same_verdict(fn(S, U, w, ws, budget=30, seed=seed), ref)
+
+    @pytest.mark.parametrize("cls", ["fpv", "fp"])
+    @pytest.mark.parametrize("op", sorted(WINDOW_OPS))
+    def test_reference_point_keeps_its_own_tolerance(self, cls, op):
+        # w + delta (delta = 1.6e-8) leaves [-1, 1] by 5e-10: inside the
+        # reference point's 1e-9, outside the candidates' 1e-12
+        S = WINDOW_OPS[op]
+        U = box(arr(-1.0, -1.0), arr(1.0, 1.0))
+        edge = 1.0 - 1.6e-8 + 5e-10
+        assert U.dist(arr(edge + 1.6e-8, 0.0)) > 1e-12
+        assert not U.interior_mask(arr(edge, 0.0)[None], 1e-12)[0]
+        w = ws = arr(edge, 0.0)
+        fn = check_fpv if cls == "fpv" else check_fp
+        ref = _check_reference(cls, S, U, w, ws, 40, 5)
+        assert_same_verdict(fn(S, U, w, ws, budget=40, seed=5), ref)
+
+    def test_reference_point_outside_the_window_raises(self):
+        U = interval(-1.0, 1.0)
+        edge = arr(1.0 - 1.6e-8 + 2e-9)  # 2e-9 beyond the face
+        with pytest.raises(ValueError, match="inside the window"):
+            check_fpv(ABS_OP, U, edge, arr(1.0))
+        with pytest.raises(ValueError, match="inside the window"):
+            check_fp(ABS_OP, U, arr(0.0), edge)

@@ -47,6 +47,7 @@ from monotone_lab import (
     tail_operator,
 )
 from monotone_lab import harness as harness_mod
+from monotone_lab import quasidensity
 from monotone_lab.cli import main
 
 PAIR1 = DualPair(1, NormTag.L2)
@@ -636,6 +637,70 @@ class TestRunScenario:
         assert ni["nonpositive"]
         br = rep["tasks"][1]["records"][0]
         assert br["ok"]
+
+
+SKEWED = [[1.0, 1.0], [-1.0, 1.0]]
+SQUARE_CORNERS = [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
+# the operator and window kinds of the classify-windows benchmark
+CLASSIFY_KINDS = [
+    (1, {"subdiff": {"norm": {"dim": 1, "kind": "l2"}}}, "interval"),
+    (1, {"subdiff": {"half_sq": {"dim": 1}}}, "interval"),
+    (1, {"normal_cone": {"polytope": [[-1.0], [1.0]]}}, "interval"),
+    (1, {"linear": [[2.0]]}, "interval"),
+    (2, {"normal_cone": {"polytope": SQUARE_CORNERS}}, "box"),
+    (2, {"linear": SKEWED}, "box"),
+    (2, {"subdiff": {"half_sq": {"dim": 2}}}, "ball"),
+    (2, {"subdiff": {"norm": {"dim": 2, "kind": "l1"}}}, "ball"),
+    (2, {"linear": SKEWED}, "ball"),
+]
+
+
+class TestFlagsAtFirstRead:
+    """Parsing a classify task builds no flag that its run may not read:
+    a polytope's box test (once ``np.unique``) and a linear map's
+    monotonicity (``np.linalg.eigvalsh``) wait for their first read."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        for mod, name in ((np, "unique"), (np.linalg, "eigvalsh")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=real, **k:
+                                calls.append(_n) or _f(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("cls", ["fpv", "fp"])
+    @pytest.mark.parametrize("dim, op, window", CLASSIFY_KINDS)
+    def test_classify_parse_runs_neither(self, monkeypatch, cls, dim, op,
+                                         window):
+        c = [0.1] * dim
+        U = ({"ball": {"center": c, "radius": 1.0}} if window == "ball"
+             else {"polytope": [[v + 0.1 for v in corner] for corner in
+                                (SQUARE_CORNERS if dim == 2
+                                 else [[-1.0], [1.0]])]})
+        data = base_scenario(
+            [{"kind": "classify", "operator": "S", "class": cls, "seed": 3,
+              "budget": 20, "w": c, "wstar": c, "window": U}],
+            operators={"S": op}, space={"dim": dim, "norm": "l2"})
+        calls = self._spy(monkeypatch)
+        scen = parse_scenario(data)
+        assert calls == []
+        assert scen.runs[0]()[0]["conclusion"] in ("in", "out", "unknown")
+
+    def test_non_monotone_map_is_read_at_its_gap(self, monkeypatch):
+        data = base_scenario(
+            [{"kind": "gap", "operator": "S", "seed": 0, "budget": 20,
+              "probes": [[[0.5], [1.0]]]}],
+            operators={"S": {"linear": [[-1.0]]}})
+        calls = self._spy(monkeypatch)
+        scen = parse_scenario(data)
+        assert calls == []
+        S = parse_operator({"linear": [[-1.0]]}, DualPair(1))
+        assert S.monotone is False
+        assert quasidensity._path(S, PairedPoint([0.5], [1.0])) == "scan"
+        rec = scen.runs[0]()[0]
+        assert (rec["status"], rec["method"]) == ("upper_bound", "sampled")
+        assert calls.count("eigvalsh") == 2
 
 
 class TestGapTask:

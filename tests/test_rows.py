@@ -396,7 +396,7 @@ class TestWindowProbes:
     @pytest.mark.parametrize("fail", FAILS)
     def test_looping_operator_stops_at_the_first_failure(self, fail):
         _, ref, S = self._reference(fail)
-        X, Xs = self._probes(S)
+        X, Xs = np.hsplit(self._probes(S), 2)
         assert np.array_equal(X, np.array([p.x for p in ref]).reshape(-1, 1))
         assert np.array_equal(Xs, np.array([p.xstar for p in ref])
                               .reshape(-1, 1))

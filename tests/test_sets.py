@@ -324,6 +324,76 @@ class TestBoxProjection:
                                               V.max(axis=0)))
 
 
+def _box_bounds_reference(V):
+    """The bounding-box rule with ``np.unique``: conv(V) is its bounding
+    box when V holds all 2**k corners coded by the sides at hi."""
+    lo, hi = V.min(axis=0), V.max(axis=0)
+    free = lo < hi
+    k = int(np.count_nonzero(free))
+    if 2**k > len(V):
+        return None
+    at_hi = V[:, free] == hi[free]
+    corner = np.all(at_hi | (V[:, free] == lo[free]), axis=1)
+    codes = at_hi[corner] @ (1 << np.arange(k))
+    return (lo, hi) if np.unique(codes).size == 2**k else None
+
+
+@st.composite
+def vertex_lists(draw):
+    """Corners of a box in 1-5 D with sides of width 0 among them, some
+    dropped or repeated, points inside added, and entries set to NaN or
+    +-inf, shuffled."""
+    d = draw(st.integers(1, 5))
+    lo = draw(arrays(np.float64, (d,), elements=st.sampled_from(
+        [-2.0, -1.0, 0.0, 1.0])))
+    hi = lo + draw(arrays(np.float64, (d,), elements=st.sampled_from(
+        [0.0, 0.5, 1.0, 3.0])))
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    keep = draw(st.lists(st.booleans(), min_size=len(corners),
+                         max_size=len(corners)))
+    if draw(st.booleans()):
+        corners = corners[np.array(keep, dtype=bool)]
+    repeats = draw(st.lists(st.integers(0, max(len(corners) - 1, 0)),
+                            max_size=3)) if len(corners) else []
+    t = draw(arrays(np.float64, (draw(st.integers(0, 3)), d),
+                    elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    V = np.vstack([corners, corners[repeats], lo + t * (hi - lo)])
+    if not len(V):
+        V = lo[None]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(V) - 1))
+        j = draw(st.integers(0, d - 1))
+        V[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return V[draw(st.permutations(list(range(len(V)))))]
+
+
+class TestBoxDetection:
+    @given(V=vertex_lists())
+    @example(V=np.array([[np.nan, 0.0], [1.0, 0.0], [1.0, 1.0],
+                         [np.nan, 1.0]]))
+    @example(V=np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0],
+                         [np.inf, 1.0]]))
+    @example(V=np.array([[0.0, -np.inf], [0.0, np.inf]]))
+    @example(V=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
+    @settings(max_examples=400, deadline=None)
+    def test_bounding_box_rule_is_the_unique_codes_rule(self, V):
+        got, ref = sets_module._box_bounds(V), _box_bounds_reference(V)
+        assert (got is None) == (ref is None), V
+        if ref is not None:
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b.tobytes()
+
+    def test_flag_is_decided_at_the_first_read(self, monkeypatch):
+        calls = []
+        real = sets_module._box_bounds
+        monkeypatch.setattr(sets_module, "_box_bounds",
+                            lambda V: calls.append(1) or real(V))
+        s = Polytope(vertices=SQUARE.vertices)
+        assert calls == []
+        assert s._is_box() and s._is_box()
+        assert calls == [1]
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("an exact distance ran the subgradient descent")
 
@@ -585,6 +655,25 @@ class TestExactSetDistance:
             for y, dist in zip(Y[:4], D):
                 assert np.array_equal(s.dist(y, norm), dist, equal_nan=True)
 
+    @pytest.mark.parametrize("norm", list(NormTag))
+    def test_a_point_is_its_row_bit_for_bit(self, norm):
+        # a point takes the stack's path over its last axis; a row of
+        # finite entries whose sum overflows is tested for finiteness
+        # row by row, and a stack with a non-finite row as well
+        sets = [box([0.0, 0.0], [1.0, 1.0]), Polytope(vertices=TRIANGLE),
+                Ball(center=[0.5, 0.0], radius=0.5, norm=norm),
+                Capsule(a=[0.0, 0.0], b=[1.0, 2.0], radius=0.3)]
+        rng = np.random.default_rng(11)
+        Y = np.vstack([rng.uniform(-3.0, 3.0, (6, 2)), [[1e308, 1e308]]])
+        for s in sets:
+            with np.errstate(over="ignore", invalid="ignore"):
+                D = s.dist(Y, norm)
+                mixed = s.dist(np.vstack([Y, [[np.nan, 0.0]]]), norm)
+                points = [s.dist(y, norm) for y in Y]
+            assert D.tobytes() == mixed[:-1].tobytes(), s
+            assert D.tobytes() == np.array(points).tobytes(), s
+            assert all(type(d) is float for d in points)
+
     @pytest.mark.parametrize("norm", [NormTag.L1, NormTag.LINF])
     def test_a_far_point_takes_the_projection(self, norm):
         # at (1e20, 1e20) the LP's hull weights all round to 0; there
@@ -742,6 +831,23 @@ class TestInteriorMask:
         y = np.array([[1.0 - tol, 0.0], [1.0 - 2 * tol, 0.0]])
         assert s.interior_mask(y, tol).tolist() == [False, True]
         assert_mask_matches(s, y, tol)
+
+    @pytest.mark.parametrize("s", [SQUARE, interval(-1.0, 2.0),
+                                   Ball(center=np.zeros(2), radius=1.0),
+                                   Capsule(a=np.zeros(2), b=np.ones(2),
+                                           radius=0.3)],
+                             ids=["square", "interval", "ball", "capsule"])
+    def test_per_row_tol_is_each_rows_own(self, s):
+        rng = np.random.default_rng(4)
+        tols = np.array([1e-12, 1e-9, 1e-6, 2.0**-20])
+        Y = rng.uniform(-1.3, 1.3, (40, s.dim))
+        # rows near the faces, where the tolerance decides
+        Y[::4] = np.clip(Y[::4], -1.0 + 1.6e-8 - 5e-10, 1.0 - 1.6e-8 + 5e-10)
+        tol = tols[rng.integers(0, 4, 40)]
+        mask = s.interior_mask(Y, tol)
+        assert mask.tolist() == [s.interior_mask(y[None], t)[0]
+                                 for y, t in zip(Y, tol)]
+        assert len(set(mask.tolist())) == 2
 
     def test_rows_must_match_the_dimension(self):
         with pytest.raises(ValueError):
