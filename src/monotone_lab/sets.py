@@ -476,7 +476,9 @@ class Capsule(CompactConvexSet):
     def _dist(self, y: np.ndarray, norm: NormTag) -> float:
         """The hull's LP; for an l2 capsule, the least ball distance of
         z - theta d (z = y - a, d = b - a; convex in theta in [0, 1]) met
-        by a golden-section bracket that stops when its ends meet."""
+        by a golden-section bracket that stops when its inner points
+        meet.  The inner point that survives a step keeps its value, so
+        each step evaluates only its new point (both after a tie)."""
         if self._hull is not None:
             return self._hull._dist(y, norm)
         z, d = y - self.a, self.b - self.a
@@ -486,14 +488,20 @@ class Capsule(CompactConvexSet):
             return ball._dist(z - t * d, norm)
 
         lo, hi, best = 0.0, 1.0, min(phi(0.0), phi(1.0))
-        while True:
-            t1, t2 = hi - _GOLD * (hi - lo), lo + _GOLD * (hi - lo)
-            if not lo < t1 < t2 < hi or np.array_equal(z - t1 * d,
-                                                       z - t2 * d):
-                return best
-            f1, f2 = phi(t1), phi(t2)
+        t1, t2 = hi - _GOLD * (hi - lo), lo + _GOLD * (hi - lo)
+        f1 = f2 = None
+        while lo < t1 < t2 < hi and not np.array_equal(z - t1 * d,
+                                                        z - t2 * d):
+            f1 = phi(t1) if f1 is None else f1
+            f2 = phi(t2) if f2 is None else f2
             best = min(best, f1, f2)
-            if f1 <= f2:
-                hi = t2
-            if f2 <= f1:
-                lo = t1
+            if f1 < f2:  # on [lo, t2], t1 the upper inner point
+                hi, t2, f2, f1 = t2, t1, f1, None
+                t1 = hi - _GOLD * (hi - lo)
+            elif f2 < f1:  # on [t1, hi], t2 the lower inner point
+                lo, t1, f1, f2 = t1, t2, f2, None
+                t2 = lo + _GOLD * (hi - lo)
+            else:
+                lo, hi, f1, f2 = t1, t2, None, None
+                t1, t2 = hi - _GOLD * (hi - lo), lo + _GOLD * (hi - lo)
+        return best

@@ -193,6 +193,58 @@ class TestCapsule:
         assert np.allclose(p, np.array([1.0, 0.5]), atol=1e-9)
 
 
+def _capsule_dist_reference(c, y, norm):
+    """The bracket that evaluates both inner points at every step."""
+    z, d = y - c.a, c.b - c.a
+    ball = Ball(center=np.zeros(c.dim), radius=c.radius)
+
+    def phi(t):
+        return ball._dist(z - t * d, norm)
+
+    gold = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi, best = 0.0, 1.0, min(phi(0.0), phi(1.0))
+    while True:
+        t1, t2 = hi - gold * (hi - lo), lo + gold * (hi - lo)
+        if not lo < t1 < t2 < hi or np.array_equal(z - t1 * d, z - t2 * d):
+            return best
+        f1, f2 = phi(t1), phi(t2)
+        best = min(best, f1, f2)
+        if f1 <= f2:
+            hi = t2
+        if f2 <= f1:
+            lo = t1
+
+
+class TestCapsuleBracket:
+    """An l2 capsule's l1/linf distance keeps the value of the inner
+    point that survives each golden-section step."""
+
+    @pytest.mark.parametrize("norm", [NormTag.L1, NormTag.LINF])
+    def test_each_step_evaluates_one_new_point(self, monkeypatch, norm):
+        calls = []
+        real = Ball._dist
+        monkeypatch.setattr(Ball, "_dist", lambda self, y, nm:
+                            calls.append(1) or real(self, y, nm))
+        rng = np.random.default_rng(8)
+        new = old = 0
+        for _ in range(100):
+            d = int(rng.integers(2, 5))
+            c = Capsule(a=rng.uniform(-2.0, 2.0, d),
+                        b=rng.uniform(-2.0, 2.0, d),
+                        radius=float(rng.uniform(0.05, 1.5)))
+            y = rng.uniform(-4.0, 4.0, d)
+            calls.clear()
+            got = c.dist(y, norm)
+            n_new = len(calls)
+            calls.clear()
+            ref = _capsule_dist_reference(c, y, norm)
+            assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
+            # the two ends, then one point a step (two after a tie)
+            assert n_new <= len(calls)
+            new, old = new + n_new, old + len(calls)
+        assert new <= 0.6 * old
+
+
 class TestPolyhedralCapsule:
     """A capsule fattened by an l1 or linf ball is the polytope
     conv({a, b} + ball vertices) and projects as that polytope."""
