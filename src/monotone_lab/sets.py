@@ -95,8 +95,8 @@ class CompactConvexSet:
         """
         y = np.asarray(y, dtype=float)
         y = self._check_rows(y) if y.ndim == 2 else self._check(y)
-        # the sum is finite only when every entry is; where it is not
-        # (or overflows), the finite rows are picked out one by one
+        # the sum is finite only when every entry is; else (or where it
+        # overflows) the rows with a NaN or an inf are set aside first
         if math.isfinite(y.sum()):
             d = self._dists(y, norm)
             return d if y.ndim == 2 else float(d)
