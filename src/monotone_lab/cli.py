@@ -32,9 +32,10 @@ def _json_arg(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser.  Every JSON default is a string, which argparse
-    passes through ``type`` on each parse, so a reused parser hands each
-    call objects of its own."""
+    """A new parser.  Its ``subcommands`` maps each subcommand's name to
+    the parser that reads the rest of its argv.  The JSON options default
+    to None, and ``_inline_scenario`` builds a fresh default for each
+    call, so a reused parser shares no object between calls."""
     ap = argparse.ArgumentParser(
         prog="monotone-lab",
         description="numerical analysis toolkit for monotone operators",
@@ -44,6 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a scenario file")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     _common_output(run_p)
+    ap.subcommands = {"run": run_p}
 
     for name, help_text in (
         ("gap", "gap evaluation at probe points"),
@@ -52,14 +54,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("br", "approximate-minimizer subgradient procedures"),
         ("tail", "tail truncation experiment"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--space", type=_json_arg,
-                       default='{"dim": 1, "norm": "l2"}',
-                       help='space descriptor, e.g. \'{"dim":2,"norm":"l2"}\'')
+        p = ap.subcommands[name] = sub.add_parser(name, help=help_text)
+        if name != "tail":  # the tail operator lives on the l1 pair
+            p.add_argument("--space", type=_json_arg, help="space "
+                           'descriptor, e.g. \'{"dim":2,"norm":"l2"}\'')
         if name in ("gap", "fitz", "classify"):
             p.add_argument("--operator", type=_json_arg, required=True,
                            help="operator descriptor (JSON)")
-        p.add_argument("--task", type=_json_arg, default="{}",
+        p.add_argument("--task", type=_json_arg,
                        help="extra task fields (JSON object)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=None)
@@ -80,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fn", type=_json_arg, required=True,
                            help="function descriptor (JSON)")
         if name == "tail":
-            p.add_argument("--n-list", type=_json_arg,
-                           default="[1, 2, 4, 8, 16]")
+            p.add_argument("--n-list", type=_json_arg)
         _common_output(p)
     return ap
 
@@ -93,12 +94,15 @@ def _common_output(p: argparse.ArgumentParser) -> None:
 
 
 def _inline_scenario(args: argparse.Namespace) -> dict:
-    task = dict(args.task)
+    task = {} if args.task is None else dict(args.task)
     task["seed"] = task.get("seed", args.seed)
     if args.budget is not None:
         task["budget"] = args.budget
     if args.eta is not None:
         task["eta"] = args.eta
+    space = getattr(args, "space", None)  # tail takes none
+    if space is None:
+        space = {"dim": 1, "norm": "l2"}
     operators = {}
     if getattr(args, "operator", None) is not None:
         operators["op"] = args.operator
@@ -122,11 +126,12 @@ def _inline_scenario(args: argparse.Namespace) -> dict:
         task["fn"] = args.fn
     elif args.command == "tail":
         task["kind"] = "tail_experiment"
-        task.setdefault("n_list", args.n_list)
-        args.space = {"dim": 1, "norm": "l1"}
+        task.setdefault("n_list", [1, 2, 4, 8, 16] if args.n_list is None
+                        else args.n_list)
+        space = {"dim": 1, "norm": "l1"}
     return {
         "schema": 1,
-        "space": args.space,
+        "space": space,
         "operators": operators,
         "tasks": [task],
     }
@@ -151,7 +156,18 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ap = _parser()
+    command = ap.subcommands.get(argv[0]) if argv else None
+    if command is None:  # help, an unknown command or none: its usage
+        args = ap.parse_args(argv)
+    else:
+        # the subcommand's parser reads the rest, as the top-level pass
+        # would hand it on, and leftovers are the top-level's error
+        args, extra = command.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            ap.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.command == "run":
             report = run_scenario(args.scenario)

@@ -140,9 +140,18 @@ def parse_operator(desc: dict, pair: DualPair) -> MonotoneOperator:
                 f"{pair.primal_norm.value} pair of dimension {pair.dim}")
         return T
     if "graph" in desc:
-        pts = [PairedPoint(np.asarray(a, float), np.asarray(b, float))
-               for a, b in desc["graph"]]
-        return FiniteGraph(pair=pair, points=tuple(pts))
+        # one array of the points (x, x*), each part flattened as
+        # PairedPoint flattens it; FiniteGraph checks their size
+        try:
+            G = np.asarray(desc["graph"], dtype=float)
+        except ValueError as exc:  # ragged, or an entry that is no number
+            raise ScenarioError(f"graph is malformed: {exc}") from None
+        if G.shape != (0,) and (G.ndim < 2 or G.shape[1] != 2):
+            raise ScenarioError(f"graph is malformed: shape {G.shape} is "
+                                "not that of a list of pairs (x, x*)")
+        G = G.reshape(len(G), 2, math.prod(G.shape[2:]))
+        return FiniteGraph(pair=pair, points=tuple(
+            PairedPoint.of_rows(x, xs) for x, xs in G))
     if "linear" in desc:
         return Linear(pair=pair, M=np.asarray(desc["linear"], float))
     if "subdiff" in desc:
@@ -242,16 +251,24 @@ def finite_float(text: str) -> float:
 _NUMBER_SHAPE = str.maketrans("123456789E", "000000000e", "+-")
 
 
+# json.loads builds a decoder on each call that passes a hook
+_DECODE = json.JSONDecoder(parse_constant=finite_float).decode
+_DECODE_CHECKED = json.JSONDecoder(parse_constant=finite_float,
+                                   parse_float=finite_float).decode
+
+
 def load_json(text: str) -> Any:
     """The JSON ``text``, refusing NaN, Infinity and a number that
     overflows; json's C parser reads every float where ``text`` holds no
     literal that can overflow, and ``finite_float`` reads each
     otherwise."""
+    if text.startswith("\ufeff"):  # as json.loads refuses it
+        raise json.JSONDecodeError(
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     shape = text.translate(_NUMBER_SHAPE)
     if "e000" in shape or "0" * 210 in shape:
-        return json.loads(text, parse_constant=finite_float,
-                          parse_float=finite_float)
-    return json.loads(text, parse_constant=finite_float)
+        return _DECODE_CHECKED(text)
+    return _DECODE(text)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -357,7 +374,7 @@ def _positive(v) -> float:
 
 def _jsonable(x: Any) -> Any:
     if isinstance(x, np.ndarray):
-        return [float(v) for v in x.ravel()]
+        return x.astype(float, copy=False).ravel().tolist()
     if isinstance(x, (np.floating, float)):
         return float(x)
     if isinstance(x, (np.integer, int)):

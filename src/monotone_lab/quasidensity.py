@@ -21,6 +21,7 @@ replaces one component of the probe, are their own functions,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -280,9 +281,15 @@ def _best_point(S: Linear, target: PairedPoint, C: np.ndarray) -> GapReport:
     rows s of C, r clipped at 0, NaN skipped."""
     Cs = S._apply(C)
     r = r_objective(S, target, C, Cs)
-    i = int(np.nanargmin(r))
-    # the least score, NaN skipped (nanargmin reads NaN as +inf)
-    value = max(float(np.fmin.reduce(r)), 0.0)
+    # the first least score, NaN read as +inf for the row and skipped
+    # for the value, as np.nanargmin and np.fmin.reduce read them
+    i, best = 0, math.inf
+    for k, v in enumerate(r.tolist()):
+        if v < best:
+            i, best = k, v
+    if best == math.inf and np.isnan(r).all():
+        raise ValueError("All-NaN slice encountered")
+    value = max(best, 0.0)
     return GapReport(value, PairedPoint.of_rows(C[i], Cs[i]), "upper_bound",
                      "qp")
 
