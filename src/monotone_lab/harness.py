@@ -334,7 +334,7 @@ def _point(pair: DualPair, name: str) -> Callable[[Any], np.ndarray]:
     """Parser of a finite point, ``name``, of the pair's dimension."""
     def parse(v) -> np.ndarray:
         out = np.asarray(v, dtype=float).ravel()
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise ValueError(f"non-finite entry in {v!r}")
         return pair.check_dim(out, name)
     return parse
@@ -395,7 +395,7 @@ def _task_gap(pair: DualPair, ops: dict, task: dict) -> Callable:
     eta = _field(task, "eta", _positive, 1e-6)
     probe = _point(pair, "probe")
     probes = _field(task, "probes", lambda ps: [
-        PairedPoint(probe(p[0]), probe(p[1])) for p in ps], None)
+        PairedPoint.of_rows(probe(p[0]), probe(p[1])) for p in ps], None)
     if probes is None:
         count = _field(task, "count", _at_least(0), 20)
     dual_fuzz = _field(task, "dual_fuzz", _set(pair), None)
