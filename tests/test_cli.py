@@ -1,0 +1,139 @@
+"""The CLI's one-pass dispatch: a call whose first word is a subcommand
+is read by that subcommand's parser alone, with the exit code, report
+and messages of a pass through the top-level parser."""
+
+import json
+import re
+
+import pytest
+
+import monotone_lab.cli as cli_mod
+from monotone_lab.cli import main
+
+ABS = '{"subdiff": {"norm": {"dim": 1}}}'
+SCENARIO = {"schema": 1, "space": {"dim": 1, "norm": "l2"},
+            "operators": {"abs": json.loads(ABS)},
+            "tasks": [{"kind": "gap", "operator": "abs", "seed": 1,
+                       "count": 2}]}
+
+# every subcommand: a valid call, an abbreviated option, the
+# --opt=value form, a missing required option, a bad choice, a
+# non-finite number, help, leftovers and no command at all
+ARGVS = [
+    ["run", "{scenario}"],
+    ["run", "{scenario}", "--format", "csv"],
+    ["run"],
+    ["run", "{scenario}", "extra"],
+    ["gap", "--operator", ABS, "--count", "2", "--seed", "3"],
+    ["gap", "--oper", ABS, "--count", "2"],
+    ["gap", f"--operator={ABS}", "--count=2", "--probes=[[[1.0], [0.5]]]"],
+    ["gap", "--count", "1"],
+    ["gap", "--operator", ABS, "--probes", "[[[1e400], [0.0]]]"],
+    ["gap", "--operator", ABS, "--space", "{}"],
+    ["fitz", "--operator", '{"linear": [[1.0]]}',
+     "--points", "[[[1.0], [1.0]]]"],
+    ["fitz", "--operator", '{"linear": [[1.0]]}'],
+    ["classify", "--operator", ABS, "--class", "ni",
+     "--task", '{"wstar": [2.0], "wstarstar": [0.0]}'],
+    ["classify", "--operator", ABS, "--class", "zz"],
+    ["classify", "--oper", ABS, "--cl", "ni", "--task", '{"wstar": [NaN]}'],
+    ["br", "--mode", "corollary", "--fn", '{"half_sq": {"dim": 1}}',
+     "--task", '{"beta": 0.1}'],
+    ["br", "--mode", "zz", "--fn", '{"half_sq": {"dim": 1}}'],
+    ["br", "--mode=corollary"],
+    ["tail", "--n-list", "[1, 2]"],
+    ["tail", "--n-list=[1]", "--task", '{"n_list": [2]}', "--format=csv"],
+    ["tail", "--space", '{"dim": 3, "norm": "l2"}', "--n-list", "[2]"],
+    ["tail", "--n-list", "[1e400]"],
+    ["--help"],
+    ["-h"],
+    ["gap", "--help"],
+    ["tail", "-h"],
+    [],
+    ["nope", "--count", "1"],
+    ["--count", "1"],
+]
+
+
+def _outcome(argv, capsys):
+    """The exit code, stdout with every elapsed_s cut and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"elapsed_s": [^,}]*', "", out), err
+
+
+def _top_level_parser():
+    """A parser that hands every call to the top-level pass."""
+    ap = cli_mod.build_parser()
+    ap.subcommands = {}
+    return ap
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_a_call_reads_as_through_the_top_level_parser(argv, capsys,
+                                                      monkeypatch, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(SCENARIO), encoding="utf-8")
+    argv = [str(path) if a == "{scenario}" else a for a in argv]
+    one_pass = _outcome(argv, capsys)
+    monkeypatch.setattr(cli_mod, "_parser", _top_level_parser)
+    assert _outcome(argv, capsys) == one_pass
+
+
+def test_the_table_covers_every_subcommand():
+    assert {a[0] for a in ARGVS if a} >= set(cli_mod.build_parser()
+                                             .subcommands)
+
+
+def test_tail_takes_no_space(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tail", "--space", '{"dim": 3, "norm": "l2"}',
+              "--n-list", "[2]"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "monotone-lab: error: unrecognized arguments: --space "
+        '{"dim": 3, "norm": "l2"}\n')
+    # without it, the rows are on the l1 pair
+    assert main(["tail", "--n-list", "[2]"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [r["n"] for r in report["tasks"][0]["records"]] == [2]
+
+
+def test_an_empty_space_is_still_refused(capsys):
+    assert main(["gap", "--operator", ABS, "--space", "{}"]) == 2
+    assert "space descriptor needs a 'dim' key" in capsys.readouterr().err
+
+
+def test_two_calls_share_no_default_object(capsys, monkeypatch):
+    scenarios = []
+    real = cli_mod.run_scenario
+
+    def spy(scenario):
+        scenarios.append(scenario)
+        return real(scenario)
+
+    monkeypatch.setattr(cli_mod, "run_scenario", spy)
+    for argv in (["gap", "--operator", ABS, "--count", "1"],
+                 ["gap", "--operator", ABS, "--count", "1"],
+                 ["tail", "--n-list", "[1]"], ["tail"], ["tail"]):
+        assert main(argv) == 0
+        capsys.readouterr()
+    first, second = scenarios[:2]
+    assert first == second
+    assert first["space"] is not second["space"]
+    assert first["tasks"][0] is not second["tasks"][0]
+    first["space"]["dim"] = 5  # a caller that edits its scenario
+    assert scenarios[1]["space"] == {"dim": 1, "norm": "l2"}
+    defaults = [s["tasks"][0]["n_list"] for s in scenarios[3:]]
+    assert defaults[0] == defaults[1] == [1, 2, 4, 8, 16]
+    assert defaults[0] is not defaults[1]
+    assert scenarios[3]["space"] is not scenarios[4]["space"]
+    # the reused parser's namespace carries no decoded default
+    args, _ = cli_mod._parser().subcommands["gap"].parse_known_args(
+        ["--operator", ABS])
+    assert args.space is None and args.task is None

@@ -981,6 +981,38 @@ class TestReportFormats:
         with pytest.raises(ScenarioError, match="non-finite number"):
             harness_mod.load_json(f'{{"probe": [{token}, 0.0]}}')
 
+    @pytest.mark.parametrize("text", [
+        '\ufeff{"a": 1}', '[NaN]', '{"a": -Infinity}', '[1e400]',
+        '[-1E+400, 1.0]', pytest.param("1" * 400, id="400-digit-int"),
+        pytest.param("[" + "9" * 400 + ".5]", id="400-digit-float"),
+        '{"a": 1} x', '[1.0] [2.0]', '{"a": [1.5, {"b": [-2e-3, 7, '
+        '1e308, 5e-324, -0.0, [true, null, "e123"]]}]}', '  "s"  ', "",
+        '{"a": 1,}'])
+    def test_load_json_reads_as_json_loads_with_its_hooks(self, text):
+        """Its shared decoders return what ``json.loads`` returns with
+        both hooks, or raise the same error with the same text."""
+        def read(loads):
+            try:
+                return repr(loads(text))
+            except ValueError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        finite = harness_mod.finite_float
+        assert read(harness_mod.load_json) == read(
+            lambda t: json.loads(t, parse_constant=finite,
+                                 parse_float=finite))
+
+    @pytest.mark.parametrize("x", [
+        np.array([1.5, -0.0, np.inf, np.nan, 5e-324]),
+        np.arange(6.0).reshape(2, 3).T, np.arange(-3, 3),
+        np.array([[True, False]]), np.float32([0.1, 2.5]), np.zeros((0, 2)),
+        np.array(2.5)])
+    def test_jsonable_lists_an_array_as_floats(self, x):
+        out = harness_mod._jsonable(x)
+        expected = [float(v) for v in x.ravel()]
+        assert [repr(v) for v in out] == [repr(v) for v in expected]
+        assert all(type(v) is float for v in out)
+
 
 class TestCli:
     def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch):

@@ -229,6 +229,36 @@ class TestLinearQpWithoutLemkePoint:
         assert rep.value == max(float(r_objective(S, t, s0, S.M @ s0)), 0.0)
 
 
+SCORES = st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, np.nan,
+                                   np.inf, -np.inf]) |
+                  st.floats(-3.0, 3.0), min_size=1, max_size=5)
+
+
+class TestBestPoint:
+    @given(scores=SCORES)
+    @settings(max_examples=300, deadline=None)
+    def test_it_reads_scores_as_nanargmin_and_fmin(self, scores):
+        # each candidate row is (k, 0), so the witness names its row
+        S = Linear(pair=DualPair(2, NormTag.L1), M=np.eye(2))
+        C = np.column_stack([np.arange(len(scores), dtype=float),
+                             np.zeros(len(scores))])
+        r = np.array(scores)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quasidensity, "r_objective", lambda *args: r.copy())
+            if np.isnan(r).all():
+                with pytest.raises(ValueError, match="All-NaN slice"):
+                    np.nanargmin(r)
+                with pytest.raises(ValueError, match="All-NaN slice"):
+                    quasidensity._best_point(S, pp([0, 0], [0, 0]), C)
+                return
+            rep = quasidensity._best_point(S, pp([0, 0], [0, 0]), C)
+        i = int(np.nanargmin(r))
+        assert np.array_equal(rep.witness.x, C[i])
+        assert np.array_equal(rep.witness.xstar, C[i])
+        assert repr(rep.value) == repr(max(float(np.fmin.reduce(r)), 0.0))
+        assert (rep.status, rep.method) == ("upper_bound", "qp")
+
+
 def _lcp_rows(monkeypatch) -> list:
     """The row counts of the LCPs ``quasidensity`` hands to lemke."""
     rows = []
