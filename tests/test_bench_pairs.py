@@ -1,6 +1,7 @@
 """The summary of ``tools/bench_pairs.py``: each side's quartiles, the
-pairs the change wins in each metric's direction, and the median test
-against the base side's interquartile range."""
+pairs the change wins in each metric's direction, the median test
+against the base side's interquartile range, the claim rule and each
+metric's bound."""
 
 import importlib.util
 import os
@@ -24,16 +25,19 @@ def _run(p50, rps, failed=0):
                         "ops_per_s": {"value": rps}}}
 
 
-METRICS = [{"name": "op_p50_ms", "better": "lower"},
-           {"name": "ops_per_s", "better": "higher"}]
+METRICS = [{"name": "op_p50_ms", "better": "lower", "bound": 0.25},
+           {"name": "ops_per_s", "better": "higher", "bound": 0.25}]
+
+
+def _pairs(base, change):
+    return {"w": [{"seed": i, "base": _run(*a), "change": _run(*b)}
+                  for i, (a, b) in enumerate(zip(base, change))]}
 
 
 def test_wins_follow_each_metrics_direction():
     base = [(1.0, 100.0), (1.2, 90.0), (1.1, 95.0), (0.9, 105.0)]
     change = [(0.8, 120.0), (1.0, 80.0), (0.9, 110.0), (0.95, 100.0)]
-    runs = {"w": [{"seed": i, "base": _run(*a), "change": _run(*b)}
-                  for i, (a, b) in enumerate(zip(base, change))]}
-    p50, rps = _load().summary(runs, METRICS)[1:]
+    p50, rps = _load().summary(_pairs(base, change), METRICS)[1:]
     assert p50.split()[:2] == ["op_p50_ms", "base"]
     # op_p50_ms: lower wins in 3 of 4 pairs; medians 1.05 and 0.925
     # differ by 0.125, inside the base's IQR 1.125 - 0.975 = 0.15
@@ -41,6 +45,8 @@ def test_wins_follow_each_metrics_direction():
     assert "-11.9%" in p50
     # ops_per_s: higher wins in 2 of 4 pairs
     assert "wins 2/4" in rps
+    for line in (p50, rps):
+        assert "claim not met" in line and "WORSE" not in line
 
 
 def test_a_pair_with_other_failures_is_flagged():
@@ -50,3 +56,42 @@ def test_a_pair_with_other_failures_is_flagged():
     assert "beyond base IQR" in lines[1]
     assert lines[-1] == ("  pair 0 (seed 7): attempted/failed (64, 0) at "
                          "base, (64, 1) at change")
+
+
+def test_a_claim_needs_nine_wins_in_ten_and_a_median_beyond_the_iqr():
+    base = [(1.0 + 0.01 * i, 100.0) for i in range(10)]  # IQR 0.045
+    summary = _load().summary
+    # ten wins, medians 0.1 apart
+    lines = summary(_pairs(base, [(b - 0.1, r) for b, r in base]), METRICS)
+    assert "wins 10/10" in lines[1] and lines[1].endswith("claim met")
+    # nine wins still claim; eight do not
+    for losses, verdict in ((1, "claim met"), (2, "claim not met")):
+        change = [(b - 0.1, r) for b, r in base]
+        for i in range(losses):
+            change[i] = (base[i][0] + 0.01, 100.0)
+        line = summary(_pairs(base, change), METRICS)[1]
+        assert f"wins {10 - losses}/10" in line and line.endswith(verdict)
+    # ten wins, but medians 0.02 apart, inside the base's IQR
+    line = summary(_pairs(base, [(b - 0.02, r) for b, r in base]),
+                   METRICS)[1]
+    assert "wins 10/10" in line and "within base IQR" in line
+    assert line.endswith("claim not met")
+    # a median beyond the IQR the wrong way is no claim either
+    line = summary(_pairs(base, [(b + 0.1, r) for b, r in base]),
+                   METRICS)[1]
+    assert "beyond base IQR" in line and line.endswith("claim not met")
+
+
+def test_a_median_worse_than_the_bound_is_flagged_in_either_direction():
+    base = [(1.0, 100.0)] * 4
+    summary = _load().summary
+    # 26% slower and 26% fewer ops: both beyond the 25% bound
+    p50, rps = summary(_pairs(base, [(1.26, 74.0)] * 4), METRICS)[1:]
+    assert p50.endswith("WORSE beyond the 25% bound")
+    assert rps.endswith("WORSE beyond the 25% bound")
+    # 24% worse each way stays inside it
+    p50, rps = summary(_pairs(base, [(1.24, 76.0)] * 4), METRICS)[1:]
+    assert "WORSE" not in p50 and "WORSE" not in rps
+    # a 40% gain is never flagged
+    p50, rps = summary(_pairs(base, [(0.6, 140.0)] * 4), METRICS)[1:]
+    assert "WORSE" not in p50 and "WORSE" not in rps

@@ -18,8 +18,13 @@ For each workload and end-to-end metric it prints each side's median
 and quartiles, the change of the median in per cent, the pairs that
 CHANGE wins (better in the metric's direction, from ``BENCHMARK.json``)
 and whether the medians differ by more than BASE's interquartile range.
-It also flags a pair whose sides attempted or failed different numbers
-of operations. ``--json FILE`` writes every run's metrics.
+Two verdicts follow, the checks a gain and a regression must pass:
+``claim met`` when CHANGE wins at least 9 pairs in 10 and its median is
+better than BASE's by more than BASE's interquartile range, and
+``WORSE`` when CHANGE's median is worse than BASE's by more than the
+metric's ``bound`` (a fraction of BASE's median). It also flags a pair
+whose sides attempted or failed different numbers of operations.
+``--json FILE`` writes every run's metrics.
 """
 
 from __future__ import annotations
@@ -70,7 +75,8 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 def summary(runs: dict, metrics: list[dict]) -> list[str]:
     """Lines of the table: per workload and metric, both sides' quartiles,
-    the wins of the change and the median test."""
+    the wins of the change, the median test, the claim rule and the
+    bound."""
     lines = []
     for workload, pairs in runs.items():
         lines.append(f"{workload}: {len(pairs)} pairs")
@@ -82,11 +88,17 @@ def summary(runs: dict, metrics: list[dict]) -> list[str]:
             wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
             change = 100.0 * (b2 / a2 - 1.0) if a2 else float("nan")
             clear = abs(b2 - a2) > a3 - a1
+            gain = a2 - b2 if lower else b2 - a2
+            claim = 10 * wins >= 9 * len(pairs) and gain > a3 - a1
+            worse = -gain > m["bound"] * abs(a2)
             lines.append(
                 f"  {name:12s} base {a2:10.4g} [{a1:.4g}, {a3:.4g}]  "
                 f"change {b2:10.4g} [{b1:.4g}, {b3:.4g}]  {change:+6.1f}%  "
                 f"wins {wins}/{len(pairs)}  "
-                f"{'beyond' if clear else 'within'} base IQR")
+                f"{'beyond' if clear else 'within'} base IQR  "
+                f"claim {'met' if claim else 'not met'}"
+                + (f"  WORSE beyond the {m['bound']:.0%} bound"
+                   if worse else ""))
         for i, p in enumerate(pairs):
             counts = [(p[s]["attempted"], p[s]["failed"])
                       for s in ("base", "change")]
