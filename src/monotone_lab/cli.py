@@ -159,11 +159,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     ap = _parser()
     command = ap.subcommands.get(argv[0]) if argv else None
-    if command is None:  # help, an unknown command or none: its usage
+    if command is None:  # help, an unknown command or none at all
         args = ap.parse_args(argv)
     else:
-        # the subcommand's parser reads the rest, as the top-level pass
-        # would hand it on, and leftovers are the top-level's error
+        # the rest is what a top-level pass would hand this parser; a
+        # leftover is the top-level parser's error, with its usage line
         args, extra = command.parse_known_args(
             argv[1:], argparse.Namespace(command=argv[0]))
         if extra:
