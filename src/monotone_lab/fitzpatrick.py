@@ -213,11 +213,11 @@ def _phi_normal_cone(C: CompactConvexSet, x: np.ndarray, xstar: np.ndarray,
     excess = float(d @ x) - C.support(d)
     if excess > 0.0 and excess > 4 * (x.size + 2) * _EPS * (
             float(np.abs(d) @ ax)
-            + _extent(C) * float(np.sum(np.abs(d)))):
+            + _extent(C) * float(np.abs(d).sum())):
         s = C.argmax_support(d)
-        return FitzEvaluation(INF, "exact", PairedPoint(s, np.zeros_like(s)),
-                              direction=PairedPoint(np.zeros_like(d), d))
-    wit = PairedPoint(C.argmax_support(xstar), np.zeros_like(x))
+        return FitzEvaluation(INF, "exact", PairedPoint(s, np.zeros(s.shape)),
+                              direction=PairedPoint(np.zeros(d.shape), d))
+    wit = PairedPoint(C.argmax_support(xstar), np.zeros(x.shape))
     return FitzEvaluation(C.support(xstar),
                           "exact" if C.contains(x, 0.0) else "lower_bound",
                           wit)

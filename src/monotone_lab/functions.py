@@ -25,6 +25,7 @@ and a closed-form prox.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -693,7 +694,9 @@ def minimize(
     t = 1.0
     for k in range(max_iter):
         x_new = f.prox_lam(x, t)
-        if np.linalg.norm(x_new - x) <= tol * (1.0 + np.linalg.norm(x)):
+        # the l2 norms np.linalg.norm takes, without its wrapper
+        step = x_new - x
+        if math.sqrt(step.dot(step)) <= tol * (1.0 + math.sqrt(x.dot(x))):
             return x_new, f.eval(x_new)
         x = x_new
         if k % 20 == 19:

@@ -753,16 +753,19 @@ def _finite_json(obj: Any) -> Any:
     return obj
 
 
+# built once, where json.dumps builds an encoder on each call
+_ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+
 def report_json(report: dict) -> str:
     """One line of strict JSON with sorted keys: non-finite floats are
     written as the strings "inf", "-inf" and "nan".  The C encoder
     writes a finite report as it stands; only a report that it refuses
     for a non-finite float is copied by ``_finite_json`` first."""
     try:
-        return json.dumps(report, sort_keys=True, allow_nan=False)
+        return _ENCODE(report)
     except ValueError:  # a non-finite float
-        return json.dumps(_finite_json(report), sort_keys=True,
-                          allow_nan=False)
+        return _ENCODE(_finite_json(report))
 
 
 def strip_timings(report: dict) -> dict:

@@ -203,19 +203,19 @@ class Polytope(CompactConvexSet):
 
     def _support(self, y: np.ndarray) -> np.ndarray:
         # V @ row for each row, the product a point takes
-        return np.max((self.vertices @ y[..., None])[..., 0], axis=-1)
+        return (self.vertices @ y[..., None])[..., 0].max(axis=-1)
 
     def argmax_support(self, y: np.ndarray) -> np.ndarray:
         y = self._check(y)
         vals = self.vertices @ y
-        top = float(np.max(vals))
-        scale = max(1.0, float(np.max(np.abs(vals))))
+        top = float(vals.max())
+        scale = max(1.0, float(np.abs(vals).max()))
         ties = self.vertices[vals >= top - _LEX_TOL * scale]
         return _lex_smallest(ties).copy()
 
     def _project(self, y: np.ndarray) -> np.ndarray:
         if self._box is not None:
-            return np.clip(y, *self._box)
+            return y.clip(*self._box)
         return each_row(lambda p: nearest_hull_point(self.vertices, p), y)
 
     def _is_box(self) -> bool:
