@@ -210,8 +210,9 @@ def parse_scenario(data: dict) -> Scenario:
     for name, desc in data.get("operators", {}).items():
         try:
             ops[name] = parse_operator(desc, pair)
-        except (KeyError, TypeError, IndexError) as exc:
-            # a missing key or a value of the wrong shape in the JSON
+        except (KeyError, TypeError, IndexError, OverflowError) as exc:
+            # a missing key, a value of the wrong shape in the JSON or an
+            # integer too large for a float
             raise ScenarioError(f"operator {name!r} is malformed: "
                                 f"{type(exc).__name__}: {exc}") from exc
     tasks = data.get("tasks", [])

@@ -224,8 +224,9 @@ def gap_linear_qp(
     rounding.  The value is r at the best graph point (s, Ms) of the
     start (x + x*)/2, Lemke's points and their steps, clipped at 0,
     scored in one stacked pass over the rows s of one array (Ms row by
-    row, the bits of each M @ s), the first best row kept, NaN skipped;
-    a solve that ends on a ray or after ``max_pivots`` pivots adds no
+    row, the bits of each M @ s), the first best row kept, NaN skipped
+    (where every score overflows, at unit scale: ``_best_point``); a
+    solve that ends on a ray or after ``max_pivots`` pivots adds no
     point.
     """
     M = S.M
@@ -246,13 +247,13 @@ def gap_linear_qp(
             s = K @ t
             cands += [s, x + _piece_solve(
                 M, y, np.where(m > 1e-9 * m.sum(), np.sign(d), 0.0), False)]
-        rep = _best_point(S, target, c * np.array(cands))
+        rep = _best_point(S, target, np.array(cands), c)
         if rep.value <= 1e4 * np.finfo(float).eps * (1.0 + c * c):
             return rep, pivots
     s, k = _lemke_point(M, x, xs, l1, max_pivots - pivots)
     if s is not None:
         cands += [s, x + _piece_solve(M, y, s - x, l1)]
-    return _best_point(S, target, c * np.array(cands)), pivots + k
+    return _best_point(S, target, np.array(cands), c), pivots + k
 
 
 def _inverse(M: np.ndarray) -> Optional[np.ndarray]:
@@ -276,22 +277,40 @@ def _lemke_point(M: np.ndarray, x: np.ndarray, xs: np.ndarray, l1: bool,
     return (x + z[:n] - z[n:] if l1 else z[:n] - z[n:2 * n]), pivots
 
 
-def _best_point(S: Linear, target: PairedPoint, C: np.ndarray) -> GapReport:
+def _best_point(S: Linear, target: PairedPoint, U: np.ndarray, c: float
+                ) -> GapReport:
     """The ``qp`` report at the first best graph point (s, Ms) over the
-    rows s of C, r clipped at 0, NaN skipped."""
+    rows s of C = cU, r clipped at 0, NaN skipped.  Where every score
+    at the probe's scale c is NaN (each an overflow, inf - inf), the
+    rows U are scored at the probe scaled to unit size, where the LCP
+    ran, and r, which is 2-homogeneous, is scaled back as (r c) c; a
+    ``ValueError`` where that finds no number or its graph point at
+    scale c is not finite."""
+    C = c * U
     Cs = S._apply(C)
-    r = r_objective(S, target, C, Cs)
-    # the first least score, NaN read as +inf for the row and skipped
-    # for the value, as np.nanargmin and np.fmin.reduce read them
+    i, best = _first_least(r_objective(S, target, C, Cs))
+    if math.isnan(best):
+        unit = PairedPoint(target.x / c, target.xstar / c)
+        i, best = _first_least(r_objective(S, unit, U, S._apply(U)))
+        best = best * c * c
+        if math.isnan(best) or not np.isfinite(
+                np.concatenate([C[i], Cs[i]])).all():
+            raise ValueError("All-NaN slice encountered")
+    return GapReport(max(best, 0.0), PairedPoint.of_rows(C[i], Cs[i]),
+                     "upper_bound", "qp")
+
+
+def _first_least(r: np.ndarray) -> tuple[int, float]:
+    """The row and value of the first least score, NaN read as +inf for
+    the row and skipped for the value, as np.nanargmin and
+    np.fmin.reduce read them; the value is NaN where every score is."""
     i, best = 0, math.inf
     for k, v in enumerate(r.tolist()):
         if v < best:
             i, best = k, v
     if best == math.inf and np.isnan(r).all():
-        raise ValueError("All-NaN slice encountered")
-    value = max(best, 0.0)
-    return GapReport(value, PairedPoint.of_rows(C[i], Cs[i]), "upper_bound",
-                     "qp")
+        return i, math.nan
+    return i, best
 
 
 # the signs of the identity blocks of the linf LCP's Q
@@ -327,7 +346,8 @@ def _piece_solve(M: np.ndarray, y: np.ndarray, a: np.ndarray, l1: bool
     duality map of the primal norm; the Fenchel-Young equality
     conditions are linear there.  l1: (Ma')_i + sig_i <sig, a'> = y_i on
     supp(a), a'_i = 0 off it.  linf: a'_i = sig_i <sig, y - Ma'> on the
-    argmax set of |a|, (Ma')_i = y_i off it."""
+    argmax set of |a|, (Ma')_i = y_i off it.  The square system is
+    solved by LU, and by least squares where LAPACK finds it singular."""
     m = np.abs(a)
     P = m > 1e-9 * m.sum() if l1 else m >= (1.0 - 1e-9) * m.max()
     sig = np.where(P, np.sign(a), 0.0)
@@ -337,7 +357,10 @@ def _piece_solve(M: np.ndarray, y: np.ndarray, a: np.ndarray, l1: bool
     else:
         K = np.where(P[:, None], np.eye(len(a)) + np.outer(sig, sig @ M), M)
         rhs = np.where(P, sig * (sig @ y), y)
-    return np.linalg.lstsq(K, rhs, rcond=None)[0]
+    try:
+        return np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:  # K is singular: a least-squares point
+        return np.linalg.lstsq(K, rhs, rcond=None)[0]
 
 
 # the fixed-point orbit's step test and cap

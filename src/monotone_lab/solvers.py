@@ -12,6 +12,7 @@ appears); nothing keeps state between calls.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -242,15 +243,17 @@ def lemke(Q: np.ndarray, q: np.ndarray, max_pivots: int = 100000
     (``_ratio_test``) is lexicographic in (basic values, B^-1) (Cottle,
     Pang & Stone, "The Linear Complementarity Problem", 1992, 4.9), so a
     degenerate q, with tied entries, is no special case, but it first
-    takes Harris's tolerance band and its large pivots.  Where Q spans
-    many scales the exact path can pivot on entries near 1e-10, and
-    rounding can then end the pivots on a ray or in a cycle, or the band
-    can leave w a tolerance below 0: such a run is pivoted again in
-    extended precision (``np.longdouble``, a 64-bit mantissa on x86),
-    first with double's rounding tolerance and then with its own, each
-    with the pivots left.  Returns (z, pivots): z is None when no run
-    found a solution (each ended on a secondary ray, where the entering
-    column has no positive entry, or in a cycle) or after ``max_pivots``
+    takes Harris's tolerance band and its large pivots; it reads each
+    pivot's basic values and entering column once, as Python scalars of
+    the tableau's precision.  Where Q spans many scales the exact path
+    can pivot on entries near 1e-10, and rounding can then end the
+    pivots on a ray or in a cycle, or the band can leave w a tolerance
+    below 0: such a run is pivoted again in extended precision
+    (``np.longdouble``, a 64-bit mantissa on x86), first with double's
+    rounding tolerance and then with its own, each with the pivots
+    left.  Returns (z, pivots): z is None when no run found a solution
+    (each ended on a secondary ray, where the entering column has no
+    positive entry, in a cycle or on a NaN) or after ``max_pivots``
     pivots in all.  For a positive semidefinite Q the pivots end on a
     solution whenever one exists (in exact arithmetic).
     """
@@ -261,22 +264,28 @@ def lemke(Q: np.ndarray, q: np.ndarray, max_pivots: int = 100000
     if q.min(initial=0.0) >= -1e-12 * sq:
         return np.zeros(N), 0
     # the tableau [B^-1 A | B^-1 q] over the columns (w, z, z0)
-    A = np.eye(N, 2 * N + 2)
+    A = np.zeros((N, 2 * N + 2))
+    A.reshape(-1)[::2 * N + 3] = 1.0
     np.divide(Q, -sQ, out=A[:, N:2 * N])
     A[:, 2 * N] = -1.0
     np.divide(q, sq, out=A[:, -1])
     # a run that finds no z, or a z whose w = q + Qz dips below its
     # tolerance, hands on to the next; the last z found is kept
     z, pivots = None, 0
-    for dtype, eps in ((np.float64, np.finfo(float).eps),
-                       (np.longdouble, np.finfo(float).eps),
-                       (np.longdouble, np.finfo(np.longdouble).eps)):
-        zx, k = _pivot(A.astype(dtype), max_pivots - pivots, 1e4 * eps)
+    for dtype, tol in _RUNS:
+        zx, k = _pivot(A.astype(dtype), max_pivots - pivots, tol)
         z, pivots = z if zx is None else zx, pivots + k
         if pivots == max_pivots or zx is not None and (
-                A[:, -1] - A[:, N:2 * N] @ zx).min() >= -1e4 * eps:
+                A[:, -1] - A[:, N:2 * N] @ zx).min() >= -tol:
             break
     return None if z is None else z * (sq / sQ), pivots
+
+
+# lemke's runs: (precision, rounding tolerance 1e4 eps), double's eps
+# twice and then long double's
+_RUNS = tuple((dtype, float(1e4 * np.finfo(eps).eps)) for dtype, eps in (
+    (np.float64, np.float64), (np.longdouble, np.float64),
+    (np.longdouble, np.longdouble)))
 
 
 def linprog(c: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray
@@ -349,10 +358,11 @@ def _pivot(T: np.ndarray, max_pivots: int, tol: float
     """Lemke's pivots on the tableau T of ``lemke``, in T's precision
     with rounding tolerance ``tol``: (z, pivots), z None on a ray, on a
     basis met before (exact pivots never repeat one, so rounding has
-    made them cycle) or after ``max_pivots`` pivots."""
+    made them cycle), on a NaN in the basic values or the entering
+    column, or after ``max_pivots`` pivots."""
     N = len(T)
     b = T[:, -1]
-    basis = np.arange(N)
+    basis = list(range(N))
     # the basic columns as the bits of an int, and the sets met before
     basic = (1 << N) - 1
     seen = set()
@@ -363,17 +373,22 @@ def _pivot(T: np.ndarray, max_pivots: int, tol: float
     # column e_k (with d = 1) drops row k from the rows tied in b while
     # two are left: the row is the last of those ties
     enter = 2 * N
-    r = r0 = int(np.flatnonzero(b - b.min() <= tol * np.abs(b).max()).max())
+    bl = b.tolist()
+    if _has_nan(bl):
+        return None, 0
+    low, band = min(bl), tol * max(map(abs, bl))
+    r = r0 = max(i for i, v in enumerate(bl) if v - low <= band)
     for pivots in range(1, max_pivots + 1):
         d = T[:, enter].copy()
         T[r] /= d[r]
         d[r] = 0.0
         T -= np.multiply(d[:, None], T[r], out=prod)
-        leave, basis[r] = int(basis[r]), enter
+        leave, basis[r] = basis[r], enter
         if leave == 2 * N:
-            x = np.zeros(2 * N + 1)
-            x[basis] = b
-            return np.maximum(x[N:2 * N], 0.0), pivots
+            # z in double, whatever the tableau's precision
+            value = dict(zip(basis, b.tolist()))
+            return np.maximum([float(value.get(j, 0.0))
+                               for j in range(N, 2 * N)], 0.0), pivots
         basic ^= (1 << leave) | (1 << enter)
         if basic in seen:
             return None, pivots
@@ -387,31 +402,49 @@ def _pivot(T: np.ndarray, max_pivots: int, tol: float
 
 def _ratio_test(b: np.ndarray, T: np.ndarray, d: np.ndarray, r0: int,
                 tol: float) -> int | None:
-    """The leaving row for the entering column d, None on a ray; ``tol``
-    is the rounding tolerance, relative to the largest entry.  The step
-    is the least (b_i + 10 tol)/d_i over the rows with d_i > tol max d,
-    clipped at 0, so that no basic value falls more than 10 tol below 0
-    (P. M. J. Harris, "Pivot selection methods of the Devex LP code",
-    Math. Programming 5 (1973) 1-28).  z0's row r0 leaves, ending the
-    pivots, where the step takes its value to 0 within tol max |b|; else,
-    of the rows whose ratio b_i/d_i is within the step, the
-    lexicographic minimum of those with a pivot of at least a tenth of
-    the largest."""
-    pos = d > tol * np.abs(d).max()
-    rows = np.flatnonzero(pos)
-    if not rows.size:
+    """The leaving row for the entering column d, None on a ray or on a
+    NaN in b or d; ``tol`` is the rounding tolerance, relative to the
+    largest entry.  The step is the least (b_i + 10 tol)/d_i over the
+    rows with d_i > tol max d, clipped at 0, so that no basic value
+    falls more than 10 tol below 0 (P. M. J. Harris, "Pivot selection
+    methods of the Devex LP code", Math. Programming 5 (1973) 1-28).
+    z0's row r0 leaves, ending the pivots, where the step takes its
+    value to 0 within tol max |b|; else, of the rows whose ratio
+    b_i/d_i is within the step, the lexicographic minimum of those with
+    a pivot of at least a tenth of the largest.  It runs on the entries
+    of b and d as scalars of T's precision, and calls ``_lex_min`` only
+    on a tie."""
+    bl, dl = b.tolist(), d.tolist()
+    if _has_nan(bl) or _has_nan(dl):
         return None
-    br, dr = b[rows], d[rows]
-    step = max(((br + 10.0 * tol) / dr).min(), 0.0)
-    if pos[r0] and b[r0] - step * d[r0] <= tol * np.abs(b).max():
+    floor, slack = tol * max(max(dl), -min(dl)), 10 * tol
+    rows, step = [], math.inf
+    for i, di in enumerate(dl):
+        if di > floor:
+            rows.append(i)
+            h = (bl[i] + slack) / di
+            if h < step:
+                step = h
+    if not rows:
+        return None
+    step = max(step, 0.0)
+    if dl[r0] > floor and (bl[r0] - step * dl[r0]
+                           <= tol * max(max(bl), -min(bl))):
         return r0
     # the row of the least (b_i + 10 tol)/d_i is always within the step
-    within = br / dr <= step
-    rows = rows[within]
-    if rows.size == 1:
-        return int(rows[0])
-    dr = dr[within]
-    return _lex_min(b, T, rows[dr >= 0.1 * dr.max()], d, tol)
+    rows = [i for i in rows if bl[i] / dl[i] <= step]
+    if len(rows) > 1:
+        big = 0.1 * max([dl[i] for i in rows])
+        rows = [i for i in rows if dl[i] >= big]
+    if len(rows) == 1:
+        return rows[0]
+    return _lex_min(b, T, np.array(rows), d, tol)
+
+
+def _has_nan(values: list) -> bool:
+    """Whether ``values`` holds a NaN.  Its sum is NaN if it does, and
+    may be on an overflow (inf - inf); the sum of |v| only if it does."""
+    return math.isnan(sum(values)) and math.isnan(sum(map(abs, values)))
 
 
 def _lex_min(b: np.ndarray, T: np.ndarray, rows: np.ndarray,

@@ -1,19 +1,22 @@
 """The summary of ``tools/bench_pairs.py``: each side's quartiles, the
 pairs the change wins in each metric's direction, the median test
 against the base side's interquartile range, the claim rule and each
-metric's bound."""
+metric's bound; and that of ``tools/op_ab.py``: per-label medians and
+the change in the median, the tail percentile and the total."""
 
+import dataclasses
 import importlib.util
 import os
 
-BENCH_PAIRS = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "tools", "bench_pairs.py")
+import numpy as np
+
+TOOLS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
 
-def _load():
-    spec = importlib.util.spec_from_file_location("_bench_pairs",
-                                                  BENCH_PAIRS)
+def _load(name="bench_pairs"):
+    spec = importlib.util.spec_from_file_location(
+        f"_{name}", os.path.join(TOOLS, f"{name}.py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -95,3 +98,33 @@ def test_a_median_worse_than_the_bound_is_flagged_in_either_direction():
     # a 40% gain is never flagged
     p50, rps = summary(_pairs(base, [(0.6, 140.0)] * 4), METRICS)[1:]
     assert "WORSE" not in p50 and "WORSE" not in rps
+
+
+def test_op_ab_summary_has_each_label_and_the_workload_change():
+    # label a: base 1, 2, 3 ms against 1, 1, 1; label b: 4 against 6
+    ops = [("a", 1.0, 1.0), ("a", 2.0, 1.0), ("a", 3.0, 1.0),
+           ("b", 4.0, 6.0)]
+    header, a, b, median, p80, total = _load("op_ab").summary(ops, 80)
+    assert header.split() == ["label", "ops", "base", "ms", "change", "ms"]
+    assert a.split() == ["a", "3", "2.0000", "1.0000", "-50.0%"]
+    assert b.split() == ["b", "1", "4.0000", "6.0000", "+50.0%"]
+    # medians 2.5 and 1; p80 (at 2.4 of 0..3) 3.4 and 1 + 0.4 * 5 = 3
+    assert median.split() == ["median", "4", "2.5000", "1.0000", "-60.0%"]
+    assert p80.split() == ["p80", "4", "3.4000", "3.0000", "-11.8%"]
+    assert total.split() == ["total", "4", "10.0000", "9.0000", "-10.0%"]
+
+
+def test_op_ab_strips_elapsed_s_and_writes_values_field_by_field():
+    stripped = _load("op_ab").stripped
+    a = '{"tasks": [{"elapsed_s": 0.1, "value": 1.0}], "schema": 1}'
+    b = '{"schema": 1, "tasks": [{"value": 1.0, "elapsed_s": 0.2}]}'
+    assert stripped(a, "") == stripped(b, "")
+    assert stripped(a, "exit 2: bad") == '{"error": "exit 2: bad"}'
+
+    @dataclasses.dataclass
+    class Rep:
+        value: float
+        point: np.ndarray
+
+    assert stripped(Rep(np.float64(0.5), np.array([1.0, -0.0])), "") == (
+        '{"point": [1.0, -0.0], "value": 0.5}')

@@ -1260,6 +1260,30 @@ class TestCli:
         assert exc.value.code == 2
         assert "non-finite number" in capsys.readouterr().err
 
+    BIG_INT = "1" + "0" * 400  # an integer too large for a float
+
+    def test_an_operator_integer_too_large_is_config_error_inline(
+            self, capsys):
+        assert main(["gap", "--space", '{"dim": 1, "norm": "l1"}',
+                     "--operator", f'{{"linear": [[{self.BIG_INT}]]}}',
+                     "--probes", "[[[1.0], [1.0]]]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("operator 'op' is malformed: OverflowError: int too large "
+                "to convert to float") in captured.err
+
+    def test_an_operator_integer_too_large_is_config_error_in_run(
+            self, capsys, tmp_path):
+        data = base_scenario([{"kind": "gap", "operator": "big", "seed": 0,
+                               "count": 1}],
+                             operators={"big": {"shift": {
+                                 "inner": ABS, "dx": [int(self.BIG_INT)]}}})
+        assert main(["run", write_scenario(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("operator 'big' is malformed: OverflowError: int too large "
+                "to convert to float") in captured.err
+
     def test_non_finite_eta_flag_is_config_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gap", "--operator", '{"linear": [[1.0]]}', "--eta", "nan"])

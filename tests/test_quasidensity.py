@@ -249,14 +249,76 @@ class TestBestPoint:
                 with pytest.raises(ValueError, match="All-NaN slice"):
                     np.nanargmin(r)
                 with pytest.raises(ValueError, match="All-NaN slice"):
-                    quasidensity._best_point(S, pp([0, 0], [0, 0]), C)
+                    quasidensity._best_point(S, pp([0, 0], [0, 0]), C, 1.0)
                 return
-            rep = quasidensity._best_point(S, pp([0, 0], [0, 0]), C)
+            rep = quasidensity._best_point(S, pp([0, 0], [0, 0]), C, 1.0)
         i = int(np.nanargmin(r))
         assert np.array_equal(rep.witness.x, C[i])
         assert np.array_equal(rep.witness.xstar, C[i])
         assert repr(rep.value) == repr(max(float(np.fmin.reduce(r)), 0.0))
         assert (rep.status, rep.method) == ("upper_bound", "qp")
+
+
+class TestOverflowingScores:
+    def test_the_rows_are_scored_at_unit_scale(self):
+        # every r at the probe's scale is inf - inf; at (1, -1) the gap
+        # of M = 1 is 0, at s = 0
+        S = Linear(pair=DualPair(1, NormTag.L1), M=np.array([[1.0]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = gap(S, pp([1e308], [-1e308]))
+        assert (rep.value, rep.status, rep.method) == (0.0, "upper_bound",
+                                                       "qp")
+        assert rep.witness.x.tolist() == [0.0]
+        assert rep.witness.xstar.tolist() == [0.0]
+
+    def test_a_finite_score_keeps_its_scale(self, monkeypatch):
+        # one number at the probe's scale: no unit-scale pass
+        S = Linear(pair=DualPair(1, NormTag.L1), M=np.array([[1.0]]))
+        scores = iter([np.array([np.nan, 3.0])])
+        monkeypatch.setattr(quasidensity, "r_objective",
+                            lambda *args: next(scores))
+        rep = quasidensity._best_point(S, pp([2.0], [0.0]),
+                                       np.array([[0.5], [0.25]]), 4.0)
+        assert (rep.value, rep.witness.x.tolist()) == (3.0, [1.0])
+
+
+class TestPieceSolve:
+    def _calls(self, monkeypatch) -> list:
+        calls = []
+        for name in ("solve", "lstsq"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, fn=fn, name=name,
+                                **k: calls.append(name) or fn(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("l1", [True, False])
+    def test_a_singular_piece_takes_least_squares(self, monkeypatch, l1):
+        # the zero map on a piece of two rows: K = sig sig' (l1), or
+        # the zero rows of M off the argmax set (linf)
+        calls = self._calls(monkeypatch)
+        a = np.array([1.0, 1.0, 0.0]) if l1 else np.array([1.0, 0.5, 0.5])
+        y = np.array([1.0, -1.0, 2.0])
+        out = quasidensity._piece_solve(np.zeros((3, 3)), y, a, l1)
+        assert calls == ["solve", "lstsq"]
+        assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("l1", [True, False])
+    def test_a_regular_piece_is_solved_by_lu(self, monkeypatch, l1):
+        calls = self._calls(monkeypatch)
+        M = np.array([[2.0, 1.0], [-1.0, 1.0]])
+        y = np.array([1.0, -3.0])
+        out = quasidensity._piece_solve(M, y, np.array([1.0, -2.0]), l1)
+        assert calls == ["solve"]
+        # l1: (Ma)_i + sig_i <sig, a> = y_i on the support, which is all
+        # of it; linf: a_2 = sig_2 <sig, y - Ma> on the argmax set {2}
+        # and (Ma)_1 = y_1 off it
+        sig = np.array([1.0, -1.0]) if l1 else np.array([0.0, -1.0])
+        if l1:
+            assert np.allclose(M @ out + sig * (sig @ out), y, atol=1e-15)
+        else:
+            assert np.isclose(out[1], sig[1] * (sig @ (y - M @ out)),
+                              atol=1e-15)
+            assert np.isclose((M @ out)[0], y[0], atol=1e-15)
 
 
 def _lcp_rows(monkeypatch) -> list:

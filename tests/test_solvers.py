@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from monotone_lab import Polytope, tail_operator
+from monotone_lab import Polytope, solvers, tail_operator
 from monotone_lab.quasidensity import _gap_lcp
-from monotone_lab.solvers import (_lex_min, _pivot, lemke, linprog,
-                                  nearest_hull_point, project_l1_ball)
+from monotone_lab.solvers import (_lex_min, _pivot, _ratio_test, lemke,
+                                  linprog, nearest_hull_point,
+                                  project_l1_ball)
 
 
 def brute_force_projection(V: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -342,3 +343,150 @@ class TestLinprog:
     def test_no_solution_is_not_certified(self, c, A, b):
         assert linprog(np.array(c), np.array(A), np.array(b)) == (
             None, None, False)
+
+
+# Lemke's pivots with the ratio test on arrays, as the scalar one reads
+# them: the reference for its bits
+
+
+def array_pivot(T, max_pivots, tol):
+    N = len(T)
+    b = T[:, -1]
+    basis = np.arange(N)
+    basic = (1 << N) - 1
+    seen = set()
+    prod = np.empty_like(T)
+    enter = 2 * N
+    r = r0 = int(np.flatnonzero(b - b.min() <= tol * np.abs(b).max()).max())
+    for pivots in range(1, max_pivots + 1):
+        d = T[:, enter].copy()
+        T[r] /= d[r]
+        d[r] = 0.0
+        T -= np.multiply(d[:, None], T[r], out=prod)
+        leave, basis[r] = int(basis[r]), enter
+        if leave == 2 * N:
+            x = np.zeros(2 * N + 1)
+            x[basis] = b
+            return np.maximum(x[N:2 * N], 0.0), pivots
+        basic ^= (1 << leave) | (1 << enter)
+        if basic in seen:
+            return None, pivots
+        seen.add(basic)
+        enter = leave + N if leave < N else leave - N
+        r = array_ratio_test(b, T, T[:, enter], r0, tol)
+        if r is None:
+            return None, pivots
+    return None, max_pivots
+
+
+def array_ratio_test(b, T, d, r0, tol):
+    pos = d > tol * np.abs(d).max()
+    rows = np.flatnonzero(pos)
+    if not rows.size:
+        return None
+    br, dr = b[rows], d[rows]
+    step = max(((br + 10.0 * tol) / dr).min(), 0.0)
+    if pos[r0] and b[r0] - step * d[r0] <= tol * np.abs(b).max():
+        return r0
+    within = br / dr <= step
+    rows = rows[within]
+    if rows.size == 1:
+        return int(rows[0])
+    dr = dr[within]
+    return _lex_min(b, T, rows[dr >= 0.1 * dr.max()], d, tol)
+
+
+@st.composite
+def scaled_gap_lcps(draw):
+    """The l1 gap LCP of D M D, for M = B B' + K - K' and a diagonal D
+    of entries 10^k, |k| <= 9: scales far apart, which send lemke to its
+    long double runs."""
+    n = draw(st.integers(1, 8))
+    unit = st.floats(-1.0, 1.0)
+    B, K = (draw(arrays(np.float64, (n, n), elements=unit)) for _ in "BK")
+    D = 10.0 ** draw(arrays(np.float64, (n,), elements=st.floats(-9.0, 9.0)))
+    x, xs = (draw(arrays(np.float64, (n,), elements=unit)) for _ in "xy")
+    return _gap_lcp(D[:, None] * (B @ B.T + K - K.T) * D, x, xs, True)
+
+
+def lp_lcp(A, b, c):
+    """linprog's LCP of min c'lam, A lam = b, lam >= 0: its equality rows
+    come as opposite pairs, whose ties reach _lex_min."""
+    k, m = A.shape
+    Z = np.zeros((k, k))
+    return (np.block([[np.zeros((m, m)), -A.T, A.T], [A, Z, Z], [-A, Z, Z]]),
+            np.concatenate([c, -b, b]))
+
+
+@st.composite
+def integer_lp_lcps(draw):
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    ints = st.integers(-3, 3).map(float)
+    return lp_lcp(*(draw(arrays(np.float64, shape, elements=ints))
+                    for shape in ((k, m), (k,), (m,))))
+
+
+def same_as_the_array_pivots(Q, q):
+    """lemke's (z, pivots) at (Q, q), asserted equal, bytes included, to
+    those with the array ratio test."""
+    z, pivots = lemke(Q, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_pivot", array_pivot)
+        z_ref, pivots_ref = lemke(Q, q)
+    assert pivots == pivots_ref
+    assert (z is None) == (z_ref is None)
+    assert z is None or z.tobytes() == z_ref.tobytes()
+
+
+class TestScalarPivots:
+    @given(case=scaled_gap_lcps() | integer_lp_lcps())
+    @settings(max_examples=150, deadline=None)
+    def test_they_match_the_array_pivots_bit_for_bit(self, case):
+        same_as_the_array_pivots(*case)
+
+    def test_the_draws_reach_the_reruns_and_the_ties(self, monkeypatch):
+        # the scaled gap LCPs reach the long double runs, the LP ones
+        # the ties of _lex_min, and the bits still match
+        runs, ties = [], []
+        monkeypatch.setattr(solvers, "_pivot", lambda T, *a: runs.append(
+            T.dtype) or _pivot(T, *a))
+        monkeypatch.setattr(solvers, "_lex_min", lambda *a: ties.append(
+            a) or _lex_min(*a))
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            B, K = rng.standard_normal((2, n, n))
+            D = 10.0 ** rng.uniform(-9.0, 9.0, n)
+            x, xs = rng.uniform(-1.0, 1.0, (2, n))
+            same_as_the_array_pivots(*_gap_lcp(
+                D[:, None] * (B @ B.T + K - K.T) * D, x, xs, True))
+        assert np.longdouble in runs
+        for _ in range(60):
+            k, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            A = rng.integers(-3, 4, (k, m)).astype(float)
+            b, c = (rng.integers(-3, 4, size).astype(float) for size in (k, m))
+            same_as_the_array_pivots(*lp_lcp(A, b, c))
+        assert ties
+
+    def test_a_nan_ends_the_run(self):
+        # in b the first row is read off b; at the ratio test a NaN in b
+        # (even in a row without a pivot) or in d ends the pivots
+        T = np.hstack([np.eye(2), -np.eye(2), -np.ones((2, 1)),
+                       np.array([[np.nan], [-1.0]])])
+        assert _pivot(T, 10, 1e-12) == (None, 0)
+        assert lemke(np.eye(2), np.array([np.nan, -1.0])) == (None, 0)
+        b, d = np.array([1.0, np.nan]), np.array([1.0, -1.0])
+        T = np.hstack([np.eye(2), d[:, None], b[:, None]])
+        assert _ratio_test(b, T, d, 0, 1e-12) is None
+        assert _ratio_test(d, T, b, 0, 1e-12) is None
+        assert _ratio_test(d, T, d, 0, 1e-12) == 0
+
+    def test_z_is_rounded_to_double_before_its_clip(self):
+        # z = -1e-4000 in long double rounds to -0.0, which the clip
+        # reads as np.maximum does: +0.0
+        T = np.array([[1.0, -1.0, -1.0, 0.0]], dtype=np.longdouble)
+        T[0, -1] = np.longdouble("1e-4000")
+        z, pivots = _pivot(T.copy(), 10, 1e-12)
+        z_ref, _ = array_pivot(T.copy(), 10, 1e-12)
+        assert pivots == 2 and z.tobytes() == z_ref.tobytes()
+        assert z.dtype == np.float64 and not np.signbit(z).any()
