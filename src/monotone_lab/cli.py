@@ -4,8 +4,9 @@ Subcommands: run (scenario file), gap, fitz, classify, br, tail.  The
 inline subcommands accept JSON descriptors on the command line and are
 thin wrappers that synthesize a one-task scenario.  Exit codes: 0 when
 every task ran (verdicts may still be negative), 2 on parse or
-configuration errors (a NaN or infinite number among them), 3 when a
-task is recorded with status "error" or the solver fails outright.
+configuration errors (a NaN or infinite number among them, or a report
+path that cannot be written), 3 when a task is recorded with status
+"error" or the solver fails outright.
 """
 
 from __future__ import annotations
@@ -31,120 +32,111 @@ def _json_arg(text: str):
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from exc
 
 
+# an option: the field it sets, which names its flag (n_list is
+# --n-list), and argparse's keywords
+_SPACE = ("space", {"type": _json_arg, "help": "space descriptor, e.g. "
+                    '\'{"dim":2,"norm":"l2"}\''})
+_OPERATOR = ("operator", {"type": _json_arg, "required": True,
+                          "help": "operator descriptor (JSON)"})
+_TASK = ("task", {"type": _json_arg,
+                  "help": "extra task fields (JSON object)"})
+_SEED = ("seed", {"type": int, "default": 0})
+_BUDGET = ("budget", {"type": int})
+_OUTPUT = (("out", {"help": "write the report here instead of stdout"}),
+           ("format", {"choices": ["json", "csv"], "default": "json"}))
+
+# each inline subcommand: its help, its task kind and its options.  The
+# space, the operator (which the task names "op") and the task itself
+# come from --space, --operator and --task; every other option sets the
+# task field it is named for
+_INLINE = {
+    "gap": ("gap evaluation at probe points", "gap", (
+        _SPACE, _OPERATOR, _TASK, _SEED, _BUDGET,
+        ("eta", {"type": finite_float}),
+        ("probes", {"type": _json_arg,
+                    "help": "probe list [[x, xstar], ...] (JSON)"}),
+        ("count", {"type": int,
+                   "help": "seeded probe count when none are given"}))),
+    "fitz": ("Fitzpatrick values and extension membership", "fitz", (
+        _SPACE, _OPERATOR, _TASK, _SEED, _BUDGET,
+        ("points", {"type": _json_arg, "required": True,
+                    "help": "probe list [[ystar, ystarstar], ...]"}))),
+    "classify": ("operator class checks", "classify", (
+        _SPACE, _OPERATOR, _TASK, _SEED, _BUDGET,
+        ("class", {"required": True, "choices": CLASSIFY_CLASSES}))),
+    "br": ("approximate-minimizer subgradient procedures", "br", (
+        _SPACE, _TASK, _SEED,
+        ("mode", {"required": True, "choices": BR_MODES}),
+        ("fn", {"type": _json_arg, "required": True,
+                "help": "function descriptor (JSON)"}))),
+    # the tail operator lives on the l1 pair of each size, so no --space;
+    # argparse decodes a text default on each call, a fresh list each time
+    "tail": ("tail truncation experiment", "tail_experiment", (
+        _TASK, ("n_list", {"type": _json_arg,
+                           "default": "[1, 2, 4, 8, 16]"}))),
+}
+
+# the fields that an option fills only where --task lacks them; any
+# other option that is given replaces its field
+_FILLS = ("seed", "count", "n_list")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser.  Its ``subcommands`` maps each subcommand's name to
-    the parser that reads the rest of its argv.  The JSON options default
-    to None, and ``_inline_scenario`` builds a fresh default for each
-    call, so a reused parser shares no object between calls."""
+    the parser that reads the rest of its argv.  A JSON option defaults
+    to None, or to a text that argparse decodes on each call, so a
+    reused parser shares no object between calls."""
     ap = argparse.ArgumentParser(
         prog="monotone-lab",
         description="numerical analysis toolkit for monotone operators",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
     run_p = sub.add_parser("run", help="execute a scenario file")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
-    _common_output(run_p)
     ap.subcommands = {"run": run_p}
-
-    for name, help_text in (
-        ("gap", "gap evaluation at probe points"),
-        ("fitz", "Fitzpatrick values and extension membership"),
-        ("classify", "operator class checks"),
-        ("br", "approximate-minimizer subgradient procedures"),
-        ("tail", "tail truncation experiment"),
-    ):
+    for name, (help_text, _, options) in _INLINE.items():
         p = ap.subcommands[name] = sub.add_parser(name, help=help_text)
-        if name != "tail":  # the tail operator lives on the l1 pair
-            p.add_argument("--space", type=_json_arg, help="space "
-                           'descriptor, e.g. \'{"dim":2,"norm":"l2"}\'')
-        if name in ("gap", "fitz", "classify"):
-            p.add_argument("--operator", type=_json_arg, required=True,
-                           help="operator descriptor (JSON)")
-        p.add_argument("--task", type=_json_arg,
-                       help="extra task fields (JSON object)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--eta", type=finite_float, default=None)
-        if name == "gap":
-            p.add_argument("--probes", type=_json_arg, default=None,
-                           help="probe list [[x, xstar], ...] (JSON)")
-            p.add_argument("--count", type=int, default=20,
-                           help="seeded probe count when none are given")
-        if name == "fitz":
-            p.add_argument("--points", type=_json_arg, required=True,
-                           help="probe list [[ystar, ystarstar], ...]")
-        if name == "classify":
-            p.add_argument("--class", dest="cls", required=True,
-                           choices=CLASSIFY_CLASSES)
-        if name == "br":
-            p.add_argument("--mode", required=True, choices=BR_MODES)
-            p.add_argument("--fn", type=_json_arg, required=True,
-                           help="function descriptor (JSON)")
-        if name == "tail":
-            p.add_argument("--n-list", type=_json_arg)
-        _common_output(p)
+        for field, kwargs in options:
+            p.add_argument("--" + field.replace("_", "-"), **kwargs)
+    for p in ap.subcommands.values():
+        for field, kwargs in _OUTPUT:
+            p.add_argument("--" + field, **kwargs)
     return ap
 
 
-def _common_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="write the report here "
-                                               "instead of stdout")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-
 def _inline_scenario(args: argparse.Namespace) -> dict:
+    _, kind, options = _INLINE[args.command]
     task = {} if args.task is None else dict(args.task)
-    task["seed"] = task.get("seed", args.seed)
-    if args.budget is not None:
-        task["budget"] = args.budget
-    if args.eta is not None:
-        task["eta"] = args.eta
-    space = getattr(args, "space", None)  # tail takes none
-    if space is None:
-        space = {"dim": 1, "norm": "l2"}
-    operators = {}
-    if getattr(args, "operator", None) is not None:
-        operators["op"] = args.operator
-        task["operator"] = "op"
-
-    if args.command == "gap":
-        task["kind"] = "gap"
-        if args.probes is not None:
-            task["probes"] = args.probes
+    scenario = {"schema": 1, "space": {"dim": 1, "norm": "l2"},
+                "operators": {}, "tasks": [task]}
+    for field, _ in options:
+        value = getattr(args, field)
+        if value is None or field == "task":
+            continue
+        if field == "space":
+            scenario["space"] = value
+        elif field == "operator":
+            scenario["operators"]["op"] = value
+            task["operator"] = "op"
+        elif field in _FILLS:
+            task.setdefault(field, value)
         else:
-            task.setdefault("count", args.count)
-    elif args.command == "fitz":
-        task["kind"] = "fitz"
-        task["points"] = args.points
-    elif args.command == "classify":
-        task["kind"] = "classify"
-        task["class"] = args.cls
-    elif args.command == "br":
-        task["kind"] = "br"
-        task["mode"] = args.mode
-        task["fn"] = args.fn
-    elif args.command == "tail":
-        task["kind"] = "tail_experiment"
-        task.setdefault("n_list", [1, 2, 4, 8, 16] if args.n_list is None
-                        else args.n_list)
-        space = {"dim": 1, "norm": "l1"}
-    return {
-        "schema": 1,
-        "space": space,
-        "operators": operators,
-        "tasks": [task],
-    }
+            task[field] = value
+    task["kind"] = kind
+    return scenario
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
     text = report_json(report) if args.format == "json" else \
         report_csv(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:  # a report path that cannot be written
+            raise ScenarioError(str(exc)) from exc
     else:
         print(text)
 

@@ -657,23 +657,26 @@ def _closed_prox(f: ConvexFn) -> bool:
 
 def _fold_aim(smooth: ConvexFn) -> Optional[Callable]:
     """The map (z, lam) -> (z', lam') with prox_lam(other + smooth)(z) =
-    prox_lam'(other)(z'), when ``smooth`` is affine, half-squared-norm,
-    or quadratic with Q a multiple of I."""
+    prox_lam'(other)(z'), when ``smooth`` is q|x|^2/2 + <b, x> + c:
+    affine (q = 0), half-squared-norm (q = 1, b = 0), or quadratic with
+    Q = qI.  Then z' = (z - lam b)/(1 + lam q) and lam' = lam/(1 + lam q),
+    whose subtraction of lam 0.0 and division by 1.0 are exact."""
     if isinstance(smooth, Affine):
-        return lambda z, lam: (z - lam * smooth.a, lam)
-    if isinstance(smooth, HalfSqNorm):
-        return lambda z, lam: (z / (1.0 + lam), lam / (1.0 + lam))
-    if isinstance(smooth, Quadratic):
-        Q = smooth.Q
-        if np.allclose(Q, Q[0, 0] * np.eye(Q.shape[0]), atol=1e-14):
-            q = float(Q[0, 0])
+        q, b = 0.0, smooth.a
+    elif isinstance(smooth, HalfSqNorm):
+        q, b = 1.0, 0.0
+    elif isinstance(smooth, Quadratic) and np.allclose(
+            smooth.Q, smooth.Q[0, 0] * np.eye(smooth.Q.shape[0]),
+            atol=1e-14):
+        q, b = float(smooth.Q[0, 0]), smooth.b
+    else:
+        return None
 
-            def aim(z: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-                denom = 1.0 + lam * q
-                return (z - lam * smooth.b) / denom, lam / denom
+    def aim(z: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+        denom = 1.0 + lam * q
+        return (z - lam * b) / denom, lam / denom
 
-            return aim
-    return None
+    return aim
 
 
 def add_fns(*fns: ConvexFn) -> ConvexFn:

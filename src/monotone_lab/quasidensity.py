@@ -285,10 +285,12 @@ def _best_point(S: Linear, target: PairedPoint, U: np.ndarray, c: float
     rows U are scored at the probe scaled to unit size, where the LCP
     ran, and r, which is 2-homogeneous, is scaled back as (r c) c; a
     ``ValueError`` where that finds no number or its graph point at
-    scale c is not finite."""
+    scale c is not finite.  An overflow at scale c warns of nothing: its
+    NaN is what selects the unit scale."""
     C = c * U
-    Cs = S._apply(C)
-    i, best = _first_least(r_objective(S, target, C, Cs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Cs = S._apply(C)
+        i, best = _first_least(r_objective(S, target, C, Cs))
     if math.isnan(best):
         unit = PairedPoint(target.x / c, target.xstar / c)
         i, best = _first_least(r_objective(S, unit, U, S._apply(U)))
@@ -313,11 +315,6 @@ def _first_least(r: np.ndarray) -> tuple[int, float]:
     return i, best
 
 
-# the signs of the identity blocks of the linf LCP's Q
-_LINF_SIGNS = np.array([[0.0, 0.0, 1.0, -1.0], [0.0, 0.0, -1.0, 1.0],
-                        [-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]])
-
-
 def _gap_lcp(M: np.ndarray, x: np.ndarray, xs: np.ndarray, l1: bool
              ) -> tuple[np.ndarray, np.ndarray]:
     """The LCP (Q, q) of ``gap_linear_qp`` at the probe (x, x*)."""
@@ -329,14 +326,11 @@ def _gap_lcp(M: np.ndarray, x: np.ndarray, xs: np.ndarray, l1: bool
         B[0, :, 0] = B[1, :, 1] = 1.0 + M
         B[0, :, 1] = B[1, :, 0] = 1.0 - M
         return Q, np.concatenate([-y, y])
-    Q = np.empty((4 * n, 4 * n))
-    B = Q.reshape(4, n, 4, n)
-    # the +-I blocks first, -I with the -0.0 of -eye off its diagonal
-    # (the pivots can carry a zero's sign), then the rest over them
-    np.multiply(_LINF_SIGNS[:, None, :, None], np.eye(n)[:, None, :], out=B)
-    B[0, :, 0] = B[1, :, 1] = M
-    B[0, :, 1] = B[1, :, 0] = -M
-    B[2:, :, 2:] = 1.0
+    # -I holds the -0.0 of -eye off its diagonal (the pivots can carry a
+    # zero's sign)
+    I, E = np.eye(n), np.ones((n, n))
+    Q = np.block([[M, -M, I, -I], [-M, M, -I, I], [-I, I, E, E],
+                  [I, -I, E, E]])
     return Q, np.concatenate([-xs, xs, x, -x])
 
 

@@ -1,13 +1,20 @@
 """The CLI's one-pass dispatch: a call whose first word is a subcommand
 is read by that subcommand's parser alone, with the exit code, report
-and messages of a pass through the top-level parser."""
+and messages of a pass through the top-level parser.  Every option of
+an inline subcommand sets a task field that its runner reads, and every
+call that the benchmark builds still parses."""
 
+import argparse
+import importlib.util
 import json
+import os
 import re
+import sys
 
 import pytest
 
 import monotone_lab.cli as cli_mod
+import monotone_lab.harness as harness_mod
 from monotone_lab.cli import main
 
 ABS = '{"subdiff": {"norm": {"dim": 1}}}'
@@ -137,3 +144,119 @@ def test_two_calls_share_no_default_object(capsys, monkeypatch):
     args, _ = cli_mod._parser().subcommands["gap"].parse_known_args(
         ["--operator", ABS])
     assert args.space is None and args.task is None
+
+
+def test_a_report_path_that_cannot_be_written_exits_2(capsys, tmp_path):
+    # a directory: open() raises IsADirectoryError, an OSError
+    assert main(["tail", "--n-list", "[1]", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+# each inline subcommand's call with its required options; SAMPLES holds
+# a value for each option that a call may leave out
+CALLS = {
+    "gap": ["--operator", ABS],
+    "fitz": ["--operator", '{"linear": [[1.0]]}',
+             "--points", "[[[1.0], [1.0]]]"],
+    "classify": ["--operator", ABS, "--class", "ni",
+                 "--task", '{"wstar": [2.0], "wstarstar": [0.0]}'],
+    "br": ["--mode", "corollary", "--fn", '{"half_sq": {"dim": 1}}',
+           "--task", '{"beta": 0.1}'],
+    "tail": [],
+}
+SAMPLES = {"--seed": "1", "--budget": "3", "--eta": "0.5", "--count": "2",
+           "--probes": "[[[1.0], [0.5]]]", "--n-list": "[1]"}
+
+# the options that set no task field: the space, the task itself and
+# the report's destination and format
+NOT_FIELDS = {"help", "space", "task", "out", "format"}
+
+INLINE_OPTIONS = [
+    (name, action.option_strings[0], action.dest)
+    for name, p in cli_mod.build_parser().subcommands.items()
+    if name != "run"
+    for action in p._actions
+    if action.option_strings and action.dest not in NOT_FIELDS]
+
+
+def _inline(argv: list[str]) -> dict:
+    """The scenario of an inline call, parsed but not run."""
+    args, extra = cli_mod._parser().subcommands[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    assert extra == []
+    return cli_mod._inline_scenario(args)
+
+
+@pytest.mark.parametrize("name,flag,field", INLINE_OPTIONS,
+                         ids=[f"{n} {f}" for n, f, _ in INLINE_OPTIONS])
+def test_every_option_sets_a_field_that_its_runner_reads(name, flag, field,
+                                                         monkeypatch):
+    rest = CALLS[name]
+    if flag not in rest:
+        rest = rest + [flag, SAMPLES[flag]]
+    scenario = _inline([name, *rest])
+    assert field in scenario["tasks"][0]
+    read, real = [], harness_mod._field
+
+    def spy(task, key, *args, **kwargs):
+        read.append(key)
+        return real(task, key, *args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "_field", spy)
+    harness_mod.parse_scenario(scenario)
+    assert field in read
+
+
+@pytest.mark.parametrize("argv", [
+    ["fitz", *CALLS["fitz"], "--eta", "0.5"],
+    ["classify", *CALLS["classify"], "--eta", "0.5"],
+    ["br", *CALLS["br"], "--eta", "0.5"],
+    ["br", *CALLS["br"], "--budget", "5"],
+    ["tail", "--eta", "0.5"],
+    ["tail", "--budget", "5"],
+    ["tail", "--seed", "3"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_an_option_that_no_runner_reads_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+def _load_workloads():
+    """``perfbench/workloads.py``, which imports no part of the package;
+    it is only read here.  Its dataclasses look their module up in
+    ``sys.modules``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  path)
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_every_benchmark_call_parses(workload):
+    """Round 0 of seed 1: each CLI call's options parse and its scenario
+    passes ``parse_scenario``; nothing runs."""
+    inline = 0
+    for op in WORKLOADS.make_rounds(workload, 1, 1)[0]:
+        if op.argv is None:  # a library call
+            continue
+        if op.argv[0] == "run":
+            scenario = op.scenario
+        else:
+            scenario, inline = _inline(op.argv), inline + 1
+        harness_mod.parse_scenario(scenario)
+    if workload == "cli-mix":
+        assert inline > 0

@@ -25,6 +25,7 @@ from monotone_lab import (
     interval,
     minimize,
 )
+import monotone_lab.functions as fn_mod
 from monotone_lab.functions import separable_pieces
 from monotone_lab.solvers import sum_resolvent
 
@@ -311,6 +312,55 @@ class TestBoxFold:
             assert np.abs(P - truth(Z)).max() <= 1e-12
             x, _, ok = sum_resolvent(f.prox_lam, g.prox_lam, Z, lam)
             assert all(ok) and np.abs(P - x).max() <= 1e-9
+
+
+def _three_fold_rules(smooth):
+    """The fold rules as three cases, one per smooth kind, against which
+    the one rule of ``_fold_aim`` is checked bit for bit."""
+    if isinstance(smooth, Affine):
+        return lambda z, lam: (z - lam * smooth.a, lam)
+    if isinstance(smooth, HalfSqNorm):
+        return lambda z, lam: (z / (1.0 + lam), lam / (1.0 + lam))
+    if isinstance(smooth, Quadratic):
+        Q = smooth.Q
+        if np.allclose(Q, Q[0, 0] * np.eye(Q.shape[0]), atol=1e-14):
+            q = float(Q[0, 0])
+
+            def aim(z, lam):
+                denom = 1.0 + lam * q
+                return (z - lam * smooth.b) / denom, lam / denom
+
+            return aim
+    return None
+
+
+class TestFoldAim:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           lam=st.one_of(st.floats(1e-300, 1e300), st.sampled_from(
+               [5e-324, 0.1, 0.3, 1.0, 2.5, 1e8])))
+    @settings(max_examples=200, deadline=None)
+    def test_one_rule_gives_the_bits_of_three(self, seed, n, lam):
+        rng = np.random.default_rng(seed)
+        q = float(rng.choice([0.0, 0.5, 1.0, 3.0]))
+        b = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, n)
+        smooths = [Affine(b), Affine(-0.0 * b), HalfSqNorm(n),
+                   Quadratic(q * np.eye(n), b), Quadratic(q * np.eye(n),
+                                                          np.zeros(n))]
+        z = rng.normal(size=(6, n)) * 10.0 ** rng.integers(-300, 300, (6, n))
+        z[0] = -0.0
+        for smooth in smooths:
+            new, old = fn_mod._fold_aim(smooth), _three_fold_rules(smooth)
+            for point in (z, z[1], z[0]):
+                # an overflow to inf is compared bit for bit too
+                with np.errstate(over="ignore", invalid="ignore"):
+                    (zn, ln), (zo, lo) = new(point, lam), old(point, lam)
+                assert zn.tobytes() == zo.tobytes()
+                assert np.float64(ln).tobytes() == np.float64(lo).tobytes()
+
+    def test_a_quadratic_off_the_identity_has_no_rule(self):
+        smooth = Quadratic(np.diag([1.0, 2.0]), np.zeros(2))
+        assert fn_mod._fold_aim(smooth) is None
+        assert _three_fold_rules(smooth) is None
 
 
 class TestFenchelYoung:

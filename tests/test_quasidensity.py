@@ -1,5 +1,7 @@
 """Quasidensity gap, the Euclidean resolvent oracle, fuzzy variants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -264,7 +266,9 @@ class TestOverflowingScores:
         # every r at the probe's scale is inf - inf; at (1, -1) the gap
         # of M = 1 is 0, at s = 0
         S = Linear(pair=DualPair(1, NormTag.L1), M=np.array([[1.0]]))
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the overflows at the probe's scale warn of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rep = gap(S, pp([1e308], [-1e308]))
         assert (rep.value, rep.status, rep.method) == (0.0, "upper_bound",
                                                        "qp")
@@ -411,6 +415,33 @@ class TestLinfGapByTheInverse:
             w = rep.witness
             assert np.array_equal(S.M @ w.x, w.xstar)
             assert rep.value == max(r_objective(S, t, w.x, w.xstar), 0.0)
+
+
+class TestGapLcp:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_the_linf_lcp_is_its_block_matrix(self, n):
+        # Q = [[M, -M, I, -I], [-M, M, -I, I], [-I, I, E, E],
+        # [I, -I, E, E]], built entry by entry; each -I is negative zero
+        # off its diagonal, as -eye is
+        rng = np.random.default_rng(n)
+        M, x, xs = rng.normal(size=(n, n)), rng.normal(size=n), \
+            rng.normal(size=n)
+        signs = [[0, 0, 1, -1], [0, 0, -1, 1], [-1, 1, 0, 0], [1, -1, 0, 0]]
+        ref = np.empty((4 * n, 4 * n))
+        for bi in range(4):
+            for bj in range(4):
+                for i in range(n):
+                    for j in range(n):
+                        if bi < 2 and bj < 2:
+                            v = M[i, j] if bi == bj else -M[i, j]
+                        elif bi >= 2 and bj >= 2:
+                            v = 1.0
+                        else:
+                            v = signs[bi][bj] * (1.0 if i == j else 0.0)
+                        ref[bi * n + i, bj * n + j] = v
+        Q, q = quasidensity._gap_lcp(M, x, xs, False)
+        assert Q.tobytes() == ref.tobytes()
+        assert q.tolist() == [*(-xs), *xs, *x, *(-x)]
 
 
 class TestEuclideanOracle:
