@@ -4,9 +4,12 @@ Subcommands: run (scenario file), gap, fitz, classify, br, tail.  The
 inline subcommands accept JSON descriptors on the command line and are
 thin wrappers that synthesize a one-task scenario.  Exit codes: 0 when
 every task ran (verdicts may still be negative), 2 on parse or
-configuration errors (a NaN or infinite number among them, or a report
-path that cannot be written), 3 when a task is recorded with status
-"error" or the solver fails outright.
+configuration errors (a NaN or infinite number among them, a scenario
+path that cannot be read or a report path that cannot be written), 3
+when a task is recorded with status "error" or the solver fails
+outright.  A call in the canonical form is read from the option table
+(``_read_table``); argparse reads every other call, so every message is
+argparse's.
 """
 
 from __future__ import annotations
@@ -32,13 +35,20 @@ def _json_arg(text: str):
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from exc
 
 
+def _json_object(text: str) -> dict:
+    value = _json_arg(text)
+    if not isinstance(value, dict):
+        raise argparse.ArgumentTypeError(f"not a JSON object: {text}")
+    return value
+
+
 # an option: the field it sets, which names its flag (n_list is
 # --n-list), and argparse's keywords
 _SPACE = ("space", {"type": _json_arg, "help": "space descriptor, e.g. "
                     '\'{"dim":2,"norm":"l2"}\''})
 _OPERATOR = ("operator", {"type": _json_arg, "required": True,
                           "help": "operator descriptor (JSON)"})
-_TASK = ("task", {"type": _json_arg,
+_TASK = ("task", {"type": _json_object,
                   "help": "extra task fields (JSON object)"})
 _SEED = ("seed", {"type": int, "default": 0})
 _BUDGET = ("budget", {"type": int})
@@ -81,6 +91,18 @@ _INLINE = {
 _FILLS = ("seed", "count", "n_list")
 
 
+def _flags(options) -> dict:
+    """Flag -> (the field it sets, argparse's keywords), for ``options``
+    and then the report's, in the order the parser adds them."""
+    return {"--" + field.replace("_", "-"): (field, kwargs)
+            for field, kwargs in (*options, *_OUTPUT)}
+
+
+# each subcommand's flags, which its parser and ``_read_table`` share
+_FLAGS = {"run": _flags(()), **{name: _flags(options) for name,
+                                (_, _, options) in _INLINE.items()}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser.  Its ``subcommands`` maps each subcommand's name to
     the parser that reads the rest of its argv.  A JSON option defaults
@@ -94,14 +116,59 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a scenario file")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     ap.subcommands = {"run": run_p}
-    for name, (help_text, _, options) in _INLINE.items():
-        p = ap.subcommands[name] = sub.add_parser(name, help=help_text)
-        for field, kwargs in options:
-            p.add_argument("--" + field.replace("_", "-"), **kwargs)
-    for p in ap.subcommands.values():
-        for field, kwargs in _OUTPUT:
-            p.add_argument("--" + field, **kwargs)
+    for name, (help_text, _, _) in _INLINE.items():
+        ap.subcommands[name] = sub.add_parser(name, help=help_text)
+    for name, p in ap.subcommands.items():
+        for flag, (_, kwargs) in _FLAGS[name].items():
+            p.add_argument(flag, **kwargs)
     return ap
+
+
+def _value(kwargs: dict, text: str):
+    """argparse's reading of an option's text: its type, then its
+    choices."""
+    value = kwargs["type"](text) if "type" in kwargs else text
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
+def _read_table(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace that the parser of the subcommand ``argv[0]`` builds
+    from the rest of ``argv``, where the rest is ``run``'s scenario path
+    and then ``--option value`` pairs, each option given once by its
+    whole flag, with a value that does not start with "-" and that its
+    type and choices accept, and no required option left out.  Any other
+    call (an abbreviation, ``--opt=value``, a repeated or unknown option,
+    ``-h``, a value that argparse refuses) is None, for argparse to read
+    with its own messages."""
+    name, rest = argv[0], argv[1:]
+    args = {"command": name}
+    if name == "run":
+        if not rest or rest[0].startswith("-"):
+            return None
+        args["scenario"], rest = rest[0], rest[1:]
+    flags = _FLAGS[name]
+    if len(rest) % 2:
+        return None
+    try:
+        for flag, text in zip(rest[::2], rest[1::2]):
+            option = flags.get(flag)
+            if option is None or option[0] in args or text.startswith("-"):
+                return None
+            field, kwargs = option
+            args[field] = _value(kwargs, text)
+        for field, kwargs in flags.values():
+            if field not in args:
+                if kwargs.get("required"):
+                    return None
+                # as argparse, which converts a text default
+                default = kwargs.get("default")
+                args[field] = _value(kwargs, default) \
+                    if isinstance(default, str) else default
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**args)
 
 
 def _inline_scenario(args: argparse.Namespace) -> dict:
@@ -153,9 +220,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     command = ap.subcommands.get(argv[0]) if argv else None
     if command is None:  # help, an unknown command or none at all
         args = ap.parse_args(argv)
-    else:
-        # the rest is what a top-level pass would hand this parser; a
-        # leftover is the top-level parser's error, with its usage line
+    elif (args := _read_table(argv)) is None:
+        # a call off the table: the rest is what a top-level pass would
+        # hand this parser; a leftover is the top-level parser's error,
+        # with its usage line
         args, extra = command.parse_known_args(
             argv[1:], argparse.Namespace(command=argv[0]))
         if extra:
@@ -169,7 +237,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if any(t["status"] == "error" for t in report["tasks"]):
             return EXIT_SOLVER
         return EXIT_OK
-    except (ScenarioError, FileNotFoundError, ValueError) as exc:
+    except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # internal solver panic

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -275,7 +276,11 @@ def load_json(text: str) -> Any:
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = load_json(fh.read())
+            text = fh.read()
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ScenarioError(str(exc)) from exc
+    try:
+        data = load_json(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"parse error at line {exc.lineno}, column {exc.colno}: "
@@ -353,9 +358,14 @@ def _set(pair: DualPair) -> Callable[[Any], CompactConvexSet]:
 
 
 def _at_least(lo: int) -> Callable[[Any], int]:
-    """Parser of an integer no less than ``lo``."""
+    """Parser of an integer no less than ``lo``: an int, or a float with
+    no fractional part such as 2.0; a bool, a string or 2.5 is
+    refused."""
     def parse(v) -> int:
-        n = int(v)
+        if isinstance(v, bool):
+            raise TypeError(f"{v!r} is not an integer")
+        n = int(v) if isinstance(v, float) and v.is_integer() else \
+            operator.index(v)
         if n < lo:
             raise ValueError(f"{n} is below {lo}")
         return n
@@ -694,7 +704,7 @@ def sum_test(
 
 def _task_tail(pair: DualPair, ops: dict, task: dict) -> Callable:
     n_list = _field(task, "n_list", lambda ns: list(map(_at_least(1), ns)), [])
-    step_cap = _field(task, "step_cap", int, 100000)
+    step_cap = _field(task, "step_cap", _at_least(0), 100000)
     return lambda: tail_experiment(n_list, step_cap)
 
 

@@ -1,8 +1,9 @@
 """The CLI's one-pass dispatch: a call whose first word is a subcommand
-is read by that subcommand's parser alone, with the exit code, report
-and messages of a pass through the top-level parser.  Every option of
-an inline subcommand sets a task field that its runner reads, and every
-call that the benchmark builds still parses."""
+is read by the option table, or else by that subcommand's parser alone,
+with the exit code, report and messages of a pass through the
+top-level parser.  Every option of an inline subcommand sets a task
+field that its runner reads, and every call that the benchmark builds
+is read by the table."""
 
 import argparse
 import importlib.util
@@ -12,6 +13,7 @@ import re
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import monotone_lab.cli as cli_mod
 import monotone_lab.harness as harness_mod
@@ -25,7 +27,8 @@ SCENARIO = {"schema": 1, "space": {"dim": 1, "norm": "l2"},
 
 # every subcommand: a valid call, an abbreviated option, the
 # --opt=value form, a missing required option, a bad choice, a
-# non-finite number, help, leftovers and no command at all
+# non-finite number, a repeated option, a negative number, a --task
+# that is no object, help, leftovers and no command at all
 ARGVS = [
     ["run", "{scenario}"],
     ["run", "{scenario}", "--format", "csv"],
@@ -37,6 +40,11 @@ ARGVS = [
     ["gap", "--count", "1"],
     ["gap", "--operator", ABS, "--probes", "[[[1e400], [0.0]]]"],
     ["gap", "--operator", ABS, "--space", "{}"],
+    ["gap", "--operator", ABS, "--count", "1", "--count", "2"],
+    ["gap", "--operator", ABS, "--seed", "-1"],
+    ["gap", "--operator", '{"linear": [[1.0]]}', "--task", "[1]"],
+    ["gap", "--operator", ABS, "--task", "5"],
+    ["gap", "--operator", ABS, "--task", "null"],
     ["fitz", "--operator", '{"linear": [[1.0]]}',
      "--points", "[[[1.0], [1.0]]]"],
     ["fitz", "--operator", '{"linear": [[1.0]]}'],
@@ -155,6 +163,39 @@ def test_a_report_path_that_cannot_be_written_exits_2(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_task_that_is_no_json_object_exits_2(capsys):
+    for text in ("[1]", "5", "null", '"x"'):
+        with pytest.raises(SystemExit) as exc:
+            main(["gap", "--operator", '{"linear": [[1.0]]}', "--task", text])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --task: not a JSON object: {text}\n")
+
+
+def test_a_scenario_path_that_is_no_file_exits_2(capsys, tmp_path):
+    assert main(["run", str(tmp_path)]) == 2
+    assert main(["run", str(tmp_path / "missing.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        "error: [Errno 2] No such file or directory: "
+        f"{str(tmp_path / 'missing.json')!r}\n")
+
+
+def test_a_broken_stdout_pipe_exits_3(capsys, monkeypatch):
+    class Broken:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Broken())
+    assert main(["tail", "--n-list", "[1]"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "internal error: BrokenPipeError: ")
+
+
 # each inline subcommand's call with its required options; SAMPLES holds
 # a value for each option that a call may leave out
 CALLS = {
@@ -182,12 +223,21 @@ INLINE_OPTIONS = [
     if action.option_strings and action.dest not in NOT_FIELDS]
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argparse's Namespace of a call that its subcommand's parser reads
+    with no leftover and no exit."""
+    try:
+        args, extra = cli_mod._parser().subcommands[argv[0]] \
+            .parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    except SystemExit:
+        raise AssertionError(f"argparse refuses {argv}") from None
+    assert extra == []
+    return args
+
+
 def _inline(argv: list[str]) -> dict:
     """The scenario of an inline call, parsed but not run."""
-    args, extra = cli_mod._parser().subcommands[argv[0]].parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0]))
-    assert extra == []
-    return cli_mod._inline_scenario(args)
+    return cli_mod._inline_scenario(_parse(argv))
 
 
 @pytest.mark.parametrize("name,flag,field", INLINE_OPTIONS,
@@ -247,12 +297,14 @@ WORKLOADS = _load_workloads()
 
 @pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
 def test_every_benchmark_call_parses(workload):
-    """Round 0 of seed 1: each CLI call's options parse and its scenario
-    passes ``parse_scenario``; nothing runs."""
+    """Round 0 of seed 1: the option table reads each CLI call as
+    argparse does, so that none goes through argparse's option loop,
+    and its scenario passes ``parse_scenario``; nothing runs."""
     inline = 0
     for op in WORKLOADS.make_rounds(workload, 1, 1)[0]:
         if op.argv is None:  # a library call
             continue
+        assert cli_mod._read_table(op.argv) == _parse(op.argv), op.name
         if op.argv[0] == "run":
             scenario = op.scenario
         else:
@@ -260,3 +312,67 @@ def test_every_benchmark_call_parses(workload):
         harness_mod.parse_scenario(scenario)
     if workload == "cli-mix":
         assert inline > 0
+
+
+# a value for each option that its type and choices accept
+VALID = {"space": '{"dim": 1, "norm": "l2"}', "operator": ABS,
+         "task": '{"beta": 0.1}', "seed": "1", "budget": "3", "eta": "0.5",
+         "probes": "[[[1.0], [0.5]]]", "count": "2",
+         "points": "[[[1.0], [1.0]]]", "class": "ni", "mode": "corollary",
+         "fn": '{"half_sq": {"dim": 1}}', "n_list": "[1]",
+         "out": "report.json", "format": "csv"}
+# valid and invalid JSON, non-finite and negative numbers, "--", a
+# word that reads as an option and words inside and outside the choices
+VALUES = [*VALID.values(), "{}", "null", "[1]", "5", "2.5", '"x"', "{",
+          "abc", "NaN", "[1e400]", "-1", "-0.5", "--", "-x", "zz", "fpv",
+          "json", "point", ""]
+# words that no subcommand takes, help and the flags of every subcommand
+FLAGS = sorted({"--nope", "-h", "--help", "-x",
+                *(f for flags in cli_mod._FLAGS.values() for f in flags)})
+
+
+@st.composite
+def calls(draw):
+    """A subcommand, maybe a scenario path, its required options, each
+    left out one time in four, and options that are exact, abbreviated,
+    in the --opt=value form, given without a value, repeated or unknown,
+    with values that are valid or not."""
+    name = draw(st.sampled_from(sorted(cli_mod._FLAGS)))
+    argv = [name]
+    if name == "run" and draw(st.integers(0, 3)):
+        argv.append(draw(st.sampled_from(["s.json", "-s.json", "--", ""])))
+    own = list(cli_mod._FLAGS[name].items())
+    for flag, (field, kwargs) in own:
+        if kwargs.get("required") and draw(st.integers(0, 3)):
+            argv += [flag, VALID[field]]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 2)):
+            flag, (field, _) = draw(st.sampled_from(own))
+            value = VALID[field] if draw(st.booleans()) else \
+                draw(st.sampled_from(VALUES))
+        else:
+            flag, value = draw(st.sampled_from(FLAGS)), \
+                draw(st.sampled_from(VALUES))
+        form = draw(st.sampled_from(["exact"] * 5 + ["short", "=", "bare"]))
+        if form == "short" and len(flag) > 3:
+            argv += [flag[:draw(st.integers(3, len(flag) - 1))], value]
+        elif form == "=":
+            argv.append(f"{flag}={value}")
+        elif form == "bare":
+            argv.append(flag)
+        else:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(calls())
+# values that argparse reads as an option and as the end of options
+@example(["tail", "--out", "-x"])
+@example(["tail", "--out", "--"])
+def test_the_table_reads_a_call_as_argparse_does(argv):
+    """Wherever the table answers, argparse builds the same Namespace,
+    with no leftover and no exit."""
+    table = cli_mod._read_table(argv)
+    if table is not None:
+        assert table == _parse(argv)

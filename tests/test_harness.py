@@ -457,6 +457,23 @@ class TestRefusedAtParse:
          "has a malformed 'n_list'"),
         ({"kind": "tail_experiment", "n_list": [1], "step_cap": "x"},
          "has a malformed 'step_cap'"),
+        # a bool, a string or a fraction where an integer belongs
+        (dict(GAP, count=2.9), "has a malformed 'count': TypeError: "
+         "'float' object cannot be interpreted as an integer"),
+        (dict(GAP, count=True),
+         "has a malformed 'count': TypeError: True is not an integer"),
+        (dict(GAP, seed="3"), "has a malformed 'seed'"),
+        (dict(GAP, budget=False), "has a malformed 'budget'"),
+        ({"kind": "tail_experiment", "n_list": [2.5]},
+         "has a malformed 'n_list'"),
+        ({"kind": "tail_experiment", "n_list": [1], "step_cap": True},
+         "has a malformed 'step_cap'"),
+        ({"kind": "tail_experiment", "n_list": [1], "step_cap": 2.5},
+         "has a malformed 'step_cap'"),
+        ({"kind": "tail_experiment", "n_list": [1], "step_cap": -1},
+         "has a malformed 'step_cap': ValueError: -1 is below 0"),
+        ({"kind": "sum_test", "S": "abs", "T": "abs", "seed": 0,
+          "probes": 1.5}, "has a malformed 'probes'"),
         ({"kind": "sum_test", "S": "abs", "T": "abs", "seed": 0,
           "probes": -1}, "has a malformed 'probes'"),
         ({"kind": "sum_test", "S": "abs", "T": "abs", "seed": 0,
@@ -815,6 +832,14 @@ class TestTailExperiment:
 
     def test_empty_list(self):
         assert tail_experiment([]) == []
+
+    def test_an_integral_float_reads_as_its_integer(self):
+        # JSON may write 2 as 2.0; the task echoes it, the rows read 2
+        report = run_scenario(base_scenario([
+            {"kind": "tail_experiment", "n_list": [2.0], "step_cap": 50.0}]))
+        assert report["tasks"][0]["status"] == "ok"
+        assert [r["n"] for r in report["tasks"][0]["records"]] == [2]
+        assert report["tasks"][0]["records"][0]["steps"] <= 50
 
 
 class TestSumTest:
