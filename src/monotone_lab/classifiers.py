@@ -55,7 +55,8 @@ def _windowed_check(
     R = np.empty((m + k + 1, 2 * n))
     R[:m, :n], R[:m, n:], R[m:-1] = X, Xs, probes
     R[-1, :n], R[-1, n:] = w, wstar
-    tol = np.full(m + k + 1, 1e-12)
+    tol = np.empty(m + k + 1)
+    tol.fill(1e-12)
     tol[-1] = 1e-9
     inside = U.interior_mask(R[:, :n], tol)
     if not inside[-1]:
@@ -105,18 +106,18 @@ def _window_probes(
     if isinstance(S, FiniteGraph):
         return np.empty((0, 2 * n))
     rng = np.random.default_rng(seed + 17)
-    targets = U.project(np.vstack([
+    targets = U.project(np.concatenate([
         rng.normal(size=(8, n)) * 3.0, np.zeros((1, n))]))
-    partners = np.vstack([wstar, base_xstar[:6]])
+    partners = np.concatenate([wstar[None], base_xstar[:6]])
     # the aims u_i + v_j, i major; k and j count the leading rows that
     # succeeded
     P, Ps, ok = S.resolvent((targets[:, None, :] + partners).reshape(-1, n))
-    k = len(ok) if ok.all() else int(ok.argmin())
+    k = len(ok) if np.logical_and.reduce(ok) else int(ok.argmin())
     if k == 0:
         return np.empty((0, 2 * n))
     u = targets[np.arange(k) // len(partners)]
     Q, Qs, ok = S.resolvent(u + Ps[:k])
-    j = len(ok) if ok.all() else int(ok.argmin())
+    j = len(ok) if np.logical_and.reduce(ok) else int(ok.argmin())
     # p_0, q_0, ..., p_(j-1), q_(j-1), then p_j if its re-aim failed
     m = min(j + 1, k)
     out = np.empty((m + j, 2 * n))
@@ -155,7 +156,8 @@ def check_fp(
     w = S.pair.check_dim(w, "w")
     wstar = S.pair.check_dim(wstar, "wstar")
     v = _windowed_check(inverse(S), Ut, wstar, w, budget, seed)
-    return replace(v, premise_witness=_swapped(v.premise_witness))
+    return ClassifierVerdict(v.premise_holds, _swapped(v.premise_witness),
+                             v.conclusion, v.vacuous)
 
 
 def _swapped(p: Optional[PairedPoint]) -> Optional[PairedPoint]:

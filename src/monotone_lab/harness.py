@@ -70,7 +70,20 @@ class ScenarioError(ValueError):
 def parse_space(desc: dict) -> DualPair:
     if not isinstance(desc, dict) or "dim" not in desc:
         raise ScenarioError("space descriptor needs a 'dim' key")
-    return DualPair(int(desc["dim"]), NormTag.parse(desc.get("norm", "l2")))
+    return DualPair(_size(desc, "dim", "space descriptor"),
+                    NormTag.parse(desc.get("norm", "l2")))
+
+
+def _size(desc: dict, key: str, what: str) -> int:
+    """The field ``key`` of ``desc``, the descriptor of ``what``: an
+    integer of at least 1, else a ScenarioError that names the field.  A
+    missing key is the caller's KeyError."""
+    value = desc[key]
+    try:
+        return _at_least(1)(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{what} has a malformed {key!r}: "
+                            f"{type(exc).__name__}: {exc}") from None
 
 
 def parse_set(desc: dict) -> CompactConvexSet:
@@ -99,7 +112,8 @@ def parse_fn(desc: dict) -> ConvexFn:
                          float(q.get("c", 0.0)))
     if "norm" in desc:
         n = desc["norm"]
-        return NormFn(int(n["dim"]), float(n.get("scale", 1.0)),
+        return NormFn(_size(n, "dim", "norm function"),
+                      float(n.get("scale", 1.0)),
                       NormTag.parse(n.get("kind", "l2")))
     if "support" in desc:
         return SupportFn(parse_set(desc["support"]))
@@ -109,7 +123,7 @@ def parse_fn(desc: dict) -> ConvexFn:
         a = desc["affine"]
         return Affine(np.asarray(a["a"], float), float(a.get("c", 0.0)))
     if "half_sq" in desc:
-        return HalfSqNorm(int(desc["half_sq"]["dim"]))
+        return HalfSqNorm(_size(desc["half_sq"], "dim", "half_sq function"))
     if "translate" in desc:
         t = desc["translate"]
         inner = parse_fn(t["inner"])
@@ -133,7 +147,7 @@ def parse_operator(desc: dict, pair: DualPair) -> MonotoneOperator:
     if not isinstance(desc, dict) or len(desc) == 0:
         raise ScenarioError("empty operator descriptor")
     if "tail" in desc:
-        T = tail_operator(int(desc["tail"]))
+        T = tail_operator(_size(desc, "tail", "operator descriptor"))
         if T.pair != pair:
             raise ScenarioError(
                 f"the tail operator of size {T.pair.dim} lives on the l1 "
@@ -275,10 +289,15 @@ def load_json(text: str) -> Any:
 
 def load_scenario(path: str) -> Scenario:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:  # a missing file, a directory, no permission
         raise ScenarioError(str(exc)) from exc
+    # the text that reading in text mode gives: one UTF-8 decode, and
+    # universal newlines, which put "\n" for "\r\n" and a lone "\r"
+    text = raw.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = load_json(text)
     except json.JSONDecodeError as exc:
@@ -340,7 +359,7 @@ def _point(pair: DualPair, name: str) -> Callable[[Any], np.ndarray]:
     """Parser of a finite point, ``name``, of the pair's dimension."""
     def parse(v) -> np.ndarray:
         out = np.asarray(v, dtype=float).ravel()
-        if not np.isfinite(out).all():
+        if not np.logical_and.reduce(np.isfinite(out)):
             raise ValueError(f"non-finite entry in {v!r}")
         return pair.check_dim(out, name)
     return parse
@@ -764,8 +783,13 @@ def _finite_json(obj: Any) -> Any:
     return obj
 
 
-# built once, where json.dumps builds an encoder on each call
-_ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+# the C encoder that JSONEncoder(sort_keys=True, allow_nan=False).encode
+# builds on each call, built once; with no markers dict (no circular
+# check: a report is a tree), since an encode that raises leaves its
+# containers' ids in that dict
+_ENCODER = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ": ", ", ", True, False, False)
 
 
 def report_json(report: dict) -> str:
@@ -774,9 +798,9 @@ def report_json(report: dict) -> str:
     writes a finite report as it stands; only a report that it refuses
     for a non-finite float is copied by ``_finite_json`` first."""
     try:
-        return _ENCODE(report)
+        return "".join(_ENCODER(report, 0))
     except ValueError:  # a non-finite float
-        return _ENCODE(_finite_json(report))
+        return "".join(_ENCODER(_finite_json(report), 0))
 
 
 def strip_timings(report: dict) -> dict:

@@ -76,7 +76,10 @@ class MonotoneOperator:
             X, Xs, ok = self._resolve(z, lam)
         except ResolventError:
             return _failed_rows(z)
-        return X, Xs, np.full(len(z), ok)
+        if ok is True:
+            ok = np.empty(len(z), dtype=bool)
+            ok.fill(True)
+        return X, Xs, ok
 
     def _resolve(self, z: np.ndarray, lam: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | bool]:
@@ -186,7 +189,9 @@ class Linear(MonotoneOperator):
     M: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        M = np.atleast_2d(np.asarray(self.M, dtype=float))
+        M = np.asarray(self.M, dtype=float)
+        if M.ndim < 2:
+            M = M.reshape(1, -1)
         if M.shape != (self.pair.dim, self.pair.dim):
             raise ValueError("matrix shape does not match the pair dimension")
         object.__setattr__(self, "M", M)
@@ -264,7 +269,7 @@ class Subdifferential(MonotoneOperator):
 
 def _domain_scale(f: ConvexFn) -> float:
     p = f.prox_lam(np.zeros(f.dim), 1.0)
-    return float(np.max(np.abs(p))) + 1.0
+    return float(np.maximum.reduce(np.abs(p))) + 1.0
 
 
 def normal_cone(pair: DualPair, K: CompactConvexSet) -> "NormalCone":
@@ -287,13 +292,13 @@ class NormalCone(Subdifferential):
         # each point, then its normal rescaled by 0, 2 and 5 where nonzero
         t = np.array([1.0, 0.0, 2.0, 5.0])[:, None]
         keep = np.ones((len(X), 4), dtype=bool)
-        keep[:, 1:] = np.any(Xs, axis=1)[:, None]
+        keep[:, 1:] = np.logical_or.reduce(Xs, axis=1, dtype=bool)[:, None]
         keep = keep.ravel()
         X_out = np.repeat(X, 4, axis=0)[keep]
         Xs_out = (t * Xs[:, None, :]).reshape(-1, self.pair.dim)[keep]
         if isinstance(self.K, Polytope):
-            X_out = np.vstack([X_out, self.K.vertices])
-            Xs_out = np.vstack([Xs_out, np.zeros_like(self.K.vertices)])
+            X_out = np.concatenate([X_out, self.K.vertices])
+            Xs_out = np.concatenate([Xs_out, np.zeros_like(self.K.vertices)])
         m = max(budget, len(X))
         return X_out[:m], Xs_out[:m]
 
@@ -312,8 +317,8 @@ class SupportSubdiff(Subdifferential):
         X = _cloud(self.pair.dim, budget, seed)
         Xs = np.array([self.Kt.argmax_support(x) for x in X]).reshape(X.shape)
         if isinstance(self.Kt, Polytope):
-            X = np.vstack([X, np.zeros_like(self.Kt.vertices)])
-            Xs = np.vstack([Xs, self.Kt.vertices])
+            X = np.concatenate([X, np.zeros_like(self.Kt.vertices)])
+            Xs = np.concatenate([Xs, self.Kt.vertices])
         return X, Xs
 
 

@@ -97,7 +97,7 @@ class CompactConvexSet:
         y = self._check_rows(y) if y.ndim == 2 else self._check(y)
         # the sum is finite only when every entry is; else (or where it
         # overflows) the rows with a NaN or an inf are set aside first
-        if math.isfinite(y.sum()):
+        if math.isfinite(np.add.reduce(y, axis=None)):
             d = self._dists(y, norm)
             return d if y.ndim == 2 else float(d)
         Y = np.atleast_2d(y)
@@ -138,13 +138,13 @@ class CompactConvexSet:
         """
         P = self._probes(Y, tol)
         d = self.dist(P.reshape(-1, self.dim))
-        return (d.reshape(P.shape[:2]) <= tol).all(axis=0)
+        return np.logical_and.reduce(d.reshape(P.shape[:2]) <= tol, axis=0)
 
     def _probes(self, Y: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
         """(2n+1, m, n) stack: the rows of Y, then y + delta e_i and
         y - delta e_i for i = 0..n-1, each row's delta from its tol."""
         Y = self._check_rows(Y)
-        delta = 16 * np.reshape(np.maximum(tol, 1e-9), (-1, 1))
+        delta = 16 * np.maximum(tol, 1e-9).reshape(-1, 1)
         return Y + delta * _axis_offsets(self.dim)[:, None, :]
 
     def _check(self, y: np.ndarray) -> np.ndarray:
@@ -253,22 +253,28 @@ def _box_bounds(V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     Every vertex lies in the box, so the hull is the box exactly when V
     holds all of its 2**k corners, k the number of sides with lo < hi.
     For k <= 1 the corners are a least and a largest vertex.  Otherwise
-    a corner is coded by which of those coordinates sit at hi, and each
-    code found is marked in a table of 2**k.
+    a corner is coded by which of those coordinates sit at hi, and the
+    codes found are counted, in Python scalars over the few vertices.
     """
-    lo, hi = V.min(axis=0), V.max(axis=0)
-    free = lo < hi
-    k = int(np.count_nonzero(free))
+    lo, hi = np.minimum.reduce(V, axis=0), np.maximum.reduce(V, axis=0)
+    los, his = lo.tolist(), hi.tolist()
+    free = [i for i, (a, b) in enumerate(zip(los, his)) if a < b]
+    k = len(free)
     if k <= 1:
         return lo, hi
     if 2**k > len(V):
         return None
-    W = V[:, free]
-    at_hi = W == hi[free]
-    corner = np.all(at_hi | (W == lo[free]), axis=1)
-    seen = np.zeros(2**k, dtype=bool)
-    seen[at_hi[corner] @ (1 << np.arange(k))] = True
-    return (lo, hi) if seen.all() else None
+    codes = set()
+    for row in V.tolist():
+        code = 0
+        for bit, i in enumerate(free):
+            if row[i] == his[i]:
+                code += 1 << bit
+            elif row[i] != los[i]:
+                break
+        else:
+            codes.add(code)
+    return (lo, hi) if len(codes) == 2**k else None
 
 
 def interval(lo: float, hi: float) -> Polytope:

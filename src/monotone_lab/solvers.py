@@ -97,7 +97,13 @@ def nearest_hull_point(vertices: np.ndarray, y: np.ndarray) -> np.ndarray:
         return V[0].copy()
     if V.shape[1] == 1:
         return np.clip(y, V.min(), V.max())
-    S = [int(np.argmin(np.sum((V - y) ** 2, axis=1)))]
+    # the nearest vertex starts; past 2**500 its squares can overflow, so
+    # the rows are scaled by a power of two, which keeps their order
+    D = V - y
+    top = np.maximum.reduce(np.abs(D), axis=None)
+    if 2.0**500 < top < np.inf:
+        D = np.ldexp(D, 500 - math.frexp(top)[1])
+    S = [int(np.add.reduce(D * D, axis=1).argmin())]
     w = np.ones(1)
     for _ in range(8 * m + 8):
         p = w @ V[S]

@@ -33,7 +33,14 @@ class NormTag(enum.Enum):
     def parse(cls, s: "str | NormTag") -> "NormTag":
         if isinstance(s, NormTag):
             return s
-        return cls(str(s).lower())
+        tag = str(s).lower()
+        try:
+            return _TAGS[tag]
+        except KeyError:  # the message of ``NormTag(tag)``
+            raise ValueError(f"{tag!r} is not a valid NormTag") from None
+
+
+_TAGS = {tag.value: tag for tag in NormTag}
 
 
 def vector_norm(v: np.ndarray, tag: NormTag) -> float:
@@ -68,10 +75,11 @@ def first_min(v: np.ndarray) -> Optional[int]:
     """Index of the first smallest entry of ``v`` below +inf, NaN skipped,
     or None: the entry a scalar loop ``if v_i < best`` from best = inf
     keeps, where ``np.argmin`` would return a NaN."""
-    low = np.min(v, initial=np.inf, where=~np.isnan(v))
+    low = np.minimum.reduce(v, axis=None, initial=np.inf,
+                            where=~np.isnan(v))
     if not low < np.inf:
         return None
-    return int(np.argmax(v == low))
+    return int((v == low).argmax())
 
 
 def row_norms(V: np.ndarray, tag: NormTag) -> np.ndarray:
@@ -80,9 +88,9 @@ def row_norms(V: np.ndarray, tag: NormTag) -> np.ndarray:
     reduction ``np.linalg.norm`` of one vector uses."""
     V = np.asarray(V, dtype=float)
     if tag is NormTag.L1:
-        return np.sum(np.abs(V), axis=-1)
+        return np.add.reduce(np.abs(V), axis=-1)
     if tag is NormTag.LINF:
-        return np.max(np.abs(V), axis=-1, initial=0.0)
+        return np.maximum.reduce(np.abs(V), axis=-1, initial=0.0)
     return np.sqrt(row_dots(V, V))
 
 

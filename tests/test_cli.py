@@ -6,15 +6,21 @@ field that its runner reads, and every call that the benchmark builds
 is read by the table."""
 
 import argparse
+import codecs
+import dataclasses
+import enum
 import importlib.util
+import inspect
 import json
 import os
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import monotone_lab
 import monotone_lab.cli as cli_mod
 import monotone_lab.harness as harness_mod
 from monotone_lab.cli import main
@@ -312,6 +318,75 @@ def test_every_benchmark_call_parses(workload):
         harness_mod.parse_scenario(scenario)
     if workload == "cli-mix":
         assert inline > 0
+
+
+_METHODS = (sys.modules.get("numpy._core._methods")
+            or sys.modules["numpy.core._methods"])  # the ndarray shims
+# numpy's and the stdlib's Python-level wrappers that package functions
+# on the benchmark's path call at their C entry points instead, by
+# (module, function): ``ndarray.clip``, ``numpy.linalg`` and
+# ``np.random.default_rng`` are not among them
+REMOVED_WRAPPERS = {
+    ("spaces", "parse"): [type(enum.Enum).__call__],
+    ("spaces", "first_min"): [np.min, np.argmax],
+    ("spaces", "row_norms"): [np.sum, np.max],
+    ("sets", "dist"): [_METHODS._sum],
+    ("sets", "interior_mask"): [_METHODS._all],
+    ("sets", "_probes"): [np.reshape],
+    ("sets", "_box_bounds"): [_METHODS._amin, _METHODS._amax,
+                              np.count_nonzero, np.all, _METHODS._all],
+    ("operators", "resolvent"): [np.full],
+    ("operators", "__post_init__"): [np.atleast_2d],
+    ("operators", "_domain_scale"): [np.max],
+    ("operators", "graph_rows"): [np.any, np.vstack],
+    ("classifiers", "_windowed_check"): [np.full],
+    ("classifiers", "_window_probes"): [np.vstack, _METHODS._all],
+    ("classifiers", "check_fp"): [dataclasses.replace],
+    ("harness", "parse"): [_METHODS._all],
+    ("harness", "load_scenario"): [codecs.BufferedIncrementalDecoder.decode],
+    ("harness", "report_json"): [json.JSONEncoder.encode],
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_no_removed_wrapper_on_the_benchmark_path(workload, tmp_path,
+                                                   capsys):
+    """Round 0 of seed 1 through ``cli.main`` (or its library call)
+    under ``sys.setprofile``: no package function calls a wrapper that
+    ``REMOVED_WRAPPERS`` lists for it."""
+    package = os.path.dirname(cli_mod.__file__)
+    removed = {inspect.unwrap(f).__code__: f for fs in
+               REMOVED_WRAPPERS.values() for f in fs}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code not in removed:
+            return
+        caller = frame.f_back.f_code
+        module = os.path.splitext(os.path.basename(caller.co_filename))[0]
+        key = (module, caller.co_name)
+        if (caller.co_filename.startswith(package)
+                and removed[frame.f_code] in REMOVED_WRAPPERS.get(key, ())):
+            calls.append((key, frame.f_code.co_name))
+
+    ran = 0
+    for i, op in enumerate(WORKLOADS.make_rounds(workload, 1, 1)[0]):
+        argv = op.argv
+        if op.scenario is not None:
+            path = tmp_path / f"{i}.json"
+            path.write_text(json.dumps(op.scenario), encoding="utf-8")
+            argv = [str(path) if a == "{scenario}" else a for a in argv]
+        sys.setprofile(profile)
+        try:
+            if op.call is not None:
+                op.call(monotone_lab)
+            else:
+                ran += main(argv) == 0
+        finally:
+            sys.setprofile(None)
+    capsys.readouterr()
+    assert ran > 0
+    assert calls == []
 
 
 # a value for each option that its type and choices accept

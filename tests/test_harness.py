@@ -409,9 +409,10 @@ def inline_argv(task):
 class TestRefusedAtParse:
     """A malformed number or point, a negative seed or budget, a
     non-positive tolerance, a wrongly sized br vector or set, two fuzz
-    sets and an operator descriptor whose parts disagree in size are
-    refused when the scenario is parsed, through ``run`` and the inline
-    calls alike, before any task solves."""
+    sets, an operator descriptor whose parts disagree in size and a
+    dimension or size that is no integer of at least 1 are refused when
+    the scenario is parsed, through ``run`` and the inline calls alike,
+    before any task solves."""
 
     GAP = {"kind": "gap", "operator": "abs", "seed": 0, "count": 1}
     FITZ = {"kind": "fitz", "operator": "abs", "seed": 0,
@@ -511,6 +512,19 @@ class TestRefusedAtParse:
           "beta": 0.1}, "has a malformed 'seed'"),
         ({"kind": "sum_test", "S": "abs", "T": "abs", "seed": -1},
          "has a malformed 'seed'"),
+        # a function's dimension that is no integer of at least 1
+        ({"kind": "br", "mode": "corollary", "seed": 0,
+          "fn": {"half_sq": {"dim": True}}, "beta": 0.1},
+         "has a malformed 'fn': ScenarioError: half_sq function has a "
+         "malformed 'dim': TypeError: True is not an integer"),
+        ({"kind": "br", "mode": "corollary", "seed": 0,
+          "fn": {"norm": {"dim": "1"}}, "beta": 0.1},
+         "has a malformed 'fn': ScenarioError: norm function has a "
+         "malformed 'dim': TypeError"),
+        ({"kind": "br", "mode": "corollary", "seed": 0,
+          "fn": {"half_sq": {"dim": 0}}, "beta": 0.1},
+         "has a malformed 'fn': ScenarioError: half_sq function has a "
+         "malformed 'dim': ValueError: 0 is below 1"),
     ]
     # (dimension, operator descriptor, message)
     BAD_OPERATORS = [
@@ -530,6 +544,32 @@ class TestRefusedAtParse:
          "capsule ends have shapes (1,) and (2,)"),
         (1, {"shift": {"inner": {"linear": [[1]]}, "dxstar": [1, 2]}},
          "dxstar has shape (2,), expected (1,)"),
+    ]
+    # (space, operator descriptor, message): a size that is no integer
+    # of at least 1, which int() read as 1, 1, 2 and 1 or refused with a
+    # TypeError
+    BAD_SIZES = [
+        ({"dim": [1], "norm": "l2"}, ABS,
+         "space descriptor has a malformed 'dim': TypeError: 'list' object "
+         "cannot be interpreted as an integer"),
+        ({"dim": True, "norm": "l2"}, ABS,
+         "space descriptor has a malformed 'dim': TypeError: True is not "
+         "an integer"),
+        ({"dim": "1", "norm": "l2"}, ABS,
+         "space descriptor has a malformed 'dim': TypeError"),
+        ({"dim": 2.9, "norm": "l2"}, {"subdiff": {"norm": {"dim": 2}}},
+         "space descriptor has a malformed 'dim': TypeError: 'float' "
+         "object cannot be interpreted as an integer"),
+        ({"dim": 1, "norm": "l1"}, {"tail": True},
+         "operator descriptor has a malformed 'tail': TypeError: True is "
+         "not an integer"),
+        ({"dim": 2, "norm": "l1"}, {"tail": 2.5},
+         "operator descriptor has a malformed 'tail': TypeError"),
+        ({"dim": 1, "norm": "l2"}, {"subdiff": {"norm": {"dim": True}}},
+         "norm function has a malformed 'dim': TypeError: True is not an "
+         "integer"),
+        ({"dim": 1, "norm": "l2"}, {"subdiff": {"half_sq": {"dim": [1]}}},
+         "half_sq function has a malformed 'dim': TypeError"),
     ]
 
     @pytest.fixture
@@ -565,10 +605,12 @@ class TestRefusedAtParse:
         assert f"task 0 ({task['kind']}) {message}" in captured.err
         assert gap_calls == []
 
-    @pytest.mark.parametrize("dim, op, message", BAD_OPERATORS)
-    def test_a_descriptor_of_two_sizes_exits_2(self, capsys, tmp_path,
-                                               gap_calls, dim, op, message):
-        space = {"dim": dim, "norm": "l2"}
+    @pytest.mark.parametrize("space, op, message", [
+        ({"dim": dim, "norm": "l2"}, op, message)
+        for dim, op, message in BAD_OPERATORS] + BAD_SIZES)
+    def test_a_malformed_space_or_operator_exits_2(self, capsys, tmp_path,
+                                                   gap_calls, space, op,
+                                                   message):
         data = base_scenario([{"kind": "gap", "operator": "bad", "seed": 0,
                                "count": 1}], {"bad": op}, space)
         assert main(["run", write_scenario(tmp_path, data)]) == 2

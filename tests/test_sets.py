@@ -130,6 +130,15 @@ class TestDist:
         assert SQUARE.dist(np.array([2.0, 0.0]), NormTag.L1) == pytest.approx(
             1.0, abs=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("norm, d", [(NormTag.L1, 2e300),
+                                         (NormTag.LINF, 1e300)])
+    def test_a_far_point_starts_wolfe_without_overflow(self, norm, d):
+        # the squares of y - V overflow past 1e154, so Wolfe's start
+        # compares the rows scaled by a power of two
+        hull = Polytope(np.array([[0.0, 0.0], [2.0, 0.5], [0.5, 2.0]]))
+        assert hull.dist(np.array([1e300, -1e300]), norm) == d
+
 
 class TestProject:
     def test_square_clamp(self):
