@@ -280,7 +280,7 @@ JSON = st.recursive(
 
 @given(reports=st.lists(JSON, min_size=1, max_size=4))
 def test_report_json_is_the_encoder_call(reports):
-    # several in a row: an encode that raises leaves nothing behind
+    # several in a row, some refused first for a non-finite float
     for report in reports:
         assert harness.report_json(report) == report_json_reference(report)
 
